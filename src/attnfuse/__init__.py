@@ -8,14 +8,14 @@ motion.
 """
 
 from .errors import ConfigError, ContractViolation, MissingRecordError
-from .fusion import (BlendMask, EditConfig, PromptAlignment, align_prompts,
-                     blend_self, build_blend_mask, fuse_cross,
+from .fusion import (BlendMask, EditConfig, FusionPlan, PromptAlignment,
+                     align_prompts, blend_self, build_blend_mask, fuse_cross,
                      identity_alignment, preset)
 from .model import (AttentionRecord, DenoiserWeights, ModelConfig,
                     PromptEmbedding, attend, denoiser_forward, embed_prompt,
                     load_weights, make_denoiser_weights, make_oracle_denoiser,
                     save_weights, spatiotemporal_attend)
-from .numerics import SeededRng, gaussian, matmul, maxnorm_frame, softmax_lastdim
+from .numerics import SeededRng, maxnorm_frame, softmax_lastdim
 from .pipeline import (MetricsReport, VideoSpec, compute_metrics, decode,
                        encode, invert_video, run_denoise, synth_video)
 from .schedule import (NoiseSchedule, cfg_combine, ddim_invert_step,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,8 +21,7 @@ import numpy as np
 
 from . import blobio
 from .errors import ConfigError, ContractViolation
-from .fusion import (EditConfig, MODES, align_prompts, build_blend_mask,
-                     mask_positions, preset, source_step, window_active)
+from .fusion import EditConfig, FusionPlan, MODES, align_prompts, preset
 from .imageio import quantize, write_pgm
 from .model import (ModelConfig, config_hash, embed_prompt,
                     make_denoiser_weights)
@@ -253,18 +251,13 @@ def write_heatmap(map2d: np.ndarray, path: Path) -> None:
     write_pgm(path, quantize(norm * 255.0))
 
 
-def _write_visuals(out_dir: Path, rc: RunConfig, store, alignment, sched) -> None:
+def _write_visuals(out_dir: Path, rc: RunConfig, store, alignment) -> None:
     h, w = rc.model.h, rc.model.w
-    positions = mask_positions(alignment)
+    plan = FusionPlan(rc.edit, alignment, store)
 
     mask_dir = out_dir / "masks"
     mask_dir.mkdir(parents=True, exist_ok=True)
-    if positions:
-        t_low = max(1, math.ceil(rc.edit.t_s * sched.T - 1e-9))
-        mask = build_blend_mask(store, source_step(t_low), 0, positions,
-                                rc.edit.tau).mask
-    else:
-        mask = np.zeros((rc.model.n, h * w), dtype=bool)
+    mask = plan.self_mask(plan.first_self, 0).mask
     for i in range(rc.model.n):
         write_pgm(mask_dir / f"{i:04d}.pgm",
                   np.where(mask[i].reshape(h, w), 255, 0).astype(np.uint8))
@@ -272,9 +265,7 @@ def _write_visuals(out_dir: Path, rc: RunConfig, store, alignment, sched) -> Non
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)
     rec = store.query(0, 0, "cross")
-    columns = list(positions) if positions else list(range(1, rec.attn.shape[-1]))
-    if not columns:
-        columns = [0]
+    columns = list(plan.positions) or list(range(1, rec.attn.shape[-1])) or [0]
     agg = rec.attn.mean(axis=1)[..., columns].sum(axis=-1)
     for i in range(rc.model.n):
         write_heatmap(agg[i].reshape(h, w), heat_dir / f"{i:04d}.pgm")
@@ -300,7 +291,7 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_dir(rc.out_dir / "frames", out_pixels)
-    _write_visuals(rc.out_dir, rc, store, alignment, sched)
+    _write_visuals(rc.out_dir, rc, store, alignment)
     echo = dict(rc.echo)
     echo["prompts"] = {"source": rc.source_prompt, "edit": edit_text}
     report = compute_metrics(pixels, out_pixels, config_echo=echo)

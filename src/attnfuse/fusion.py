@@ -7,6 +7,10 @@ are switched between edit and source by a binary mask thresholded from
 the source prompt's cross-attention.  Both rewrites only apply inside
 a configured window of denoising steps.
 
+`FusionPlan` is the one place these decisions are made: for each step,
+layer and kind it names the single action, and `fuse_cross` and
+`blend_self` are the pure rewrites it applies.
+
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded, so every
 store lookup here uses t-1.
@@ -14,7 +18,8 @@ store lookup here uses t-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +40,6 @@ _PRESETS = {
 }
 
 DEFAULT_S_CFG = 7.5
-
-# Tolerance for the window boundary so that fractions like 0.3 * T land
-# on the intended integer step despite float dust.
-_WINDOW_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,6 @@ def identity_alignment(n_tokens: int) -> PromptAlignment:
                            edited_positions=(), removed_positions=())
 
 
-def window_active(t: int, frac: float, T: int) -> bool:
-    """True when denoising step t falls inside a window fraction of T."""
-    return t >= frac * T - _WINDOW_EPS
-
-
 def source_step(t: int) -> int:
     """Inversion step that recorded the arc traversed by denoise step t."""
     return t - 1
@@ -160,19 +156,15 @@ class BlendMask:
 
 
 def fuse_cross(c_edit: np.ndarray, store: AttentionStore,
-               alignment: PromptAlignment, t: int, layer: int,
-               cfg: EditConfig, T: int) -> np.ndarray:
+               alignment: PromptAlignment, t: int, layer: int) -> np.ndarray:
     """Pull matched token columns of a cross-attention map from the store.
 
-    Active at denoising steps t >= t_c * T; outside the window the input
-    is returned unchanged.  Matched columns are replaced by the source
-    columns recorded at inversion step t-1, edit-only columns keep their
-    values, and rows are renormalized to sum to one.  When the prompts
-    align completely the renormalization is skipped, so an identity edit
-    reproduces the stored map bit for bit.
+    Matched columns are replaced by the source columns recorded at
+    inversion step t-1, edit-only columns keep their values, and rows
+    are renormalized to sum to one.  When the prompts align completely
+    the renormalization is skipped, so an identity edit reproduces the
+    stored map bit for bit.
     """
-    if not window_active(t, cfg.t_c, T):
-        return c_edit
     src = store.query(source_step(t), layer, KIND_CROSS).attn
     require(c_edit.ndim == 4, f"cross map must be 4-D, got {c_edit.shape}")
     require(src.shape[:3] == c_edit.shape[:3],
@@ -222,17 +214,13 @@ def build_blend_mask(store: AttentionStore, t: int, layer: int,
 
 
 def blend_self(s_edit: np.ndarray, store: AttentionStore, t: int, layer: int,
-               mask: BlendMask, cfg: EditConfig, T: int) -> np.ndarray:
+               mask: BlendMask) -> np.ndarray:
     """Swap self-attention rows between edit and source by the mask.
 
-    Active at denoising steps t >= t_s * T; outside the window the input
-    is returned unchanged.  Inside, each query pixel takes the edit row
-    where the mask is 1 and the source row (inversion step t-1) where it
-    is 0.  Selection is exact: an all-zero mask returns the stored map
-    bit for bit.
+    Each query pixel takes the edit row where the mask is 1 and the
+    source row (inversion step t-1) where it is 0.  Selection is exact:
+    an all-zero mask returns the stored map bit for bit.
     """
-    if not window_active(t, cfg.t_s, T):
-        return s_edit
     src = store.query(source_step(t), layer, KIND_SELF).attn
     require(s_edit.shape == src.shape,
             f"self map shapes differ: {s_edit.shape} vs {src.shape}")
@@ -251,3 +239,74 @@ def mask_positions(alignment: PromptAlignment) -> tuple[int, ...]:
     and the mask is empty, meaning the source rows win everywhere.
     """
     return alignment.removed_positions
+
+
+KEEP = "keep"                 # the edit map stands
+TAKE_SOURCE = "take_source"   # the recorded self map replaces it whole
+FUSE = "fuse"                 # fuse_cross swaps in matched columns
+BLEND = "blend"               # blend_self picks rows by the blend mask
+
+
+class FusionPlan:
+    """Every attention rewrite of one editing pass, decided in one place.
+
+    Built once per editing pass from the edit config, the prompt
+    alignment and the inversion store, which carries T.  A window covers the steps
+    t >= ceil(frac * T), down to first_self or first_cross.  Inside it a
+    cross map is fused and a self map blended by the mask, or taken whole
+    from the source when that mask is provably empty: no source word was
+    removed, or tau >= 1 (the test is strict and normalized values <= 1).
+    """
+
+    def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
+                 store: AttentionStore):
+        self.cfg, self.alignment, self.store = cfg, alignment, store
+        self.positions = mask_positions(alignment)
+        # Step t is inside when t >= frac*T - 1e-9, i.e. when t >= first(frac);
+        # the 1e-9 absorbs float dust, so 0.3 * 50 lands on step 15.
+        first = lambda frac: max(1, math.ceil(frac * store.meta.T - 1e-9))
+        self.first_self, self.first_cross = first(cfg.t_s), first(cfg.t_c)
+        self._blends = bool(self.positions) and cfg.tau < 1.0
+
+    def action(self, t: int, kind: str) -> str:
+        """KEEP, TAKE_SOURCE, FUSE or BLEND for the kind's maps at step t."""
+        if kind == KIND_CROSS:
+            return FUSE if t >= self.first_cross else KEEP
+        if t < self.first_self:
+            return KEEP
+        return BLEND if self._blends else TAKE_SOURCE
+
+    def self_mask(self, t: int, layer: int) -> BlendMask:
+        """Pixels whose self-attention rows follow the edit at step t."""
+        if self._blends:
+            return build_blend_mask(self.store, source_step(t), layer,
+                                    self.positions, self.cfg.tau)
+        n, _, q, _ = self.store.query(source_step(t), layer,
+                                      KIND_SELF).attn.shape
+        return BlendMask(mask=np.zeros((n, q), dtype=bool))
+
+    def step_probe(self, t: int):
+        """Probe of the conditional branch at step t; None if it keeps all."""
+        actions = {kind: self.action(t, kind) for kind in (KIND_SELF, KIND_CROSS)}
+        if set(actions.values()) == {KEEP}:
+            return None
+
+        def probe(rec):
+            act = actions[rec.kind]
+            try:
+                if act == FUSE:
+                    return fuse_cross(rec.attn, self.store, self.alignment, t,
+                                      rec.layer)
+                if act == BLEND:
+                    return blend_self(rec.attn, self.store, t, rec.layer,
+                                      self.self_mask(t, rec.layer))
+                if act == TAKE_SOURCE:
+                    return self.store.query(source_step(t), rec.layer,
+                                            KIND_SELF).attn
+                return None
+            except ContractViolation as exc:
+                raise ContractViolation(
+                    f"fusion failed at step {t}, layer {rec.layer}, {rec.kind}: {exc}"
+                ) from exc
+
+        return probe

@@ -26,11 +26,6 @@ def require(condition: bool, message: str) -> None:
         raise ContractViolation(message)
 
 
-def as_tensor(x) -> np.ndarray:
-    """Coerce to a C-order float64 array."""
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
 def check_finite(name: str, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ContractViolation(f"{name}: non-finite values present")
@@ -71,23 +66,6 @@ class SeededRng:
         return SeededRng(derived_seed(self.seed, tag))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a 2-D pair; raises on inner-dimension mismatch.
-
-    The error names both operand shapes so callers can locate the bad
-    reshape without a debugger.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    require(a.ndim == 2 and b.ndim == 2,
-            f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"matmul shape mismatch: {a.shape} @ {b.shape}"
-        )
-    return check_finite("matmul result", a @ b)
-
-
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, max-subtracted for stability.
 
@@ -116,7 +94,3 @@ def maxnorm_frame(x: np.ndarray) -> np.ndarray:
     out = frames / peaks.reshape((-1,) + (1,) * (frames.ndim - 1))
     return out[0] if x.ndim == 1 else out
 
-
-def gaussian(rng: SeededRng, shape) -> np.ndarray:
-    """Standard-normal tensor drawn from *rng*."""
-    return rng.standard_normal(shape)

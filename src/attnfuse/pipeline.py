@@ -17,11 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .fusion import (BlendMask, EditConfig, PromptAlignment, blend_self,
-                     build_blend_mask, fuse_cross, mask_positions,
-                     source_step, window_active)
+from .fusion import EditConfig, FusionPlan, PromptAlignment
 from .imageio import quantize, read_ppm, write_ppm
-from .model import (KIND_CROSS, DenoiserWeights, PromptEmbedding,
+from .model import (DenoiserWeights, PromptEmbedding,
                     config_hash, denoiser_forward, embed_prompt)
 from .numerics import SeededRng, check_finite, require
 from .schedule import NoiseSchedule, cfg_combine, ddim_invert_step, ddim_step
@@ -168,31 +166,6 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
     return z, store
 
 
-def _fusion_probe(store: AttentionStore, alignment: PromptAlignment,
-                  edit_cfg: EditConfig, T: int, t: int, n: int, hw: int):
-    positions = mask_positions(alignment)
-
-    def probe(rec):
-        try:
-            if rec.kind == KIND_CROSS:
-                return fuse_cross(rec.attn, store, alignment, t, rec.layer,
-                                  edit_cfg, T)
-            if not window_active(t, edit_cfg.t_s, T):
-                return None
-            if positions:
-                mask = build_blend_mask(store, source_step(t), rec.layer,
-                                        positions, edit_cfg.tau)
-            else:
-                mask = BlendMask(mask=np.zeros((n, hw), dtype=bool))
-            return blend_self(rec.attn, store, t, rec.layer, mask, edit_cfg, T)
-        except ContractViolation as exc:
-            raise ContractViolation(
-                f"fusion failed at step {t}, layer {rec.layer}, {rec.kind}: {exc}"
-            ) from exc
-
-    return probe
-
-
 def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 sched: NoiseSchedule, weights: DenoiserWeights,
                 edit_cfg: EditConfig, store: AttentionStore | None = None,
@@ -202,27 +175,25 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
 
     Without a store this is plain sampling.  With a store (and the
     prompt alignment that indexes into it) the conditional branch's maps
-    are rewritten by the fusion rules; the unconditional branch always
-    runs probe-free.  workers >= 2 evaluates the two guidance branches
+    are rewritten as a FusionPlan decides; the unconditional branch
+    always runs probe-free.  workers >= 2 evaluates the two guidance branches
     concurrently; results do not depend on the worker count.
     """
     cfg = weights.config
+    plan = None
     if store is not None:
         require(alignment is not None, "a store requires a prompt alignment")
         require(store.meta.T == sched.T,
                 f"store recorded T={store.meta.T}, schedule has T={sched.T}")
         require(store.meta.config_hash == config_hash(cfg),
                 "store was captured under a different model config")
+        plan = FusionPlan(edit_cfg, alignment, store)
     uncond = embed_prompt("", cfg)
-    hw = cfg.h * cfg.w
     z = np.asarray(z_start, dtype=np.float64)
     pool = ThreadPoolExecutor(max_workers=1) if workers >= 2 else None
     try:
         for t in range(sched.T, 0, -1):
-            probe = None
-            if store is not None:
-                probe = _fusion_probe(store, alignment, edit_cfg, sched.T,
-                                      t, cfg.n, hw)
+            probe = plan.step_probe(t) if plan is not None else None
             if edit_cfg.s_cfg == 1.0:
                 eps, _ = denoiser_forward(z, t, prompt, weights,
                                           n_steps=sched.T, probe=probe)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fusion import (BlendMask, EditConfig, align_prompts, blend_self,
-                     build_blend_mask, fuse_cross, identity_alignment)
+from .fusion import (FusionPlan, align_prompts, blend_self, build_blend_mask,
+                     identity_alignment, preset)
 from .model import (KIND_CROSS, KIND_SELF, AttentionRecord, ModelConfig,
                     attend, config_hash, denoiser_forward, embed_prompt,
                     make_denoiser_weights, spatiotemporal_attend)
@@ -110,23 +110,24 @@ def _check_store_completeness():
 
 def _check_fusion_identity():
     sched, _, prompt, (_, store) = _tiny_inversion()
-    align = identity_alignment(len(prompt.tokens))
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=1.0)
-    src = store.query(0, 0, KIND_CROSS).attn
-    fused = fuse_cross(src, store, align, 1, 0, cfg, sched.T)
-    require(fused is src or np.array_equal(fused, src),
-            "identity fusion altered the map")
+    plan = FusionPlan(preset("style"), identity_alignment(len(prompt.tokens)),
+                      store)
+    probe = plan.step_probe(sched.T)
+    for kind in (KIND_SELF, KIND_CROSS):
+        src = store.query(sched.T - 1, 0, kind).attn
+        edit = store.query(0, 0, kind).attn
+        fused = probe(AttentionRecord(t=sched.T, layer=0, kind=kind, attn=edit))
+        require(fused is src, f"identity fusion altered the {kind} map")
 
 
 def _check_mask_extremes():
-    sched, _, _, (_, store) = _tiny_inversion()
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
+    _, _, _, (_, store) = _tiny_inversion()
     full = build_blend_mask(store, 0, 0, (1,), 0.0)
     empty = build_blend_mask(store, 0, 0, (1,), 1.0)
     require(bool(full.mask.all()), "tau 0 left mask entries unset")
     require(not empty.mask.any(), "tau 1 set mask entries")
     s_edit = store.query(0, 0, KIND_SELF).attn
-    blended = blend_self(s_edit, store, 1, 0, empty, cfg, sched.T)
+    blended = blend_self(s_edit, store, 1, 0, empty)
     require(np.array_equal(blended, store.query(0, 0, KIND_SELF).attn),
             "empty mask did not hand back the source rows")
 

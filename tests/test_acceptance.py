@@ -23,11 +23,10 @@ import numpy as np
 import pytest
 
 from attnfuse.cli import run
-from attnfuse.fusion import (BlendMask, EditConfig, align_prompts,
-                             blend_self, build_blend_mask, fuse_cross,
-                             identity_alignment, mask_positions, preset,
-                             source_step)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, BlockWeights, ModelConfig,
+from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
+                             blend_self, build_blend_mask, identity_alignment,
+                             preset, source_step)
+from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig,
                             attend, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
@@ -160,20 +159,19 @@ def small_inversion():
 
 def test_criterion_06_threshold_extremes(small_inversion):
     cfg, store, sched = small_inversion
-    t = 4  # inside every window below
-    full = EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=7.5)
+    t = 4
     src_map = store.query(source_step(t), 0, KIND_SELF).attn
     edit_map = store.query(t, 0, KIND_SELF).attn  # any same-shape other map
     assert not np.array_equal(edit_map, src_map)
 
     closed = build_blend_mask(store, source_step(t), 0, (1,), 1.0)
     assert not closed.mask.any()
-    blended = blend_self(edit_map, store, t, 0, closed, full, sched.T)
+    blended = blend_self(edit_map, store, t, 0, closed)
     assert np.array_equal(blended, src_map)
 
     open_ = build_blend_mask(store, source_step(t), 0, (1,), 0.0)
     assert open_.mask.all()
-    blended = blend_self(edit_map, store, t, 0, open_, full, sched.T)
+    blended = blend_self(edit_map, store, t, 0, open_)
     assert np.array_equal(blended, edit_map)
     print("criterion 6 pass: tau=1.0 gives the all-zero mask and exact "
           "source maps; tau=0.0 gives the all-one mask and exact edit maps")
@@ -254,24 +252,12 @@ def test_criterion_09_shape_contracts_full_run():
     assert checked == 2 * sched.T * cfg.blocks
 
     align = align_prompts(src_emb.tokens, edit_emb.tokens)
-    positions = mask_positions(align)
     ecfg = preset("shape")
+    plan = FusionPlan(ecfg, align, store)
     z = z_T
     for t in range(sched.T, 0, -1):
-        def probe(rec, t=t):
-            if rec.kind == KIND_CROSS:
-                return fuse_cross(rec.attn, store, align, t, rec.layer,
-                                  ecfg, sched.T)
-            if positions:
-                mask = build_blend_mask(store, source_step(t), rec.layer,
-                                        positions, ecfg.tau)
-            else:
-                mask = BlendMask(mask=np.zeros((cfg.n, hw), dtype=bool))
-            return blend_self(rec.attn, store, t, rec.layer, mask, ecfg,
-                              sched.T)
-
         eps_c, recs = denoiser_forward(z, t, edit_emb, weights, sched.T,
-                                       probe=probe)
+                                       probe=plan.step_probe(t))
         eps_u, recs_u = denoiser_forward(z, t, uncond, weights, sched.T)
         for rec in recs:
             cols = 2 * hw if rec.kind == KIND_SELF else len(edit_emb.tokens)

@@ -279,3 +279,56 @@ def test_heatmap_rendering(tmp_path):
         write_heatmap(np.zeros((4, 4)), tmp_path / "zero.pgm")
     with pytest.raises(ContractViolation):
         write_heatmap(np.zeros((4, 4, 1)), tmp_path / "bad.pgm")
+
+
+PARTIAL_MASK_CONFIG = """\
+[model]
+frames = 3
+height = 10
+width = 10
+channels = 3
+d_model = 8
+heads = 2
+d_head = 4
+blocks = 1
+d_text = 8
+seed = 1
+
+[schedule]
+steps = 10
+
+[edit]
+preset = shape
+tau = 0.95
+source_prompt = a red square drifting right
+edit_prompt = a blue square drifting right
+
+[video]
+start_row = 5
+start_col = 4
+object_size = 2
+"""
+
+
+def test_written_mask_is_the_mask_applied_at_the_first_self_step(tmp_path,
+                                                                 monkeypatch):
+    import attnfuse.fusion as fusion
+    applied = {}
+    original = fusion.blend_self
+
+    def spy(s_edit, store, t, layer, mask):
+        applied[(t, layer)] = mask.mask.copy()
+        return original(s_edit, store, t, layer, mask)
+
+    monkeypatch.setattr(fusion, "blend_self", spy)
+    path = tmp_path / "run.cfg"
+    path.write_text(PARTIAL_MASK_CONFIG)
+    assert run(["edit", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    # shape preset: t_s = 0.5 of T = 10, so the self window is steps 5..10
+    assert sorted({t for t, _ in applied}) == list(range(5, 11))
+    first = applied[(5, 0)].reshape(3, 10, 10)
+    for i in range(3):
+        written = read_pgm(tmp_path / "o" / "masks" / f"{i:04d}.pgm")
+        assert np.array_equal(written == 255, first[i])
+        assert 0 < first[i].sum() < 100  # a partial mask, not an extreme

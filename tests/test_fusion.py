@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnfuse.errors import ContractViolation, MissingRecordError
-from attnfuse.fusion import (MODES, BlendMask, EditConfig, PromptAlignment,
+from attnfuse.fusion import (BLEND, FUSE, KEEP, MODES, TAKE_SOURCE, BlendMask,
+                             EditConfig, FusionPlan, PromptAlignment,
                              align_prompts, blend_self, build_blend_mask,
                              fuse_cross, identity_alignment, mask_positions,
-                             preset, source_step, window_active)
+                             preset, source_step)
 from attnfuse.model import KIND_CROSS, KIND_SELF, AttentionRecord, tokenize
 from attnfuse.store import AttentionStore, StoreMeta
 
@@ -41,14 +42,42 @@ def test_edit_config_validation():
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, mode="other")
 
 
+def _plan(t_s, t_c, T, tau=0.3, alignment=None):
+    store = AttentionStore(StoreMeta(T=T, blocks=1, config_hash=1))
+    align = alignment or align_prompts(("a", "cat"), ("a", "tiger"))
+    return FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau), align, store)
+
+
 def test_window_boundaries():
-    assert window_active(15, 0.3, 50)
-    assert not window_active(14, 0.3, 50)
-    assert window_active(10, 0.2, 50)
-    assert not window_active(9, 0.2, 50)
-    assert window_active(1, 0.0, 50)
-    assert window_active(50, 1.0, 50)
-    assert not window_active(49, 1.0, 50)
+    plan = _plan(t_s=0.2, t_c=0.3, T=50)
+    assert (plan.first_self, plan.first_cross) == (10, 15)
+    assert plan.action(15, KIND_CROSS) == FUSE
+    assert plan.action(14, KIND_CROSS) == KEEP
+    assert plan.action(10, KIND_SELF) == BLEND
+    assert plan.action(9, KIND_SELF) == KEEP
+    plan = _plan(t_s=0.0, t_c=1.0, T=50)
+    assert plan.action(1, KIND_SELF) == BLEND
+    assert plan.action(50, KIND_CROSS) == FUSE
+    assert plan.action(49, KIND_CROSS) == KEEP
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200), st.floats(0.0, 1.0))
+def test_plan_rewrites_exactly_the_window_steps(T, frac):
+    plan = _plan(t_s=frac, t_c=frac, T=T)
+    for t in range(1, T + 1):
+        inside = t >= frac * T - 1e-9
+        assert (plan.action(t, KIND_SELF) != KEEP) == inside
+        assert (plan.action(t, KIND_CROSS) != KEEP) == inside
+        assert (plan.step_probe(t) is not None) == inside
+
+
+def test_plan_takes_source_whole_when_mask_is_provably_empty():
+    assert _plan(0.5, 0.5, T=4, tau=1.0).action(2, KIND_SELF) == TAKE_SOURCE
+    unchanged = align_prompts(("a", "cat"), ("a", "cat", "8k"))
+    assert _plan(0.5, 0.5, T=4, alignment=unchanged).action(2, KIND_SELF) \
+        == TAKE_SOURCE
+    assert _plan(0.5, 0.5, T=4, tau=0.99).action(2, KIND_SELF) == BLEND
 
 
 def test_source_step_is_previous_index():
@@ -131,8 +160,7 @@ def test_fuse_cross_hand_oracle():
     store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
-    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0, cfg=cfg, T=4)
+    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0)
     # column 0 from source, column 1 kept, rows renormalized by hand
     want = np.array([
         [0.7 / 1.1, 0.4 / 1.1],
@@ -144,20 +172,26 @@ def test_fuse_cross_hand_oracle():
     assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-12
 
 
-def test_fuse_cross_outside_window_returns_input():
+def _record(kind, attn, t=2):
+    return AttentionRecord(t=t, layer=0, kind=kind, attn=attn)
+
+
+def test_plan_keeps_cross_map_outside_window():
     store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
-    cfg = EditConfig(t_s=1.0, t_c=1.0, tau=0.3)
-    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0, cfg=cfg, T=4)
-    assert got is EDIT_CROSS
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    assert plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS)) is None
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store)
+    assert plan.step_probe(2) is None
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
+    got = plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS))
+    assert np.array_equal(got, fuse_cross(EDIT_CROSS, store, align, 2, 0))
 
 
 def test_fuse_cross_identity_alignment_is_stored_map():
     store = _store_with_cross(SRC_CROSS)
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
-    got = fuse_cross(EDIT_CROSS, store, identity_alignment(2), t=2, layer=0,
-                     cfg=cfg, T=4)
+    got = fuse_cross(EDIT_CROSS, store, identity_alignment(2), t=2, layer=0)
     assert got is store.query(1, 0, KIND_CROSS).attn
 
 
@@ -165,8 +199,7 @@ def test_fuse_cross_full_permutation_skips_renorm():
     store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((0, 1), (1, 0)), edited_positions=(),
                             removed_positions=())
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
-    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0, cfg=cfg, T=4)
+    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0)
     assert np.array_equal(got[..., 0], SRC_CROSS[..., 1])
     assert np.array_equal(got[..., 1], SRC_CROSS[..., 0])
 
@@ -178,9 +211,8 @@ def test_fuse_cross_partial_is_idempotent():
     edit = EDIT_CROSS
     align = PromptAlignment(matched=((0, 0), (2, 1)), edited_positions=(),
                             removed_positions=(1,))
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
-    once = fuse_cross(edit, store, align, t=2, layer=0, cfg=cfg, T=4)
-    twice = fuse_cross(once, store, align, t=2, layer=0, cfg=cfg, T=4)
+    once = fuse_cross(edit, store, align, t=2, layer=0)
+    twice = fuse_cross(once, store, align, t=2, layer=0)
     assert np.max(np.abs(twice - once)) <= 1e-12
     assert np.max(np.abs(once.sum(axis=-1) - 1.0)) <= 1e-12
 
@@ -194,8 +226,7 @@ def test_fuse_cross_rows_sum_to_one_random():
     store = _store_with_cross(src)
     align = PromptAlignment(matched=((0, 0), (3, 2)), edited_positions=(1, 3),
                             removed_positions=(1, 2, 4, 5))
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
-    got = fuse_cross(edit, store, align, t=2, layer=0, cfg=cfg, T=4)
+    got = fuse_cross(edit, store, align, t=2, layer=0)
     assert got.shape == edit.shape
     assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-12
     # renormalization preserves ratios between the replaced columns
@@ -205,19 +236,16 @@ def test_fuse_cross_rows_sum_to_one_random():
 
 def test_fuse_cross_missing_record_propagates():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
     with pytest.raises(MissingRecordError):
-        fuse_cross(EDIT_CROSS, store, identity_alignment(2), t=2, layer=0,
-                   cfg=cfg, T=4)
+        fuse_cross(EDIT_CROSS, store, identity_alignment(2), t=2, layer=0)
 
 
 def test_fuse_cross_column_bounds_checked():
     store = _store_with_cross(SRC_CROSS)
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
     align = PromptAlignment(matched=((5, 0),), edited_positions=(1,),
                             removed_positions=())
     with pytest.raises(ContractViolation):
-        fuse_cross(EDIT_CROSS, store, align, t=2, layer=0, cfg=cfg, T=4)
+        fuse_cross(EDIT_CROSS, store, align, t=2, layer=0)
 
 
 MASK_CROSS = np.array([
@@ -300,8 +328,7 @@ def _self_store():
 def test_blend_self_checkerboard():
     store = _self_store()
     mask = BlendMask(mask=np.array([[True, False], [False, True]]))
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=mask, cfg=cfg, T=4)
+    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=mask)
     assert np.array_equal(got[0, 0, 0], EDIT_SELF[0, 0, 0])
     assert np.array_equal(got[0, 0, 1], SRC_SELF[0, 0, 1])
     assert np.array_equal(got[1, 0, 0], SRC_SELF[1, 0, 0])
@@ -310,34 +337,32 @@ def test_blend_self_checkerboard():
 
 def test_blend_self_mask_extremes_are_exact():
     store = _self_store()
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
     zeros = BlendMask(mask=np.zeros((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=zeros, cfg=cfg, T=4)
+    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=zeros)
     assert np.array_equal(got, SRC_SELF)
     ones = BlendMask(mask=np.ones((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=ones, cfg=cfg, T=4)
+    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=ones)
     assert np.array_equal(got, EDIT_SELF)
 
 
-def test_blend_self_outside_window_returns_input():
+def test_plan_keeps_self_map_outside_window():
     store = _self_store()
-    cfg = EditConfig(t_s=1.0, t_c=1.0, tau=0.3)
-    mask = BlendMask(mask=np.zeros((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=mask, cfg=cfg, T=4)
-    assert got is EDIT_SELF
+    align = identity_alignment(2)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
+    assert plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)) is None
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    assert plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)) \
+        is store.query(1, 0, KIND_SELF).attn
 
 
 def test_blend_self_shape_validation():
     store = _self_store()
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=0.3)
     with pytest.raises(ContractViolation):
         blend_self(EDIT_SELF, store, t=2, layer=0,
-                   mask=BlendMask(mask=np.zeros((2, 3), dtype=bool)),
-                   cfg=cfg, T=4)
+                   mask=BlendMask(mask=np.zeros((2, 3), dtype=bool)))
     with pytest.raises(ContractViolation):
         blend_self(EDIT_SELF[:, :, :1], store, t=2, layer=0,
-                   mask=BlendMask(mask=np.zeros((2, 2), dtype=bool)),
-                   cfg=cfg, T=4)
+                   mask=BlendMask(mask=np.zeros((2, 2), dtype=bool)))
 
 
 def test_blend_mask_type_validation():
@@ -345,3 +370,23 @@ def test_blend_mask_type_validation():
         BlendMask(mask=np.zeros((2, 2)))
     with pytest.raises(ContractViolation):
         BlendMask(mask=np.zeros(4, dtype=bool))
+
+
+def test_plan_blends_by_the_mask_of_step_t_minus_1():
+    store = _mask_store()
+    rng = np.random.default_rng(4)
+    src_self = rng.random((2, 2, 4, 8))
+    src_self /= src_self.sum(axis=-1, keepdims=True)
+    store.record(AttentionRecord(t=0, layer=0, kind=KIND_SELF, attn=src_self))
+    edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
+    align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    mask = plan.self_mask(1, 0)
+    assert np.array_equal(mask.mask, build_blend_mask(store, 0, 0, (1,), 0.3).mask)
+    got = plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1))
+    assert np.array_equal(got, blend_self(edit_self, store, 1, 0, mask))
+
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
+    assert plan.self_mask(1, 0).mask.shape == (2, 4)
+    assert not plan.self_mask(1, 0).mask.any()
+    assert plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1)) is src_self
