@@ -13,8 +13,8 @@ from .fusion import (BlendMask, EditConfig, FusionPlan, PromptAlignment,
                      identity_alignment, preset)
 from .model import (AttentionRecord, DenoiserWeights, ModelConfig,
                     PromptEmbedding, attend, denoiser_forward, embed_prompt,
-                    load_weights, make_denoiser_weights, make_oracle_denoiser,
-                    save_weights, spatiotemporal_attend)
+                    make_denoiser_weights, make_oracle_denoiser,
+                    spatiotemporal_attend)
 from .numerics import SeededRng, maxnorm_frame, softmax_lastdim
 from .pipeline import (MetricsReport, VideoSpec, compute_metrics, decode,
                        encode, invert_video, run_denoise, synth_video)

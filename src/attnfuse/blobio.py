@@ -1,4 +1,4 @@
-"""Binary blob format shared by weight files and store dumps.
+"""Binary blob format of the inverted latent and the store dumps.
 
 Layout: a 16-byte header (4-byte magic ``ATNF``, little-endian u32
 format version, little-endian u64 config hash) followed by the raw

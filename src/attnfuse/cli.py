@@ -23,7 +23,7 @@ from . import blobio
 from .errors import ConfigError, ContractViolation
 from .fusion import EditConfig, FusionPlan, MODES, align_prompts, preset
 from .imageio import quantize, write_pgm
-from .model import (ModelConfig, config_hash, embed_prompt,
+from .model import (KIND_CROSS, ModelConfig, config_hash, embed_prompt,
                     make_denoiser_weights)
 from .numerics import SeededRng, derived_seed, maxnorm_frame, require
 from .pipeline import (VideoSpec, compute_metrics, invert_video,
@@ -251,9 +251,8 @@ def write_heatmap(map2d: np.ndarray, path: Path) -> None:
     write_pgm(path, quantize(norm * 255.0))
 
 
-def _write_visuals(out_dir: Path, rc: RunConfig, store, alignment) -> None:
+def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
     h, w = rc.model.h, rc.model.w
-    plan = FusionPlan(rc.edit, alignment, store)
 
     mask_dir = out_dir / "masks"
     mask_dir.mkdir(parents=True, exist_ok=True)
@@ -264,9 +263,9 @@ def _write_visuals(out_dir: Path, rc: RunConfig, store, alignment) -> None:
 
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)
-    rec = store.query(0, 0, "cross")
-    columns = list(plan.positions) or list(range(1, rec.attn.shape[-1])) or [0]
-    agg = rec.attn.mean(axis=1)[..., columns].sum(axis=-1)
+    attn = plan.source_map(1, 0, KIND_CROSS)  # inversion step 0's record
+    columns = list(plan.positions) or list(range(1, attn.shape[-1])) or [0]
+    agg = attn.mean(axis=1)[..., columns].sum(axis=-1)
     for i in range(rc.model.n):
         write_heatmap(agg[i].reshape(h, w), heat_dir / f"{i:04d}.pgm")
 
@@ -284,17 +283,21 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     edit_emb = embed_prompt(edit_text, rc.model)
 
     z_T, store = invert_video(z0, src_emb, sched, weights)
-    alignment = align_prompts(src_emb.tokens, edit_emb.tokens)
-    z_out = run_denoise(z_T, edit_emb, sched, weights, rc.edit,
-                        store=store, alignment=alignment, workers=rc.workers)
+    plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
+                      store)
+    z_out = run_denoise(z_T, edit_emb, sched, weights, rc.edit.s_cfg,
+                        plan=plan, workers=rc.workers)
     out_pixels = quantize(latent_to_pixels(z_out, rc.model.c)).astype(np.float64)
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_dir(rc.out_dir / "frames", out_pixels)
-    _write_visuals(rc.out_dir, rc, store, alignment)
+    _write_visuals(rc.out_dir, rc, plan)
     echo = dict(rc.echo)
     echo["prompts"] = {"source": rc.source_prompt, "edit": edit_text}
-    report = compute_metrics(pixels, out_pixels, config_echo=echo)
+    # The output can only reproduce what the latent channels carry, so it
+    # is scored against the source projected onto them (luminance for c = 1).
+    reference = latent_to_pixels(z0, rc.model.c)
+    report = compute_metrics(reference, out_pixels, config_echo=echo)
     (rc.out_dir / "metrics.json").write_text(report.to_json())
     print(f"wrote {rc.model.n} frames, masks, heatmaps, metrics to {rc.out_dir}")
     return 0

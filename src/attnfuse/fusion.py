@@ -8,12 +8,14 @@ the source prompt's cross-attention.  Both rewrites only apply inside
 a configured window of denoising steps.
 
 `FusionPlan` is the one place these decisions are made: for each step,
-layer and kind it names the single action, and `fuse_cross` and
-`blend_self` are the pure rewrites it applies.
+layer and kind it names the single action, and `fuse_cross`,
+`blend_self` and `build_blend_mask` are the pure array rewrites it
+applies.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
-same arc of the schedule that inversion step t-1 recorded, so every
-store lookup here uses t-1.
+same arc of the schedule that inversion step t-1 recorded.
+`FusionPlan.source_map` makes that pairing and is the only reader of
+the inversion store.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ def preset(mode: str) -> EditConfig:
 class PromptAlignment:
     """Token correspondence between source and edit prompts.
 
-    matched holds (source_index, edit_index) pairs; edited_positions are
-    edit-side tokens with no source counterpart; removed_positions are
-    source-side tokens with no edit counterpart.
+    matched holds (source_index, edit_index) pairs, increasing in both
+    indices; edited_positions are edit-side tokens with no source
+    counterpart; removed_positions are source-side tokens with no edit
+    counterpart.
     """
 
     matched: tuple[tuple[int, int], ...]
@@ -86,13 +89,12 @@ class PromptAlignment:
     removed_positions: tuple[int, ...]
 
     def __post_init__(self):
-        src_seen = [i for i, _ in self.matched]
-        edit_seen = [j for _, j in self.matched]
-        require(len(set(src_seen)) == len(src_seen), "source index matched twice")
-        require(len(set(edit_seen)) == len(edit_seen), "edit index matched twice")
-        require(not (set(src_seen) & set(self.removed_positions)),
+        require(all(i1 < i2 and j1 < j2 for (i1, j1), (i2, j2)
+                    in zip(self.matched, self.matched[1:])),
+                f"matched pairs must increase in both indices: {self.matched}")
+        require(not ({i for i, _ in self.matched} & set(self.removed_positions)),
                 "matched source index listed as removed")
-        require(not (set(edit_seen) & set(self.edited_positions)),
+        require(not ({j for _, j in self.matched} & set(self.edited_positions)),
                 "matched edit index listed as edited")
 
 
@@ -139,11 +141,6 @@ def identity_alignment(n_tokens: int) -> PromptAlignment:
                            edited_positions=(), removed_positions=())
 
 
-def source_step(t: int) -> int:
-    """Inversion step that recorded the arc traversed by denoise step t."""
-    return t - 1
-
-
 @dataclass(frozen=True)
 class BlendMask:
     """Binary per-pixel mask, one row of h*w entries per frame."""
@@ -155,47 +152,42 @@ class BlendMask:
         require(self.mask.dtype == np.bool_, "blend mask must be boolean")
 
 
-def fuse_cross(c_edit: np.ndarray, store: AttentionStore,
-               alignment: PromptAlignment, t: int, layer: int) -> np.ndarray:
-    """Pull matched token columns of a cross-attention map from the store.
+def fuse_cross(c_edit: np.ndarray, c_src: np.ndarray,
+               alignment: PromptAlignment) -> np.ndarray:
+    """Pull matched token columns of a cross-attention map from the source.
 
-    Matched columns are replaced by the source columns recorded at
-    inversion step t-1, edit-only columns keep their values, and rows
-    are renormalized to sum to one.  When the prompts align completely
-    the renormalization is skipped, so an identity edit reproduces the
-    stored map bit for bit.
+    Matched columns are replaced by the source map's columns, edit-only
+    columns keep their values, and rows are renormalized to sum to one.
+    When the prompts align completely the alignment is the identity, so
+    the source map is returned as is, and an identity edit reproduces it
+    bit for bit.
     """
-    src = store.query(source_step(t), layer, KIND_CROSS).attn
     require(c_edit.ndim == 4, f"cross map must be 4-D, got {c_edit.shape}")
-    require(src.shape[:3] == c_edit.shape[:3],
-            f"source/edit map geometry differs: {src.shape} vs {c_edit.shape}")
+    require(c_src.shape[:3] == c_edit.shape[:3],
+            f"source/edit map geometry differs: {c_src.shape} vs {c_edit.shape}")
     n_edit_cols = c_edit.shape[-1]
     for i_src, j_edit in alignment.matched:
-        require(0 <= i_src < src.shape[-1],
-                f"matched source column {i_src} outside map with {src.shape[-1]} columns")
+        require(0 <= i_src < c_src.shape[-1],
+                f"matched source column {i_src} outside map with {c_src.shape[-1]} columns")
         require(0 <= j_edit < n_edit_cols,
                 f"matched edit column {j_edit} outside map with {n_edit_cols} columns")
 
-    if not alignment.edited_positions and not alignment.removed_positions \
-            and len(alignment.matched) == n_edit_cols:
-        if all(i == j for i, j in alignment.matched):
-            return src
-        fused = np.empty_like(src)
-        for i_src, j_edit in alignment.matched:
-            fused[..., j_edit] = src[..., i_src]
-        return fused
+    # Pairs increase in both indices, so matching every column of two
+    # maps of equal width is the identity.
+    if len(alignment.matched) == n_edit_cols == c_src.shape[-1]:
+        return c_src
 
     fused = c_edit.copy()
     for i_src, j_edit in alignment.matched:
-        fused[..., j_edit] = src[..., i_src]
+        fused[..., j_edit] = c_src[..., i_src]
     sums = fused.sum(axis=-1, keepdims=True)
     require(bool(np.all(sums > 0.0)), "fused cross map has a non-positive row sum")
     return fused / sums
 
 
-def build_blend_mask(store: AttentionStore, t: int, layer: int,
-                     word_positions: tuple[int, ...], tau: float) -> BlendMask:
-    """Threshold the stored cross map at inversion step t into a mask.
+def build_blend_mask(c_src: np.ndarray, word_positions: tuple[int, ...],
+                     tau: float) -> BlendMask:
+    """Threshold a source cross-attention map into a mask.
 
     Head-averaged attention is summed over *word_positions* columns,
     max-normalized per frame, and compared against tau with a strict
@@ -204,30 +196,28 @@ def build_blend_mask(store: AttentionStore, t: int, layer: int,
     require(len(word_positions) >= 1, "mask needs at least one word position")
     require(len(set(word_positions)) == len(word_positions),
             f"duplicate word positions: {word_positions}")
-    rec = store.query(t, layer, KIND_CROSS)
-    n_cols = rec.attn.shape[-1]
+    n_cols = c_src.shape[-1]
     for p in word_positions:
         require(0 <= p < n_cols,
                 f"word position {p} outside map with {n_cols} columns")
-    agg = rec.attn.mean(axis=1)[..., list(word_positions)].sum(axis=-1)
+    agg = c_src.mean(axis=1)[..., list(word_positions)].sum(axis=-1)
     return BlendMask(mask=maxnorm_frame(agg) > tau)
 
 
-def blend_self(s_edit: np.ndarray, store: AttentionStore, t: int, layer: int,
+def blend_self(s_edit: np.ndarray, s_src: np.ndarray, *,
                mask: BlendMask) -> np.ndarray:
     """Swap self-attention rows between edit and source by the mask.
 
     Each query pixel takes the edit row where the mask is 1 and the
-    source row (inversion step t-1) where it is 0.  Selection is exact:
-    an all-zero mask returns the stored map bit for bit.
+    source row where it is 0.  Selection is exact: an all-zero mask
+    returns the source map's values bit for bit.
     """
-    src = store.query(source_step(t), layer, KIND_SELF).attn
-    require(s_edit.shape == src.shape,
-            f"self map shapes differ: {s_edit.shape} vs {src.shape}")
+    require(s_edit.shape == s_src.shape,
+            f"self map shapes differ: {s_edit.shape} vs {s_src.shape}")
     n, _, q, _ = s_edit.shape
     require(mask.mask.shape == (n, q),
             f"mask shape {mask.mask.shape} != (frames, pixels) ({n}, {q})")
-    return np.where(mask.mask[:, None, :, None], s_edit, src)
+    return np.where(mask.mask[:, None, :, None], s_edit, s_src)
 
 
 def mask_positions(alignment: PromptAlignment) -> tuple[int, ...]:
@@ -256,6 +246,8 @@ class FusionPlan:
     cross map is fused and a self map blended by the mask, or taken whole
     from the source when that mask is provably empty: no source word was
     removed, or tau >= 1 (the test is strict and normalized values <= 1).
+    Each mask is built once and kept, so later readers get the mask the
+    pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
@@ -267,6 +259,11 @@ class FusionPlan:
         first = lambda frac: max(1, math.ceil(frac * store.meta.T - 1e-9))
         self.first_self, self.first_cross = first(cfg.t_s), first(cfg.t_c)
         self._blends = bool(self.positions) and cfg.tau < 1.0
+        self._masks: dict[tuple[int, int], BlendMask] = {}
+
+    def source_map(self, t: int, layer: int, kind: str) -> np.ndarray:
+        """The recorded map that denoising step t replays: inversion step t-1's."""
+        return self.store.query(t - 1, layer, kind).attn
 
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE, FUSE or BLEND for the kind's maps at step t."""
@@ -278,12 +275,16 @@ class FusionPlan:
 
     def self_mask(self, t: int, layer: int) -> BlendMask:
         """Pixels whose self-attention rows follow the edit at step t."""
-        if self._blends:
-            return build_blend_mask(self.store, source_step(t), layer,
-                                    self.positions, self.cfg.tau)
-        n, _, q, _ = self.store.query(source_step(t), layer,
-                                      KIND_SELF).attn.shape
-        return BlendMask(mask=np.zeros((n, q), dtype=bool))
+        mask = self._masks.get((t, layer))
+        if mask is None:
+            if self._blends:
+                mask = build_blend_mask(self.source_map(t, layer, KIND_CROSS),
+                                        self.positions, self.cfg.tau)
+            else:
+                n, _, q, _ = self.source_map(t, layer, KIND_SELF).shape
+                mask = BlendMask(mask=np.zeros((n, q), dtype=bool))
+            self._masks[(t, layer)] = mask
+        return mask
 
     def step_probe(self, t: int):
         """Probe of the conditional branch at step t; None if it keeps all."""
@@ -293,17 +294,16 @@ class FusionPlan:
 
         def probe(rec):
             act = actions[rec.kind]
-            try:
-                if act == FUSE:
-                    return fuse_cross(rec.attn, self.store, self.alignment, t,
-                                      rec.layer)
-                if act == BLEND:
-                    return blend_self(rec.attn, self.store, t, rec.layer,
-                                      self.self_mask(t, rec.layer))
-                if act == TAKE_SOURCE:
-                    return self.store.query(source_step(t), rec.layer,
-                                            KIND_SELF).attn
+            if act == KEEP:
                 return None
+            try:
+                src = self.source_map(t, rec.layer, rec.kind)
+                if act == FUSE:
+                    return fuse_cross(rec.attn, src, self.alignment)
+                if act == BLEND:
+                    return blend_self(rec.attn, src,
+                                      mask=self.self_mask(t, rec.layer))
+                return src
             except ContractViolation as exc:
                 raise ContractViolation(
                     f"fusion failed at step {t}, layer {rec.layer}, {rec.kind}: {exc}"

@@ -22,13 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import blobio
-from .errors import ContractViolation
 from .numerics import (SeededRng, check_finite, derived_seed, fnv1a64,
                        require, softmax_lastdim)
 
@@ -421,33 +418,3 @@ def _weight_arrays(weights: DenoiserWeights) -> list[np.ndarray]:
                    bw.w_mlp_in, bw.w_mlp_out]
     arrays += [weights.w_out, weights.time_freq, weights.time_phase]
     return arrays
-
-
-def _weight_shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
-    d_in = cfg.c + POS_DIM + TIME_DIM
-    d_ff = MLP_RATIO * cfg.d_model
-    shapes: list[tuple[int, ...]] = [(d_in, cfg.d_model)]
-    per_block = [(cfg.d_model, cfg.d_model)] * 4 + \
-                [(cfg.d_text, cfg.d_model)] * 2 + \
-                [(cfg.d_model, d_ff), (d_ff, cfg.d_model)]
-    shapes += per_block * cfg.blocks
-    shapes += [(cfg.d_model, cfg.c), (TIME_DIM,), (TIME_DIM,)]
-    return shapes
-
-
-def save_weights(path: Path, weights: DenoiserWeights) -> None:
-    """Serialize weights to the shared blob format (exact round trip)."""
-    blobio.write_blob(path, config_hash(weights.config), _weight_arrays(weights))
-
-
-def load_weights(path: Path, cfg: ModelConfig) -> DenoiserWeights:
-    arrays = blobio.read_blob(path, config_hash(cfg), _weight_shapes(cfg))
-    w_in = arrays[0]
-    blocks = []
-    idx = 1
-    for _ in range(cfg.blocks):
-        blocks.append(BlockWeights(*arrays[idx:idx + 8]))
-        idx += 8
-    w_out, freq, phase = arrays[idx:idx + 3]
-    return DenoiserWeights(config=cfg, w_in=w_in, blocks=tuple(blocks),
-                           w_out=w_out, time_freq=freq, time_phase=phase)

@@ -62,9 +62,6 @@ class SeededRng:
         """Uniform integers in [low, high)."""
         return self._gen.integers(low, high, size=size)
 
-    def derive(self, tag: str) -> "SeededRng":
-        return SeededRng(derived_seed(self.seed, tag))
-
 
 def softmax_lastdim(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, max-subtracted for stability.

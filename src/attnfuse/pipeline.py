@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .fusion import EditConfig, FusionPlan, PromptAlignment
+from .fusion import FusionPlan
 from .imageio import quantize, read_ppm, write_ppm
 from .model import (DenoiserWeights, PromptEmbedding,
                     config_hash, denoiser_forward, embed_prompt)
@@ -167,34 +167,29 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
 
 
 def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
-                sched: NoiseSchedule, weights: DenoiserWeights,
-                edit_cfg: EditConfig, store: AttentionStore | None = None,
-                alignment: PromptAlignment | None = None,
-                workers: int = 0) -> np.ndarray:
-    """Denoise from z_T down to z_0 under classifier-free guidance.
+                sched: NoiseSchedule, weights: DenoiserWeights, s_cfg: float,
+                plan: FusionPlan | None = None, workers: int = 0) -> np.ndarray:
+    """Denoise from z_T down to z_0 under classifier-free guidance at s_cfg.
 
-    Without a store this is plain sampling.  With a store (and the
-    prompt alignment that indexes into it) the conditional branch's maps
-    are rewritten as a FusionPlan decides; the unconditional branch
-    always runs probe-free.  workers >= 2 evaluates the two guidance branches
-    concurrently; results do not depend on the worker count.
+    Without a plan this is plain sampling.  With one, the conditional
+    branch's maps are rewritten as the plan decides, from the inversion
+    store it reads; the unconditional branch always runs probe-free.
+    workers >= 2 evaluates the two guidance branches concurrently;
+    results do not depend on the worker count.
     """
     cfg = weights.config
-    plan = None
-    if store is not None:
-        require(alignment is not None, "a store requires a prompt alignment")
-        require(store.meta.T == sched.T,
-                f"store recorded T={store.meta.T}, schedule has T={sched.T}")
-        require(store.meta.config_hash == config_hash(cfg),
+    if plan is not None:
+        require(plan.store.meta.T == sched.T,
+                f"store recorded T={plan.store.meta.T}, schedule has T={sched.T}")
+        require(plan.store.meta.config_hash == config_hash(cfg),
                 "store was captured under a different model config")
-        plan = FusionPlan(edit_cfg, alignment, store)
     uncond = embed_prompt("", cfg)
     z = np.asarray(z_start, dtype=np.float64)
     pool = ThreadPoolExecutor(max_workers=1) if workers >= 2 else None
     try:
         for t in range(sched.T, 0, -1):
             probe = plan.step_probe(t) if plan is not None else None
-            if edit_cfg.s_cfg == 1.0:
+            if s_cfg == 1.0:
                 eps, _ = denoiser_forward(z, t, prompt, weights,
                                           n_steps=sched.T, probe=probe)
             else:
@@ -209,7 +204,7 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                                                 n_steps=sched.T)
                     eps_c, _ = denoiser_forward(z, t, prompt, weights,
                                                 n_steps=sched.T, probe=probe)
-                eps = cfg_combine(eps_u, eps_c, edit_cfg.s_cfg)
+                eps = cfg_combine(eps_u, eps_c, s_cfg)
             z = ddim_step(z, eps, t, sched)
     finally:
         if pool is not None:

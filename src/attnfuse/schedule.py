@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
 from .numerics import require
 
 DEFAULT_STEPS = 50

@@ -12,12 +12,11 @@ import numpy as np
 from .fusion import (FusionPlan, align_prompts, blend_self, build_blend_mask,
                      identity_alignment, preset)
 from .model import (KIND_CROSS, KIND_SELF, AttentionRecord, ModelConfig,
-                    attend, config_hash, denoiser_forward, embed_prompt,
+                    attend, denoiser_forward, embed_prompt,
                     make_denoiser_weights, spatiotemporal_attend)
 from .numerics import SeededRng, require, softmax_lastdim
 from .pipeline import decode, encode, invert_video
 from .schedule import cfg_combine, ddim_invert_step, ddim_step, make_schedule
-from .store import AttentionStore, StoreMeta
 
 _TINY = ModelConfig(n=3, h=4, w=4, c=1, d_model=8, heads=2, d_head=4,
                     blocks=1, d_text=8, seed=11)
@@ -122,14 +121,17 @@ def _check_fusion_identity():
 
 def _check_mask_extremes():
     _, _, _, (_, store) = _tiny_inversion()
-    full = build_blend_mask(store, 0, 0, (1,), 0.0)
-    empty = build_blend_mask(store, 0, 0, (1,), 1.0)
+    c_src = store.query(0, 0, KIND_CROSS).attn
+    full = build_blend_mask(c_src, (1,), 0.0)
+    empty = build_blend_mask(c_src, (1,), 1.0)
     require(bool(full.mask.all()), "tau 0 left mask entries unset")
     require(not empty.mask.any(), "tau 1 set mask entries")
-    s_edit = store.query(0, 0, KIND_SELF).attn
-    blended = blend_self(s_edit, store, 1, 0, empty)
-    require(np.array_equal(blended, store.query(0, 0, KIND_SELF).attn),
+    s_src = store.query(0, 0, KIND_SELF).attn
+    s_edit = store.query(1, 0, KIND_SELF).attn
+    require(np.array_equal(blend_self(s_edit, s_src, mask=empty), s_src),
             "empty mask did not hand back the source rows")
+    require(np.array_equal(blend_self(s_edit, s_src, mask=full), s_edit),
+            "full mask did not hand back the edit rows")
 
 
 def _check_encode_decode():

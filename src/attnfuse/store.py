@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
 from .model import KIND_CROSS, KIND_SELF, AttentionRecord

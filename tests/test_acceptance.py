@@ -25,8 +25,8 @@ import pytest
 from attnfuse.cli import run
 from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
                              blend_self, build_blend_mask, identity_alignment,
-                             preset, source_step)
-from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig,
+                             preset)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, BlockWeights, ModelConfig,
                             attend, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
@@ -82,11 +82,12 @@ def sweep():
             sched = make_schedule(T, 0.00085, 0.012)
             start = time.perf_counter()
             z_T, _ = invert_video(z0, prompt, sched, weights)
-            recon = run_denoise(z_T, prompt, sched, weights, PLAIN)
+            recon = run_denoise(z_T, prompt, sched, weights, PLAIN.s_cfg)
             elapsed_plain += time.perf_counter() - start
             mse[T].append(float(np.mean((recon - z0) ** 2)))
             if T == 50:
-                guided = run_denoise(z_T, prompt, sched, weights, GUIDED)
+                guided = run_denoise(z_T, prompt, sched, weights,
+                                     GUIDED.s_cfg)
                 mse_guided_50.append(float(np.mean((guided - z0) ** 2)))
     return mse, mse_guided_50, elapsed_plain
 
@@ -122,10 +123,14 @@ def test_criterion_04_identity_edit_is_reconstruction():
     sched = make_schedule(8, 0.00085, 0.012)
     z0 = SeededRng(40).standard_normal((3, 1, 8, 8)) * 0.5
     z_T, store = invert_video(z0, prompt, sched, weights)
-    edit = run_denoise(z_T, prompt, sched, weights, GUIDED, store=store,
-                       alignment=align_prompts(prompt.tokens, prompt.tokens))
-    recon = run_denoise(z_T, prompt, sched, weights, GUIDED, store=store,
-                        alignment=identity_alignment(len(prompt.tokens)))
+    edit_plan = FusionPlan(GUIDED, align_prompts(prompt.tokens, prompt.tokens),
+                           store)
+    recon_plan = FusionPlan(GUIDED, identity_alignment(len(prompt.tokens)),
+                            store)
+    edit = run_denoise(z_T, prompt, sched, weights, GUIDED.s_cfg,
+                       plan=edit_plan)
+    recon = run_denoise(z_T, prompt, sched, weights, GUIDED.s_cfg,
+                        plan=recon_plan)
     assert np.array_equal(edit, recon)
     assert float(np.max(np.abs(edit - recon))) <= 1e-12
     print("criterion 4 pass: identity edit equals reconstruction "
@@ -159,19 +164,19 @@ def small_inversion():
 
 def test_criterion_06_threshold_extremes(small_inversion):
     cfg, store, sched = small_inversion
-    t = 4
-    src_map = store.query(source_step(t), 0, KIND_SELF).attn
-    edit_map = store.query(t, 0, KIND_SELF).attn  # any same-shape other map
+    src_cross = store.query(3, 0, KIND_CROSS).attn
+    src_map = store.query(3, 0, KIND_SELF).attn
+    edit_map = store.query(4, 0, KIND_SELF).attn  # any same-shape other map
     assert not np.array_equal(edit_map, src_map)
 
-    closed = build_blend_mask(store, source_step(t), 0, (1,), 1.0)
+    closed = build_blend_mask(src_cross, (1,), 1.0)
     assert not closed.mask.any()
-    blended = blend_self(edit_map, store, t, 0, closed)
+    blended = blend_self(edit_map, src_map, mask=closed)
     assert np.array_equal(blended, src_map)
 
-    open_ = build_blend_mask(store, source_step(t), 0, (1,), 0.0)
+    open_ = build_blend_mask(src_cross, (1,), 0.0)
     assert open_.mask.all()
-    blended = blend_self(edit_map, store, t, 0, open_)
+    blended = blend_self(edit_map, src_map, mask=open_)
     assert np.array_equal(blended, edit_map)
     print("criterion 6 pass: tau=1.0 gives the all-zero mask and exact "
           "source maps; tau=0.0 gives the all-one mask and exact edit maps")
@@ -193,7 +198,8 @@ def test_criterion_07_oracle_mask_quality():
 
     worst = 1.0
     for t in range(sched.T):
-        mask = build_blend_mask(store, t, 0, (red_col,), 0.3).mask
+        mask = build_blend_mask(store.query(t, 0, KIND_CROSS).attn,
+                                (red_col,), 0.3).mask
         got = mask.reshape(3, 8, 8)
         for i in range(3):
             inter = float(np.logical_and(got[i], truth[i]).sum())

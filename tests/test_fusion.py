@@ -10,7 +10,7 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, MODES, TAKE_SOURCE, BlendMask,
                              EditConfig, FusionPlan, PromptAlignment,
                              align_prompts, blend_self, build_blend_mask,
                              fuse_cross, identity_alignment, mask_positions,
-                             preset, source_step)
+                             preset)
 from attnfuse.model import KIND_CROSS, KIND_SELF, AttentionRecord, tokenize
 from attnfuse.store import AttentionStore, StoreMeta
 
@@ -80,9 +80,15 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
     assert _plan(0.5, 0.5, T=4, tau=0.99).action(2, KIND_SELF) == BLEND
 
 
-def test_source_step_is_previous_index():
-    assert source_step(1) == 0
-    assert source_step(50) == 49
+def test_source_map_reads_inversion_step_t_minus_1():
+    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
+    store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS, attn=SRC_CROSS))
+    store.record(AttentionRecord(t=3, layer=0, kind=KIND_SELF, attn=SRC_SELF))
+    plan = FusionPlan(preset("style"), identity_alignment(2), store)
+    assert plan.source_map(1, 0, KIND_CROSS) is store.query(0, 0, KIND_CROSS).attn
+    assert plan.source_map(4, 0, KIND_SELF) is store.query(3, 0, KIND_SELF).attn
+    with pytest.raises(MissingRecordError):
+        plan.source_map(2, 0, KIND_CROSS)
 
 
 def test_align_substitution():
@@ -134,6 +140,9 @@ def test_alignment_validation():
         PromptAlignment(matched=((0, 0), (0, 1)), edited_positions=(),
                         removed_positions=())
     with pytest.raises(ContractViolation):
+        PromptAlignment(matched=((0, 1), (1, 0)), edited_positions=(),
+                        removed_positions=())
+    with pytest.raises(ContractViolation):
         PromptAlignment(matched=((0, 0),), edited_positions=(),
                         removed_positions=(0,))
 
@@ -157,10 +166,9 @@ EDIT_CROSS = np.array([[0.6, 0.4], [0.1, 0.9], [0.25, 0.75], [0.5, 0.5]]
 
 
 def test_fuse_cross_hand_oracle():
-    store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
-    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0)
+    got = fuse_cross(EDIT_CROSS, SRC_CROSS, align)
     # column 0 from source, column 1 kept, rows renormalized by hand
     want = np.array([
         [0.7 / 1.1, 0.4 / 1.1],
@@ -186,33 +194,20 @@ def test_plan_keeps_cross_map_outside_window():
     assert plan.step_probe(2) is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
     got = plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS))
-    assert np.array_equal(got, fuse_cross(EDIT_CROSS, store, align, 2, 0))
+    assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
 
 
 def test_fuse_cross_identity_alignment_is_stored_map():
-    store = _store_with_cross(SRC_CROSS)
-    got = fuse_cross(EDIT_CROSS, store, identity_alignment(2), t=2, layer=0)
-    assert got is store.query(1, 0, KIND_CROSS).attn
-
-
-def test_fuse_cross_full_permutation_skips_renorm():
-    store = _store_with_cross(SRC_CROSS)
-    align = PromptAlignment(matched=((0, 1), (1, 0)), edited_positions=(),
-                            removed_positions=())
-    got = fuse_cross(EDIT_CROSS, store, align, t=2, layer=0)
-    assert np.array_equal(got[..., 0], SRC_CROSS[..., 1])
-    assert np.array_equal(got[..., 1], SRC_CROSS[..., 0])
+    assert fuse_cross(EDIT_CROSS, SRC_CROSS, identity_alignment(2)) is SRC_CROSS
 
 
 def test_fuse_cross_partial_is_idempotent():
     src = np.array([[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.25, 0.5, 0.25],
                     [0.4, 0.4, 0.2]]).reshape(1, 1, 4, 3)
-    store = _store_with_cross(src)
-    edit = EDIT_CROSS
     align = PromptAlignment(matched=((0, 0), (2, 1)), edited_positions=(),
                             removed_positions=(1,))
-    once = fuse_cross(edit, store, align, t=2, layer=0)
-    twice = fuse_cross(once, store, align, t=2, layer=0)
+    once = fuse_cross(EDIT_CROSS, src, align)
+    twice = fuse_cross(once, src, align)
     assert np.max(np.abs(twice - once)) <= 1e-12
     assert np.max(np.abs(once.sum(axis=-1) - 1.0)) <= 1e-12
 
@@ -223,10 +218,9 @@ def test_fuse_cross_rows_sum_to_one_random():
     src /= src.sum(axis=-1, keepdims=True)
     edit = rng.random((2, 3, 5, 4)) + 0.05
     edit /= edit.sum(axis=-1, keepdims=True)
-    store = _store_with_cross(src)
     align = PromptAlignment(matched=((0, 0), (3, 2)), edited_positions=(1, 3),
                             removed_positions=(1, 2, 4, 5))
-    got = fuse_cross(edit, store, align, t=2, layer=0)
+    got = fuse_cross(edit, src, align)
     assert got.shape == edit.shape
     assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-12
     # renormalization preserves ratios between the replaced columns
@@ -234,18 +228,11 @@ def test_fuse_cross_rows_sum_to_one_random():
                          got[..., 2] * src[..., 0])) <= 1e-12
 
 
-def test_fuse_cross_missing_record_propagates():
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    with pytest.raises(MissingRecordError):
-        fuse_cross(EDIT_CROSS, store, identity_alignment(2), t=2, layer=0)
-
-
 def test_fuse_cross_column_bounds_checked():
-    store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((5, 0),), edited_positions=(1,),
                             removed_positions=())
     with pytest.raises(ContractViolation):
-        fuse_cross(EDIT_CROSS, store, align, t=2, layer=0)
+        fuse_cross(EDIT_CROSS, SRC_CROSS, align)
 
 
 MASK_CROSS = np.array([
@@ -257,16 +244,11 @@ MASK_CROSS = np.array([
 ])
 
 
-def _mask_store():
-    attn = np.repeat(MASK_CROSS[:, None], 2, axis=1)  # two equal heads
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS, attn=attn))
-    return store
+MASK_CROSS_HEADS = np.repeat(MASK_CROSS[:, None], 2, axis=1)  # two equal heads
 
 
 def test_blend_mask_hand_oracle():
-    store = _mask_store()
-    got = build_blend_mask(store, t=0, layer=0, word_positions=(1,), tau=0.3)
+    got = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=0.3)
     # frame 0 normalizes to [1, .5, .25, .125], frame 1 to [1, .5, .5, .2]
     want = np.array([[True, True, False, False],
                      [True, True, True, False]])
@@ -274,24 +256,21 @@ def test_blend_mask_hand_oracle():
 
 
 def test_blend_mask_threshold_is_strict():
-    store = _mask_store()
-    got = build_blend_mask(store, t=0, layer=0, word_positions=(1,), tau=0.5)
+    got = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=0.5)
     want = np.array([[True, False, False, False],
                      [True, False, False, False]])
     assert np.array_equal(got.mask, want)
 
 
 def test_blend_mask_tau_extremes():
-    store = _mask_store()
-    empty = build_blend_mask(store, t=0, layer=0, word_positions=(1,), tau=1.0)
+    empty = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=1.0)
     assert not empty.mask.any()
-    full = build_blend_mask(store, t=0, layer=0, word_positions=(1,), tau=0.0)
+    full = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=0.0)
     assert full.mask.all()
 
 
 def test_blend_mask_multiple_positions():
-    store = _mask_store()
-    got = build_blend_mask(store, t=0, layer=0, word_positions=(0, 2), tau=0.5)
+    got = build_blend_mask(MASK_CROSS_HEADS, word_positions=(0, 2), tau=0.5)
     # complement masses: frame 0 [.2, .6, .8, .9] -> /0.9; frame 1
     # [.5, .75, .75, .9] -> /0.9; strict > 0.5
     want = np.array([[False, True, True, True],
@@ -300,13 +279,12 @@ def test_blend_mask_multiple_positions():
 
 
 def test_blend_mask_position_validation():
-    store = _mask_store()
     with pytest.raises(ContractViolation):
-        build_blend_mask(store, t=0, layer=0, word_positions=(), tau=0.3)
+        build_blend_mask(MASK_CROSS_HEADS, word_positions=(), tau=0.3)
     with pytest.raises(ContractViolation):
-        build_blend_mask(store, t=0, layer=0, word_positions=(3,), tau=0.3)
+        build_blend_mask(MASK_CROSS_HEADS, word_positions=(3,), tau=0.3)
     with pytest.raises(ContractViolation):
-        build_blend_mask(store, t=0, layer=0, word_positions=(1, 1), tau=0.3)
+        build_blend_mask(MASK_CROSS_HEADS, word_positions=(1, 1), tau=0.3)
 
 
 SRC_SELF = np.array([
@@ -326,9 +304,8 @@ def _self_store():
 
 
 def test_blend_self_checkerboard():
-    store = _self_store()
     mask = BlendMask(mask=np.array([[True, False], [False, True]]))
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=mask)
+    got = blend_self(EDIT_SELF, SRC_SELF, mask=mask)
     assert np.array_equal(got[0, 0, 0], EDIT_SELF[0, 0, 0])
     assert np.array_equal(got[0, 0, 1], SRC_SELF[0, 0, 1])
     assert np.array_equal(got[1, 0, 0], SRC_SELF[1, 0, 0])
@@ -336,12 +313,11 @@ def test_blend_self_checkerboard():
 
 
 def test_blend_self_mask_extremes_are_exact():
-    store = _self_store()
     zeros = BlendMask(mask=np.zeros((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=zeros)
+    got = blend_self(EDIT_SELF, SRC_SELF, mask=zeros)
     assert np.array_equal(got, SRC_SELF)
     ones = BlendMask(mask=np.ones((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, store, t=2, layer=0, mask=ones)
+    got = blend_self(EDIT_SELF, SRC_SELF, mask=ones)
     assert np.array_equal(got, EDIT_SELF)
 
 
@@ -356,12 +332,11 @@ def test_plan_keeps_self_map_outside_window():
 
 
 def test_blend_self_shape_validation():
-    store = _self_store()
     with pytest.raises(ContractViolation):
-        blend_self(EDIT_SELF, store, t=2, layer=0,
+        blend_self(EDIT_SELF, SRC_SELF,
                    mask=BlendMask(mask=np.zeros((2, 3), dtype=bool)))
     with pytest.raises(ContractViolation):
-        blend_self(EDIT_SELF[:, :, :1], store, t=2, layer=0,
+        blend_self(EDIT_SELF[:, :, :1], SRC_SELF,
                    mask=BlendMask(mask=np.zeros((2, 2), dtype=bool)))
 
 
@@ -373,7 +348,9 @@ def test_blend_mask_type_validation():
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
-    store = _mask_store()
+    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
+    store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS,
+                                 attn=MASK_CROSS_HEADS))
     rng = np.random.default_rng(4)
     src_self = rng.random((2, 2, 4, 8))
     src_self /= src_self.sum(axis=-1, keepdims=True)
@@ -382,9 +359,11 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
     mask = plan.self_mask(1, 0)
-    assert np.array_equal(mask.mask, build_blend_mask(store, 0, 0, (1,), 0.3).mask)
+    assert np.array_equal(mask.mask,
+                          build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3).mask)
+    assert plan.self_mask(1, 0) is mask
     got = plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1))
-    assert np.array_equal(got, blend_self(edit_self, store, 1, 0, mask))
+    assert np.array_equal(got, blend_self(edit_self, src_self, mask=mask))
 
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
     assert plan.self_mask(1, 0).mask.shape == (2, 4)

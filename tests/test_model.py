@@ -7,10 +7,9 @@ from attnfuse.errors import ContractViolation
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN,
                             AttentionRecord, BlockWeights, ModelConfig,
                             attend, config_hash, denoiser_forward,
-                            embed_prompt, encode_color, load_weights,
+                            embed_prompt, encode_color,
                             make_denoiser_weights, make_oracle_denoiser,
-                            save_weights, spatiotemporal_attend, tokenize,
-                            token_vector)
+                            spatiotemporal_attend, tokenize, token_vector)
 from attnfuse.numerics import SeededRng, softmax_lastdim
 
 
@@ -312,34 +311,3 @@ def test_oracle_config_validation():
         make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0)})
     with pytest.raises(ContractViolation):
         make_oracle_denoiser(ORACLE_CFG, {})
-
-
-def test_weights_round_trip(tmp_path, tiny_cfg, tiny_weights):
-    path = tmp_path / "weights.bin"
-    save_weights(path, tiny_weights)
-    loaded = load_weights(path, tiny_cfg)
-    assert np.array_equal(loaded.w_in, tiny_weights.w_in)
-    assert np.array_equal(loaded.w_out, tiny_weights.w_out)
-    assert np.array_equal(loaded.time_freq, tiny_weights.time_freq)
-    for ba, bb in zip(loaded.blocks, tiny_weights.blocks):
-        for name in ("wq_s", "wk_s", "wv_s", "wq_c", "wk_c", "wv_c",
-                     "w_mlp_in", "w_mlp_out"):
-            assert np.array_equal(getattr(ba, name), getattr(bb, name))
-
-
-def test_weights_load_rejects_other_config(tmp_path, tiny_cfg, tiny_weights):
-    import dataclasses
-    path = tmp_path / "weights.bin"
-    save_weights(path, tiny_weights)
-    other = dataclasses.replace(tiny_cfg, seed=tiny_cfg.seed + 1)
-    with pytest.raises(ContractViolation):
-        load_weights(path, other)
-
-
-def test_weights_load_rejects_truncation(tmp_path, tiny_cfg, tiny_weights):
-    path = tmp_path / "weights.bin"
-    save_weights(path, tiny_weights)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
-    with pytest.raises(ContractViolation):
-        load_weights(path, tiny_cfg)

@@ -100,11 +100,3 @@ def test_rng_integers_in_range():
     draws = [int(rng.integers(0, 5)) for _ in range(200)]
     assert min(draws) >= 0 and max(draws) <= 4
     assert len(set(draws)) == 5
-
-
-def test_rng_derive_is_stable():
-    a = SeededRng(9).derive("x").standard_normal(8)
-    b = SeededRng(9).derive("x").standard_normal(8)
-    c = SeededRng(9).derive("y").standard_normal(8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)

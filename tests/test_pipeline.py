@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from attnfuse.errors import ContractViolation
-from attnfuse.fusion import EditConfig, align_prompts, identity_alignment
+from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
+                             identity_alignment)
 from attnfuse.model import ModelConfig, embed_prompt, make_denoiser_weights
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import (VideoSpec, compute_metrics, decode, encode,
@@ -134,8 +135,7 @@ def test_plain_reconstruction_smoke():
     sched = make_schedule(10, 0.00085, 0.012)
     z0 = SeededRng(101).standard_normal((2, 1, 8, 8)) * 0.5
     z_T, _ = invert_video(z0, prompt, sched, weights)
-    recon = run_denoise(z_T, prompt, sched, weights,
-                        EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0))
+    recon = run_denoise(z_T, prompt, sched, weights, 1.0)
     assert float(np.mean((recon - z0) ** 2)) <= 5e-3
 
 
@@ -147,22 +147,21 @@ def test_fused_reconstruction_at_t50():
     sched = make_schedule(50, 0.00085, 0.012)
     z0 = SeededRng(0).standard_normal((4, 1, 16, 16)) * 0.5
     z_T, store = invert_video(z0, prompt, sched, weights)
-    recon = run_denoise(z_T, prompt, sched, weights,
-                        EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
-                        store=store,
-                        alignment=identity_alignment(len(prompt.tokens)))
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
+                      identity_alignment(len(prompt.tokens)), store)
+    recon = run_denoise(z_T, prompt, sched, weights, 1.0, plan=plan)
     assert float(np.mean((recon - z0) ** 2)) <= 1e-3
 
 
 def test_worker_count_does_not_change_results(tiny_cfg, tiny_weights,
                                               tiny_inversion):
     sched, prompt, _, z_T, store = tiny_inversion
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=7.5)
-    align = identity_alignment(len(prompt.tokens))
-    seq = run_denoise(z_T, prompt, sched, tiny_weights, cfg, store=store,
-                      alignment=align, workers=0)
-    par = run_denoise(z_T, prompt, sched, tiny_weights, cfg, store=store,
-                      alignment=align, workers=2)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=7.5),
+                      identity_alignment(len(prompt.tokens)), store)
+    seq = run_denoise(z_T, prompt, sched, tiny_weights, 7.5, plan=plan,
+                      workers=0)
+    par = run_denoise(z_T, prompt, sched, tiny_weights, 7.5, plan=plan,
+                      workers=2)
     assert np.array_equal(seq, par)
 
 
@@ -170,24 +169,20 @@ def test_edit_pass_runs_with_real_alignment(tiny_cfg, tiny_weights,
                                             tiny_inversion):
     sched, prompt, _, z_T, store = tiny_inversion
     edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
-    align = align_prompts(prompt.tokens, edit_emb.tokens)
-    out = run_denoise(z_T, edit_emb, sched, tiny_weights,
-                      EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5),
-                      store=store, alignment=align)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5),
+                      align_prompts(prompt.tokens, edit_emb.tokens), store)
+    out = run_denoise(z_T, edit_emb, sched, tiny_weights, 7.5, plan=plan)
     assert out.shape == z_T.shape
     assert np.all(np.isfinite(out))
 
 
 def test_run_denoise_store_validation(tiny_cfg, tiny_weights, tiny_inversion):
     sched, prompt, _, z_T, store = tiny_inversion
-    cfg = EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0)
-    with pytest.raises(ContractViolation):
-        run_denoise(z_T, prompt, sched, tiny_weights, cfg, store=store,
-                    alignment=None)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
+                      identity_alignment(len(prompt.tokens)), store)
     other_sched = make_schedule(sched.T + 1, 0.05, 0.1)
     with pytest.raises(ContractViolation):
-        run_denoise(z_T, prompt, other_sched, tiny_weights, cfg, store=store,
-                    alignment=identity_alignment(len(prompt.tokens)))
+        run_denoise(z_T, prompt, other_sched, tiny_weights, 1.0, plan=plan)
 
 
 def test_metrics_constant_shift():
