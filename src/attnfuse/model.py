@@ -246,8 +246,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
             f"d_head {d_head} does not match Q/K last dims {q.shape} / {k.shape}")
     require(k.shape[-2] == v.shape[-2],
             f"K/V key counts differ: {k.shape} vs {v.shape}")
-    logits = np.matmul(q, np.swapaxes(k, -1, -2)) / math.sqrt(d_head)
-    attn = softmax_lastdim(logits)
+    logits = np.matmul(q, np.swapaxes(k, -1, -2))
+    logits /= math.sqrt(d_head)
+    attn = softmax_lastdim(logits, out=logits)
     if transform is not None:
         attn = transform(attn)
     return np.matmul(attn, v), attn

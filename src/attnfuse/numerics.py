@@ -63,18 +63,21 @@ class SeededRng:
         return self._gen.integers(low, high, size=size)
 
 
-def softmax_lastdim(x: np.ndarray) -> np.ndarray:
+def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis, max-subtracted for stability.
 
     Each slice of the result sums to 1 (within 1e-12) and keeps strictly
-    positive entries for inputs of sane dynamic range.
+    positive entries for inputs of sane dynamic range.  *out*, when given,
+    receives the result and may be *x* itself; the values do not depend on
+    it.
     """
     x = np.asarray(x, dtype=np.float64)
     require(x.size > 0 and x.shape[-1] >= 1, "softmax of empty tensor")
     check_finite("softmax input", x)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def maxnorm_frame(x: np.ndarray) -> np.ndarray:

@@ -80,15 +80,13 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
     assert _plan(0.5, 0.5, T=4, tau=0.99).action(2, KIND_SELF) == BLEND
 
 
-def test_source_map_reads_inversion_step_t_minus_1():
+def test_source_step_is_previous_index():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS, attn=SRC_CROSS))
     store.record(AttentionRecord(t=3, layer=0, kind=KIND_SELF, attn=SRC_SELF))
     plan = FusionPlan(preset("style"), identity_alignment(2), store)
     assert plan.source_map(1, 0, KIND_CROSS) is store.query(0, 0, KIND_CROSS).attn
     assert plan.source_map(4, 0, KIND_SELF) is store.query(3, 0, KIND_SELF).attn
-    with pytest.raises(MissingRecordError):
-        plan.source_map(2, 0, KIND_CROSS)
 
 
 def test_align_substitution():
@@ -226,6 +224,17 @@ def test_fuse_cross_rows_sum_to_one_random():
     # renormalization preserves ratios between the replaced columns
     assert np.max(np.abs(got[..., 0] * src[..., 3] -
                          got[..., 2] * src[..., 0])) <= 1e-12
+
+
+def test_fuse_cross_missing_record_propagates():
+    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
+    plan = FusionPlan(preset("style"), identity_alignment(2), store)
+    assert plan.action(2, KIND_CROSS) == FUSE
+    with pytest.raises(MissingRecordError):
+        plan.source_map(2, 0, KIND_CROSS)
+    with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
+        plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS))
+    assert isinstance(info.value.__cause__, MissingRecordError)
 
 
 def test_fuse_cross_column_bounds_checked():

@@ -38,6 +38,16 @@ def test_softmax_rows_sum_to_one_many():
     assert np.all(p > 0.0)
 
 
+def test_softmax_in_place_matches_fresh_result():
+    x = np.random.default_rng(12).standard_normal((2, 3, 5, 9)) * 10.0
+    want = softmax_lastdim(x)
+    buf = x.copy()
+    got = softmax_lastdim(buf, out=buf)
+    assert got is buf
+    assert np.array_equal(got, want)
+    assert not np.array_equal(x, want)
+
+
 def test_softmax_large_values_stable():
     p = softmax_lastdim(np.array([1000.0, 1000.0]))
     assert np.allclose(p, [0.5, 0.5], atol=1e-15)
