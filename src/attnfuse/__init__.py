@@ -1,7 +1,8 @@
 """Prompt-driven video editing by attention fusion.
 
 A compact, fully deterministic latent-diffusion stack: DDIM inversion
-archives every attention map of a toy denoiser, and the editing pass
+records every attention map of a toy denoiser (a self-attention map as
+the query and key projections it is rebuilt from), and the editing pass
 replays those maps through cross-attention column fusion and masked
 self-attention blending, so edits keep the source video's layout and
 motion.
@@ -11,10 +12,10 @@ from .errors import ConfigError, ContractViolation, MissingRecordError
 from .fusion import (BlendMask, EditConfig, FusionPlan, PromptAlignment,
                      align_prompts, blend_self, build_blend_mask, fuse_cross,
                      identity_alignment, preset)
-from .model import (AttentionRecord, DenoiserWeights, ModelConfig,
-                    PromptEmbedding, attend, denoiser_forward, embed_prompt,
-                    make_denoiser_weights, make_oracle_denoiser,
-                    spatiotemporal_attend)
+from .model import (AttentionRecord, AttentionSite, DenoiserWeights,
+                    ModelConfig, PromptEmbedding, SelfProjections, attend,
+                    denoiser_forward, embed_prompt, make_denoiser_weights,
+                    make_oracle_denoiser, spatiotemporal_attend)
 from .numerics import SeededRng, maxnorm_frame, softmax_lastdim
 from .pipeline import (MetricsReport, VideoSpec, compute_metrics, decode,
                        encode, invert_video, run_denoise, synth_video)

@@ -15,7 +15,7 @@ applies.
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
 `FusionPlan.source_map` makes that pairing and is the only reader of
-the inversion store.
+the inversion store, which rebuilds a self map on each read.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def mask_positions(alignment: PromptAlignment) -> tuple[int, ...]:
 
 
 KEEP = "keep"                 # the edit map stands
-TAKE_SOURCE = "take_source"   # the recorded self map replaces it whole
+TAKE_SOURCE = "take_source"   # the recorded map replaces it whole
 FUSE = "fuse"                 # fuse_cross swaps in matched columns
 BLEND = "blend"               # blend_self picks rows by the blend mask
 
@@ -243,11 +243,13 @@ class FusionPlan:
     Built once per editing pass from the edit config, the prompt
     alignment and the inversion store, which carries T.  A window covers the steps
     t >= ceil(frac * T), down to first_self or first_cross.  Inside it a
-    cross map is fused and a self map blended by the mask, or taken whole
+    cross map is fused, or taken whole from the source when the alignment
+    is the identity, and a self map is blended by the mask, or taken whole
     from the source when that mask is provably empty: no source word was
     removed, or tau >= 1 (the test is strict and normalized values <= 1).
-    Each mask is built once and kept, so later readers get the mask the
-    pass applied.
+    A map taken whole is handed to the forward pass before the edit map is
+    computed, so the pass skips that map's QK^T and softmax.  Each mask is
+    built once and kept, so later readers get the mask the pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
@@ -259,6 +261,9 @@ class FusionPlan:
         first = lambda frac: max(1, math.ceil(frac * store.meta.T - 1e-9))
         self.first_self, self.first_cross = first(cfg.t_s), first(cfg.t_c)
         self._blends = bool(self.positions) and cfg.tau < 1.0
+        # An alignment that matches every token is the identity, which
+        # fuse_cross answers with the source map itself.
+        self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
         self._masks: dict[tuple[int, int], BlendMask] = {}
 
     def source_map(self, t: int, layer: int, kind: str) -> np.ndarray:
@@ -268,7 +273,9 @@ class FusionPlan:
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE, FUSE or BLEND for the kind's maps at step t."""
         if kind == KIND_CROSS:
-            return FUSE if t >= self.first_cross else KEEP
+            if t < self.first_cross:
+                return KEEP
+            return FUSE if self._fuses else TAKE_SOURCE
         if t < self.first_self:
             return KEEP
         return BLEND if self._blends else TAKE_SOURCE
@@ -280,8 +287,8 @@ class FusionPlan:
             if self._blends:
                 mask = build_blend_mask(self.source_map(t, layer, KIND_CROSS),
                                         self.positions, self.cfg.tau)
-            else:
-                n, _, q, _ = self.source_map(t, layer, KIND_SELF).shape
+            else:  # sized by the cross map, which is stored, not rebuilt
+                n, _, q, _ = self.source_map(t, layer, KIND_CROSS).shape
                 mask = BlendMask(mask=np.zeros((n, q), dtype=bool))
             self._masks[(t, layer)] = mask
         return mask
@@ -292,21 +299,23 @@ class FusionPlan:
         if set(actions.values()) == {KEEP}:
             return None
 
-        def probe(rec):
-            act = actions[rec.kind]
+        def probe(site):
+            act = actions[site.kind]
             if act == KEEP:
                 return None
+            # TAKE_SOURCE never reads site.attn, so the edit map is not built.
+            edit = None if act == TAKE_SOURCE else site.attn
             try:
-                src = self.source_map(t, rec.layer, rec.kind)
+                src = self.source_map(t, site.layer, site.kind)
                 if act == FUSE:
-                    return fuse_cross(rec.attn, src, self.alignment)
+                    return fuse_cross(edit, src, self.alignment)
                 if act == BLEND:
-                    return blend_self(rec.attn, src,
-                                      mask=self.self_mask(t, rec.layer))
+                    return blend_self(edit, src,
+                                      mask=self.self_mask(t, site.layer))
                 return src
             except ContractViolation as exc:
                 raise ContractViolation(
-                    f"fusion failed at step {t}, layer {rec.layer}, {rec.kind}: {exc}"
+                    f"fusion failed at step {t}, layer {site.layer}, {site.kind}: {exc}"
                 ) from exc
 
         return probe

@@ -5,11 +5,19 @@ through an input projection, a stack of blocks (spatiotemporal
 self-attention, cross-attention to the prompt, pointwise MLP, each with
 a residual add), and an output projection back to latent channels.
 
-Two properties matter more than capacity here.  First, every
-post-softmax attention map is offered to an optional probe before it
-multiplies the values, which is what the editing machinery hooks into.
-Second, all randomness flows from explicit seeds, so identical inputs
-give bit-identical outputs.
+Two properties matter more than capacity here.  First, every attention
+map is offered to an optional probe before it multiplies the values,
+which is what the editing machinery hooks into.  The probe sees an
+`AttentionSite` whose map is computed only when read, so a probe that
+supplies its own map spares the QK^T and the softmax.  Second, all
+randomness flows from explicit seeds, so identical inputs give
+bit-identical outputs.
+
+A self-attention map is a function of its query and key projections
+(`SelfProjections`), which are heads*h*w/d_model times smaller.  The
+forward pass builds every self map through `SelfProjections.attn`, so a
+map rebuilt later from recorded projections is bit-identical to the one
+the pass applied.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -38,7 +46,7 @@ ORACLE_GAIN = 8.0    # query gain of the palette oracle; keeps >=0.9 mass
 KIND_SELF = "self"
 KIND_CROSS = "cross"
 
-Probe = Callable[["AttentionRecord"], Optional[np.ndarray]]
+Probe = Callable[["AttentionSite"], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -232,72 +240,142 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(n, q, heads * d_head)
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
-           transform: Callable[[np.ndarray], np.ndarray] | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dot-product attention; returns (output, post-softmax map).
+def _with_middle_frame(x: np.ndarray) -> np.ndarray:
+    """[middle frame; own frame] along the token axis of split-head x."""
+    mid = x.shape[0] // 2
+    return np.concatenate([np.broadcast_to(x[mid], x.shape), x], axis=2)
 
-    Leading axes broadcast.  *transform*, when given, is applied to the
-    map between the softmax and the value multiply; this is the seam the
-    probe machinery uses.
+
+def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int) -> np.ndarray:
+    logits = np.matmul(q, np.swapaxes(k, -1, -2))
+    logits /= math.sqrt(d_head)
+    return softmax_lastdim(logits, out=logits)
+
+
+@dataclass(frozen=True)
+class SelfProjections:
+    """Query and key projections of one self-attention call.
+
+    queries and keys are the block input times wq_s and wk_s, each
+    (n, h*w, d_model); heads splits d_model.  They determine the map.
+    """
+
+    queries: np.ndarray
+    keys: np.ndarray
+    heads: int
+
+    def __post_init__(self):
+        require(self.queries.ndim == 3 and self.queries.shape == self.keys.shape,
+                f"self projections must share one (n, h*w, d_model) shape, got "
+                f"{self.queries.shape} / {self.keys.shape}")
+        require(self.heads >= 1 and self.queries.shape[-1] % self.heads == 0,
+                f"{self.heads} heads do not split d_model {self.queries.shape[-1]}")
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        n, hw, _ = self.queries.shape
+        return (n, self.heads, hw, 2 * hw)
+
+    def attn(self) -> np.ndarray:
+        """The read-only post-softmax map, (n, heads, h*w, 2*h*w).
+
+        Each frame's queries attend over the keys of the middle frame
+        (index n // 2), then its own.  Equal projections give equal bits.
+        """
+        d_head = self.queries.shape[-1] // self.heads
+        q = _split_heads(self.queries, self.heads, d_head)
+        keys = _with_middle_frame(_split_heads(self.keys, self.heads, d_head))
+        attn = _attention_map(q, keys, d_head)
+        attn.setflags(write=False)
+        return attn
+
+
+class AttentionSite:
+    """An attention map that the forward pass is about to apply.
+
+    This is what a probe sees.  `attn` is the denoiser's own map,
+    computed on first read, so a probe that returns a map without
+    reading it skips the QK^T and the softmax.  A self-attention site
+    also carries the `projections` its map is built from; a
+    cross-attention site carries None.
+    """
+
+    def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
+                 build: Callable[[], np.ndarray],
+                 projections: SelfProjections | None = None):
+        self.t, self.layer, self.kind, self.shape = t, layer, kind, shape
+        self.projections = projections
+        self._build = build
+        self._attn: np.ndarray | None = None
+
+    @property
+    def attn(self) -> np.ndarray:
+        if self._attn is None:
+            self._attn = self._build()
+            self._attn.setflags(write=False)
+        return self._attn
+
+
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
+           supply: Callable[[Callable[[], np.ndarray]], np.ndarray] | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention; returns (output, applied map).
+
+    Leading axes broadcast.  *supply*, when given, is called with a
+    function that computes the post-softmax map and returns the map to
+    apply; returning another map without calling that function skips
+    the QK^T and the softmax.  This is the seam the probe machinery uses.
     """
     require(d_head >= 1, f"d_head must be >= 1, got {d_head}")
     require(q.shape[-1] == d_head and k.shape[-1] == d_head,
             f"d_head {d_head} does not match Q/K last dims {q.shape} / {k.shape}")
     require(k.shape[-2] == v.shape[-2],
             f"K/V key counts differ: {k.shape} vs {v.shape}")
-    logits = np.matmul(q, np.swapaxes(k, -1, -2))
-    logits /= math.sqrt(d_head)
-    attn = softmax_lastdim(logits, out=logits)
-    if transform is not None:
-        attn = transform(attn)
+    build = lambda: _attention_map(q, k, d_head)
+    attn = build() if supply is None else supply(build)
     return np.matmul(attn, v), attn
 
 
 def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
                           heads: int, d_head: int,
-                          transform: Callable[[np.ndarray], np.ndarray] | None = None
+                          supply: Callable[[SelfProjections], np.ndarray] | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Self-attention over [middle frame; own frame] keys and values.
 
     feats: (n, h*w, d_model).  Returns (out (n, h*w, d_model),
     map (n, heads, h*w, 2*h*w)).  The middle frame is index n // 2; its
-    keys come first in the concatenation.
+    keys come first in the concatenation.  *supply*, when given, is
+    called with the `SelfProjections` and returns the map to apply.
     """
-    n = feats.shape[0]
-    q = _split_heads(feats @ block.wq_s, heads, d_head)
-    k = _split_heads(feats @ block.wk_s, heads, d_head)
-    v = _split_heads(feats @ block.wv_s, heads, d_head)
-    mid = n // 2
-    k_mid = np.broadcast_to(k[mid], k.shape)
-    v_mid = np.broadcast_to(v[mid], v.shape)
-    keys = np.concatenate([k_mid, k], axis=2)
-    vals = np.concatenate([v_mid, v], axis=2)
-    out, attn = attend(q, keys, vals, d_head, transform=transform)
-    return _merge_heads(out), attn
+    proj = SelfProjections(queries=feats @ block.wq_s, keys=feats @ block.wk_s,
+                           heads=heads)
+    attn = proj.attn() if supply is None else supply(proj)
+    vals = _with_middle_frame(_split_heads(feats @ block.wv_s, heads, d_head))
+    return _merge_heads(np.matmul(attn, vals)), attn
 
 
 def _offer(probe: Probe | None, records: list[AttentionRecord],
-           t: int, layer: int, kind: str, attn: np.ndarray) -> np.ndarray:
-    attn.setflags(write=False)
-    applied = attn
-    if probe is not None:
-        replacement = probe(AttentionRecord(t=t, layer=layer, kind=kind, attn=attn))
-        if replacement is not None:
-            replacement = np.asarray(replacement, dtype=np.float64)
-            require(replacement.shape == attn.shape,
-                    f"probe replacement shape {replacement.shape} != map shape {attn.shape}"
-                    f" ({kind}, t={t}, layer={layer})")
-            check_finite("probe replacement", replacement)
-            worst = float(np.abs(replacement.sum(axis=-1) - 1.0).max())
-            require(worst <= 1e-6,
-                    f"probe replacement rows deviate from 1 by {worst:.3e} "
-                    f"({kind}, t={t}, layer={layer})")
-            if replacement.base is not None or replacement.flags.writeable:
-                replacement = replacement.copy()
-            replacement.setflags(write=False)
-            applied = replacement
-    records.append(AttentionRecord(t=t, layer=layer, kind=kind, attn=applied))
+           site: AttentionSite) -> np.ndarray:
+    """The map to apply at *site*: the probe's replacement, if any, once checked."""
+    replacement = probe(site) if probe is not None else None
+    if replacement is None:
+        applied = site.attn
+    else:
+        where = f"({site.kind}, t={site.t}, layer={site.layer})"
+        replacement = np.asarray(replacement, dtype=np.float64)
+        require(replacement.shape == site.shape,
+                f"probe replacement shape {replacement.shape} != map shape "
+                f"{site.shape} {where}")
+        check_finite("probe replacement", replacement)
+        worst = float(np.abs(replacement.sum(axis=-1) - 1.0).max())
+        require(worst <= 1e-6,
+                f"probe replacement rows deviate from 1 by {worst:.3e} {where}")
+        if replacement.base is not None or replacement.flags.writeable:
+            replacement = replacement.copy()
+        replacement.setflags(write=False)
+        applied = replacement
+    records.append(AttentionRecord(t=site.t, layer=site.layer, kind=site.kind,
+                                   attn=applied))
     return applied
 
 
@@ -329,17 +407,20 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
 
     records: list[AttentionRecord] = []
     kv = prompt.vectors
+    cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
     for layer, bw in enumerate(weights.blocks):
         s_out, _ = spatiotemporal_attend(
             x, bw, cfg.heads, cfg.d_head,
-            transform=lambda a, _l=layer: _offer(probe, records, t, _l, KIND_SELF, a))
+            supply=lambda p, _l=layer: _offer(probe, records, AttentionSite(
+                t, _l, KIND_SELF, p.shape, p.attn, projections=p)))
         x = x + s_out
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         kc = _split_heads((kv @ bw.wk_c)[None], cfg.heads, cfg.d_head)
         vc = _split_heads((kv @ bw.wv_c)[None], cfg.heads, cfg.d_head)
         c_out, _ = attend(
             qc, kc, vc, cfg.d_head,
-            transform=lambda a, _l=layer: _offer(probe, records, t, _l, KIND_CROSS, a))
+            supply=lambda build, _l=layer: _offer(probe, records, AttentionSite(
+                t, _l, KIND_CROSS, cross_shape, build)))
         x = x + _merge_heads(c_out)
         x = x + np.tanh(x @ bw.w_mlp_in) @ bw.w_mlp_out
 

@@ -70,11 +70,15 @@ def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     positive entries for inputs of sane dynamic range.  *out*, when given,
     receives the result and may be *x* itself; the values do not depend on
     it.
+
+    Finiteness is checked on the row maxima, which rejects any NaN (max
+    propagates it), any +inf and any row of only -inf.  A lone -inf
+    entry is accepted: it gets weight 0 and its row still sums to 1.
     """
     x = np.asarray(x, dtype=np.float64)
     require(x.size > 0 and x.shape[-1] >= 1, "softmax of empty tensor")
-    check_finite("softmax input", x)
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    peaks = check_finite("softmax input", x.max(axis=-1, keepdims=True))
+    out = np.subtract(x, peaks, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out

@@ -98,17 +98,27 @@ def _tiny_inversion():
     weights = make_denoiser_weights(_TINY)
     prompt = embed_prompt("a red square", _TINY)
     z0 = SeededRng(6).standard_normal((_TINY.n, _TINY.c, _TINY.h, _TINY.w)) * 0.1
-    return sched, weights, prompt, invert_video(z0, prompt, sched, weights)
+    return sched, weights, prompt, z0, invert_video(z0, prompt, sched, weights)
 
 
 def _check_store_completeness():
-    sched, _, _, (_, store) = _tiny_inversion()
+    sched, _, _, _, (_, store) = _tiny_inversion()
     require(len(store) == 2 * sched.T * _TINY.blocks, "store record count off")
     require(store.verify_complete() == [], "store reports missing records")
 
 
+def _check_store_rebuild():
+    sched, weights, prompt, z0, (_, store) = _tiny_inversion()
+    _, records = denoiser_forward(z0, 0, prompt, weights, n_steps=sched.T)
+    for rec in records:
+        if rec.kind == KIND_SELF:
+            require(np.array_equal(store.query(0, rec.layer, KIND_SELF).attn,
+                                   rec.attn),
+                    f"rebuilt self map of layer {rec.layer} differs from the forward's")
+
+
 def _check_fusion_identity():
-    sched, _, prompt, (_, store) = _tiny_inversion()
+    sched, _, prompt, _, (_, store) = _tiny_inversion()
     plan = FusionPlan(preset("style"), identity_alignment(len(prompt.tokens)),
                       store)
     probe = plan.step_probe(sched.T)
@@ -116,11 +126,11 @@ def _check_fusion_identity():
         src = store.query(sched.T - 1, 0, kind).attn
         edit = store.query(0, 0, kind).attn
         fused = probe(AttentionRecord(t=sched.T, layer=0, kind=kind, attn=edit))
-        require(fused is src, f"identity fusion altered the {kind} map")
+        require(np.array_equal(fused, src), f"identity fusion altered the {kind} map")
 
 
 def _check_mask_extremes():
-    _, _, _, (_, store) = _tiny_inversion()
+    *_, (_, store) = _tiny_inversion()
     c_src = store.query(0, 0, KIND_CROSS).attn
     full = build_blend_mask(c_src, (1,), 0.0)
     empty = build_blend_mask(c_src, (1,), 1.0)
@@ -156,6 +166,7 @@ CHECKS = [
     ("forward-determinism", _check_forward_determinism),
     ("probe-replay", _check_probe_replay),
     ("store-completeness", _check_store_completeness),
+    ("store-rebuild", _check_store_rebuild),
     ("fusion-identity", _check_fusion_identity),
     ("mask-extremes", _check_mask_extremes),
     ("encode-decode", _check_encode_decode),

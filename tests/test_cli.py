@@ -1,6 +1,9 @@
 """Config parsing, subcommand flows, exit codes, and output artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from attnfuse.blobio import read_blob
 from attnfuse.cli import parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import read_pgm
-from attnfuse.model import ModelConfig, config_hash
+from attnfuse.model import ModelConfig, SelfProjections, config_hash
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import VideoSpec, synth_video, write_frame_dir
 from attnfuse.store import load_store_dump
@@ -125,6 +128,15 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_python_m_attnfuse_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "attnfuse", "edit"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 3
+    assert "edit requires --config" in proc.stderr
+
+
 def test_selfcheck_passes(capsys):
     assert run(["selfcheck"]) == 0
     out = capsys.readouterr().out
@@ -206,6 +218,29 @@ def test_gray_reconstruction_is_scored_against_the_luminance_source(tmp_path):
     psnr = json.loads((out / "metrics.json").read_text())["psnr"]
     assert len(psnr) == 3
     assert sum(psnr) / len(psnr) >= 30.0
+
+
+def test_reconstruct_builds_one_self_map_per_step_and_layer(tmp_path,
+                                                           monkeypatch):
+    # style preset: tau = 1.0, so the blend mask is empty and the pass
+    # takes each in-window self map whole from the source.
+    built = []
+    original = SelfProjections.attn
+
+    def spy(proj):
+        built.append(proj)
+        return original(proj)
+
+    monkeypatch.setattr(SelfProjections, "attn", spy)
+    cfg = BASE_CONFIG.replace("preset = shape", "preset = style\ns_cfg = 1.0")
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg)
+    out = tmp_path / "rec"
+    assert run(["reconstruct", "--config", str(path), "--out", str(out)]) == 0
+    assert not read_pgm(out / "masks" / "0000.pgm").any()
+    # T = 4 steps, 1 block: inversion builds 4 self maps, and the pass
+    # builds or rebuilds one per step; sizing the empty mask builds none.
+    assert len(built) == 2 * 4 * 1
 
 
 def test_seed_override_changes_frames(tmp_path, config_path):

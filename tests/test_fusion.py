@@ -11,7 +11,8 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, MODES, TAKE_SOURCE, BlendMask,
                              align_prompts, blend_self, build_blend_mask,
                              fuse_cross, identity_alignment, mask_positions,
                              preset)
-from attnfuse.model import KIND_CROSS, KIND_SELF, AttentionRecord, tokenize
+from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionRecord,
+                            AttentionSite, SelfProjections, tokenize)
 from attnfuse.store import AttentionStore, StoreMeta
 
 
@@ -72,6 +73,13 @@ def test_plan_rewrites_exactly_the_window_steps(T, frac):
         assert (plan.step_probe(t) is not None) == inside
 
 
+def _projections(n, hw, heads, d_head=2, seed=3):
+    rng = np.random.default_rng(seed)
+    shape = (n, hw, heads * d_head)
+    return SelfProjections(queries=rng.standard_normal(shape),
+                           keys=rng.standard_normal(shape), heads=heads)
+
+
 def test_plan_takes_source_whole_when_mask_is_provably_empty():
     assert _plan(0.5, 0.5, T=4, tau=1.0).action(2, KIND_SELF) == TAKE_SOURCE
     unchanged = align_prompts(("a", "cat"), ("a", "cat", "8k"))
@@ -83,10 +91,13 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
 def test_source_step_is_previous_index():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS, attn=SRC_CROSS))
-    store.record(AttentionRecord(t=3, layer=0, kind=KIND_SELF, attn=SRC_SELF))
+    store.record_projections(3, 0, _projections(2, 2, heads=1))
     plan = FusionPlan(preset("style"), identity_alignment(2), store)
     assert plan.source_map(1, 0, KIND_CROSS) is store.query(0, 0, KIND_CROSS).attn
-    assert plan.source_map(4, 0, KIND_SELF) is store.query(3, 0, KIND_SELF).attn
+    assert np.array_equal(plan.source_map(4, 0, KIND_SELF),
+                          store.query(3, 0, KIND_SELF).attn)
+    with pytest.raises(MissingRecordError):
+        plan.source_map(3, 0, KIND_SELF)
 
 
 def test_align_substitution():
@@ -228,7 +239,9 @@ def test_fuse_cross_rows_sum_to_one_random():
 
 def test_fuse_cross_missing_record_propagates():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    plan = FusionPlan(preset("style"), identity_alignment(2), store)
+    align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
+                            removed_positions=(1,))
+    plan = FusionPlan(preset("style"), align, store)
     assert plan.action(2, KIND_CROSS) == FUSE
     with pytest.raises(MissingRecordError):
         plan.source_map(2, 0, KIND_CROSS)
@@ -308,7 +321,7 @@ EDIT_SELF = np.array([
 
 def _self_store():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(AttentionRecord(t=1, layer=0, kind=KIND_SELF, attn=SRC_SELF))
+    store.record_projections(1, 0, _projections(2, 2, heads=1))
     return store
 
 
@@ -336,8 +349,8 @@ def test_plan_keeps_self_map_outside_window():
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
     assert plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    assert plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)) \
-        is store.query(1, 0, KIND_SELF).attn
+    assert np.array_equal(plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)),
+                          store.query(1, 0, KIND_SELF).attn)
 
 
 def test_blend_self_shape_validation():
@@ -360,10 +373,8 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS,
                                  attn=MASK_CROSS_HEADS))
-    rng = np.random.default_rng(4)
-    src_self = rng.random((2, 2, 4, 8))
-    src_self /= src_self.sum(axis=-1, keepdims=True)
-    store.record(AttentionRecord(t=0, layer=0, kind=KIND_SELF, attn=src_self))
+    store.record_projections(0, 0, _projections(2, 4, heads=2, seed=4))
+    src_self = store.query(0, 0, KIND_SELF).attn
     edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
@@ -377,4 +388,35 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
     assert plan.self_mask(1, 0).mask.shape == (2, 4)
     assert not plan.self_mask(1, 0).mask.any()
-    assert plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1)) is src_self
+    assert np.array_equal(plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1)),
+                          src_self)
+
+
+def test_plan_takes_source_before_the_edit_map_is_built():
+    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
+    store.record(AttentionRecord(t=1, layer=0, kind=KIND_CROSS, attn=SRC_CROSS))
+    store.record_projections(1, 0, _projections(1, 4, heads=1))
+    built = []
+
+    def site(kind, attn):
+        return AttentionSite(2, 0, kind, attn.shape,
+                             lambda: built.append(kind) or attn)
+
+    # identical prompts: the cross map is taken whole, like the empty-mask self map
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
+                      identity_alignment(2), store)
+    assert plan.action(2, KIND_CROSS) == plan.action(2, KIND_SELF) == TAKE_SOURCE
+    probe = plan.step_probe(2)
+    assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0, KIND_CROSS).attn
+    edit_self = np.full((1, 1, 4, 8), 1.0 / 8)
+    assert np.array_equal(probe(site(KIND_SELF, edit_self)),
+                          store.query(1, 0, KIND_SELF).attn)
+    assert built == []
+
+    # a substituted word: fusing the columns needs the edit map
+    align = align_prompts(("a", "cat"), ("a", "tiger"))
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
+    assert plan.action(2, KIND_CROSS) == FUSE
+    got = plan.step_probe(2)(site(KIND_CROSS, EDIT_CROSS))
+    assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
+    assert built == [KIND_CROSS]

@@ -106,9 +106,12 @@ def test_attend_transform_seam_changes_output():
     k = rng.standard_normal((4, 3))
     v = rng.standard_normal((4, 3))
     uniform = np.full((2, 4), 0.25)
-    out, attn = attend(q, k, v, 3, transform=lambda a: uniform)
+    out, attn = attend(q, k, v, 3, supply=lambda build: uniform)
     assert np.array_equal(attn, uniform)
     assert np.allclose(out, v.mean(axis=0), atol=1e-12)
+    # the seam hands over a builder of the attention's own map
+    _, own = attend(q, k, v, 3, supply=lambda build: build())
+    assert np.array_equal(own, attend(q, k, v, 3)[1])
 
 
 def test_attend_shape_validation():

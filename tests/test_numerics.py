@@ -63,6 +63,29 @@ def test_softmax_row_property(row):
     assert np.all(p >= 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "plus_inf"])
+@pytest.mark.parametrize("col", [0, 2, 3])
+def test_softmax_rejects_nan_and_plus_inf_anywhere(bad, col):
+    x = np.random.default_rng(13).standard_normal((2, 3, 4))
+    x[1, 1, col] = bad
+    with pytest.raises(ContractViolation, match="non-finite"):
+        softmax_lastdim(x)
+
+
+def test_softmax_rejects_a_row_of_only_minus_inf():
+    x = np.zeros((3, 4))
+    x[2] = -np.inf
+    with pytest.raises(ContractViolation, match="non-finite"):
+        softmax_lastdim(x)
+
+
+def test_softmax_gives_a_lone_minus_inf_weight_zero():
+    p = softmax_lastdim(np.array([[0.5, -np.inf, 2.0], [1.0, 2.0, 3.0]]))
+    assert p[0, 1] == 0.0
+    assert np.array_equal(p[0, [0, 2]], softmax_lastdim(np.array([0.5, 2.0])))
+    assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-12
+
+
 def test_softmax_empty_last_axis_rejected():
     with pytest.raises(ContractViolation):
         softmax_lastdim(np.zeros((3, 0)))
