@@ -92,7 +92,6 @@ class RunConfig:
     edit_prompt: str
     video: VideoSpec | None
     video_dir: Path | None
-    seed: int
     out_dir: Path
     workers: int
     echo: dict
@@ -204,13 +203,12 @@ def parse_config(path: Path) -> RunConfig:
                      beta_end=beta_end, edit=edit,
                      source_prompt=g("edit", "source_prompt"),
                      edit_prompt=g("edit", "edit_prompt"),
-                     video=video, video_dir=video_dir, seed=model.seed,
+                     video=video, video_dir=video_dir,
                      out_dir=Path("out"), workers=0, echo=echo)
 
 
 def _apply_overrides(rc: RunConfig, seed: int | None, out: str | None) -> RunConfig:
     if seed is not None:
-        rc.seed = seed
         rc.model = dataclasses.replace(rc.model, seed=seed)
         rc.echo["model"]["seed"] = seed
     if out is not None:
@@ -238,7 +236,7 @@ def _load_source_video(rc: RunConfig) -> np.ndarray:
                 f"input frames are {pixels.shape[2:]}, config expects "
                 f"({rc.model.h}, {rc.model.w})")
         return pixels
-    rng = SeededRng(derived_seed(rc.seed, "video"))
+    rng = SeededRng(derived_seed(rc.model.seed, "video"))
     pixels, _ = synth_video(rc.video, rng)
     return pixels
 

@@ -7,7 +7,9 @@ a residual add), and an output projection back to latent channels.
 
 Two properties matter more than capacity here.  First, every attention
 map is offered to an optional probe before it multiplies the values,
-which is what the editing machinery hooks into.  The probe sees an
+which is what the editing machinery hooks into.  The probe is the only
+way a map leaves the forward pass, which returns the predicted noise
+alone, so the pass holds one self map at a time.  The probe sees an
 `AttentionSite` whose map is computed only when read, so a probe that
 supplies its own map spares the QK^T and the softmax.  Second, all
 randomness flows from explicit seeds, so identical inputs give
@@ -354,39 +356,34 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
     return _merge_heads(np.matmul(attn, vals)), attn
 
 
-def _offer(probe: Probe | None, records: list[AttentionRecord],
-           site: AttentionSite) -> np.ndarray:
+def _offer(probe: Probe | None, site: AttentionSite) -> np.ndarray:
     """The map to apply at *site*: the probe's replacement, if any, once checked."""
     replacement = probe(site) if probe is not None else None
     if replacement is None:
-        applied = site.attn
-    else:
-        where = f"({site.kind}, t={site.t}, layer={site.layer})"
-        replacement = np.asarray(replacement, dtype=np.float64)
-        require(replacement.shape == site.shape,
-                f"probe replacement shape {replacement.shape} != map shape "
-                f"{site.shape} {where}")
-        check_finite("probe replacement", replacement)
-        worst = float(np.abs(replacement.sum(axis=-1) - 1.0).max())
-        require(worst <= 1e-6,
-                f"probe replacement rows deviate from 1 by {worst:.3e} {where}")
-        if replacement.base is not None or replacement.flags.writeable:
-            replacement = replacement.copy()
-        replacement.setflags(write=False)
-        applied = replacement
-    records.append(AttentionRecord(t=site.t, layer=site.layer, kind=site.kind,
-                                   attn=applied))
-    return applied
+        return site.attn
+    where = f"({site.kind}, t={site.t}, layer={site.layer})"
+    replacement = np.asarray(replacement, dtype=np.float64)
+    require(replacement.shape == site.shape,
+            f"probe replacement shape {replacement.shape} != map shape "
+            f"{site.shape} {where}")
+    check_finite("probe replacement", replacement)
+    worst = float(np.abs(replacement.sum(axis=-1) - 1.0).max())
+    require(worst <= 1e-6,
+            f"probe replacement rows deviate from 1 by {worst:.3e} {where}")
+    if replacement.base is not None or replacement.flags.writeable:
+        replacement = replacement.copy()
+    replacement.setflags(write=False)
+    return replacement
 
 
 def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
                      weights: DenoiserWeights, n_steps: int,
-                     probe: Probe | None = None
-                     ) -> tuple[np.ndarray, list[AttentionRecord]]:
-    """Predict noise for a latent video at timestep t.
+                     probe: Probe | None = None) -> np.ndarray:
+    """Predict noise (n, c, h, w) for a latent video at timestep t.
 
-    Returns (eps, records) where records holds the attention maps that
-    were actually applied, in (layer, self-then-cross) order.  n_steps
+    *probe* sees each attention site in (layer, self-then-cross) order
+    and is the only way a map leaves the pass: a map that the probe
+    neither keeps nor replaces is dropped once applied.  n_steps
     normalizes t for the timestep features; pass the schedule's T.
     """
     cfg = weights.config
@@ -405,27 +402,24 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     temb = np.broadcast_to(_time_features(t, n_steps, weights), (n, hw, TIME_DIM))
     x = np.concatenate([zc, pos, temb], axis=-1) @ weights.w_in
 
-    records: list[AttentionRecord] = []
     kv = prompt.vectors
     cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
     for layer, bw in enumerate(weights.blocks):
-        s_out, _ = spatiotemporal_attend(
+        x = x + spatiotemporal_attend(
             x, bw, cfg.heads, cfg.d_head,
-            supply=lambda p, _l=layer: _offer(probe, records, AttentionSite(
-                t, _l, KIND_SELF, p.shape, p.attn, projections=p)))
-        x = x + s_out
+            supply=lambda p, _l=layer: _offer(probe, AttentionSite(
+                t, _l, KIND_SELF, p.shape, p.attn, projections=p)))[0]
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         kc = _split_heads((kv @ bw.wk_c)[None], cfg.heads, cfg.d_head)
         vc = _split_heads((kv @ bw.wv_c)[None], cfg.heads, cfg.d_head)
-        c_out, _ = attend(
+        x = x + _merge_heads(attend(
             qc, kc, vc, cfg.d_head,
-            supply=lambda build, _l=layer: _offer(probe, records, AttentionSite(
-                t, _l, KIND_CROSS, cross_shape, build)))
-        x = x + _merge_heads(c_out)
+            supply=lambda build, _l=layer: _offer(probe, AttentionSite(
+                t, _l, KIND_CROSS, cross_shape, build)))[0])
         x = x + np.tanh(x @ bw.w_mlp_in) @ bw.w_mlp_out
 
     eps = (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w)
-    return check_finite("predicted noise", eps), records
+    return check_finite("predicted noise", eps)
 
 
 def encode_color(color: Sequence[float]) -> np.ndarray:

@@ -168,8 +168,8 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
 
     z = np.asarray(z_0, dtype=np.float64)
     for t in range(sched.T):
-        eps, _ = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
-                                  probe=capture)
+        eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
+                               probe=capture)
         z = ddim_invert_step(z, eps, t, sched)
     missing = store.verify_complete()
     require(not missing, f"inversion left {len(missing)} records missing: "
@@ -184,9 +184,9 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
 
     Without a plan this is plain sampling.  With one, the conditional
     branch's maps are rewritten as the plan decides, from the inversion
-    store it reads; the unconditional branch always runs probe-free.
-    workers >= 2 evaluates the two guidance branches concurrently;
-    results do not depend on the worker count.
+    store it reads; the unconditional branch always runs probe-free, and
+    not at all at s_cfg = 1.  workers >= 2 evaluates the two guidance
+    branches concurrently; results do not depend on the worker count.
     """
     cfg = weights.config
     if plan is not None:
@@ -196,26 +196,19 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 "store was captured under a different model config")
     uncond = embed_prompt("", cfg)
     z = np.asarray(z_start, dtype=np.float64)
-    pool = ThreadPoolExecutor(max_workers=1) if workers >= 2 else None
+    guided = s_cfg != 1.0
+    pool = ThreadPoolExecutor(max_workers=1) if guided and workers >= 2 else None
     try:
         for t in range(sched.T, 0, -1):
             probe = plan.step_probe(t) if plan is not None else None
-            if s_cfg == 1.0:
-                eps, _ = denoiser_forward(z, t, prompt, weights,
-                                          n_steps=sched.T, probe=probe)
-            else:
-                if pool is not None:
-                    fut = pool.submit(denoiser_forward, z, t, uncond, weights,
-                                      sched.T, None)
-                    eps_c, _ = denoiser_forward(z, t, prompt, weights,
-                                                n_steps=sched.T, probe=probe)
-                    eps_u, _ = fut.result()
-                else:
-                    eps_u, _ = denoiser_forward(z, t, uncond, weights,
-                                                n_steps=sched.T)
-                    eps_c, _ = denoiser_forward(z, t, prompt, weights,
-                                                n_steps=sched.T, probe=probe)
-                eps = cfg_combine(eps_u, eps_c, s_cfg)
+            fut = (pool.submit(denoiser_forward, z, t, uncond, weights, sched.T, None)
+                   if pool is not None else None)
+            eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
+                                   probe=probe)
+            if guided:
+                eps_u = (fut.result() if fut is not None else
+                         denoiser_forward(z, t, uncond, weights, n_steps=sched.T))
+                eps = cfg_combine(eps_u, eps, s_cfg)
             z = ddim_step(z, eps, t, sched)
     finally:
         if pool is not None:

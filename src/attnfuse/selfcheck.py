@@ -11,7 +11,8 @@ import numpy as np
 
 from .fusion import (FusionPlan, align_prompts, blend_self, build_blend_mask,
                      identity_alignment, preset)
-from .model import (KIND_CROSS, KIND_SELF, AttentionRecord, ModelConfig,
+from .errors import ContractViolation
+from .model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig,
                     attend, denoiser_forward, embed_prompt,
                     make_denoiser_weights, spatiotemporal_attend)
 from .numerics import SeededRng, require, softmax_lastdim
@@ -77,19 +78,28 @@ def _check_forward_determinism():
     weights = make_denoiser_weights(_TINY)
     prompt = embed_prompt("a red square", _TINY)
     z = SeededRng(4).standard_normal((_TINY.n, _TINY.c, _TINY.h, _TINY.w))
-    eps1, _ = denoiser_forward(z, 2, prompt, weights, n_steps=5)
-    eps2, _ = denoiser_forward(z, 2, prompt, weights, n_steps=5)
+    eps1 = denoiser_forward(z, 2, prompt, weights, n_steps=5)
+    eps2 = denoiser_forward(z, 2, prompt, weights, n_steps=5)
     require(np.array_equal(eps1, eps2), "same inputs gave different noise")
+
+
+def _capture(z, t, prompt, weights, n_steps):
+    """(eps, maps by (layer, kind)) of a forward pass, read by a probe."""
+    maps = {}
+
+    def capture(site):
+        maps[(site.layer, site.kind)] = site.attn
+
+    return denoiser_forward(z, t, prompt, weights, n_steps, capture), maps
 
 
 def _check_probe_replay():
     weights = make_denoiser_weights(_TINY)
     prompt = embed_prompt("a red square", _TINY)
     z = SeededRng(5).standard_normal((_TINY.n, _TINY.c, _TINY.h, _TINY.w))
-    eps1, records = denoiser_forward(z, 1, prompt, weights, n_steps=5)
-    replay = {(r.layer, r.kind): r.attn for r in records}
-    eps2, _ = denoiser_forward(z, 1, prompt, weights, n_steps=5,
-                               probe=lambda r: replay[(r.layer, r.kind)])
+    eps1, replay = _capture(z, 1, prompt, weights, n_steps=5)
+    eps2 = denoiser_forward(z, 1, prompt, weights, n_steps=5,
+                            probe=lambda site: replay[(site.layer, site.kind)])
     require(np.array_equal(eps1, eps2), "replaying recorded maps changed the output")
 
 
@@ -109,12 +119,11 @@ def _check_store_completeness():
 
 def _check_store_rebuild():
     sched, weights, prompt, z0, (_, store) = _tiny_inversion()
-    _, records = denoiser_forward(z0, 0, prompt, weights, n_steps=sched.T)
-    for rec in records:
-        if rec.kind == KIND_SELF:
-            require(np.array_equal(store.query(0, rec.layer, KIND_SELF).attn,
-                                   rec.attn),
-                    f"rebuilt self map of layer {rec.layer} differs from the forward's")
+    _, maps = _capture(z0, 0, prompt, weights, n_steps=sched.T)
+    for layer in range(_TINY.blocks):
+        require(np.array_equal(store.query(0, layer, KIND_SELF).attn,
+                               maps[(layer, KIND_SELF)]),
+                f"rebuilt self map of layer {layer} differs from the forward's")
 
 
 def _check_fusion_identity():
@@ -122,10 +131,13 @@ def _check_fusion_identity():
     plan = FusionPlan(preset("style"), identity_alignment(len(prompt.tokens)),
                       store)
     probe = plan.step_probe(sched.T)
+
+    def unbuildable():
+        raise ContractViolation("taking the source map built the edit map")
+
     for kind in (KIND_SELF, KIND_CROSS):
         src = store.query(sched.T - 1, 0, kind).attn
-        edit = store.query(0, 0, kind).attn
-        fused = probe(AttentionRecord(t=sched.T, layer=0, kind=kind, attn=edit))
+        fused = probe(AttentionSite(sched.T, 0, kind, src.shape, unbuildable))
         require(np.array_equal(fused, src), f"identity fusion altered the {kind} map")
 
 

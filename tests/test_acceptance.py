@@ -236,7 +236,7 @@ def test_criterion_08_middle_frame_invariance():
           f"self-attention by at most {worst:.3e} over 100 draws")
 
 
-def test_criterion_09_shape_contracts_full_run():
+def test_criterion_09_shape_contracts_full_run(capture_probe):
     cfg = ModelConfig(n=2, h=6, w=6, c=1, d_model=8, heads=2, d_head=4,
                       blocks=2, d_text=8, seed=9)
     weights = make_denoiser_weights(cfg)
@@ -262,9 +262,10 @@ def test_criterion_09_shape_contracts_full_run():
     plan = FusionPlan(ecfg, align, store)
     z = z_T
     for t in range(sched.T, 0, -1):
-        eps_c, recs = denoiser_forward(z, t, edit_emb, weights, sched.T,
-                                       probe=plan.step_probe(t))
-        eps_u, recs_u = denoiser_forward(z, t, uncond, weights, sched.T)
+        probe_c, recs = capture_probe(plan.step_probe(t))
+        probe_u, recs_u = capture_probe()
+        eps_c = denoiser_forward(z, t, edit_emb, weights, sched.T, probe=probe_c)
+        eps_u = denoiser_forward(z, t, uncond, weights, sched.T, probe=probe_u)
         for rec in recs:
             cols = 2 * hw if rec.kind == KIND_SELF else len(edit_emb.tokens)
             assert rec.attn.shape == (cfg.n, cfg.heads, hw, cols)

@@ -1,5 +1,7 @@
 """Prompt embedding, attention, the toy denoiser, and the palette oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,11 +161,13 @@ def test_spatiotemporal_middle_frame_reduces_to_self():
         assert np.max(np.abs(out[mid] - _merge_heads(plain)[0])) <= 1e-9
 
 
-def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights):
+def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights, capture_probe):
     prompt = embed_prompt("a cat", tiny_cfg)
     z = SeededRng(1).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    e1, r1 = denoiser_forward(z, 3, prompt, tiny_weights, 8)
-    e2, r2 = denoiser_forward(z, 3, prompt, tiny_weights, 8)
+    p1, r1 = capture_probe()
+    p2, r2 = capture_probe()
+    e1 = denoiser_forward(z, 3, prompt, tiny_weights, 8, probe=p1)
+    e2 = denoiser_forward(z, 3, prompt, tiny_weights, 8, probe=p2)
     assert np.array_equal(e1, e2)
     assert len(r1) == len(r2) == 2 * tiny_cfg.blocks
     for a, b in zip(r1, r2):
@@ -171,10 +175,11 @@ def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights):
         assert np.array_equal(a.attn, b.attn)
 
 
-def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights):
+def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe):
     prompt = embed_prompt("one two three", tiny_cfg)
     z = SeededRng(2).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    _, recs = denoiser_forward(z, 5, prompt, tiny_weights, 8)
+    probe, recs = capture_probe()
+    denoiser_forward(z, 5, prompt, tiny_weights, 8, probe=probe)
     hw = tiny_cfg.h * tiny_cfg.w
     kinds = [(r.layer, r.kind) for r in recs]
     assert kinds == [(0, KIND_SELF), (0, KIND_CROSS), (1, KIND_SELF), (1, KIND_CROSS)]
@@ -191,8 +196,8 @@ def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights):
 def test_forward_depends_on_timestep(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a cat", tiny_cfg)
     z = SeededRng(3).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    e1, _ = denoiser_forward(z, 1, prompt, tiny_weights, 8)
-    e2, _ = denoiser_forward(z, 7, prompt, tiny_weights, 8)
+    e1 = denoiser_forward(z, 1, prompt, tiny_weights, 8)
+    e2 = denoiser_forward(z, 7, prompt, tiny_weights, 8)
     assert not np.array_equal(e1, e2)
 
 
@@ -211,24 +216,45 @@ def test_forward_input_validation(tiny_cfg, tiny_weights):
         denoiser_forward(bad, 1, prompt, tiny_weights, 8)
 
 
+def test_forward_pass_holds_one_self_map_at_a_time():
+    cfg = ModelConfig(n=4, h=24, w=24, c=1, d_model=16, heads=2, d_head=8,
+                      blocks=2, d_text=16, seed=3)
+    weights = make_denoiser_weights(cfg)
+    prompt = embed_prompt("a red square", cfg)
+    z = SeededRng(8).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eps = denoiser_forward(z, 1, prompt, weights, 4)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One self map is n * heads * (h*w) * (2*h*w) float64 values: 42.5 MB.
+    # Two blocks' maps alive at once would take the peak past 85 MB.
+    assert peak - before < 60e6
+    assert held - before < 1e6
+    assert eps.shape == z.shape
+
+
 def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    plain, _ = denoiser_forward(z, 2, prompt, tiny_weights, 8)
-    probed, _ = denoiser_forward(z, 2, prompt, tiny_weights, 8,
-                                 probe=lambda rec: rec.attn)
+    plain = denoiser_forward(z, 2, prompt, tiny_weights, 8)
+    probed = denoiser_forward(z, 2, prompt, tiny_weights, 8,
+                              probe=lambda site: site.attn)
     assert np.array_equal(plain, probed)
 
 
-def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights):
+def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(5).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    eps, recs = denoiser_forward(z, 2, prompt, tiny_weights, 8)
+    probe, recs = capture_probe()
+    eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
     stored = {(r.layer, r.kind): r.attn for r in recs}
-    replay, applied = denoiser_forward(
-        z, 2, prompt, tiny_weights, 8,
-        probe=lambda rec: stored[(rec.layer, rec.kind)])
+    probe, applied = capture_probe(lambda site: stored[(site.layer, site.kind)])
+    replay = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
     assert np.array_equal(eps, replay)
+    assert len(applied) == len(stored)
     for r in applied:
         assert np.array_equal(r.attn, stored[(r.layer, r.kind)])
 
@@ -238,13 +264,13 @@ def test_probe_replacement_validation(tiny_cfg, tiny_weights):
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     with pytest.raises(ContractViolation):
         denoiser_forward(z, 1, prompt, tiny_weights, 8,
-                         probe=lambda rec: rec.attn[..., :-1])
+                         probe=lambda site: site.attn[..., :-1])
     with pytest.raises(ContractViolation):
         denoiser_forward(z, 1, prompt, tiny_weights, 8,
-                         probe=lambda rec: rec.attn * 2.0)
+                         probe=lambda site: site.attn * 2.0)
     with pytest.raises(ContractViolation):
         denoiser_forward(z, 1, prompt, tiny_weights, 8,
-                         probe=lambda rec: np.full_like(rec.attn, np.nan))
+                         probe=lambda site: np.full_like(site.attn, np.nan))
 
 
 def test_encode_color_endpoints():
@@ -268,17 +294,19 @@ def test_oracle_predicts_zero_noise():
     weights = make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0, 0),
                                                 "black": (0, 0, 0)})
     prompt = embed_prompt("a red square on black", ORACLE_CFG)
-    eps, _ = denoiser_forward(_oracle_latent(), 3, prompt, weights, 10)
+    eps = denoiser_forward(_oracle_latent(), 3, prompt, weights, 10)
+    assert eps.shape == _oracle_latent().shape
     assert np.array_equal(eps, np.zeros_like(eps))
 
 
-def test_oracle_attention_tracks_pixel_color():
+def test_oracle_attention_tracks_pixel_color(capture_probe):
     weights = make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0, 0),
                                                 "black": (0, 0, 0)})
     prompt = embed_prompt("a red square on black", ORACLE_CFG)
     red_col = prompt.tokens.index("red")
     black_col = prompt.tokens.index("black")
-    _, recs = denoiser_forward(_oracle_latent(), 3, prompt, weights, 10)
+    probe, recs = capture_probe()
+    denoiser_forward(_oracle_latent(), 3, prompt, weights, 10, probe=probe)
     cross = [r for r in recs if r.kind == KIND_CROSS][0]
     mass = cross.attn.mean(axis=1)  # (n, hw, tokens)
     on_red = mass[:, :, red_col].reshape(2, 4, 4)
@@ -289,12 +317,14 @@ def test_oracle_attention_tracks_pixel_color():
     assert np.all(on_black[:, :, :2] < 0.1)
 
 
-def test_oracle_palette_order_invariant():
+def test_oracle_palette_order_invariant(capture_probe):
     a = make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0, 0), "black": (0, 0, 0)})
     b = make_oracle_denoiser(ORACLE_CFG, {"black": (0, 0, 0), "red": (255, 0, 0)})
     prompt = embed_prompt("red black", ORACLE_CFG)
-    _, ra = denoiser_forward(_oracle_latent(), 1, prompt, a, 10)
-    _, rb = denoiser_forward(_oracle_latent(), 1, prompt, b, 10)
+    pa, ra = capture_probe()
+    pb, rb = capture_probe()
+    denoiser_forward(_oracle_latent(), 1, prompt, a, 10, probe=pa)
+    denoiser_forward(_oracle_latent(), 1, prompt, b, 10, probe=pb)
     cross_a = [r for r in ra if r.kind == KIND_CROSS][0].attn
     cross_b = [r for r in rb if r.kind == KIND_CROSS][0].attn
     assert np.max(np.abs(cross_a - cross_b)) <= 1e-9

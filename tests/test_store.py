@@ -148,11 +148,13 @@ def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
 
 
 def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights,
-                                                  tiny_inversion):
+                                                  tiny_inversion, capture_probe):
     sched, prompt, z0, _, store = tiny_inversion
     z = z0
     for t in range(sched.T):
-        eps, records = denoiser_forward(z, t, prompt, tiny_weights, sched.T)
+        probe, records = capture_probe()
+        eps = denoiser_forward(z, t, prompt, tiny_weights, sched.T, probe=probe)
+        assert len(records) == 2 * tiny_cfg.blocks
         for rec in records:
             if rec.kind == KIND_SELF:
                 assert np.array_equal(store.query(t, rec.layer, KIND_SELF).attn,
