@@ -12,8 +12,8 @@ from .errors import ConfigError, ContractViolation, MissingRecordError
 from .fusion import (BlendMask, EditConfig, FusionPlan, PromptAlignment,
                      align_prompts, blend_self, build_blend_mask, fuse_cross,
                      identity_alignment, preset)
-from .model import (AttentionRecord, AttentionSite, DenoiserWeights,
-                    ModelConfig, PromptEmbedding, SelfProjections, attend,
+from .model import (AttentionSite, DenoiserWeights, ModelConfig,
+                    PromptEmbedding, SelfProjections, attend,
                     denoiser_forward, embed_prompt, make_denoiser_weights,
                     make_oracle_denoiser, spatiotemporal_attend)
 from .numerics import SeededRng, maxnorm_frame, softmax_lastdim

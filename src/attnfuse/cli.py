@@ -30,7 +30,7 @@ from .pipeline import (VideoSpec, compute_metrics, invert_video,
                        latent_to_pixels, pixels_to_latent, read_frame_dir,
                        run_denoise, synth_video, write_frame_dir)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_STEPS,
-                       make_schedule)
+                       NoiseSchedule, make_schedule)
 from .selfcheck import run_selfcheck
 
 ENV_THREADS = "ATTNFUSE_THREADS"
@@ -84,9 +84,7 @@ class RunConfig:
     """Everything one run needs, resolved from file plus flag overrides."""
 
     model: ModelConfig
-    steps: int
-    beta_start: float
-    beta_end: float
+    schedule: NoiseSchedule
     edit: EditConfig
     source_prompt: str
     edit_prompt: str
@@ -95,6 +93,10 @@ class RunConfig:
     out_dir: Path
     workers: int
     echo: dict
+
+    @property
+    def steps(self) -> int:
+        return self.schedule.T
 
 
 def _parse_lines(path: Path) -> dict[str, dict[str, str]]:
@@ -155,6 +157,11 @@ def parse_config(path: Path) -> RunConfig:
             d_model=g("model", "d_model"), heads=g("model", "heads"),
             d_head=g("model", "d_head"), blocks=g("model", "blocks"),
             d_text=g("model", "d_text"), seed=g("model", "seed"))
+        require(model.c in (1, 3),
+                f"channels must be 1 (luminance) or 3 (RGB), got {model.c}")
+        schedule = make_schedule(g("schedule", "steps"),
+                                 g("schedule", "beta_start"),
+                                 g("schedule", "beta_end"))
 
         mode = g("edit", "preset")
         edit = preset(mode)
@@ -165,10 +172,6 @@ def parse_config(path: Path) -> RunConfig:
             edit = dataclasses.replace(edit, **overrides)
     except ContractViolation as exc:
         raise ConfigError(str(exc)) from exc
-
-    steps = g("schedule", "steps")
-    beta_start = g("schedule", "beta_start")
-    beta_end = g("schedule", "beta_end")
 
     video = None
     video_dir = None
@@ -199,8 +202,7 @@ def parse_config(path: Path) -> RunConfig:
             for section in _SCHEMA}
     echo["edit"].update(preset=edit.mode, t_s=edit.t_s, t_c=edit.t_c,
                         tau=edit.tau, s_cfg=edit.s_cfg)
-    return RunConfig(model=model, steps=steps, beta_start=beta_start,
-                     beta_end=beta_end, edit=edit,
+    return RunConfig(model=model, schedule=schedule, edit=edit,
                      source_prompt=g("edit", "source_prompt"),
                      edit_prompt=g("edit", "edit_prompt"),
                      video=video, video_dir=video_dir,
@@ -269,7 +271,6 @@ def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
 
 
 def _run_edit(rc: RunConfig, identity: bool) -> int:
-    sched = make_schedule(rc.steps, rc.beta_start, rc.beta_end)
     weights = make_denoiser_weights(rc.model)
     edit_text = rc.source_prompt if identity else rc.edit_prompt
     if not identity and not rc.edit_prompt:
@@ -280,10 +281,10 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     src_emb = embed_prompt(rc.source_prompt, rc.model)
     edit_emb = embed_prompt(edit_text, rc.model)
 
-    z_T, store = invert_video(z0, src_emb, sched, weights)
+    z_T, store = invert_video(z0, src_emb, rc.schedule, weights)
     plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
                       store)
-    z_out = run_denoise(z_T, edit_emb, sched, weights, rc.edit.s_cfg,
+    z_out = run_denoise(z_T, edit_emb, rc.schedule, weights, rc.edit.s_cfg,
                         plan=plan, workers=rc.workers)
     out_pixels = quantize(latent_to_pixels(z_out, rc.model.c)).astype(np.float64)
 
@@ -302,17 +303,16 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
 
 
 def _run_invert(rc: RunConfig) -> int:
-    sched = make_schedule(rc.steps, rc.beta_start, rc.beta_end)
     weights = make_denoiser_weights(rc.model)
     pixels = _load_source_video(rc)
     z0 = pixels_to_latent(pixels, rc.model.c)
     src_emb = embed_prompt(rc.source_prompt, rc.model)
-    z_T, store = invert_video(z0, src_emb, sched, weights)
+    z_T, store = invert_video(z0, src_emb, rc.schedule, weights)
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     blobio.write_blob(rc.out_dir / "z_T.bin", config_hash(rc.model), [z_T])
     store.dump(rc.out_dir / "store")
-    print(f"inverted {rc.model.n} frames over {sched.T} steps; "
+    print(f"inverted {rc.model.n} frames over {rc.steps} steps; "
           f"{len(store)} attention records in {rc.out_dir}")
     return 0
 

@@ -158,9 +158,8 @@ def fuse_cross(c_edit: np.ndarray, c_src: np.ndarray,
 
     Matched columns are replaced by the source map's columns, edit-only
     columns keep their values, and rows are renormalized to sum to one.
-    When the prompts align completely the alignment is the identity, so
-    the source map is returned as is, and an identity edit reproduces it
-    bit for bit.
+    An identity alignment never gets here: `FusionPlan` takes the source
+    map whole instead.
     """
     require(c_edit.ndim == 4, f"cross map must be 4-D, got {c_edit.shape}")
     require(c_src.shape[:3] == c_edit.shape[:3],
@@ -171,11 +170,6 @@ def fuse_cross(c_edit: np.ndarray, c_src: np.ndarray,
                 f"matched source column {i_src} outside map with {c_src.shape[-1]} columns")
         require(0 <= j_edit < n_edit_cols,
                 f"matched edit column {j_edit} outside map with {n_edit_cols} columns")
-
-    # Pairs increase in both indices, so matching every column of two
-    # maps of equal width is the identity.
-    if len(alignment.matched) == n_edit_cols == c_src.shape[-1]:
-        return c_src
 
     fused = c_edit.copy()
     for i_src, j_edit in alignment.matched:
@@ -248,8 +242,10 @@ class FusionPlan:
     from the source when that mask is provably empty: no source word was
     removed, or tau >= 1 (the test is strict and normalized values <= 1).
     A map taken whole is handed to the forward pass before the edit map is
-    computed, so the pass skips that map's QK^T and softmax.  Each mask is
-    built once and kept, so later readers get the mask the pass applied.
+    computed, so the pass skips that map's QK^T and softmax; it is the
+    store's read-only array, which the pass applies without a copy.  Each
+    mask is built once and kept, so later readers get the mask the pass
+    applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
@@ -261,14 +257,14 @@ class FusionPlan:
         first = lambda frac: max(1, math.ceil(frac * store.meta.T - 1e-9))
         self.first_self, self.first_cross = first(cfg.t_s), first(cfg.t_c)
         self._blends = bool(self.positions) and cfg.tau < 1.0
-        # An alignment that matches every token is the identity, which
-        # fuse_cross answers with the source map itself.
+        # Matched pairs increase in both indices, so an alignment with no
+        # edited and no removed token is the identity: the source map whole.
         self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
         self._masks: dict[tuple[int, int], BlendMask] = {}
 
     def source_map(self, t: int, layer: int, kind: str) -> np.ndarray:
-        """The recorded map that denoising step t replays: inversion step t-1's."""
-        return self.store.query(t - 1, layer, kind).attn
+        """The read-only map that denoising step t replays: inversion step t-1's."""
+        return self.store.query(t - 1, layer, kind)
 
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE, FUSE or BLEND for the kind's maps at step t."""

@@ -11,7 +11,9 @@ which is what the editing machinery hooks into.  The probe is the only
 way a map leaves the forward pass, which returns the predicted noise
 alone, so the pass holds one self map at a time.  The probe sees an
 `AttentionSite` whose map is computed only when read, so a probe that
-supplies its own map spares the QK^T and the softmax.  Second, all
+supplies its own map spares the QK^T and the softmax.  A replacement is
+checked for shape, finiteness and row sums before it is applied; the
+pass's own softmax output is not re-checked.  Second, all
 randomness flows from explicit seeds, so identical inputs give
 bit-identical outputs.
 
@@ -117,30 +119,6 @@ def embed_prompt(text: str, cfg: ModelConfig) -> PromptEmbedding:
     vectors = np.stack([token_vector(tok, cfg.d_text) for tok in tokens])
     vectors.setflags(write=False)
     return PromptEmbedding(tokens=tokens, vectors=vectors)
-
-
-@dataclass(frozen=True)
-class AttentionRecord:
-    """One post-softmax attention map with its provenance."""
-
-    t: int
-    layer: int
-    kind: str
-    attn: np.ndarray  # (n, heads, queries, keys)
-
-    def __post_init__(self):
-        require(self.kind in (KIND_SELF, KIND_CROSS),
-                f"record kind must be self/cross, got {self.kind!r}")
-        require(self.attn.ndim == 4,
-                f"attention map must be 4-D (n, heads, q, k), got {self.attn.shape}")
-
-    def validate_rows(self, tol: float = 1e-9) -> "AttentionRecord":
-        sums = self.attn.sum(axis=-1)
-        worst = float(np.abs(sums - 1.0).max())
-        require(worst <= tol,
-                f"{self.kind} map at t={self.t} layer={self.layer}: "
-                f"rows deviate from 1 by {worst:.3e} (tol {tol:.0e})")
-        return self
 
 
 @dataclass(frozen=True)
@@ -259,7 +237,8 @@ class SelfProjections:
     """Query and key projections of one self-attention call.
 
     queries and keys are the block input times wq_s and wk_s, each
-    (n, h*w, d_model); heads splits d_model.  They determine the map.
+    (n, h*w, d_model), made read-only; heads splits d_model.  They
+    determine the map.
     """
 
     queries: np.ndarray
@@ -272,6 +251,8 @@ class SelfProjections:
                 f"{self.queries.shape} / {self.keys.shape}")
         require(self.heads >= 1 and self.queries.shape[-1] % self.heads == 0,
                 f"{self.heads} heads do not split d_model {self.queries.shape[-1]}")
+        self.queries.setflags(write=False)
+        self.keys.setflags(write=False)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -295,11 +276,12 @@ class SelfProjections:
 class AttentionSite:
     """An attention map that the forward pass is about to apply.
 
-    This is what a probe sees.  `attn` is the denoiser's own map,
-    computed on first read, so a probe that returns a map without
-    reading it skips the QK^T and the softmax.  A self-attention site
-    also carries the `projections` its map is built from; a
-    cross-attention site carries None.
+    This is what a probe sees, and the only type that pairs a map with
+    its (t, layer, kind).  `attn` is the denoiser's own map, computed on
+    first read, so a probe that returns a map without reading it skips
+    the QK^T and the softmax.  A self-attention site also carries the
+    `projections` its map is built from; a cross-attention site carries
+    None.
     """
 
     def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],

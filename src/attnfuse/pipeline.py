@@ -1,10 +1,11 @@
 """End-to-end flows: synthesize, encode, invert, denoise, measure.
 
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
-schedule upward at guidance scale 1 while recording each cross-attention
-map and the query and key projections of each self-attention map; the
-editing pass walks back down, rewriting maps from that record through
-the probe.  Reconstruction is the identity edit.
+schedule upward at guidance scale 1 with the attention store as its
+probe, which keeps each cross-attention map and the query and key
+projections of each self-attention map; the editing pass walks back
+down, rewriting maps from that record through the probe.
+Reconstruction is the identity edit.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 from .errors import ContractViolation
 from .fusion import FusionPlan
 from .imageio import quantize, read_ppm, write_ppm
-from .model import (KIND_SELF, AttentionRecord, AttentionSite,
-                    DenoiserWeights, PromptEmbedding, config_hash,
+from .model import (DenoiserWeights, PromptEmbedding, config_hash,
                     denoiser_forward, embed_prompt)
 from .numerics import SeededRng, check_finite, require
 from .schedule import NoiseSchedule, cfg_combine, ddim_invert_step, ddim_step
@@ -150,26 +150,18 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
                  weights: DenoiserWeights) -> tuple[np.ndarray, AttentionStore]:
     """Deterministic inversion to z_T, recording what the edit replays.
 
-    The store gets every cross-attention map and the query and key
-    projections of every self-attention map.  Runs at guidance scale 1,
-    which reduces to the conditional branch alone, so only that branch
-    is evaluated and recorded.
+    The store is the probe: it keeps every cross-attention map and the
+    query and key projections of every self-attention map.  Runs at
+    guidance scale 1, which reduces to the conditional branch alone, so
+    only that branch is evaluated and recorded.
     """
     cfg = weights.config
     store = AttentionStore(StoreMeta(T=sched.T, blocks=cfg.blocks,
                                      config_hash=config_hash(cfg)))
-
-    def capture(site: AttentionSite) -> None:
-        if site.kind == KIND_SELF:
-            store.record_projections(site.t, site.layer, site.projections)
-        else:
-            store.record(AttentionRecord(t=site.t, layer=site.layer,
-                                         kind=site.kind, attn=site.attn))
-
     z = np.asarray(z_0, dtype=np.float64)
     for t in range(sched.T):
         eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
-                               probe=capture)
+                               probe=store.record)
         z = ddim_invert_step(z, eps, t, sched)
     missing = store.verify_complete()
     require(not missing, f"inversion left {len(missing)} records missing: "

@@ -50,8 +50,16 @@ def make_schedule(T: int = DEFAULT_STEPS,
     return NoiseSchedule(T=T, alpha_bar=alpha_bar).validate()
 
 
-def _pair(sched: NoiseSchedule, lo: int, hi: int) -> tuple[float, float]:
-    return float(sched.alpha_bar[lo]), float(sched.alpha_bar[hi])
+def _ddim_move(z_t: np.ndarray, eps: np.ndarray, sched: NoiseSchedule,
+               src: int, dst: int) -> np.ndarray:
+    """Move a latent from timestep src to dst along the predicted noise."""
+    z_t = np.asarray(z_t, dtype=np.float64)
+    eps = np.asarray(eps, dtype=np.float64)
+    require(z_t.shape == eps.shape,
+            f"latent/noise shape mismatch: {z_t.shape} vs {eps.shape}")
+    ab_src, ab_dst = float(sched.alpha_bar[src]), float(sched.alpha_bar[dst])
+    x = (z_t - math.sqrt(1.0 - ab_src) * eps) / math.sqrt(ab_src)
+    return math.sqrt(ab_dst) * x + math.sqrt(1.0 - ab_dst) * eps
 
 
 def ddim_step(z_t: np.ndarray, eps: np.ndarray, t: int,
@@ -62,13 +70,7 @@ def ddim_step(z_t: np.ndarray, eps: np.ndarray, t: int,
               + sqrt(1-ab[t-1]) * eps
     """
     require(1 <= t <= sched.T, f"ddim_step needs 1 <= t <= {sched.T}, got {t}")
-    z_t = np.asarray(z_t, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    require(z_t.shape == eps.shape,
-            f"latent/noise shape mismatch: {z_t.shape} vs {eps.shape}")
-    ab_prev, ab_t = _pair(sched, t - 1, t)
-    x = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
-    return math.sqrt(ab_prev) * x + math.sqrt(1.0 - ab_prev) * eps
+    return _ddim_move(z_t, eps, sched, t, t - 1)
 
 
 def ddim_invert_step(z_t: np.ndarray, eps: np.ndarray, t: int,
@@ -76,13 +78,7 @@ def ddim_invert_step(z_t: np.ndarray, eps: np.ndarray, t: int,
     """One inversion step t -> t+1; exact inverse of ddim_step at t+1."""
     require(0 <= t <= sched.T - 1,
             f"ddim_invert_step needs 0 <= t <= {sched.T - 1}, got {t}")
-    z_t = np.asarray(z_t, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    require(z_t.shape == eps.shape,
-            f"latent/noise shape mismatch: {z_t.shape} vs {eps.shape}")
-    ab_t, ab_next = _pair(sched, t, t + 1)
-    x = (z_t - math.sqrt(1.0 - ab_t) * eps) / math.sqrt(ab_t)
-    return math.sqrt(ab_next) * x + math.sqrt(1.0 - ab_next) * eps
+    return _ddim_move(z_t, eps, sched, t, t + 1)
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray,

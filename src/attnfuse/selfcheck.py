@@ -121,7 +121,7 @@ def _check_store_rebuild():
     sched, weights, prompt, z0, (_, store) = _tiny_inversion()
     _, maps = _capture(z0, 0, prompt, weights, n_steps=sched.T)
     for layer in range(_TINY.blocks):
-        require(np.array_equal(store.query(0, layer, KIND_SELF).attn,
+        require(np.array_equal(store.query(0, layer, KIND_SELF),
                                maps[(layer, KIND_SELF)]),
                 f"rebuilt self map of layer {layer} differs from the forward's")
 
@@ -136,20 +136,20 @@ def _check_fusion_identity():
         raise ContractViolation("taking the source map built the edit map")
 
     for kind in (KIND_SELF, KIND_CROSS):
-        src = store.query(sched.T - 1, 0, kind).attn
+        src = store.query(sched.T - 1, 0, kind)
         fused = probe(AttentionSite(sched.T, 0, kind, src.shape, unbuildable))
         require(np.array_equal(fused, src), f"identity fusion altered the {kind} map")
 
 
 def _check_mask_extremes():
     *_, (_, store) = _tiny_inversion()
-    c_src = store.query(0, 0, KIND_CROSS).attn
+    c_src = store.query(0, 0, KIND_CROSS)
     full = build_blend_mask(c_src, (1,), 0.0)
     empty = build_blend_mask(c_src, (1,), 1.0)
     require(bool(full.mask.all()), "tau 0 left mask entries unset")
     require(not empty.mask.any(), "tau 1 set mask entries")
-    s_src = store.query(0, 0, KIND_SELF).attn
-    s_edit = store.query(1, 0, KIND_SELF).attn
+    s_src = store.query(0, 0, KIND_SELF)
+    s_edit = store.query(1, 0, KIND_SELF)
     require(np.array_equal(blend_self(s_edit, s_src, mask=empty), s_src),
             "empty mask did not hand back the source rows")
     require(np.array_equal(blend_self(s_edit, s_src, mask=full), s_edit),

@@ -4,9 +4,14 @@ Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
 the query and key projections it is built from, 2*n*h*w*d_model values,
 and rebuilds the map on each query through the function the forward
-pass used, which gives back the applied map bit for bit.  Entries are
-immutable once stored.  A complete inversion over T steps and L blocks
-holds T*L entries per kind.
+pass used, which gives back the applied map bit for bit.  A query
+returns a plain read-only array.  A complete inversion over T steps and
+L blocks holds T*L entries per kind.
+
+`AttentionStore.record` is inversion's probe; it keeps the pass's own
+maps unchecked.  A loaded dump comes from outside the program, so
+`load_store_dump` checks each cross map's kind, shape and row sums
+before it adds it.
 """
 
 from __future__ import annotations
@@ -16,9 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
-from .model import KIND_CROSS, KIND_SELF, AttentionRecord, SelfProjections
+from .model import KIND_CROSS, KIND_SELF, AttentionSite, SelfProjections
 from .numerics import require
 
 # Format of a store dump's index.json and blobs.  Version 2 keeps self
@@ -46,7 +53,7 @@ class AttentionStore:
         require(meta.T >= 1 and meta.blocks >= 1,
                 f"store metadata out of range: T={meta.T}, blocks={meta.blocks}")
         self.meta = meta
-        self._records: dict[AttentionKey, AttentionRecord | SelfProjections] = {}
+        self._records: dict[AttentionKey, np.ndarray | SelfProjections] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -59,31 +66,23 @@ class AttentionStore:
             raise ContractViolation(f"duplicate attention record for {key}")
         self._records[key] = entry
 
-    def record(self, rec: AttentionRecord) -> None:
-        """Keep a cross-attention map."""
-        require(rec.kind == KIND_CROSS,
-                f"self-attention at t={rec.t} layer={rec.layer} is recorded "
-                f"as projections, not as a map")
-        rec.validate_rows(tol=1e-9)
-        rec.attn.setflags(write=False)
-        self._add(AttentionKey(rec.t, rec.layer, rec.kind), rec)
+    def record(self, site: AttentionSite) -> None:
+        """Keep a self site's projections, or a cross site's map.
 
-    def record_projections(self, t: int, layer: int, proj: SelfProjections) -> None:
-        """Keep the projections that the self-attention map at (t, layer) is built from."""
-        proj.queries.setflags(write=False)
-        proj.keys.setflags(write=False)
-        self._add(AttentionKey(t, layer, KIND_SELF), proj)
+        A probe: it replaces nothing, and it never reads a self site's
+        map, so the pass builds that map once, to apply it.
+        """
+        entry = site.projections if site.kind == KIND_SELF else site.attn
+        self._add(AttentionKey(site.t, site.layer, site.kind), entry)
 
-    def query(self, t: int, layer: int, kind: str) -> AttentionRecord:
-        """The recorded map; a self map is rebuilt, a new array on each call."""
+    def query(self, t: int, layer: int, kind: str) -> np.ndarray:
+        """The read-only recorded map; a self map is rebuilt, a new array on each call."""
         key = AttentionKey(t, layer, kind)
         try:
             entry = self._records[key]
         except KeyError:
             raise MissingRecordError(f"no attention record for {key}") from None
-        if kind == KIND_SELF:
-            return AttentionRecord(t=t, layer=layer, kind=kind, attn=entry.attn())
-        return entry
+        return entry.attn() if kind == KIND_SELF else entry
 
     def verify_complete(self) -> list[AttentionKey]:
         """Keys still missing for a full T x blocks x {self, cross} grid."""
@@ -118,7 +117,7 @@ class AttentionStore:
                 arrays = [entry.queries, entry.keys]
                 item["heads"] = entry.heads
             else:
-                arrays = [entry.attn]
+                arrays = [entry]
             item["shape"] = list(arrays[0].shape)
             blobio.write_blob(directory / name, self.meta.config_hash, arrays)
             index["records"].append(item)
@@ -127,6 +126,7 @@ class AttentionStore:
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
+    """Read a dump back; each cross map is checked, as it comes from a file."""
     directory = Path(directory)
     index = json.loads((directory / "index.json").read_text())
     found = index.get("version", 1)
@@ -139,13 +139,20 @@ def load_store_dump(directory: Path) -> AttentionStore:
     store = AttentionStore(meta)
     for entry in index["records"]:
         path, shape = directory / entry["file"], tuple(entry["shape"])
-        t, layer = entry["t"], entry["layer"]
-        if entry["kind"] == KIND_SELF:
+        key = AttentionKey(entry["t"], entry["layer"], entry["kind"])
+        if key.kind == KIND_SELF:
             queries, keys = blobio.read_blob(path, meta.config_hash, [shape, shape])
-            store.record_projections(t, layer, SelfProjections(
-                queries=queries, keys=keys, heads=entry["heads"]))
-        else:
-            [attn] = blobio.read_blob(path, meta.config_hash, [shape])
-            store.record(AttentionRecord(t=t, layer=layer, kind=entry["kind"],
-                                         attn=attn))
+            store._add(key, SelfProjections(queries=queries, keys=keys,
+                                            heads=entry["heads"]))
+            continue
+        require(key.kind == KIND_CROSS,
+                f"{path}: record kind must be self or cross, got {key.kind!r}")
+        require(len(shape) == 4, f"{path}: cross map must be 4-D "
+                                 f"(n, heads, q, k), got shape {shape}")
+        [attn] = blobio.read_blob(path, meta.config_hash, [shape])
+        # A NaN or infinite entry makes its row sum non-finite, which fails too.
+        worst = float(np.abs(attn.sum(axis=-1) - 1.0).max())
+        require(worst <= 1e-9, f"{path}: cross map rows deviate from 1 "
+                               f"by {worst:.3e} (tol 1e-09)")
+        store._add(key, attn)
     return store

@@ -1,11 +1,12 @@
 """Shared fixtures: a tiny model, a completed tiny inversion, and a
 probe that captures the maps a forward pass applies."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from attnfuse.model import (AttentionRecord, ModelConfig, embed_prompt,
-                            make_denoiser_weights)
+from attnfuse.model import ModelConfig, embed_prompt, make_denoiser_weights
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
@@ -34,10 +35,17 @@ def tiny_inversion(tiny_weights):
     return sched, prompt, z0, z_T, store
 
 
+class Applied(NamedTuple):
+    t: int
+    layer: int
+    kind: str
+    attn: np.ndarray
+
+
 def _capture_probe(probe=None):
     """(capture, maps): a probe that wraps *probe* and the list it fills.
 
-    Each site appends an AttentionRecord of the map the pass applies
+    Each site appends an `Applied` entry with the map the pass applies
     there: *probe*'s replacement, or the site's own map when it has none.
     """
     maps = []
@@ -45,8 +53,7 @@ def _capture_probe(probe=None):
     def capture(site):
         replacement = probe(site) if probe is not None else None
         applied = site.attn if replacement is None else np.asarray(replacement)
-        maps.append(AttentionRecord(t=site.t, layer=site.layer, kind=site.kind,
-                                    attn=applied))
+        maps.append(Applied(site.t, site.layer, site.kind, applied))
         return replacement
 
     return capture, maps

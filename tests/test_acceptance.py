@@ -164,9 +164,9 @@ def small_inversion():
 
 def test_criterion_06_threshold_extremes(small_inversion):
     cfg, store, sched = small_inversion
-    src_cross = store.query(3, 0, KIND_CROSS).attn
-    src_map = store.query(3, 0, KIND_SELF).attn
-    edit_map = store.query(4, 0, KIND_SELF).attn  # any same-shape other map
+    src_cross = store.query(3, 0, KIND_CROSS)
+    src_map = store.query(3, 0, KIND_SELF)
+    edit_map = store.query(4, 0, KIND_SELF)  # any same-shape other map
     assert not np.array_equal(edit_map, src_map)
 
     closed = build_blend_mask(src_cross, (1,), 1.0)
@@ -198,7 +198,7 @@ def test_criterion_07_oracle_mask_quality():
 
     worst = 1.0
     for t in range(sched.T):
-        mask = build_blend_mask(store.query(t, 0, KIND_CROSS).attn,
+        mask = build_blend_mask(store.query(t, 0, KIND_CROSS),
                                 (red_col,), 0.3).mask
         got = mask.reshape(3, 8, 8)
         for i in range(3):
@@ -250,10 +250,10 @@ def test_criterion_09_shape_contracts_full_run(capture_probe):
 
     checked = 0
     for key in store.keys():
-        rec = store.query(*key)
+        attn = store.query(*key)
         cols = 2 * hw if key.kind == KIND_SELF else len(src_emb.tokens)
-        assert rec.attn.shape == (cfg.n, cfg.heads, hw, cols)
-        rec.validate_rows(1e-9)
+        assert attn.shape == (cfg.n, cfg.heads, hw, cols)
+        assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-9
         checked += 1
     assert checked == 2 * sched.T * cfg.blocks
 
@@ -269,12 +269,12 @@ def test_criterion_09_shape_contracts_full_run(capture_probe):
         for rec in recs:
             cols = 2 * hw if rec.kind == KIND_SELF else len(edit_emb.tokens)
             assert rec.attn.shape == (cfg.n, cfg.heads, hw, cols)
-            rec.validate_rows(1e-9)
+            assert np.abs(rec.attn.sum(axis=-1) - 1.0).max() <= 1e-9
             checked += 1
         for rec in recs_u:
             cols = 2 * hw if rec.kind == KIND_SELF else 1
             assert rec.attn.shape == (cfg.n, cfg.heads, hw, cols)
-            rec.validate_rows(1e-9)
+            assert np.abs(rec.attn.sum(axis=-1) - 1.0).max() <= 1e-9
             checked += 1
         z = ddim_step(z, cfg_combine(eps_u, eps_c, ecfg.s_cfg), t, sched)
     print(f"criterion 9 pass: {checked} attention maps carry contract "

@@ -128,6 +128,20 @@ def test_usage_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    "[schedule]\nsteps = 0\n",
+    "[schedule]\nbeta_start = 0.5\n",
+    "[schedule]\nbeta_end = 1.5\n",
+    "[model]\nchannels = 2\n",
+])
+def test_out_of_range_schedule_or_channels_exit_3(tmp_path, capsys, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert run(["invert", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_m_attnfuse_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-m", "attnfuse", "edit"],

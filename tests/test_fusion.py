@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnfuse.errors import ContractViolation, MissingRecordError
-from attnfuse.fusion import (BLEND, FUSE, KEEP, MODES, TAKE_SOURCE, BlendMask,
+from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, BlendMask,
                              EditConfig, FusionPlan, PromptAlignment,
                              align_prompts, blend_self, build_blend_mask,
                              fuse_cross, identity_alignment, mask_positions,
                              preset)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionRecord,
-                            AttentionSite, SelfProjections, tokenize)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
+                            SelfProjections, tokenize)
 from attnfuse.store import AttentionStore, StoreMeta
 
 
@@ -80,6 +80,16 @@ def _projections(n, hw, heads, d_head=2, seed=3):
                            keys=rng.standard_normal(shape), heads=heads)
 
 
+def _site(kind, attn, t=2):
+    """The site of *attn* at (t, layer 0), as a probe sees it."""
+    return AttentionSite(t, 0, kind, attn.shape, lambda: attn)
+
+
+def _self_site(t, proj):
+    """The self site at (t, layer 0) whose map *proj* builds."""
+    return AttentionSite(t, 0, KIND_SELF, proj.shape, proj.attn, projections=proj)
+
+
 def test_plan_takes_source_whole_when_mask_is_provably_empty():
     assert _plan(0.5, 0.5, T=4, tau=1.0).action(2, KIND_SELF) == TAKE_SOURCE
     unchanged = align_prompts(("a", "cat"), ("a", "cat", "8k"))
@@ -90,12 +100,12 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
 
 def test_source_step_is_previous_index():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS, attn=SRC_CROSS))
-    store.record_projections(3, 0, _projections(2, 2, heads=1))
+    store.record(_site(KIND_CROSS, SRC_CROSS, t=0))
+    store.record(_self_site(3, _projections(2, 2, heads=1)))
     plan = FusionPlan(preset("style"), identity_alignment(2), store)
-    assert plan.source_map(1, 0, KIND_CROSS) is store.query(0, 0, KIND_CROSS).attn
+    assert plan.source_map(1, 0, KIND_CROSS) is store.query(0, 0, KIND_CROSS)
     assert np.array_equal(plan.source_map(4, 0, KIND_SELF),
-                          store.query(3, 0, KIND_SELF).attn)
+                          store.query(3, 0, KIND_SELF))
     with pytest.raises(MissingRecordError):
         plan.source_map(3, 0, KIND_SELF)
 
@@ -164,7 +174,7 @@ def test_mask_positions_follow_removed_tokens():
 
 def _store_with_cross(src_map, T=4):
     store = AttentionStore(StoreMeta(T=T, blocks=1, config_hash=1))
-    store.record(AttentionRecord(t=1, layer=0, kind=KIND_CROSS, attn=src_map))
+    store.record(_site(KIND_CROSS, src_map, t=1))
     return store
 
 
@@ -189,25 +199,17 @@ def test_fuse_cross_hand_oracle():
     assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= 1e-12
 
 
-def _record(kind, attn, t=2):
-    return AttentionRecord(t=t, layer=0, kind=kind, attn=attn)
-
-
 def test_plan_keeps_cross_map_outside_window():
     store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    assert plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS)) is None
+    assert plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS)) is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store)
     assert plan.step_probe(2) is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
-    got = plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS))
+    got = plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
-
-
-def test_fuse_cross_identity_alignment_is_stored_map():
-    assert fuse_cross(EDIT_CROSS, SRC_CROSS, identity_alignment(2)) is SRC_CROSS
 
 
 def test_fuse_cross_partial_is_idempotent():
@@ -246,7 +248,7 @@ def test_fuse_cross_missing_record_propagates():
     with pytest.raises(MissingRecordError):
         plan.source_map(2, 0, KIND_CROSS)
     with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
-        plan.step_probe(2)(_record(KIND_CROSS, EDIT_CROSS))
+        plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
     assert isinstance(info.value.__cause__, MissingRecordError)
 
 
@@ -321,7 +323,7 @@ EDIT_SELF = np.array([
 
 def _self_store():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record_projections(1, 0, _projections(2, 2, heads=1))
+    store.record(_self_site(1, _projections(2, 2, heads=1)))
     return store
 
 
@@ -347,10 +349,10 @@ def test_plan_keeps_self_map_outside_window():
     store = _self_store()
     align = identity_alignment(2)
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
-    assert plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)) is None
+    assert plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    assert np.array_equal(plan.step_probe(2)(_record(KIND_SELF, EDIT_SELF)),
-                          store.query(1, 0, KIND_SELF).attn)
+    assert np.array_equal(plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)),
+                          store.query(1, 0, KIND_SELF))
 
 
 def test_blend_self_shape_validation():
@@ -371,10 +373,9 @@ def test_blend_mask_type_validation():
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS,
-                                 attn=MASK_CROSS_HEADS))
-    store.record_projections(0, 0, _projections(2, 4, heads=2, seed=4))
-    src_self = store.query(0, 0, KIND_SELF).attn
+    store.record(_site(KIND_CROSS, MASK_CROSS_HEADS, t=0))
+    store.record(_self_site(0, _projections(2, 4, heads=2, seed=4)))
+    src_self = store.query(0, 0, KIND_SELF)
     edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
@@ -382,20 +383,20 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     assert np.array_equal(mask.mask,
                           build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3).mask)
     assert plan.self_mask(1, 0) is mask
-    got = plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1))
+    got = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
     assert np.array_equal(got, blend_self(edit_self, src_self, mask=mask))
 
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
     assert plan.self_mask(1, 0).mask.shape == (2, 4)
     assert not plan.self_mask(1, 0).mask.any()
-    assert np.array_equal(plan.step_probe(1)(_record(KIND_SELF, edit_self, t=1)),
+    assert np.array_equal(plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1)),
                           src_self)
 
 
 def test_plan_takes_source_before_the_edit_map_is_built():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(AttentionRecord(t=1, layer=0, kind=KIND_CROSS, attn=SRC_CROSS))
-    store.record_projections(1, 0, _projections(1, 4, heads=1))
+    store.record(_site(KIND_CROSS, SRC_CROSS, t=1))
+    store.record(_self_site(1, _projections(1, 4, heads=1)))
     built = []
 
     def site(kind, attn):
@@ -407,10 +408,10 @@ def test_plan_takes_source_before_the_edit_map_is_built():
                       identity_alignment(2), store)
     assert plan.action(2, KIND_CROSS) == plan.action(2, KIND_SELF) == TAKE_SOURCE
     probe = plan.step_probe(2)
-    assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0, KIND_CROSS).attn
+    assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0, KIND_CROSS)
     edit_self = np.full((1, 1, 4, 8), 1.0 / 8)
     assert np.array_equal(probe(site(KIND_SELF, edit_self)),
-                          store.query(1, 0, KIND_SELF).attn)
+                          store.query(1, 0, KIND_SELF))
     assert built == []
 
     # a substituted word: fusing the columns needs the edit map

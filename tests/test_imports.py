@@ -1,4 +1,4 @@
-"""Source hygiene: every name a module imports is used by that module."""
+"""Source hygiene: every name a module or test file imports is used by it."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import attnfuse
 
 PACKAGE = Path(attnfuse.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -26,6 +27,8 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_package_modules_use_every_name_they_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) >= 10
+    tests = sorted(TESTS.glob("*.py"))
+    assert len(modules) >= 10 and len(tests) >= 10
+    modules += tests
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}

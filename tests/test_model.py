@@ -7,9 +7,8 @@ import pytest
 
 from attnfuse.errors import ContractViolation
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN,
-                            AttentionRecord, BlockWeights, ModelConfig,
-                            attend, config_hash, denoiser_forward,
-                            embed_prompt, encode_color,
+                            BlockWeights, ModelConfig, attend, config_hash,
+                            denoiser_forward, embed_prompt, encode_color,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, tokenize, token_vector)
 from attnfuse.numerics import SeededRng, softmax_lastdim
@@ -64,18 +63,6 @@ def test_prompt_embedding_validation(tiny_cfg):
         PromptEmbedding(tokens=("cat", "dog"), vectors=vecs)
     with pytest.raises(ContractViolation):
         PromptEmbedding(tokens=(START_TOKEN,), vectors=vecs)
-
-
-def test_attention_record_validation():
-    good = np.full((1, 1, 2, 4), 0.25)
-    AttentionRecord(t=0, layer=0, kind=KIND_SELF, attn=good).validate_rows()
-    with pytest.raises(ContractViolation):
-        AttentionRecord(t=0, layer=0, kind="other", attn=good)
-    with pytest.raises(ContractViolation):
-        AttentionRecord(t=0, layer=0, kind=KIND_SELF, attn=good[0])
-    bad = AttentionRecord(t=0, layer=0, kind=KIND_SELF, attn=good * 2)
-    with pytest.raises(ContractViolation):
-        bad.validate_rows()
 
 
 def test_attend_matches_loop_oracle():
@@ -189,7 +176,7 @@ def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe):
             assert r.attn.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
         else:
             assert r.attn.shape == (tiny_cfg.n, tiny_cfg.heads, hw, len(prompt.tokens))
-        r.validate_rows(1e-9)
+        assert np.abs(r.attn.sum(axis=-1) - 1.0).max() <= 1e-9
         assert not r.attn.flags.writeable
 
 

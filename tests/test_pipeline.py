@@ -120,7 +120,7 @@ def test_invert_is_deterministic(tiny_cfg, tiny_weights, tiny_inversion):
     z_T2, store2 = invert_video(z0, prompt, sched, tiny_weights)
     assert np.array_equal(z_T, z_T2)
     for key in store.keys():
-        assert np.array_equal(store.query(*key).attn, store2.query(*key).attn)
+        assert np.array_equal(store.query(*key), store2.query(*key))
     assert z_T.shape == z0.shape
     assert not np.array_equal(z_T, z0)
 

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attnfuse.blobio import read_blob, write_blob
 from attnfuse.errors import ContractViolation, MissingRecordError
-from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionRecord,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
                             ModelConfig, SelfProjections, config_hash,
                             denoiser_forward, embed_prompt,
                             make_denoiser_weights)
@@ -18,9 +19,9 @@ from attnfuse.store import (AttentionKey, AttentionStore, StoreMeta,
                             load_store_dump)
 
 
-def _uniform_record(t, layer, kind=KIND_CROSS, keys=4):
+def _cross_site(t, layer, keys=4):
     attn = np.full((2, 1, 3, keys), 1.0 / keys)
-    return AttentionRecord(t=t, layer=layer, kind=kind, attn=attn)
+    return AttentionSite(t, layer, KIND_CROSS, attn.shape, lambda: attn)
 
 
 def _projections(seed=0):
@@ -29,40 +30,49 @@ def _projections(seed=0):
                            keys=rng.standard_normal((2, 3, 4)), heads=2)
 
 
+def _self_site(t, layer, proj):
+    return AttentionSite(t, layer, KIND_SELF, proj.shape, proj.attn,
+                         projections=proj)
+
+
 def test_record_query_round_trip():
     store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    rec = _uniform_record(0, 0)
-    store.record(rec)
+    site = _cross_site(0, 0)
+    store.record(site)
     got = store.query(0, 0, KIND_CROSS)
-    assert got is rec
-    assert np.array_equal(got.attn, rec.attn)
-    assert not got.attn.flags.writeable
+    assert isinstance(got, np.ndarray)
+    assert got is site.attn
+    assert not got.flags.writeable
 
     proj = _projections()
-    store.record_projections(0, 0, proj)
+    store.record(_self_site(0, 0, proj))
     first, second = store.query(0, 0, KIND_SELF), store.query(0, 0, KIND_SELF)
-    assert (first.t, first.layer, first.kind) == (0, 0, KIND_SELF)
-    assert first.attn.shape == (2, 2, 3, 6)
-    assert first.attn is not second.attn
-    assert np.array_equal(first.attn, proj.attn())
-    assert np.array_equal(first.attn, second.attn)
-    assert not first.attn.flags.writeable
+    assert first.shape == (2, 2, 3, 6)
+    assert first is not second
+    assert np.array_equal(first, proj.attn())
+    assert np.array_equal(first, second)
+    assert not first.flags.writeable
 
 
 def test_self_maps_are_recorded_as_projections_only():
     store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    with pytest.raises(ContractViolation, match="projections"):
-        store.record(_uniform_record(0, 0, KIND_SELF))
-    store.record_projections(0, 0, _projections())
+    proj = _projections()
+
+    def unbuildable():
+        raise AssertionError("recording a self site built its map")
+
+    store.record(AttentionSite(0, 0, KIND_SELF, proj.shape, unbuildable,
+                               projections=proj))
+    assert np.array_equal(store.query(0, 0, KIND_SELF), proj.attn())
     with pytest.raises(ContractViolation, match="duplicate"):
-        store.record_projections(0, 0, _projections(1))
+        store.record(_self_site(0, 0, _projections(1)))
 
 
 def test_duplicate_record_rejected():
     store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    store.record(_uniform_record(1, 0, KIND_CROSS))
+    store.record(_cross_site(1, 0))
     with pytest.raises(ContractViolation):
-        store.record(_uniform_record(1, 0, KIND_CROSS))
+        store.record(_cross_site(1, 0))
 
 
 def test_missing_query_names_key():
@@ -73,21 +83,14 @@ def test_missing_query_names_key():
     assert "3" in msg and "1" in msg and "self" in msg
 
 
-def test_bad_row_sums_rejected_at_record_time():
-    store = AttentionStore(StoreMeta(T=1, blocks=1, config_hash=7))
-    attn = np.full((1, 1, 2, 4), 0.3)
-    with pytest.raises(ContractViolation):
-        store.record(AttentionRecord(t=0, layer=0, kind=KIND_CROSS, attn=attn))
-
-
 def test_verify_complete_lists_missing():
     store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    store.record_projections(0, 0, _projections())
-    store.record(_uniform_record(0, 0, KIND_CROSS))
-    store.record_projections(1, 0, _projections())
+    store.record(_self_site(0, 0, _projections()))
+    store.record(_cross_site(0, 0))
+    store.record(_self_site(1, 0, _projections()))
     missing = store.verify_complete()
     assert missing == [AttentionKey(1, 0, KIND_CROSS)]
-    store.record(_uniform_record(1, 0, KIND_CROSS))
+    store.record(_cross_site(1, 0))
     assert store.verify_complete() == []
 
 
@@ -97,18 +100,18 @@ def test_inversion_fills_store(tiny_cfg, tiny_inversion):
     assert store.verify_complete() == []
     hw = tiny_cfg.h * tiny_cfg.w
     first = store.query(0, 0, KIND_SELF)
-    assert first.attn.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
+    assert first.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
     last = store.query(sched.T - 1, tiny_cfg.blocks - 1, KIND_CROSS)
-    assert last.attn.shape[:3] == (tiny_cfg.n, tiny_cfg.heads, hw)
+    assert last.shape[:3] == (tiny_cfg.n, tiny_cfg.heads, hw)
     with pytest.raises(MissingRecordError):
         store.query(sched.T, 0, KIND_SELF)
 
 
 def test_stored_maps_are_immutable(tiny_inversion):
     *_, store = tiny_inversion
-    rec = store.query(0, 0, KIND_SELF)
+    attn = store.query(0, 0, KIND_SELF)
     with pytest.raises(ValueError):
-        rec.attn[0, 0, 0, 0] = 0.5
+        attn[0, 0, 0, 0] = 0.5
 
 
 def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion):
@@ -129,8 +132,8 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion):
     assert len(loaded) == len(store) == sched.T * tiny_cfg.blocks * 2
     assert loaded.verify_complete() == []
     for key in store.keys():
-        a = store.query(*key).attn
-        b = loaded.query(*key).attn
+        a = store.query(*key)
+        b = loaded.query(*key)
         assert np.array_equal(a, b)
 
 
@@ -147,6 +150,46 @@ def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
         load_store_dump(d)
 
 
+CROSS_BLOB = "cross_t0000_l00.bin"
+
+
+def _tampered_dump(directory, store, case):
+    """Dump *store* to *directory*, then spoil its first cross record."""
+    store.dump(directory)
+    index = json.loads((directory / "index.json").read_text())
+    [item] = [r for r in index["records"] if r["file"] == CROSS_BLOB]
+    path, hash_ = directory / CROSS_BLOB, store.meta.config_hash
+    [attn] = read_blob(path, hash_, [tuple(item["shape"])])
+    if case == "scaled payload":
+        write_blob(path, hash_, [attn * 2.0])
+    elif case == "nan payload":
+        bad = attn.copy()
+        bad[0, 0, 0, -1] = np.nan
+        write_blob(path, hash_, [bad])
+    elif case == "other kind":
+        item["kind"] = "other"
+    else:  # same element count, so only the loader's shape check sees it
+        n, heads, q, k = item["shape"]
+        item["shape"] = [n * heads, q, k]
+    (directory / "index.json").write_text(json.dumps(index))
+    return directory
+
+
+def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
+    *_, store = tiny_inversion
+    store.dump(tmp_path / "good")
+    assert load_store_dump(tmp_path / "good").verify_complete() == []
+    # blobio checks the header only, so the payload cases reach the loader.
+    for case, fragment in [("scaled payload", "rows deviate from 1"),
+                           ("nan payload", "rows deviate from 1 by nan"),
+                           ("other kind", "'other'"),
+                           ("3-D shape", "must be 4-D")]:
+        d = _tampered_dump(tmp_path / case.replace(" ", "_"), store, case)
+        with pytest.raises(ContractViolation, match=fragment) as exc:
+            load_store_dump(d)
+        assert CROSS_BLOB in str(exc.value), case
+
+
 def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights,
                                                   tiny_inversion, capture_probe):
     sched, prompt, z0, _, store = tiny_inversion
@@ -157,7 +200,7 @@ def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights,
         assert len(records) == 2 * tiny_cfg.blocks
         for rec in records:
             if rec.kind == KIND_SELF:
-                assert np.array_equal(store.query(t, rec.layer, KIND_SELF).attn,
+                assert np.array_equal(store.query(t, rec.layer, KIND_SELF),
                                       rec.attn)
         z = ddim_invert_step(z, eps, t, sched)
 
