@@ -48,7 +48,7 @@ _SCHEMA = {
         "d_head": (int, 8, "per-head width"),
         "blocks": (int, 2, "transformer blocks"),
         "d_text": (int, 16, "prompt embedding width"),
-        "seed": (int, 0, "master seed for weights and video texture"),
+        "seed": (int, 0, "seed of the model weights"),
     },
     "schedule": {
         "steps": (int, DEFAULT_STEPS, "diffusion steps T"),
@@ -75,6 +75,7 @@ _SCHEMA = {
         "start_col": (int, 8, "synth object start center column"),
         "step_row": (int, 0, "synth per-frame row motion"),
         "step_col": (int, 1, "synth per-frame column motion"),
+        "seed": (int, None, "seed of the synth texture; --seed overrides it"),
     },
 }
 
@@ -89,6 +90,7 @@ class RunConfig:
     source_prompt: str
     edit_prompt: str
     video: VideoSpec | None
+    video_seed: int
     video_dir: Path | None
     out_dir: Path
     workers: int
@@ -197,22 +199,24 @@ def parse_config(path: Path) -> RunConfig:
     else:
         raise ConfigError(f"video source must be synth or dir, got {source!r}")
 
+    video_seed = values["video"].get("seed", model.seed)
     echo = {section: {key: _resolved(values, section, key)
                       for key in sorted(_SCHEMA[section])}
             for section in _SCHEMA}
+    echo["video"]["seed"] = video_seed
     echo["edit"].update(preset=edit.mode, t_s=edit.t_s, t_c=edit.t_c,
                         tau=edit.tau, s_cfg=edit.s_cfg)
     return RunConfig(model=model, schedule=schedule, edit=edit,
                      source_prompt=g("edit", "source_prompt"),
                      edit_prompt=g("edit", "edit_prompt"),
-                     video=video, video_dir=video_dir,
+                     video=video, video_seed=video_seed, video_dir=video_dir,
                      out_dir=Path("out"), workers=0, echo=echo)
 
 
 def _apply_overrides(rc: RunConfig, seed: int | None, out: str | None) -> RunConfig:
     if seed is not None:
-        rc.model = dataclasses.replace(rc.model, seed=seed)
-        rc.echo["model"]["seed"] = seed
+        rc.video_seed = seed
+        rc.echo["video"]["seed"] = seed
     if out is not None:
         rc.out_dir = Path(out)
     return rc
@@ -238,7 +242,7 @@ def _load_source_video(rc: RunConfig) -> np.ndarray:
                 f"input frames are {pixels.shape[2:]}, config expects "
                 f"({rc.model.h}, {rc.model.w})")
         return pixels
-    rng = SeededRng(derived_seed(rc.model.seed, "video"))
+    rng = SeededRng(derived_seed(rc.video_seed, "video"))
     pixels, _ = synth_video(rc.video, rng)
     return pixels
 
@@ -322,7 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for section, keys in _SCHEMA.items():
         lines.append(f"  [{section}]")
         for key, (caster, default, help_text) in keys.items():
-            shown = "(from preset)" if default is None else default
+            shown = default
+            if default is None:
+                shown = "(from preset)" if section == "edit" else "([model] seed)"
             lines.append(f"    {key} = {shown}  # {help_text}")
     parser = _Parser(
         prog="attnfuse",
@@ -334,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("invert", "edit", "reconstruct", "selfcheck"))
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override [model] seed")
+                        help="override [video] seed")
     parser.add_argument("--out", default=None,
                         help="output directory (default ./out)")
     return parser

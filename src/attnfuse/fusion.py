@@ -14,8 +14,13 @@ applies.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
-`FusionPlan.source_map` makes that pairing and is the only reader of
-the inversion store, which rebuilds a self map on each read.
+`FusionPlan.source_map` (a cross map) and `FusionPlan.source_projections`
+(what a self map's rows are built from) make that pairing and are the
+only readers of the inversion store.
+
+Self-attention is rewritten row by row, one tile of query rows at a
+time, because the forward pass never holds a whole self map: the plan
+answers a self site with a tile function (see `model.AttentionSite`).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import KIND_CROSS, KIND_SELF
+from .model import KIND_CROSS, KIND_SELF, SelfProjections, SelfTiles, TileRows
 from .numerics import maxnorm_frame, require
 from .store import AttentionStore
 
@@ -204,7 +209,8 @@ def blend_self(s_edit: np.ndarray, s_src: np.ndarray, *,
 
     Each query pixel takes the edit row where the mask is 1 and the
     source row where it is 0.  Selection is exact: an all-zero mask
-    returns the source map's values bit for bit.
+    returns the source map's values bit for bit.  The rows may be one
+    tile of a map, with the mask's columns for that tile.
     """
     require(s_edit.shape == s_src.shape,
             f"self map shapes differ: {s_edit.shape} vs {s_src.shape}")
@@ -212,6 +218,24 @@ def blend_self(s_edit: np.ndarray, s_src: np.ndarray, *,
     require(mask.mask.shape == (n, q),
             f"mask shape {mask.mask.shape} != (frames, pixels) ({n}, {q})")
     return np.where(mask.mask[:, None, :, None], s_edit, s_src)
+
+
+def _blend_tiles(edit: TileRows, source: TileRows, mask: BlendMask) -> TileRows:
+    """Self rows that follow *edit* where the mask is set and *source* elsewhere.
+
+    Per tile, the edit rows are built only if the mask sets one of the
+    tile's rows and the source rows only if it clears one; `blend_self`
+    picks the rows of a tile that needs both.
+    """
+    def rows(lo: int, hi: int) -> np.ndarray:
+        picks = mask.mask[:, lo:hi]
+        if picks.all():
+            return edit(lo, hi)
+        if not picks.any():
+            return source(lo, hi)
+        return blend_self(edit(lo, hi), source(lo, hi), mask=BlendMask(mask=picks))
+
+    return rows
 
 
 def mask_positions(alignment: PromptAlignment) -> tuple[int, ...]:
@@ -241,10 +265,16 @@ class FusionPlan:
     is the identity, and a self map is blended by the mask, or taken whole
     from the source when that mask is provably empty: no source word was
     removed, or tau >= 1 (the test is strict and normalized values <= 1).
-    A map taken whole is handed to the forward pass before the edit map is
-    computed, so the pass skips that map's QK^T and softmax; it is the
-    store's read-only array, which the pass applies without a copy.  Each
-    mask is built once and kept, so later readers get the mask the pass
+
+    A cross map taken whole is the store's read-only array, handed to the
+    forward pass before the edit map is computed, so the pass skips that
+    map's QK^T and softmax and applies the array without a copy.  A self
+    site is answered with a tile function over the source's
+    `SelfProjections`: taken whole, it builds the source rows of each
+    tile and never the edit's; blended, it also carries the step's
+    `BlendMask` and builds, per tile, the edit rows only where the mask
+    sets a row and the source rows only where it clears one.  Each mask
+    is built once and kept, so later readers get the mask the pass
     applied.
     """
 
@@ -263,8 +293,16 @@ class FusionPlan:
         self._masks: dict[tuple[int, int], BlendMask] = {}
 
     def source_map(self, t: int, layer: int, kind: str) -> np.ndarray:
-        """The read-only map that denoising step t replays: inversion step t-1's."""
+        """The read-only map that denoising step t replays: inversion step t-1's.
+
+        A self map comes back whole, for observers and tests; the pass
+        reads `source_projections`.
+        """
         return self.store.query(t - 1, layer, kind)
+
+    def source_projections(self, t: int, layer: int) -> SelfProjections:
+        """The projections whose self rows step t replays: inversion step t-1's."""
+        return self.store.projections(t - 1, layer)
 
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE, FUSE or BLEND for the kind's maps at step t."""
@@ -289,6 +327,18 @@ class FusionPlan:
             self._masks[(t, layer)] = mask
         return mask
 
+    def _self_answer(self, t: int, act: str, site) -> TileRows:
+        source = self.source_projections(t, site.layer)
+        require(source.shape == site.shape,
+                f"source self map shape {source.shape} != map shape {site.shape}")
+        if act == TAKE_SOURCE:
+            return SelfTiles(source).rows
+        mask = self.self_mask(t, site.layer)
+        n, _, q, _ = site.shape
+        require(mask.mask.shape == (n, q),
+                f"mask shape {mask.mask.shape} != (frames, pixels) ({n}, {q})")
+        return _blend_tiles(site.own_rows, SelfTiles(source).rows, mask)
+
     def step_probe(self, t: int):
         """Probe of the conditional branch at step t; None if it keeps all."""
         actions = {kind: self.action(t, kind) for kind in (KIND_SELF, KIND_CROSS)}
@@ -299,16 +349,12 @@ class FusionPlan:
             act = actions[site.kind]
             if act == KEEP:
                 return None
-            # TAKE_SOURCE never reads site.attn, so the edit map is not built.
-            edit = None if act == TAKE_SOURCE else site.attn
             try:
-                src = self.source_map(t, site.layer, site.kind)
-                if act == FUSE:
-                    return fuse_cross(edit, src, self.alignment)
-                if act == BLEND:
-                    return blend_self(edit, src,
-                                      mask=self.self_mask(t, site.layer))
-                return src
+                if site.kind == KIND_SELF:
+                    return self._self_answer(t, act, site)
+                # TAKE_SOURCE never reads site.attn, so the edit map is not built.
+                src = self.source_map(t, site.layer, KIND_CROSS)
+                return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src
             except ContractViolation as exc:
                 raise ContractViolation(
                     f"fusion failed at step {t}, layer {site.layer}, {site.kind}: {exc}"

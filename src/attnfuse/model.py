@@ -6,22 +6,27 @@ self-attention, cross-attention to the prompt, pointwise MLP, each with
 a residual add), and an output projection back to latent channels.
 
 Two properties matter more than capacity here.  First, every attention
-map is offered to an optional probe before it multiplies the values,
-which is what the editing machinery hooks into.  The probe is the only
-way a map leaves the forward pass, which returns the predicted noise
-alone, so the pass holds one self map at a time.  The probe sees an
-`AttentionSite` whose map is computed only when read, so a probe that
-supplies its own map spares the QK^T and the softmax.  A replacement is
-checked for shape, finiteness and row sums before it is applied; the
-pass's own softmax output is not re-checked.  Second, all
-randomness flows from explicit seeds, so identical inputs give
-bit-identical outputs.
+site is offered to an optional probe before its map multiplies the
+values, which is what the editing machinery hooks into.  The probe is
+the only way a map leaves the forward pass, which returns the predicted
+noise alone.  The probe sees an `AttentionSite` whose map is computed
+only when read, so a probe that supplies its own map spares the QK^T
+and the softmax.  A replacement map is checked for shape, finiteness
+and row sums before it is applied; the pass's own softmax output is not
+re-checked.  Second, all randomness flows from explicit seeds, so
+identical inputs give bit-identical outputs.
 
-A self-attention map is a function of its query and key projections
-(`SelfProjections`), which are heads*h*w/d_model times smaller.  The
-forward pass builds every self map through `SelfProjections.attn`, so a
-map rebuilt later from recorded projections is bit-identical to the one
-the pass applied.
+Self-attention runs in tiles of TILE_ROWS query rows: the softmax and
+`attn @ V` of one tile finish before the next tile's logits are
+computed, and every tile of a call writes into one logits buffer of
+(n, heads, TILE_ROWS, 2*h*w), so the pass holds one tile, never a whole
+self map.  Rows are independent, so a probe answers a self site per
+tile too (see `AttentionSite`).  A self map is a function of its query
+and key projections (`SelfProjections`), which are heads*h*w/d_model
+times smaller.  Every self row is built by `SelfTiles.rows`, so rows
+rebuilt later from recorded projections are bit-identical to the ones
+the pass applied; a whole map (`SelfProjections.attn`) is assembled
+from the same tiles, for observers and tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +55,13 @@ ORACLE_GAIN = 8.0    # query gain of the palette oracle; keeps >=0.9 mass
 KIND_SELF = "self"
 KIND_CROSS = "cross"
 
-Probe = Callable[["AttentionSite"], Optional[np.ndarray]]
+TILE_ROWS = 64       # query rows per self-attention tile
+
+# A tile function: (lo, hi) -> post-softmax rows lo:hi of a self map.
+TileRows = Callable[[int, int], np.ndarray]
+# A probe answers a site with None, a replacement map or, at a self site,
+# a TileRows; see AttentionSite.
+Probe = Callable[["AttentionSite"], "np.ndarray | TileRows | None"]
 
 
 @dataclass(frozen=True)
@@ -226,10 +237,28 @@ def _with_middle_frame(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.broadcast_to(x[mid], x.shape), x], axis=2)
 
 
-def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int) -> np.ndarray:
-    logits = np.matmul(q, np.swapaxes(k, -1, -2))
+def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    logits = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
     logits /= math.sqrt(d_head)
     return softmax_lastdim(logits, out=logits)
+
+
+def _tile_bounds(hw: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each tile of query rows; the last may be shorter."""
+    return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
+
+
+def whole_map(rows: TileRows, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """The read-only self map of *shape*, copied together tile by tile from *rows*.
+
+    For observers and tests: the forward pass never builds a whole self map.
+    """
+    whole = np.empty(shape)
+    for lo, hi in _tile_bounds(shape[2]):
+        whole[:, :, lo:hi] = rows(lo, hi)
+    whole.setflags(write=False)
+    return whole
 
 
 @dataclass(frozen=True)
@@ -238,7 +267,7 @@ class SelfProjections:
 
     queries and keys are the block input times wq_s and wk_s, each
     (n, h*w, d_model), made read-only; heads splits d_model.  They
-    determine the map.
+    determine the map, whose rows `SelfTiles` builds.
     """
 
     queries: np.ndarray
@@ -262,15 +291,38 @@ class SelfProjections:
     def attn(self) -> np.ndarray:
         """The read-only post-softmax map, (n, heads, h*w, 2*h*w).
 
-        Each frame's queries attend over the keys of the middle frame
-        (index n // 2), then its own.  Equal projections give equal bits.
+        Assembled from the tiles the forward pass applies, so equal
+        projections give equal bits.  For observers and tests.
         """
-        d_head = self.queries.shape[-1] // self.heads
-        q = _split_heads(self.queries, self.heads, d_head)
-        keys = _with_middle_frame(_split_heads(self.keys, self.heads, d_head))
-        attn = _attention_map(q, keys, d_head)
-        attn.setflags(write=False)
-        return attn
+        return whole_map(SelfTiles(self).rows, self.shape)
+
+
+class SelfTiles:
+    """Post-softmax rows of one self map, one tile of query rows at a time.
+
+    Each frame's queries attend over the keys of the middle frame
+    (index n // 2), then its own.  Every tile is computed into one logits
+    buffer of (n, heads, TILE_ROWS, 2*h*w), allocated at the first build;
+    a shorter tail tile fills a view of it.  So the rows `rows` returns
+    stay valid until its next call.
+    """
+
+    def __init__(self, projections: SelfProjections):
+        self.projections = projections
+        heads = projections.heads
+        self._d_head = projections.queries.shape[-1] // heads
+        self._q = _split_heads(projections.queries, heads, self._d_head)
+        self._k = _with_middle_frame(_split_heads(projections.keys, heads,
+                                                  self._d_head))
+        self._logits: np.ndarray | None = None
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the map, (n, heads, hi - lo, 2*h*w); hi - lo <= TILE_ROWS."""
+        if self._logits is None:
+            n, heads, hw, keys = self.projections.shape
+            self._logits = np.empty((n, heads, min(TILE_ROWS, hw), keys))
+        return _attention_map(self._q[:, :, lo:hi], self._k, self._d_head,
+                              out=self._logits[:, :, :hi - lo])
 
 
 class AttentionSite:
@@ -278,10 +330,18 @@ class AttentionSite:
 
     This is what a probe sees, and the only type that pairs a map with
     its (t, layer, kind).  `attn` is the denoiser's own map, computed on
-    first read, so a probe that returns a map without reading it skips
-    the QK^T and the softmax.  A self-attention site also carries the
-    `projections` its map is built from; a cross-attention site carries
-    None.
+    first read, so a probe that answers without reading it skips the
+    QK^T and the softmax.  A self-attention site also carries the
+    `projections` its map is built from (a cross-attention site carries
+    None), and `own_rows` gives the pass's own rows one tile at a time;
+    reading a self site's `attn` assembles the whole map, for observers
+    and tests.
+
+    A probe answers a cross site with None (the map stands) or a
+    replacement map.  It answers a self site with None, a replacement
+    map, which is checked whole and then applied tile by tile, or a tile
+    function: called with each tile's (lo, hi), it returns that tile's
+    rows, and it calls `own_rows` only for tiles that need the pass's own.
     """
 
     def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
@@ -291,6 +351,7 @@ class AttentionSite:
         self.projections = projections
         self._build = build
         self._attn: np.ndarray | None = None
+        self._tiles: SelfTiles | None = None
 
     @property
     def attn(self) -> np.ndarray:
@@ -298,6 +359,18 @@ class AttentionSite:
             self._attn = self._build()
             self._attn.setflags(write=False)
         return self._attn
+
+    def own_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the pass's own self map.
+
+        Sliced from `attn` once that was read, so an observed map is not
+        built twice; otherwise built in the site's one tile buffer.
+        """
+        if self._attn is None and self.projections is not None:
+            if self._tiles is None:
+                self._tiles = SelfTiles(self.projections)
+            return self._tiles.rows(lo, hi)
+        return self.attn[:, :, lo:hi]
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
@@ -322,27 +395,34 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
 
 def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
                           heads: int, d_head: int,
-                          supply: Callable[[SelfProjections], np.ndarray] | None = None
-                          ) -> tuple[np.ndarray, np.ndarray]:
+                          supply: Callable[[SelfProjections], TileRows] | None = None
+                          ) -> np.ndarray:
     """Self-attention over [middle frame; own frame] keys and values.
 
-    feats: (n, h*w, d_model).  Returns (out (n, h*w, d_model),
-    map (n, heads, h*w, 2*h*w)).  The middle frame is index n // 2; its
-    keys come first in the concatenation.  *supply*, when given, is
-    called with the `SelfProjections` and returns the map to apply.
+    feats: (n, h*w, d_model); returns the output, (n, h*w, d_model).
+    The middle frame is index n // 2; its keys come first in the
+    concatenation.  Rows are computed and applied one tile of TILE_ROWS
+    query rows at a time.  *supply*, when given, is called with the
+    `SelfProjections` and returns the tile function that gives each
+    tile's rows; by default they are the projections' own.
     """
     proj = SelfProjections(queries=feats @ block.wq_s, keys=feats @ block.wk_s,
                            heads=heads)
-    attn = proj.attn() if supply is None else supply(proj)
+    rows = SelfTiles(proj).rows if supply is None else supply(proj)
     vals = _with_middle_frame(_split_heads(feats @ block.wv_s, heads, d_head))
-    return _merge_heads(np.matmul(attn, vals)), attn
+    n, _, hw, keys = proj.shape
+    out = np.empty((n, heads, hw, d_head))
+    for lo, hi in _tile_bounds(hw):
+        tile = rows(lo, hi)
+        require(tile.shape == (n, heads, hi - lo, keys),
+                f"self rows {lo}:{hi} have shape {tile.shape}, expected "
+                f"{(n, heads, hi - lo, keys)}")
+        np.matmul(tile, vals, out=out[:, :, lo:hi])
+    return _merge_heads(out)
 
 
-def _offer(probe: Probe | None, site: AttentionSite) -> np.ndarray:
-    """The map to apply at *site*: the probe's replacement, if any, once checked."""
-    replacement = probe(site) if probe is not None else None
-    if replacement is None:
-        return site.attn
+def _checked(replacement, site: AttentionSite) -> np.ndarray:
+    """A probe's replacement map, checked against *site* and made read-only."""
     where = f"({site.kind}, t={site.t}, layer={site.layer})"
     replacement = np.asarray(replacement, dtype=np.float64)
     require(replacement.shape == site.shape,
@@ -356,6 +436,19 @@ def _offer(probe: Probe | None, site: AttentionSite) -> np.ndarray:
         replacement = replacement.copy()
     replacement.setflags(write=False)
     return replacement
+
+
+def _offer(probe: Probe | None, site: AttentionSite):
+    """What the pass applies at *site*: a cross map, or a self site's tile function."""
+    answer = probe(site) if probe is not None else None
+    if site.kind == KIND_CROSS:
+        return site.attn if answer is None else _checked(answer, site)
+    if answer is None:
+        return site.own_rows
+    if callable(answer):
+        return answer
+    whole = _checked(answer, site)
+    return lambda lo, hi: whole[:, :, lo:hi]
 
 
 def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
@@ -390,7 +483,7 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
         x = x + spatiotemporal_attend(
             x, bw, cfg.heads, cfg.d_head,
             supply=lambda p, _l=layer: _offer(probe, AttentionSite(
-                t, _l, KIND_SELF, p.shape, p.attn, projections=p)))[0]
+                t, _l, KIND_SELF, p.shape, p.attn, projections=p)))
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         kc = _split_heads((kv @ bw.wk_c)[None], cfg.heads, cfg.d_head)
         vc = _split_heads((kv @ bw.wv_c)[None], cfg.heads, cfg.d_head)

@@ -14,13 +14,16 @@ from .fusion import (FusionPlan, align_prompts, blend_self, build_blend_mask,
 from .errors import ContractViolation
 from .model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig,
                     attend, denoiser_forward, embed_prompt,
-                    make_denoiser_weights, spatiotemporal_attend)
+                    make_denoiser_weights, spatiotemporal_attend, whole_map)
 from .numerics import SeededRng, require, softmax_lastdim
 from .pipeline import decode, encode, invert_video
 from .schedule import cfg_combine, ddim_invert_step, ddim_step, make_schedule
 
 _TINY = ModelConfig(n=3, h=4, w=4, c=1, d_model=8, heads=2, d_head=4,
                     blocks=1, d_text=8, seed=11)
+# 65 query rows: one full self-attention tile and a one-row tail tile.
+_TILED = ModelConfig(n=2, h=5, w=13, c=1, d_model=8, heads=2, d_head=4,
+                     blocks=1, d_text=8, seed=11)
 
 
 def _check_schedule_round_trip():
@@ -63,7 +66,7 @@ def _check_middle_frame_equivalence():
     hw = _TINY.h * _TINY.w
     for _ in range(3):
         feats = rng.standard_normal((_TINY.n, hw, _TINY.d_model))
-        out, _ = spatiotemporal_attend(feats, bw, _TINY.heads, _TINY.d_head)
+        out = spatiotemporal_attend(feats, bw, _TINY.heads, _TINY.d_head)
         mid = _TINY.n // 2
         from .model import _merge_heads, _split_heads
         q = _split_heads(feats[mid:mid + 1] @ bw.wq_s, _TINY.heads, _TINY.d_head)
@@ -103,11 +106,11 @@ def _check_probe_replay():
     require(np.array_equal(eps1, eps2), "replaying recorded maps changed the output")
 
 
-def _tiny_inversion():
+def _tiny_inversion(cfg=_TINY):
     sched = make_schedule(3, 0.1, 0.2)
-    weights = make_denoiser_weights(_TINY)
-    prompt = embed_prompt("a red square", _TINY)
-    z0 = SeededRng(6).standard_normal((_TINY.n, _TINY.c, _TINY.h, _TINY.w)) * 0.1
+    weights = make_denoiser_weights(cfg)
+    prompt = embed_prompt("a red square", cfg)
+    z0 = SeededRng(6).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w)) * 0.1
     return sched, weights, prompt, z0, invert_video(z0, prompt, sched, weights)
 
 
@@ -118,16 +121,32 @@ def _check_store_completeness():
 
 
 def _check_store_rebuild():
-    sched, weights, prompt, z0, (_, store) = _tiny_inversion()
-    _, maps = _capture(z0, 0, prompt, weights, n_steps=sched.T)
-    for layer in range(_TINY.blocks):
-        require(np.array_equal(store.query(0, layer, KIND_SELF),
-                               maps[(layer, KIND_SELF)]),
-                f"rebuilt self map of layer {layer} differs from the forward's")
+    """Each tile of self rows the pass applies is what the store rebuilds."""
+    sched, weights, prompt, z0, (_, store) = _tiny_inversion(_TILED)
+    applied = []
+
+    def capture(site):
+        if site.kind != KIND_SELF:
+            return None
+
+        def rows(lo, hi):
+            tile = site.own_rows(lo, hi)
+            applied.append((site.layer, lo, hi, tile.copy()))
+            return tile
+
+        return rows
+
+    denoiser_forward(z0, 0, prompt, weights, sched.T, capture)
+    require(len(applied) == 2 * _TILED.blocks, f"{len(applied)} self tiles applied")
+    for layer, lo, hi, tile in applied:
+        rebuilt = store.query(0, layer, KIND_SELF)[:, :, lo:hi]
+        require(np.array_equal(rebuilt, tile),
+                f"rebuilt self rows {lo}:{hi} of layer {layer} differ from the forward's")
 
 
 def _check_fusion_identity():
-    sched, _, prompt, _, (_, store) = _tiny_inversion()
+    """Identity fusion hands over the source maps and never builds the edit's."""
+    sched, _, prompt, _, (_, store) = _tiny_inversion(_TILED)
     plan = FusionPlan(preset("style"), identity_alignment(len(prompt.tokens)),
                       store)
     probe = plan.step_probe(sched.T)
@@ -137,7 +156,8 @@ def _check_fusion_identity():
 
     for kind in (KIND_SELF, KIND_CROSS):
         src = store.query(sched.T - 1, 0, kind)
-        fused = probe(AttentionSite(sched.T, 0, kind, src.shape, unbuildable))
+        answer = probe(AttentionSite(sched.T, 0, kind, src.shape, unbuildable))
+        fused = whole_map(answer, src.shape) if kind == KIND_SELF else answer
         require(np.array_equal(fused, src), f"identity fusion altered the {kind} map")
 
 

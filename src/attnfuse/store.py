@@ -2,11 +2,12 @@
 
 Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
-the query and key projections it is built from, 2*n*h*w*d_model values,
-and rebuilds the map on each query through the function the forward
-pass used, which gives back the applied map bit for bit.  A query
-returns a plain read-only array.  A complete inversion over T steps and
-L blocks holds T*L entries per kind.
+the query and key projections it is built from, 2*n*h*w*d_model values.
+The edit pass reads those projections and builds the rows it needs tile
+by tile; a query rebuilds the whole map from the same tiles, which gives
+back the rows the forward pass applied bit for bit.  A query returns a
+plain read-only array.  A complete inversion over T steps and L blocks
+holds T*L entries per kind.
 
 `AttentionStore.record` is inversion's probe; it keeps the pass's own
 maps unchecked.  A loaded dump comes from outside the program, so
@@ -70,18 +71,28 @@ class AttentionStore:
         """Keep a self site's projections, or a cross site's map.
 
         A probe: it replaces nothing, and it never reads a self site's
-        map, so the pass builds that map once, to apply it.
+        map, so the pass builds that map's rows once, to apply them.
         """
         entry = site.projections if site.kind == KIND_SELF else site.attn
         self._add(AttentionKey(site.t, site.layer, site.kind), entry)
 
-    def query(self, t: int, layer: int, kind: str) -> np.ndarray:
-        """The read-only recorded map; a self map is rebuilt, a new array on each call."""
-        key = AttentionKey(t, layer, kind)
+    def _entry(self, key: AttentionKey):
         try:
-            entry = self._records[key]
+            return self._records[key]
         except KeyError:
             raise MissingRecordError(f"no attention record for {key}") from None
+
+    def projections(self, t: int, layer: int) -> SelfProjections:
+        """The recorded projections of a self map; the edit pass builds its rows from them."""
+        return self._entry(AttentionKey(t, layer, KIND_SELF))
+
+    def query(self, t: int, layer: int, kind: str) -> np.ndarray:
+        """The read-only recorded map; a self map is rebuilt, a new array on each call.
+
+        A rebuilt self map is assembled from the tiles the forward pass
+        builds, for observers and tests; the edit pass reads `projections`.
+        """
+        entry = self._entry(AttentionKey(t, layer, kind))
         return entry.attn() if kind == KIND_SELF else entry
 
     def verify_complete(self) -> list[AttentionKey]:

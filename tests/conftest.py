@@ -6,7 +6,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from attnfuse.model import ModelConfig, embed_prompt, make_denoiser_weights
+from attnfuse.model import (ModelConfig, embed_prompt, make_denoiser_weights,
+                            whole_map)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
@@ -46,13 +47,19 @@ def _capture_probe(probe=None):
     """(capture, maps): a probe that wraps *probe* and the list it fills.
 
     Each site appends an `Applied` entry with the map the pass applies
-    there: *probe*'s replacement, or the site's own map when it has none.
+    there: *probe*'s replacement, the whole map of the tile function it
+    answers a self site with, or the site's own map when it has none.
     """
     maps = []
 
     def capture(site):
         replacement = probe(site) if probe is not None else None
-        applied = site.attn if replacement is None else np.asarray(replacement)
+        if replacement is None:
+            applied = site.attn
+        elif callable(replacement):
+            applied = whole_map(replacement, site.shape)
+        else:
+            applied = np.asarray(replacement)
         maps.append(Applied(site.t, site.layer, site.kind, applied))
         return replacement
 

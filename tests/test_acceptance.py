@@ -223,7 +223,7 @@ def test_criterion_08_middle_frame_invariance():
                              wq_c=g(d, d), wk_c=g(d, d), wv_c=g(d, d),
                              w_mlp_in=g(d, 2 * d), w_mlp_out=g(2 * d, d))
         feats = rng.standard_normal((n, hw, d))
-        out, _ = spatiotemporal_attend(feats, block, heads, d_head)
+        out = spatiotemporal_attend(feats, block, heads, d_head)
         mid = n // 2
         q = _split_heads(feats[mid:mid + 1] @ block.wq_s, heads, d_head)
         k = _split_heads(feats[mid:mid + 1] @ block.wk_s, heads, d_head)

@@ -1,5 +1,6 @@
 """Config parsing, subcommand flows, exit codes, and output artifacts."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -13,10 +14,16 @@ from attnfuse.blobio import read_blob
 from attnfuse.cli import parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import read_pgm
-from attnfuse.model import ModelConfig, SelfProjections, config_hash
-from attnfuse.numerics import SeededRng
-from attnfuse.pipeline import VideoSpec, synth_video, write_frame_dir
-from attnfuse.store import load_store_dump
+from attnfuse.fusion import (BLEND, TAKE_SOURCE, EditConfig, FusionPlan,
+                             align_prompts, identity_alignment)
+from attnfuse.model import (KIND_SELF, TILE_ROWS, ModelConfig, SelfTiles,
+                            config_hash, denoiser_forward, embed_prompt,
+                            make_denoiser_weights)
+from attnfuse.numerics import SeededRng, derived_seed
+from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
+                               synth_video, write_frame_dir)
+from attnfuse.schedule import ddim_invert_step
+from attnfuse.store import AttentionStore, StoreMeta, load_store_dump
 
 BASE_CONFIG = """\
 [model]
@@ -239,13 +246,13 @@ def test_reconstruct_builds_one_self_map_per_step_and_layer(tmp_path,
     # style preset: tau = 1.0, so the blend mask is empty and the pass
     # takes each in-window self map whole from the source.
     built = []
-    original = SelfProjections.attn
+    original = SelfTiles.rows
 
-    def spy(proj):
-        built.append(proj)
-        return original(proj)
+    def spy(tiles, lo, hi):
+        built.append((tiles, lo))
+        return original(tiles, lo, hi)
 
-    monkeypatch.setattr(SelfProjections, "attn", spy)
+    monkeypatch.setattr(SelfTiles, "rows", spy)
     cfg = BASE_CONFIG.replace("preset = shape", "preset = style\ns_cfg = 1.0")
     path = tmp_path / "run.cfg"
     path.write_text(cfg)
@@ -254,7 +261,128 @@ def test_reconstruct_builds_one_self_map_per_step_and_layer(tmp_path,
     assert not read_pgm(out / "masks" / "0000.pgm").any()
     # T = 4 steps, 1 block: inversion builds 4 self maps, and the pass
     # builds or rebuilds one per step; sizing the empty mask builds none.
-    assert len(built) == 2 * 4 * 1
+    # 12x12 pixels make 3 tiles of query rows (64, 64, 16), each built once.
+    assert len(built) == 2 * 4 * 1 * 3
+    assert len(set(built)) == len(built)
+    assert sorted({lo for _, lo in built}) == [0, 64, 128]
+
+
+def _tile_bounds(hw):
+    return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
+
+
+def _recording(probe, log):
+    """A probe that answers as *probe* and logs each self tile the pass applies."""
+    def recording(site):
+        answer = probe(site)
+        if site.kind != KIND_SELF:
+            return answer
+        rows = site.own_rows if answer is None else answer
+
+        def logged(lo, hi):
+            tile = rows(lo, hi)
+            log[(site.t, site.layer, lo)] = tile.copy()
+            return tile
+
+        return logged
+
+    return recording
+
+
+def _clip(rc):
+    """(weights, z_0, source prompt, edit prompt) of a synth-video run config."""
+    weights = make_denoiser_weights(rc.model)
+    pixels, _ = synth_video(rc.video, SeededRng(derived_seed(rc.video_seed, "video")))
+    return (weights, pixels_to_latent(pixels, rc.model.c),
+            embed_prompt(rc.source_prompt, rc.model),
+            embed_prompt(rc.edit_prompt, rc.model))
+
+
+@pytest.mark.parametrize("height,width,start_col", [(8, 12, 5), (5, 13, 3)])
+def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch,
+                                                    height, width, start_col):
+    # h*w = 96 ends in a 32-row tail tile; h*w = 65 in a 1-row tail tile,
+    # which takes another BLAS path than a full tile.
+    cfg = (BASE_CONFIG.replace("height = 12", f"height = {height}")
+           .replace("width = 12", f"width = {width}")
+           .replace("start_row = 6", "start_row = 2")
+           .replace("start_col = 5", f"start_col = {start_col}")
+           .replace("object_size = 2", "object_size = 1"))
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg)
+    rc = parse_config(path)
+    hw = height * width
+    weights, z0, src, _ = _clip(rc)
+
+    # Rows applied during inversion are the rows the store rebuilds.
+    applied = {}
+    z = z0
+    store = AttentionStore(StoreMeta(T=rc.steps, blocks=rc.model.blocks,
+                                     config_hash=config_hash(rc.model)))
+    for t in range(rc.steps):
+        eps = denoiser_forward(z, t, src, weights, rc.steps,
+                               probe=_recording(store.record, applied))
+        z = ddim_invert_step(z, eps, t, rc.schedule)
+    assert sorted({lo for _, _, lo in applied}) == [lo for lo, _ in _tile_bounds(hw)]
+    for (t, layer, lo), tile in applied.items():
+        rebuilt = store.query(t, layer, KIND_SELF)
+        assert np.array_equal(rebuilt[:, :, lo:lo + tile.shape[2]], tile)
+
+    # A replay that takes each source map whole applies those same rows.
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
+                      identity_alignment(len(src.tokens)), store)
+    for t in range(rc.steps, 0, -1):
+        replayed = {}
+        denoiser_forward(z, t, src, weights, rc.steps,
+                         probe=_recording(plan.step_probe(t), replayed))
+        assert replayed.keys() == {(t, layer, lo) for (s, layer, lo) in applied
+                                   if s == t - 1}
+        for (_, layer, lo), tile in replayed.items():
+            assert np.array_equal(tile, applied[(t - 1, layer, lo)])
+
+    # Edit outputs do not depend on the worker count.
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    assert run(["edit", "--config", str(path), "--out", str(seq)]) == 0
+    monkeypatch.setenv("ATTNFUSE_THREADS", "2")
+    assert run(["edit", "--config", str(path), "--out", str(par)]) == 0
+    assert _dir_bytes(seq) == _dir_bytes(par)
+
+
+def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
+    rc = parse_config(config_path)  # shape preset: a partial mask
+    weights, z0, src, edit = _clip(rc)
+    z_T, store = invert_video(z0, src, rc.schedule, weights)
+    align = align_prompts(src.tokens, edit.tokens)
+    built = []
+    original = SelfTiles.rows
+
+    def spy(tiles, lo, hi):
+        built.append((tiles.projections, lo, hi))
+        return original(tiles, lo, hi)
+
+    monkeypatch.setattr(SelfTiles, "rows", spy)
+    bounds = _tile_bounds(rc.model.h * rc.model.w)
+    skipped = mixed = 0
+    for edit_cfg in (rc.edit, dataclasses.replace(rc.edit, tau=1.0)):
+        plan = FusionPlan(edit_cfg, align, store)
+        for t in range(rc.steps, plan.first_self - 1, -1):
+            built.clear()
+            denoiser_forward(z_T, t, edit, weights, rc.steps,
+                             probe=plan.step_probe(t))
+            source = store.projections(t - 1, 0)  # the config has one block
+            source_tiles = [(lo, hi) for p, lo, hi in built if p is source]
+            edit_tiles = [(lo, hi) for p, lo, hi in built if p is not source]
+            if plan.action(t, KIND_SELF) == TAKE_SOURCE:
+                assert edit_tiles == [] and source_tiles == bounds
+                continue
+            assert plan.action(t, KIND_SELF) == BLEND
+            mask = plan.self_mask(t, 0).mask
+            assert edit_tiles == [b for b in bounds if mask[:, slice(*b)].any()]
+            assert source_tiles == [b for b in bounds if not mask[:, slice(*b)].all()]
+            skipped += 2 * len(bounds) - len(edit_tiles) - len(source_tiles)
+            mixed += len(set(edit_tiles) & set(source_tiles))
+    # Some tiles spare a build, and some need both, which blend_self picks from.
+    assert skipped > 0 and mixed > 0
 
 
 def test_seed_override_changes_frames(tmp_path, config_path):
@@ -266,7 +394,8 @@ def test_seed_override_changes_frames(tmp_path, config_path):
     assert (a / "frames" / "0000.ppm").read_bytes() != \
            (b / "frames" / "0000.ppm").read_bytes()
     echo = json.loads((a / "metrics.json").read_text())["config"]
-    assert echo["model"]["seed"] == 9
+    assert echo["video"]["seed"] == 9
+    assert echo["model"]["seed"] == 5  # the weights keep [model] seed
 
 
 def test_threads_env_validation(tmp_path, config_path, monkeypatch):

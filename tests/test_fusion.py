@@ -12,7 +12,7 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, BlendMask,
                              fuse_cross, identity_alignment, mask_positions,
                              preset)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
-                            SelfProjections, tokenize)
+                            SelfProjections, tokenize, whole_map)
 from attnfuse.store import AttentionStore, StoreMeta
 
 
@@ -351,7 +351,8 @@ def test_plan_keeps_self_map_outside_window():
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
     assert plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    assert np.array_equal(plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)),
+    rows = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
+    assert np.array_equal(whole_map(rows, EDIT_SELF.shape),
                           store.query(1, 0, KIND_SELF))
 
 
@@ -384,13 +385,14 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
                           build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3).mask)
     assert plan.self_mask(1, 0) is mask
     got = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
-    assert np.array_equal(got, blend_self(edit_self, src_self, mask=mask))
+    assert np.array_equal(whole_map(got, edit_self.shape),
+                          blend_self(edit_self, src_self, mask=mask))
 
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
     assert plan.self_mask(1, 0).mask.shape == (2, 4)
     assert not plan.self_mask(1, 0).mask.any()
-    assert np.array_equal(plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1)),
-                          src_self)
+    rows = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
+    assert np.array_equal(whole_map(rows, edit_self.shape), src_self)
 
 
 def test_plan_takes_source_before_the_edit_map_is_built():
@@ -410,7 +412,8 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     probe = plan.step_probe(2)
     assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0, KIND_CROSS)
     edit_self = np.full((1, 1, 4, 8), 1.0 / 8)
-    assert np.array_equal(probe(site(KIND_SELF, edit_self)),
+    rows = probe(site(KIND_SELF, edit_self))
+    assert np.array_equal(whole_map(rows, edit_self.shape),
                           store.query(1, 0, KIND_SELF))
     assert built == []
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from attnfuse.errors import ContractViolation
-from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN,
-                            BlockWeights, ModelConfig, attend, config_hash,
-                            denoiser_forward, embed_prompt, encode_color,
-                            make_denoiser_weights, make_oracle_denoiser,
-                            spatiotemporal_attend, tokenize, token_vector)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TILE_ROWS,
+                            BlockWeights, ModelConfig, SelfTiles, attend,
+                            config_hash, denoiser_forward, embed_prompt,
+                            encode_color, make_denoiser_weights,
+                            make_oracle_denoiser, spatiotemporal_attend,
+                            tokenize, token_vector)
 from attnfuse.numerics import SeededRng, softmax_lastdim
 
 
@@ -121,12 +122,22 @@ def _block(rng, d, d_text):
                         w_mlp_in=g(d, 2 * d), w_mlp_out=g(2 * d, d))
 
 
+def _attend_and_map(feats, block, heads, d_head):
+    """(output, the self map it applied) of one spatiotemporal_attend call."""
+    seen = []
+    out = spatiotemporal_attend(feats, block, heads, d_head,
+                                supply=lambda p: seen.append(p) or SelfTiles(p).rows)
+    [proj] = seen
+    return out, proj.attn()
+
+
 def test_spatiotemporal_map_shape_and_rows():
     rng = np.random.default_rng(5)
     block = _block(rng, 8, 6)
     feats = _feats(rng, 4, 9, 8)
-    out, attn = spatiotemporal_attend(feats, block, 2, 4)
+    out, attn = _attend_and_map(feats, block, 2, 4)
     assert out.shape == (4, 9, 8)
+    assert np.array_equal(out, spatiotemporal_attend(feats, block, 2, 4))
     assert attn.shape == (4, 2, 9, 18)
     assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= 1e-9
 
@@ -136,7 +147,7 @@ def test_spatiotemporal_middle_frame_reduces_to_self():
     for n in (1, 2, 3, 5):
         block = _block(rng, 8, 6)
         feats = _feats(rng, n, 4, 8)
-        out, attn = spatiotemporal_attend(feats, block, 2, 4)
+        out, attn = _attend_and_map(feats, block, 2, 4)
         mid = n // 2
         # the middle frame sees its own keys twice; both halves agree
         assert np.max(np.abs(attn[mid, :, :, :4] - attn[mid, :, :, 4:])) <= 1e-9
@@ -221,6 +232,25 @@ def test_forward_pass_holds_one_self_map_at_a_time():
     assert peak - before < 60e6
     assert held - before < 1e6
     assert eps.shape == z.shape
+
+
+def test_forward_pass_holds_one_self_attention_tile_at_a_time():
+    cfg = ModelConfig(n=4, h=24, w=24, c=1, d_model=16, heads=2, d_head=8,
+                      blocks=2, d_text=16, seed=3)
+    weights = make_denoiser_weights(cfg)
+    prompt = embed_prompt("a red square", cfg)
+    z = SeededRng(8).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        denoiser_forward(z, 1, prompt, weights, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One tile of logits is n * heads * TILE_ROWS * (2*h*w) float64 values,
+    # 4.7 MB here; one whole self map would be 42.5 MB.
+    assert TILE_ROWS == 64
+    assert peak - before < 10e6
 
 
 def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
