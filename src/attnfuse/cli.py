@@ -48,7 +48,7 @@ _SCHEMA = {
         "d_head": (int, 8, "per-head width"),
         "blocks": (int, 2, "transformer blocks"),
         "d_text": (int, 16, "prompt embedding width"),
-        "seed": (int, 0, "seed of the model weights"),
+        "seed": (int, 0, "seed of the weights and the synth texture"),
     },
     "schedule": {
         "steps": (int, DEFAULT_STEPS, "diffusion steps T"),
@@ -75,7 +75,6 @@ _SCHEMA = {
         "start_col": (int, 8, "synth object start center column"),
         "step_row": (int, 0, "synth per-frame row motion"),
         "step_col": (int, 1, "synth per-frame column motion"),
-        "seed": (int, None, "seed of the synth texture; --seed overrides it"),
     },
 }
 
@@ -199,22 +198,25 @@ def parse_config(path: Path) -> RunConfig:
     else:
         raise ConfigError(f"video source must be synth or dir, got {source!r}")
 
-    video_seed = values["video"].get("seed", model.seed)
     echo = {section: {key: _resolved(values, section, key)
                       for key in sorted(_SCHEMA[section])}
             for section in _SCHEMA}
-    echo["video"]["seed"] = video_seed
+    if video_dir is None:
+        echo["video"]["seed"] = model.seed
     echo["edit"].update(preset=edit.mode, t_s=edit.t_s, t_c=edit.t_c,
                         tau=edit.tau, s_cfg=edit.s_cfg)
     return RunConfig(model=model, schedule=schedule, edit=edit,
                      source_prompt=g("edit", "source_prompt"),
                      edit_prompt=g("edit", "edit_prompt"),
-                     video=video, video_seed=video_seed, video_dir=video_dir,
+                     video=video, video_seed=model.seed, video_dir=video_dir,
                      out_dir=Path("out"), workers=0, echo=echo)
 
 
 def _apply_overrides(rc: RunConfig, seed: int | None, out: str | None) -> RunConfig:
     if seed is not None:
+        if rc.video_dir is not None:
+            raise ConfigError("--seed draws the synthetic clip and has no "
+                              "effect with [video] source = dir")
         rc.video_seed = seed
         rc.echo["video"]["seed"] = seed
     if out is not None:
@@ -326,9 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for section, keys in _SCHEMA.items():
         lines.append(f"  [{section}]")
         for key, (caster, default, help_text) in keys.items():
-            shown = default
-            if default is None:
-                shown = "(from preset)" if section == "edit" else "([model] seed)"
+            shown = "(from preset)" if default is None else default
             lines.append(f"    {key} = {shown}  # {help_text}")
     parser = _Parser(
         prog="attnfuse",
@@ -340,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("invert", "edit", "reconstruct", "selfcheck"))
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override [video] seed")
+                        help="redraw the synthetic clip (default [model] seed)")
     parser.add_argument("--out", default=None,
                         help="output directory (default ./out)")
     return parser

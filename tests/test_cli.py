@@ -16,7 +16,7 @@ from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import read_pgm
 from attnfuse.fusion import (BLEND, TAKE_SOURCE, EditConfig, FusionPlan,
                              align_prompts, identity_alignment)
-from attnfuse.model import (KIND_SELF, TILE_ROWS, ModelConfig, SelfTiles,
+from attnfuse.model import (KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
                             config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
@@ -192,6 +192,7 @@ def test_edit_writes_all_artifacts(tmp_path, config_path):
     assert len(payload["psnr"]) == 3
     assert payload["config"]["prompts"]["edit"] == "a blue square drifting right"
     assert payload["config"]["model"]["seed"] == 5
+    assert payload["config"]["video"]["seed"] == 5  # the clip follows [model] seed
 
 
 def test_edit_requires_edit_prompt(tmp_path):
@@ -265,10 +266,6 @@ def test_reconstruct_builds_one_self_map_per_step_and_layer(tmp_path,
     assert len(built) == 2 * 4 * 1 * 3
     assert len(set(built)) == len(built)
     assert sorted({lo for _, lo in built}) == [0, 64, 128]
-
-
-def _tile_bounds(hw):
-    return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
 
 
 def _recording(probe, log):
@@ -430,6 +427,11 @@ def test_frame_dir_source(tmp_path, config_path):
     out = tmp_path / "out"
     assert run(["invert", "--config", str(path), "--out", str(out)]) == 0
     assert (out / "z_T.bin").exists()
+    # --seed only draws the synthetic clip, so with frames read from a
+    # directory it would change nothing: a usage error.
+    assert run(["invert", "--config", str(path), "--out", str(tmp_path / "s"),
+                "--seed", "9"]) == 3
+    assert not (tmp_path / "s").exists()
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):

@@ -12,7 +12,7 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, BlendMask,
                              fuse_cross, identity_alignment, mask_positions,
                              preset)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
-                            SelfProjections, tokenize, whole_map)
+                            SelfProjections, SelfTiles, tokenize, whole_map)
 from attnfuse.store import AttentionStore, StoreMeta
 
 
@@ -393,6 +393,44 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     assert not plan.self_mask(1, 0).mask.any()
     rows = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
     assert np.array_equal(whole_map(rows, edit_self.shape), src_self)
+
+
+def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
+    # 2 frames of 12x12 pixels: tiles of query rows (0, 64), (64, 128), (128, 144).
+    # The mask clears every row of the first tile, sets every row of the
+    # second, and sets rows 128-135 of the third in frame 0 only.
+    hw = 144
+    mask = np.zeros((2, hw), dtype=bool)
+    mask[:, 64:128] = True
+    mask[0, 128:136] = True
+    cross = np.where(mask[:, None, :, None], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5])
+    cross = np.repeat(cross, 2, axis=1)  # (2 frames, 2 heads, hw, 3 tokens)
+    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
+    store.record(_site(KIND_CROSS, cross, t=0))
+    source = _projections(2, hw, heads=2, seed=5)
+    store.record(_self_site(0, source))
+    align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    assert np.array_equal(plan.self_mask(1, 0).mask, mask)
+
+    edit = _projections(2, hw, heads=2, seed=6)
+    site = _self_site(1, edit)
+    built = {"edit": [], "source": []}
+    own_rows = site.own_rows
+    site.own_rows = lambda lo, hi: built["edit"].append((lo, hi)) or own_rows(lo, hi)
+    original = SelfTiles.rows
+
+    def spy(tiles, lo, hi):
+        if tiles.projections is source:
+            built["source"].append((lo, hi))
+        return original(tiles, lo, hi)
+
+    monkeypatch.setattr(SelfTiles, "rows", spy)
+    rows = plan.step_probe(1)(site)
+    got = whole_map(rows, edit.shape)
+    assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
+    assert np.array_equal(got, blend_self(edit.attn(), source.attn(),
+                                          mask=BlendMask(mask=mask)))
 
 
 def test_plan_takes_source_before_the_edit_map_is_built():
