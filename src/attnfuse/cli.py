@@ -5,14 +5,14 @@ Subcommands: `invert` (archive attention and the inverted latent),
 (the identity edit), and `selfcheck` (built-in property suite).
 
 Exit codes: 0 success, 1 contract violation, 2 I/O failure, 3 bad
-configuration.  ATTNFUSE_THREADS caps worker threads (0 = sequential).
+configuration.  A guided edit evaluates its two guidance branches
+concurrently; the output equals their sequential evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +32,6 @@ from .pipeline import (VideoSpec, compute_metrics, invert_video,
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_STEPS,
                        NoiseSchedule, make_schedule)
 from .selfcheck import run_selfcheck
-
-ENV_THREADS = "ATTNFUSE_THREADS"
 
 # section -> key -> (caster, default, help). The parser rejects anything
 # not listed here.
@@ -92,7 +90,6 @@ class RunConfig:
     video_seed: int
     video_dir: Path | None
     out_dir: Path
-    workers: int
     echo: dict
 
     @property
@@ -192,6 +189,8 @@ def parse_config(path: Path) -> RunConfig:
         except ContractViolation as exc:
             raise ConfigError(str(exc)) from exc
     elif source == "dir":
+        if not g("video", "dir"):
+            raise ConfigError("[video] source = dir needs a [video] dir")
         video_dir = Path(g("video", "dir"))
         if not video_dir.is_dir():
             raise ConfigError(f"video dir does not exist: {video_dir}")
@@ -209,7 +208,7 @@ def parse_config(path: Path) -> RunConfig:
                      source_prompt=g("edit", "source_prompt"),
                      edit_prompt=g("edit", "edit_prompt"),
                      video=video, video_seed=model.seed, video_dir=video_dir,
-                     out_dir=Path("out"), workers=0, echo=echo)
+                     out_dir=Path("out"), echo=echo)
 
 
 def _apply_overrides(rc: RunConfig, seed: int | None, out: str | None) -> RunConfig:
@@ -222,17 +221,6 @@ def _apply_overrides(rc: RunConfig, seed: int | None, out: str | None) -> RunCon
     if out is not None:
         rc.out_dir = Path(out)
     return rc
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "0")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-    if workers < 0:
-        raise ConfigError(f"{ENV_THREADS} must be >= 0, got {workers}")
-    return workers
 
 
 def _load_source_video(rc: RunConfig) -> np.ndarray:
@@ -291,7 +279,7 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
                       store)
     z_out = run_denoise(z_T, edit_emb, rc.schedule, weights, rc.edit.s_cfg,
-                        plan=plan, workers=rc.workers)
+                        plan=plan)
     out_pixels = quantize(latent_to_pixels(z_out, rc.model.c)).astype(np.float64)
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
@@ -360,7 +348,6 @@ def run(argv: list[str]) -> int:
         if not args.config:
             raise ConfigError(f"{args.command} requires --config")
         rc = parse_config(Path(args.config))
-        rc.workers = _worker_count()
         rc = _apply_overrides(rc, args.seed, args.out)
         if args.command == "invert":
             return _run_invert(rc)

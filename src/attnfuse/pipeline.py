@@ -171,14 +171,16 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
 
 def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 sched: NoiseSchedule, weights: DenoiserWeights, s_cfg: float,
-                plan: FusionPlan | None = None, workers: int = 0) -> np.ndarray:
+                plan: FusionPlan | None = None) -> np.ndarray:
     """Denoise from z_T down to z_0 under classifier-free guidance at s_cfg.
 
     Without a plan this is plain sampling.  With one, the conditional
     branch's maps are rewritten as the plan decides, from the inversion
-    store it reads; the unconditional branch always runs probe-free, and
-    not at all at s_cfg = 1.  workers >= 2 evaluates the two guidance
-    branches concurrently; results do not depend on the worker count.
+    store it reads.  The unconditional branch runs probe-free on a
+    one-thread pool while the conditional branch runs on the calling
+    thread; the two share no mutable state, so the result equals their
+    sequential evaluation bit for bit.  At s_cfg = 1 the unconditional
+    branch is not evaluated and the pool starts no thread.
     """
     cfg = weights.config
     if plan is not None:
@@ -188,23 +190,16 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 "store was captured under a different model config")
     uncond = embed_prompt("", cfg)
     z = np.asarray(z_start, dtype=np.float64)
-    guided = s_cfg != 1.0
-    pool = ThreadPoolExecutor(max_workers=1) if guided and workers >= 2 else None
-    try:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for t in range(sched.T, 0, -1):
             probe = plan.step_probe(t) if plan is not None else None
-            fut = (pool.submit(denoiser_forward, z, t, uncond, weights, sched.T, None)
-                   if pool is not None else None)
+            fut = (pool.submit(denoiser_forward, z, t, uncond, weights, sched.T)
+                   if s_cfg != 1.0 else None)
             eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
                                    probe=probe)
-            if guided:
-                eps_u = (fut.result() if fut is not None else
-                         denoiser_forward(z, t, uncond, weights, n_steps=sched.T))
-                eps = cfg_combine(eps_u, eps, s_cfg)
+            if fut is not None:
+                eps = cfg_combine(fut.result(), eps, s_cfg)
             z = ddim_step(z, eps, t, sched)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
     return z
 
 

@@ -309,8 +309,7 @@ object_size = 2
 """
 
 
-def test_criterion_10_edit_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("ATTNFUSE_THREADS", raising=False)
+def test_criterion_10_edit_determinism(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(ACCEPT_CONFIG)
     first, second = tmp_path / "first", tmp_path / "second"

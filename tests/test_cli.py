@@ -60,11 +60,6 @@ def config_path(tmp_path):
     return path
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("ATTNFUSE_THREADS", raising=False)
-
-
 def _dir_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -118,6 +113,7 @@ def test_parse_preset_overrides(tmp_path):
     ("[edit]\npreset = sharpen\n", "sharpen"),
     ("[video]\nsource = webcam\n", "synth or dir"),
     ("[video]\nsource = dir\ndir = /no/such/dir\n", "does not exist"),
+    ("[video]\nsource = dir\n", "[video] dir"),  # not the working directory
     ("[video]\nstart_col = 14\n", "leaves the frame"),
 ])
 def test_parse_errors(tmp_path, text, fragment):
@@ -296,8 +292,8 @@ def _clip(rc):
 
 
 @pytest.mark.parametrize("height,width,start_col", [(8, 12, 5), (5, 13, 3)])
-def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch,
-                                                    height, width, start_col):
+def test_self_rows_are_exact_across_tile_boundaries(tmp_path, height, width,
+                                                    start_col):
     # h*w = 96 ends in a 32-row tail tile; h*w = 65 in a 1-row tail tile,
     # which takes another BLAS path than a full tile.
     cfg = (BASE_CONFIG.replace("height = 12", f"height = {height}")
@@ -336,13 +332,6 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch,
                                    if s == t - 1}
         for (_, layer, lo), tile in replayed.items():
             assert np.array_equal(tile, applied[(t - 1, layer, lo)])
-
-    # Edit outputs do not depend on the worker count.
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert run(["edit", "--config", str(path), "--out", str(seq)]) == 0
-    monkeypatch.setenv("ATTNFUSE_THREADS", "2")
-    assert run(["edit", "--config", str(path), "--out", str(par)]) == 0
-    assert _dir_bytes(seq) == _dir_bytes(par)
 
 
 def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
@@ -395,26 +384,6 @@ def test_seed_override_changes_frames(tmp_path, config_path):
     assert echo["model"]["seed"] == 5  # the weights keep [model] seed
 
 
-def test_threads_env_validation(tmp_path, config_path, monkeypatch):
-    monkeypatch.setenv("ATTNFUSE_THREADS", "many")
-    assert run(["edit", "--config", str(config_path),
-                "--out", str(tmp_path / "o")]) == 3
-    monkeypatch.setenv("ATTNFUSE_THREADS", "-1")
-    assert run(["edit", "--config", str(config_path),
-                "--out", str(tmp_path / "o")]) == 3
-
-
-def test_threads_do_not_change_output(tmp_path, config_path, monkeypatch):
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert run(["edit", "--config", str(config_path), "--out", str(seq)]) == 0
-    monkeypatch.setenv("ATTNFUSE_THREADS", "2")
-    assert run(["edit", "--config", str(config_path), "--out", str(par)]) == 0
-    left, right = _dir_bytes(seq), _dir_bytes(par)
-    assert left.keys() == right.keys()
-    for name in left:
-        assert left[name] == right[name], name
-
-
 def test_frame_dir_source(tmp_path, config_path):
     frames = tmp_path / "src_frames"
     spec = VideoSpec(n=3, h=12, w=12, size=2, start=(6, 5),
@@ -432,6 +401,19 @@ def test_frame_dir_source(tmp_path, config_path):
     assert run(["invert", "--config", str(path), "--out", str(tmp_path / "s"),
                 "--seed", "9"]) == 3
     assert not (tmp_path / "s").exists()
+
+
+def test_readme_example_config_is_the_benchmark_edit_config(tmp_path):
+    # The README's store-size figures are those of this config.
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    path = tmp_path / "readme.cfg"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    ours = parse_config(path)
+    bench = parse_config(root / "perfbench" / "configs" / "edit_attr.cfg")
+    assert (ours.model, ours.edit, ours.video) == (bench.model, bench.edit,
+                                                  bench.video)
+    assert ours.echo == bench.echo  # also the schedule, prompts and [video] keys
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):

@@ -2,20 +2,24 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from attnfuse import pipeline
 from attnfuse.errors import ContractViolation
-from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
-                             identity_alignment)
-from attnfuse.model import ModelConfig, embed_prompt, make_denoiser_weights
+from attnfuse.fusion import (BLEND, FUSE, EditConfig, FusionPlan,
+                             align_prompts, identity_alignment)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig,
+                            denoiser_forward, embed_prompt,
+                            make_denoiser_weights)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import (VideoSpec, compute_metrics, decode, encode,
                                invert_video, latent_to_pixels,
                                pixels_to_latent, read_frame_dir, run_denoise,
                                synth_video, write_frame_dir)
-from attnfuse.schedule import make_schedule
+from attnfuse.schedule import cfg_combine, ddim_step, make_schedule
 
 
 def test_video_spec_validation():
@@ -153,16 +157,40 @@ def test_fused_reconstruction_at_t50():
     assert float(np.mean((recon - z0) ** 2)) <= 1e-3
 
 
-def test_worker_count_does_not_change_results(tiny_cfg, tiny_weights,
-                                              tiny_inversion):
+def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
+                                                    tiny_inversion, monkeypatch):
     sched, prompt, _, z_T, store = tiny_inversion
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=7.5),
-                      identity_alignment(len(prompt.tokens)), store)
-    seq = run_denoise(z_T, prompt, sched, tiny_weights, 7.5, plan=plan,
-                      workers=0)
-    par = run_denoise(z_T, prompt, sched, tiny_weights, 7.5, plan=plan,
-                      workers=2)
-    assert np.array_equal(seq, par)
+    edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
+    align = align_prompts(prompt.tokens, edit_emb.tokens)
+    make_plan = lambda: FusionPlan(
+        EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5), align, store)
+    plan = make_plan()
+    steps = range(sched.T, 0, -1)
+    assert FUSE in {plan.action(t, KIND_CROSS) for t in steps}
+    assert BLEND in {plan.action(t, KIND_SELF) for t in steps}
+
+    uncond = embed_prompt("", tiny_cfg)
+    z = z_T
+    for t in steps:
+        eps_c = denoiser_forward(z, t, edit_emb, tiny_weights, sched.T,
+                                 probe=plan.step_probe(t))
+        eps_u = denoiser_forward(z, t, uncond, tiny_weights, sched.T)
+        z = ddim_step(z, cfg_combine(eps_u, eps_c, 7.5), t, sched)
+
+    calls = []
+
+    def spy(z_t, t, branch, *args, **kwargs):
+        calls.append((branch is edit_emb, threading.get_ident()))
+        return denoiser_forward(z_t, t, branch, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "denoiser_forward", spy)
+    out = run_denoise(z_T, edit_emb, sched, tiny_weights, 7.5, plan=make_plan())
+    assert np.array_equal(out, z)
+    caller = threading.get_ident()
+    cond = [ident for is_cond, ident in calls if is_cond]
+    other = [ident for is_cond, ident in calls if not is_cond]
+    assert cond == [caller] * sched.T
+    assert len(other) == sched.T and caller not in other
 
 
 def test_edit_pass_runs_with_real_alignment(tiny_cfg, tiny_weights,
