@@ -21,7 +21,8 @@ import numpy as np
 
 from . import blobio
 from .errors import ConfigError, ContractViolation
-from .fusion import EditConfig, FusionPlan, MODES, align_prompts, preset
+from .fusion import (EditConfig, FusionPlan, MODES, align_prompts, preset,
+                     word_attention)
 from .imageio import quantize, write_pgm
 from .model import (KIND_CROSS, ModelConfig, config_hash, embed_prompt,
                     make_denoiser_weights)
@@ -258,24 +259,29 @@ def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)
     attn = plan.source_map(1, 0, KIND_CROSS)  # inversion step 0's record
-    columns = list(plan.positions) or list(range(1, attn.shape[-1])) or [0]
-    agg = attn.mean(axis=1)[..., columns].sum(axis=-1)
+    # The mask's words, or every word (the start token if there is none).
+    columns = plan.positions or tuple(range(1, attn.shape[-1])) or (0,)
+    heat = word_attention(attn, columns)
     for i in range(rc.model.n):
-        write_heatmap(agg[i].reshape(h, w), heat_dir / f"{i:04d}.pgm")
+        write_heatmap(heat[i].reshape(h, w), heat_dir / f"{i:04d}.pgm")
+
+
+def _invert_source(rc: RunConfig):
+    """(weights, z_0, source prompt embedding, z_T, store) of the source video."""
+    weights = make_denoiser_weights(rc.model)
+    z0 = pixels_to_latent(_load_source_video(rc), rc.model.c)
+    src_emb = embed_prompt(rc.source_prompt, rc.model)
+    z_T, store = invert_video(z0, src_emb, rc.schedule, weights)
+    return weights, z0, src_emb, z_T, store
 
 
 def _run_edit(rc: RunConfig, identity: bool) -> int:
-    weights = make_denoiser_weights(rc.model)
     edit_text = rc.source_prompt if identity else rc.edit_prompt
     if not identity and not rc.edit_prompt:
         raise ConfigError("edit requires edit_prompt in [edit]")
 
-    pixels = _load_source_video(rc)
-    z0 = pixels_to_latent(pixels, rc.model.c)
-    src_emb = embed_prompt(rc.source_prompt, rc.model)
+    weights, z0, src_emb, z_T, store = _invert_source(rc)
     edit_emb = embed_prompt(edit_text, rc.model)
-
-    z_T, store = invert_video(z0, src_emb, rc.schedule, weights)
     plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
                       store)
     z_out = run_denoise(z_T, edit_emb, rc.schedule, weights, rc.edit.s_cfg,
@@ -297,11 +303,7 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
 
 
 def _run_invert(rc: RunConfig) -> int:
-    weights = make_denoiser_weights(rc.model)
-    pixels = _load_source_video(rc)
-    z0 = pixels_to_latent(pixels, rc.model.c)
-    src_emb = embed_prompt(rc.source_prompt, rc.model)
-    z_T, store = invert_video(z0, src_emb, rc.schedule, weights)
+    *_, z_T, store = _invert_source(rc)
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     blobio.write_blob(rc.out_dir / "z_T.bin", config_hash(rc.model), [z_T])

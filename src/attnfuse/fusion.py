@@ -4,13 +4,14 @@ During the editing pass the denoiser's attention maps are rewritten
 from the inversion store.  Cross-attention columns of tokens shared by
 both prompts are replaced with the source columns; self-attention rows
 are switched between edit and source by a binary mask thresholded from
-the source prompt's cross-attention.  Both rewrites only apply inside
-a configured window of denoising steps.
+the source prompt's cross-attention on the words the edit drops
+(`word_attention`, which `heatmaps/` shows too).  Both rewrites only
+apply inside a configured window of denoising steps.
 
 `FusionPlan` is the one place these decisions are made: for each step,
 layer and kind it names the single action, and `fuse_cross`,
 `blend_self` and `build_blend_mask` are the pure array rewrites it
-applies.
+applies.  Inside the self window the action is always `BLEND`.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
@@ -184,23 +185,25 @@ def fuse_cross(c_edit: np.ndarray, c_src: np.ndarray,
     return fused / sums
 
 
+def word_attention(c_src: np.ndarray, columns: tuple[int, ...]) -> np.ndarray:
+    """Head-averaged attention on *columns* of a cross map, summed and
+    max-normalized per frame: (n, q), each frame peaking at exactly 1."""
+    require(len(columns) >= 1, "word attention needs at least one column")
+    require(len(set(columns)) == len(columns), f"duplicate columns: {columns}")
+    n_cols = c_src.shape[-1]
+    for p in columns:
+        require(0 <= p < n_cols, f"column {p} outside map with {n_cols} columns")
+    return maxnorm_frame(c_src.mean(axis=1)[..., list(columns)].sum(axis=-1))
+
+
 def build_blend_mask(c_src: np.ndarray, word_positions: tuple[int, ...],
                      tau: float) -> BlendMask:
-    """Threshold a source cross-attention map into a mask.
+    """Threshold the `word_attention` of *word_positions* into a mask.
 
-    Head-averaged attention is summed over *word_positions* columns,
-    max-normalized per frame, and compared against tau with a strict
-    inequality, so tau = 1.0 yields the empty mask.
+    The comparison against tau is strict, so tau = 1.0 yields the empty
+    mask.
     """
-    require(len(word_positions) >= 1, "mask needs at least one word position")
-    require(len(set(word_positions)) == len(word_positions),
-            f"duplicate word positions: {word_positions}")
-    n_cols = c_src.shape[-1]
-    for p in word_positions:
-        require(0 <= p < n_cols,
-                f"word position {p} outside map with {n_cols} columns")
-    agg = c_src.mean(axis=1)[..., list(word_positions)].sum(axis=-1)
-    return BlendMask(mask=maxnorm_frame(agg) > tau)
+    return BlendMask(mask=word_attention(c_src, word_positions) > tau)
 
 
 def blend_self(s_edit: np.ndarray, s_src: np.ndarray, *,
@@ -238,19 +241,8 @@ def _blend_tiles(edit: TileRows, source: TileRows, mask: BlendMask) -> TileRows:
     return rows
 
 
-def mask_positions(alignment: PromptAlignment) -> tuple[int, ...]:
-    """Source-token columns the blend mask is built from.
-
-    The stored cross maps are indexed by source tokens, so the mask
-    follows the source-side tokens that the edit drops (a substituted or
-    removed object).  With nothing dropped there is nothing to re-layout
-    and the mask is empty, meaning the source rows win everywhere.
-    """
-    return alignment.removed_positions
-
-
 KEEP = "keep"                 # the edit map stands
-TAKE_SOURCE = "take_source"   # the recorded map replaces it whole
+TAKE_SOURCE = "take_source"   # the recorded cross map replaces it whole
 FUSE = "fuse"                 # fuse_cross swaps in matched columns
 BLEND = "blend"               # blend_self picks rows by the blend mask
 
@@ -262,26 +254,29 @@ class FusionPlan:
     alignment and the inversion store, which carries T.  A window covers the steps
     t >= ceil(frac * T), down to first_self or first_cross.  Inside it a
     cross map is fused, or taken whole from the source when the alignment
-    is the identity, and a self map is blended by the mask, or taken whole
-    from the source when that mask is provably empty: no source word was
-    removed, or tau >= 1 (the test is strict and normalized values <= 1).
+    is the identity, and a self map is blended by the mask.  The mask is
+    empty when it provably sets no pixel: no source word was removed, or
+    tau >= 1 (the test is strict and normalized values <= 1).  Then it is
+    not built from the cross map, and one all-clear mask serves the plan.
 
     A cross map taken whole is the store's read-only array, handed to the
     forward pass before the edit map is computed, so the pass skips that
     map's QK^T and softmax and applies the array without a copy.  A self
     site is answered with a tile function over the source's
-    `SelfProjections`: taken whole, it builds the source rows of each
-    tile and never the edit's; blended, it also carries the step's
-    `BlendMask` and builds, per tile, the edit rows only where the mask
-    sets a row and the source rows only where it clears one.  Each mask
-    is built once and kept, so later readers get the mask the pass
-    applied.
+    `SelfProjections` and the step's `BlendMask`: per tile, it builds the
+    edit rows only where the mask sets a row and the source rows only
+    where it clears one, so under an empty mask it builds the source rows
+    of each tile and never the edit's.  Each mask is built once and kept,
+    so later readers get the mask the pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
                  store: AttentionStore):
         self.cfg, self.alignment, self.store = cfg, alignment, store
-        self.positions = mask_positions(alignment)
+        # The stored cross maps are indexed by source tokens, so the mask
+        # follows the source-side tokens that the edit drops (a substituted
+        # or removed object).
+        self.positions = alignment.removed_positions
         # Step t is inside when t >= frac*T - 1e-9, i.e. when t >= first(frac);
         # the 1e-9 absorbs float dust, so 0.3 * 50 lands on step 15.
         first = lambda frac: max(1, math.ceil(frac * store.meta.T - 1e-9))
@@ -290,7 +285,7 @@ class FusionPlan:
         # Matched pairs increase in both indices, so an alignment with no
         # edited and no removed token is the identity: the source map whole.
         self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
-        self._masks: dict[tuple[int, int], BlendMask] = {}
+        self._masks: dict[tuple[int, int] | None, BlendMask] = {}
 
     def source_map(self, t: int, layer: int, kind: str) -> np.ndarray:
         """The read-only map that denoising step t replays: inversion step t-1's.
@@ -305,34 +300,31 @@ class FusionPlan:
         return self.store.projections(t - 1, layer)
 
     def action(self, t: int, kind: str) -> str:
-        """KEEP, TAKE_SOURCE, FUSE or BLEND for the kind's maps at step t."""
+        """KEEP, TAKE_SOURCE or FUSE for a cross map at step t; KEEP or BLEND for a self map."""
         if kind == KIND_CROSS:
             if t < self.first_cross:
                 return KEEP
             return FUSE if self._fuses else TAKE_SOURCE
-        if t < self.first_self:
-            return KEEP
-        return BLEND if self._blends else TAKE_SOURCE
+        return KEEP if t < self.first_self else BLEND
 
     def self_mask(self, t: int, layer: int) -> BlendMask:
         """Pixels whose self-attention rows follow the edit at step t."""
-        mask = self._masks.get((t, layer))
+        key = (t, layer) if self._blends else None  # one empty mask per plan
+        mask = self._masks.get(key)
         if mask is None:
             if self._blends:
                 mask = build_blend_mask(self.source_map(t, layer, KIND_CROSS),
                                         self.positions, self.cfg.tau)
-            else:  # sized by the cross map, which is stored, not rebuilt
-                n, _, q, _ = self.source_map(t, layer, KIND_CROSS).shape
+            else:  # sized by the self record, which every self site has
+                n, _, q, _ = self.source_projections(t, layer).shape
                 mask = BlendMask(mask=np.zeros((n, q), dtype=bool))
-            self._masks[(t, layer)] = mask
+            self._masks[key] = mask
         return mask
 
-    def _self_answer(self, t: int, act: str, site) -> TileRows:
+    def _self_answer(self, t: int, site) -> TileRows:
         source = self.source_projections(t, site.layer)
         require(source.shape == site.shape,
                 f"source self map shape {source.shape} != map shape {site.shape}")
-        if act == TAKE_SOURCE:
-            return SelfTiles(source).rows
         mask = self.self_mask(t, site.layer)
         n, _, q, _ = site.shape
         require(mask.mask.shape == (n, q),
@@ -351,7 +343,7 @@ class FusionPlan:
                 return None
             try:
                 if site.kind == KIND_SELF:
-                    return self._self_answer(t, act, site)
+                    return self._self_answer(t, site)
                 # TAKE_SOURCE never reads site.attn, so the edit map is not built.
                 src = self.source_map(t, site.layer, KIND_CROSS)
                 return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src

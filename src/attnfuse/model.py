@@ -12,9 +12,10 @@ the only way a map leaves the forward pass, which returns the predicted
 noise alone.  The probe sees an `AttentionSite` whose map is computed
 only when read, so a probe that supplies its own map spares the QK^T
 and the softmax.  A replacement map is checked for shape, finiteness
-and row sums before it is applied; the pass's own softmax output is not
-re-checked.  Second, all randomness flows from explicit seeds, so
-identical inputs give bit-identical outputs.
+and row sums before it is applied; the rows of a tile function get a
+shape check per tile; the pass's own softmax output is not re-checked.
+Second, all randomness flows from explicit seeds, so identical inputs
+give bit-identical outputs.
 
 Self-attention runs in tiles of TILE_ROWS query rows: the softmax and
 `attn @ V` of one tile finish before the next tile's logits are
@@ -43,8 +44,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .numerics import (SeededRng, check_finite, derived_seed, fnv1a64,
-                       require, softmax_lastdim)
+from .numerics import (SeededRng, check_finite, check_rows, derived_seed,
+                       fnv1a64, require, softmax_lastdim)
 
 START_TOKEN = "<start>"
 POS_DIM = 8          # 2D sinusoidal position features per pixel token
@@ -422,19 +423,14 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
 
 
 def _checked(replacement, site: AttentionSite) -> np.ndarray:
-    """A probe's replacement map, checked against *site* and made read-only."""
+    """A probe's replacement map, checked against *site*; the pass applies it at once."""
     where = f"({site.kind}, t={site.t}, layer={site.layer})"
     replacement = np.asarray(replacement, dtype=np.float64)
     require(replacement.shape == site.shape,
             f"probe replacement shape {replacement.shape} != map shape "
             f"{site.shape} {where}")
     check_finite("probe replacement", replacement)
-    worst = float(np.abs(replacement.sum(axis=-1) - 1.0).max())
-    require(worst <= 1e-6,
-            f"probe replacement rows deviate from 1 by {worst:.3e} {where}")
-    if replacement.base is not None or replacement.flags.writeable:
-        replacement = replacement.copy()
-    replacement.setflags(write=False)
+    check_rows(f"probe replacement {where}", replacement, 1e-6)
     return replacement
 
 

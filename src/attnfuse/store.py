@@ -11,8 +11,9 @@ holds T*L entries per kind.
 
 `AttentionStore.record` is inversion's probe; it keeps the pass's own
 maps unchecked.  A loaded dump comes from outside the program, so
-`load_store_dump` checks each cross map's kind, shape and row sums
-before it adds it.
+`load_store_dump` checks its index (each record's key in range and
+stored in the file `dump` names for it) and each cross map's kind,
+shape and row sums before it adds it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
 from .model import KIND_CROSS, KIND_SELF, AttentionSite, SelfProjections
-from .numerics import require
+from .numerics import check_rows, require
 
 # Format of a store dump's index.json and blobs.  Version 2 keeps self
 # attention as projections; version 1 dumps (no "version" key) held maps.
@@ -38,6 +39,18 @@ class AttentionKey(NamedTuple):
     t: int
     layer: int
     kind: str
+
+
+def _blob_name(key: AttentionKey) -> str:
+    """The file a dump stores *key*'s entry in."""
+    return f"{key.kind}_t{key.t:04d}_l{key.layer:02d}.bin"
+
+
+def _fields(obj, names: tuple[str, ...], where: str) -> list:
+    """obj[name] for each of *names* of a parsed index object."""
+    missing = [n for n in names if not isinstance(obj, dict) or n not in obj]
+    require(not missing, f"{where}: missing {', '.join(missing)}")
+    return [obj[n] for n in names]
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,7 @@ class AttentionStore:
         }
         for key in sorted(self._records):
             entry = self._records[key]
-            name = f"{key.kind}_t{key.t:04d}_l{key.layer:02d}.bin"
+            name = _blob_name(key)
             item = {"t": key.t, "layer": key.layer, "kind": key.kind, "file": name}
             if key.kind == KIND_SELF:
                 arrays = [entry.queries, entry.keys]
@@ -137,33 +150,48 @@ class AttentionStore:
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Read a dump back; each cross map is checked, as it comes from a file."""
+    """Read a dump back, checking its index and each cross map, as they come from files."""
     directory = Path(directory)
-    index = json.loads((directory / "index.json").read_text())
+    index_path = directory / "index.json"
+    try:
+        index = json.loads(index_path.read_text())
+    except ValueError as exc:
+        raise ContractViolation(f"{index_path}: not a JSON index: {exc}") from None
+    require(isinstance(index, dict), f"{index_path}: index must be a JSON object")
     found = index.get("version", 1)
     if found != DUMP_VERSION:
         raise ContractViolation(
             f"{directory}: store dump format version {found}, expected "
             f"{DUMP_VERSION}; invert the video again to rewrite it")
-    meta = StoreMeta(T=index["T"], blocks=index["blocks"],
-                     config_hash=index["config_hash"])
-    store = AttentionStore(meta)
-    for entry in index["records"]:
-        path, shape = directory / entry["file"], tuple(entry["shape"])
-        key = AttentionKey(entry["t"], entry["layer"], entry["kind"])
-        if key.kind == KIND_SELF:
-            queries, keys = blobio.read_blob(path, meta.config_hash, [shape, shape])
-            store._add(key, SelfProjections(queries=queries, keys=keys,
-                                            heads=entry["heads"]))
+    T, blocks, hash_, records = _fields(index, ("T", "blocks", "config_hash", "records"),
+                                        str(index_path))
+    require(all(type(v) is int for v in (T, blocks, hash_)) and isinstance(records, list),
+            f"{index_path}: T, blocks and config_hash must be integers, records a list")
+    store = AttentionStore(StoreMeta(T=T, blocks=blocks, config_hash=hash_))
+    for i, entry in enumerate(records):
+        t, layer, kind, name, shape = _fields(
+            entry, ("t", "layer", "kind", "file", "shape"), f"{index_path}: record {i}")
+        path = directory / str(name)
+        require(kind in (KIND_SELF, KIND_CROSS),
+                f"{path}: record kind must be self or cross, got {kind!r}")
+        require(type(t) is int and 0 <= t < T, f"{path}: t = {t!r} outside [0, {T})")
+        require(type(layer) is int and 0 <= layer < blocks,
+                f"{path}: layer = {layer!r} outside [0, {blocks})")
+        require(isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape),
+                f"{path}: shape must be a list of sizes, got {shape!r}")
+        shape = tuple(shape)
+        key = AttentionKey(t, layer, kind)
+        require(name == _blob_name(key),
+                f"{path}: the record of {tuple(key)} must be in {_blob_name(key)}")
+        if kind == KIND_SELF:
+            [heads] = _fields(entry, ("heads",), f"{index_path}: record {i}")
+            require(type(heads) is int, f"{path}: heads must be an integer, got {heads!r}")
+            queries, keys = blobio.read_blob(path, hash_, [shape, shape])
+            store._add(key, SelfProjections(queries=queries, keys=keys, heads=heads))
             continue
-        require(key.kind == KIND_CROSS,
-                f"{path}: record kind must be self or cross, got {key.kind!r}")
         require(len(shape) == 4, f"{path}: cross map must be 4-D "
                                  f"(n, heads, q, k), got shape {shape}")
-        [attn] = blobio.read_blob(path, meta.config_hash, [shape])
-        # A NaN or infinite entry makes its row sum non-finite, which fails too.
-        worst = float(np.abs(attn.sum(axis=-1) - 1.0).max())
-        require(worst <= 1e-9, f"{path}: cross map rows deviate from 1 "
-                               f"by {worst:.3e} (tol 1e-09)")
+        [attn] = blobio.read_blob(path, hash_, [shape])
+        check_rows(f"{path}: cross map", attn, 1e-9)
         store._add(key, attn)
     return store

@@ -13,10 +13,10 @@ import pytest
 from attnfuse.blobio import read_blob
 from attnfuse.cli import parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
-from attnfuse.imageio import read_pgm
-from attnfuse.fusion import (BLEND, TAKE_SOURCE, EditConfig, FusionPlan,
-                             align_prompts, identity_alignment)
-from attnfuse.model import (KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
+from attnfuse.imageio import quantize, read_pgm
+from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
+                             identity_alignment, word_attention)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
                             config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
@@ -191,6 +191,24 @@ def test_edit_writes_all_artifacts(tmp_path, config_path):
     assert payload["config"]["video"]["seed"] == 5  # the clip follows [model] seed
 
 
+@pytest.mark.parametrize("command,columns", [
+    ("edit", (2,)),                    # the dropped word, "red"
+    ("reconstruct", (1, 2, 3, 4, 5)),  # nothing dropped: every word
+])
+def test_heatmaps_show_the_word_attention_of_inversion_step_0(tmp_path, config_path,
+                                                              command, columns):
+    out = tmp_path / command
+    assert run([command, "--config", str(config_path), "--out", str(out)]) == 0
+    rc = parse_config(config_path)
+    weights, z0, src, _ = _clip(rc)
+    assert src.tokens[2] == "red" and len(src.tokens) == 6
+    _, store = invert_video(z0, src, rc.schedule, weights)
+    want = quantize(255.0 * word_attention(store.query(0, 0, KIND_CROSS), columns))
+    for i in range(rc.model.n):
+        written = read_pgm(out / "heatmaps" / f"{i:04d}.pgm")
+        assert np.array_equal(written, want[i].reshape(12, 12)), i
+
+
 def test_edit_requires_edit_prompt(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[schedule]\nsteps = 2\n")
@@ -358,9 +376,6 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
             source = store.projections(t - 1, 0)  # the config has one block
             source_tiles = [(lo, hi) for p, lo, hi in built if p is source]
             edit_tiles = [(lo, hi) for p, lo, hi in built if p is not source]
-            if plan.action(t, KIND_SELF) == TAKE_SOURCE:
-                assert edit_tiles == [] and source_tiles == bounds
-                continue
             assert plan.action(t, KIND_SELF) == BLEND
             mask = plan.self_mask(t, 0).mask
             assert edit_tiles == [b for b in bounds if mask[:, slice(*b)].any()]

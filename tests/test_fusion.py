@@ -9,8 +9,7 @@ from attnfuse.errors import ContractViolation, MissingRecordError
 from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, BlendMask,
                              EditConfig, FusionPlan, PromptAlignment,
                              align_prompts, blend_self, build_blend_mask,
-                             fuse_cross, identity_alignment, mask_positions,
-                             preset)
+                             fuse_cross, identity_alignment, preset)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
                             SelfProjections, SelfTiles, tokenize, whole_map)
 from attnfuse.store import AttentionStore, StoreMeta
@@ -68,6 +67,7 @@ def test_plan_rewrites_exactly_the_window_steps(T, frac):
     plan = _plan(t_s=frac, t_c=frac, T=T)
     for t in range(1, T + 1):
         inside = t >= frac * T - 1e-9
+        assert plan.action(t, KIND_SELF) in (KEEP, BLEND)
         assert (plan.action(t, KIND_SELF) != KEEP) == inside
         assert (plan.action(t, KIND_CROSS) != KEEP) == inside
         assert (plan.step_probe(t) is not None) == inside
@@ -91,10 +91,16 @@ def _self_site(t, proj):
 
 
 def test_plan_takes_source_whole_when_mask_is_provably_empty():
-    assert _plan(0.5, 0.5, T=4, tau=1.0).action(2, KIND_SELF) == TAKE_SOURCE
+    # tau = 1, or no source word dropped: the self window blends by one
+    # all-clear mask, sized by the self record, so every row is the source's.
     unchanged = align_prompts(("a", "cat"), ("a", "cat", "8k"))
-    assert _plan(0.5, 0.5, T=4, alignment=unchanged).action(2, KIND_SELF) \
-        == TAKE_SOURCE
+    for plan in (_plan(0.5, 0.5, T=4, tau=1.0),
+                 _plan(0.5, 0.5, T=4, alignment=unchanged)):
+        plan.store.record(_self_site(1, _projections(2, 3, heads=1)))
+        assert plan.action(2, KIND_SELF) == BLEND
+        mask = plan.self_mask(2, 0)
+        assert mask.mask.shape == (2, 3) and not mask.mask.any()
+        assert plan.self_mask(3, 0) is mask  # built once per plan
     assert _plan(0.5, 0.5, T=4, tau=0.99).action(2, KIND_SELF) == BLEND
 
 
@@ -167,9 +173,8 @@ def test_alignment_validation():
 
 
 def test_mask_positions_follow_removed_tokens():
-    align = align_prompts(("a", "cat"), ("a", "tiger"))
-    assert mask_positions(align) == (1,)
-    assert mask_positions(identity_alignment(3)) == ()
+    assert _plan(0.5, 0.5, T=4).positions == (1,)  # "cat" -> "tiger"
+    assert _plan(0.5, 0.5, T=4, alignment=identity_alignment(3)).positions == ()
 
 
 def _store_with_cross(src_map, T=4):
@@ -443,10 +448,12 @@ def test_plan_takes_source_before_the_edit_map_is_built():
         return AttentionSite(2, 0, kind, attn.shape,
                              lambda: built.append(kind) or attn)
 
-    # identical prompts: the cross map is taken whole, like the empty-mask self map
+    # identical prompts: the cross map is taken whole, and the all-clear
+    # mask takes every self row from the source
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
                       identity_alignment(2), store)
-    assert plan.action(2, KIND_CROSS) == plan.action(2, KIND_SELF) == TAKE_SOURCE
+    assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
+    assert plan.action(2, KIND_SELF) == BLEND
     probe = plan.step_probe(2)
     assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0, KIND_CROSS)
     edit_self = np.full((1, 1, 4, 8), 1.0 / 8)

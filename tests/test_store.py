@@ -154,7 +154,7 @@ CROSS_BLOB = "cross_t0000_l00.bin"
 
 
 def _tampered_dump(directory, store, case):
-    """Dump *store* to *directory*, then spoil its first cross record."""
+    """Dump *store* to *directory*, then spoil its index or first cross record."""
     store.dump(directory)
     index = json.loads((directory / "index.json").read_text())
     [item] = [r for r in index["records"] if r["file"] == CROSS_BLOB]
@@ -168,10 +168,28 @@ def _tampered_dump(directory, store, case):
         write_blob(path, hash_, [bad])
     elif case == "other kind":
         item["kind"] = "other"
-    else:  # same element count, so only the loader's shape check sees it
+    elif case == "3-D shape":  # same element count, so only the loader's shape check sees it
         n, heads, q, k = item["shape"]
         item["shape"] = [n * heads, q, k]
-    (directory / "index.json").write_text(json.dumps(index))
+    elif case == "no records key":
+        del index["records"]
+    elif case == "no file key":
+        del item["file"]
+    elif case == "extra record at t = 99":
+        index["records"].append(dict(item, t=99))
+    elif case == "extra record at layer 7":
+        index["records"].append(dict(item, layer=7))
+    elif case == "file outside the dump":
+        item["file"] = "../../etc/hostname"
+    elif case == "shape not a list":
+        item["shape"] = 5
+    elif case == "string config hash":
+        index["config_hash"] = "x"
+    elif case == "string heads":
+        [entry] = [r for r in index["records"] if r["file"] == "self_t0000_l00.bin"]
+        entry["heads"] = "2"
+    (directory / "index.json").write_text(
+        "{not json" if case == "garbage index" else json.dumps(index))
     return directory
 
 
@@ -180,14 +198,25 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
     store.dump(tmp_path / "good")
     assert load_store_dump(tmp_path / "good").verify_complete() == []
     # blobio checks the header only, so the payload cases reach the loader.
-    for case, fragment in [("scaled payload", "rows deviate from 1"),
-                           ("nan payload", "rows deviate from 1 by nan"),
-                           ("other kind", "'other'"),
-                           ("3-D shape", "must be 4-D")]:
+    # Each case names the file at fault: the blob, or the index.
+    for case, fragment, named in [
+            ("scaled payload", "rows deviate from 1", CROSS_BLOB),
+            ("nan payload", "rows deviate from 1 by nan", CROSS_BLOB),
+            ("other kind", "'other'", CROSS_BLOB),
+            ("3-D shape", "must be 4-D", CROSS_BLOB),
+            ("garbage index", "not a JSON index", "index.json"),
+            ("no records key", "missing records", "index.json"),
+            ("no file key", "missing file", "index.json"),
+            ("extra record at t = 99", r"t = 99 outside \[0, 4\)", CROSS_BLOB),
+            ("extra record at layer 7", r"layer = 7 outside \[0, 2\)", CROSS_BLOB),
+            ("file outside the dump", "must be in " + CROSS_BLOB, "etc/hostname"),
+            ("shape not a list", "shape must be a list", CROSS_BLOB),
+            ("string config hash", "config_hash must be", "index.json"),
+            ("string heads", "heads must be", "self_t0000_l00.bin")]:
         d = _tampered_dump(tmp_path / case.replace(" ", "_"), store, case)
         with pytest.raises(ContractViolation, match=fragment) as exc:
             load_store_dump(d)
-        assert CROSS_BLOB in str(exc.value), case
+        assert named in str(exc.value), case
 
 
 def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights,
