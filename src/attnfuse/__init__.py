@@ -2,10 +2,9 @@
 
 A compact, fully deterministic latent-diffusion stack: DDIM inversion
 records every attention map of a toy denoiser (a self-attention map as
-the query and key projections it is rebuilt from), and the editing pass
-replays those maps through cross-attention column fusion and masked
-self-attention blending, so edits keep the source video's layout and
-motion.
+the block input it is rebuilt from), and the editing pass replays those
+maps through cross-attention column fusion and masked self-attention
+blending, so edits keep the source video's layout and motion.
 """
 
 from .errors import ConfigError, ContractViolation, MissingRecordError

@@ -26,7 +26,7 @@ from .fusion import (EditConfig, FusionPlan, MODES, align_prompts, preset,
 from .imageio import quantize, write_pgm
 from .model import (KIND_CROSS, ModelConfig, config_hash, embed_prompt,
                     make_denoiser_weights)
-from .numerics import SeededRng, derived_seed, maxnorm_frame, require
+from .numerics import SeededRng, derived_seed, require
 from .pipeline import (VideoSpec, compute_metrics, invert_video,
                        latent_to_pixels, pixels_to_latent, read_frame_dir,
                        run_denoise, synth_video, write_frame_dir)
@@ -239,11 +239,13 @@ def _load_source_video(rc: RunConfig) -> np.ndarray:
 
 
 def write_heatmap(map2d: np.ndarray, path: Path) -> None:
-    """Max-normalized grayscale PGM of a per-frame attention aggregate."""
+    """Grayscale PGM of a 2-D map of values in [0, 1], such as one frame of
+    `word_attention`; 1 is drawn as 255.  The map is not rescaled."""
     arr = np.asarray(map2d, dtype=np.float64)
     require(arr.ndim == 2, f"heatmap expects a 2-D map, got {arr.shape}")
-    norm = maxnorm_frame(arr.reshape(1, -1)).reshape(arr.shape)
-    write_pgm(path, quantize(norm * 255.0))
+    require(bool(np.all((arr >= 0.0) & (arr <= 1.0))),
+            "heatmap values must lie in [0, 1]")
+    write_pgm(path, quantize(255.0 * arr))
 
 
 def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:

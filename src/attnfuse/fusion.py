@@ -16,8 +16,8 @@ applies.  Inside the self window the action is always `BLEND`.
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
 `FusionPlan.source_map` (a cross map) and `FusionPlan.source_projections`
-(what a self map's rows are built from) make that pairing and are the
-only readers of the inversion store.
+(the recorded block input and weights a self map's rows are built from)
+make that pairing and are the only readers of the inversion store.
 
 Self-attention is rewritten row by row, one tile of query rows at a
 time, because the forward pass never holds a whole self map: the plan
@@ -296,7 +296,7 @@ class FusionPlan:
         return self.store.query(t - 1, layer, kind)
 
     def source_projections(self, t: int, layer: int) -> SelfProjections:
-        """The projections whose self rows step t replays: inversion step t-1's."""
+        """The self record whose rows step t replays: inversion step t-1's."""
         return self.store.projections(t - 1, layer)
 
     def action(self, t: int, kind: str) -> str:

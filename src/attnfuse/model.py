@@ -22,12 +22,14 @@ Self-attention runs in tiles of TILE_ROWS query rows: the softmax and
 computed, and every tile of a call writes into one logits buffer of
 (n, heads, TILE_ROWS, 2*h*w), so the pass holds one tile, never a whole
 self map.  Rows are independent, so a probe answers a self site per
-tile too (see `AttentionSite`).  A self map is a function of its query
-and key projections (`SelfProjections`), which are heads*h*w/d_model
-times smaller.  Every self row is built by `SelfTiles.rows`, so rows
-rebuilt later from recorded projections are bit-identical to the ones
-the pass applied; a whole map (`SelfProjections.attn`) is assembled
-from the same tiles, for observers and tests.
+tile too (see `AttentionSite`).  A self map is a function of the block
+input and the block's query and key weights (`SelfProjections`); the
+input is 2*heads*h*w/d_model times smaller than the map, and the
+weights are the model's own arrays, shared.  Every self row is built by
+`SelfTiles.rows` from queries and keys projected with one expression,
+so rows rebuilt later from a recorded block input are bit-identical to
+the ones the pass applied; a whole map (`SelfProjections.attn`) is
+assembled from the same tiles, for observers and tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -264,36 +266,50 @@ def whole_map(rows: TileRows, shape: tuple[int, int, int, int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SelfProjections:
-    """Query and key projections of one self-attention call.
+    """What one self-attention call's map is built from.
 
-    queries and keys are the block input times wq_s and wk_s, each
-    (n, h*w, d_model), made read-only; heads splits d_model.  They
-    determine the map, whose rows `SelfTiles` builds.
+    feats is the block input, (n, h*w, d_model), made read-only; wq and
+    wk are the block's (d_model, d_model) query and key weights, the
+    model's own arrays, not copies; heads splits d_model.  The queries
+    and keys are computed on read; `SelfTiles` reads them once and
+    builds the map's rows.
     """
 
-    queries: np.ndarray
-    keys: np.ndarray
+    feats: np.ndarray
+    wq: np.ndarray
+    wk: np.ndarray
     heads: int
 
     def __post_init__(self):
-        require(self.queries.ndim == 3 and self.queries.shape == self.keys.shape,
-                f"self projections must share one (n, h*w, d_model) shape, got "
-                f"{self.queries.shape} / {self.keys.shape}")
-        require(self.heads >= 1 and self.queries.shape[-1] % self.heads == 0,
-                f"{self.heads} heads do not split d_model {self.queries.shape[-1]}")
-        self.queries.setflags(write=False)
-        self.keys.setflags(write=False)
+        require(self.feats.ndim == 3,
+                f"self block input must be (n, h*w, d_model), got {self.feats.shape}")
+        d_model = self.feats.shape[-1]
+        require(self.wq.shape == self.wk.shape == (d_model, d_model),
+                f"self weights must be ({d_model}, {d_model}), got "
+                f"{self.wq.shape} / {self.wk.shape}")
+        require(self.heads >= 1 and d_model % self.heads == 0,
+                f"{self.heads} heads do not split d_model {d_model}")
+        self.feats.setflags(write=False)
+
+    @property
+    def queries(self) -> np.ndarray:
+        return self.feats @ self.wq
+
+    @property
+    def keys(self) -> np.ndarray:
+        return self.feats @ self.wk
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        n, hw, _ = self.queries.shape
+        n, hw, _ = self.feats.shape
         return (n, self.heads, hw, 2 * hw)
 
     def attn(self) -> np.ndarray:
         """The read-only post-softmax map, (n, heads, h*w, 2*h*w).
 
         Assembled from the tiles the forward pass applies, so equal
-        projections give equal bits.  For observers and tests.
+        block inputs and weights give equal bits.  For observers and
+        tests.
         """
         return whole_map(SelfTiles(self).rows, self.shape)
 
@@ -305,13 +321,14 @@ class SelfTiles:
     (index n // 2), then its own.  Every tile is computed into one logits
     buffer of (n, heads, TILE_ROWS, 2*h*w), allocated at the first build;
     a shorter tail tile fills a view of it.  So the rows `rows` returns
-    stay valid until its next call.
+    stay valid until its next call.  The queries and keys are projected
+    once, when the tiles are made.
     """
 
     def __init__(self, projections: SelfProjections):
         self.projections = projections
         heads = projections.heads
-        self._d_head = projections.queries.shape[-1] // heads
+        self._d_head = projections.feats.shape[-1] // heads
         self._q = _split_heads(projections.queries, heads, self._d_head)
         self._k = _with_middle_frame(_split_heads(projections.keys, heads,
                                                   self._d_head))
@@ -404,11 +421,11 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
     The middle frame is index n // 2; its keys come first in the
     concatenation.  Rows are computed and applied one tile of TILE_ROWS
     query rows at a time.  *supply*, when given, is called with the
-    `SelfProjections` and returns the tile function that gives each
-    tile's rows; by default they are the projections' own.
+    `SelfProjections` of feats (made read-only) and the block's wq_s and
+    wk_s, and returns the tile function that gives each tile's rows; by
+    default they are the projections' own.
     """
-    proj = SelfProjections(queries=feats @ block.wq_s, keys=feats @ block.wk_s,
-                           heads=heads)
+    proj = SelfProjections(feats=feats, wq=block.wq_s, wk=block.wk_s, heads=heads)
     rows = SelfTiles(proj).rows if supply is None else supply(proj)
     vals = _with_middle_frame(_split_heads(feats @ block.wv_s, heads, d_head))
     n, _, hw, keys = proj.shape

@@ -2,10 +2,10 @@
 
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
 schedule upward at guidance scale 1 with the attention store as its
-probe, which keeps each cross-attention map and the query and key
-projections of each self-attention map; the editing pass walks back
-down, rewriting maps from that record through the probe.
-Reconstruction is the identity edit.
+probe, which keeps each cross-attention map and the block input of each
+self-attention call, with that block's query and key weights shared
+from the model; the editing pass walks back down, rewriting maps from
+that record through the probe.  Reconstruction is the identity edit.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
     """Deterministic inversion to z_T, recording what the edit replays.
 
     The store is the probe: it keeps every cross-attention map and the
-    query and key projections of every self-attention map.  Runs at
+    block input of every self-attention call, which with the block's
+    query and key weights rebuilds the self map.  Runs at
     guidance scale 1, which reduces to the conditional branch alone, so
     only that branch is evaluated and recorded.
     """

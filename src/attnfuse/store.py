@@ -2,12 +2,13 @@
 
 Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
-the query and key projections it is built from, 2*n*h*w*d_model values.
-The edit pass reads those projections and builds the rows it needs tile
-by tile; a query rebuilds the whole map from the same tiles, which gives
-back the rows the forward pass applied bit for bit.  A query returns a
-plain read-only array.  A complete inversion over T steps and L blocks
-holds T*L entries per kind.
+what it is built from: the block input, n*h*w*d_model values, and the
+block's query and key weights, shared with the model rather than
+copied.  The edit pass reads that record and builds the rows it needs
+tile by tile; a query rebuilds the whole map from the same tiles, which
+gives back the rows the forward pass applied bit for bit.  A query
+returns a plain read-only array.  A complete inversion over T steps and
+L blocks holds T*L entries per kind.
 
 `AttentionStore.record` is inversion's probe; it keeps the pass's own
 maps unchecked.  A loaded dump comes from outside the program, so
@@ -30,9 +31,10 @@ from .errors import ContractViolation, MissingRecordError
 from .model import KIND_CROSS, KIND_SELF, AttentionSite, SelfProjections
 from .numerics import check_rows, require
 
-# Format of a store dump's index.json and blobs.  Version 2 keeps self
-# attention as projections; version 1 dumps (no "version" key) held maps.
-DUMP_VERSION = 2
+# Format of a store dump's index.json and blobs.  Version 3 keeps self
+# attention as the block input and its query and key weights; version 2
+# held query and key projections, version 1 (no "version" key) held maps.
+DUMP_VERSION = 3
 
 
 class AttentionKey(NamedTuple):
@@ -61,7 +63,7 @@ class StoreMeta:
 
 
 class AttentionStore:
-    """Insertion-ordered map from AttentionKey to a cross map or self projections."""
+    """Insertion-ordered map from AttentionKey to a cross map or a self record."""
 
     def __init__(self, meta: StoreMeta):
         require(meta.T >= 1 and meta.blocks >= 1,
@@ -81,7 +83,7 @@ class AttentionStore:
         self._records[key] = entry
 
     def record(self, site: AttentionSite) -> None:
-        """Keep a self site's projections, or a cross site's map.
+        """Keep a self site's `SelfProjections`, or a cross site's map.
 
         A probe: it replaces nothing, and it never reads a self site's
         map, so the pass builds that map's rows once, to apply them.
@@ -96,7 +98,7 @@ class AttentionStore:
             raise MissingRecordError(f"no attention record for {key}") from None
 
     def projections(self, t: int, layer: int) -> SelfProjections:
-        """The recorded projections of a self map; the edit pass builds its rows from them."""
+        """The record a self map is built from; the edit pass builds its rows from it."""
         return self._entry(AttentionKey(t, layer, KIND_SELF))
 
     def query(self, t: int, layer: int, kind: str) -> np.ndarray:
@@ -122,7 +124,9 @@ class AttentionStore:
     def dump(self, directory: Path) -> None:
         """Write one blob per entry plus an index for offline rendering.
 
-        A cross blob holds the map, a self blob the queries then the keys.
+        A cross blob holds the map.  A self blob holds the block input,
+        then the query weights, then the key weights, so a dump needs no
+        weights from outside.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -138,7 +142,7 @@ class AttentionStore:
             name = _blob_name(key)
             item = {"t": key.t, "layer": key.layer, "kind": key.kind, "file": name}
             if key.kind == KIND_SELF:
-                arrays = [entry.queries, entry.keys]
+                arrays = [entry.feats, entry.wq, entry.wk]
                 item["heads"] = entry.heads
             else:
                 arrays = [entry]
@@ -186,8 +190,11 @@ def load_store_dump(directory: Path) -> AttentionStore:
         if kind == KIND_SELF:
             [heads] = _fields(entry, ("heads",), f"{index_path}: record {i}")
             require(type(heads) is int, f"{path}: heads must be an integer, got {heads!r}")
-            queries, keys = blobio.read_blob(path, hash_, [shape, shape])
-            store._add(key, SelfProjections(queries=queries, keys=keys, heads=heads))
+            require(len(shape) == 3, f"{path}: self block input must be 3-D "
+                                     f"(n, h*w, d_model), got shape {shape}")
+            weight = (shape[-1], shape[-1])
+            feats, wq, wk = blobio.read_blob(path, hash_, [shape, weight, weight])
+            store._add(key, SelfProjections(feats=feats, wq=wq, wk=wk, heads=heads))
             continue
         require(len(shape) == 4, f"{path}: cross map must be 4-D "
                                  f"(n, heads, q, k), got shape {shape}")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attnfuse.blobio import read_blob
+from attnfuse.blobio import HEADER, read_blob
 from attnfuse.cli import parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
@@ -24,6 +24,8 @@ from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
                                synth_video, write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
 from attnfuse.store import AttentionStore, StoreMeta, load_store_dump
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = """\
 [model]
@@ -418,17 +420,51 @@ def test_frame_dir_source(tmp_path, config_path):
     assert not (tmp_path / "s").exists()
 
 
-def test_readme_example_config_is_the_benchmark_edit_config(tmp_path):
-    # The README's store-size figures are those of this config.
-    root = Path(__file__).resolve().parent.parent
-    readme = (root / "README.md").read_text()
+def _readme_example(tmp_path):
+    """(README text with its whitespace collapsed, its `ini` example parsed)."""
+    readme = (ROOT / "README.md").read_text()
     path = tmp_path / "readme.cfg"
     path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
-    ours = parse_config(path)
-    bench = parse_config(root / "perfbench" / "configs" / "edit_attr.cfg")
+    return " ".join(readme.split()), parse_config(path)
+
+
+def test_readme_example_config_is_the_benchmark_edit_config(tmp_path):
+    # The README's store-size figures are those of this config.
+    _, ours = _readme_example(tmp_path)
+    bench = parse_config(ROOT / "perfbench" / "configs" / "edit_attr.cfg")
     assert (ours.model, ours.edit, ours.video) == (bench.model, bench.edit,
                                                   bench.video)
     assert ours.echo == bench.echo  # also the schedule, prompts and [video] keys
+
+
+def test_readme_store_figures_follow_the_store_format(tmp_path):
+    # The README's store figures, computed from the example config's shapes.
+    readme, rc = _readme_example(tmp_path)
+    m, records = rc.model, rc.steps * rc.model.blocks
+    hw, tokens = m.h * m.w, len(embed_prompt(rc.source_prompt, m).tokens)
+    self_record = m.n * hw * m.d_model * 8   # the block input
+    weights = 2 * m.d_model ** 2 * 8         # wq_s and wk_s, in a dump only
+    cross_map = m.n * m.heads * hw * tokens * 8
+    self_map = m.n * m.heads * hw * 2 * hw * 8
+    blobs = 2 * HEADER.size + self_record + weights + cross_map
+    assert f"block input, n·h·w·d_model values ({self_record / 1e3:.0f} kB" in readme
+    assert f"({weights / 1e3:.0f} kB on the example clip)" in readme
+    assert f"(T = {rc.steps}, {m.blocks} blocks, {tokens} prompt tokens)" in readme
+    assert (f"holds {records * (self_record + cross_map) / 1e6:.1f} MB instead of "
+            f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
+    assert f"writes {records * blobs / 1e6:.1f} MB to `store/`" in readme
+
+    # Those are the shapes the store keeps and dumps: one step's records.
+    store = AttentionStore(StoreMeta(T=1, blocks=m.blocks, config_hash=config_hash(m)))
+    z = SeededRng(3).standard_normal((m.n, m.c, m.h, m.w))
+    denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
+                     make_denoiser_weights(m), rc.steps, probe=store.record)
+    held = sum(store.projections(0, layer).feats.nbytes
+               + store.query(0, layer, KIND_CROSS).nbytes for layer in range(m.blocks))
+    assert held == m.blocks * (self_record + cross_map)
+    store.dump(tmp_path / "store")
+    written = sum(p.stat().st_size for p in (tmp_path / "store").glob("*.bin"))
+    assert written == m.blocks * blobs
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):
@@ -451,22 +487,28 @@ def test_out_path_collision_exits_2(tmp_path, config_path):
 
 
 def test_heatmap_rendering(tmp_path):
+    # The map is drawn as given: word_attention alone normalizes it.
     uniform = tmp_path / "uniform.pgm"
     write_heatmap(np.full((4, 4), 0.25), uniform)
-    assert np.array_equal(read_pgm(uniform), np.full((4, 4), 255, np.uint8))
+    # 0.25 of full scale, half-up quantized
+    assert np.array_equal(read_pgm(uniform), np.full((4, 4), 64, np.uint8))
 
-    hot = np.full((4, 4), 0.2)
-    hot[1, 2] = 0.8
+    hot = np.full((4, 4), 0.25)
+    hot[1, 2] = 1.0
     path = tmp_path / "hot.pgm"
     write_heatmap(hot, path)
     img = read_pgm(path)
     assert img[1, 2] == 255
     assert (img == 255).sum() == 1
-    # 0.2 / 0.8 = 0.25 of full scale, half-up quantized
     assert img[0, 0] == 64
 
-    with pytest.raises(ContractViolation):
-        write_heatmap(np.zeros((4, 4)), tmp_path / "zero.pgm")
+    zero = tmp_path / "zero.pgm"
+    write_heatmap(np.zeros((4, 4)), zero)
+    assert not read_pgm(zero).any()
+    for bad in (np.full((4, 4), 1.5), np.full((4, 4), -0.25),
+                np.full((4, 4), np.nan)):
+        with pytest.raises(ContractViolation, match=r"\[0, 1\]"):
+            write_heatmap(bad, tmp_path / "bad.pgm")
     with pytest.raises(ContractViolation):
         write_heatmap(np.zeros((4, 4, 1)), tmp_path / "bad.pgm")
 

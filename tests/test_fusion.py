@@ -75,9 +75,10 @@ def test_plan_rewrites_exactly_the_window_steps(T, frac):
 
 def _projections(n, hw, heads, d_head=2, seed=3):
     rng = np.random.default_rng(seed)
-    shape = (n, hw, heads * d_head)
-    return SelfProjections(queries=rng.standard_normal(shape),
-                           keys=rng.standard_normal(shape), heads=heads)
+    d_model = heads * d_head
+    return SelfProjections(feats=rng.standard_normal((n, hw, d_model)),
+                           wq=rng.standard_normal((d_model, d_model)),
+                           wk=rng.standard_normal((d_model, d_model)), heads=heads)
 
 
 def _site(kind, attn, t=2):

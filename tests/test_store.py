@@ -26,8 +26,9 @@ def _cross_site(t, layer, keys=4):
 
 def _projections(seed=0):
     rng = np.random.default_rng(seed)
-    return SelfProjections(queries=rng.standard_normal((2, 3, 4)),
-                           keys=rng.standard_normal((2, 3, 4)), heads=2)
+    return SelfProjections(feats=rng.standard_normal((2, 3, 4)),
+                           wq=rng.standard_normal((4, 4)),
+                           wk=rng.standard_normal((4, 4)), heads=2)
 
 
 def _self_site(t, layer, proj):
@@ -66,6 +67,19 @@ def test_self_maps_are_recorded_as_projections_only():
     assert np.array_equal(store.query(0, 0, KIND_SELF), proj.attn())
     with pytest.raises(ContractViolation, match="duplicate"):
         store.record(_self_site(0, 0, _projections(1)))
+
+
+def test_self_record_is_the_block_input_and_the_model_weights(tiny_cfg, tiny_weights,
+                                                              tiny_inversion):
+    *_, store = tiny_inversion
+    hw = tiny_cfg.h * tiny_cfg.w
+    for t in range(store.meta.T):
+        for layer, block in enumerate(tiny_weights.blocks):
+            record = store.projections(t, layer)
+            assert record.feats.shape == (tiny_cfg.n, hw, tiny_cfg.d_model)
+            assert not record.feats.flags.writeable
+            assert record.wq is block.wq_s and record.wk is block.wk_s
+            assert record.heads == tiny_cfg.heads
 
 
 def test_duplicate_record_rejected():
@@ -122,10 +136,11 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion):
     files = sorted(p.name for p in d.glob("*.bin"))
     assert len(files) == len(store)
     assert f"self_t0000_l00.bin" in files
-    # a self blob holds the queries and keys: 2*n*h*w*d_model float64s
-    hw = tiny_cfg.h * tiny_cfg.w
+    # a self blob holds the block input, n*h*w*d_model float64s, then the
+    # d_model x d_model query and key weights
+    hw, d_model = tiny_cfg.h * tiny_cfg.w, tiny_cfg.d_model
     self_bytes = (d / "self_t0000_l00.bin").stat().st_size
-    assert self_bytes == 16 + 2 * tiny_cfg.n * hw * tiny_cfg.d_model * 8
+    assert self_bytes == 16 + (tiny_cfg.n * hw * d_model + 2 * d_model ** 2) * 8
     loaded = load_store_dump(d)
     assert loaded.meta == store.meta
     assert loaded.meta.config_hash == config_hash(tiny_cfg)
@@ -142,11 +157,15 @@ def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
     d = tmp_path / "store"
     store.dump(d)
     index = json.loads((d / "index.json").read_text())
-    assert index["version"] == 2
+    assert index["version"] == 3
+    # A version 2 dump held query and key projections in its self blobs.
+    (d / "index.json").write_text(json.dumps(dict(index, version=2)))
+    with pytest.raises(ContractViolation, match="version 2, expected 3"):
+        load_store_dump(d)
     # A version 1 dump had no version key and held self maps in its blobs.
     del index["version"]
     (d / "index.json").write_text(json.dumps(index))
-    with pytest.raises(ContractViolation, match="version 1, expected 2"):
+    with pytest.raises(ContractViolation, match="version 1, expected 3"):
         load_store_dump(d)
 
 
@@ -185,9 +204,12 @@ def _tampered_dump(directory, store, case):
         item["shape"] = 5
     elif case == "string config hash":
         index["config_hash"] = "x"
-    elif case == "string heads":
+    elif case in ("string heads", "empty self shape"):
         [entry] = [r for r in index["records"] if r["file"] == "self_t0000_l00.bin"]
-        entry["heads"] = "2"
+        if case == "string heads":
+            entry["heads"] = "2"
+        else:
+            entry["shape"] = []
     (directory / "index.json").write_text(
         "{not json" if case == "garbage index" else json.dumps(index))
     return directory
@@ -212,7 +234,8 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
             ("file outside the dump", "must be in " + CROSS_BLOB, "etc/hostname"),
             ("shape not a list", "shape must be a list", CROSS_BLOB),
             ("string config hash", "config_hash must be", "index.json"),
-            ("string heads", "heads must be", "self_t0000_l00.bin")]:
+            ("string heads", "heads must be", "self_t0000_l00.bin"),
+            ("empty self shape", "must be 3-D", "self_t0000_l00.bin")]:
         d = _tampered_dump(tmp_path / case.replace(" ", "_"), store, case)
         with pytest.raises(ContractViolation, match=fragment) as exc:
             load_store_dump(d)
@@ -249,7 +272,7 @@ def test_inversion_store_holds_projections_not_maps():
     finally:
         tracemalloc.stop()
     assert store.verify_complete() == []
-    # Four self maps would hold 4 * 42.5 MB; their projections hold 2.4 MB.
+    # Four self maps would hold 4 * 42.5 MB; their block inputs hold 1.2 MB.
     assert held < 10e6
 
 
