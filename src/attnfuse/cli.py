@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: `invert` (archive attention and the inverted latent),
-`edit` (inversion followed by a fused editing pass), `reconstruct`
-(the identity edit), and `selfcheck` (built-in property suite).
+`edit` (inversion followed by a fused editing pass) and `reconstruct`
+(the identity edit).
 
 Exit codes: 0 success, 1 contract violation, 2 I/O failure, 3 bad
 configuration.  A guided edit evaluates its two guidance branches
@@ -32,7 +32,6 @@ from .pipeline import (VideoSpec, compute_metrics, invert_video,
                        run_denoise, synth_video, write_frame_dir)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_STEPS,
                        NoiseSchedule, make_schedule)
-from .selfcheck import run_selfcheck
 
 # section -> key -> (caster, default, help). The parser rejects anything
 # not listed here.
@@ -320,16 +319,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for section, keys in _SCHEMA.items():
         lines.append(f"  [{section}]")
         for key, (caster, default, help_text) in keys.items():
-            shown = "(from preset)" if default is None else default
-            lines.append(f"    {key} = {shown}  # {help_text}")
+            # Each line parses as written: the parser knows no inline comments.
+            setting = (f"{key} = {default}" if default is not None
+                       else f"# {key} = (from preset)")
+            lines += [f"    # {help_text}", f"    {setting}"]
     parser = _Parser(
         prog="attnfuse",
         description="Prompt-driven video editing by attention fusion on a "
                     "deterministic toy diffusion stack.",
         epilog="\n".join(lines),
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("command",
-                        choices=("invert", "edit", "reconstruct", "selfcheck"))
+    parser.add_argument("command", choices=("invert", "edit", "reconstruct"))
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--seed", type=int, default=None,
                         help="redraw the synthetic clip (default [model] seed)")
@@ -347,8 +347,6 @@ def run(argv: list[str]) -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "selfcheck":
-            return 1 if run_selfcheck() else 0
         if not args.config:
             raise ConfigError(f"{args.command} requires --config")
         rc = parse_config(Path(args.config))

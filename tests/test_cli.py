@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from attnfuse.blobio import HEADER, read_blob
-from attnfuse.cli import parse_config, run, write_heatmap
+from attnfuse.cli import _build_parser, parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
 from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
@@ -126,10 +127,22 @@ def test_parse_errors(tmp_path, text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_help_config_listing_parses_as_the_defaults(tmp_path):
+    # `attnfuse --help` lists every key with its default; pasted into a
+    # file, that listing is a config that changes nothing.
+    heading, listing = _build_parser().epilog.split("\n", 1)
+    assert heading == "config file keys and defaults:"
+    listed, empty = tmp_path / "listed.cfg", tmp_path / "empty.cfg"
+    listed.write_text(listing)
+    empty.write_text("")
+    assert parse_config(listed).echo == parse_config(empty).echo
+
+
 def test_usage_errors_exit_3(tmp_path, capsys):
     assert run(["edit"]) == 3                          # missing --config
     assert run(["edit", "--config", str(tmp_path / "nope.cfg")]) == 3
     assert run(["explode", "--config", "x"]) == 3      # unknown subcommand
+    assert run(["selfcheck"]) == 3                     # a removed subcommand
     capsys.readouterr()
 
 
@@ -154,12 +167,6 @@ def test_python_m_attnfuse_runs_the_cli():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 3
     assert "edit requires --config" in proc.stderr
-
-
-def test_selfcheck_passes(capsys):
-    assert run(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "ok" in out and "FAIL" not in out
 
 
 def test_invert_writes_latent_and_store(tmp_path, config_path):
@@ -302,6 +309,19 @@ def _recording(probe, log):
     return recording
 
 
+def _spy_tile_builds(monkeypatch) -> list:
+    """(projections, lo, hi) of each `SelfTiles.rows` call from now on."""
+    built = []
+    original = SelfTiles.rows
+
+    def spy(tiles, lo, hi):
+        built.append((tiles.projections, lo, hi))
+        return original(tiles, lo, hi)
+
+    monkeypatch.setattr(SelfTiles, "rows", spy)
+    return built
+
+
 def _clip(rc):
     """(weights, z_0, source prompt, edit prompt) of a synth-video run config."""
     weights = make_denoiser_weights(rc.model)
@@ -312,8 +332,8 @@ def _clip(rc):
 
 
 @pytest.mark.parametrize("height,width,start_col", [(8, 12, 5), (5, 13, 3)])
-def test_self_rows_are_exact_across_tile_boundaries(tmp_path, height, width,
-                                                    start_col):
+def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, height,
+                                                    width, start_col):
     # h*w = 96 ends in a 32-row tail tile; h*w = 65 in a 1-row tail tile,
     # which takes another BLAS path than a full tile.
     cfg = (BASE_CONFIG.replace("height = 12", f"height = {height}")
@@ -341,17 +361,22 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, height, width,
         rebuilt = store.query(t, layer, KIND_SELF)
         assert np.array_equal(rebuilt[:, :, lo:lo + tile.shape[2]], tile)
 
-    # A replay that takes each source map whole applies those same rows.
+    # A replay that takes each source map whole applies those same rows,
+    # and builds them from the source records alone, never an edit row.
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
                       identity_alignment(len(src.tokens)), store)
+    built = _spy_tile_builds(monkeypatch)
     for t in range(rc.steps, 0, -1):
         replayed = {}
+        built.clear()
         denoiser_forward(z, t, src, weights, rc.steps,
                          probe=_recording(plan.step_probe(t), replayed))
         assert replayed.keys() == {(t, layer, lo) for (s, layer, lo) in applied
                                    if s == t - 1}
         for (_, layer, lo), tile in replayed.items():
             assert np.array_equal(tile, applied[(t - 1, layer, lo)])
+        assert [(id(p), lo) for p, lo, _ in built] == [
+            (id(store.projections(t - 1, layer)), lo) for _, layer, lo in replayed]
 
 
 def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
@@ -359,14 +384,7 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
     weights, z0, src, edit = _clip(rc)
     z_T, store = invert_video(z0, src, rc.schedule, weights)
     align = align_prompts(src.tokens, edit.tokens)
-    built = []
-    original = SelfTiles.rows
-
-    def spy(tiles, lo, hi):
-        built.append((tiles.projections, lo, hi))
-        return original(tiles, lo, hi)
-
-    monkeypatch.setattr(SelfTiles, "rows", spy)
+    built = _spy_tile_builds(monkeypatch)
     bounds = _tile_bounds(rc.model.h * rc.model.w)
     skipped = mixed = 0
     for edit_cfg in (rc.edit, dataclasses.replace(rc.edit, tau=1.0)):
@@ -426,6 +444,13 @@ def _readme_example(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
     return " ".join(readme.split()), parse_config(path)
+
+
+def test_readme_lists_exactly_the_cli_commands():
+    readme = (ROOT / "README.md").read_text()
+    listed = readme.split("\nCommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    command = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert re.findall(r"^- `(\w+)`", listed, flags=re.M) == list(command.choices)
 
 
 def test_readme_example_config_is_the_benchmark_edit_config(tmp_path):

@@ -11,6 +11,7 @@ from attnfuse import pipeline
 from attnfuse.errors import ContractViolation
 from attnfuse.fusion import (BLEND, FUSE, EditConfig, FusionPlan,
                              align_prompts, identity_alignment)
+from attnfuse.imageio import quantize
 from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig,
                             denoiser_forward, embed_prompt,
                             make_denoiser_weights)
@@ -100,6 +101,9 @@ def test_codec_round_trip():
                             SeededRng(4))
     back = decode(encode(pixels))
     assert np.max(np.abs(back - pixels)) <= 1e-12
+    # Every byte value, on each of the three channels, comes back as that byte.
+    levels = np.broadcast_to(np.arange(256.0)[None, None, :, None], (1, 3, 256, 1))
+    assert np.array_equal(quantize(decode(encode(levels))), levels.astype(np.uint8))
 
 
 def test_latent_channel_conversion():
