@@ -22,6 +22,9 @@ make that pairing and are the only readers of the inversion store.
 Self-attention is rewritten row by row, one tile of query rows at a
 time, because the forward pass never holds a whole self map: the plan
 answers a self site with a tile function (see `model.AttentionSite`).
+Self rows, edit and source alike, are softmax numerators that the pass
+normalizes after `attn @ V` (see `model`); blending picks whole rows,
+so it needs no normalized map.
 """
 
 from __future__ import annotations

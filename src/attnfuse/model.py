@@ -12,14 +12,23 @@ the only way a map leaves the forward pass, which returns the predicted
 noise alone.  The probe sees an `AttentionSite` whose map is computed
 only when read, so a probe that supplies its own map spares the QK^T
 and the softmax.  A replacement map is checked for shape, finiteness
-and row sums before it is applied; the rows of a tile function get a
-shape check per tile; the pass's own softmax output is not re-checked.
-Second, all randomness flows from explicit seeds, so identical inputs
-give bit-identical outputs.
+and its rows (see `_checked`) before it is applied; the rows of a tile
+function get a shape check per tile; the pass's own rows are not
+re-checked.  Second, all randomness flows from explicit seeds, so
+identical inputs give bit-identical outputs.
 
-Self-attention runs in tiles of TILE_ROWS query rows: the softmax and
-`attn @ V` of one tile finish before the next tile's logits are
-computed, and every tile of a call writes into one logits buffer of
+Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
+the logits.  A cross map is a softmax map: its rows sum to 1.  A self
+map holds softmax numerators, exp(logit - row max): every entry lies in
+[0, 1] and each row peaks at exactly 1.0.  Self-attention divides its
+output, not its map: each tile multiplies [V | 1], so one product gives
+a row's weighted values and its sum, and the (n, heads, h*w, d_head)
+output is divided by those sums once per call.  Blending picks whole
+rows, so it works on numerators unchanged.
+
+Self-attention runs in tiles of TILE_ROWS query rows: the numerators
+and `attn @ [V | 1]` of one tile finish before the next tile's logits
+are computed, and every tile of a call writes into one logits buffer of
 (n, heads, TILE_ROWS, 2*h*w), so the pass holds one tile, never a whole
 self map.  Rows are independent, so a probe answers a self site per
 tile too (see `AttentionSite`).  A self map is a function of the block
@@ -46,8 +55,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .numerics import (SeededRng, check_finite, check_rows, derived_seed,
-                       fnv1a64, require, softmax_lastdim)
+from .numerics import (SeededRng, check_finite, check_numerators, check_rows,
+                       derived_seed, fnv1a64, require, softmax_lastdim,
+                       softmax_numerators)
 
 START_TOKEN = "<start>"
 POS_DIM = 8          # 2D sinusoidal position features per pixel token
@@ -60,7 +70,7 @@ KIND_CROSS = "cross"
 
 TILE_ROWS = 64       # query rows per self-attention tile
 
-# A tile function: (lo, hi) -> post-softmax rows lo:hi of a self map.
+# A tile function: (lo, hi) -> rows lo:hi of a self map, softmax numerators.
 TileRows = Callable[[int, int], np.ndarray]
 # A probe answers a site with None, a replacement map or, at a self site,
 # a TileRows; see AttentionSite.
@@ -240,13 +250,6 @@ def _with_middle_frame(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.broadcast_to(x[mid], x.shape), x], axis=2)
 
 
-def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    logits = np.matmul(q, np.swapaxes(k, -1, -2), out=out)
-    logits /= math.sqrt(d_head)
-    return softmax_lastdim(logits, out=logits)
-
-
 def _tile_bounds(hw: int) -> list[tuple[int, int]]:
     """(lo, hi) of each tile of query rows; the last may be shorter."""
     return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
@@ -305,33 +308,36 @@ class SelfProjections:
         return (n, self.heads, hw, 2 * hw)
 
     def attn(self) -> np.ndarray:
-        """The read-only post-softmax map, (n, heads, h*w, 2*h*w).
+        """The read-only map of softmax numerators, (n, heads, h*w, 2*h*w).
 
-        Assembled from the tiles the forward pass applies, so equal
-        block inputs and weights give equal bits.  For observers and
-        tests.
+        Each row peaks at exactly 1.0; divided by its sum it is the
+        row's softmax.  Assembled from the tiles the forward pass
+        applies, so equal block inputs and weights give equal bits.
+        For observers and tests.
         """
         return whole_map(SelfTiles(self).rows, self.shape)
 
 
 class SelfTiles:
-    """Post-softmax rows of one self map, one tile of query rows at a time.
+    """Rows of one self map, softmax numerators, one tile of query rows at a time.
 
     Each frame's queries attend over the keys of the middle frame
     (index n // 2), then its own.  Every tile is computed into one logits
     buffer of (n, heads, TILE_ROWS, 2*h*w), allocated at the first build;
     a shorter tail tile fills a view of it.  So the rows `rows` returns
     stay valid until its next call.  The queries and keys are projected
-    once, when the tiles are made.
+    once, when the tiles are made, and the queries scaled by
+    1/sqrt(d_head) then.
     """
 
     def __init__(self, projections: SelfProjections):
         self.projections = projections
         heads = projections.heads
-        self._d_head = projections.feats.shape[-1] // heads
-        self._q = _split_heads(projections.queries, heads, self._d_head)
-        self._k = _with_middle_frame(_split_heads(projections.keys, heads,
-                                                  self._d_head))
+        d_head = projections.feats.shape[-1] // heads
+        self._q = _split_heads(projections.queries * (1.0 / math.sqrt(d_head)),
+                               heads, d_head)
+        keys = _with_middle_frame(_split_heads(projections.keys, heads, d_head))
+        self._kt = np.swapaxes(keys, -1, -2)
         self._logits: np.ndarray | None = None
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
@@ -339,8 +345,9 @@ class SelfTiles:
         if self._logits is None:
             n, heads, hw, keys = self.projections.shape
             self._logits = np.empty((n, heads, min(TILE_ROWS, hw), keys))
-        return _attention_map(self._q[:, :, lo:hi], self._k, self._d_head,
-                              out=self._logits[:, :, :hi - lo])
+        logits = np.matmul(self._q[:, :, lo:hi], self._kt,
+                           out=self._logits[:, :, :hi - lo])
+        return softmax_numerators(logits, out=logits)
 
 
 class AttentionSite:
@@ -348,12 +355,13 @@ class AttentionSite:
 
     This is what a probe sees, and the only type that pairs a map with
     its (t, layer, kind).  `attn` is the denoiser's own map, computed on
-    first read, so a probe that answers without reading it skips the
-    QK^T and the softmax.  A self-attention site also carries the
-    `projections` its map is built from (a cross-attention site carries
-    None), and `own_rows` gives the pass's own rows one tile at a time;
-    reading a self site's `attn` assembles the whole map, for observers
-    and tests.
+    first read: a softmax map at a cross site, softmax numerators (rows
+    peaking at exactly 1.0) at a self site.  A probe that answers
+    without reading it skips the QK^T and the softmax.  A self-attention
+    site also carries the `projections` its map is built from (a
+    cross-attention site carries None), and `own_rows` gives the pass's
+    own rows one tile at a time; reading a self site's `attn` assembles
+    the whole map, for observers and tests.
 
     A probe answers a cross site with None (the map stands) or a
     replacement map.  It answers a self site with None, a replacement
@@ -396,17 +404,23 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
            ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention; returns (output, applied map).
 
-    Leading axes broadcast.  *supply*, when given, is called with a
-    function that computes the post-softmax map and returns the map to
-    apply; returning another map without calling that function skips
-    the QK^T and the softmax.  This is the seam the probe machinery uses.
+    Leading axes broadcast.  The queries are scaled by 1/sqrt(d_head)
+    before the QK^T.  *supply*, when given, is called with a function
+    that computes the softmax map and returns the map to apply;
+    returning another map without calling that function skips the QK^T
+    and the softmax.  This is the seam the probe machinery uses.
     """
     require(d_head >= 1, f"d_head must be >= 1, got {d_head}")
     require(q.shape[-1] == d_head and k.shape[-1] == d_head,
             f"d_head {d_head} does not match Q/K last dims {q.shape} / {k.shape}")
     require(k.shape[-2] == v.shape[-2],
             f"K/V key counts differ: {k.shape} vs {v.shape}")
-    build = lambda: _attention_map(q, k, d_head)
+    q = q * (1.0 / math.sqrt(d_head))
+
+    def build() -> np.ndarray:
+        logits = np.matmul(q, np.swapaxes(k, -1, -2))
+        return softmax_lastdim(logits, out=logits)
+
     attn = build() if supply is None else supply(build)
     return np.matmul(attn, v), attn
 
@@ -423,31 +437,41 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
     query rows at a time.  *supply*, when given, is called with the
     `SelfProjections` of feats (made read-only) and the block's wq_s and
     wk_s, and returns the tile function that gives each tile's rows; by
-    default they are the projections' own.
+    default they are the projections' own, softmax numerators.  Each
+    tile multiplies [V | 1], whose last column gives the tile's row
+    sums, and the output is divided by them once, after the last tile.
     """
     proj = SelfProjections(feats=feats, wq=block.wq_s, wk=block.wk_s, heads=heads)
     rows = SelfTiles(proj).rows if supply is None else supply(proj)
-    vals = _with_middle_frame(_split_heads(feats @ block.wv_s, heads, d_head))
+    v = _split_heads(feats @ block.wv_s, heads, d_head)
+    vals = _with_middle_frame(np.concatenate([v, np.ones(v.shape[:-1] + (1,))],
+                                             axis=-1))
     n, _, hw, keys = proj.shape
-    out = np.empty((n, heads, hw, d_head))
+    out = np.empty((n, heads, hw, d_head + 1))
     for lo, hi in _tile_bounds(hw):
         tile = rows(lo, hi)
         require(tile.shape == (n, heads, hi - lo, keys),
                 f"self rows {lo}:{hi} have shape {tile.shape}, expected "
                 f"{(n, heads, hi - lo, keys)}")
         np.matmul(tile, vals, out=out[:, :, lo:hi])
-    return _merge_heads(out)
+    return _merge_heads(out[..., :d_head] / out[..., d_head:])
 
 
 def _checked(replacement, site: AttentionSite) -> np.ndarray:
-    """A probe's replacement map, checked against *site*; the pass applies it at once."""
+    """A probe's replacement map, checked against *site*; the pass applies it at once.
+
+    A cross map's rows must sum to 1 within 1e-6.  A self map must hold
+    softmax numerators like the pass's own: entries in [0, 1], each row
+    peaking within 1e-6 of 1.
+    """
     where = f"({site.kind}, t={site.t}, layer={site.layer})"
     replacement = np.asarray(replacement, dtype=np.float64)
     require(replacement.shape == site.shape,
             f"probe replacement shape {replacement.shape} != map shape "
             f"{site.shape} {where}")
-    check_finite("probe replacement", replacement)
-    check_rows(f"probe replacement {where}", replacement, 1e-6)
+    check_finite(f"probe replacement {where}", replacement)
+    check = check_rows if site.kind == KIND_CROSS else check_numerators
+    check(f"probe replacement {where}", replacement, 1e-6)
     return replacement
 
 

@@ -38,6 +38,18 @@ def check_rows(name: str, attn: np.ndarray, tol: float) -> None:
     require(worst <= tol, f"{name} rows deviate from 1 by {worst:.3e} (tol {tol:g})")
 
 
+def check_numerators(name: str, attn: np.ndarray, tol: float) -> None:
+    """Raise ContractViolation unless *attn* holds softmax numerators.
+
+    Every entry must lie in [0, 1] and each row's maximum within *tol*
+    of 1, as `softmax_numerators` gives them; NaN fails.
+    """
+    require(bool(np.all((attn >= 0.0) & (attn <= 1.0))),
+            f"{name} has entries outside [0, 1]")
+    worst = float(np.abs(attn.max(axis=-1) - 1.0).max())
+    require(worst <= tol, f"{name} row maxima deviate from 1 by {worst:.3e} (tol {tol:g})")
+
+
 def fnv1a64(data: bytes | str) -> int:
     """FNV-1a 64-bit hash. Stable across platforms and interpreter runs."""
     if isinstance(data, str):
@@ -69,23 +81,34 @@ class SeededRng:
         return self._gen.integers(low, high, size=size)
 
 
-def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along the last axis, max-subtracted for stability.
+def softmax_numerators(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - row max) along the last axis: softmax before its divide.
 
-    Each slice of the result sums to 1 (within 1e-12) and keeps strictly
-    positive entries for inputs of sane dynamic range.  *out*, when given,
-    receives the result and may be *x* itself; the values do not depend on
-    it.
+    Every entry lies in [0, 1] and each row peaks at exactly 1.0, the
+    exp of its own maximum minus itself.  *out*, when given, receives the
+    result and may be *x* itself; the values do not depend on it.
 
     Finiteness is checked on the row maxima, which rejects any NaN (max
     propagates it), any +inf and any row of only -inf.  A lone -inf
-    entry is accepted: it gets weight 0 and its row still sums to 1.
+    entry is accepted and gets 0.
     """
     x = np.asarray(x, dtype=np.float64)
     require(x.size > 0 and x.shape[-1] >= 1, "softmax of empty tensor")
     peaks = check_finite("softmax input", x.max(axis=-1, keepdims=True))
     out = np.subtract(x, peaks, out=out)
     np.exp(out, out=out)
+    return out
+
+
+def softmax_lastdim(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis: `softmax_numerators` over their row sums.
+
+    Each slice of the result sums to 1 (within 1e-12) and keeps strictly
+    positive entries for inputs of sane dynamic range.  *out* and the
+    finiteness check are those of `softmax_numerators`; a lone -inf entry
+    gets weight 0 and its row still sums to 1.
+    """
+    out = softmax_numerators(x, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 

@@ -13,8 +13,9 @@ L blocks holds T*L entries per kind.
 `AttentionStore.record` is inversion's probe; it keeps the pass's own
 maps unchecked.  A loaded dump comes from outside the program, so
 `load_store_dump` checks its index (each record's key in range and
-stored in the file `dump` names for it) and each cross map's kind,
-shape and row sums before it adds it.
+stored in the file `dump` names for it), each cross map's kind, shape
+and row sums, and each self record's shape, heads and finiteness before
+it adds it, and names the file at fault.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
 from .model import KIND_CROSS, KIND_SELF, AttentionSite, SelfProjections
-from .numerics import check_rows, require
+from .numerics import check_finite, check_rows, require
 
 # Format of a store dump's index.json and blobs.  Version 3 keeps self
 # attention as the block input and its query and key weights; version 2
@@ -105,7 +106,9 @@ class AttentionStore:
         """The read-only recorded map; a self map is rebuilt, a new array on each call.
 
         A rebuilt self map is assembled from the tiles the forward pass
-        builds, for observers and tests; the edit pass reads `projections`.
+        builds, so it holds softmax numerators, each row peaking at 1.0,
+        bit for bit the rows the pass applied; it is for observers and
+        tests, and the edit pass reads `projections`.
         """
         entry = self._entry(AttentionKey(t, layer, kind))
         return entry.attn() if kind == KIND_SELF else entry
@@ -154,7 +157,7 @@ class AttentionStore:
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Read a dump back, checking its index and each cross map, as they come from files."""
+    """Read a dump back, checking its index and each record, as they come from files."""
     directory = Path(directory)
     index_path = directory / "index.json"
     try:
@@ -192,8 +195,14 @@ def load_store_dump(directory: Path) -> AttentionStore:
             require(type(heads) is int, f"{path}: heads must be an integer, got {heads!r}")
             require(len(shape) == 3, f"{path}: self block input must be 3-D "
                                      f"(n, h*w, d_model), got shape {shape}")
-            weight = (shape[-1], shape[-1])
+            d_model = shape[-1]
+            require(heads >= 1 and d_model % heads == 0,
+                    f"{path}: {heads} heads do not split d_model {d_model}")
+            weight = (d_model, d_model)
             feats, wq, wk = blobio.read_blob(path, hash_, [shape, weight, weight])
+            for what, arr in (("block input", feats), ("query weights", wq),
+                              ("key weights", wk)):
+                check_finite(f"{path}: self {what}", arr)
             store._add(key, SelfProjections(feats=feats, wq=wq, wk=wk, heads=heads))
             continue
         require(len(shape) == 4, f"{path}: cross map must be 4-D "

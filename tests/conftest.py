@@ -1,13 +1,14 @@
-"""Shared fixtures: a tiny model, a completed tiny inversion, and a
-probe that captures the maps a forward pass applies."""
+"""Shared fixtures: a tiny model, a completed tiny inversion, a probe
+that captures the maps a forward pass applies, and the row contract of
+an attention map."""
 
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from attnfuse.model import (ModelConfig, embed_prompt, make_denoiser_weights,
-                            whole_map)
+from attnfuse.model import (KIND_SELF, ModelConfig, embed_prompt,
+                            make_denoiser_weights, whole_map)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
@@ -69,3 +70,22 @@ def _capture_probe(probe=None):
 @pytest.fixture
 def capture_probe():
     return _capture_probe
+
+
+def _assert_map_rows(kind, attn):
+    """Assert the row contract of an attention map of *kind*.
+
+    A cross map's rows sum to 1 within 1e-9.  A self map holds softmax
+    numerators: every entry lies in [0, 1], each row peaks at exactly
+    1.0, and the rows divided by their sums sum to 1 within 1e-9.
+    """
+    if kind == KIND_SELF:
+        assert np.array_equal(attn.max(axis=-1), np.ones(attn.shape[:-1]))
+        assert attn.min() >= 0.0
+        attn = attn / attn.sum(axis=-1, keepdims=True)
+    assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-9
+
+
+@pytest.fixture
+def assert_map_rows():
+    return _assert_map_rows

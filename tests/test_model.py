@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from attnfuse.errors import ContractViolation
+from attnfuse import model
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TILE_ROWS,
-                            BlockWeights, ModelConfig, SelfTiles, attend,
-                            config_hash, denoiser_forward, embed_prompt,
-                            encode_color, make_denoiser_weights,
+                            BlockWeights, ModelConfig, SelfProjections,
+                            SelfTiles, attend, config_hash, denoiser_forward,
+                            embed_prompt, encode_color, make_denoiser_weights,
                             make_oracle_denoiser, spatiotemporal_attend,
                             tokenize, token_vector)
-from attnfuse.numerics import SeededRng, softmax_lastdim
+from attnfuse.numerics import SeededRng, softmax_lastdim, softmax_numerators
 
 
 def test_config_requires_head_split():
@@ -131,7 +132,7 @@ def _attend_and_map(feats, block, heads, d_head):
     return out, proj.attn()
 
 
-def test_spatiotemporal_map_shape_and_rows():
+def test_spatiotemporal_map_shape_and_rows(assert_map_rows):
     rng = np.random.default_rng(5)
     block = _block(rng, 8, 6)
     feats = _feats(rng, 4, 9, 8)
@@ -139,7 +140,65 @@ def test_spatiotemporal_map_shape_and_rows():
     assert out.shape == (4, 9, 8)
     assert np.array_equal(out, spatiotemporal_attend(feats, block, 2, 4))
     assert attn.shape == (4, 2, 9, 18)
-    assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= 1e-9
+    assert_map_rows(KIND_SELF, attn)
+
+
+def test_self_rows_match_a_softmax_reference_across_the_tile_seam():
+    # h*w = 5 * 13 = 65 query rows: one full tile and a 1-row tail tile.
+    rng = np.random.default_rng(13)
+    n, hw, heads, d_head = 3, 5 * 13, 2, 8
+    d = heads * d_head
+    block = _block(rng, d, 6)
+    feats = _feats(rng, n, hw, d)
+    tiles = SelfTiles(SelfProjections(feats=feats, wq=block.wq_s, wk=block.wk_s,
+                                      heads=heads))
+    bounds = [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
+    assert [hi - lo for lo, hi in bounds] == [64, 1]
+    rows = np.concatenate([tiles.rows(lo, hi).copy() for lo, hi in bounds], axis=2)
+    assert np.array_equal(rows.max(axis=-1), np.ones((n, heads, hw)))
+
+    # The reference: [middle frame; own frame] keys and values, logits
+    # scaled after the QK^T, then a softmax.
+    split = lambda x: x.reshape(n, hw, heads, d_head).transpose(0, 2, 1, 3)
+    inflate = lambda x: np.concatenate([np.broadcast_to(x[n // 2], x.shape), x], axis=2)
+    q = split(feats @ block.wq_s)
+    k = inflate(split(feats @ block.wk_s))
+    v = inflate(split(feats @ block.wv_s))
+    want = softmax_lastdim(q @ np.swapaxes(k, -1, -2) / np.sqrt(d_head))
+    assert np.max(np.abs(rows / rows.sum(axis=-1, keepdims=True) - want)) <= 1e-12
+    want_out = (want @ v).transpose(0, 2, 1, 3).reshape(n, hw, d)
+    out = spatiotemporal_attend(feats, block, heads, d_head)
+    assert np.max(np.abs(out - want_out)) <= 1e-12
+
+
+def test_forward_divides_no_self_tile(monkeypatch):
+    # A self tile costs its QK^T, one stable exp and its product with
+    # [V | 1]: no softmax normalizes it and nothing divides it in place.
+    cfg = ModelConfig(n=2, h=5, w=13, c=1, d_model=8, heads=2, d_head=4,
+                      blocks=2, d_text=8, seed=4)
+    weights = make_denoiser_weights(cfg)
+    prompt = embed_prompt("a red square", cfg)
+    z = SeededRng(9).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
+    normalized, tiles = [], []
+
+    def lastdim(x, out=None):
+        normalized.append(x.shape)
+        return softmax_lastdim(x, out=out)
+
+    def numerators(x, out=None):
+        tile = softmax_numerators(x, out=out)
+        tile.setflags(write=False)  # an in-place divide of the tile raises
+        tiles.append(tile.shape)
+        return tile
+
+    monkeypatch.setattr(model, "softmax_lastdim", lastdim)
+    monkeypatch.setattr(model, "softmax_numerators", numerators)
+    denoiser_forward(z, 1, prompt, weights, 4)
+    hw = cfg.h * cfg.w
+    tokens = len(prompt.tokens)
+    assert normalized == [(cfg.n, cfg.heads, hw, tokens)] * cfg.blocks
+    assert tiles == [(cfg.n, cfg.heads, 64, 2 * hw),
+                     (cfg.n, cfg.heads, 1, 2 * hw)] * cfg.blocks
 
 
 def test_spatiotemporal_middle_frame_reduces_to_self():
@@ -173,7 +232,8 @@ def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights, capture_probe):
         assert np.array_equal(a.attn, b.attn)
 
 
-def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe):
+def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe,
+                                        assert_map_rows):
     prompt = embed_prompt("one two three", tiny_cfg)
     z = SeededRng(2).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     probe, recs = capture_probe()
@@ -187,7 +247,7 @@ def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe):
             assert r.attn.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
         else:
             assert r.attn.shape == (tiny_cfg.n, tiny_cfg.heads, hw, len(prompt.tokens))
-        assert np.abs(r.attn.sum(axis=-1) - 1.0).max() <= 1e-9
+        assert_map_rows(r.kind, r.attn)
         assert not r.attn.flags.writeable
 
 
@@ -288,6 +348,22 @@ def test_probe_replacement_validation(tiny_cfg, tiny_weights):
     with pytest.raises(ContractViolation):
         denoiser_forward(z, 1, prompt, tiny_weights, 8,
                          probe=lambda site: np.full_like(site.attn, np.nan))
+
+    # A self replacement must hold softmax numerators, like the pass's own.
+    def one_negative(attn):
+        bad = attn.copy()
+        bad[0, 0, 0, np.argmin(bad[0, 0, 0])] = -1e-3
+        return bad
+
+    for alter, fragment in [
+            (lambda attn: attn * 2.0, r"outside \[0, 1\]"),
+            (one_negative, r"outside \[0, 1\]"),
+            (lambda attn: attn / attn.sum(axis=-1, keepdims=True),
+             "row maxima deviate from 1")]:
+        probe = lambda site: alter(site.attn) if site.kind == KIND_SELF else None
+        with pytest.raises(ContractViolation, match=fragment) as exc:
+            denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
+        assert "(self, t=1, layer=0)" in str(exc.value)
 
 
 def test_encode_color_endpoints():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnfuse.errors import ContractViolation
-from attnfuse.numerics import (SeededRng, derived_seed, fnv1a64, maxnorm_frame,
-                               softmax_lastdim)
+from attnfuse.numerics import (SeededRng, check_numerators, derived_seed,
+                               fnv1a64, maxnorm_frame, softmax_lastdim,
+                               softmax_numerators)
 
 
 def test_fnv1a64_known_vectors():
@@ -46,6 +47,19 @@ def test_softmax_in_place_matches_fresh_result():
     assert got is buf
     assert np.array_equal(got, want)
     assert not np.array_equal(x, want)
+
+
+def test_softmax_numerators_peak_at_one_and_divide_into_the_softmax():
+    x = np.random.default_rng(13).standard_normal((4, 3, 7, 11)) * 10.0
+    num = softmax_numerators(x)
+    assert np.array_equal(num.max(axis=-1), np.ones((4, 3, 7)))
+    assert num.min() >= 0.0
+    check_numerators("numerators", num, 0.0)
+    assert np.array_equal(num / num.sum(axis=-1, keepdims=True), softmax_lastdim(x))
+    with pytest.raises(ContractViolation, match="row maxima deviate"):
+        check_numerators("softmax", softmax_lastdim(x), 1e-6)
+    with pytest.raises(ContractViolation, match="non-finite"):
+        softmax_numerators(np.array([0.0, np.nan]))
 
 
 def test_softmax_large_values_stable():

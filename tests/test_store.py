@@ -170,10 +170,11 @@ def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
 
 
 CROSS_BLOB = "cross_t0000_l00.bin"
+SELF_BLOB = "self_t0000_l00.bin"
 
 
 def _tampered_dump(directory, store, case):
-    """Dump *store* to *directory*, then spoil its index or first cross record."""
+    """Dump *store* to *directory*, then spoil its index or its first cross or self record."""
     store.dump(directory)
     index = json.loads((directory / "index.json").read_text())
     [item] = [r for r in index["records"] if r["file"] == CROSS_BLOB]
@@ -204,12 +205,23 @@ def _tampered_dump(directory, store, case):
         item["shape"] = 5
     elif case == "string config hash":
         index["config_hash"] = "x"
-    elif case in ("string heads", "empty self shape"):
-        [entry] = [r for r in index["records"] if r["file"] == "self_t0000_l00.bin"]
+    elif case in ("string heads", "empty self shape", "3 heads", "0 heads",
+                  "nan block input"):
+        [entry] = [r for r in index["records"] if r["file"] == SELF_BLOB]
         if case == "string heads":
             entry["heads"] = "2"
-        else:
+        elif case == "empty self shape":
             entry["shape"] = []
+        elif case == "nan block input":
+            d_model = entry["shape"][-1]
+            feats, wq, wk = read_blob(directory / SELF_BLOB, hash_,
+                                      [tuple(entry["shape"]), (d_model, d_model),
+                                       (d_model, d_model)])
+            feats = feats.copy()
+            feats[0, 0, 0] = np.nan
+            write_blob(directory / SELF_BLOB, hash_, [feats, wq, wk])
+        else:
+            entry["heads"] = int(case[0])
     (directory / "index.json").write_text(
         "{not json" if case == "garbage index" else json.dumps(index))
     return directory
@@ -234,8 +246,11 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
             ("file outside the dump", "must be in " + CROSS_BLOB, "etc/hostname"),
             ("shape not a list", "shape must be a list", CROSS_BLOB),
             ("string config hash", "config_hash must be", "index.json"),
-            ("string heads", "heads must be", "self_t0000_l00.bin"),
-            ("empty self shape", "must be 3-D", "self_t0000_l00.bin")]:
+            ("string heads", "heads must be", SELF_BLOB),
+            ("empty self shape", "must be 3-D", SELF_BLOB),
+            ("3 heads", "3 heads do not split d_model 8", SELF_BLOB),
+            ("0 heads", "0 heads do not split d_model 8", SELF_BLOB),
+            ("nan block input", "self block input: non-finite", SELF_BLOB)]:
         d = _tampered_dump(tmp_path / case.replace(" ", "_"), store, case)
         with pytest.raises(ContractViolation, match=fragment) as exc:
             load_store_dump(d)
