@@ -76,10 +76,6 @@ class SeededRng:
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
-    def integers(self, low: int, high: int, size=None):
-        """Uniform integers in [low, high)."""
-        return self._gen.integers(low, high, size=size)
-
 
 def softmax_numerators(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(x - row max) along the last axis: softmax before its divide.

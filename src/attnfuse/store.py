@@ -11,17 +11,17 @@ returns a plain read-only array.  A complete inversion over T steps and
 L blocks holds T*L entries per kind.
 
 `AttentionStore.record` is inversion's probe; it keeps the pass's own
-maps unchecked.  A loaded dump comes from outside the program, so
-`load_store_dump` checks its index (each record's key in range and
-stored in the file `dump` names for it), each cross map's kind, shape
-and row sums, and each self record's shape, heads and finiteness before
-it adds it, and names the file at fault.
+maps unchecked.  `dump` writes a complete store only: one blob per key,
+named by the key, and an index of the store's metadata and the one
+geometry all blob shapes follow.  A loaded dump comes from outside the
+program, so `load_store_dump` checks the index's fields, each blob's
+header and length, cross rows and self finiteness, naming the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -32,10 +32,10 @@ from .errors import ContractViolation, MissingRecordError
 from .model import KIND_CROSS, KIND_SELF, AttentionSite, SelfProjections
 from .numerics import check_finite, check_rows, require
 
-# Format of a store dump's index.json and blobs.  Version 3 keeps self
-# attention as the block input and its query and key weights; version 2
-# held query and key projections, version 1 (no "version" key) held maps.
-DUMP_VERSION = 3
+# Format of a store dump's index.json and blobs.  Version 4 writes one
+# geometry for all blobs; version 3 listed each record's file and shape,
+# version 2 held self projections, version 1 (no "version" key) maps.
+DUMP_VERSION = 4
 
 
 class AttentionKey(NamedTuple):
@@ -49,11 +49,26 @@ def _blob_name(key: AttentionKey) -> str:
     return f"{key.kind}_t{key.t:04d}_l{key.layer:02d}.bin"
 
 
-def _fields(obj, names: tuple[str, ...], where: str) -> list:
-    """obj[name] for each of *names* of a parsed index object."""
-    missing = [n for n in names if not isinstance(obj, dict) or n not in obj]
-    require(not missing, f"{where}: missing {', '.join(missing)}")
-    return [obj[n] for n in names]
+def _grid(T: int, blocks: int) -> Iterator[AttentionKey]:
+    """Every key of a complete T x blocks x {self, cross} store, in recording order."""
+    return (AttentionKey(t, layer, kind) for t in range(T) for layer in range(blocks)
+            for kind in (KIND_SELF, KIND_CROSS))
+
+
+class DumpGeometry(NamedTuple):
+    """The sizes every record of a dump shares."""
+    frames: int
+    pixels: int
+    d_model: int
+    heads: int
+    tokens: int
+
+    def shapes(self, kind: str) -> list[tuple[int, ...]]:
+        """A self blob's block input and weights, or a cross blob's map."""
+        if kind == KIND_SELF:
+            weight = (self.d_model, self.d_model)
+            return [(self.frames, self.pixels, self.d_model), weight, weight]
+        return [(self.frames, self.heads, self.pixels, self.tokens)]
 
 
 @dataclass(frozen=True)
@@ -115,49 +130,36 @@ class AttentionStore:
 
     def verify_complete(self) -> list[AttentionKey]:
         """Keys still missing for a full T x blocks x {self, cross} grid."""
-        missing = [
-            AttentionKey(t, layer, kind)
-            for t in range(self.meta.T)
-            for layer in range(self.meta.blocks)
-            for kind in (KIND_SELF, KIND_CROSS)
-            if AttentionKey(t, layer, kind) not in self._records
-        ]
-        return missing
+        return [key for key in _grid(self.meta.T, self.meta.blocks)
+                if key not in self._records]
 
     def dump(self, directory: Path) -> None:
-        """Write one blob per entry plus an index for offline rendering.
+        """Write a complete store: one blob per key, and an index.
 
         A cross blob holds the map.  A self blob holds the block input,
         then the query weights, then the key weights, so a dump needs no
-        weights from outside.
+        weights from outside.  The index holds the store's metadata and
+        the geometry of step 0, block 0, which every record shares.
         """
+        missing = self.verify_complete()
+        require(not missing, f"cannot dump a store with {len(missing)} records "
+                             f"missing, the first {missing[:1]}")
+        first = self.projections(0, 0)
+        geometry = DumpGeometry(*first.feats.shape, first.heads,
+                                self.query(0, 0, KIND_CROSS).shape[-1])
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        index = {
-            "version": DUMP_VERSION,
-            "T": self.meta.T,
-            "blocks": self.meta.blocks,
-            "config_hash": self.meta.config_hash,
-            "records": [],
-        }
-        for key in sorted(self._records):
+        for key in _grid(self.meta.T, self.meta.blocks):
             entry = self._records[key]
-            name = _blob_name(key)
-            item = {"t": key.t, "layer": key.layer, "kind": key.kind, "file": name}
-            if key.kind == KIND_SELF:
-                arrays = [entry.feats, entry.wq, entry.wk]
-                item["heads"] = entry.heads
-            else:
-                arrays = [entry]
-            item["shape"] = list(arrays[0].shape)
-            blobio.write_blob(directory / name, self.meta.config_hash, arrays)
-            index["records"].append(item)
+            arrays = [entry.feats, entry.wq, entry.wk] if key.kind == KIND_SELF else [entry]
+            blobio.write_blob(directory / _blob_name(key), self.meta.config_hash, arrays)
+        index = {"version": DUMP_VERSION, **asdict(self.meta), **geometry._asdict()}
         (directory / "index.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Read a dump back, checking its index and each record, as they come from files."""
+    """Read a dump back, checking its index and each blob, as they come from files."""
     directory = Path(directory)
     index_path = directory / "index.json"
     try:
@@ -166,48 +168,28 @@ def load_store_dump(directory: Path) -> AttentionStore:
         raise ContractViolation(f"{index_path}: not a JSON index: {exc}") from None
     require(isinstance(index, dict), f"{index_path}: index must be a JSON object")
     found = index.get("version", 1)
-    if found != DUMP_VERSION:
+    if type(found) is not int or found != DUMP_VERSION:
         raise ContractViolation(
-            f"{directory}: store dump format version {found}, expected "
+            f"{directory}: store dump format version {found!r}, expected "
             f"{DUMP_VERSION}; invert the video again to rewrite it")
-    T, blocks, hash_, records = _fields(index, ("T", "blocks", "config_hash", "records"),
-                                        str(index_path))
-    require(all(type(v) is int for v in (T, blocks, hash_)) and isinstance(records, list),
-            f"{index_path}: T, blocks and config_hash must be integers, records a list")
+    names = ("config_hash", "T", "blocks") + DumpGeometry._fields
+    bad = [n for n in names if type(index.get(n)) is not int]
+    require(not bad, f"{index_path}: {', '.join(bad)} must be present as integers")
+    small = [f"{n} = {index[n]}" for n in names[1:] if index[n] < 1]
+    require(not small, f"{index_path}: sizes must be at least 1, got {', '.join(small)}")
+    hash_, T, blocks, *sizes = (index[n] for n in names)
+    geometry = DumpGeometry(*sizes)
+    require(geometry.d_model % geometry.heads == 0,
+            f"{index_path}: {geometry.heads} heads do not split d_model {geometry.d_model}")
     store = AttentionStore(StoreMeta(T=T, blocks=blocks, config_hash=hash_))
-    for i, entry in enumerate(records):
-        t, layer, kind, name, shape = _fields(
-            entry, ("t", "layer", "kind", "file", "shape"), f"{index_path}: record {i}")
-        path = directory / str(name)
-        require(kind in (KIND_SELF, KIND_CROSS),
-                f"{path}: record kind must be self or cross, got {kind!r}")
-        require(type(t) is int and 0 <= t < T, f"{path}: t = {t!r} outside [0, {T})")
-        require(type(layer) is int and 0 <= layer < blocks,
-                f"{path}: layer = {layer!r} outside [0, {blocks})")
-        require(isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape),
-                f"{path}: shape must be a list of sizes, got {shape!r}")
-        shape = tuple(shape)
-        key = AttentionKey(t, layer, kind)
-        require(name == _blob_name(key),
-                f"{path}: the record of {tuple(key)} must be in {_blob_name(key)}")
-        if kind == KIND_SELF:
-            [heads] = _fields(entry, ("heads",), f"{index_path}: record {i}")
-            require(type(heads) is int, f"{path}: heads must be an integer, got {heads!r}")
-            require(len(shape) == 3, f"{path}: self block input must be 3-D "
-                                     f"(n, h*w, d_model), got shape {shape}")
-            d_model = shape[-1]
-            require(heads >= 1 and d_model % heads == 0,
-                    f"{path}: {heads} heads do not split d_model {d_model}")
-            weight = (d_model, d_model)
-            feats, wq, wk = blobio.read_blob(path, hash_, [shape, weight, weight])
-            for what, arr in (("block input", feats), ("query weights", wq),
-                              ("key weights", wk)):
+    for key in _grid(T, blocks):
+        path = directory / _blob_name(key)
+        arrays = blobio.read_blob(path, hash_, geometry.shapes(key.kind))
+        if key.kind == KIND_SELF:
+            for what, arr in zip(("block input", "query weights", "key weights"), arrays):
                 check_finite(f"{path}: self {what}", arr)
-            store._add(key, SelfProjections(feats=feats, wq=wq, wk=wk, heads=heads))
-            continue
-        require(len(shape) == 4, f"{path}: cross map must be 4-D "
-                                 f"(n, heads, q, k), got shape {shape}")
-        [attn] = blobio.read_blob(path, hash_, [shape])
-        check_rows(f"{path}: cross map", attn, 1e-9)
-        store._add(key, attn)
+            store._add(key, SelfProjections(*arrays, heads=geometry.heads))
+        else:
+            check_rows(f"{path}: cross map", arrays[0], 1e-9)
+            store._add(key, arrays[0])
     return store

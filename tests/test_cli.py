@@ -24,7 +24,7 @@ from attnfuse.numerics import SeededRng, derived_seed
 from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
                                synth_video, write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
-from attnfuse.store import AttentionStore, StoreMeta, load_store_dump
+from attnfuse.store import DUMP_VERSION, AttentionStore, StoreMeta, load_store_dump
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -478,6 +478,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     assert (f"holds {records * (self_record + cross_map) / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
     assert f"writes {records * blobs / 1e6:.1f} MB to `store/`" in readme
+    assert f"The dump format is version {DUMP_VERSION}" in readme
 
     # Those are the shapes the store keeps and dumps: one step's records.
     store = AttentionStore(StoreMeta(T=1, blocks=m.blocks, config_hash=config_hash(m)))

@@ -140,10 +140,3 @@ def test_gaussian_seeds_decorrelate():
     a = SeededRng(1).standard_normal((1000,))
     b = SeededRng(2).standard_normal((1000,))
     assert np.mean(a != b) >= 0.99
-
-
-def test_rng_integers_in_range():
-    rng = SeededRng(3)
-    draws = [int(rng.integers(0, 5)) for _ in range(200)]
-    assert min(draws) >= 0 and max(draws) <= 4
-    assert len(set(draws)) == 5

@@ -15,8 +15,8 @@ from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import ddim_invert_step, make_schedule
-from attnfuse.store import (AttentionKey, AttentionStore, StoreMeta,
-                            load_store_dump)
+from attnfuse.store import (AttentionKey, AttentionStore, DumpGeometry,
+                            StoreMeta, load_store_dump)
 
 
 def _cross_site(t, layer, keys=4):
@@ -146,6 +146,7 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion):
     assert loaded.meta.config_hash == config_hash(tiny_cfg)
     assert len(loaded) == len(store) == sched.T * tiny_cfg.blocks * 2
     assert loaded.verify_complete() == []
+    assert list(loaded.keys()) == list(store.keys())
     for key in store.keys():
         a = store.query(*key)
         b = loaded.query(*key)
@@ -157,16 +158,30 @@ def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
     d = tmp_path / "store"
     store.dump(d)
     index = json.loads((d / "index.json").read_text())
-    assert index["version"] == 3
-    # A version 2 dump held query and key projections in its self blobs.
-    (d / "index.json").write_text(json.dumps(dict(index, version=2)))
-    with pytest.raises(ContractViolation, match="version 2, expected 3"):
-        load_store_dump(d)
-    # A version 1 dump had no version key and held self maps in its blobs.
-    del index["version"]
-    (d / "index.json").write_text(json.dumps(index))
-    with pytest.raises(ContractViolation, match="version 1, expected 3"):
-        load_store_dump(d)
+    assert index["version"] == 4
+    # Version 3 listed every record's file and shape; version 2 held query
+    # and key projections in its self blobs; a version 1 dump had no
+    # version key and held self maps.  A version must be the integer 4.
+    for version, fragment in [(3, "version 3, expected 4"),
+                              (2, "version 2, expected 4"),
+                              (None, "version 1, expected 4"),
+                              ("4", "version '4', expected 4"),
+                              (4.0, r"version 4\.0, expected 4")]:
+        old = {k: v for k, v in index.items() if k != "version"}
+        if version is not None:
+            old["version"] = version
+        (d / "index.json").write_text(json.dumps(old))
+        with pytest.raises(ContractViolation, match=fragment):
+            load_store_dump(d)
+
+
+def test_dump_refuses_an_incomplete_store(tmp_path):
+    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
+    store.record(_self_site(0, 0, _projections()))
+    store.record(_cross_site(0, 0))
+    with pytest.raises(ContractViolation, match="2 records missing"):
+        store.dump(tmp_path / "store")
+    assert not (tmp_path / "store").exists()
 
 
 CROSS_BLOB = "cross_t0000_l00.bin"
@@ -174,54 +189,36 @@ SELF_BLOB = "self_t0000_l00.bin"
 
 
 def _tampered_dump(directory, store, case):
-    """Dump *store* to *directory*, then spoil its index or its first cross or self record."""
+    """Dump *store* to *directory*, then spoil its index or its first cross or self blob."""
     store.dump(directory)
     index = json.loads((directory / "index.json").read_text())
-    [item] = [r for r in index["records"] if r["file"] == CROSS_BLOB]
-    path, hash_ = directory / CROSS_BLOB, store.meta.config_hash
-    [attn] = read_blob(path, hash_, [tuple(item["shape"])])
+    geometry = DumpGeometry(*(index[n] for n in DumpGeometry._fields))
+    hash_ = store.meta.config_hash
+    cross, self_ = directory / CROSS_BLOB, directory / SELF_BLOB
     if case == "scaled payload":
-        write_blob(path, hash_, [attn * 2.0])
+        [attn] = read_blob(cross, hash_, geometry.shapes(KIND_CROSS))
+        write_blob(cross, hash_, [attn * 2.0])
     elif case == "nan payload":
+        [attn] = read_blob(cross, hash_, geometry.shapes(KIND_CROSS))
         bad = attn.copy()
         bad[0, 0, 0, -1] = np.nan
-        write_blob(path, hash_, [bad])
-    elif case == "other kind":
-        item["kind"] = "other"
-    elif case == "3-D shape":  # same element count, so only the loader's shape check sees it
-        n, heads, q, k = item["shape"]
-        item["shape"] = [n * heads, q, k]
-    elif case == "no records key":
-        del index["records"]
-    elif case == "no file key":
-        del item["file"]
-    elif case == "extra record at t = 99":
-        index["records"].append(dict(item, t=99))
-    elif case == "extra record at layer 7":
-        index["records"].append(dict(item, layer=7))
-    elif case == "file outside the dump":
-        item["file"] = "../../etc/hostname"
-    elif case == "shape not a list":
-        item["shape"] = 5
+        write_blob(cross, hash_, [bad])
+    elif case == "nan block input":
+        feats, wq, wk = read_blob(self_, hash_, geometry.shapes(KIND_SELF))
+        feats = feats.copy()
+        feats[0, 0, 0] = np.nan
+        write_blob(self_, hash_, [feats, wq, wk])
+    elif case == "no tokens key":
+        del index["tokens"]
     elif case == "string config hash":
         index["config_hash"] = "x"
-    elif case in ("string heads", "empty self shape", "3 heads", "0 heads",
-                  "nan block input"):
-        [entry] = [r for r in index["records"] if r["file"] == SELF_BLOB]
-        if case == "string heads":
-            entry["heads"] = "2"
-        elif case == "empty self shape":
-            entry["shape"] = []
-        elif case == "nan block input":
-            d_model = entry["shape"][-1]
-            feats, wq, wk = read_blob(directory / SELF_BLOB, hash_,
-                                      [tuple(entry["shape"]), (d_model, d_model),
-                                       (d_model, d_model)])
-            feats = feats.copy()
-            feats[0, 0, 0] = np.nan
-            write_blob(directory / SELF_BLOB, hash_, [feats, wq, wk])
-        else:
-            entry["heads"] = int(case[0])
+    elif case == "string heads":
+        index["heads"] = "2"
+    elif case in ("one token more", "one token fewer"):
+        index["tokens"] += 1 if case == "one token more" else -1
+    elif case != "garbage index":  # "<field> <value>"
+        field, value = case.split()
+        index[field] = int(value)
     (directory / "index.json").write_text(
         "{not json" if case == "garbage index" else json.dumps(index))
     return directory
@@ -231,26 +228,23 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
     *_, store = tiny_inversion
     store.dump(tmp_path / "good")
     assert load_store_dump(tmp_path / "good").verify_complete() == []
-    # blobio checks the header only, so the payload cases reach the loader.
-    # Each case names the file at fault: the blob, or the index.
+    # blobio checks the header and the length only, so the payload cases
+    # reach the loader.  Each case names the file at fault: the blob, or
+    # the index.
     for case, fragment, named in [
             ("scaled payload", "rows deviate from 1", CROSS_BLOB),
             ("nan payload", "rows deviate from 1 by nan", CROSS_BLOB),
-            ("other kind", "'other'", CROSS_BLOB),
-            ("3-D shape", "must be 4-D", CROSS_BLOB),
+            ("nan block input", "self block input: non-finite", SELF_BLOB),
+            ("one token more", "payload shorter than declared shapes", CROSS_BLOB),
+            ("one token fewer", "trailing bytes", CROSS_BLOB),
             ("garbage index", "not a JSON index", "index.json"),
-            ("no records key", "missing records", "index.json"),
-            ("no file key", "missing file", "index.json"),
-            ("extra record at t = 99", r"t = 99 outside \[0, 4\)", CROSS_BLOB),
-            ("extra record at layer 7", r"layer = 7 outside \[0, 2\)", CROSS_BLOB),
-            ("file outside the dump", "must be in " + CROSS_BLOB, "etc/hostname"),
-            ("shape not a list", "shape must be a list", CROSS_BLOB),
+            ("no tokens key", "tokens must be present as integers", "index.json"),
             ("string config hash", "config_hash must be", "index.json"),
-            ("string heads", "heads must be", SELF_BLOB),
-            ("empty self shape", "must be 3-D", SELF_BLOB),
-            ("3 heads", "3 heads do not split d_model 8", SELF_BLOB),
-            ("0 heads", "0 heads do not split d_model 8", SELF_BLOB),
-            ("nan block input", "self block input: non-finite", SELF_BLOB)]:
+            ("string heads", "heads must be", "index.json"),
+            ("pixels 0", "at least 1, got pixels = 0", "index.json"),
+            ("pixels -1", "at least 1, got pixels = -1", "index.json"),
+            ("heads 0", "at least 1, got heads = 0", "index.json"),
+            ("heads 3", "3 heads do not split d_model 8", "index.json")]:
         d = _tampered_dump(tmp_path / case.replace(" ", "_"), store, case)
         with pytest.raises(ContractViolation, match=fragment) as exc:
             load_store_dump(d)
