@@ -8,6 +8,7 @@ exact bit-level round trip.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -30,7 +31,10 @@ def write_blob(path: Path, config_hash: int, arrays: list[np.ndarray]) -> None:
 
 def read_blob(path: Path, config_hash: int,
               shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ContractViolation(f"{path}: cannot read: {exc.strerror}") from None
     if len(raw) < HEADER.size:
         raise ContractViolation(f"{path}: truncated blob header")
     magic, version, found_hash = HEADER.unpack_from(raw)
@@ -45,7 +49,7 @@ def read_blob(path: Path, config_hash: int,
     arrays = []
     offset = HEADER.size
     for shape in shapes:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise ContractViolation(f"{path}: payload shorter than declared shapes")

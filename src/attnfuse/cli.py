@@ -24,8 +24,7 @@ from .errors import ConfigError, ContractViolation
 from .fusion import (EditConfig, FusionPlan, MODES, align_prompts, preset,
                      word_attention)
 from .imageio import quantize, write_pgm
-from .model import (KIND_CROSS, ModelConfig, config_hash, embed_prompt,
-                    make_denoiser_weights)
+from .model import ModelConfig, config_hash, embed_prompt, make_denoiser_weights
 from .numerics import SeededRng, derived_seed, require
 from .pipeline import (VideoSpec, compute_metrics, invert_video,
                        latent_to_pixels, pixels_to_latent, read_frame_dir,
@@ -259,7 +258,7 @@ def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
 
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)
-    attn = plan.source_map(1, 0, KIND_CROSS)  # inversion step 0's record
+    attn = plan.source_map(1, 0)  # inversion step 0's record
     # The mask's words, or every word (the start token if there is none).
     columns = plan.positions or tuple(range(1, attn.shape[-1])) or (0,)
     heat = word_attention(attn, columns)

@@ -17,7 +17,8 @@ Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
 `FusionPlan.source_map` (a cross map) and `FusionPlan.source_projections`
 (the recorded block input and weights a self map's rows are built from)
-make that pairing and are the only readers of the inversion store.
+make that pairing and are the only readers of the inversion store; no
+whole self map is read back.
 
 Self-attention is rewritten row by row, one tile of query rows at a
 time, because the forward pass never holds a whole self map: the plan
@@ -72,7 +73,8 @@ class EditConfig:
         require(0.0 <= self.t_s <= 1.0, f"t_s must lie in [0, 1], got {self.t_s}")
         require(0.0 <= self.t_c <= 1.0, f"t_c must lie in [0, 1], got {self.t_c}")
         require(0.0 <= self.tau <= 1.0, f"tau must lie in [0, 1], got {self.tau}")
-        require(self.s_cfg >= 0.0, f"s_cfg must be >= 0, got {self.s_cfg}")
+        require(math.isfinite(self.s_cfg) and self.s_cfg >= 0.0,
+                f"s_cfg must be finite and >= 0, got {self.s_cfg}")
         require(self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}")
 
 
@@ -290,13 +292,9 @@ class FusionPlan:
         self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
         self._masks: dict[tuple[int, int] | None, BlendMask] = {}
 
-    def source_map(self, t: int, layer: int, kind: str) -> np.ndarray:
-        """The read-only map that denoising step t replays: inversion step t-1's.
-
-        A self map comes back whole, for observers and tests; the pass
-        reads `source_projections`.
-        """
-        return self.store.query(t - 1, layer, kind)
+    def source_map(self, t: int, layer: int) -> np.ndarray:
+        """The read-only cross map that denoising step t replays: inversion step t-1's."""
+        return self.store.query(t - 1, layer)
 
     def source_projections(self, t: int, layer: int) -> SelfProjections:
         """The self record whose rows step t replays: inversion step t-1's."""
@@ -316,7 +314,7 @@ class FusionPlan:
         mask = self._masks.get(key)
         if mask is None:
             if self._blends:
-                mask = build_blend_mask(self.source_map(t, layer, KIND_CROSS),
+                mask = build_blend_mask(self.source_map(t, layer),
                                         self.positions, self.cfg.tau)
             else:  # sized by the self record, which every self site has
                 n, _, q, _ = self.source_projections(t, layer).shape
@@ -348,7 +346,7 @@ class FusionPlan:
                 if site.kind == KIND_SELF:
                     return self._self_answer(t, site)
                 # TAKE_SOURCE never reads site.attn, so the edit map is not built.
-                src = self.source_map(t, site.layer, KIND_CROSS)
+                src = self.source_map(t, site.layer)
                 return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src
             except ContractViolation as exc:
                 raise ContractViolation(

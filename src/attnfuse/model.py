@@ -10,12 +10,13 @@ site is offered to an optional probe before its map multiplies the
 values, which is what the editing machinery hooks into.  The probe is
 the only way a map leaves the forward pass, which returns the predicted
 noise alone.  The probe sees an `AttentionSite` whose map is computed
-only when read, so a probe that supplies its own map spares the QK^T
-and the softmax.  A replacement map is checked for shape, finiteness
-and its rows (see `_checked`) before it is applied; the rows of a tile
-function get a shape check per tile; the pass's own rows are not
-re-checked.  Second, all randomness flows from explicit seeds, so
-identical inputs give bit-identical outputs.
+only when read, so a probe that supplies its own cross map spares the
+QK^T and the softmax.  A replacement cross map is checked for shape,
+finiteness and its rows (see `_checked`) before it is applied.  A self
+site takes rows only, from a tile function whose tiles get a shape
+check each; the pass's own rows are not re-checked.  Second, all
+randomness flows from explicit seeds, so identical inputs give
+bit-identical outputs.
 
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
 the logits.  A cross map is a softmax map: its rows sum to 1.  A self
@@ -37,8 +38,8 @@ input is 2*heads*h*w/d_model times smaller than the map, and the
 weights are the model's own arrays, shared.  Every self row is built by
 `SelfTiles.rows` from queries and keys projected with one expression,
 so rows rebuilt later from a recorded block input are bit-identical to
-the ones the pass applied; a whole map (`SelfProjections.attn`) is
-assembled from the same tiles, for observers and tests.
+the ones the pass applied; a whole map (`SelfProjections.attn`,
+`whole_map`) is assembled from the same tiles, for observers and tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -55,9 +56,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .numerics import (SeededRng, check_finite, check_numerators, check_rows,
-                       derived_seed, fnv1a64, require, softmax_lastdim,
-                       softmax_numerators)
+from .numerics import (SeededRng, check_finite, check_rows, derived_seed,
+                       fnv1a64, require, softmax_lastdim, softmax_numerators)
 
 START_TOKEN = "<start>"
 POS_DIM = 8          # 2D sinusoidal position features per pixel token
@@ -72,8 +72,8 @@ TILE_ROWS = 64       # query rows per self-attention tile
 
 # A tile function: (lo, hi) -> rows lo:hi of a self map, softmax numerators.
 TileRows = Callable[[int, int], np.ndarray]
-# A probe answers a site with None, a replacement map or, at a self site,
-# a TileRows; see AttentionSite.
+# A probe answers a cross site with None or a replacement map, and a self
+# site with None or a TileRows; see AttentionSite.
 Probe = Callable[["AttentionSite"], "np.ndarray | TileRows | None"]
 
 
@@ -273,9 +273,8 @@ class SelfProjections:
 
     feats is the block input, (n, h*w, d_model), made read-only; wq and
     wk are the block's (d_model, d_model) query and key weights, the
-    model's own arrays, not copies; heads splits d_model.  The queries
-    and keys are computed on read; `SelfTiles` reads them once and
-    builds the map's rows.
+    model's own arrays, not copies; heads splits d_model.  `SelfTiles`
+    projects the queries and keys once and builds the map's rows.
     """
 
     feats: np.ndarray
@@ -293,14 +292,6 @@ class SelfProjections:
         require(self.heads >= 1 and d_model % self.heads == 0,
                 f"{self.heads} heads do not split d_model {d_model}")
         self.feats.setflags(write=False)
-
-    @property
-    def queries(self) -> np.ndarray:
-        return self.feats @ self.wq
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.feats @ self.wk
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -332,11 +323,11 @@ class SelfTiles:
 
     def __init__(self, projections: SelfProjections):
         self.projections = projections
-        heads = projections.heads
-        d_head = projections.feats.shape[-1] // heads
-        self._q = _split_heads(projections.queries * (1.0 / math.sqrt(d_head)),
+        feats, heads = projections.feats, projections.heads
+        d_head = feats.shape[-1] // heads
+        self._q = _split_heads((feats @ projections.wq) * (1.0 / math.sqrt(d_head)),
                                heads, d_head)
-        keys = _with_middle_frame(_split_heads(projections.keys, heads, d_head))
+        keys = _with_middle_frame(_split_heads(feats @ projections.wk, heads, d_head))
         self._kt = np.swapaxes(keys, -1, -2)
         self._logits: np.ndarray | None = None
 
@@ -364,10 +355,10 @@ class AttentionSite:
     the whole map, for observers and tests.
 
     A probe answers a cross site with None (the map stands) or a
-    replacement map.  It answers a self site with None, a replacement
-    map, which is checked whole and then applied tile by tile, or a tile
+    replacement map.  It answers a self site with None or a tile
     function: called with each tile's (lo, hi), it returns that tile's
-    rows, and it calls `own_rows` only for tiles that need the pass's own.
+    rows, and it calls `own_rows` only for tiles that need the pass's
+    own.  A whole self map is refused as an answer.
     """
 
     def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
@@ -458,11 +449,9 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
 
 
 def _checked(replacement, site: AttentionSite) -> np.ndarray:
-    """A probe's replacement map, checked against *site*; the pass applies it at once.
+    """A probe's replacement cross map, checked against *site*; the pass applies it at once.
 
-    A cross map's rows must sum to 1 within 1e-6.  A self map must hold
-    softmax numerators like the pass's own: entries in [0, 1], each row
-    peaking within 1e-6 of 1.
+    Its rows must sum to 1 within 1e-6.
     """
     where = f"({site.kind}, t={site.t}, layer={site.layer})"
     replacement = np.asarray(replacement, dtype=np.float64)
@@ -470,8 +459,7 @@ def _checked(replacement, site: AttentionSite) -> np.ndarray:
             f"probe replacement shape {replacement.shape} != map shape "
             f"{site.shape} {where}")
     check_finite(f"probe replacement {where}", replacement)
-    check = check_rows if site.kind == KIND_CROSS else check_numerators
-    check(f"probe replacement {where}", replacement, 1e-6)
+    check_rows(f"probe replacement {where}", replacement, 1e-6)
     return replacement
 
 
@@ -482,10 +470,10 @@ def _offer(probe: Probe | None, site: AttentionSite):
         return site.attn if answer is None else _checked(answer, site)
     if answer is None:
         return site.own_rows
-    if callable(answer):
-        return answer
-    whole = _checked(answer, site)
-    return lambda lo, hi: whole[:, :, lo:hi]
+    require(callable(answer),
+            f"probe answered (self, t={site.t}, layer={site.layer}) with an array; "
+            f"a self site takes None or a tile function")
+    return answer
 
 
 def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,

@@ -38,18 +38,6 @@ def check_rows(name: str, attn: np.ndarray, tol: float) -> None:
     require(worst <= tol, f"{name} rows deviate from 1 by {worst:.3e} (tol {tol:g})")
 
 
-def check_numerators(name: str, attn: np.ndarray, tol: float) -> None:
-    """Raise ContractViolation unless *attn* holds softmax numerators.
-
-    Every entry must lie in [0, 1] and each row's maximum within *tol*
-    of 1, as `softmax_numerators` gives them; NaN fails.
-    """
-    require(bool(np.all((attn >= 0.0) & (attn <= 1.0))),
-            f"{name} has entries outside [0, 1]")
-    worst = float(np.abs(attn.max(axis=-1) - 1.0).max())
-    require(worst <= tol, f"{name} row maxima deviate from 1 by {worst:.3e} (tol {tol:g})")
-
-
 def fnv1a64(data: bytes | str) -> int:
     """FNV-1a 64-bit hash. Stable across platforms and interpreter runs."""
     if isinstance(data, str):

@@ -4,11 +4,12 @@ Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
 what it is built from: the block input, n*h*w*d_model values, and the
 block's query and key weights, shared with the model rather than
-copied.  The edit pass reads that record and builds the rows it needs
-tile by tile; a query rebuilds the whole map from the same tiles, which
-gives back the rows the forward pass applied bit for bit.  A query
-returns a plain read-only array.  A complete inversion over T steps and
-L blocks holds T*L entries per kind.
+copied.  The edit pass reads that record (`projections`) and builds
+the rows it needs tile by tile, bit for bit the rows the forward pass
+applied; an observer assembles the whole map with the record's
+`attn()`.  `query` returns a cross map, a plain read-only array.  A
+complete inversion over T steps and L blocks holds T*L entries per
+kind.
 
 `AttentionStore.record` is inversion's probe; it keeps the pass's own
 maps unchecked.  `dump` writes a complete store only: one blob per key,
@@ -117,16 +118,9 @@ class AttentionStore:
         """The record a self map is built from; the edit pass builds its rows from it."""
         return self._entry(AttentionKey(t, layer, KIND_SELF))
 
-    def query(self, t: int, layer: int, kind: str) -> np.ndarray:
-        """The read-only recorded map; a self map is rebuilt, a new array on each call.
-
-        A rebuilt self map is assembled from the tiles the forward pass
-        builds, so it holds softmax numerators, each row peaking at 1.0,
-        bit for bit the rows the pass applied; it is for observers and
-        tests, and the edit pass reads `projections`.
-        """
-        entry = self._entry(AttentionKey(t, layer, kind))
-        return entry.attn() if kind == KIND_SELF else entry
+    def query(self, t: int, layer: int) -> np.ndarray:
+        """The read-only recorded cross map."""
+        return self._entry(AttentionKey(t, layer, KIND_CROSS))
 
     def verify_complete(self) -> list[AttentionKey]:
         """Keys still missing for a full T x blocks x {self, cross} grid."""
@@ -146,7 +140,7 @@ class AttentionStore:
                              f"missing, the first {missing[:1]}")
         first = self.projections(0, 0)
         geometry = DumpGeometry(*first.feats.shape, first.heads,
-                                self.query(0, 0, KIND_CROSS).shape[-1])
+                                self.query(0, 0).shape[-1])
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         for key in _grid(self.meta.T, self.meta.blocks):
@@ -164,6 +158,8 @@ def load_store_dump(directory: Path) -> AttentionStore:
     index_path = directory / "index.json"
     try:
         index = json.loads(index_path.read_text())
+    except OSError as exc:
+        raise ContractViolation(f"{index_path}: cannot read: {exc.strerror}") from None
     except ValueError as exc:
         raise ContractViolation(f"{index_path}: not a JSON index: {exc}") from None
     require(isinstance(index, dict), f"{index_path}: index must be a JSON object")

@@ -1,6 +1,6 @@
 """Shared fixtures: a tiny model, a completed tiny inversion, a probe
-that captures the maps a forward pass applies, and the row contract of
-an attention map."""
+that captures the maps a forward pass applies, every map a store
+stands for, and the row contract of an attention map."""
 
 from typing import NamedTuple
 
@@ -70,6 +70,17 @@ def _capture_probe(probe=None):
 @pytest.fixture
 def capture_probe():
     return _capture_probe
+
+
+def _store_maps(store):
+    """{key: map} for every record of *store*; self maps are assembled whole."""
+    return {key: store.projections(key.t, key.layer).attn() if key.kind == KIND_SELF
+            else store.query(key.t, key.layer) for key in store.keys()}
+
+
+@pytest.fixture
+def store_maps():
+    return _store_maps
 
 
 def _assert_map_rows(kind, attn):

@@ -27,7 +27,7 @@ from attnfuse.cli import run
 from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
                              blend_self, build_blend_mask, identity_alignment,
                              preset)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, BlockWeights, ModelConfig,
+from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig,
                             attend, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
@@ -165,9 +165,9 @@ def small_inversion():
 
 def test_criterion_06_threshold_extremes(small_inversion):
     cfg, store, sched = small_inversion
-    src_cross = store.query(3, 0, KIND_CROSS)
-    src_map = store.query(3, 0, KIND_SELF)
-    edit_map = store.query(4, 0, KIND_SELF)  # any same-shape other map
+    src_cross = store.query(3, 0)
+    src_map = store.projections(3, 0).attn()
+    edit_map = store.projections(4, 0).attn()  # any same-shape other map
     assert not np.array_equal(edit_map, src_map)
 
     closed = build_blend_mask(src_cross, (1,), 1.0)
@@ -199,7 +199,7 @@ def test_criterion_07_oracle_mask_quality():
 
     worst = 1.0
     for t in range(sched.T):
-        mask = build_blend_mask(store.query(t, 0, KIND_CROSS),
+        mask = build_blend_mask(store.query(t, 0),
                                 (red_col,), 0.3).mask
         got = mask.reshape(3, 8, 8)
         for i in range(3):
@@ -237,7 +237,8 @@ def test_criterion_08_middle_frame_invariance():
           f"self-attention by at most {worst:.3e} over 100 draws")
 
 
-def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows):
+def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
+                                              store_maps):
     cfg = ModelConfig(n=2, h=6, w=6, c=1, d_model=8, heads=2, d_head=4,
                       blocks=2, d_text=8, seed=9)
     weights = make_denoiser_weights(cfg)
@@ -250,8 +251,7 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows):
     z_T, store = invert_video(z0, src_emb, sched, weights)
 
     checked = 0
-    for key in store.keys():
-        attn = store.query(*key)
+    for key, attn in store_maps(store).items():
         cols = 2 * hw if key.kind == KIND_SELF else len(src_emb.tokens)
         assert attn.shape == (cfg.n, cfg.heads, hw, cols)
         assert_map_rows(key.kind, attn)

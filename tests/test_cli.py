@@ -17,7 +17,7 @@ from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
 from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
                              identity_alignment, word_attention)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
+from attnfuse.model import (KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
                             config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
@@ -160,6 +160,16 @@ def test_out_of_range_schedule_or_channels_exit_3(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_non_finite_guidance_scale_exits_3(tmp_path, capsys, config_path, scale):
+    config_path.write_text(BASE_CONFIG.replace("preset = shape",
+                                               f"preset = shape\ns_cfg = {scale}"))
+    out = tmp_path / "out"
+    assert run(["edit", "--config", str(config_path), "--out", str(out)]) == 3
+    assert "s_cfg must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_python_m_attnfuse_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-m", "attnfuse", "edit"],
@@ -212,7 +222,7 @@ def test_heatmaps_show_the_word_attention_of_inversion_step_0(tmp_path, config_p
     weights, z0, src, _ = _clip(rc)
     assert src.tokens[2] == "red" and len(src.tokens) == 6
     _, store = invert_video(z0, src, rc.schedule, weights)
-    want = quantize(255.0 * word_attention(store.query(0, 0, KIND_CROSS), columns))
+    want = quantize(255.0 * word_attention(store.query(0, 0), columns))
     for i in range(rc.model.n):
         written = read_pgm(out / "heatmaps" / f"{i:04d}.pgm")
         assert np.array_equal(written, want[i].reshape(12, 12)), i
@@ -358,7 +368,7 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, heigh
         z = ddim_invert_step(z, eps, t, rc.schedule)
     assert sorted({lo for _, _, lo in applied}) == [lo for lo, _ in _tile_bounds(hw)]
     for (t, layer, lo), tile in applied.items():
-        rebuilt = store.query(t, layer, KIND_SELF)
+        rebuilt = store.projections(t, layer).attn()
         assert np.array_equal(rebuilt[:, :, lo:lo + tile.shape[2]], tile)
 
     # A replay that takes each source map whole applies those same rows,
@@ -486,7 +496,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
                      make_denoiser_weights(m), rc.steps, probe=store.record)
     held = sum(store.projections(0, layer).feats.nbytes
-               + store.query(0, layer, KIND_CROSS).nbytes for layer in range(m.blocks))
+               + store.query(0, layer).nbytes for layer in range(m.blocks))
     assert held == m.blocks * (self_record + cross_map)
     store.dump(tmp_path / "store")
     written = sum(p.stat().st_size for p in (tmp_path / "store").glob("*.bin"))

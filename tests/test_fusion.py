@@ -1,5 +1,7 @@
 """Prompt alignment, attention fusion, and blend-mask construction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,9 @@ def test_edit_config_validation():
         EditConfig(t_s=0.2, t_c=1.1, tau=0.5)
     with pytest.raises(ContractViolation):
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, s_cfg=-1.0)
+    for scale in (math.inf, math.nan):
+        with pytest.raises(ContractViolation, match="s_cfg must be finite"):
+            EditConfig(t_s=0.2, t_c=0.3, tau=0.5, s_cfg=scale)
     with pytest.raises(ContractViolation):
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, mode="other")
 
@@ -110,11 +115,12 @@ def test_source_step_is_previous_index():
     store.record(_site(KIND_CROSS, SRC_CROSS, t=0))
     store.record(_self_site(3, _projections(2, 2, heads=1)))
     plan = FusionPlan(preset("style"), identity_alignment(2), store)
-    assert plan.source_map(1, 0, KIND_CROSS) is store.query(0, 0, KIND_CROSS)
-    assert np.array_equal(plan.source_map(4, 0, KIND_SELF),
-                          store.query(3, 0, KIND_SELF))
+    assert plan.source_map(1, 0) is store.query(0, 0)
+    assert plan.source_projections(4, 0) is store.projections(3, 0)
     with pytest.raises(MissingRecordError):
-        plan.source_map(3, 0, KIND_SELF)
+        plan.source_projections(3, 0)
+    with pytest.raises(MissingRecordError):  # source_map reads cross maps only
+        plan.source_map(4, 0)
 
 
 def test_align_substitution():
@@ -252,7 +258,7 @@ def test_fuse_cross_missing_record_propagates():
     plan = FusionPlan(preset("style"), align, store)
     assert plan.action(2, KIND_CROSS) == FUSE
     with pytest.raises(MissingRecordError):
-        plan.source_map(2, 0, KIND_CROSS)
+        plan.source_map(2, 0)
     with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
         plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
     assert isinstance(info.value.__cause__, MissingRecordError)
@@ -359,7 +365,7 @@ def test_plan_keeps_self_map_outside_window():
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
     rows = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
     assert np.array_equal(whole_map(rows, EDIT_SELF.shape),
-                          store.query(1, 0, KIND_SELF))
+                          store.projections(1, 0).attn())
 
 
 def test_blend_self_shape_validation():
@@ -382,7 +388,7 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(_site(KIND_CROSS, MASK_CROSS_HEADS, t=0))
     store.record(_self_site(0, _projections(2, 4, heads=2, seed=4)))
-    src_self = store.query(0, 0, KIND_SELF)
+    src_self = store.projections(0, 0).attn()
     edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
@@ -456,11 +462,11 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
     assert plan.action(2, KIND_SELF) == BLEND
     probe = plan.step_probe(2)
-    assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0, KIND_CROSS)
+    assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0)
     edit_self = np.full((1, 1, 4, 8), 1.0 / 8)
     rows = probe(site(KIND_SELF, edit_self))
     assert np.array_equal(whole_map(rows, edit_self.shape),
-                          store.query(1, 0, KIND_SELF))
+                          store.projections(1, 0).attn())
     assert built == []
 
     # a substituted word: fusing the columns needs the edit map

@@ -40,6 +40,10 @@ def test_blob_validation(tmp_path):
         read_blob(path, 7, [(3,)])                 # declared too long
     with pytest.raises(ContractViolation):
         read_blob(path, 7, [(1,)])                 # trailing bytes
+    # 2**64 values: an int64 product of the sizes wraps to 0
+    with pytest.raises(ContractViolation, match="payload shorter") as exc:
+        read_blob(path, 7, [(2 ** 32, 2 ** 32)])
+    assert "data.bin" in str(exc.value)
     path.write_bytes(b"NOPE" + path.read_bytes()[4:])
     with pytest.raises(ContractViolation):
         read_blob(path, 7, [(2,)])                 # bad magic

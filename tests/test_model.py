@@ -317,8 +317,9 @@ def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     plain = denoiser_forward(z, 2, prompt, tiny_weights, 8)
-    probed = denoiser_forward(z, 2, prompt, tiny_weights, 8,
-                              probe=lambda site: site.attn)
+    probed = denoiser_forward(
+        z, 2, prompt, tiny_weights, 8,
+        probe=lambda site: site.own_rows if site.kind == KIND_SELF else site.attn)
     assert np.array_equal(plain, probed)
 
 
@@ -328,7 +329,14 @@ def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
     probe, recs = capture_probe()
     eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
     stored = {(r.layer, r.kind): r.attn for r in recs}
-    probe, applied = capture_probe(lambda site: stored[(site.layer, site.kind)])
+
+    def replay_probe(site):
+        attn = stored[(site.layer, site.kind)]
+        if site.kind == KIND_SELF:
+            return lambda lo, hi: attn[:, :, lo:hi]
+        return attn
+
+    probe, applied = capture_probe(replay_probe)
     replay = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
     assert np.array_equal(eps, replay)
     assert len(applied) == len(stored)
@@ -339,31 +347,24 @@ def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
 def test_probe_replacement_validation(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a", tiny_cfg)
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    with pytest.raises(ContractViolation):
-        denoiser_forward(z, 1, prompt, tiny_weights, 8,
-                         probe=lambda site: site.attn[..., :-1])
-    with pytest.raises(ContractViolation):
-        denoiser_forward(z, 1, prompt, tiny_weights, 8,
-                         probe=lambda site: site.attn * 2.0)
-    with pytest.raises(ContractViolation):
-        denoiser_forward(z, 1, prompt, tiny_weights, 8,
-                         probe=lambda site: np.full_like(site.attn, np.nan))
-
-    # A self replacement must hold softmax numerators, like the pass's own.
-    def one_negative(attn):
-        bad = attn.copy()
-        bad[0, 0, 0, np.argmin(bad[0, 0, 0])] = -1e-3
-        return bad
-
     for alter, fragment in [
-            (lambda attn: attn * 2.0, r"outside \[0, 1\]"),
-            (one_negative, r"outside \[0, 1\]"),
-            (lambda attn: attn / attn.sum(axis=-1, keepdims=True),
-             "row maxima deviate from 1")]:
-        probe = lambda site: alter(site.attn) if site.kind == KIND_SELF else None
+            (lambda attn: attn[..., :-1], "shape"),
+            (lambda attn: attn * 2.0, "rows deviate from 1"),
+            (lambda attn: np.full_like(attn, np.nan), "non-finite")]:
+        probe = lambda site: alter(site.attn) if site.kind == KIND_CROSS else None
         with pytest.raises(ContractViolation, match=fragment) as exc:
             denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
-        assert "(self, t=1, layer=0)" in str(exc.value)
+        assert "(cross, t=1, layer=0)" in str(exc.value)
+
+
+def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
+    # A self site takes rows only: even its own map, whole, is refused.
+    prompt = embed_prompt("a", tiny_cfg)
+    z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
+    probe = lambda site: site.attn if (site.kind, site.layer) == (KIND_SELF, 1) else None
+    with pytest.raises(ContractViolation, match="with an array") as exc:
+        denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
+    assert "(self, t=1, layer=1)" in str(exc.value)
 
 
 def test_encode_color_endpoints():

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnfuse.errors import ContractViolation
-from attnfuse.numerics import (SeededRng, check_numerators, derived_seed,
-                               fnv1a64, maxnorm_frame, softmax_lastdim,
-                               softmax_numerators)
+from attnfuse.numerics import (SeededRng, derived_seed, fnv1a64, maxnorm_frame,
+                               softmax_lastdim, softmax_numerators)
 
 
 def test_fnv1a64_known_vectors():
@@ -54,10 +53,7 @@ def test_softmax_numerators_peak_at_one_and_divide_into_the_softmax():
     num = softmax_numerators(x)
     assert np.array_equal(num.max(axis=-1), np.ones((4, 3, 7)))
     assert num.min() >= 0.0
-    check_numerators("numerators", num, 0.0)
     assert np.array_equal(num / num.sum(axis=-1, keepdims=True), softmax_lastdim(x))
-    with pytest.raises(ContractViolation, match="row maxima deviate"):
-        check_numerators("softmax", softmax_lastdim(x), 1e-6)
     with pytest.raises(ContractViolation, match="non-finite"):
         softmax_numerators(np.array([0.0, np.nan]))
 

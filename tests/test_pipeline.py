@@ -123,12 +123,14 @@ def test_latent_channel_conversion():
     assert np.array_equal(out[:, 0], out[:, 1])
 
 
-def test_invert_is_deterministic(tiny_cfg, tiny_weights, tiny_inversion):
+def test_invert_is_deterministic(tiny_cfg, tiny_weights, tiny_inversion, store_maps):
     sched, prompt, z0, z_T, store = tiny_inversion
     z_T2, store2 = invert_video(z0, prompt, sched, tiny_weights)
     assert np.array_equal(z_T, z_T2)
-    for key in store.keys():
-        assert np.array_equal(store.query(*key), store2.query(*key))
+    maps, maps2 = store_maps(store), store_maps(store2)
+    assert maps.keys() == maps2.keys()
+    for key in maps:
+        assert np.array_equal(maps[key], maps2[key])
     assert z_T.shape == z0.shape
     assert not np.array_equal(z_T, z0)
 

@@ -40,19 +40,22 @@ def test_record_query_round_trip():
     store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
     site = _cross_site(0, 0)
     store.record(site)
-    got = store.query(0, 0, KIND_CROSS)
+    got = store.query(0, 0)
     assert isinstance(got, np.ndarray)
     assert got is site.attn
     assert not got.flags.writeable
 
     proj = _projections()
-    store.record(_self_site(0, 0, proj))
-    first, second = store.query(0, 0, KIND_SELF), store.query(0, 0, KIND_SELF)
+    store.record(_self_site(1, 0, proj))
+    assert store.projections(1, 0) is proj
+    first, second = proj.attn(), proj.attn()
     assert first.shape == (2, 2, 3, 6)
     assert first is not second
-    assert np.array_equal(first, proj.attn())
     assert np.array_equal(first, second)
     assert not first.flags.writeable
+    # query reads cross maps only, not the self record at (1, 0)
+    with pytest.raises(MissingRecordError, match="cross"):
+        store.query(1, 0)
 
 
 def test_self_maps_are_recorded_as_projections_only():
@@ -64,7 +67,7 @@ def test_self_maps_are_recorded_as_projections_only():
 
     store.record(AttentionSite(0, 0, KIND_SELF, proj.shape, unbuildable,
                                projections=proj))
-    assert np.array_equal(store.query(0, 0, KIND_SELF), proj.attn())
+    assert store.projections(0, 0) is proj
     with pytest.raises(ContractViolation, match="duplicate"):
         store.record(_self_site(0, 0, _projections(1)))
 
@@ -92,7 +95,7 @@ def test_duplicate_record_rejected():
 def test_missing_query_names_key():
     store = AttentionStore(StoreMeta(T=4, blocks=2, config_hash=7))
     with pytest.raises(MissingRecordError) as exc:
-        store.query(3, 1, KIND_SELF)
+        store.projections(3, 1)
     msg = str(exc.value)
     assert "3" in msg and "1" in msg and "self" in msg
 
@@ -113,22 +116,22 @@ def test_inversion_fills_store(tiny_cfg, tiny_inversion):
     assert len(store) == 2 * sched.T * tiny_cfg.blocks
     assert store.verify_complete() == []
     hw = tiny_cfg.h * tiny_cfg.w
-    first = store.query(0, 0, KIND_SELF)
+    first = store.projections(0, 0).attn()
     assert first.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
-    last = store.query(sched.T - 1, tiny_cfg.blocks - 1, KIND_CROSS)
+    last = store.query(sched.T - 1, tiny_cfg.blocks - 1)
     assert last.shape[:3] == (tiny_cfg.n, tiny_cfg.heads, hw)
     with pytest.raises(MissingRecordError):
-        store.query(sched.T, 0, KIND_SELF)
+        store.projections(sched.T, 0)
 
 
 def test_stored_maps_are_immutable(tiny_inversion):
     *_, store = tiny_inversion
-    attn = store.query(0, 0, KIND_SELF)
+    attn = store.projections(0, 0).attn()
     with pytest.raises(ValueError):
         attn[0, 0, 0, 0] = 0.5
 
 
-def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion):
+def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion, store_maps):
     sched, _, _, _, store = tiny_inversion
     d = tmp_path / "store"
     store.dump(d)
@@ -147,10 +150,9 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion):
     assert len(loaded) == len(store) == sched.T * tiny_cfg.blocks * 2
     assert loaded.verify_complete() == []
     assert list(loaded.keys()) == list(store.keys())
+    want, got = store_maps(store), store_maps(loaded)
     for key in store.keys():
-        a = store.query(*key)
-        b = loaded.query(*key)
-        assert np.array_equal(a, b)
+        assert np.array_equal(want[key], got[key])
 
 
 def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
@@ -214,13 +216,20 @@ def _tampered_dump(directory, store, case):
         index["config_hash"] = "x"
     elif case == "string heads":
         index["heads"] = "2"
+    elif case == "no cross blob":
+        cross.unlink()
+    elif case == "huge geometry":  # 2**64 block input rows overflow int64
+        index["frames"] = index["pixels"] = 2 ** 32
     elif case in ("one token more", "one token fewer"):
         index["tokens"] += 1 if case == "one token more" else -1
-    elif case != "garbage index":  # "<field> <value>"
+    elif case not in ("garbage index", "no index"):  # "<field> <value>"
         field, value = case.split()
         index[field] = int(value)
-    (directory / "index.json").write_text(
-        "{not json" if case == "garbage index" else json.dumps(index))
+    if case == "no index":
+        (directory / "index.json").unlink()
+    else:
+        (directory / "index.json").write_text(
+            "{not json" if case == "garbage index" else json.dumps(index))
     return directory
 
 
@@ -237,7 +246,10 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
             ("nan block input", "self block input: non-finite", SELF_BLOB),
             ("one token more", "payload shorter than declared shapes", CROSS_BLOB),
             ("one token fewer", "trailing bytes", CROSS_BLOB),
+            ("huge geometry", "payload shorter than declared shapes", SELF_BLOB),
+            ("no cross blob", "cannot read", CROSS_BLOB),
             ("garbage index", "not a JSON index", "index.json"),
+            ("no index", "cannot read", "index.json"),
             ("no tokens key", "tokens must be present as integers", "index.json"),
             ("string config hash", "config_hash must be", "index.json"),
             ("string heads", "heads must be", "index.json"),
@@ -261,7 +273,7 @@ def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights,
         assert len(records) == 2 * tiny_cfg.blocks
         for rec in records:
             if rec.kind == KIND_SELF:
-                assert np.array_equal(store.query(t, rec.layer, KIND_SELF),
+                assert np.array_equal(store.projections(t, rec.layer).attn(),
                                       rec.attn)
         z = ddim_invert_step(z, eps, t, sched)
 
