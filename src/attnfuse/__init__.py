@@ -8,11 +8,10 @@ blending, so edits keep the source video's layout and motion.
 """
 
 from .errors import ConfigError, ContractViolation, MissingRecordError
-from .fusion import (BlendMask, EditConfig, FusionPlan, PromptAlignment,
-                     align_prompts, blend_self, build_blend_mask, fuse_cross,
-                     identity_alignment, preset)
+from .fusion import (EditConfig, FusionPlan, PromptAlignment, align_prompts,
+                     build_blend_mask, fuse_cross, identity_alignment, preset)
 from .model import (AttentionSite, DenoiserWeights, ModelConfig,
-                    PromptEmbedding, SelfProjections, attend,
+                    PromptEmbedding, SelfAnswer, SelfProjections, attend,
                     denoiser_forward, embed_prompt, make_denoiser_weights,
                     make_oracle_denoiser, spatiotemporal_attend)
 from .numerics import SeededRng, maxnorm_frame, softmax_lastdim

@@ -251,7 +251,7 @@ def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
 
     mask_dir = out_dir / "masks"
     mask_dir.mkdir(parents=True, exist_ok=True)
-    mask = plan.self_mask(plan.first_self, 0).mask
+    mask = plan.self_mask(plan.first_self, 0)
     for i in range(rc.model.n):
         write_pgm(mask_dir / f"{i:04d}.pgm",
                   np.where(mask[i].reshape(h, w), 255, 0).astype(np.uint8))

@@ -9,9 +9,9 @@ the source prompt's cross-attention on the words the edit drops
 apply inside a configured window of denoising steps.
 
 `FusionPlan` is the one place these decisions are made: for each step,
-layer and kind it names the single action, and `fuse_cross`,
-`blend_self` and `build_blend_mask` are the pure array rewrites it
-applies.  Inside the self window the action is always `BLEND`.
+layer and kind it names the single action, and `fuse_cross` and
+`build_blend_mask` are the pure array functions it applies.  Inside the
+self window the action is always `BLEND`.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
@@ -20,12 +20,13 @@ same arc of the schedule that inversion step t-1 recorded.
 make that pairing and are the only readers of the inversion store; no
 whole self map is read back.
 
-Self-attention is rewritten row by row, one tile of query rows at a
-time, because the forward pass never holds a whole self map: the plan
-answers a self site with a tile function (see `model.AttentionSite`).
-Self rows, edit and source alike, are softmax numerators that the pass
-normalizes after `attn @ V` (see `model`); blending picks whole rows,
-so it needs no normalized map.
+The forward pass never holds a whole self map, so the plan answers a
+self site with data, a `model.SelfAnswer`: the source's record and the
+blend mask.  The pass builds each tile's rows from its own map where
+the mask is set and from the record where it is clear.  Self rows, edit
+and source alike, are softmax numerators that the pass normalizes after
+`attn @ V` (see `model`); blending picks whole rows, so it needs no
+normalized map.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import KIND_CROSS, KIND_SELF, SelfProjections, SelfTiles, TileRows
+from .model import KIND_CROSS, KIND_SELF, SelfAnswer, SelfProjections
 from .numerics import maxnorm_frame, require
 from .store import AttentionStore
 
@@ -152,17 +153,6 @@ def identity_alignment(n_tokens: int) -> PromptAlignment:
                            edited_positions=(), removed_positions=())
 
 
-@dataclass(frozen=True)
-class BlendMask:
-    """Binary per-pixel mask, one row of h*w entries per frame."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        require(self.mask.ndim == 2, f"blend mask must be 2-D, got {self.mask.shape}")
-        require(self.mask.dtype == np.bool_, "blend mask must be boolean")
-
-
 def fuse_cross(c_edit: np.ndarray, c_src: np.ndarray,
                alignment: PromptAlignment) -> np.ndarray:
     """Pull matched token columns of a cross-attention map from the source.
@@ -202,54 +192,19 @@ def word_attention(c_src: np.ndarray, columns: tuple[int, ...]) -> np.ndarray:
 
 
 def build_blend_mask(c_src: np.ndarray, word_positions: tuple[int, ...],
-                     tau: float) -> BlendMask:
-    """Threshold the `word_attention` of *word_positions* into a mask.
+                     tau: float) -> np.ndarray:
+    """Threshold the `word_attention` of *word_positions* into a (n, q) bool mask.
 
     The comparison against tau is strict, so tau = 1.0 yields the empty
     mask.
     """
-    return BlendMask(mask=word_attention(c_src, word_positions) > tau)
-
-
-def blend_self(s_edit: np.ndarray, s_src: np.ndarray, *,
-               mask: BlendMask) -> np.ndarray:
-    """Swap self-attention rows between edit and source by the mask.
-
-    Each query pixel takes the edit row where the mask is 1 and the
-    source row where it is 0.  Selection is exact: an all-zero mask
-    returns the source map's values bit for bit.  The rows may be one
-    tile of a map, with the mask's columns for that tile.
-    """
-    require(s_edit.shape == s_src.shape,
-            f"self map shapes differ: {s_edit.shape} vs {s_src.shape}")
-    n, _, q, _ = s_edit.shape
-    require(mask.mask.shape == (n, q),
-            f"mask shape {mask.mask.shape} != (frames, pixels) ({n}, {q})")
-    return np.where(mask.mask[:, None, :, None], s_edit, s_src)
-
-
-def _blend_tiles(edit: TileRows, source: TileRows, mask: BlendMask) -> TileRows:
-    """Self rows that follow *edit* where the mask is set and *source* elsewhere.
-
-    Per tile, the edit rows are built only if the mask sets one of the
-    tile's rows and the source rows only if it clears one; `blend_self`
-    picks the rows of a tile that needs both.
-    """
-    def rows(lo: int, hi: int) -> np.ndarray:
-        picks = mask.mask[:, lo:hi]
-        if picks.all():
-            return edit(lo, hi)
-        if not picks.any():
-            return source(lo, hi)
-        return blend_self(edit(lo, hi), source(lo, hi), mask=BlendMask(mask=picks))
-
-    return rows
+    return word_attention(c_src, word_positions) > tau
 
 
 KEEP = "keep"                 # the edit map stands
 TAKE_SOURCE = "take_source"   # the recorded cross map replaces it whole
 FUSE = "fuse"                 # fuse_cross swaps in matched columns
-BLEND = "blend"               # blend_self picks rows by the blend mask
+BLEND = "blend"               # the pass picks self rows by the blend mask
 
 
 class FusionPlan:
@@ -267,12 +222,11 @@ class FusionPlan:
     A cross map taken whole is the store's read-only array, handed to the
     forward pass before the edit map is computed, so the pass skips that
     map's QK^T and softmax and applies the array without a copy.  A self
-    site is answered with a tile function over the source's
-    `SelfProjections` and the step's `BlendMask`: per tile, it builds the
-    edit rows only where the mask sets a row and the source rows only
-    where it clears one, so under an empty mask it builds the source rows
-    of each tile and never the edit's.  Each mask is built once and kept,
-    so later readers get the mask the pass applied.
+    site is answered with a `SelfAnswer` of the source's `SelfProjections`
+    and the step's mask, so under an empty mask the pass builds the
+    source rows of each tile and never the edit's.  Each mask is built
+    once and kept read-only, so later readers get the mask the pass
+    applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
@@ -290,7 +244,7 @@ class FusionPlan:
         # Matched pairs increase in both indices, so an alignment with no
         # edited and no removed token is the identity: the source map whole.
         self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
-        self._masks: dict[tuple[int, int] | None, BlendMask] = {}
+        self._masks: dict[tuple[int, int] | None, np.ndarray] = {}
 
     def source_map(self, t: int, layer: int) -> np.ndarray:
         """The read-only cross map that denoising step t replays: inversion step t-1's."""
@@ -308,8 +262,8 @@ class FusionPlan:
             return FUSE if self._fuses else TAKE_SOURCE
         return KEEP if t < self.first_self else BLEND
 
-    def self_mask(self, t: int, layer: int) -> BlendMask:
-        """Pixels whose self-attention rows follow the edit at step t."""
+    def self_mask(self, t: int, layer: int) -> np.ndarray:
+        """The (frames, pixels) bool mask of the self rows that follow the edit at step t."""
         key = (t, layer) if self._blends else None  # one empty mask per plan
         mask = self._masks.get(key)
         if mask is None:
@@ -318,19 +272,10 @@ class FusionPlan:
                                         self.positions, self.cfg.tau)
             else:  # sized by the self record, which every self site has
                 n, _, q, _ = self.source_projections(t, layer).shape
-                mask = BlendMask(mask=np.zeros((n, q), dtype=bool))
+                mask = np.zeros((n, q), dtype=bool)
+            mask.setflags(write=False)
             self._masks[key] = mask
         return mask
-
-    def _self_answer(self, t: int, site) -> TileRows:
-        source = self.source_projections(t, site.layer)
-        require(source.shape == site.shape,
-                f"source self map shape {source.shape} != map shape {site.shape}")
-        mask = self.self_mask(t, site.layer)
-        n, _, q, _ = site.shape
-        require(mask.mask.shape == (n, q),
-                f"mask shape {mask.mask.shape} != (frames, pixels) ({n}, {q})")
-        return _blend_tiles(site.own_rows, SelfTiles(source).rows, mask)
 
     def step_probe(self, t: int):
         """Probe of the conditional branch at step t; None if it keeps all."""
@@ -344,7 +289,8 @@ class FusionPlan:
                 return None
             try:
                 if site.kind == KIND_SELF:
-                    return self._self_answer(t, site)
+                    return SelfAnswer(self.source_projections(t, site.layer),
+                                      self.self_mask(t, site.layer))
                 # TAKE_SOURCE never reads site.attn, so the edit map is not built.
                 src = self.source_map(t, site.layer)
                 return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src

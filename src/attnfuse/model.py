@@ -13,10 +13,10 @@ noise alone.  The probe sees an `AttentionSite` whose map is computed
 only when read, so a probe that supplies its own cross map spares the
 QK^T and the softmax.  A replacement cross map is checked for shape,
 finiteness and its rows (see `_checked`) before it is applied.  A self
-site takes rows only, from a tile function whose tiles get a shape
-check each; the pass's own rows are not re-checked.  Second, all
-randomness flows from explicit seeds, so identical inputs give
-bit-identical outputs.
+site is answered with data, a `SelfAnswer`: the record its clear rows
+are built from and a mask of the rows that stay the pass's own, checked
+once per site.  Second, all randomness flows from explicit seeds, so
+identical inputs give bit-identical outputs.
 
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
 the logits.  A cross map is a softmax map: its rows sum to 1.  A self
@@ -31,15 +31,16 @@ Self-attention runs in tiles of TILE_ROWS query rows: the numerators
 and `attn @ [V | 1]` of one tile finish before the next tile's logits
 are computed, and every tile of a call writes into one logits buffer of
 (n, heads, TILE_ROWS, 2*h*w), so the pass holds one tile, never a whole
-self map.  Rows are independent, so a probe answers a self site per
-tile too (see `AttentionSite`).  A self map is a function of the block
-input and the block's query and key weights (`SelfProjections`); the
-input is 2*heads*h*w/d_model times smaller than the map, and the
-weights are the model's own arrays, shared.  Every self row is built by
-`SelfTiles.rows` from queries and keys projected with one expression,
-so rows rebuilt later from a recorded block input are bit-identical to
-the ones the pass applied; a whole map (`SelfProjections.attn`,
-`whole_map`) is assembled from the same tiles, for observers and tests.
+self map.  Rows are independent, so each row of a tile is taken from
+the pass's own map or from an answer's source as the answer's mask
+says.  A self map is a function of the block input and the block's
+query and key weights (`SelfProjections`); the input is
+2*heads*h*w/d_model times smaller than the map, and the weights are the
+model's own arrays, shared.  Every self row is built by `SelfTiles.rows`
+from queries and keys projected with one expression, so rows rebuilt
+later from a recorded block input are bit-identical to the ones the pass
+applied; a whole map (`SelfProjections.attn`) is assembled from the same
+tiles, for observers and tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -70,11 +71,9 @@ KIND_CROSS = "cross"
 
 TILE_ROWS = 64       # query rows per self-attention tile
 
-# A tile function: (lo, hi) -> rows lo:hi of a self map, softmax numerators.
-TileRows = Callable[[int, int], np.ndarray]
 # A probe answers a cross site with None or a replacement map, and a self
-# site with None or a TileRows; see AttentionSite.
-Probe = Callable[["AttentionSite"], "np.ndarray | TileRows | None"]
+# site with None or a SelfAnswer; see AttentionSite.
+Probe = Callable[["AttentionSite"], "np.ndarray | SelfAnswer | None"]
 
 
 @dataclass(frozen=True)
@@ -255,18 +254,6 @@ def _tile_bounds(hw: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
 
 
-def whole_map(rows: TileRows, shape: tuple[int, int, int, int]) -> np.ndarray:
-    """The read-only self map of *shape*, copied together tile by tile from *rows*.
-
-    For observers and tests: the forward pass never builds a whole self map.
-    """
-    whole = np.empty(shape)
-    for lo, hi in _tile_bounds(shape[2]):
-        whole[:, :, lo:hi] = rows(lo, hi)
-    whole.setflags(write=False)
-    return whole
-
-
 @dataclass(frozen=True)
 class SelfProjections:
     """What one self-attention call's map is built from.
@@ -304,9 +291,14 @@ class SelfProjections:
         Each row peaks at exactly 1.0; divided by its sum it is the
         row's softmax.  Assembled from the tiles the forward pass
         applies, so equal block inputs and weights give equal bits.
-        For observers and tests.
+        For observers and tests: the pass never builds a whole self map.
         """
-        return whole_map(SelfTiles(self).rows, self.shape)
+        tiles = SelfTiles(self)
+        whole = np.empty(self.shape)
+        for lo, hi in _tile_bounds(self.shape[2]):
+            whole[:, :, lo:hi] = tiles.rows(lo, hi)
+        whole.setflags(write=False)
+        return whole
 
 
 class SelfTiles:
@@ -341,6 +333,20 @@ class SelfTiles:
         return softmax_numerators(logits, out=logits)
 
 
+@dataclass(frozen=True)
+class SelfAnswer:
+    """A probe's answer at a self site: which rows the pass applies.
+
+    edit is (n, h*w) bool.  A set row is the pass's own; a clear row is
+    built from *source*, the record of the map it replays.  An all-clear
+    mask takes every row from the source, and the pass then builds none
+    of its own rows.
+    """
+
+    source: SelfProjections
+    edit: np.ndarray
+
+
 class AttentionSite:
     """An attention map that the forward pass is about to apply.
 
@@ -350,15 +356,13 @@ class AttentionSite:
     peaking at exactly 1.0) at a self site.  A probe that answers
     without reading it skips the QK^T and the softmax.  A self-attention
     site also carries the `projections` its map is built from (a
-    cross-attention site carries None), and `own_rows` gives the pass's
-    own rows one tile at a time; reading a self site's `attn` assembles
-    the whole map, for observers and tests.
+    cross-attention site carries None); reading a self site's `attn`
+    assembles the whole map, for observers, and the pass drops it once
+    the probe has answered.
 
     A probe answers a cross site with None (the map stands) or a
-    replacement map.  It answers a self site with None or a tile
-    function: called with each tile's (lo, hi), it returns that tile's
-    rows, and it calls `own_rows` only for tiles that need the pass's
-    own.  A whole self map is refused as an answer.
+    replacement map, and a self site with None (its own rows stand) or
+    a `SelfAnswer`.  Any other answer at a self site is refused.
     """
 
     def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
@@ -368,7 +372,6 @@ class AttentionSite:
         self.projections = projections
         self._build = build
         self._attn: np.ndarray | None = None
-        self._tiles: SelfTiles | None = None
 
     @property
     def attn(self) -> np.ndarray:
@@ -376,18 +379,6 @@ class AttentionSite:
             self._attn = self._build()
             self._attn.setflags(write=False)
         return self._attn
-
-    def own_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the pass's own self map.
-
-        Sliced from `attn` once that was read, so an observed map is not
-        built twice; otherwise built in the site's one tile buffer.
-        """
-        if self._attn is None and self.projections is not None:
-            if self._tiles is None:
-                self._tiles = SelfTiles(self.projections)
-            return self._tiles.rows(lo, hi)
-        return self.attn[:, :, lo:hi]
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
@@ -418,7 +409,7 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
 
 def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
                           heads: int, d_head: int,
-                          supply: Callable[[SelfProjections], TileRows] | None = None
+                          supply: Callable[[SelfProjections], SelfAnswer | None] | None = None
                           ) -> np.ndarray:
     """Self-attention over [middle frame; own frame] keys and values.
 
@@ -427,23 +418,32 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
     concatenation.  Rows are computed and applied one tile of TILE_ROWS
     query rows at a time.  *supply*, when given, is called with the
     `SelfProjections` of feats (made read-only) and the block's wq_s and
-    wk_s, and returns the tile function that gives each tile's rows; by
-    default they are the projections' own, softmax numerators.  Each
-    tile multiplies [V | 1], whose last column gives the tile's row
+    wk_s, and returns None, which keeps the pass's own rows, or a
+    `SelfAnswer`.  A tile takes its own rows where the answer's mask is
+    set and the source's where it is clear; each side is built only for
+    the tiles that need it, and a mixed tile picks its rows from both.
+    Each tile multiplies [V | 1], whose last column gives the tile's row
     sums, and the output is divided by them once, after the last tile.
     """
     proj = SelfProjections(feats=feats, wq=block.wq_s, wk=block.wk_s, heads=heads)
-    rows = SelfTiles(proj).rows if supply is None else supply(proj)
+    answer = None if supply is None else supply(proj)
+    n, _, hw, _ = proj.shape
+    edit = np.ones((n, hw), dtype=bool) if answer is None else answer.edit
+    own = SelfTiles(proj) if edit.any() else None
+    source = None if edit.all() else SelfTiles(answer.source)
     v = _split_heads(feats @ block.wv_s, heads, d_head)
     vals = _with_middle_frame(np.concatenate([v, np.ones(v.shape[:-1] + (1,))],
                                              axis=-1))
-    n, _, hw, keys = proj.shape
     out = np.empty((n, heads, hw, d_head + 1))
     for lo, hi in _tile_bounds(hw):
-        tile = rows(lo, hi)
-        require(tile.shape == (n, heads, hi - lo, keys),
-                f"self rows {lo}:{hi} have shape {tile.shape}, expected "
-                f"{(n, heads, hi - lo, keys)}")
+        picks = edit[:, lo:hi]
+        if picks.all():
+            tile = own.rows(lo, hi)
+        elif not picks.any():
+            tile = source.rows(lo, hi)
+        else:
+            tile = np.where(picks[:, None, :, None], own.rows(lo, hi),
+                            source.rows(lo, hi))
         np.matmul(tile, vals, out=out[:, :, lo:hi])
     return _merge_heads(out[..., :d_head] / out[..., d_head:])
 
@@ -464,15 +464,24 @@ def _checked(replacement, site: AttentionSite) -> np.ndarray:
 
 
 def _offer(probe: Probe | None, site: AttentionSite):
-    """What the pass applies at *site*: a cross map, or a self site's tile function."""
+    """What the pass applies at *site*: a cross map, or a self site's checked answer."""
     answer = probe(site) if probe is not None else None
     if site.kind == KIND_CROSS:
         return site.attn if answer is None else _checked(answer, site)
     if answer is None:
-        return site.own_rows
-    require(callable(answer),
-            f"probe answered (self, t={site.t}, layer={site.layer}) with an array; "
-            f"a self site takes None or a tile function")
+        return None
+    where = f"(self, t={site.t}, layer={site.layer})"
+    what = "an array" if isinstance(answer, np.ndarray) else f"a {type(answer).__name__}"
+    require(isinstance(answer, SelfAnswer),
+            f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
+    source, edit = answer.source, answer.edit
+    got = source.shape if isinstance(source, SelfProjections) else type(source).__name__
+    require(got == site.shape,
+            f"self answer's source has shape {got}, expected {site.shape} {where}")
+    n, _, hw, _ = site.shape
+    got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
+    require(got == ((n, hw), np.bool_),
+            f"self answer's mask is {got}, expected ({n}, {hw}) bool {where}")
     return answer
 
 

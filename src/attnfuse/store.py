@@ -4,9 +4,10 @@ Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
 what it is built from: the block input, n*h*w*d_model values, and the
 block's query and key weights, shared with the model rather than
-copied.  The edit pass reads that record (`projections`) and builds
-the rows it needs tile by tile, bit for bit the rows the forward pass
-applied; an observer assembles the whole map with the record's
+copied.  The edit pass hands that record (`projections`) to the
+forward pass as a `model.SelfAnswer`'s source, and the pass builds the
+rows it needs tile by tile, bit for bit the rows it applied during
+inversion; an observer assembles the whole map with the record's
 `attn()`.  `query` returns a cross map, a plain read-only array.  A
 complete inversion over T steps and L blocks holds T*L entries per
 kind.

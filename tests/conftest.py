@@ -7,8 +7,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from attnfuse.model import (KIND_SELF, ModelConfig, embed_prompt,
-                            make_denoiser_weights, whole_map)
+from attnfuse.model import (KIND_SELF, ModelConfig, SelfAnswer, embed_prompt,
+                            make_denoiser_weights)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
@@ -48,8 +48,9 @@ def _capture_probe(probe=None):
     """(capture, maps): a probe that wraps *probe* and the list it fills.
 
     Each site appends an `Applied` entry with the map the pass applies
-    there: *probe*'s replacement, the whole map of the tile function it
-    answers a self site with, or the site's own map when it has none.
+    there: *probe*'s replacement cross map, the rows a `SelfAnswer` picks
+    (the site's own where its mask is set, its source's elsewhere), or
+    the site's own map when *probe* has no answer.
     """
     maps = []
 
@@ -57,8 +58,9 @@ def _capture_probe(probe=None):
         replacement = probe(site) if probe is not None else None
         if replacement is None:
             applied = site.attn
-        elif callable(replacement):
-            applied = whole_map(replacement, site.shape)
+        elif isinstance(replacement, SelfAnswer):
+            applied = np.where(replacement.edit[:, None, :, None], site.attn,
+                               replacement.source.attn())
         else:
             applied = np.asarray(replacement)
         maps.append(Applied(site.t, site.layer, site.kind, applied))

@@ -25,9 +25,8 @@ import pytest
 
 from attnfuse.cli import run
 from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
-                             blend_self, build_blend_mask, identity_alignment,
-                             preset)
-from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig,
+                             build_blend_mask, identity_alignment, preset)
+from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles,
                             attend, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
@@ -163,24 +162,47 @@ def small_inversion():
     return cfg, store, sched
 
 
-def test_criterion_06_threshold_extremes(small_inversion):
+def test_criterion_06_threshold_extremes(small_inversion, monkeypatch):
     cfg, store, sched = small_inversion
     src_cross = store.query(3, 0)
-    src_map = store.projections(3, 0).attn()
-    edit_map = store.projections(4, 0).attn()  # any same-shape other map
-    assert not np.array_equal(edit_map, src_map)
+    assert not build_blend_mask(src_cross, (1,), 1.0).any()
+    assert build_blend_mask(src_cross, (1,), 0.0).all()
 
-    closed = build_blend_mask(src_cross, (1,), 1.0)
-    assert not closed.mask.any()
-    blended = blend_self(edit_map, src_map, mask=closed)
-    assert np.array_equal(blended, src_map)
+    # "white" -> "black" drops a source word, so the mask is thresholded
+    # from its attention; step 4 replays inversion step 3's record.
+    weights = make_denoiser_weights(cfg)
+    edit = embed_prompt("a black square", cfg)
+    align = align_prompts(embed_prompt("a white square", cfg).tokens, edit.tokens)
+    z = SeededRng(61).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
+    source = store.projections(3, 0)
+    source_map = source.attn()
+    built = []
+    original = SelfTiles.rows
 
-    open_ = build_blend_mask(src_cross, (1,), 0.0)
-    assert open_.mask.all()
-    blended = blend_self(edit_map, src_map, mask=open_)
-    assert np.array_equal(blended, edit_map)
-    print("criterion 6 pass: tau=1.0 gives the all-zero mask and exact "
-          "source maps; tau=0.0 gives the all-one mask and exact edit maps")
+    def spy(tiles, lo, hi):
+        rows = original(tiles, lo, hi)
+        built.append((tiles.projections, lo, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(SelfTiles, "rows", spy)
+    applied = {}
+    for tau in (1.0, 0.0):
+        plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, store)
+        step, own = plan.step_probe(4), []
+        built.clear()
+        denoiser_forward(z, 4, edit, weights, sched.T,
+                         probe=lambda site: own.append(site.projections) or step(site))
+        applied[tau] = list(built)
+        own_map = own[0].attn()
+        assert [lo for _, lo, _ in applied[tau]] == [0]  # 4x4 pixels: one tile
+        for proj, lo, rows in applied[tau]:
+            assert proj is (source if tau == 1.0 else own[0])
+            want = source_map if tau == 1.0 else own_map
+            assert np.array_equal(rows, want[:, :, lo:lo + rows.shape[2]])
+    assert not np.array_equal(own_map, source_map)
+    print("criterion 6 pass: tau=1.0 gives the all-zero mask and applies the "
+          "source rows exactly; tau=0.0 gives the all-one mask and applies "
+          "the pass's own rows exactly")
 
 
 def test_criterion_07_oracle_mask_quality():
@@ -199,8 +221,7 @@ def test_criterion_07_oracle_mask_quality():
 
     worst = 1.0
     for t in range(sched.T):
-        mask = build_blend_mask(store.query(t, 0),
-                                (red_col,), 0.3).mask
+        mask = build_blend_mask(store.query(t, 0), (red_col,), 0.3)
         got = mask.reshape(3, 8, 8)
         for i in range(3):
             inter = float(np.logical_and(got[i], truth[i]).sum())

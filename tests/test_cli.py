@@ -301,32 +301,15 @@ def test_reconstruct_builds_one_self_map_per_step_and_layer(tmp_path,
     assert sorted({lo for _, lo in built}) == [0, 64, 128]
 
 
-def _recording(probe, log):
-    """A probe that answers as *probe* and logs each self tile the pass applies."""
-    def recording(site):
-        answer = probe(site)
-        if site.kind != KIND_SELF:
-            return answer
-        rows = site.own_rows if answer is None else answer
-
-        def logged(lo, hi):
-            tile = rows(lo, hi)
-            log[(site.t, site.layer, lo)] = tile.copy()
-            return tile
-
-        return logged
-
-    return recording
-
-
 def _spy_tile_builds(monkeypatch) -> list:
-    """(projections, lo, hi) of each `SelfTiles.rows` call from now on."""
+    """(projections, lo, hi, rows) of each `SelfTiles.rows` call from now on."""
     built = []
     original = SelfTiles.rows
 
     def spy(tiles, lo, hi):
-        built.append((tiles.projections, lo, hi))
-        return original(tiles, lo, hi)
+        rows = original(tiles, lo, hi)
+        built.append((tiles.projections, lo, hi, rows.copy()))
+        return rows
 
     monkeypatch.setattr(SelfTiles, "rows", spy)
     return built
@@ -357,36 +340,36 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, heigh
     hw = height * width
     weights, z0, src, _ = _clip(rc)
 
-    # Rows applied during inversion are the rows the store rebuilds.
-    applied = {}
+    # Rows applied during inversion are the rows the store rebuilds.  No
+    # probe answers there, so each built tile is applied as it is.
+    built = _spy_tile_builds(monkeypatch)
     z = z0
     store = AttentionStore(StoreMeta(T=rc.steps, blocks=rc.model.blocks,
                                      config_hash=config_hash(rc.model)))
     for t in range(rc.steps):
-        eps = denoiser_forward(z, t, src, weights, rc.steps,
-                               probe=_recording(store.record, applied))
+        eps = denoiser_forward(z, t, src, weights, rc.steps, probe=store.record)
         z = ddim_invert_step(z, eps, t, rc.schedule)
+    records = {id(store.projections(t, layer)): (t, layer)
+               for t in range(rc.steps) for layer in range(rc.model.blocks)}
+    applied = {(*records[id(p)], lo): rows for p, lo, _, rows in built}
+    assert len(applied) == len(built)
     assert sorted({lo for _, _, lo in applied}) == [lo for lo, _ in _tile_bounds(hw)]
-    for (t, layer, lo), tile in applied.items():
+    for (t, layer, lo), rows in applied.items():
         rebuilt = store.projections(t, layer).attn()
-        assert np.array_equal(rebuilt[:, :, lo:lo + tile.shape[2]], tile)
+        assert np.array_equal(rebuilt[:, :, lo:lo + rows.shape[2]], rows)
 
     # A replay that takes each source map whole applies those same rows,
     # and builds them from the source records alone, never an edit row.
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
                       identity_alignment(len(src.tokens)), store)
-    built = _spy_tile_builds(monkeypatch)
     for t in range(rc.steps, 0, -1):
-        replayed = {}
         built.clear()
-        denoiser_forward(z, t, src, weights, rc.steps,
-                         probe=_recording(plan.step_probe(t), replayed))
-        assert replayed.keys() == {(t, layer, lo) for (s, layer, lo) in applied
-                                   if s == t - 1}
-        for (_, layer, lo), tile in replayed.items():
-            assert np.array_equal(tile, applied[(t - 1, layer, lo)])
-        assert [(id(p), lo) for p, lo, _ in built] == [
-            (id(store.projections(t - 1, layer)), lo) for _, layer, lo in replayed]
+        denoiser_forward(z, t, src, weights, rc.steps, probe=plan.step_probe(t))
+        assert [(id(p), lo) for p, lo, _, _ in built] == [
+            (id(store.projections(t - 1, layer)), lo)
+            for layer in range(rc.model.blocks) for lo, _ in _tile_bounds(hw)]
+        for p, lo, _, rows in built:
+            assert np.array_equal(rows, applied[(*records[id(p)], lo)])
 
 
 def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
@@ -404,15 +387,15 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
             denoiser_forward(z_T, t, edit, weights, rc.steps,
                              probe=plan.step_probe(t))
             source = store.projections(t - 1, 0)  # the config has one block
-            source_tiles = [(lo, hi) for p, lo, hi in built if p is source]
-            edit_tiles = [(lo, hi) for p, lo, hi in built if p is not source]
+            source_tiles = [(lo, hi) for p, lo, hi, _ in built if p is source]
+            edit_tiles = [(lo, hi) for p, lo, hi, _ in built if p is not source]
             assert plan.action(t, KIND_SELF) == BLEND
-            mask = plan.self_mask(t, 0).mask
+            mask = plan.self_mask(t, 0)
             assert edit_tiles == [b for b in bounds if mask[:, slice(*b)].any()]
             assert source_tiles == [b for b in bounds if not mask[:, slice(*b)].all()]
             skipped += 2 * len(bounds) - len(edit_tiles) - len(source_tiles)
             mixed += len(set(edit_tiles) & set(source_tiles))
-    # Some tiles spare a build, and some need both, which blend_self picks from.
+    # Some tiles spare a build, and some need both, which the pass picks from.
     assert skipped > 0 and mixed > 0
 
 
@@ -587,7 +570,7 @@ def test_written_mask_is_the_mask_applied_at_the_first_self_step(tmp_path,
 
     def spy(plan, t, layer):
         mask = original_mask(plan, t, layer)
-        applied.setdefault((t, layer), mask.mask.copy())
+        applied.setdefault((t, layer), mask.copy())
         return mask
 
     def build_spy(*args):

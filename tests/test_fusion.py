@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnfuse.errors import ContractViolation, MissingRecordError
-from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, BlendMask,
-                             EditConfig, FusionPlan, PromptAlignment,
-                             align_prompts, blend_self, build_blend_mask,
-                             fuse_cross, identity_alignment, preset)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
-                            SelfProjections, SelfTiles, tokenize, whole_map)
+from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig,
+                             FusionPlan, PromptAlignment, align_prompts,
+                             build_blend_mask, fuse_cross, identity_alignment,
+                             preset)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite, BlockWeights,
+                            SelfAnswer, SelfProjections, SelfTiles,
+                            spatiotemporal_attend, tokenize)
 from attnfuse.store import AttentionStore, StoreMeta
 
 
@@ -105,7 +106,7 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
         plan.store.record(_self_site(1, _projections(2, 3, heads=1)))
         assert plan.action(2, KIND_SELF) == BLEND
         mask = plan.self_mask(2, 0)
-        assert mask.mask.shape == (2, 3) and not mask.mask.any()
+        assert mask.shape == (2, 3) and not mask.any()
         assert plan.self_mask(3, 0) is mask  # built once per plan
     assert _plan(0.5, 0.5, T=4, tau=0.99).action(2, KIND_SELF) == BLEND
 
@@ -288,21 +289,21 @@ def test_blend_mask_hand_oracle():
     # frame 0 normalizes to [1, .5, .25, .125], frame 1 to [1, .5, .5, .2]
     want = np.array([[True, True, False, False],
                      [True, True, True, False]])
-    assert np.array_equal(got.mask, want)
+    assert np.array_equal(got, want)
 
 
 def test_blend_mask_threshold_is_strict():
     got = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=0.5)
     want = np.array([[True, False, False, False],
                      [True, False, False, False]])
-    assert np.array_equal(got.mask, want)
+    assert np.array_equal(got, want)
 
 
 def test_blend_mask_tau_extremes():
     empty = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=1.0)
-    assert not empty.mask.any()
+    assert not empty.any()
     full = build_blend_mask(MASK_CROSS_HEADS, word_positions=(1,), tau=0.0)
-    assert full.mask.all()
+    assert full.all()
 
 
 def test_blend_mask_multiple_positions():
@@ -311,7 +312,7 @@ def test_blend_mask_multiple_positions():
     # [.5, .75, .75, .9] -> /0.9; strict > 0.5
     want = np.array([[False, True, True, True],
                      [True, True, True, True]])
-    assert np.array_equal(got.mask, want)
+    assert np.array_equal(got, want)
 
 
 def test_blend_mask_position_validation():
@@ -323,10 +324,6 @@ def test_blend_mask_position_validation():
         build_blend_mask(MASK_CROSS_HEADS, word_positions=(1, 1), tau=0.3)
 
 
-SRC_SELF = np.array([
-    [[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]],
-    [[0.25, 0.25, 0.25, 0.25], [0.5, 0.1, 0.2, 0.2]],
-]).reshape(2, 1, 2, 4)
 EDIT_SELF = np.array([
     [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]],
     [[0.1, 0.1, 0.7, 0.1], [0.1, 0.1, 0.1, 0.7]],
@@ -339,22 +336,62 @@ def _self_store():
     return store
 
 
-def test_blend_self_checkerboard():
-    mask = BlendMask(mask=np.array([[True, False], [False, True]]))
-    got = blend_self(EDIT_SELF, SRC_SELF, mask=mask)
-    assert np.array_equal(got[0, 0, 0], EDIT_SELF[0, 0, 0])
-    assert np.array_equal(got[0, 0, 1], SRC_SELF[0, 0, 1])
-    assert np.array_equal(got[1, 0, 0], SRC_SELF[1, 0, 0])
-    assert np.array_equal(got[1, 0, 1], EDIT_SELF[1, 0, 1])
+def _attend(edit, answer=None):
+    """The self-attention output on *edit*'s block input and weights under *answer*."""
+    d_model = edit.feats.shape[-1]
+    wv = np.random.default_rng(7).standard_normal((d_model, d_model))
+    block = BlockWeights(edit.wq, edit.wk, wv, *[None] * 5)  # only the self weights are read
+    return spatiotemporal_attend(edit.feats, block, edit.heads, d_model // edit.heads,
+                                 supply=lambda proj: answer)
 
 
-def test_blend_self_mask_extremes_are_exact():
-    zeros = BlendMask(mask=np.zeros((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, SRC_SELF, mask=zeros)
-    assert np.array_equal(got, SRC_SELF)
-    ones = BlendMask(mask=np.ones((2, 2), dtype=bool))
-    got = blend_self(EDIT_SELF, SRC_SELF, mask=ones)
-    assert np.array_equal(got, EDIT_SELF)
+def _spy_sides(monkeypatch, source):
+    """{"edit": [...], "source": [...]}: the (lo, hi) of each tile built from now on."""
+    built = {"edit": [], "source": []}
+    original = SelfTiles.rows
+
+    def spy(tiles, lo, hi):
+        rows = original(tiles, lo, hi)
+        built["source" if tiles.projections is source else "edit"].append((lo, hi))
+        return rows
+
+    monkeypatch.setattr(SelfTiles, "rows", spy)
+    return built
+
+
+def test_blend_self_checkerboard(monkeypatch):
+    edit, source = _projections(2, 2, heads=1), _projections(2, 2, heads=1, seed=4)
+    mask = np.array([[True, False], [False, True]])
+    built = _spy_sides(monkeypatch, source)
+    got = _attend(edit, SelfAnswer(source, mask))
+    assert built == {"edit": [(0, 2)], "source": [(0, 2)]}  # one mixed tile
+    own = _attend(edit)
+    from_source = _attend(edit, SelfAnswer(source, np.zeros_like(mask)))
+    assert (own != from_source).any(axis=-1).all()  # every row tells the sides apart
+    assert np.array_equal(got, np.where(mask[..., None], own, from_source))
+
+
+def test_blend_self_mask_extremes_are_exact(monkeypatch):
+    # All clear: every tile is the source's rows, and no own row is built.
+    # All set: every tile is the pass's own, as with no answer at all.
+    edit, source = _projections(2, 2, heads=1), _projections(2, 2, heads=1, seed=4)
+    applied = []
+    original = SelfTiles.rows
+
+    def spy(tiles, lo, hi):
+        rows = original(tiles, lo, hi)
+        applied.append((tiles.projections, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(SelfTiles, "rows", spy)
+    _attend(edit, SelfAnswer(source, np.zeros((2, 2), dtype=bool)))
+    [(proj, rows)] = applied
+    assert proj is source and np.array_equal(rows, source.attn())
+    applied.clear()
+    got = _attend(edit, SelfAnswer(source, np.ones((2, 2), dtype=bool)))
+    [(proj, rows)] = applied
+    assert proj is not source and np.array_equal(rows, edit.attn())
+    assert np.array_equal(got, _attend(edit))
 
 
 def test_plan_keeps_self_map_outside_window():
@@ -363,48 +400,29 @@ def test_plan_keeps_self_map_outside_window():
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
     assert plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    rows = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
-    assert np.array_equal(whole_map(rows, EDIT_SELF.shape),
-                          store.projections(1, 0).attn())
-
-
-def test_blend_self_shape_validation():
-    with pytest.raises(ContractViolation):
-        blend_self(EDIT_SELF, SRC_SELF,
-                   mask=BlendMask(mask=np.zeros((2, 3), dtype=bool)))
-    with pytest.raises(ContractViolation):
-        blend_self(EDIT_SELF[:, :, :1], SRC_SELF,
-                   mask=BlendMask(mask=np.zeros((2, 2), dtype=bool)))
-
-
-def test_blend_mask_type_validation():
-    with pytest.raises(ContractViolation):
-        BlendMask(mask=np.zeros((2, 2)))
-    with pytest.raises(ContractViolation):
-        BlendMask(mask=np.zeros(4, dtype=bool))
+    answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
+    assert answer.source is store.projections(1, 0) and not answer.edit.any()
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(_site(KIND_CROSS, MASK_CROSS_HEADS, t=0))
     store.record(_self_site(0, _projections(2, 4, heads=2, seed=4)))
-    src_self = store.projections(0, 0).attn()
+    source = store.projections(0, 0)
     edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
     mask = plan.self_mask(1, 0)
-    assert np.array_equal(mask.mask,
-                          build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3).mask)
-    assert plan.self_mask(1, 0) is mask
-    got = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
-    assert np.array_equal(whole_map(got, edit_self.shape),
-                          blend_self(edit_self, src_self, mask=mask))
+    assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
+    assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
+    answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
+    assert answer.source is source and answer.edit is mask
 
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
-    assert plan.self_mask(1, 0).mask.shape == (2, 4)
-    assert not plan.self_mask(1, 0).mask.any()
-    rows = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
-    assert np.array_equal(whole_map(rows, edit_self.shape), src_self)
+    assert plan.self_mask(1, 0).shape == (2, 4)
+    assert not plan.self_mask(1, 0).any()
+    answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
+    assert answer.source is source and answer.edit is plan.self_mask(1, 0)
 
 
 def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
@@ -423,26 +441,15 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     store.record(_self_site(0, source))
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    assert np.array_equal(plan.self_mask(1, 0).mask, mask)
+    assert np.array_equal(plan.self_mask(1, 0), mask)
 
     edit = _projections(2, hw, heads=2, seed=6)
-    site = _self_site(1, edit)
-    built = {"edit": [], "source": []}
-    own_rows = site.own_rows
-    site.own_rows = lambda lo, hi: built["edit"].append((lo, hi)) or own_rows(lo, hi)
-    original = SelfTiles.rows
-
-    def spy(tiles, lo, hi):
-        if tiles.projections is source:
-            built["source"].append((lo, hi))
-        return original(tiles, lo, hi)
-
-    monkeypatch.setattr(SelfTiles, "rows", spy)
-    rows = plan.step_probe(1)(site)
-    got = whole_map(rows, edit.shape)
+    answer = plan.step_probe(1)(_self_site(1, edit))
+    built = _spy_sides(monkeypatch, source)
+    got = _attend(edit, answer)
     assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
-    assert np.array_equal(got, blend_self(edit.attn(), source.attn(),
-                                          mask=BlendMask(mask=mask)))
+    from_source = _attend(edit, SelfAnswer(source, np.zeros_like(mask)))
+    assert np.array_equal(got, np.where(mask[..., None], _attend(edit), from_source))
 
 
 def test_plan_takes_source_before_the_edit_map_is_built():
@@ -463,10 +470,8 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     assert plan.action(2, KIND_SELF) == BLEND
     probe = plan.step_probe(2)
     assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0)
-    edit_self = np.full((1, 1, 4, 8), 1.0 / 8)
-    rows = probe(site(KIND_SELF, edit_self))
-    assert np.array_equal(whole_map(rows, edit_self.shape),
-                          store.projections(1, 0).attn())
+    answer = probe(site(KIND_SELF, np.full((1, 1, 4, 8), 1.0 / 8)))
+    assert answer.source is store.projections(1, 0) and not answer.edit.any()
     assert built == []
 
     # a substituted word: fusing the columns needs the edit map

@@ -8,8 +8,8 @@ import pytest
 from attnfuse.errors import ContractViolation
 from attnfuse import model
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TILE_ROWS,
-                            BlockWeights, ModelConfig, SelfProjections,
-                            SelfTiles, attend, config_hash, denoiser_forward,
+                            BlockWeights, ModelConfig, SelfAnswer,
+                            SelfProjections, SelfTiles, attend, config_hash, denoiser_forward,
                             embed_prompt, encode_color, make_denoiser_weights,
                             make_oracle_denoiser, spatiotemporal_attend,
                             tokenize, token_vector)
@@ -127,7 +127,7 @@ def _attend_and_map(feats, block, heads, d_head):
     """(output, the self map it applied) of one spatiotemporal_attend call."""
     seen = []
     out = spatiotemporal_attend(feats, block, heads, d_head,
-                                supply=lambda p: seen.append(p) or SelfTiles(p).rows)
+                                supply=seen.append)
     [proj] = seen
     return out, proj.attn()
 
@@ -317,24 +317,34 @@ def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     plain = denoiser_forward(z, 2, prompt, tiny_weights, 8)
-    probed = denoiser_forward(
-        z, 2, prompt, tiny_weights, 8,
-        probe=lambda site: site.own_rows if site.kind == KIND_SELF else site.attn)
-    assert np.array_equal(plain, probed)
+    # Every self row from the site's own record, as source or as own rows.
+    n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
+    for fill in (False, True):
+        probed = denoiser_forward(
+            z, 2, prompt, tiny_weights, 8,
+            probe=lambda site: site.attn if site.kind == KIND_CROSS else SelfAnswer(
+                site.projections, np.full((n, hw), fill)))
+        assert np.array_equal(plain, probed)
 
 
 def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(5).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    probe, recs = capture_probe()
+    records = {}
+
+    def keep(site):
+        records[(site.layer, site.kind)] = site.projections or site.attn
+
+    probe, recs = capture_probe(keep)
     eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
     stored = {(r.layer, r.kind): r.attn for r in recs}
 
     def replay_probe(site):
-        attn = stored[(site.layer, site.kind)]
+        record = records[(site.layer, site.kind)]
         if site.kind == KIND_SELF:
-            return lambda lo, hi: attn[:, :, lo:hi]
-        return attn
+            n, _, hw, _ = site.shape
+            return SelfAnswer(record, np.zeros((n, hw), dtype=bool))
+        return record
 
     probe, applied = capture_probe(replay_probe)
     replay = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
@@ -363,6 +373,31 @@ def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     probe = lambda site: site.attn if (site.kind, site.layer) == (KIND_SELF, 1) else None
     with pytest.raises(ContractViolation, match="with an array") as exc:
+        denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
+    assert "(self, t=1, layer=1)" in str(exc.value)
+
+
+@pytest.mark.parametrize("case", ["source shape", "mask shape", "float mask",
+                                  "tile function", "array"])
+def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
+    prompt = embed_prompt("a", tiny_cfg)
+    z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
+    n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
+
+    def answer(site):
+        proj = site.projections
+        clear = np.zeros((n, hw), dtype=bool)
+        return {
+            "source shape": lambda: SelfAnswer(SelfProjections(
+                proj.feats[:, :-1], proj.wq, proj.wk, proj.heads), clear[:, :-1]),
+            "mask shape": lambda: SelfAnswer(proj, clear[:, :-1]),
+            "float mask": lambda: SelfAnswer(proj, clear.astype(np.float64)),
+            "tile function": lambda: lambda lo, hi: SelfTiles(proj).rows(lo, hi),
+            "array": lambda: np.zeros(site.shape),
+        }[case]()
+
+    probe = lambda site: answer(site) if (site.kind, site.layer) == (KIND_SELF, 1) else None
+    with pytest.raises(ContractViolation) as exc:
         denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
     assert "(self, t=1, layer=1)" in str(exc.value)
 

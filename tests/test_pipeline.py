@@ -174,7 +174,7 @@ def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
     steps = range(sched.T, 0, -1)
     assert FUSE in {plan.action(t, KIND_CROSS) for t in steps}
     assert BLEND in {plan.action(t, KIND_SELF) for t in steps}
-    assert any(plan.self_mask(t, 0).mask.any() for t in steps)  # not all-clear
+    assert any(plan.self_mask(t, 0).any() for t in steps)  # not all-clear
 
     uncond = embed_prompt("", tiny_cfg)
     z = z_T
