@@ -1,10 +1,11 @@
 """Prompt-driven video editing by attention fusion.
 
 A compact, fully deterministic latent-diffusion stack: DDIM inversion
-records every attention map of a toy denoiser (a self-attention map as
-the block input it is rebuilt from), and the editing pass replays those
-maps through cross-attention column fusion and masked self-attention
-blending, so edits keep the source video's layout and motion.
+records the attention maps of a toy denoiser that the edit reads (a
+self-attention map as the block input it is rebuilt from), and the
+editing pass replays those maps through cross-attention column fusion
+and masked self-attention blending, so edits keep the source video's
+layout and motion.
 """
 
 from .errors import ConfigError, ContractViolation, MissingRecordError
@@ -19,7 +20,8 @@ from .pipeline import (MetricsReport, VideoSpec, compute_metrics, decode,
                        encode, invert_video, run_denoise, synth_video)
 from .schedule import (NoiseSchedule, cfg_combine, ddim_invert_step,
                        ddim_step, make_schedule)
-from .store import AttentionKey, AttentionStore, StoreMeta, load_store_dump
+from .store import (AttentionKey, AttentionStore, DumpWriter, StoreMeta,
+                    load_store_dump)
 
 __version__ = "0.1.0"
 

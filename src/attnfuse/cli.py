@@ -28,9 +28,10 @@ from .model import ModelConfig, config_hash, embed_prompt, make_denoiser_weights
 from .numerics import SeededRng, derived_seed, require
 from .pipeline import (VideoSpec, compute_metrics, invert_video,
                        latent_to_pixels, pixels_to_latent, read_frame_dir,
-                       run_denoise, synth_video, write_frame_dir)
+                       run_denoise, store_meta, synth_video, write_frame_dir)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_STEPS,
                        NoiseSchedule, make_schedule)
+from .store import DumpWriter
 
 # section -> key -> (caster, default, help). The parser rejects anything
 # not listed here.
@@ -266,13 +267,8 @@ def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
         write_heatmap(heat[i].reshape(h, w), heat_dir / f"{i:04d}.pgm")
 
 
-def _invert_source(rc: RunConfig):
-    """(weights, z_0, source prompt embedding, z_T, store) of the source video."""
-    weights = make_denoiser_weights(rc.model)
-    z0 = pixels_to_latent(_load_source_video(rc), rc.model.c)
-    src_emb = embed_prompt(rc.source_prompt, rc.model)
-    z_T, store = invert_video(z0, src_emb, rc.schedule, weights)
-    return weights, z0, src_emb, z_T, store
+def _source_latent(rc: RunConfig) -> np.ndarray:
+    return pixels_to_latent(_load_source_video(rc), rc.model.c)
 
 
 def _run_edit(rc: RunConfig, identity: bool) -> int:
@@ -280,10 +276,13 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     if not identity and not rc.edit_prompt:
         raise ConfigError("edit requires edit_prompt in [edit]")
 
-    weights, z0, src_emb, z_T, store = _invert_source(rc)
+    weights = make_denoiser_weights(rc.model)
+    z0 = _source_latent(rc)
+    src_emb = embed_prompt(rc.source_prompt, rc.model)
     edit_emb = embed_prompt(edit_text, rc.model)
-    plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
-                      store)
+    plan = FusionPlan.recording(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
+                                store_meta(rc.schedule, rc.model))
+    z_T, _ = invert_video(z0, src_emb, rc.schedule, weights, plan.store)
     z_out = run_denoise(z_T, edit_emb, rc.schedule, weights, rc.edit.s_cfg,
                         plan=plan)
     out_pixels = quantize(latent_to_pixels(z_out, rc.model.c)).astype(np.float64)
@@ -303,13 +302,16 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
 
 
 def _run_invert(rc: RunConfig) -> int:
-    *_, z_T, store = _invert_source(rc)
-
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
+    weights = make_denoiser_weights(rc.model)
+    z0 = _source_latent(rc)
+    # Records stream to store/ as inversion makes them; the index comes last.
+    writer = DumpWriter(rc.out_dir / "store", store_meta(rc.schedule, rc.model))
+    z_T, _ = invert_video(z0, embed_prompt(rc.source_prompt, rc.model), rc.schedule,
+                          weights, writer)
     blobio.write_blob(rc.out_dir / "z_T.bin", config_hash(rc.model), [z_T])
-    store.dump(rc.out_dir / "store")
+    writer.close()
     print(f"inverted {rc.model.n} frames over {rc.steps} steps; "
-          f"{len(store)} attention records in {rc.out_dir}")
+          f"{2 * rc.steps * rc.model.blocks} attention records in {rc.out_dir}")
     return 0
 
 

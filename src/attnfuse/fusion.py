@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ContractViolation
 from .model import KIND_CROSS, KIND_SELF, SelfAnswer, SelfProjections
 from .numerics import maxnorm_frame, require
-from .store import AttentionStore
+from .store import AttentionKey, AttentionStore, StoreMeta
 
 MODES = ("style", "attribute", "shape", "removal", "enhancement")
 
@@ -211,7 +211,9 @@ class FusionPlan:
     """Every attention rewrite of one editing pass, decided in one place.
 
     Built once per editing pass from the edit config, the prompt
-    alignment and the inversion store, which carries T.  A window covers the steps
+    alignment and the inversion store, which carries T; `recording`
+    builds it over an empty store that keeps only the keys it `reads`,
+    for inversion to fill.  A window covers the steps
     t >= ceil(frac * T), down to first_self or first_cross.  Inside it a
     cross map is fused, or taken whole from the source when the alignment
     is the identity, and a self map is blended by the mask.  The mask is
@@ -245,6 +247,36 @@ class FusionPlan:
         # edited and no removed token is the identity: the source map whole.
         self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
         self._masks: dict[tuple[int, int] | None, np.ndarray] = {}
+
+    @classmethod
+    def recording(cls, cfg: EditConfig, alignment: PromptAlignment,
+                  meta: StoreMeta) -> FusionPlan:
+        """A plan over a new, empty store that keeps only the keys the plan `reads`.
+
+        `pipeline.invert_video` fills that store, `plan.store`, before the
+        plan is used.
+        """
+        reads = cls(cfg, alignment, AttentionStore(meta)).reads()
+        return cls(cfg, alignment, AttentionStore(meta, reads))
+
+    def reads(self) -> frozenset[AttentionKey]:
+        """The store keys this plan reads, and the one the heatmaps draw.
+
+        Step t reads inversion step t-1's records (`source_map`): the
+        self record of a step it blends, the cross map of a step it fuses
+        or takes whole, and, when its masks are built, the cross map of a
+        step it blends, which the mask thresholds.  `cli` draws inversion
+        step 0's cross map of block 0 as the heatmaps.
+        """
+        keys = {AttentionKey(0, 0, KIND_CROSS)}
+        for t in range(1, self.store.meta.T + 1):
+            blends = self.action(t, KIND_SELF) == BLEND
+            kinds = [KIND_SELF] if blends else []
+            if self.action(t, KIND_CROSS) != KEEP or (blends and self._blends):
+                kinds.append(KIND_CROSS)
+            keys.update(AttentionKey(t - 1, layer, kind) for kind in kinds
+                        for layer in range(self.store.meta.blocks))
+        return frozenset(keys)
 
     def source_map(self, t: int, layer: int) -> np.ndarray:
         """The read-only cross map that denoising step t replays: inversion step t-1's."""

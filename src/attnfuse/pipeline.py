@@ -1,9 +1,9 @@
 """End-to-end flows: synthesize, encode, invert, denoise, measure.
 
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
-schedule upward at guidance scale 1 with the attention store as its
-probe, which keeps each cross-attention map and the block input of each
-self-attention call, with that block's query and key weights shared
+schedule upward at guidance scale 1 with a `store.Recorder` as its
+probe, which takes the cross-attention maps and the self-attention
+block inputs it wants, with each block's query and key weights shared
 from the model; the editing pass walks back down, rewriting maps from
 that record through the probe.  Reconstruction is the identity edit.
 """
@@ -21,11 +21,11 @@ import numpy as np
 from .errors import ContractViolation
 from .fusion import FusionPlan
 from .imageio import quantize, read_ppm, write_ppm
-from .model import (DenoiserWeights, PromptEmbedding, config_hash,
-                    denoiser_forward, embed_prompt)
+from .model import (DenoiserWeights, ModelConfig, PromptEmbedding,
+                    config_hash, denoiser_forward, embed_prompt)
 from .numerics import SeededRng, check_finite, require
 from .schedule import NoiseSchedule, cfg_combine, ddim_invert_step, ddim_step
-from .store import AttentionStore, StoreMeta
+from .store import AttentionStore, Recorder, StoreMeta
 
 COLOR_WORDS = {
     "black": (0, 0, 0),
@@ -146,19 +146,28 @@ def latent_to_pixels(latent: np.ndarray, c: int) -> np.ndarray:
     return decoded
 
 
-def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
-                 weights: DenoiserWeights) -> tuple[np.ndarray, AttentionStore]:
-    """Deterministic inversion to z_T, recording what the edit replays.
+def store_meta(sched: NoiseSchedule, cfg: ModelConfig) -> StoreMeta:
+    """The metadata of what an inversion over *sched* under *cfg* records."""
+    return StoreMeta(T=sched.T, blocks=cfg.blocks, config_hash=config_hash(cfg))
 
-    The store is the probe: it keeps every cross-attention map and the
-    block input of every self-attention call, which with the block's
-    query and key weights rebuilds the self map.  Runs at
-    guidance scale 1, which reduces to the conditional branch alone, so
-    only that branch is evaluated and recorded.
+
+def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
+                 weights: DenoiserWeights, store: Recorder | None = None
+                 ) -> tuple[np.ndarray, Recorder]:
+    """Deterministic inversion to z_T, recording what the edit replays into *store*.
+
+    *store* is the probe, a `Recorder` of `store_meta(sched, weights.config)`:
+    by default a new `AttentionStore` of every cross-attention map and
+    every self-attention call's block input, which with the block's
+    query and key weights rebuilds the self map.  An edit's store keeps
+    only the keys its plan reads, and `invert` passes a `DumpWriter`,
+    which holds no record once written.  Runs at guidance scale 1, which
+    reduces to the conditional branch alone, so only that branch is
+    evaluated and recorded.  Returns (z_T, store).
     """
-    cfg = weights.config
-    store = AttentionStore(StoreMeta(T=sched.T, blocks=cfg.blocks,
-                                     config_hash=config_hash(cfg)))
+    meta = store_meta(sched, weights.config)
+    store = AttentionStore(meta) if store is None else store
+    require(store.meta == meta, f"store expects {store.meta}, inversion records {meta}")
     z = np.asarray(z_0, dtype=np.float64)
     for t in range(sched.T):
         eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,

@@ -8,16 +8,20 @@ copied.  The edit pass hands that record (`projections`) to the
 forward pass as a `model.SelfAnswer`'s source, and the pass builds the
 rows it needs tile by tile, bit for bit the rows it applied during
 inversion; an observer assembles the whole map with the record's
-`attn()`.  `query` returns a cross map, a plain read-only array.  A
-complete inversion over T steps and L blocks holds T*L entries per
-kind.
+`attn()`.  `query` returns a cross map, a plain read-only array.
 
-`AttentionStore.record` is inversion's probe; it keeps the pass's own
-maps unchecked.  `dump` writes a complete store only: one blob per key,
-named by the key, and an index of the store's metadata and the one
-geometry all blob shapes follow.  A loaded dump comes from outside the
-program, so `load_store_dump` checks the index's fields, each blob's
-header and length, cross rows and self finiteness, naming the file.
+A `Recorder` is inversion's probe.  It takes the records of a set of
+keys of the T x L x {self, cross} grid, each once, and passes over the
+rest: a store holds the whole grid by default, an edit's store only the
+keys its `FusionPlan` reads.  An `AttentionStore` keeps the pass's own
+maps, unchecked.  A `DumpWriter` writes each record to its blob, named
+by its key, as it arrives and keeps none; it writes the index of the
+store's metadata and the one geometry all blob shapes follow last, once
+the grid is complete, so a directory without `index.json` is an
+interrupted dump.  `AttentionStore.dump` writes through a `DumpWriter`
+too.  A loaded dump comes from outside the program, so
+`load_store_dump` checks the index's fields, each blob's header and
+length, cross rows and self finiteness, naming the file.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,13 +84,49 @@ class StoreMeta:
     config_hash: int
 
 
-class AttentionStore:
-    """Insertion-ordered map from AttentionKey to a cross map or a self record."""
+class Recorder:
+    """Inversion's probe: takes the record of each key of a set once.
 
-    def __init__(self, meta: StoreMeta):
+    *keys* defaults to the whole T x blocks x {self, cross} grid.  A site
+    outside the set is passed over, so the pass drops its map and block
+    input once applied.  A subclass keeps what it takes (`_keep`).
+    """
+
+    def __init__(self, meta: StoreMeta, keys: Iterable[AttentionKey] | None = None):
         require(meta.T >= 1 and meta.blocks >= 1,
                 f"store metadata out of range: T={meta.T}, blocks={meta.blocks}")
         self.meta = meta
+        wanted = None if keys is None else frozenset(keys)
+        # Each wanted key, in recording order, and whether it has come.
+        self._taken = {key: False for key in _grid(meta.T, meta.blocks)
+                       if wanted is None or key in wanted}
+
+    def record(self, site: AttentionSite) -> None:
+        """Take a self site's `SelfProjections`, or a cross site's map, if its key is wanted.
+
+        It replaces nothing, and it never reads a self site's map, so the
+        pass builds that map's rows once, to apply them.
+        """
+        key = AttentionKey(site.t, site.layer, site.kind)
+        if key in self._taken:
+            self._add(key, site.projections if site.kind == KIND_SELF else site.attn)
+
+    def _add(self, key: AttentionKey, entry) -> None:
+        if self._taken[key]:
+            raise ContractViolation(f"duplicate attention record for {key}")
+        self._taken[key] = True
+        self._keep(key, entry)
+
+    def verify_complete(self) -> list[AttentionKey]:
+        """Wanted keys still missing, in recording order."""
+        return [key for key, taken in self._taken.items() if not taken]
+
+
+class AttentionStore(Recorder):
+    """Insertion-ordered map from AttentionKey to a cross map or a self record."""
+
+    def __init__(self, meta: StoreMeta, keys: Iterable[AttentionKey] | None = None):
+        super().__init__(meta, keys)
         self._records: dict[AttentionKey, np.ndarray | SelfProjections] = {}
 
     def __len__(self) -> int:
@@ -95,19 +135,8 @@ class AttentionStore:
     def keys(self) -> Iterator[AttentionKey]:
         return iter(self._records)
 
-    def _add(self, key: AttentionKey, entry) -> None:
-        if key in self._records:
-            raise ContractViolation(f"duplicate attention record for {key}")
+    def _keep(self, key: AttentionKey, entry) -> None:
         self._records[key] = entry
-
-    def record(self, site: AttentionSite) -> None:
-        """Keep a self site's `SelfProjections`, or a cross site's map.
-
-        A probe: it replaces nothing, and it never reads a self site's
-        map, so the pass builds that map's rows once, to apply them.
-        """
-        entry = site.projections if site.kind == KIND_SELF else site.attn
-        self._add(AttentionKey(site.t, site.layer, site.kind), entry)
 
     def _entry(self, key: AttentionKey):
         try:
@@ -123,33 +152,54 @@ class AttentionStore:
         """The read-only recorded cross map."""
         return self._entry(AttentionKey(t, layer, KIND_CROSS))
 
-    def verify_complete(self) -> list[AttentionKey]:
-        """Keys still missing for a full T x blocks x {self, cross} grid."""
-        return [key for key in _grid(self.meta.T, self.meta.blocks)
-                if key not in self._records]
-
     def dump(self, directory: Path) -> None:
-        """Write a complete store: one blob per key, and an index.
-
-        A cross blob holds the map.  A self blob holds the block input,
-        then the query weights, then the key weights, so a dump needs no
-        weights from outside.  The index holds the store's metadata and
-        the geometry of step 0, block 0, which every record shares.
-        """
-        missing = self.verify_complete()
+        """Write a store that holds the whole grid through a `DumpWriter`."""
+        grid = list(_grid(self.meta.T, self.meta.blocks))
+        missing = [key for key in grid if key not in self._records]
         require(not missing, f"cannot dump a store with {len(missing)} records "
                              f"missing, the first {missing[:1]}")
-        first = self.projections(0, 0)
-        geometry = DumpGeometry(*first.feats.shape, first.heads,
-                                self.query(0, 0).shape[-1])
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for key in _grid(self.meta.T, self.meta.blocks):
-            entry = self._records[key]
-            arrays = [entry.feats, entry.wq, entry.wk] if key.kind == KIND_SELF else [entry]
-            blobio.write_blob(directory / _blob_name(key), self.meta.config_hash, arrays)
+        writer = DumpWriter(directory, self.meta)
+        for key in grid:
+            writer._add(key, self._records[key])
+        writer.close()
+
+
+class DumpWriter(Recorder):
+    """Writes a dump record by record: `invert`'s probe, and `dump`'s writer.
+
+    Each record of the grid goes to its blob, named by its key, as it
+    arrives, and is not kept.  A cross blob holds the map.  A self blob
+    holds the block input, then the query weights, then the key weights,
+    so a dump needs no weights from outside.  An earlier dump's index is
+    removed before the first blob is written; `close` writes the index
+    of the store's metadata and the geometry of step 0, block 0, which
+    every record shares, once no record is missing.
+    """
+
+    def __init__(self, directory: Path, meta: StoreMeta):
+        super().__init__(meta)
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        (self.directory / "index.json").unlink(missing_ok=True)
+        self._sizes: dict[str, tuple[int, ...]] = {}
+
+    def _keep(self, key: AttentionKey, entry) -> None:
+        if key.kind == KIND_SELF:
+            arrays, sizes = [entry.feats, entry.wq, entry.wk], (*entry.feats.shape, entry.heads)
+        else:
+            arrays, sizes = [entry], entry.shape[-1:]
+        if key.t == key.layer == 0:
+            self._sizes[key.kind] = sizes
+        blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, arrays)
+
+    def close(self) -> None:
+        """Write the index, last; refused while a record is missing."""
+        missing = self.verify_complete()
+        require(not missing, f"{self.directory}: {len(missing)} records missing, "
+                             f"the first {missing[:1]}; no index written")
+        geometry = DumpGeometry(*self._sizes[KIND_SELF], *self._sizes[KIND_CROSS])
         index = {"version": DUMP_VERSION, **asdict(self.meta), **geometry._asdict()}
-        (directory / "index.json").write_text(
+        (self.directory / "index.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures: a tiny model, a completed tiny inversion, a probe
 that captures the maps a forward pass applies, every map a store
-stands for, and the row contract of an attention map."""
+stands for, the row contract of an attention map, and the peak memory
+of a call."""
 
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -102,3 +104,19 @@ def _assert_map_rows(kind, attn):
 @pytest.fixture
 def assert_map_rows():
     return _assert_map_rows
+
+
+def _peak_bytes(call):
+    """(call(), the most bytes it held at once): its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture
+def peak_bytes():
+    return _peak_bytes

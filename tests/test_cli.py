@@ -17,14 +17,15 @@ from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
 from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
                              identity_alignment, word_attention)
-from attnfuse.model import (KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
-                            config_hash, denoiser_forward, embed_prompt,
-                            make_denoiser_weights)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles,
+                            _tile_bounds, config_hash, denoiser_forward,
+                            embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
 from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
-                               synth_video, write_frame_dir)
+                               store_meta, synth_video, write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
-from attnfuse.store import DUMP_VERSION, AttentionStore, StoreMeta, load_store_dump
+from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
+                            load_store_dump)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -190,6 +191,87 @@ def test_invert_writes_latent_and_store(tmp_path, config_path):
     store = load_store_dump(out / "store")
     assert len(store) == 2 * 4 * 1
     assert store.verify_complete() == []
+
+
+def test_invert_holds_one_steps_records_whatever_T(tmp_path, peak_bytes):
+    # invert streams each record to store/, so 12 more steps add to its
+    # peak less than one step's records: a block input and a cross map
+    # per block.  The first run warms the interpreter's caches.
+    peaks = {}
+    for name, steps in (("warm", 4), ("short", 4), ("long", 16)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(BASE_CONFIG.replace("steps = 4", f"steps = {steps}"))
+        argv = ["invert", "--config", str(path), "--out", str(tmp_path / name)]
+        code, peaks[name] = peak_bytes(lambda: run(argv))
+        assert code == 0
+    rc = parse_config(tmp_path / "long.cfg")
+    m, hw = rc.model, rc.model.h * rc.model.w
+    tokens = len(embed_prompt(rc.source_prompt, m).tokens)
+    one_step = m.blocks * (m.n * hw * m.d_model + m.n * m.heads * hw * tokens) * 8
+    assert load_store_dump(tmp_path / "long" / "store").meta.T == 16
+    assert peaks["long"] - peaks["short"] < one_step
+
+
+def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_path,
+                                                              monkeypatch):
+    import attnfuse.pipeline as pipeline
+    out = tmp_path / "inv"
+    assert run(["invert", "--config", str(config_path), "--out", str(out)]) == 0
+    earlier = load_store_dump(out / "store")
+    original = pipeline.denoiser_forward
+
+    def failing(z, t, *args, **kwargs):
+        if t == 2:
+            raise ContractViolation("the pass failed at step 2")
+        return original(z, t, *args, **kwargs)
+
+    # Another clip rewrites steps 0 and 1 of the earlier dump, then fails.
+    monkeypatch.setattr(pipeline, "denoiser_forward", failing)
+    assert run(["invert", "--config", str(config_path), "--seed", "9",
+                "--out", str(out)]) == 1
+    record = earlier.projections(1, 0)
+    [feats, *_] = read_blob(out / "store" / "self_t0001_l00.bin", earlier.meta.config_hash,
+                            [record.feats.shape, record.wq.shape, record.wk.shape])
+    assert not np.array_equal(feats, record.feats)
+    with pytest.raises(ContractViolation, match="index.json"):
+        load_store_dump(out / "store")
+
+
+@pytest.mark.parametrize("command,preset", [
+    ("edit", "style"), ("edit", "attribute"), ("edit", "shape"), ("reconstruct", "shape")])
+def test_an_edit_keeps_exactly_the_records_it_reads(tmp_path, monkeypatch, command,
+                                                    preset):
+    # A shape edit blends by a mask at tau 0.3, which reads the cross maps
+    # of the self window, here wider than the cross window (t_s = 0.2,
+    # t_c = 0.5).  Style and attribute (tau 1.0) build no mask, nor does a
+    # reconstruction, which drops no word.
+    read, plans = set(), []
+    for name, kind in (("query", KIND_CROSS), ("projections", KIND_SELF)):
+        original = getattr(AttentionStore, name)
+
+        def spy(store, t, layer, _original=original, _kind=kind):
+            read.add(AttentionKey(t, layer, _kind))
+            return _original(store, t, layer)
+
+        monkeypatch.setattr(AttentionStore, name, spy)
+    recording = FusionPlan.recording
+
+    def keep_plan(cls, *args):
+        plans.append(recording(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(FusionPlan, "recording", classmethod(keep_plan))
+    cfg = (BASE_CONFIG.replace("preset = shape", f"preset = {preset}\nt_s = 0.2")
+           .replace("steps = 4", "steps = 10").replace("blocks = 1", "blocks = 2"))
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg)
+    assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    [plan] = plans
+    kept = set(plan.store.keys())
+    assert plan.store.verify_complete() == []
+    assert kept == plan.reads() == read
+    assert len(kept) < 2 * 10 * 2
+    assert plan._blends == (preset == "shape" and command == "edit")
 
 
 def test_edit_writes_all_artifacts(tmp_path, config_path):
@@ -471,6 +553,14 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     assert (f"holds {records * (self_record + cross_map) / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
     assert f"writes {records * blobs / 1e6:.1f} MB to `store/`" in readme
+    # An edit of that config keeps only the keys its plan reads.
+    plan = FusionPlan.recording(
+        rc.edit, align_prompts(embed_prompt(rc.source_prompt, m).tokens,
+                               embed_prompt(rc.edit_prompt, m).tokens),
+        store_meta(rc.schedule, m))
+    kept = sum(self_record if key.kind == KIND_SELF else cross_map for key in plan.reads())
+    assert (f"that is {kept / 1e6:.1f} MB of the "
+            f"{records * (self_record + cross_map) / 1e6:.1f} MB") in readme
     assert f"The dump format is version {DUMP_VERSION}" in readme
 
     # Those are the shapes the store keeps and dumps: one step's records.

@@ -294,23 +294,17 @@ def test_forward_pass_holds_one_self_map_at_a_time():
     assert eps.shape == z.shape
 
 
-def test_forward_pass_holds_one_self_attention_tile_at_a_time():
+def test_forward_pass_holds_one_self_attention_tile_at_a_time(peak_bytes):
     cfg = ModelConfig(n=4, h=24, w=24, c=1, d_model=16, heads=2, d_head=8,
                       blocks=2, d_text=16, seed=3)
     weights = make_denoiser_weights(cfg)
     prompt = embed_prompt("a red square", cfg)
     z = SeededRng(8).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        denoiser_forward(z, 1, prompt, weights, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: denoiser_forward(z, 1, prompt, weights, 4))
     # One tile of logits is n * heads * TILE_ROWS * (2*h*w) float64 values,
     # 4.7 MB here; one whole self map would be 42.5 MB.
     assert TILE_ROWS == 64
-    assert peak - before < 10e6
+    assert peak < 10e6
 
 
 def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):

@@ -12,8 +12,8 @@ rows wherever the blend mask is clear.  The mask thresholds the
 head-averaged, max-normalized source attention on the dropped words.
 
 So tiles, softmax numerators, lazy sites, maps taken whole from the
-source and the per-tile choice of rows must all agree with it to float
-rounding.
+source, the per-tile choice of rows and a store that keeps only the
+records its plan reads must all agree with it to float rounding.
 """
 
 import math
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from attnfuse.fusion import EditConfig, FusionPlan, align_prompts
 from attnfuse.model import (ModelConfig, _posenc, _time_features, embed_prompt,
                             make_denoiser_weights)
-from attnfuse.pipeline import invert_video, run_denoise
+from attnfuse.pipeline import invert_video, run_denoise, store_meta
 from attnfuse.schedule import make_schedule
 
 WORDS = ("a", "red", "square", "drifting", "right")
@@ -132,8 +132,10 @@ def test_the_pipeline_edits_as_the_whole_map_reference_does(n, hw, blocks, T, t_
     z0 = np.random.default_rng(seed).standard_normal((n, 1, h, w)) * 0.5
     edit_cfg = EditConfig(t_s=t_s, t_c=t_c, tau=tau, s_cfg=s_cfg)
 
-    z_T, store = invert_video(z0, src, sched, weights)
-    plan = FusionPlan(edit_cfg, align_prompts(src.tokens, edit.tokens), store)
+    # The pipeline records only the keys its plan reads.
+    plan = FusionPlan.recording(edit_cfg, align_prompts(src.tokens, edit.tokens),
+                                store_meta(sched, cfg))
+    z_T, _ = invert_video(z0, src, sched, weights, plan.store)
     z_0 = run_denoise(z_T, edit, sched, weights, s_cfg, plan)
     want_T, want_0 = _reference_edit(z0, src, edit, matched, removed, sched, weights,
                                      edit_cfg)

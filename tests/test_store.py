@@ -1,7 +1,6 @@
 """Attention store: keyed capture, completeness, and offline dumps."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import ddim_invert_step, make_schedule
 from attnfuse.store import (AttentionKey, AttentionStore, DumpGeometry,
-                            StoreMeta, load_store_dump)
+                            DumpWriter, StoreMeta, load_store_dump)
 
 
 def _cross_site(t, layer, keys=4):
@@ -109,6 +108,43 @@ def test_verify_complete_lists_missing():
     assert missing == [AttentionKey(1, 0, KIND_CROSS)]
     store.record(_cross_site(1, 0))
     assert store.verify_complete() == []
+
+
+def test_a_store_keeps_only_the_keys_it_wants(tmp_path):
+    wanted = [AttentionKey(0, 0, KIND_CROSS), AttentionKey(1, 0, KIND_SELF)]
+    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7), set(wanted))
+    store.record(_self_site(0, 0, _projections()))  # not wanted: passed over
+    store.record(_cross_site(0, 0))
+    assert store.verify_complete() == [AttentionKey(1, 0, KIND_SELF)]
+    store.record(_self_site(1, 0, _projections()))
+    store.record(_cross_site(1, 0))
+    assert store.verify_complete() == []
+    assert list(store.keys()) == wanted
+    with pytest.raises(MissingRecordError):
+        store.projections(0, 0)
+    with pytest.raises(ContractViolation, match="2 records missing"):
+        store.dump(tmp_path / "store")
+
+
+def test_a_streamed_dump_equals_the_dumped_store(tmp_path, tiny_weights, tiny_inversion):
+    sched, prompt, z0, z_T, store = tiny_inversion
+    store.dump(tmp_path / "dumped")
+    dumped = {p.name: p.read_bytes() for p in (tmp_path / "dumped").iterdir()}
+    # A writer over an earlier dump removes its index before any blob.
+    writer = DumpWriter(tmp_path / "dumped", store.meta)
+    assert not (tmp_path / "dumped" / "index.json").exists()
+    with pytest.raises(ContractViolation, match="16 records missing"):
+        writer.close()
+    assert not (tmp_path / "dumped" / "index.json").exists()
+
+    writer = DumpWriter(tmp_path / "streamed", store.meta)
+    z, _ = invert_video(z0, prompt, sched, tiny_weights, writer)
+    assert np.array_equal(z, z_T)
+    assert not (tmp_path / "streamed" / "index.json").exists()
+    writer.close()
+    assert {p.name: p.read_bytes() for p in (tmp_path / "streamed").iterdir()} == dumped
+    with pytest.raises(ContractViolation, match="duplicate"):
+        writer.record(_self_site(0, 0, store.projections(0, 0)))
 
 
 def test_inversion_fills_store(tiny_cfg, tiny_inversion):
@@ -278,23 +314,18 @@ def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights,
         z = ddim_invert_step(z, eps, t, sched)
 
 
-def test_inversion_store_holds_projections_not_maps():
+def test_inversion_store_holds_projections_not_maps(peak_bytes):
     cfg = ModelConfig(n=4, h=24, w=24, c=1, d_model=16, heads=2, d_head=8,
                       blocks=2, d_text=16, seed=3)
     weights = make_denoiser_weights(cfg)
     prompt = embed_prompt("a red square", cfg)
     z0 = SeededRng(8).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w)) * 0.2
     sched = make_schedule(2, 0.05, 0.1)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _, store = invert_video(z0, prompt, sched, weights)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    (_, store), peak = peak_bytes(lambda: invert_video(z0, prompt, sched, weights))
     assert store.verify_complete() == []
-    # Four self maps would hold 4 * 42.5 MB; their block inputs hold 1.2 MB.
-    assert held < 10e6
+    # Four self maps would hold 4 * 42.5 MB; their block inputs hold 1.2 MB,
+    # beside one forward pass's tile of logits.
+    assert peak < 10e6
 
 
 def test_store_meta_validation():
