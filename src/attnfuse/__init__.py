@@ -2,10 +2,10 @@
 
 A compact, fully deterministic latent-diffusion stack: DDIM inversion
 records the attention maps of a toy denoiser that the edit reads (a
-self-attention map as the block input it is rebuilt from), and the
-editing pass replays those maps through cross-attention column fusion
-and masked self-attention blending, so edits keep the source video's
-layout and motion.
+self-attention map as the block input it is rebuilt from, block 0's as
+the step's latent), and the editing pass replays those maps through
+cross-attention column fusion and masked self-attention blending, so
+edits keep the source video's layout and motion.
 """
 
 from .errors import ConfigError, ContractViolation, MissingRecordError

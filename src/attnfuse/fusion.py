@@ -16,9 +16,9 @@ self window the action is always `BLEND`.
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
 `FusionPlan.source_map` (a cross map) and `FusionPlan.source_projections`
-(the recorded block input and weights a self map's rows are built from)
-make that pairing and are the only readers of the inversion store; no
-whole self map is read back.
+(the recorded block input, or block 0's latent, and weights a self
+map's rows are built from) make that pairing and are the only readers
+of the inversion store; no whole self map is read back.
 
 The forward pass never holds a whole self map, so the plan answers a
 self site with data, a `model.SelfAnswer`: the source's record and the

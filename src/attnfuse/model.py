@@ -36,11 +36,14 @@ the pass's own map or from an answer's source as the answer's mask
 says.  A self map is a function of the block input and the block's
 query and key weights (`SelfProjections`); the input is
 2*heads*h*w/d_model times smaller than the map, and the weights are the
-model's own arrays, shared.  Every self row is built by `SelfTiles.rows`
-from queries and keys projected with one expression, so rows rebuilt
-later from a recorded block input are bit-identical to the ones the pass
-applied; a whole map (`SelfProjections.attn`) is assembled from the same
-tiles, for observers and tests.
+model's own arrays, shared.  Block 0's input is one small matmul away
+from the step's latent (`_block_input`), so block 0's self record is
+that latent (`LatentProjections`), d_model/c times smaller again, and
+its input is rebuilt through the function the pass applied.  Every self
+row is built by `SelfTiles.rows` from queries and keys projected with
+one expression, so rows rebuilt later from a record are bit-identical
+to the ones the pass applied; a whole map (`SelfProjections.attn`) is
+assembled from the same tiles, for observers and tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -233,6 +236,17 @@ def _time_features(t: int, n_steps: int, weights: DenoiserWeights) -> np.ndarray
     return np.sin(2.0 * math.pi * weights.time_freq * tau + weights.time_phase)
 
 
+def _block_input(z_t: np.ndarray, t: int, n_steps: int,
+                 weights: DenoiserWeights) -> np.ndarray:
+    """Block 0's input, (n, h*w, d_model), from the latent z_t, (n, c, h, w), at step t."""
+    n, c, h, w = z_t.shape
+    hw = h * w
+    zc = z_t.reshape(n, c, hw).transpose(0, 2, 1)
+    pos = np.broadcast_to(_posenc(h, w), (n, hw, POS_DIM))
+    temb = np.broadcast_to(_time_features(t, n_steps, weights), (n, hw, TIME_DIM))
+    return np.concatenate([zc, pos, temb], axis=-1) @ weights.w_in
+
+
 def _split_heads(x: np.ndarray, heads: int, d_head: int) -> np.ndarray:
     n, q, _ = x.shape
     return x.reshape(n, q, heads, d_head).transpose(0, 2, 1, 3)
@@ -254,7 +268,6 @@ def _tile_bounds(hw: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
 
 
-@dataclass(frozen=True)
 class SelfProjections:
     """What one self-attention call's map is built from.
 
@@ -262,23 +275,21 @@ class SelfProjections:
     wk are the block's (d_model, d_model) query and key weights, the
     model's own arrays, not copies; heads splits d_model.  `SelfTiles`
     projects the queries and keys once and builds the map's rows.
+    Block 0's record is a `LatentProjections`, which keeps the step's
+    latent and rebuilds feats from it.
     """
 
-    feats: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    heads: int
-
-    def __post_init__(self):
-        require(self.feats.ndim == 3,
-                f"self block input must be (n, h*w, d_model), got {self.feats.shape}")
-        d_model = self.feats.shape[-1]
-        require(self.wq.shape == self.wk.shape == (d_model, d_model),
+    def __init__(self, feats: np.ndarray, wq: np.ndarray, wk: np.ndarray, heads: int):
+        require(feats.ndim == 3,
+                f"self block input must be (n, h*w, d_model), got {feats.shape}")
+        d_model = feats.shape[-1]
+        require(wq.shape == wk.shape == (d_model, d_model),
                 f"self weights must be ({d_model}, {d_model}), got "
-                f"{self.wq.shape} / {self.wk.shape}")
-        require(self.heads >= 1 and d_model % self.heads == 0,
-                f"{self.heads} heads do not split d_model {d_model}")
-        self.feats.setflags(write=False)
+                f"{wq.shape} / {wk.shape}")
+        require(heads >= 1 and d_model % heads == 0,
+                f"{heads} heads do not split d_model {d_model}")
+        feats.setflags(write=False)
+        self.feats, self.wq, self.wk, self.heads = feats, wq, wk, heads
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -299,6 +310,36 @@ class SelfProjections:
             whole[:, :, lo:hi] = tiles.rows(lo, hi)
         whole.setflags(write=False)
         return whole
+
+
+class LatentProjections(SelfProjections):
+    """Block 0's self record: the step's latent, not the block input.
+
+    Keeps a read-only copy of z_t, (n, c, h, w), with t, n_steps and the
+    model's weights, shared.  Each read of feats rebuilds the block
+    input through `_block_input`, the function the forward pass applied,
+    so it is bit-identical to the input the pass used; it is a new
+    read-only array each time, and the record keeps none.  shape comes
+    from the latent without a rebuild.
+    """
+
+    def __init__(self, z_t: np.ndarray, t: int, n_steps: int, weights: DenoiserWeights):
+        z_t = np.array(z_t, dtype=np.float64)
+        z_t.setflags(write=False)
+        block = weights.blocks[0]
+        self.z_t, self.t, self.n_steps, self.weights = z_t, t, n_steps, weights
+        self.wq, self.wk, self.heads = block.wq_s, block.wk_s, weights.config.heads
+
+    @property
+    def feats(self) -> np.ndarray:
+        feats = _block_input(self.z_t, self.t, self.n_steps, self.weights)
+        feats.setflags(write=False)
+        return feats
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        n, _, h, w = self.z_t.shape
+        return (n, self.heads, h * w, 2 * h * w)
 
 
 class SelfTiles:
@@ -506,18 +547,19 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
 
     n, c, h, w = z_t.shape
     hw = h * w
-    zc = z_t.reshape(n, c, hw).transpose(0, 2, 1)
-    pos = np.broadcast_to(_posenc(h, w), (n, hw, POS_DIM))
-    temb = np.broadcast_to(_time_features(t, n_steps, weights), (n, hw, TIME_DIM))
-    x = np.concatenate([zc, pos, temb], axis=-1) @ weights.w_in
+    x = _block_input(z_t, t, n_steps, weights)
+
+    def offer_self(p: SelfProjections, layer: int):
+        # Block 0 is recorded as its latent; the pass's rows use p.
+        record = p if layer else LatentProjections(z_t, t, n_steps, weights)
+        return _offer(probe, AttentionSite(t, layer, KIND_SELF, p.shape, p.attn,
+                                           projections=record))
 
     kv = prompt.vectors
     cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
     for layer, bw in enumerate(weights.blocks):
-        x = x + spatiotemporal_attend(
-            x, bw, cfg.heads, cfg.d_head,
-            supply=lambda p, _l=layer: _offer(probe, AttentionSite(
-                t, _l, KIND_SELF, p.shape, p.attn, projections=p)))
+        x = x + spatiotemporal_attend(x, bw, cfg.heads, cfg.d_head,
+                                      supply=lambda p, _l=layer: offer_self(p, _l))
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         kc = _split_heads((kv @ bw.wk_c)[None], cfg.heads, cfg.d_head)
         vc = _split_heads((kv @ bw.wv_c)[None], cfg.heads, cfg.d_head)

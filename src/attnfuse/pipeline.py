@@ -3,9 +3,10 @@
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
 schedule upward at guidance scale 1 with a `store.Recorder` as its
 probe, which takes the cross-attention maps and the self-attention
-block inputs it wants, with each block's query and key weights shared
-from the model; the editing pass walks back down, rewriting maps from
-that record through the probe.  Reconstruction is the identity edit.
+block inputs it wants (block 0's as the step's latent), with each
+block's query and key weights shared from the model; the editing pass
+walks back down, rewriting maps from that record through the probe.
+Reconstruction is the identity edit.
 """
 
 from __future__ import annotations
@@ -159,9 +160,11 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
     *store* is the probe, a `Recorder` of `store_meta(sched, weights.config)`:
     by default a new `AttentionStore` of every cross-attention map and
     every self-attention call's block input, which with the block's
-    query and key weights rebuilds the self map.  An edit's store keeps
-    only the keys its plan reads, and `invert` passes a `DumpWriter`,
-    which holds no record once written.  Runs at guidance scale 1, which
+    query and key weights rebuilds the self map; block 0's record keeps
+    the step's latent instead and rebuilds its input from it
+    (`model.LatentProjections`).  An edit's store keeps only the keys
+    its plan reads, and `invert` passes a `DumpWriter`, which holds no
+    record once written.  Runs at guidance scale 1, which
     reduces to the conditional branch alone, so only that branch is
     evaluated and recorded.  Returns (z_T, store).
     """

@@ -4,11 +4,14 @@ Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
 what it is built from: the block input, n*h*w*d_model values, and the
 block's query and key weights, shared with the model rather than
-copied.  The edit pass hands that record (`projections`) to the
-forward pass as a `model.SelfAnswer`'s source, and the pass builds the
-rows it needs tile by tile, bit for bit the rows it applied during
-inversion; an observer assembles the whole map with the record's
-`attn()`.  `query` returns a cross map, a plain read-only array.
+copied.  Block 0's record keeps the step's latent instead, n*c*h*w
+values, and rebuilds its block input when read
+(`model.LatentProjections`).  The edit pass hands that record
+(`projections`) to the forward pass as a `model.SelfAnswer`'s source,
+and the pass builds the rows it needs tile by tile, bit for bit the
+rows it applied during inversion; an observer assembles the whole map
+with the record's `attn()`.  `query` returns a cross map, a plain
+read-only array.
 
 A `Recorder` is inversion's probe.  It takes the records of a set of
 keys of the T x L x {self, cross} grid, each once, and passes over the
@@ -18,15 +21,17 @@ maps, unchecked.  A `DumpWriter` writes each record to its blob, named
 by its key, as it arrives and keeps none; it writes the index of the
 store's metadata and the one geometry all blob shapes follow last, once
 the grid is complete, so a directory without `index.json` is an
-interrupted dump.  `AttentionStore.dump` writes through a `DumpWriter`
-too.  A loaded dump comes from outside the program, so
-`load_store_dump` checks the index's fields, each blob's header and
-length, cross rows and self finiteness, naming the file.
+interrupted dump.  A self blob holds the block input, rebuilt for block
+0, so a dump reads back as arrays alone.  `AttentionStore.dump` writes
+through a `DumpWriter` too.  A loaded dump comes from outside the
+program, so `load_store_dump` checks the index's fields, each blob's
+header and length, cross rows and self finiteness, naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -53,6 +58,10 @@ class AttentionKey(NamedTuple):
 def _blob_name(key: AttentionKey) -> str:
     """The file a dump stores *key*'s entry in."""
     return f"{key.kind}_t{key.t:04d}_l{key.layer:02d}.bin"
+
+
+# Every name `_blob_name` gives.
+_BLOB_NAME = re.compile(rf"({KIND_SELF}|{KIND_CROSS})_t\d{{4,}}_l\d{{2,}}\.bin")
 
 
 def _grid(T: int, blocks: int) -> Iterator[AttentionKey]:
@@ -170,8 +179,9 @@ class DumpWriter(Recorder):
     Each record of the grid goes to its blob, named by its key, as it
     arrives, and is not kept.  A cross blob holds the map.  A self blob
     holds the block input, then the query weights, then the key weights,
-    so a dump needs no weights from outside.  An earlier dump's index is
-    removed before the first blob is written; `close` writes the index
+    so a dump needs no weights from outside.  An earlier dump's index and
+    blobs, every file named as `_blob_name` names one, are removed before
+    the first blob is written; `close` writes the index
     of the store's metadata and the geometry of step 0, block 0, which
     every record shares, once no record is missing.
     """
@@ -181,11 +191,15 @@ class DumpWriter(Recorder):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / "index.json").unlink(missing_ok=True)
+        for path in self.directory.glob("*.bin"):
+            if _BLOB_NAME.fullmatch(path.name):
+                path.unlink()
         self._sizes: dict[str, tuple[int, ...]] = {}
 
     def _keep(self, key: AttentionKey, entry) -> None:
         if key.kind == KIND_SELF:
-            arrays, sizes = [entry.feats, entry.wq, entry.wk], (*entry.feats.shape, entry.heads)
+            feats = entry.feats
+            arrays, sizes = [feats, entry.wq, entry.wk], (*feats.shape, entry.heads)
         else:
             arrays, sizes = [entry], entry.shape[-1:]
         if key.t == key.layer == 0:

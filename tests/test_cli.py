@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
 from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
                              identity_alignment, word_attention)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, LatentProjections, ModelConfig,
+                            SelfProjections, SelfTiles,
                             _tile_bounds, config_hash, denoiser_forward,
                             embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
@@ -237,6 +239,51 @@ def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_pa
         load_store_dump(out / "store")
 
 
+def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
+    # A shorter invert into a longer one's --out leaves only its own blobs;
+    # files not named as blobs stay.
+    out, others = tmp_path / "inv", ["notes.txt", "self_t1_l0.bin", "cross_t0009_l00.npy"]
+    for steps in (6, 2):
+        path = tmp_path / f"steps{steps}.cfg"
+        path.write_text(BASE_CONFIG.replace("steps = 4", f"steps = {steps}"))
+        if steps == 2:
+            for name in others:
+                (out / "store" / name).write_text("not a blob")
+        assert run(["invert", "--config", str(path), "--out", str(out)]) == 0
+    assert load_store_dump(out / "store").meta.T == 2
+    blobs = [f"{kind}_t{t:04d}_l00.bin" for t in range(2) for kind in ("self", "cross")]
+    assert (sorted(p.name for p in (out / "store").iterdir())
+            == sorted(["index.json", *blobs, *others]))
+
+
+def test_an_edit_store_holds_block_zero_self_records_as_latents(tmp_path):
+    # reconstruct_fine's clip at T = 50.  The store a reconstruction
+    # inverts into holds, for each key its plan reads, a cross map, a
+    # block input, or block 0's latent, 16x smaller than its block input.
+    path = tmp_path / "fine.cfg"
+    path.write_text("[model]\nframes = 8\nheight = 8\nwidth = 12\nseed = 7\n"
+                    "[schedule]\nsteps = 50\n"
+                    "[edit]\ns_cfg = 1.0\nsource_prompt = a red square drifting right\n"
+                    "[video]\nobject_size = 1\nstart_row = 4\nstart_col = 2\n")
+    rc = parse_config(path)
+    m, hw = rc.model, rc.model.h * rc.model.w
+    weights, z0, src, _ = _clip(rc)
+    plan = FusionPlan.recording(rc.edit, align_prompts(src.tokens, src.tokens),
+                                store_meta(rc.schedule, m))
+    want = sum(m.n * m.heads * hw * len(src.tokens) * 8 if key.kind == KIND_CROSS
+               else m.n * hw * (m.d_model if key.layer else m.c) * 8
+               for key in plan.reads())
+    tracemalloc.start()
+    try:
+        invert_video(z0, src, rc.schedule, weights, plan.store)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert plan.store.verify_complete() == []
+    # Beside the records: z_T, the key set and the records' Python objects.
+    assert want < held < want + 0.5e6
+
+
 @pytest.mark.parametrize("command,preset", [
     ("edit", "style"), ("edit", "attribute"), ("edit", "shape"), ("reconstruct", "shape")])
 def test_an_edit_keeps_exactly_the_records_it_reads(tmp_path, monkeypatch, command,
@@ -423,18 +470,22 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, heigh
     weights, z0, src, _ = _clip(rc)
 
     # Rows applied during inversion are the rows the store rebuilds.  No
-    # probe answers there, so each built tile is applied as it is.
+    # probe answers there, so each built tile is applied as it is.  The
+    # config has one block, so every tile a step builds is block 0's.
     built = _spy_tile_builds(monkeypatch)
     z = z0
     store = AttentionStore(StoreMeta(T=rc.steps, blocks=rc.model.blocks,
                                      config_hash=config_hash(rc.model)))
+    applied = {}
     for t in range(rc.steps):
+        built.clear()
         eps = denoiser_forward(z, t, src, weights, rc.steps, probe=store.record)
+        applied.update({(t, 0, lo): rows for _, lo, _, rows in built})
+        assert len(built) == len(_tile_bounds(hw))
         z = ddim_invert_step(z, eps, t, rc.schedule)
     records = {id(store.projections(t, layer)): (t, layer)
                for t in range(rc.steps) for layer in range(rc.model.blocks)}
-    applied = {(*records[id(p)], lo): rows for p, lo, _, rows in built}
-    assert len(applied) == len(built)
+    assert len(applied) == rc.steps * len(_tile_bounds(hw))
     assert sorted({lo for _, _, lo in applied}) == [lo for lo, _ in _tile_bounds(hw)]
     for (t, layer, lo), rows in applied.items():
         rebuilt = store.projections(t, layer).attn()
@@ -543,14 +594,17 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     m, records = rc.model, rc.steps * rc.model.blocks
     hw, tokens = m.h * m.w, len(embed_prompt(rc.source_prompt, m).tokens)
     self_record = m.n * hw * m.d_model * 8   # the block input
+    latent = m.n * m.c * hw * 8              # block 0's self record
     weights = 2 * m.d_model ** 2 * 8         # wq_s and wk_s, in a dump only
     cross_map = m.n * m.heads * hw * tokens * 8
     self_map = m.n * m.heads * hw * 2 * hw * 8
     blobs = 2 * HEADER.size + self_record + weights + cross_map
+    step = latent + (m.blocks - 1) * self_record + m.blocks * cross_map
     assert f"block input, n·h·w·d_model values ({self_record / 1e3:.0f} kB" in readme
+    assert f"latent, n·c·h·w values ({latent / 1e3:.0f} kB there)" in readme
     assert f"({weights / 1e3:.0f} kB on the example clip)" in readme
     assert f"(T = {rc.steps}, {m.blocks} blocks, {tokens} prompt tokens)" in readme
-    assert (f"holds {records * (self_record + cross_map) / 1e6:.1f} MB instead of "
+    assert (f"holds {rc.steps * step / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
     assert f"writes {records * blobs / 1e6:.1f} MB to `store/`" in readme
     # An edit of that config keeps only the keys its plan reads.
@@ -558,9 +612,9 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
         rc.edit, align_prompts(embed_prompt(rc.source_prompt, m).tokens,
                                embed_prompt(rc.edit_prompt, m).tokens),
         store_meta(rc.schedule, m))
-    kept = sum(self_record if key.kind == KIND_SELF else cross_map for key in plan.reads())
-    assert (f"that is {kept / 1e6:.1f} MB of the "
-            f"{records * (self_record + cross_map) / 1e6:.1f} MB") in readme
+    kept = sum(cross_map if key.kind == KIND_CROSS else self_record if key.layer else latent
+               for key in plan.reads())
+    assert f"that is {kept / 1e6:.1f} MB of the {rc.steps * step / 1e6:.1f} MB" in readme
     assert f"The dump format is version {DUMP_VERSION}" in readme
 
     # Those are the shapes the store keeps and dumps: one step's records.
@@ -568,9 +622,12 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     z = SeededRng(3).standard_normal((m.n, m.c, m.h, m.w))
     denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
                      make_denoiser_weights(m), rc.steps, probe=store.record)
-    held = sum(store.projections(0, layer).feats.nbytes
-               + store.query(0, layer).nbytes for layer in range(m.blocks))
-    assert held == m.blocks * (self_record + cross_map)
+    first, *later = (store.projections(0, layer) for layer in range(m.blocks))
+    assert type(first) is LatentProjections
+    assert all(type(record) is SelfProjections for record in later)
+    held = (first.z_t.nbytes + sum(record.feats.nbytes for record in later)
+            + sum(store.query(0, layer).nbytes for layer in range(m.blocks)))
+    assert held == step
     store.dump(tmp_path / "store")
     written = sum(p.stat().st_size for p in (tmp_path / "store").glob("*.bin"))
     assert written == m.blocks * blobs

@@ -8,8 +8,9 @@ import pytest
 from attnfuse.errors import ContractViolation
 from attnfuse import model
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TILE_ROWS,
-                            BlockWeights, ModelConfig, SelfAnswer,
-                            SelfProjections, SelfTiles, attend, config_hash, denoiser_forward,
+                            BlockWeights, LatentProjections, ModelConfig,
+                            SelfAnswer, SelfProjections, SelfTiles, attend,
+                            config_hash, denoiser_forward,
                             embed_prompt, encode_color, make_denoiser_weights,
                             make_oracle_denoiser, spatiotemporal_attend,
                             tokenize, token_vector)
@@ -249,6 +250,51 @@ def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe,
             assert r.attn.shape == (tiny_cfg.n, tiny_cfg.heads, hw, len(prompt.tokens))
         assert_map_rows(r.kind, r.attn)
         assert not r.attn.flags.writeable
+
+
+def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatch):
+    # Block 0's self record keeps a copy of the step's latent and rebuilds
+    # the block input the pass applied, bit for bit; later blocks keep it.
+    applied, records = [], {}
+    attend_self = model.spatiotemporal_attend
+
+    def spy(feats, *args, **kwargs):
+        applied.append(feats.copy())
+        return attend_self(feats, *args, **kwargs)
+
+    def probe(site):
+        if site.kind == KIND_SELF:
+            records[site.layer] = site.projections
+
+    monkeypatch.setattr(model, "spatiotemporal_attend", spy)
+    z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
+    denoiser_forward(z, 3, embed_prompt("a red square", tiny_cfg), tiny_weights, 8,
+                     probe=probe)
+    z[...] = 0.0
+    record, hw = records[0], tiny_cfg.h * tiny_cfg.w
+    assert isinstance(record, LatentProjections)
+    assert type(records[1]) is SelfProjections
+    assert records[1].feats.tobytes() == applied[1].tobytes()
+
+    # shape reads the latent; each read of feats is one new rebuild.
+    rebuilds = []
+    block_input = model._block_input
+    monkeypatch.setattr(model, "_block_input",
+                        lambda *args: rebuilds.append(args) or block_input(*args))
+    assert record.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
+    assert rebuilds == []
+    first, second = record.feats, record.feats
+    assert len(rebuilds) == 2
+    for feats in (first, second):
+        assert feats.shape == applied[0].shape and feats.tobytes() == applied[0].tobytes()
+        assert not feats.flags.writeable
+    assert not np.shares_memory(first, second)
+    # It holds the latent and the model's own weights, no block input.
+    held = {name: value for name, value in vars(record).items()
+            if isinstance(value, np.ndarray)}
+    assert held.keys() == {"z_t", "wq", "wk"} and not record.z_t.flags.writeable
+    block = tiny_weights.blocks[0]
+    assert record.wq is block.wq_s and record.wk is block.wk_s
 
 
 def test_forward_depends_on_timestep(tiny_cfg, tiny_weights):
