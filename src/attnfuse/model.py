@@ -39,7 +39,10 @@ query and key weights (`SelfProjections`); the input is
 model's own arrays, shared.  Block 0's input is one small matmul away
 from the step's latent (`_block_input`), so block 0's self record is
 that latent (`LatentProjections`), d_model/c times smaller again, and
-its input is rebuilt through the function the pass applied.  Every self
+its input is rebuilt through the function the pass applied.  That
+record keeps exactly the arrays the rebuild and its rows read (w_in,
+the time table, block 0's wq and wk), the model's own, so a store dump
+writes them once for every record rather than with each.  Every self
 row is built by `SelfTiles.rows` from queries and keys projected with
 one expression, so rows rebuilt later from a record are bit-identical
 to the ones the pass applied; a whole map (`SelfProjections.attn`) is
@@ -231,20 +234,22 @@ def _posenc(h: int, w: int) -> np.ndarray:
     return pos
 
 
-def _time_features(t: int, n_steps: int, weights: DenoiserWeights) -> np.ndarray:
+def _time_features(t: int, n_steps: int, time_freq: np.ndarray,
+                   time_phase: np.ndarray) -> np.ndarray:
     tau = t / n_steps
-    return np.sin(2.0 * math.pi * weights.time_freq * tau + weights.time_phase)
+    return np.sin(2.0 * math.pi * time_freq * tau + time_phase)
 
 
-def _block_input(z_t: np.ndarray, t: int, n_steps: int,
-                 weights: DenoiserWeights) -> np.ndarray:
+def _block_input(z_t: np.ndarray, t: int, n_steps: int, w_in: np.ndarray,
+                 time_freq: np.ndarray, time_phase: np.ndarray) -> np.ndarray:
     """Block 0's input, (n, h*w, d_model), from the latent z_t, (n, c, h, w), at step t."""
     n, c, h, w = z_t.shape
     hw = h * w
     zc = z_t.reshape(n, c, hw).transpose(0, 2, 1)
     pos = np.broadcast_to(_posenc(h, w), (n, hw, POS_DIM))
-    temb = np.broadcast_to(_time_features(t, n_steps, weights), (n, hw, TIME_DIM))
-    return np.concatenate([zc, pos, temb], axis=-1) @ weights.w_in
+    temb = np.broadcast_to(_time_features(t, n_steps, time_freq, time_phase),
+                           (n, hw, TIME_DIM))
+    return np.concatenate([zc, pos, temb], axis=-1) @ w_in
 
 
 def _split_heads(x: np.ndarray, heads: int, d_head: int) -> np.ndarray:
@@ -315,24 +320,28 @@ class SelfProjections:
 class LatentProjections(SelfProjections):
     """Block 0's self record: the step's latent, not the block input.
 
-    Keeps a read-only copy of z_t, (n, c, h, w), with t, n_steps and the
-    model's weights, shared.  Each read of feats rebuilds the block
-    input through `_block_input`, the function the forward pass applied,
-    so it is bit-identical to the input the pass used; it is a new
-    read-only array each time, and the record keeps none.  shape comes
-    from the latent without a rebuild.
+    Keeps a read-only copy of z_t, (n, c, h, w), with t and n_steps, and
+    exactly the weights it reads, shared: w_in, time_freq and time_phase,
+    which rebuild the block input, and block 0's wq and wk.  Each read of
+    feats rebuilds the block input through `_block_input`, the function
+    the forward pass applied, so it is bit-identical to the input the
+    pass used; it is a new read-only array each time, and the record
+    keeps none.  shape comes from the latent without a rebuild.
     """
 
-    def __init__(self, z_t: np.ndarray, t: int, n_steps: int, weights: DenoiserWeights):
+    def __init__(self, z_t: np.ndarray, t: int, n_steps: int, w_in: np.ndarray,
+                 time_freq: np.ndarray, time_phase: np.ndarray,
+                 wq: np.ndarray, wk: np.ndarray, heads: int):
         z_t = np.array(z_t, dtype=np.float64)
         z_t.setflags(write=False)
-        block = weights.blocks[0]
-        self.z_t, self.t, self.n_steps, self.weights = z_t, t, n_steps, weights
-        self.wq, self.wk, self.heads = block.wq_s, block.wk_s, weights.config.heads
+        self.z_t, self.t, self.n_steps = z_t, t, n_steps
+        self.w_in, self.time_freq, self.time_phase = w_in, time_freq, time_phase
+        self.wq, self.wk, self.heads = wq, wk, heads
 
     @property
     def feats(self) -> np.ndarray:
-        feats = _block_input(self.z_t, self.t, self.n_steps, self.weights)
+        feats = _block_input(self.z_t, self.t, self.n_steps, self.w_in,
+                             self.time_freq, self.time_phase)
         feats.setflags(write=False)
         return feats
 
@@ -547,11 +556,13 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
 
     n, c, h, w = z_t.shape
     hw = h * w
-    x = _block_input(z_t, t, n_steps, weights)
+    x = _block_input(z_t, t, n_steps, weights.w_in, weights.time_freq, weights.time_phase)
 
     def offer_self(p: SelfProjections, layer: int):
         # Block 0 is recorded as its latent; the pass's rows use p.
-        record = p if layer else LatentProjections(z_t, t, n_steps, weights)
+        record = p if layer else LatentProjections(
+            z_t, t, n_steps, weights.w_in, weights.time_freq, weights.time_phase,
+            p.wq, p.wk, p.heads)
         return _offer(probe, AttentionSite(t, layer, KIND_SELF, p.shape, p.attn,
                                            projections=record))
 

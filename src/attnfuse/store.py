@@ -18,14 +18,17 @@ keys of the T x L x {self, cross} grid, each once, and passes over the
 rest: a store holds the whole grid by default, an edit's store only the
 keys its `FusionPlan` reads.  An `AttentionStore` keeps the pass's own
 maps, unchecked.  A `DumpWriter` writes each record to its blob, named
-by its key, as it arrives and keeps none; it writes the index of the
-store's metadata and the one geometry all blob shapes follow last, once
-the grid is complete, so a directory without `index.json` is an
-interrupted dump.  A self blob holds the block input, rebuilt for block
-0, so a dump reads back as arrays alone.  `AttentionStore.dump` writes
-through a `DumpWriter` too.  A loaded dump comes from outside the
-program, so `load_store_dump` checks the index's fields, each blob's
-header and length, cross rows and self finiteness, naming the file.
+by its key, as it arrives and keeps none: a cross blob holds the map, a
+block 0 self blob the step's latent, a later block's self blob its
+block input.  Once the grid is complete it writes the weights the self
+records share, once, to `weights.bin` (w_in and the time table that
+rebuild block 0's input, then each block's query and key weights), and
+last the index of the store's metadata and the one geometry all blob
+shapes follow, so a directory without `index.json` is an interrupted
+dump.  `AttentionStore.dump` writes through a `DumpWriter` too.  A
+loaded dump comes from outside the program, so `load_store_dump` checks
+the index's fields, each blob's header and length, cross rows and the
+finiteness of the weights, latents and block inputs, naming the file.
 """
 
 from __future__ import annotations
@@ -40,13 +43,19 @@ import numpy as np
 
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
-from .model import KIND_CROSS, KIND_SELF, AttentionSite, SelfProjections
+from .model import (KIND_CROSS, KIND_SELF, POS_DIM, TIME_DIM, AttentionSite,
+                    LatentProjections, SelfProjections)
 from .numerics import check_finite, check_rows, require
 
-# Format of a store dump's index.json and blobs.  Version 4 writes one
-# geometry for all blobs; version 3 listed each record's file and shape,
-# version 2 held self projections, version 1 (no "version" key) maps.
-DUMP_VERSION = 4
+# Format of a store dump's index.json and blobs.  Version 5 writes block
+# 0's self blobs as latents and the shared weights once, in weights.bin;
+# version 4 wrote block inputs and weights in every self blob, version 3
+# listed each record's file and shape, version 2 held self projections,
+# version 1 (no "version" key) maps.
+DUMP_VERSION = 5
+
+# The blob of the weights every self record of a dump shares.
+WEIGHTS_BLOB = "weights.bin"
 
 
 class AttentionKey(NamedTuple):
@@ -73,17 +82,27 @@ def _grid(T: int, blocks: int) -> Iterator[AttentionKey]:
 class DumpGeometry(NamedTuple):
     """The sizes every record of a dump shares."""
     frames: int
-    pixels: int
+    channels: int
+    height: int
+    width: int
     d_model: int
     heads: int
     tokens: int
 
-    def shapes(self, kind: str) -> list[tuple[int, ...]]:
-        """A self blob's block input and weights, or a cross blob's map."""
-        if kind == KIND_SELF:
-            weight = (self.d_model, self.d_model)
-            return [(self.frames, self.pixels, self.d_model), weight, weight]
-        return [(self.frames, self.heads, self.pixels, self.tokens)]
+    def shape(self, key: AttentionKey) -> tuple[int, ...]:
+        """The one array of *key*'s blob: block 0's latent, a block input, or a cross map."""
+        pixels = self.height * self.width
+        if key.kind == KIND_CROSS:
+            return (self.frames, self.heads, pixels, self.tokens)
+        if key.layer == 0:
+            return (self.frames, self.channels, self.height, self.width)
+        return (self.frames, pixels, self.d_model)
+
+    def weight_shapes(self, blocks: int) -> list[tuple[int, ...]]:
+        """`weights.bin`'s arrays: w_in, time_freq, time_phase, then each block's wq and wk."""
+        square = (self.d_model, self.d_model)
+        return [(self.channels + POS_DIM + TIME_DIM, self.d_model), (TIME_DIM,),
+                (TIME_DIM,)] + [square] * (2 * blocks)
 
 
 @dataclass(frozen=True)
@@ -177,40 +196,61 @@ class DumpWriter(Recorder):
     """Writes a dump record by record: `invert`'s probe, and `dump`'s writer.
 
     Each record of the grid goes to its blob, named by its key, as it
-    arrives, and is not kept.  A cross blob holds the map.  A self blob
-    holds the block input, then the query weights, then the key weights,
-    so a dump needs no weights from outside.  An earlier dump's index and
-    blobs, every file named as `_blob_name` names one, are removed before
-    the first blob is written; `close` writes the index
-    of the store's metadata and the geometry of step 0, block 0, which
-    every record shares, once no record is missing.
+    arrives, and is not kept.  A cross blob holds the map, a block 0
+    self blob the step's latent, and a later block's self blob its block
+    input.  The weights the self records share are kept from the first
+    record of each block, and a record whose weights differ is refused;
+    `close` writes them once, to `weights.bin`, so a dump needs no
+    weights from outside.  An earlier dump's index, `weights.bin` and
+    blobs, every file named as `_blob_name` names one, are removed
+    before the first blob is written; `close` writes the index of the
+    store's metadata and the geometry of step 0, block 0, which every
+    record shares, last, once no record is missing.
     """
 
     def __init__(self, directory: Path, meta: StoreMeta):
         super().__init__(meta)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        (self.directory / "index.json").unlink(missing_ok=True)
+        for name in ("index.json", WEIGHTS_BLOB):
+            (self.directory / name).unlink(missing_ok=True)
         for path in self.directory.glob("*.bin"):
             if _BLOB_NAME.fullmatch(path.name):
                 path.unlink()
         self._sizes: dict[str, tuple[int, ...]] = {}
+        # Per block, the weights its self records share: block 0's
+        # (w_in, time_freq, time_phase, wq, wk), a later block's (wq, wk).
+        self._weights: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _keep(self, key: AttentionKey, entry) -> None:
-        if key.kind == KIND_SELF:
-            feats = entry.feats
-            arrays, sizes = [feats, entry.wq, entry.wk], (*feats.shape, entry.heads)
+        if key.kind == KIND_CROSS:
+            array, sizes = entry, entry.shape[-1:]
+        elif key.layer == 0:
+            require(isinstance(entry, LatentProjections),
+                    f"{key}: block 0's self record must be a LatentProjections, "
+                    f"got a {type(entry).__name__}")
+            require((entry.t, entry.n_steps) == (key.t, self.meta.T),
+                    f"{key}: latent record of step {entry.t} of {entry.n_steps}, "
+                    f"expected step {key.t} of {self.meta.T}")
+            array, sizes = entry.z_t, (*entry.z_t.shape, entry.wq.shape[0], entry.heads)
+            weights = (entry.w_in, entry.time_freq, entry.time_phase, entry.wq, entry.wk)
         else:
-            arrays, sizes = [entry], entry.shape[-1:]
+            array, weights = entry.feats, (entry.wq, entry.wk)
+        if key.kind == KIND_SELF:
+            kept = self._weights.setdefault(key.layer, weights)
+            require(all(a is b or np.array_equal(a, b) for a, b in zip(kept, weights)),
+                    f"{key}: self record's weights differ from the weights the dump writes")
         if key.t == key.layer == 0:
             self._sizes[key.kind] = sizes
-        blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, arrays)
+        blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, [array])
 
     def close(self) -> None:
-        """Write the index, last; refused while a record is missing."""
+        """Write `weights.bin`, then the index, last; refused while a record is missing."""
         missing = self.verify_complete()
         require(not missing, f"{self.directory}: {len(missing)} records missing, "
                              f"the first {missing[:1]}; no index written")
+        shared = [arr for layer in range(self.meta.blocks) for arr in self._weights[layer]]
+        blobio.write_blob(self.directory / WEIGHTS_BLOB, self.meta.config_hash, shared)
         geometry = DumpGeometry(*self._sizes[KIND_SELF], *self._sizes[KIND_CROSS])
         index = {"version": DUMP_VERSION, **asdict(self.meta), **geometry._asdict()}
         (self.directory / "index.json").write_text(
@@ -218,7 +258,12 @@ class DumpWriter(Recorder):
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Read a dump back, checking its index and each blob, as they come from files."""
+    """Read a dump back, checking its index and each blob, as they come from files.
+
+    `weights.bin` is read once: block 0's self records load as
+    `LatentProjections` and a later block's as `SelfProjections`, and
+    the records of one block share its loaded wq and wk.
+    """
     directory = Path(directory)
     index_path = directory / "index.json"
     try:
@@ -240,17 +285,29 @@ def load_store_dump(directory: Path) -> AttentionStore:
     require(not small, f"{index_path}: sizes must be at least 1, got {', '.join(small)}")
     hash_, T, blocks, *sizes = (index[n] for n in names)
     geometry = DumpGeometry(*sizes)
-    require(geometry.d_model % geometry.heads == 0,
-            f"{index_path}: {geometry.heads} heads do not split d_model {geometry.d_model}")
+    heads = geometry.heads
+    require(geometry.d_model % heads == 0,
+            f"{index_path}: {heads} heads do not split d_model {geometry.d_model}")
+    path = directory / WEIGHTS_BLOB
+    shared = blobio.read_blob(path, hash_, geometry.weight_shapes(blocks))
+    for arr in shared:
+        check_finite(f"{path}: weights", arr)
+    w_in, time_freq, time_phase, *qk = shared
     store = AttentionStore(StoreMeta(T=T, blocks=blocks, config_hash=hash_))
     for key in _grid(T, blocks):
         path = directory / _blob_name(key)
-        arrays = blobio.read_blob(path, hash_, geometry.shapes(key.kind))
-        if key.kind == KIND_SELF:
-            for what, arr in zip(("block input", "query weights", "key weights"), arrays):
-                check_finite(f"{path}: self {what}", arr)
-            store._add(key, SelfProjections(*arrays, heads=geometry.heads))
+        [array] = blobio.read_blob(path, hash_, [geometry.shape(key)])
+        if key.kind == KIND_CROSS:
+            check_rows(f"{path}: cross map", array, 1e-9)
+            store._add(key, array)
+            continue
+        wq, wk = qk[2 * key.layer:2 * key.layer + 2]
+        if key.layer == 0:
+            check_finite(f"{path}: self latent", array)
+            entry = LatentProjections(array, key.t, T, w_in, time_freq, time_phase,
+                                      wq, wk, heads)
         else:
-            check_rows(f"{path}: cross map", arrays[0], 1e-9)
-            store._add(key, arrays[0])
+            check_finite(f"{path}: self block input", array)
+            entry = SelfProjections(array, wq, wk, heads)
+        store._add(key, entry)
     return store

@@ -18,16 +18,16 @@ from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
 from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
                              identity_alignment, word_attention)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, LatentProjections, ModelConfig,
-                            SelfProjections, SelfTiles,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, POS_DIM, TIME_DIM, LatentProjections,
+                            ModelConfig, SelfProjections, SelfTiles,
                             _tile_bounds, config_hash, denoiser_forward,
                             embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
 from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
                                store_meta, synth_video, write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
-from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
-                            load_store_dump)
+from attnfuse.store import (DUMP_VERSION, WEIGHTS_BLOB, AttentionKey, AttentionStore,
+                            StoreMeta, load_store_dump)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,6 +193,18 @@ def test_invert_writes_latent_and_store(tmp_path, config_path):
     store = load_store_dump(out / "store")
     assert len(store) == 2 * 4 * 1
     assert store.verify_complete() == []
+    # Block 0's self blob of step 0 is the source latent; weights.bin holds
+    # the model's weights that rebuild its block input and its self maps.
+    weights, z0, *_ = _clip(rc)
+    assert np.array_equal(store.projections(0, 0).z_t, z0)
+    block = weights.blocks[0]
+    [w_in, time_freq, time_phase, wq, wk] = read_blob(
+        out / "store" / WEIGHTS_BLOB, config_hash(rc.model),
+        [w.shape for w in (weights.w_in, weights.time_freq, weights.time_phase,
+                           block.wq_s, block.wk_s)])
+    for got, want in [(w_in, weights.w_in), (time_freq, weights.time_freq),
+                      (time_phase, weights.time_phase), (wq, block.wq_s), (wk, block.wk_s)]:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_invert_holds_one_steps_records_whatever_T(tmp_path, peak_bytes):
@@ -232,16 +244,16 @@ def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_pa
     assert run(["invert", "--config", str(config_path), "--seed", "9",
                 "--out", str(out)]) == 1
     record = earlier.projections(1, 0)
-    [feats, *_] = read_blob(out / "store" / "self_t0001_l00.bin", earlier.meta.config_hash,
-                            [record.feats.shape, record.wq.shape, record.wk.shape])
-    assert not np.array_equal(feats, record.feats)
+    [z_t] = read_blob(out / "store" / "self_t0001_l00.bin", earlier.meta.config_hash,
+                      [record.z_t.shape])
+    assert not np.array_equal(z_t, record.z_t)
     with pytest.raises(ContractViolation, match="index.json"):
         load_store_dump(out / "store")
 
 
 def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
-    # A shorter invert into a longer one's --out leaves only its own blobs;
-    # files not named as blobs stay.
+    # A shorter invert into a longer one's --out leaves only its own blobs
+    # and weights.bin; files not named as blobs stay.
     out, others = tmp_path / "inv", ["notes.txt", "self_t1_l0.bin", "cross_t0009_l00.npy"]
     for steps in (6, 2):
         path = tmp_path / f"steps{steps}.cfg"
@@ -253,7 +265,7 @@ def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
     assert load_store_dump(out / "store").meta.T == 2
     blobs = [f"{kind}_t{t:04d}_l00.bin" for t in range(2) for kind in ("self", "cross")]
     assert (sorted(p.name for p in (out / "store").iterdir())
-            == sorted(["index.json", *blobs, *others]))
+            == sorted(["index.json", WEIGHTS_BLOB, *blobs, *others]))
 
 
 def test_an_edit_store_holds_block_zero_self_records_as_latents(tmp_path):
@@ -595,18 +607,21 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     hw, tokens = m.h * m.w, len(embed_prompt(rc.source_prompt, m).tokens)
     self_record = m.n * hw * m.d_model * 8   # the block input
     latent = m.n * m.c * hw * 8              # block 0's self record
-    weights = 2 * m.d_model ** 2 * 8         # wq_s and wk_s, in a dump only
     cross_map = m.n * m.heads * hw * tokens * 8
     self_map = m.n * m.heads * hw * 2 * hw * 8
-    blobs = 2 * HEADER.size + self_record + weights + cross_map
     step = latent + (m.blocks - 1) * self_record + m.blocks * cross_map
+    # A dump writes each record's blob, and weights.bin once: w_in, the
+    # time table and each block's wq_s and wk_s.
+    weights = HEADER.size + 8 * ((m.c + POS_DIM + TIME_DIM) * m.d_model + 2 * TIME_DIM
+                                 + m.blocks * 2 * m.d_model ** 2)
+    step_blobs = 2 * m.blocks * HEADER.size + step
     assert f"block input, n·h·w·d_model values ({self_record / 1e3:.0f} kB" in readme
     assert f"latent, n·c·h·w values ({latent / 1e3:.0f} kB there)" in readme
-    assert f"({weights / 1e3:.0f} kB on the example clip)" in readme
+    assert f"({weights / 1e3:.1f} kB on the example clip)" in readme
     assert f"(T = {rc.steps}, {m.blocks} blocks, {tokens} prompt tokens)" in readme
     assert (f"holds {rc.steps * step / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
-    assert f"writes {records * blobs / 1e6:.1f} MB to `store/`" in readme
+    assert f"writes {(rc.steps * step_blobs + weights) / 1e6:.1f} MB to `store/`" in readme
     # An edit of that config keeps only the keys its plan reads.
     plan = FusionPlan.recording(
         rc.edit, align_prompts(embed_prompt(rc.source_prompt, m).tokens,
@@ -621,7 +636,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     store = AttentionStore(StoreMeta(T=1, blocks=m.blocks, config_hash=config_hash(m)))
     z = SeededRng(3).standard_normal((m.n, m.c, m.h, m.w))
     denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
-                     make_denoiser_weights(m), rc.steps, probe=store.record)
+                     make_denoiser_weights(m), 1, probe=store.record)
     first, *later = (store.projections(0, layer) for layer in range(m.blocks))
     assert type(first) is LatentProjections
     assert all(type(record) is SelfProjections for record in later)
@@ -630,7 +645,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     assert held == step
     store.dump(tmp_path / "store")
     written = sum(p.stat().st_size for p in (tmp_path / "store").glob("*.bin"))
-    assert written == m.blocks * blobs
+    assert written == step_blobs + weights
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):

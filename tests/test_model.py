@@ -289,12 +289,17 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
         assert feats.shape == applied[0].shape and feats.tobytes() == applied[0].tobytes()
         assert not feats.flags.writeable
     assert not np.shares_memory(first, second)
-    # It holds the latent and the model's own weights, no block input.
+    # It holds the latent and exactly the model weights it reads, shared,
+    # and no block input.
     held = {name: value for name, value in vars(record).items()
             if isinstance(value, np.ndarray)}
-    assert held.keys() == {"z_t", "wq", "wk"} and not record.z_t.flags.writeable
+    assert not record.z_t.flags.writeable
     block = tiny_weights.blocks[0]
-    assert record.wq is block.wq_s and record.wk is block.wk_s
+    assert held.pop("z_t") is record.z_t
+    assert {name: id(value) for name, value in held.items()} == {
+        "w_in": id(tiny_weights.w_in), "time_freq": id(tiny_weights.time_freq),
+        "time_phase": id(tiny_weights.time_phase), "wq": id(block.wq_s),
+        "wk": id(block.wk_s)}
 
 
 def test_forward_depends_on_timestep(tiny_cfg, tiny_weights):

@@ -42,7 +42,7 @@ def _forward(z, t, vectors, weights, T, rewrite=lambda key, attn: attn):
     cfg = weights.config
     n, c, h, w = z.shape
     hw = h * w
-    time = _time_features(t, T, weights)
+    time = _time_features(t, T, weights.time_freq, weights.time_phase)
     x = np.concatenate([z.reshape(n, c, hw).transpose(0, 2, 1),
                         np.broadcast_to(_posenc(h, w), (n, hw, _posenc(h, w).shape[1])),
                         np.broadcast_to(time, (n, hw, time.size))], axis=-1) @ weights.w_in

@@ -5,16 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from attnfuse.blobio import read_blob, write_blob
+from attnfuse.blobio import HEADER, read_blob, write_blob
 from attnfuse.errors import ContractViolation, MissingRecordError
-from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite,
-                            ModelConfig, SelfProjections, config_hash,
-                            denoiser_forward, embed_prompt,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, POS_DIM, TIME_DIM, AttentionSite,
+                            LatentProjections, ModelConfig, SelfProjections,
+                            config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import ddim_invert_step, make_schedule
-from attnfuse.store import (AttentionKey, AttentionStore, DumpGeometry,
+from attnfuse.store import (WEIGHTS_BLOB, AttentionKey, AttentionStore, DumpGeometry,
                             DumpWriter, StoreMeta, load_store_dump)
 
 
@@ -130,9 +130,10 @@ def test_a_streamed_dump_equals_the_dumped_store(tmp_path, tiny_weights, tiny_in
     sched, prompt, z0, z_T, store = tiny_inversion
     store.dump(tmp_path / "dumped")
     dumped = {p.name: p.read_bytes() for p in (tmp_path / "dumped").iterdir()}
-    # A writer over an earlier dump removes its index before any blob.
+    # A writer over an earlier dump removes its index and weights before any blob.
     writer = DumpWriter(tmp_path / "dumped", store.meta)
     assert not (tmp_path / "dumped" / "index.json").exists()
+    assert not (tmp_path / "dumped" / WEIGHTS_BLOB).exists()
     with pytest.raises(ContractViolation, match="16 records missing"):
         writer.close()
     assert not (tmp_path / "dumped" / "index.json").exists()
@@ -173,22 +174,67 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, tiny_inversion, store_maps
     store.dump(d)
     assert (d / "index.json").exists()
     files = sorted(p.name for p in d.glob("*.bin"))
-    assert len(files) == len(store)
-    assert f"self_t0000_l00.bin" in files
-    # a self blob holds the block input, n*h*w*d_model float64s, then the
-    # d_model x d_model query and key weights
-    hw, d_model = tiny_cfg.h * tiny_cfg.w, tiny_cfg.d_model
-    self_bytes = (d / "self_t0000_l00.bin").stat().st_size
-    assert self_bytes == 16 + (tiny_cfg.n * hw * d_model + 2 * d_model ** 2) * 8
+    assert len(files) == len(store) + 1
+    assert "self_t0000_l00.bin" in files and WEIGHTS_BLOB in files
+    # Each blob holds one array: block 0's self blob the latent, n*c*h*w
+    # float64s, a later block's the block input, n*h*w*d_model, a cross
+    # blob the map.  weights.bin holds w_in, the time table and each
+    # block's d_model x d_model query and key weights, once.
+    m, hw = tiny_cfg, tiny_cfg.h * tiny_cfg.w
+    tokens = store.query(0, 0).shape[-1]
+    payload = {name: (d / name).stat().st_size - HEADER.size for name in files}
+    assert payload.pop(WEIGHTS_BLOB) == 8 * ((m.c + POS_DIM + TIME_DIM) * m.d_model
+                                             + 2 * TIME_DIM + m.blocks * 2 * m.d_model ** 2)
+    for name, size in payload.items():
+        kind, _, layer = name[:-4].split("_")
+        per_pixel = (m.heads * tokens if kind == KIND_CROSS
+                     else m.c if layer == "l00" else m.d_model)
+        assert size == 8 * m.n * hw * per_pixel, name
     loaded = load_store_dump(d)
     assert loaded.meta == store.meta
     assert loaded.meta.config_hash == config_hash(tiny_cfg)
     assert len(loaded) == len(store) == sched.T * tiny_cfg.blocks * 2
     assert loaded.verify_complete() == []
     assert list(loaded.keys()) == list(store.keys())
+    for t in range(sched.T):
+        first = loaded.projections(t, 0)
+        assert type(first) is LatentProjections
+        assert first.feats.tobytes() == store.projections(t, 0).feats.tobytes()
+    # The records of one block share its loaded weights, as live records do.
+    for layer in range(m.blocks):
+        records = [loaded.projections(t, layer) for t in range(sched.T)]
+        assert all(r.wq is records[0].wq and r.wk is records[0].wk for r in records)
+        assert np.array_equal(records[0].wq, store.projections(0, layer).wq)
     want, got = store_maps(store), store_maps(loaded)
     for key in store.keys():
         assert np.array_equal(want[key], got[key])
+
+
+def test_dump_writer_refuses_a_record_it_cannot_write_back(tmp_path, tiny_inversion):
+    *_, store = tiny_inversion
+    latent, later = store.projections(1, 0), store.projections(1, 1)
+    other = later.wq.copy()
+    other[0, 0] += 1.0
+    w_in = latent.w_in.copy()
+    w_in[0, 0] += 1.0
+    for name, key, entry, fragment in [
+            ("plain", AttentionKey(0, 0, KIND_SELF),
+             SelfProjections(latent.feats, latent.wq, latent.wk, latent.heads),
+             "must be a LatentProjections, got a SelfProjections"),
+            ("step", AttentionKey(0, 0, KIND_SELF), latent, "of step 1 of 4, expected step 0"),
+            ("wq", AttentionKey(1, 1, KIND_SELF),
+             SelfProjections(later.feats, other, later.wk, later.heads), "weights differ"),
+            ("w_in", AttentionKey(1, 0, KIND_SELF),
+             LatentProjections(latent.z_t, 1, 4, w_in, latent.time_freq,
+                               latent.time_phase, latent.wq, latent.wk, latent.heads),
+             "weights differ")]:
+        writer = DumpWriter(tmp_path / name, store.meta)
+        for earlier in [k for k in store.keys() if k.t == 0]:
+            if earlier != key:
+                writer._add(earlier, store._entry(earlier))
+        with pytest.raises(ContractViolation, match=fragment) as exc:
+            writer._add(key, entry)
+        assert str(key) in str(exc.value), name
 
 
 def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
@@ -196,15 +242,17 @@ def test_old_format_dump_is_refused(tmp_path, tiny_inversion):
     d = tmp_path / "store"
     store.dump(d)
     index = json.loads((d / "index.json").read_text())
-    assert index["version"] == 4
-    # Version 3 listed every record's file and shape; version 2 held query
+    assert index["version"] == 5
+    # Version 4 wrote block inputs and weights into every self blob;
+    # version 3 listed every record's file and shape; version 2 held query
     # and key projections in its self blobs; a version 1 dump had no
-    # version key and held self maps.  A version must be the integer 4.
-    for version, fragment in [(3, "version 3, expected 4"),
-                              (2, "version 2, expected 4"),
-                              (None, "version 1, expected 4"),
-                              ("4", "version '4', expected 4"),
-                              (4.0, r"version 4\.0, expected 4")]:
+    # version key and held self maps.  A version must be the integer 5.
+    for version, fragment in [(4, "version 4, expected 5"),
+                              (3, "version 3, expected 5"),
+                              (2, "version 2, expected 5"),
+                              (None, "version 1, expected 5"),
+                              ("5", "version '5', expected 5"),
+                              (5.0, r"version 5\.0, expected 5")]:
         old = {k: v for k, v in index.items() if k != "version"}
         if version is not None:
             old["version"] = version
@@ -224,28 +272,42 @@ def test_dump_refuses_an_incomplete_store(tmp_path):
 
 CROSS_BLOB = "cross_t0000_l00.bin"
 SELF_BLOB = "self_t0000_l00.bin"
+LATER_SELF_BLOB = "self_t0000_l01.bin"
+
+
+def _with_nan(path, hash_, shapes, which=0):
+    """Rewrite the blob at *path* with a NaN in its array number *which*."""
+    arrays = [arr.copy() for arr in read_blob(path, hash_, shapes)]
+    arrays[which].flat[-1] = np.nan
+    write_blob(path, hash_, arrays)
 
 
 def _tampered_dump(directory, store, case):
-    """Dump *store* to *directory*, then spoil its index or its first cross or self blob."""
+    """Dump *store* to *directory*, then spoil its index, its weights or one of its blobs."""
     store.dump(directory)
     index = json.loads((directory / "index.json").read_text())
     geometry = DumpGeometry(*(index[n] for n in DumpGeometry._fields))
     hash_ = store.meta.config_hash
-    cross, self_ = directory / CROSS_BLOB, directory / SELF_BLOB
+    cross, weights = directory / CROSS_BLOB, directory / WEIGHTS_BLOB
+    cross_shape = geometry.shape(AttentionKey(0, 0, KIND_CROSS))
+    weight_shapes = geometry.weight_shapes(store.meta.blocks)
     if case == "scaled payload":
-        [attn] = read_blob(cross, hash_, geometry.shapes(KIND_CROSS))
+        [attn] = read_blob(cross, hash_, [cross_shape])
         write_blob(cross, hash_, [attn * 2.0])
     elif case == "nan payload":
-        [attn] = read_blob(cross, hash_, geometry.shapes(KIND_CROSS))
-        bad = attn.copy()
-        bad[0, 0, 0, -1] = np.nan
-        write_blob(cross, hash_, [bad])
+        _with_nan(cross, hash_, [cross_shape])
+    elif case == "nan latent":
+        _with_nan(directory / SELF_BLOB, hash_,
+                  [geometry.shape(AttentionKey(0, 0, KIND_SELF))])
     elif case == "nan block input":
-        feats, wq, wk = read_blob(self_, hash_, geometry.shapes(KIND_SELF))
-        feats = feats.copy()
-        feats[0, 0, 0] = np.nan
-        write_blob(self_, hash_, [feats, wq, wk])
+        _with_nan(directory / LATER_SELF_BLOB, hash_,
+                  [geometry.shape(AttentionKey(0, 1, KIND_SELF))])
+    elif case == "nan weights":
+        _with_nan(weights, hash_, weight_shapes, which=-1)
+    elif case == "short weights":
+        write_blob(weights, hash_, read_blob(weights, hash_, weight_shapes)[:-1])
+    elif case == "no weights":
+        weights.unlink()
     elif case == "no tokens key":
         del index["tokens"]
     elif case == "string config hash":
@@ -254,8 +316,8 @@ def _tampered_dump(directory, store, case):
         index["heads"] = "2"
     elif case == "no cross blob":
         cross.unlink()
-    elif case == "huge geometry":  # 2**64 block input rows overflow int64
-        index["frames"] = index["pixels"] = 2 ** 32
+    elif case == "huge geometry":  # 2**64 latent rows overflow int64
+        index["frames"] = index["height"] = 2 ** 32
     elif case in ("one token more", "one token fewer"):
         index["tokens"] += 1 if case == "one token more" else -1
     elif case not in ("garbage index", "no index"):  # "<field> <value>"
@@ -279,7 +341,11 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
     for case, fragment, named in [
             ("scaled payload", "rows deviate from 1", CROSS_BLOB),
             ("nan payload", "rows deviate from 1 by nan", CROSS_BLOB),
-            ("nan block input", "self block input: non-finite", SELF_BLOB),
+            ("nan latent", "self latent: non-finite", SELF_BLOB),
+            ("nan block input", "self block input: non-finite", LATER_SELF_BLOB),
+            ("nan weights", "weights: non-finite", WEIGHTS_BLOB),
+            ("short weights", "payload shorter than declared shapes", WEIGHTS_BLOB),
+            ("no weights", "cannot read", WEIGHTS_BLOB),
             ("one token more", "payload shorter than declared shapes", CROSS_BLOB),
             ("one token fewer", "trailing bytes", CROSS_BLOB),
             ("huge geometry", "payload shorter than declared shapes", SELF_BLOB),
@@ -289,8 +355,9 @@ def test_load_checks_every_cross_map_it_reads(tmp_path, tiny_inversion):
             ("no tokens key", "tokens must be present as integers", "index.json"),
             ("string config hash", "config_hash must be", "index.json"),
             ("string heads", "heads must be", "index.json"),
-            ("pixels 0", "at least 1, got pixels = 0", "index.json"),
-            ("pixels -1", "at least 1, got pixels = -1", "index.json"),
+            ("channels 0", "at least 1, got channels = 0", "index.json"),
+            ("height 0", "at least 1, got height = 0", "index.json"),
+            ("width -1", "at least 1, got width = -1", "index.json"),
             ("heads 0", "at least 1, got heads = 0", "index.json"),
             ("heads 3", "3 heads do not split d_model 8", "index.json")]:
         d = _tampered_dump(tmp_path / case.replace(" ", "_"), store, case)
