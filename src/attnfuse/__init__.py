@@ -2,17 +2,18 @@
 
 A compact, fully deterministic latent-diffusion stack: DDIM inversion
 records the attention maps of a toy denoiser that the edit reads (a
-self-attention map as the block input it is rebuilt from, block 0's as
-the step's latent), and the editing pass replays those maps through
-cross-attention column fusion and masked self-attention blending, so
-edits keep the source video's layout and motion.
+self-attention map as the one array it is rebuilt from with the
+model's own weights: the block input, or block 0's latent), and the
+editing pass replays those maps through cross-attention column fusion
+and masked self-attention blending, so edits keep the source video's
+layout and motion.
 """
 
 from .errors import ConfigError, ContractViolation, MissingRecordError
 from .fusion import (EditConfig, FusionPlan, PromptAlignment, align_prompts,
                      build_blend_mask, fuse_cross, identity_alignment, preset)
 from .model import (AttentionSite, DenoiserWeights, ModelConfig,
-                    PromptEmbedding, SelfAnswer, SelfProjections, attend,
+                    PromptEmbedding, SelfAnswer, SelfTiles, attend,
                     denoiser_forward, embed_prompt, make_denoiser_weights,
                     make_oracle_denoiser, spatiotemporal_attend)
 from .numerics import SeededRng, maxnorm_frame, softmax_lastdim

@@ -305,7 +305,8 @@ def _run_invert(rc: RunConfig) -> int:
     weights = make_denoiser_weights(rc.model)
     z0 = _source_latent(rc)
     # Records stream to store/ as inversion makes them; the index comes last.
-    writer = DumpWriter(rc.out_dir / "store", store_meta(rc.schedule, rc.model))
+    writer = DumpWriter(rc.out_dir / "store", store_meta(rc.schedule, rc.model),
+                        rc.model.d_model)
     z_T, _ = invert_video(z0, embed_prompt(rc.source_prompt, rc.model), rc.schedule,
                           weights, writer)
     blobio.write_blob(rc.out_dir / "z_T.bin", config_hash(rc.model), [z_T])

@@ -15,18 +15,18 @@ self window the action is always `BLEND`.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
-`FusionPlan.source_map` (a cross map) and `FusionPlan.source_projections`
-(the recorded block input, or block 0's latent, and weights a self
-map's rows are built from) make that pairing and are the only readers
-of the inversion store; no whole self map is read back.
+`FusionPlan.source_map` (a cross map) and `FusionPlan.source_record`
+(the recorded block input, or block 0's latent, that a self map's rows
+are built from) make that pairing and are the only readers of the
+inversion store; no whole self map is read back.
 
 The forward pass never holds a whole self map, so the plan answers a
-self site with data, a `model.SelfAnswer`: the source's record and the
-blend mask.  The pass builds each tile's rows from its own map where
-the mask is set and from the record where it is clear.  Self rows, edit
-and source alike, are softmax numerators that the pass normalizes after
-`attn @ V` (see `model`); blending picks whole rows, so it needs no
-normalized map.
+self site with data, a `model.SelfAnswer`: the source's record, its
+step t-1, and the blend mask.  The pass builds each tile's rows from
+its own map where the mask is set and from the record where it is
+clear.  Self rows, edit and source alike, are softmax numerators that
+the pass normalizes after `attn @ V` (see `model`); blending picks
+whole rows, so it needs no normalized map.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import KIND_CROSS, KIND_SELF, SelfAnswer, SelfProjections
+from .model import KIND_CROSS, KIND_SELF, SelfAnswer
 from .numerics import maxnorm_frame, require
 from .store import AttentionKey, AttentionStore, StoreMeta
 
@@ -224,7 +224,7 @@ class FusionPlan:
     A cross map taken whole is the store's read-only array, handed to the
     forward pass before the edit map is computed, so the pass skips that
     map's QK^T and softmax and applies the array without a copy.  A self
-    site is answered with a `SelfAnswer` of the source's `SelfProjections`
+    site is answered with a `SelfAnswer` of the source's record, its step
     and the step's mask, so under an empty mask the pass builds the
     source rows of each tile and never the edit's.  Each mask is built
     once and kept read-only, so later readers get the mask the pass
@@ -282,9 +282,9 @@ class FusionPlan:
         """The read-only cross map that denoising step t replays: inversion step t-1's."""
         return self.store.query(t - 1, layer)
 
-    def source_projections(self, t: int, layer: int) -> SelfProjections:
+    def source_record(self, t: int, layer: int) -> np.ndarray:
         """The self record whose rows step t replays: inversion step t-1's."""
-        return self.store.projections(t - 1, layer)
+        return self.store.self_record(t - 1, layer)
 
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE or FUSE for a cross map at step t; KEEP or BLEND for a self map."""
@@ -302,9 +302,9 @@ class FusionPlan:
             if self._blends:
                 mask = build_blend_mask(self.source_map(t, layer),
                                         self.positions, self.cfg.tau)
-            else:  # sized by the self record, which every self site has
-                n, _, q, _ = self.source_projections(t, layer).shape
-                mask = np.zeros((n, q), dtype=bool)
+            else:  # sized by block 0's self record, the latent (n, c, h, w)
+                n, _, h, w = self.source_record(t, 0).shape
+                mask = np.zeros((n, h * w), dtype=bool)
             mask.setflags(write=False)
             self._masks[key] = mask
         return mask
@@ -321,7 +321,7 @@ class FusionPlan:
                 return None
             try:
                 if site.kind == KIND_SELF:
-                    return SelfAnswer(self.source_projections(t, site.layer),
+                    return SelfAnswer(self.source_record(t, site.layer), t - 1,
                                       self.self_mask(t, site.layer))
                 # TAKE_SOURCE never reads site.attn, so the edit map is not built.
                 src = self.source_map(t, site.layer)

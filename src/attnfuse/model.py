@@ -14,8 +14,8 @@ only when read, so a probe that supplies its own cross map spares the
 QK^T and the softmax.  A replacement cross map is checked for shape,
 finiteness and its rows (see `_checked`) before it is applied.  A self
 site is answered with data, a `SelfAnswer`: the record its clear rows
-are built from and a mask of the rows that stay the pass's own, checked
-once per site.  Second, all randomness flows from explicit seeds, so
+are built from, that record's step, and a mask of the rows that stay
+the pass's own, checked once per site.  Second, all randomness flows from explicit seeds, so
 identical inputs give bit-identical outputs.
 
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
@@ -34,19 +34,18 @@ are computed, and every tile of a call writes into one logits buffer of
 self map.  Rows are independent, so each row of a tile is taken from
 the pass's own map or from an answer's source as the answer's mask
 says.  A self map is a function of the block input and the block's
-query and key weights (`SelfProjections`); the input is
-2*heads*h*w/d_model times smaller than the map, and the weights are the
-model's own arrays, shared.  Block 0's input is one small matmul away
-from the step's latent (`_block_input`), so block 0's self record is
-that latent (`LatentProjections`), d_model/c times smaller again, and
-its input is rebuilt through the function the pass applied.  That
-record keeps exactly the arrays the rebuild and its rows read (w_in,
-the time table, block 0's wq and wk), the model's own, so a store dump
-writes them once for every record rather than with each.  Every self
-row is built by `SelfTiles.rows` from queries and keys projected with
-one expression, so rows rebuilt later from a record are bit-identical
-to the ones the pass applied; a whole map (`SelfProjections.attn`) is
-assembled from the same tiles, for observers and tests.
+query and key weights, and the input is 2*heads*h*w/d_model times
+smaller than the map.  So a self site's record is one read-only array:
+a later block's input, or at block 0 the step's latent, which is
+d_model/c times smaller again and one small matmul away from the input
+(`_block_input`).  The record holds no weights: the pass builds a
+source's rows with its own block's weights, and rebuilds block 0's
+input from the latent through the function it applied itself.  Every
+self row is built by `SelfTiles.rows` from queries and keys projected
+with one expression, so rows rebuilt later from a record are
+bit-identical to the ones the pass applied; a whole map
+(`SelfTiles.attn`) is assembled from the same tiles, for observers and
+tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -240,16 +239,16 @@ def _time_features(t: int, n_steps: int, time_freq: np.ndarray,
     return np.sin(2.0 * math.pi * time_freq * tau + time_phase)
 
 
-def _block_input(z_t: np.ndarray, t: int, n_steps: int, w_in: np.ndarray,
-                 time_freq: np.ndarray, time_phase: np.ndarray) -> np.ndarray:
+def _block_input(z_t: np.ndarray, t: int, n_steps: int,
+                 weights: DenoiserWeights) -> np.ndarray:
     """Block 0's input, (n, h*w, d_model), from the latent z_t, (n, c, h, w), at step t."""
     n, c, h, w = z_t.shape
     hw = h * w
     zc = z_t.reshape(n, c, hw).transpose(0, 2, 1)
     pos = np.broadcast_to(_posenc(h, w), (n, hw, POS_DIM))
-    temb = np.broadcast_to(_time_features(t, n_steps, time_freq, time_phase),
-                           (n, hw, TIME_DIM))
-    return np.concatenate([zc, pos, temb], axis=-1) @ w_in
+    temb = np.broadcast_to(_time_features(t, n_steps, weights.time_freq,
+                                          weights.time_phase), (n, hw, TIME_DIM))
+    return np.concatenate([zc, pos, temb], axis=-1) @ weights.w_in
 
 
 def _split_heads(x: np.ndarray, heads: int, d_head: int) -> np.ndarray:
@@ -273,33 +272,38 @@ def _tile_bounds(hw: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
 
 
-class SelfProjections:
-    """What one self-attention call's map is built from.
+class SelfTiles:
+    """Rows of one self map, softmax numerators, one tile of query rows at a time.
 
-    feats is the block input, (n, h*w, d_model), made read-only; wq and
-    wk are the block's (d_model, d_model) query and key weights, the
-    model's own arrays, not copies; heads splits d_model.  `SelfTiles`
-    projects the queries and keys once and builds the map's rows.
-    Block 0's record is a `LatentProjections`, which keeps the step's
-    latent and rebuilds feats from it.
+    The map is that of the block input feats, (n, h*w, d_model), under a
+    block's (d_model, d_model) query and key weights wq and wk; heads
+    splits d_model.  Each frame's queries attend over the keys of the
+    middle frame (index n // 2), then its own.  Every tile is computed
+    into one logits buffer of (n, heads, TILE_ROWS, 2*h*w), allocated at
+    the first build; a shorter tail tile fills a view of it.  So the rows
+    `rows` returns stay valid until its next call.  The queries and keys
+    are projected once, when the tiles are made, and the queries scaled
+    by 1/sqrt(d_head) then.
     """
 
     def __init__(self, feats: np.ndarray, wq: np.ndarray, wk: np.ndarray, heads: int):
-        require(feats.ndim == 3,
-                f"self block input must be (n, h*w, d_model), got {feats.shape}")
-        d_model = feats.shape[-1]
-        require(wq.shape == wk.shape == (d_model, d_model),
-                f"self weights must be ({d_model}, {d_model}), got "
-                f"{wq.shape} / {wk.shape}")
-        require(heads >= 1 and d_model % heads == 0,
-                f"{heads} heads do not split d_model {d_model}")
-        feats.setflags(write=False)
-        self.feats, self.wq, self.wk, self.heads = feats, wq, wk, heads
+        self.feats = feats
+        n, hw, d_model = feats.shape
+        d_head = d_model // heads
+        self.shape = (n, heads, hw, 2 * hw)
+        self._q = _split_heads((feats @ wq) * (1.0 / math.sqrt(d_head)), heads, d_head)
+        keys = _with_middle_frame(_split_heads(feats @ wk, heads, d_head))
+        self._kt = np.swapaxes(keys, -1, -2)
+        self._logits: np.ndarray | None = None
 
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        n, hw, _ = self.feats.shape
-        return (n, self.heads, hw, 2 * hw)
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the map, (n, heads, hi - lo, 2*h*w); hi - lo <= TILE_ROWS."""
+        if self._logits is None:
+            n, heads, hw, keys = self.shape
+            self._logits = np.empty((n, heads, min(TILE_ROWS, hw), keys))
+        logits = np.matmul(self._q[:, :, lo:hi], self._kt,
+                           out=self._logits[:, :, :hi - lo])
+        return softmax_numerators(logits, out=logits)
 
     def attn(self) -> np.ndarray:
         """The read-only map of softmax numerators, (n, heads, h*w, 2*h*w).
@@ -309,78 +313,11 @@ class SelfProjections:
         applies, so equal block inputs and weights give equal bits.
         For observers and tests: the pass never builds a whole self map.
         """
-        tiles = SelfTiles(self)
         whole = np.empty(self.shape)
         for lo, hi in _tile_bounds(self.shape[2]):
-            whole[:, :, lo:hi] = tiles.rows(lo, hi)
+            whole[:, :, lo:hi] = self.rows(lo, hi)
         whole.setflags(write=False)
         return whole
-
-
-class LatentProjections(SelfProjections):
-    """Block 0's self record: the step's latent, not the block input.
-
-    Keeps a read-only copy of z_t, (n, c, h, w), with t and n_steps, and
-    exactly the weights it reads, shared: w_in, time_freq and time_phase,
-    which rebuild the block input, and block 0's wq and wk.  Each read of
-    feats rebuilds the block input through `_block_input`, the function
-    the forward pass applied, so it is bit-identical to the input the
-    pass used; it is a new read-only array each time, and the record
-    keeps none.  shape comes from the latent without a rebuild.
-    """
-
-    def __init__(self, z_t: np.ndarray, t: int, n_steps: int, w_in: np.ndarray,
-                 time_freq: np.ndarray, time_phase: np.ndarray,
-                 wq: np.ndarray, wk: np.ndarray, heads: int):
-        z_t = np.array(z_t, dtype=np.float64)
-        z_t.setflags(write=False)
-        self.z_t, self.t, self.n_steps = z_t, t, n_steps
-        self.w_in, self.time_freq, self.time_phase = w_in, time_freq, time_phase
-        self.wq, self.wk, self.heads = wq, wk, heads
-
-    @property
-    def feats(self) -> np.ndarray:
-        feats = _block_input(self.z_t, self.t, self.n_steps, self.w_in,
-                             self.time_freq, self.time_phase)
-        feats.setflags(write=False)
-        return feats
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        n, _, h, w = self.z_t.shape
-        return (n, self.heads, h * w, 2 * h * w)
-
-
-class SelfTiles:
-    """Rows of one self map, softmax numerators, one tile of query rows at a time.
-
-    Each frame's queries attend over the keys of the middle frame
-    (index n // 2), then its own.  Every tile is computed into one logits
-    buffer of (n, heads, TILE_ROWS, 2*h*w), allocated at the first build;
-    a shorter tail tile fills a view of it.  So the rows `rows` returns
-    stay valid until its next call.  The queries and keys are projected
-    once, when the tiles are made, and the queries scaled by
-    1/sqrt(d_head) then.
-    """
-
-    def __init__(self, projections: SelfProjections):
-        self.projections = projections
-        feats, heads = projections.feats, projections.heads
-        d_head = feats.shape[-1] // heads
-        self._q = _split_heads((feats @ projections.wq) * (1.0 / math.sqrt(d_head)),
-                               heads, d_head)
-        keys = _with_middle_frame(_split_heads(feats @ projections.wk, heads, d_head))
-        self._kt = np.swapaxes(keys, -1, -2)
-        self._logits: np.ndarray | None = None
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the map, (n, heads, hi - lo, 2*h*w); hi - lo <= TILE_ROWS."""
-        if self._logits is None:
-            n, heads, hw, keys = self.projections.shape
-            self._logits = np.empty((n, heads, min(TILE_ROWS, hw), keys))
-        logits = np.matmul(self._q[:, :, lo:hi], self._kt,
-                           out=self._logits[:, :, :hi - lo])
-        return softmax_numerators(logits, out=logits)
 
 
 @dataclass(frozen=True)
@@ -388,12 +325,16 @@ class SelfAnswer:
     """A probe's answer at a self site: which rows the pass applies.
 
     edit is (n, h*w) bool.  A set row is the pass's own; a clear row is
-    built from *source*, the record of the map it replays.  An all-clear
-    mask takes every row from the source, and the pass then builds none
-    of its own rows.
+    built from *source*, the self record of the map it replays, taken
+    at step *t*: at block 0 that step's latent, from which the pass
+    rebuilds the block input, at a later block the block input itself.
+    The pass builds those rows with its own block's weights.  An
+    all-clear mask takes every row from the source, and the pass then
+    builds none of its own rows.
     """
 
-    source: SelfProjections
+    source: np.ndarray
+    t: int
     edit: np.ndarray
 
 
@@ -405,10 +346,11 @@ class AttentionSite:
     first read: a softmax map at a cross site, softmax numerators (rows
     peaking at exactly 1.0) at a self site.  A probe that answers
     without reading it skips the QK^T and the softmax.  A self-attention
-    site also carries the `projections` its map is built from (a
-    cross-attention site carries None); reading a self site's `attn`
-    assembles the whole map, for observers, and the pass drops it once
-    the probe has answered.
+    site also carries its `record`, the read-only array its map is built
+    from: block 0's is the step's latent z_t, (n, c, h, w), a later
+    block's its input, (n, h*w, d_model).  A cross-attention site
+    carries None.  Reading a self site's `attn` assembles the whole map,
+    for observers, and the pass drops it once the probe has answered.
 
     A probe answers a cross site with None (the map stands) or a
     replacement map, and a self site with None (its own rows stand) or
@@ -416,10 +358,9 @@ class AttentionSite:
     """
 
     def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
-                 build: Callable[[], np.ndarray],
-                 projections: SelfProjections | None = None):
+                 build: Callable[[], np.ndarray], record: np.ndarray | None = None):
         self.t, self.layer, self.kind, self.shape = t, layer, kind, shape
-        self.projections = projections
+        self.record = record
         self._build = build
         self._attn: np.ndarray | None = None
 
@@ -457,30 +398,27 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
     return np.matmul(attn, v), attn
 
 
-def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
-                          heads: int, d_head: int,
-                          supply: Callable[[SelfProjections], SelfAnswer | None] | None = None
-                          ) -> np.ndarray:
+def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
+                          d_head: int, edit: np.ndarray | None = None,
+                          source: np.ndarray | None = None) -> np.ndarray:
     """Self-attention over [middle frame; own frame] keys and values.
 
     feats: (n, h*w, d_model); returns the output, (n, h*w, d_model).
     The middle frame is index n // 2; its keys come first in the
     concatenation.  Rows are computed and applied one tile of TILE_ROWS
-    query rows at a time.  *supply*, when given, is called with the
-    `SelfProjections` of feats (made read-only) and the block's wq_s and
-    wk_s, and returns None, which keeps the pass's own rows, or a
-    `SelfAnswer`.  A tile takes its own rows where the answer's mask is
-    set and the source's where it is clear; each side is built only for
-    the tiles that need it, and a mixed tile picks its rows from both.
-    Each tile multiplies [V | 1], whose last column gives the tile's row
-    sums, and the output is divided by them once, after the last tile.
+    query rows at a time.  *edit*, (n, h*w) bool, picks each row: a set
+    row is built from feats, the pass's own, and a clear row from
+    *source*, the block input of the map it replays, both under the
+    block's wq_s and wk_s.  Without a mask every row is the pass's own.
+    Each side is built only for the tiles that need it, and a mixed tile
+    picks its rows from both.  Each tile multiplies [V | 1], whose last
+    column gives the tile's row sums, and the output is divided by them
+    once, after the last tile.
     """
-    proj = SelfProjections(feats=feats, wq=block.wq_s, wk=block.wk_s, heads=heads)
-    answer = None if supply is None else supply(proj)
-    n, _, hw, _ = proj.shape
-    edit = np.ones((n, hw), dtype=bool) if answer is None else answer.edit
-    own = SelfTiles(proj) if edit.any() else None
-    source = None if edit.all() else SelfTiles(answer.source)
+    n, hw, _ = feats.shape
+    edit = np.ones((n, hw), dtype=bool) if edit is None else edit
+    own = SelfTiles(feats, block.wq_s, block.wk_s, heads) if edit.any() else None
+    replay = None if edit.all() else SelfTiles(source, block.wq_s, block.wk_s, heads)
     v = _split_heads(feats @ block.wv_s, heads, d_head)
     vals = _with_middle_frame(np.concatenate([v, np.ones(v.shape[:-1] + (1,))],
                                              axis=-1))
@@ -490,10 +428,10 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights,
         if picks.all():
             tile = own.rows(lo, hi)
         elif not picks.any():
-            tile = source.rows(lo, hi)
+            tile = replay.rows(lo, hi)
         else:
             tile = np.where(picks[:, None, :, None], own.rows(lo, hi),
-                            source.rows(lo, hi))
+                            replay.rows(lo, hi))
         np.matmul(tile, vals, out=out[:, :, lo:hi])
     return _merge_heads(out[..., :d_head] / out[..., d_head:])
 
@@ -525,9 +463,11 @@ def _offer(probe: Probe | None, site: AttentionSite):
     require(isinstance(answer, SelfAnswer),
             f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
     source, edit = answer.source, answer.edit
-    got = source.shape if isinstance(source, SelfProjections) else type(source).__name__
-    require(got == site.shape,
-            f"self answer's source has shape {got}, expected {site.shape} {where}")
+    got = source.shape if isinstance(source, np.ndarray) else type(source).__name__
+    require(got == site.record.shape,
+            f"self answer's source has shape {got}, expected {site.record.shape} {where}")
+    require(type(answer.t) is int,
+            f"self answer's step is a {type(answer.t).__name__}, expected an int {where}")
     n, _, hw, _ = site.shape
     got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
     require(got == ((n, hw), np.bool_),
@@ -546,7 +486,7 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     normalizes t for the timestep features; pass the schedule's T.
     """
     cfg = weights.config
-    z_t = np.asarray(z_t, dtype=np.float64)
+    z_t = np.array(z_t, dtype=np.float64)  # a copy: block 0's self record
     require(z_t.shape == (cfg.n, cfg.c, cfg.h, cfg.w),
             f"latent shape {z_t.shape} != config ({cfg.n}, {cfg.c}, {cfg.h}, {cfg.w})")
     check_finite("denoiser input", z_t)
@@ -554,23 +494,30 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     require(prompt.vectors.shape[1] == cfg.d_text,
             f"prompt dim {prompt.vectors.shape[1]} != d_text {cfg.d_text}")
 
+    z_t.setflags(write=False)
     n, c, h, w = z_t.shape
     hw = h * w
-    x = _block_input(z_t, t, n_steps, weights.w_in, weights.time_freq, weights.time_phase)
+    x = _block_input(z_t, t, n_steps, weights)
 
-    def offer_self(p: SelfProjections, layer: int):
-        # Block 0 is recorded as its latent; the pass's rows use p.
-        record = p if layer else LatentProjections(
-            z_t, t, n_steps, weights.w_in, weights.time_freq, weights.time_phase,
-            p.wq, p.wk, p.heads)
-        return _offer(probe, AttentionSite(t, layer, KIND_SELF, p.shape, p.attn,
-                                           projections=record))
+    def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights) -> np.ndarray:
+        # Block 0 is recorded as its latent; its source input is rebuilt
+        # only when some row replays it.
+        feats.setflags(write=False)
+        answer = _offer(probe, AttentionSite(
+            t, layer, KIND_SELF, (n, cfg.heads, hw, 2 * hw),
+            lambda: SelfTiles(feats, bw.wq_s, bw.wk_s, cfg.heads).attn(),
+            record=feats if layer else z_t))
+        if answer is None:
+            return spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)
+        source = answer.source
+        if layer == 0 and not answer.edit.all():
+            source = _block_input(source, answer.t, n_steps, weights)
+        return spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head, answer.edit, source)
 
     kv = prompt.vectors
     cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
     for layer, bw in enumerate(weights.blocks):
-        x = x + spatiotemporal_attend(x, bw, cfg.heads, cfg.d_head,
-                                      supply=lambda p, _l=layer: offer_self(p, _l))
+        x = x + attend_self(x, layer, bw)
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         kc = _split_heads((kv @ bw.wk_c)[None], cfg.heads, cfg.d_head)
         vc = _split_heads((kv @ bw.wv_c)[None], cfg.heads, cfg.d_head)

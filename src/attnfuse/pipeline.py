@@ -3,9 +3,10 @@
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
 schedule upward at guidance scale 1 with a `store.Recorder` as its
 probe, which takes the cross-attention maps and the self-attention
-block inputs it wants (block 0's as the step's latent), with each
-block's query and key weights shared from the model; the editing pass
-walks back down, rewriting maps from that record through the probe.
+block inputs it wants (block 0's as the step's latent); the editing
+pass walks back down, rewriting maps from that record through the
+probe, and builds the self rows it replays with the model's own
+weights.
 Reconstruction is the identity edit.
 """
 
@@ -159,14 +160,13 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
 
     *store* is the probe, a `Recorder` of `store_meta(sched, weights.config)`:
     by default a new `AttentionStore` of every cross-attention map and
-    every self-attention call's block input, which with the block's
-    query and key weights rebuilds the self map; block 0's record keeps
-    the step's latent instead and rebuilds its input from it
-    (`model.LatentProjections`).  An edit's store keeps only the keys
-    its plan reads, and `invert` passes a `DumpWriter`, which holds no
-    record once written.  Runs at guidance scale 1, which
-    reduces to the conditional branch alone, so only that branch is
-    evaluated and recorded.  Returns (z_T, store).
+    every self-attention call's block input, from which the model's
+    query and key weights rebuild the self map; block 0's record is the
+    step's latent instead, from which the model rebuilds that input.
+    An edit's store keeps only the keys its plan reads, and `invert`
+    passes a `DumpWriter`, which holds no record once written.  Runs at
+    guidance scale 1, which reduces to the conditional branch alone, so
+    only that branch is evaluated and recorded.  Returns (z_T, store).
     """
     meta = store_meta(sched, weights.config)
     store = AttentionStore(meta) if store is None else store

@@ -2,33 +2,28 @@
 
 Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
 A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
-what it is built from: the block input, n*h*w*d_model values, and the
-block's query and key weights, shared with the model rather than
-copied.  Block 0's record keeps the step's latent instead, n*c*h*w
-values, and rebuilds its block input when read
-(`model.LatentProjections`).  The edit pass hands that record
-(`projections`) to the forward pass as a `model.SelfAnswer`'s source,
-and the pass builds the rows it needs tile by tile, bit for bit the
-rows it applied during inversion; an observer assembles the whole map
-with the record's `attn()`.  `query` returns a cross map, a plain
-read-only array.
+its self record, the one array the map is built from: a later block's
+input, n*h*w*d_model values, or at block 0 the step's latent, n*c*h*w
+values.  Every record is a plain read-only array.  The weights that
+turn a record into its map are the model's, those of the config whose
+`config_hash` the store carries, so the store holds none.  The edit
+pass hands a self record (`self_record`) to the forward pass as a
+`model.SelfAnswer`'s source, and the pass builds the rows it needs tile
+by tile, bit for bit the rows it applied during inversion.  `query`
+returns a cross map.
 
 A `Recorder` is inversion's probe.  It takes the records of a set of
 keys of the T x L x {self, cross} grid, each once, and passes over the
 rest: a store holds the whole grid by default, an edit's store only the
 keys its `FusionPlan` reads.  An `AttentionStore` keeps the pass's own
-maps, unchecked.  A `DumpWriter` writes each record to its blob, named
-by its key, as it arrives and keeps none: a cross blob holds the map, a
-block 0 self blob the step's latent, a later block's self blob its
-block input.  Once the grid is complete it writes the weights the self
-records share, once, to `weights.bin` (w_in and the time table that
-rebuild block 0's input, then each block's query and key weights), and
-last the index of the store's metadata and the one geometry all blob
-shapes follow, so a directory without `index.json` is an interrupted
-dump.  `AttentionStore.dump` writes through a `DumpWriter` too.  A
-loaded dump comes from outside the program, so `load_store_dump` checks
-the index's fields, each blob's header and length, cross rows and the
-finiteness of the weights, latents and block inputs, naming the file.
+records, unchecked.  A `DumpWriter` writes each record to its blob,
+named by its key, as it arrives and keeps none.  Once the grid is
+complete it writes, last, the index of the store's metadata and the one
+geometry all blob shapes follow, so a directory without `index.json` is
+an interrupted dump.  A loaded dump comes from outside the program, so
+`load_store_dump` checks the index's fields, each blob's header and
+length, cross rows and the finiteness of the latents and block inputs,
+naming the file.
 """
 
 from __future__ import annotations
@@ -43,19 +38,16 @@ import numpy as np
 
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
-from .model import (KIND_CROSS, KIND_SELF, POS_DIM, TIME_DIM, AttentionSite,
-                    LatentProjections, SelfProjections)
+from .model import KIND_CROSS, KIND_SELF, AttentionSite
 from .numerics import check_finite, check_rows, require
 
-# Format of a store dump's index.json and blobs.  Version 5 writes block
-# 0's self blobs as latents and the shared weights once, in weights.bin;
-# version 4 wrote block inputs and weights in every self blob, version 3
-# listed each record's file and shape, version 2 held self projections,
-# version 1 (no "version" key) maps.
-DUMP_VERSION = 5
-
-# The blob of the weights every self record of a dump shares.
-WEIGHTS_BLOB = "weights.bin"
+# Format of a store dump's index.json and blobs.  Version 6 writes each
+# record's one array and no weights; version 5 also wrote the weights
+# the self records share, once, to weights.bin, version 4 wrote block
+# inputs and weights in every self blob, version 3 listed each record's
+# file and shape, version 2 held self projections, version 1 (no
+# "version" key) maps.
+DUMP_VERSION = 6
 
 
 class AttentionKey(NamedTuple):
@@ -98,12 +90,6 @@ class DumpGeometry(NamedTuple):
             return (self.frames, self.channels, self.height, self.width)
         return (self.frames, pixels, self.d_model)
 
-    def weight_shapes(self, blocks: int) -> list[tuple[int, ...]]:
-        """`weights.bin`'s arrays: w_in, time_freq, time_phase, then each block's wq and wk."""
-        square = (self.d_model, self.d_model)
-        return [(self.channels + POS_DIM + TIME_DIM, self.d_model), (TIME_DIM,),
-                (TIME_DIM,)] + [square] * (2 * blocks)
-
 
 @dataclass(frozen=True)
 class StoreMeta:
@@ -130,14 +116,14 @@ class Recorder:
                        if wanted is None or key in wanted}
 
     def record(self, site: AttentionSite) -> None:
-        """Take a self site's `SelfProjections`, or a cross site's map, if its key is wanted.
+        """Take a self site's record, or a cross site's map, if its key is wanted.
 
         It replaces nothing, and it never reads a self site's map, so the
         pass builds that map's rows once, to apply them.
         """
         key = AttentionKey(site.t, site.layer, site.kind)
         if key in self._taken:
-            self._add(key, site.projections if site.kind == KIND_SELF else site.attn)
+            self._add(key, site.record if site.kind == KIND_SELF else site.attn)
 
     def _add(self, key: AttentionKey, entry) -> None:
         if self._taken[key]:
@@ -155,7 +141,7 @@ class AttentionStore(Recorder):
 
     def __init__(self, meta: StoreMeta, keys: Iterable[AttentionKey] | None = None):
         super().__init__(meta, keys)
-        self._records: dict[AttentionKey, np.ndarray | SelfProjections] = {}
+        self._records: dict[AttentionKey, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -166,104 +152,68 @@ class AttentionStore(Recorder):
     def _keep(self, key: AttentionKey, entry) -> None:
         self._records[key] = entry
 
-    def _entry(self, key: AttentionKey):
+    def _entry(self, key: AttentionKey) -> np.ndarray:
         try:
             return self._records[key]
         except KeyError:
             raise MissingRecordError(f"no attention record for {key}") from None
 
-    def projections(self, t: int, layer: int) -> SelfProjections:
-        """The record a self map is built from; the edit pass builds its rows from it."""
+    def self_record(self, t: int, layer: int) -> np.ndarray:
+        """The read-only record of a self map: block 0's latent, or a later block's input."""
         return self._entry(AttentionKey(t, layer, KIND_SELF))
 
     def query(self, t: int, layer: int) -> np.ndarray:
         """The read-only recorded cross map."""
         return self._entry(AttentionKey(t, layer, KIND_CROSS))
 
-    def dump(self, directory: Path) -> None:
-        """Write a store that holds the whole grid through a `DumpWriter`."""
-        grid = list(_grid(self.meta.T, self.meta.blocks))
-        missing = [key for key in grid if key not in self._records]
-        require(not missing, f"cannot dump a store with {len(missing)} records "
-                             f"missing, the first {missing[:1]}")
-        writer = DumpWriter(directory, self.meta)
-        for key in grid:
-            writer._add(key, self._records[key])
-        writer.close()
-
 
 class DumpWriter(Recorder):
-    """Writes a dump record by record: `invert`'s probe, and `dump`'s writer.
+    """Writes a dump record by record: `invert`'s probe.
 
     Each record of the grid goes to its blob, named by its key, as it
-    arrives, and is not kept.  A cross blob holds the map, a block 0
-    self blob the step's latent, and a later block's self blob its block
-    input.  The weights the self records share are kept from the first
-    record of each block, and a record whose weights differ is refused;
-    `close` writes them once, to `weights.bin`, so a dump needs no
-    weights from outside.  An earlier dump's index, `weights.bin` and
-    blobs, every file named as `_blob_name` names one, are removed
-    before the first blob is written; `close` writes the index of the
-    store's metadata and the geometry of step 0, block 0, which every
-    record shares, last, once no record is missing.
+    arrives, and is not kept.  An earlier dump's index and blobs, every
+    file named as `_blob_name` names one, are removed before the first
+    blob is written, and so is the `weights.bin` a version 5 dump wrote.
+    `close` writes the index of the store's metadata and the geometry of
+    step 0, which every step's records share, last, once no record is
+    missing.  *d_model*, the model's width, completes that geometry:
+    block 0's latent does not carry it, and a 1-block store has no other
+    self record.
     """
 
-    def __init__(self, directory: Path, meta: StoreMeta):
+    def __init__(self, directory: Path, meta: StoreMeta, d_model: int):
         super().__init__(meta)
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        for name in ("index.json", WEIGHTS_BLOB):
+        for name in ("index.json", "weights.bin"):
             (self.directory / name).unlink(missing_ok=True)
         for path in self.directory.glob("*.bin"):
             if _BLOB_NAME.fullmatch(path.name):
                 path.unlink()
-        self._sizes: dict[str, tuple[int, ...]] = {}
-        # Per block, the weights its self records share: block 0's
-        # (w_in, time_freq, time_phase, wq, wk), a later block's (wq, wk).
-        self._weights: dict[int, tuple[np.ndarray, ...]] = {}
+        self._d_model = d_model
+        # Step 0's block 0 shapes: the latent's and the cross map's.
+        self._shapes: dict[str, tuple[int, ...]] = {}
 
-    def _keep(self, key: AttentionKey, entry) -> None:
-        if key.kind == KIND_CROSS:
-            array, sizes = entry, entry.shape[-1:]
-        elif key.layer == 0:
-            require(isinstance(entry, LatentProjections),
-                    f"{key}: block 0's self record must be a LatentProjections, "
-                    f"got a {type(entry).__name__}")
-            require((entry.t, entry.n_steps) == (key.t, self.meta.T),
-                    f"{key}: latent record of step {entry.t} of {entry.n_steps}, "
-                    f"expected step {key.t} of {self.meta.T}")
-            array, sizes = entry.z_t, (*entry.z_t.shape, entry.wq.shape[0], entry.heads)
-            weights = (entry.w_in, entry.time_freq, entry.time_phase, entry.wq, entry.wk)
-        else:
-            array, weights = entry.feats, (entry.wq, entry.wk)
-        if key.kind == KIND_SELF:
-            kept = self._weights.setdefault(key.layer, weights)
-            require(all(a is b or np.array_equal(a, b) for a, b in zip(kept, weights)),
-                    f"{key}: self record's weights differ from the weights the dump writes")
+    def _keep(self, key: AttentionKey, entry: np.ndarray) -> None:
         if key.t == key.layer == 0:
-            self._sizes[key.kind] = sizes
-        blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, [array])
+            self._shapes[key.kind] = entry.shape
+        blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, [entry])
 
     def close(self) -> None:
-        """Write `weights.bin`, then the index, last; refused while a record is missing."""
+        """Write the index, last; refused while a record is missing."""
         missing = self.verify_complete()
         require(not missing, f"{self.directory}: {len(missing)} records missing, "
                              f"the first {missing[:1]}; no index written")
-        shared = [arr for layer in range(self.meta.blocks) for arr in self._weights[layer]]
-        blobio.write_blob(self.directory / WEIGHTS_BLOB, self.meta.config_hash, shared)
-        geometry = DumpGeometry(*self._sizes[KIND_SELF], *self._sizes[KIND_CROSS])
+        frames, channels, height, width = self._shapes[KIND_SELF]
+        _, heads, _, tokens = self._shapes[KIND_CROSS]
+        geometry = DumpGeometry(frames, channels, height, width, self._d_model, heads, tokens)
         index = {"version": DUMP_VERSION, **asdict(self.meta), **geometry._asdict()}
         (self.directory / "index.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Read a dump back, checking its index and each blob, as they come from files.
-
-    `weights.bin` is read once: block 0's self records load as
-    `LatentProjections` and a later block's as `SelfProjections`, and
-    the records of one block share its loaded wq and wk.
-    """
+    """Read a dump back, checking its index and each blob, as they come from files."""
     directory = Path(directory)
     index_path = directory / "index.json"
     try:
@@ -285,29 +235,15 @@ def load_store_dump(directory: Path) -> AttentionStore:
     require(not small, f"{index_path}: sizes must be at least 1, got {', '.join(small)}")
     hash_, T, blocks, *sizes = (index[n] for n in names)
     geometry = DumpGeometry(*sizes)
-    heads = geometry.heads
-    require(geometry.d_model % heads == 0,
-            f"{index_path}: {heads} heads do not split d_model {geometry.d_model}")
-    path = directory / WEIGHTS_BLOB
-    shared = blobio.read_blob(path, hash_, geometry.weight_shapes(blocks))
-    for arr in shared:
-        check_finite(f"{path}: weights", arr)
-    w_in, time_freq, time_phase, *qk = shared
+    require(geometry.d_model % geometry.heads == 0,
+            f"{index_path}: {geometry.heads} heads do not split d_model {geometry.d_model}")
     store = AttentionStore(StoreMeta(T=T, blocks=blocks, config_hash=hash_))
     for key in _grid(T, blocks):
         path = directory / _blob_name(key)
         [array] = blobio.read_blob(path, hash_, [geometry.shape(key)])
         if key.kind == KIND_CROSS:
             check_rows(f"{path}: cross map", array, 1e-9)
-            store._add(key, array)
-            continue
-        wq, wk = qk[2 * key.layer:2 * key.layer + 2]
-        if key.layer == 0:
-            check_finite(f"{path}: self latent", array)
-            entry = LatentProjections(array, key.t, T, w_in, time_freq, time_phase,
-                                      wq, wk, heads)
         else:
-            check_finite(f"{path}: self block input", array)
-            entry = SelfProjections(array, wq, wk, heads)
-        store._add(key, entry)
+            check_finite(f"{path}: self {'block input' if key.layer else 'latent'}", array)
+        store._add(key, array)
     return store

@@ -1,7 +1,8 @@
-"""Shared fixtures: a tiny model, a completed tiny inversion, a probe
-that captures the maps a forward pass applies, every map a store
-stands for, the row contract of an attention map, and the peak memory
-of a call."""
+"""Shared fixtures: a tiny model, a completed tiny inversion, a dump
+written by inverting into a `DumpWriter`, a probe that captures the
+maps a forward pass applies, the self map a record stands for and
+every map a store stands for, the row contract of an attention map,
+and the peak memory of a call."""
 
 import tracemalloc
 from typing import NamedTuple
@@ -9,11 +10,12 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from attnfuse.model import (KIND_SELF, ModelConfig, SelfAnswer, embed_prompt,
-                            make_denoiser_weights)
+from attnfuse.model import (KIND_SELF, ModelConfig, SelfAnswer, SelfTiles, _block_input,
+                            embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng
-from attnfuse.pipeline import invert_video
+from attnfuse.pipeline import invert_video, store_meta
 from attnfuse.schedule import make_schedule
+from attnfuse.store import DumpWriter
 
 TINY = ModelConfig(n=3, h=4, w=4, c=1, d_model=8, heads=2, d_head=4,
                    blocks=2, d_text=12, seed=21)
@@ -29,14 +31,42 @@ def tiny_weights():
     return make_denoiser_weights(TINY)
 
 
+def _clip(cfg):
+    """(schedule, prompt, z_0) of a 4-step toy inversion under *cfg*."""
+    sched = make_schedule(4, 0.05, 0.1)
+    prompt = embed_prompt("a red square drifting right", cfg)
+    z0 = SeededRng(5).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w)) * 0.2
+    return sched, prompt, z0
+
+
+@pytest.fixture
+def toy_clip():
+    return _clip
+
+
 @pytest.fixture(scope="session")
 def tiny_inversion(tiny_weights):
     """(schedule, prompt, z_0, z_T, store) for a 4-step toy inversion."""
-    sched = make_schedule(4, 0.05, 0.1)
-    prompt = embed_prompt("a red square drifting right", TINY)
-    z0 = SeededRng(5).standard_normal((TINY.n, TINY.c, TINY.h, TINY.w)) * 0.2
+    sched, prompt, z0 = _clip(TINY)
     z_T, store = invert_video(z0, prompt, sched, tiny_weights)
     return sched, prompt, z0, z_T, store
+
+
+def _write_dump(directory, weights=None):
+    """Invert the toy clip under *weights* (the tiny model's by default)
+    into a `DumpWriter` at *directory* and close it; returns z_T."""
+    weights = make_denoiser_weights(TINY) if weights is None else weights
+    cfg = weights.config
+    sched, prompt, z0 = _clip(cfg)
+    writer = DumpWriter(directory, store_meta(sched, cfg), cfg.d_model)
+    z_T, _ = invert_video(z0, prompt, sched, weights, writer)
+    writer.close()
+    return z_T
+
+
+@pytest.fixture
+def write_dump():
+    return _write_dump
 
 
 class Applied(NamedTuple):
@@ -46,13 +76,14 @@ class Applied(NamedTuple):
     attn: np.ndarray
 
 
-def _capture_probe(probe=None):
+def _capture_probe(probe=None, weights=None, n_steps=None):
     """(capture, maps): a probe that wraps *probe* and the list it fills.
 
     Each site appends an `Applied` entry with the map the pass applies
     there: *probe*'s replacement cross map, the rows a `SelfAnswer` picks
-    (the site's own where its mask is set, its source's elsewhere), or
-    the site's own map when *probe* has no answer.
+    (the site's own where its mask is set, its source's elsewhere, built
+    under *weights* at *n_steps*), or the site's own map when *probe*
+    has no answer.
     """
     maps = []
 
@@ -62,7 +93,8 @@ def _capture_probe(probe=None):
             applied = site.attn
         elif isinstance(replacement, SelfAnswer):
             applied = np.where(replacement.edit[:, None, :, None], site.attn,
-                               replacement.source.attn())
+                               _self_map(replacement.source, replacement.t, site.layer,
+                                         weights, n_steps))
         else:
             applied = np.asarray(replacement)
         maps.append(Applied(site.t, site.layer, site.kind, applied))
@@ -76,9 +108,24 @@ def capture_probe():
     return _capture_probe
 
 
-def _store_maps(store):
+def _self_map(record, t, layer, weights, n_steps):
+    """The whole self map that *record*, step t's of block *layer*, stands
+    for under *weights*, with t normalized by n_steps: block 0's record is
+    the latent its input is rebuilt from."""
+    feats = _block_input(record, t, n_steps, weights) if layer == 0 else record
+    block = weights.blocks[layer]
+    return SelfTiles(feats, block.wq_s, block.wk_s, weights.config.heads).attn()
+
+
+@pytest.fixture
+def self_map():
+    return _self_map
+
+
+def _store_maps(store, weights):
     """{key: map} for every record of *store*; self maps are assembled whole."""
-    return {key: store.projections(key.t, key.layer).attn() if key.kind == KIND_SELF
+    return {key: _self_map(store.self_record(key.t, key.layer), key.t, key.layer, weights,
+                           store.meta.T) if key.kind == KIND_SELF
             else store.query(key.t, key.layer) for key in store.keys()}
 
 

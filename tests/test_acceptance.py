@@ -26,7 +26,7 @@ import pytest
 from attnfuse.cli import run
 from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
                              build_blend_mask, identity_alignment, preset)
-from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles,
+from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles, _block_input,
                             attend, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
@@ -162,7 +162,7 @@ def small_inversion():
     return cfg, store, sched
 
 
-def test_criterion_06_threshold_extremes(small_inversion, monkeypatch):
+def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map):
     cfg, store, sched = small_inversion
     src_cross = store.query(3, 0)
     assert not build_blend_mask(src_cross, (1,), 1.0).any()
@@ -174,14 +174,14 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch):
     edit = embed_prompt("a black square", cfg)
     align = align_prompts(embed_prompt("a white square", cfg).tokens, edit.tokens)
     z = SeededRng(61).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
-    source = store.projections(3, 0)
-    source_map = source.attn()
+    source = store.self_record(3, 0)
+    source_map = self_map(source, 3, 0, weights, sched.T)
     built = []
     original = SelfTiles.rows
 
     def spy(tiles, lo, hi):
         rows = original(tiles, lo, hi)
-        built.append((tiles.projections, lo, rows.copy()))
+        built.append((tiles.feats, lo, rows.copy()))
         return rows
 
     monkeypatch.setattr(SelfTiles, "rows", spy)
@@ -191,17 +191,16 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch):
         step, own = plan.step_probe(4), []
         built.clear()
         denoiser_forward(z, 4, edit, weights, sched.T,
-                         probe=lambda site: own.append(site.projections) or step(site))
+                         probe=lambda site: own.append(site) or step(site))
         applied[tau] = list(built)
-        own_map = own[0].attn()
+        own_map = own[0].attn
         assert [lo for _, lo, _ in applied[tau]] == [0]  # 4x4 pixels: one tile
-        for proj, lo, rows in applied[tau]:
-            # The pass builds its own rows from the block input it holds,
-            # the input its record rebuilds.
-            if tau == 1.0:
-                assert proj is source
-            else:
-                assert proj is not source and np.array_equal(proj.feats, own[0].feats)
+        for feats, lo, rows in applied[tau]:
+            # The pass builds the source's rows from the block input it
+            # rebuilds from the recorded latent, and its own rows from the
+            # block input it holds, which its own latent rebuilds.
+            latent, t = (source, 3) if tau == 1.0 else (own[0].record, 4)
+            assert feats.tobytes() == _block_input(latent, t, sched.T, weights).tobytes()
             want = source_map if tau == 1.0 else own_map
             assert np.array_equal(rows, want[:, :, lo:lo + rows.shape[2]])
     assert not np.array_equal(own_map, source_map)
@@ -277,7 +276,7 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
     z_T, store = invert_video(z0, src_emb, sched, weights)
 
     checked = 0
-    for key, attn in store_maps(store).items():
+    for key, attn in store_maps(store, weights).items():
         cols = 2 * hw if key.kind == KIND_SELF else len(src_emb.tokens)
         assert attn.shape == (cfg.n, cfg.heads, hw, cols)
         assert_map_rows(key.kind, attn)
@@ -289,7 +288,7 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
     plan = FusionPlan(ecfg, align, store)
     z = z_T
     for t in range(sched.T, 0, -1):
-        probe_c, recs = capture_probe(plan.step_probe(t))
+        probe_c, recs = capture_probe(plan.step_probe(t), weights, sched.T)
         probe_u, recs_u = capture_probe()
         eps_c = denoiser_forward(z, t, edit_emb, weights, sched.T, probe=probe_c)
         eps_u = denoiser_forward(z, t, uncond, weights, sched.T, probe=probe_u)

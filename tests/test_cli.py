@@ -18,16 +18,15 @@ from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
 from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
                              identity_alignment, word_attention)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, POS_DIM, TIME_DIM, LatentProjections,
-                            ModelConfig, SelfProjections, SelfTiles,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _block_input,
                             _tile_bounds, config_hash, denoiser_forward,
                             embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
 from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
                                store_meta, synth_video, write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
-from attnfuse.store import (DUMP_VERSION, WEIGHTS_BLOB, AttentionKey, AttentionStore,
-                            StoreMeta, load_store_dump)
+from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
+                            load_store_dump)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -193,18 +192,11 @@ def test_invert_writes_latent_and_store(tmp_path, config_path):
     store = load_store_dump(out / "store")
     assert len(store) == 2 * 4 * 1
     assert store.verify_complete() == []
-    # Block 0's self blob of step 0 is the source latent; weights.bin holds
-    # the model's weights that rebuild its block input and its self maps.
-    weights, z0, *_ = _clip(rc)
-    assert np.array_equal(store.projections(0, 0).z_t, z0)
-    block = weights.blocks[0]
-    [w_in, time_freq, time_phase, wq, wk] = read_blob(
-        out / "store" / WEIGHTS_BLOB, config_hash(rc.model),
-        [w.shape for w in (weights.w_in, weights.time_freq, weights.time_phase,
-                           block.wq_s, block.wk_s)])
-    for got, want in [(w_in, weights.w_in), (time_freq, weights.time_freq),
-                      (time_phase, weights.time_phase), (wq, block.wq_s), (wk, block.wk_s)]:
-        assert got.tobytes() == want.tobytes()
+    # Block 0's self blob of step 0 is the source latent.  The dump holds
+    # no weights: they are those of the config its config_hash names.
+    _, z0, *_ = _clip(rc)
+    assert store.self_record(0, 0).tobytes() == z0.tobytes()
+    assert not (out / "store" / "weights.bin").exists()
 
 
 def test_invert_holds_one_steps_records_whatever_T(tmp_path, peak_bytes):
@@ -243,29 +235,30 @@ def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_pa
     monkeypatch.setattr(pipeline, "denoiser_forward", failing)
     assert run(["invert", "--config", str(config_path), "--seed", "9",
                 "--out", str(out)]) == 1
-    record = earlier.projections(1, 0)
+    record = earlier.self_record(1, 0)
     [z_t] = read_blob(out / "store" / "self_t0001_l00.bin", earlier.meta.config_hash,
-                      [record.z_t.shape])
-    assert not np.array_equal(z_t, record.z_t)
+                      [record.shape])
+    assert not np.array_equal(z_t, record)
     with pytest.raises(ContractViolation, match="index.json"):
         load_store_dump(out / "store")
 
 
 def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
-    # A shorter invert into a longer one's --out leaves only its own blobs
-    # and weights.bin; files not named as blobs stay.
+    # A shorter invert into a longer one's --out leaves only its own blobs,
+    # and removes the weights.bin a version 5 dump wrote beside its index;
+    # files not named as blobs stay.
     out, others = tmp_path / "inv", ["notes.txt", "self_t1_l0.bin", "cross_t0009_l00.npy"]
     for steps in (6, 2):
         path = tmp_path / f"steps{steps}.cfg"
         path.write_text(BASE_CONFIG.replace("steps = 4", f"steps = {steps}"))
         if steps == 2:
-            for name in others:
+            for name in others + ["weights.bin"]:
                 (out / "store" / name).write_text("not a blob")
         assert run(["invert", "--config", str(path), "--out", str(out)]) == 0
     assert load_store_dump(out / "store").meta.T == 2
     blobs = [f"{kind}_t{t:04d}_l00.bin" for t in range(2) for kind in ("self", "cross")]
     assert (sorted(p.name for p in (out / "store").iterdir())
-            == sorted(["index.json", WEIGHTS_BLOB, *blobs, *others]))
+            == sorted(["index.json", *blobs, *others]))
 
 
 def test_an_edit_store_holds_block_zero_self_records_as_latents(tmp_path):
@@ -305,7 +298,7 @@ def test_an_edit_keeps_exactly_the_records_it_reads(tmp_path, monkeypatch, comma
     # t_c = 0.5).  Style and attribute (tau 1.0) build no mask, nor does a
     # reconstruction, which drops no word.
     read, plans = set(), []
-    for name, kind in (("query", KIND_CROSS), ("projections", KIND_SELF)):
+    for name, kind in (("query", KIND_CROSS), ("self_record", KIND_SELF)):
         original = getattr(AttentionStore, name)
 
         def spy(store, t, layer, _original=original, _kind=kind):
@@ -443,13 +436,13 @@ def test_reconstruct_builds_one_self_map_per_step_and_layer(tmp_path,
 
 
 def _spy_tile_builds(monkeypatch) -> list:
-    """(projections, lo, hi, rows) of each `SelfTiles.rows` call from now on."""
+    """(block input, lo, hi, rows) of each `SelfTiles.rows` call from now on."""
     built = []
     original = SelfTiles.rows
 
     def spy(tiles, lo, hi):
         rows = original(tiles, lo, hi)
-        built.append((tiles.projections, lo, hi, rows.copy()))
+        built.append((tiles.feats, lo, hi, rows.copy()))
         return rows
 
     monkeypatch.setattr(SelfTiles, "rows", spy)
@@ -466,7 +459,7 @@ def _clip(rc):
 
 
 @pytest.mark.parametrize("height,width,start_col", [(8, 12, 5), (5, 13, 3)])
-def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, height,
+def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_map, height,
                                                     width, start_col):
     # h*w = 96 ends in a 32-row tail tile; h*w = 65 in a 1-row tail tile,
     # which takes another BLAS path than a full tile.
@@ -495,26 +488,25 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, heigh
         applied.update({(t, 0, lo): rows for _, lo, _, rows in built})
         assert len(built) == len(_tile_bounds(hw))
         z = ddim_invert_step(z, eps, t, rc.schedule)
-    records = {id(store.projections(t, layer)): (t, layer)
-               for t in range(rc.steps) for layer in range(rc.model.blocks)}
     assert len(applied) == rc.steps * len(_tile_bounds(hw))
     assert sorted({lo for _, _, lo in applied}) == [lo for lo, _ in _tile_bounds(hw)]
     for (t, layer, lo), rows in applied.items():
-        rebuilt = store.projections(t, layer).attn()
+        rebuilt = self_map(store.self_record(t, layer), t, layer, weights, rc.steps)
         assert np.array_equal(rebuilt[:, :, lo:lo + rows.shape[2]], rows)
 
     # A replay that takes each source map whole applies those same rows,
-    # and builds them from the source records alone, never an edit row.
+    # and builds them from the source records alone, never an edit row:
+    # from block 0's input, rebuilt from step t-1's latent.
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
                       identity_alignment(len(src.tokens)), store)
     for t in range(rc.steps, 0, -1):
         built.clear()
         denoiser_forward(z, t, src, weights, rc.steps, probe=plan.step_probe(t))
-        assert [(id(p), lo) for p, lo, _, _ in built] == [
-            (id(store.projections(t - 1, layer)), lo)
-            for layer in range(rc.model.blocks) for lo, _ in _tile_bounds(hw)]
-        for p, lo, _, rows in built:
-            assert np.array_equal(rows, applied[(*records[id(p)], lo)])
+        source = _block_input(store.self_record(t - 1, 0), t - 1, rc.steps, weights)
+        assert [lo for _, lo, _, _ in built] == [lo for lo, _ in _tile_bounds(hw)]
+        for feats, lo, _, rows in built:
+            assert feats.tobytes() == source.tobytes()
+            assert np.array_equal(rows, applied[(t - 1, 0, lo)])
 
 
 def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
@@ -531,9 +523,12 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
             built.clear()
             denoiser_forward(z_T, t, edit, weights, rc.steps,
                              probe=plan.step_probe(t))
-            source = store.projections(t - 1, 0)  # the config has one block
-            source_tiles = [(lo, hi) for p, lo, hi, _ in built if p is source]
-            edit_tiles = [(lo, hi) for p, lo, hi, _ in built if p is not source]
+            # The config has one block: a source tile's block input is
+            # rebuilt from step t-1's latent.
+            source = _block_input(store.self_record(t - 1, 0), t - 1, rc.steps,
+                                  weights).tobytes()
+            source_tiles = [(lo, hi) for f, lo, hi, _ in built if f.tobytes() == source]
+            edit_tiles = [(lo, hi) for f, lo, hi, _ in built if f.tobytes() != source]
             assert plan.action(t, KIND_SELF) == BLEND
             mask = plan.self_mask(t, 0)
             assert edit_tiles == [b for b in bounds if mask[:, slice(*b)].any()]
@@ -600,7 +595,7 @@ def test_readme_example_config_is_the_benchmark_edit_config(tmp_path):
     assert ours.echo == bench.echo  # also the schedule, prompts and [video] keys
 
 
-def test_readme_store_figures_follow_the_store_format(tmp_path):
+def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     # The README's store figures, computed from the example config's shapes.
     readme, rc = _readme_example(tmp_path)
     m, records = rc.model, rc.steps * rc.model.blocks
@@ -610,18 +605,14 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     cross_map = m.n * m.heads * hw * tokens * 8
     self_map = m.n * m.heads * hw * 2 * hw * 8
     step = latent + (m.blocks - 1) * self_record + m.blocks * cross_map
-    # A dump writes each record's blob, and weights.bin once: w_in, the
-    # time table and each block's wq_s and wk_s.
-    weights = HEADER.size + 8 * ((m.c + POS_DIM + TIME_DIM) * m.d_model + 2 * TIME_DIM
-                                 + m.blocks * 2 * m.d_model ** 2)
+    # A dump writes each record's blob, and no weights.
     step_blobs = 2 * m.blocks * HEADER.size + step
     assert f"block input, n·h·w·d_model values ({self_record / 1e3:.0f} kB" in readme
     assert f"latent, n·c·h·w values ({latent / 1e3:.0f} kB there)" in readme
-    assert f"({weights / 1e3:.1f} kB on the example clip)" in readme
     assert f"(T = {rc.steps}, {m.blocks} blocks, {tokens} prompt tokens)" in readme
     assert (f"holds {rc.steps * step / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
-    assert f"writes {(rc.steps * step_blobs + weights) / 1e6:.1f} MB to `store/`" in readme
+    assert f"writes {rc.steps * step_blobs / 1e6:.1f} MB to `store/`" in readme
     # An edit of that config keeps only the keys its plan reads.
     plan = FusionPlan.recording(
         rc.edit, align_prompts(embed_prompt(rc.source_prompt, m).tokens,
@@ -637,15 +628,17 @@ def test_readme_store_figures_follow_the_store_format(tmp_path):
     z = SeededRng(3).standard_normal((m.n, m.c, m.h, m.w))
     denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
                      make_denoiser_weights(m), 1, probe=store.record)
-    first, *later = (store.projections(0, layer) for layer in range(m.blocks))
-    assert type(first) is LatentProjections
-    assert all(type(record) is SelfProjections for record in later)
-    held = (first.z_t.nbytes + sum(record.feats.nbytes for record in later)
+    first, *later = (store.self_record(0, layer) for layer in range(m.blocks))
+    assert first.shape == (m.n, m.c, m.h, m.w)
+    assert all(record.shape == (m.n, hw, m.d_model) for record in later)
+    held = (first.nbytes + sum(record.nbytes for record in later)
             + sum(store.query(0, layer).nbytes for layer in range(m.blocks)))
     assert held == step
-    store.dump(tmp_path / "store")
-    written = sum(p.stat().st_size for p in (tmp_path / "store").glob("*.bin"))
-    assert written == step_blobs + weights
+    # The toy clip has the example's prompt; its dump is 4 steps long.
+    write_dump(tmp_path / "store", make_denoiser_weights(m))
+    written = sum(p.stat().st_size for p in (tmp_path / "store").iterdir())
+    index = (tmp_path / "store" / "index.json").stat().st_size
+    assert written - index == 4 * step_blobs
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):

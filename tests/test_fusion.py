@@ -13,7 +13,7 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig,
                              build_blend_mask, fuse_cross, identity_alignment,
                              preset)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite, BlockWeights,
-                            SelfAnswer, SelfProjections, SelfTiles,
+                            SelfTiles,
                             spatiotemporal_attend, tokenize)
 from attnfuse.store import AttentionStore, StoreMeta
 
@@ -79,22 +79,32 @@ def test_plan_rewrites_exactly_the_window_steps(T, frac):
         assert (plan.step_probe(t) is not None) == inside
 
 
-def _projections(n, hw, heads, d_head=2, seed=3):
-    rng = np.random.default_rng(seed)
-    d_model = heads * d_head
-    return SelfProjections(feats=rng.standard_normal((n, hw, d_model)),
-                           wq=rng.standard_normal((d_model, d_model)),
-                           wk=rng.standard_normal((d_model, d_model)), heads=heads)
+def _record(shape, seed=3):
+    """A read-only self record of *shape*: a latent (n, c, h, w) at block 0,
+    a block input (n, h*w, d_model) later."""
+    record = np.random.default_rng(seed).standard_normal(shape)
+    record.setflags(write=False)
+    return record
 
 
-def _site(kind, attn, t=2):
-    """The site of *attn* at (t, layer 0), as a probe sees it."""
-    return AttentionSite(t, 0, kind, attn.shape, lambda: attn)
+def _latent(n, hw, seed=3):
+    """Block 0's self record: n one-channel frames of 1 x hw pixels."""
+    return _record((n, 1, 1, hw), seed)
 
 
-def _self_site(t, proj):
-    """The self site at (t, layer 0) whose map *proj* builds."""
-    return AttentionSite(t, 0, KIND_SELF, proj.shape, proj.attn, projections=proj)
+def _site(kind, attn, t=2, layer=0):
+    """The site of *attn* at (t, layer), as a probe sees it."""
+    return AttentionSite(t, layer, kind, attn.shape, lambda: attn)
+
+
+def _unread():
+    raise AssertionError("the plan read a self site's map")
+
+
+def _self_site(t, record, layer=0):
+    """The self site at (t, layer) of *record*; the plan never reads its map."""
+    n, hw = record.shape[0], math.prod(record.shape[2:]) if layer == 0 else record.shape[1]
+    return AttentionSite(t, layer, KIND_SELF, (n, 1, hw, 2 * hw), _unread, record=record)
 
 
 def test_plan_takes_source_whole_when_mask_is_provably_empty():
@@ -103,7 +113,7 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
     unchanged = align_prompts(("a", "cat"), ("a", "cat", "8k"))
     for plan in (_plan(0.5, 0.5, T=4, tau=1.0),
                  _plan(0.5, 0.5, T=4, alignment=unchanged)):
-        plan.store.record(_self_site(1, _projections(2, 3, heads=1)))
+        plan.store.record(_self_site(1, _latent(2, 3)))
         assert plan.action(2, KIND_SELF) == BLEND
         mask = plan.self_mask(2, 0)
         assert mask.shape == (2, 3) and not mask.any()
@@ -114,12 +124,12 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
 def test_source_step_is_previous_index():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(_site(KIND_CROSS, SRC_CROSS, t=0))
-    store.record(_self_site(3, _projections(2, 2, heads=1)))
+    store.record(_self_site(3, _latent(2, 2)))
     plan = FusionPlan(preset("style"), identity_alignment(2), store)
     assert plan.source_map(1, 0) is store.query(0, 0)
-    assert plan.source_projections(4, 0) is store.projections(3, 0)
+    assert plan.source_record(4, 0) is store.self_record(3, 0)
     with pytest.raises(MissingRecordError):
-        plan.source_projections(3, 0)
+        plan.source_record(3, 0)
     with pytest.raises(MissingRecordError):  # source_map reads cross maps only
         plan.source_map(4, 0)
 
@@ -332,17 +342,23 @@ EDIT_SELF = np.array([
 
 def _self_store():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(_self_site(1, _projections(2, 2, heads=1)))
+    store.record(_self_site(1, _latent(2, 2)))
     return store
 
 
-def _attend(edit, answer=None):
-    """The self-attention output on *edit*'s block input and weights under *answer*."""
-    d_model = edit.feats.shape[-1]
-    wv = np.random.default_rng(7).standard_normal((d_model, d_model))
-    block = BlockWeights(edit.wq, edit.wk, wv, *[None] * 5)  # only the self weights are read
-    return spatiotemporal_attend(edit.feats, block, edit.heads, d_model // edit.heads,
-                                 supply=lambda proj: answer)
+def _block(d_model):
+    """A block of which only the self weights are read."""
+    rng = np.random.default_rng(7)
+    return BlockWeights(*(rng.standard_normal((d_model, d_model)) for _ in range(3)),
+                        *[None] * 5)
+
+
+def _attend(feats, heads, edit=None, source=None):
+    """The self-attention output on the block input *feats*, whose clear rows
+    of *edit* are built from the block input *source*."""
+    d_model = feats.shape[-1]
+    return spatiotemporal_attend(feats, _block(d_model), heads, d_model // heads, edit,
+                                 source)
 
 
 def _spy_sides(monkeypatch, source):
@@ -352,7 +368,7 @@ def _spy_sides(monkeypatch, source):
 
     def spy(tiles, lo, hi):
         rows = original(tiles, lo, hi)
-        built["source" if tiles.projections is source else "edit"].append((lo, hi))
+        built["source" if tiles.feats is source else "edit"].append((lo, hi))
         return rows
 
     monkeypatch.setattr(SelfTiles, "rows", spy)
@@ -360,13 +376,13 @@ def _spy_sides(monkeypatch, source):
 
 
 def test_blend_self_checkerboard(monkeypatch):
-    edit, source = _projections(2, 2, heads=1), _projections(2, 2, heads=1, seed=4)
+    edit, source = _record((2, 2, 2)), _record((2, 2, 2), seed=4)
     mask = np.array([[True, False], [False, True]])
     built = _spy_sides(monkeypatch, source)
-    got = _attend(edit, SelfAnswer(source, mask))
+    got = _attend(edit, 1, mask, source)
     assert built == {"edit": [(0, 2)], "source": [(0, 2)]}  # one mixed tile
-    own = _attend(edit)
-    from_source = _attend(edit, SelfAnswer(source, np.zeros_like(mask)))
+    own = _attend(edit, 1)
+    from_source = _attend(edit, 1, np.zeros_like(mask), source)
     assert (own != from_source).any(axis=-1).all()  # every row tells the sides apart
     assert np.array_equal(got, np.where(mask[..., None], own, from_source))
 
@@ -374,24 +390,27 @@ def test_blend_self_checkerboard(monkeypatch):
 def test_blend_self_mask_extremes_are_exact(monkeypatch):
     # All clear: every tile is the source's rows, and no own row is built.
     # All set: every tile is the pass's own, as with no answer at all.
-    edit, source = _projections(2, 2, heads=1), _projections(2, 2, heads=1, seed=4)
+    edit, source = _record((2, 2, 2)), _record((2, 2, 2), seed=4)
+    block = _block(2)
     applied = []
     original = SelfTiles.rows
 
     def spy(tiles, lo, hi):
         rows = original(tiles, lo, hi)
-        applied.append((tiles.projections, rows.copy()))
+        applied.append((tiles.feats, rows.copy()))
         return rows
 
     monkeypatch.setattr(SelfTiles, "rows", spy)
-    _attend(edit, SelfAnswer(source, np.zeros((2, 2), dtype=bool)))
-    [(proj, rows)] = applied
-    assert proj is source and np.array_equal(rows, source.attn())
+    _attend(edit, 1, np.zeros((2, 2), dtype=bool), source)
+    [(feats, rows)] = applied
+    assert feats is source
+    assert np.array_equal(rows, SelfTiles(source, block.wq_s, block.wk_s, 1).attn())
     applied.clear()
-    got = _attend(edit, SelfAnswer(source, np.ones((2, 2), dtype=bool)))
-    [(proj, rows)] = applied
-    assert proj is not source and np.array_equal(rows, edit.attn())
-    assert np.array_equal(got, _attend(edit))
+    got = _attend(edit, 1, np.ones((2, 2), dtype=bool), source)
+    [(feats, rows)] = applied
+    assert feats is edit
+    assert np.array_equal(rows, SelfTiles(edit, block.wq_s, block.wk_s, 1).attn())
+    assert np.array_equal(got, _attend(edit, 1))
 
 
 def test_plan_keeps_self_map_outside_window():
@@ -401,14 +420,15 @@ def test_plan_keeps_self_map_outside_window():
     assert plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
     answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
-    assert answer.source is store.projections(1, 0) and not answer.edit.any()
+    assert answer.source is store.self_record(1, 0) and answer.t == 1
+    assert not answer.edit.any()
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(_site(KIND_CROSS, MASK_CROSS_HEADS, t=0))
-    store.record(_self_site(0, _projections(2, 4, heads=2, seed=4)))
-    source = store.projections(0, 0)
+    store.record(_self_site(0, _latent(2, 4, seed=4)))
+    source = store.self_record(0, 0)
     edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
@@ -416,7 +436,7 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
     assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
     answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
-    assert answer.source is source and answer.edit is mask
+    assert answer.source is source and answer.t == 0 and answer.edit is mask
 
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
     assert plan.self_mask(1, 0).shape == (2, 4)
@@ -435,27 +455,29 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     mask[0, 128:136] = True
     cross = np.where(mask[:, None, :, None], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5])
     cross = np.repeat(cross, 2, axis=1)  # (2 frames, 2 heads, hw, 3 tokens)
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(_site(KIND_CROSS, cross, t=0))
-    source = _projections(2, hw, heads=2, seed=5)
-    store.record(_self_site(0, source))
+    # Block 1's records: its self record is a block input, d_model 4.
+    store = AttentionStore(StoreMeta(T=4, blocks=2, config_hash=1))
+    store.record(_site(KIND_CROSS, cross, t=0, layer=1))
+    source = _record((2, hw, 4), seed=5)
+    store.record(_self_site(0, source, layer=1))
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
-    assert np.array_equal(plan.self_mask(1, 0), mask)
+    assert np.array_equal(plan.self_mask(1, 1), mask)
 
-    edit = _projections(2, hw, heads=2, seed=6)
-    answer = plan.step_probe(1)(_self_site(1, edit))
+    edit = _record((2, hw, 4), seed=6)
+    answer = plan.step_probe(1)(_self_site(1, edit, layer=1))
+    assert answer.source is source and answer.t == 0
     built = _spy_sides(monkeypatch, source)
-    got = _attend(edit, answer)
+    got = _attend(edit, 2, answer.edit, answer.source)
     assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
-    from_source = _attend(edit, SelfAnswer(source, np.zeros_like(mask)))
-    assert np.array_equal(got, np.where(mask[..., None], _attend(edit), from_source))
+    from_source = _attend(edit, 2, np.zeros_like(mask), source)
+    assert np.array_equal(got, np.where(mask[..., None], _attend(edit, 2), from_source))
 
 
 def test_plan_takes_source_before_the_edit_map_is_built():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(_site(KIND_CROSS, SRC_CROSS, t=1))
-    store.record(_self_site(1, _projections(1, 4, heads=1)))
+    store.record(_self_site(1, _latent(1, 4)))
     built = []
 
     def site(kind, attn):
@@ -471,7 +493,7 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     probe = plan.step_probe(2)
     assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0)
     answer = probe(site(KIND_SELF, np.full((1, 1, 4, 8), 1.0 / 8)))
-    assert answer.source is store.projections(1, 0) and not answer.edit.any()
+    assert answer.source is store.self_record(1, 0) and not answer.edit.any()
     assert built == []
 
     # a substituted word: fusing the columns needs the edit map

@@ -8,8 +8,7 @@ import pytest
 from attnfuse.errors import ContractViolation
 from attnfuse import model
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TILE_ROWS,
-                            BlockWeights, LatentProjections, ModelConfig,
-                            SelfAnswer, SelfProjections, SelfTiles, attend,
+                            BlockWeights, ModelConfig, SelfAnswer, SelfTiles, attend,
                             config_hash, denoiser_forward,
                             embed_prompt, encode_color, make_denoiser_weights,
                             make_oracle_denoiser, spatiotemporal_attend,
@@ -126,11 +125,8 @@ def _block(rng, d, d_text):
 
 def _attend_and_map(feats, block, heads, d_head):
     """(output, the self map it applied) of one spatiotemporal_attend call."""
-    seen = []
-    out = spatiotemporal_attend(feats, block, heads, d_head,
-                                supply=seen.append)
-    [proj] = seen
-    return out, proj.attn()
+    out = spatiotemporal_attend(feats, block, heads, d_head)
+    return out, SelfTiles(feats, block.wq_s, block.wk_s, heads).attn()
 
 
 def test_spatiotemporal_map_shape_and_rows(assert_map_rows):
@@ -151,8 +147,7 @@ def test_self_rows_match_a_softmax_reference_across_the_tile_seam():
     d = heads * d_head
     block = _block(rng, d, 6)
     feats = _feats(rng, n, hw, d)
-    tiles = SelfTiles(SelfProjections(feats=feats, wq=block.wq_s, wk=block.wk_s,
-                                      heads=heads))
+    tiles = SelfTiles(feats, block.wq_s, block.wk_s, heads)
     bounds = [(lo, min(lo + TILE_ROWS, hw)) for lo in range(0, hw, TILE_ROWS)]
     assert [hi - lo for lo, hi in bounds] == [64, 1]
     rows = np.concatenate([tiles.rows(lo, hi).copy() for lo, hi in bounds], axis=2)
@@ -253,8 +248,9 @@ def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe,
 
 
 def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatch):
-    # Block 0's self record keeps a copy of the step's latent and rebuilds
-    # the block input the pass applied, bit for bit; later blocks keep it.
+    # Block 0's self record is a read-only copy of the step's latent, from
+    # which the block input the pass applied is rebuilt bit for bit; a
+    # later block's record is the block input itself.
     applied, records = [], {}
     attend_self = model.spatiotemporal_attend
 
@@ -264,42 +260,35 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
 
     def probe(site):
         if site.kind == KIND_SELF:
-            records[site.layer] = site.projections
+            records[site.layer] = site.record
 
     monkeypatch.setattr(model, "spatiotemporal_attend", spy)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    denoiser_forward(z, 3, embed_prompt("a red square", tiny_cfg), tiny_weights, 8,
-                     probe=probe)
+    latent = z.copy()
+    prompt = embed_prompt("a red square", tiny_cfg)
+    denoiser_forward(z, 3, prompt, tiny_weights, 8, probe=probe)
     z[...] = 0.0
-    record, hw = records[0], tiny_cfg.h * tiny_cfg.w
-    assert isinstance(record, LatentProjections)
-    assert type(records[1]) is SelfProjections
-    assert records[1].feats.tobytes() == applied[1].tobytes()
+    for record in records.values():
+        assert type(record) is np.ndarray and not record.flags.writeable
+    assert records[0].tobytes() == latent.tobytes()
+    assert records[1].tobytes() == applied[1].tobytes()
+    rebuilt = model._block_input(records[0], 3, 8, tiny_weights)
+    assert rebuilt.tobytes() == applied[0].tobytes()
 
-    # shape reads the latent; each read of feats is one new rebuild.
+    # The pass rebuilds a source's block input only when some row of
+    # block 0 replays it: once per pass under an all-clear mask, never
+    # under an all-set one.
     rebuilds = []
     block_input = model._block_input
     monkeypatch.setattr(model, "_block_input",
-                        lambda *args: rebuilds.append(args) or block_input(*args))
-    assert record.shape == (tiny_cfg.n, tiny_cfg.heads, hw, 2 * hw)
-    assert rebuilds == []
-    first, second = record.feats, record.feats
-    assert len(rebuilds) == 2
-    for feats in (first, second):
-        assert feats.shape == applied[0].shape and feats.tobytes() == applied[0].tobytes()
-        assert not feats.flags.writeable
-    assert not np.shares_memory(first, second)
-    # It holds the latent and exactly the model weights it reads, shared,
-    # and no block input.
-    held = {name: value for name, value in vars(record).items()
-            if isinstance(value, np.ndarray)}
-    assert not record.z_t.flags.writeable
-    block = tiny_weights.blocks[0]
-    assert held.pop("z_t") is record.z_t
-    assert {name: id(value) for name, value in held.items()} == {
-        "w_in": id(tiny_weights.w_in), "time_freq": id(tiny_weights.time_freq),
-        "time_phase": id(tiny_weights.time_phase), "wq": id(block.wq_s),
-        "wk": id(block.wk_s)}
+                        lambda *args: rebuilds.append(args[1]) or block_input(*args))
+    n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
+    for fill, want in ((True, [3]), (False, [3, 2])):
+        rebuilds.clear()
+        denoiser_forward(latent, 3, prompt, tiny_weights, 8,
+                         probe=lambda site: None if site.kind == KIND_CROSS else SelfAnswer(
+                             records[site.layer], 2, np.full((n, hw), fill)))
+        assert rebuilds == want
 
 
 def test_forward_depends_on_timestep(tiny_cfg, tiny_weights):
@@ -368,7 +357,7 @@ def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
         probed = denoiser_forward(
             z, 2, prompt, tiny_weights, 8,
             probe=lambda site: site.attn if site.kind == KIND_CROSS else SelfAnswer(
-                site.projections, np.full((n, hw), fill)))
+                site.record, site.t, np.full((n, hw), fill)))
         assert np.array_equal(plain, probed)
 
 
@@ -378,7 +367,7 @@ def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
     records = {}
 
     def keep(site):
-        records[(site.layer, site.kind)] = site.projections or site.attn
+        records[(site.layer, site.kind)] = site.record if site.kind == KIND_SELF else site.attn
 
     probe, recs = capture_probe(keep)
     eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
@@ -388,10 +377,10 @@ def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
         record = records[(site.layer, site.kind)]
         if site.kind == KIND_SELF:
             n, _, hw, _ = site.shape
-            return SelfAnswer(record, np.zeros((n, hw), dtype=bool))
+            return SelfAnswer(record, site.t, np.zeros((n, hw), dtype=bool))
         return record
 
-    probe, applied = capture_probe(replay_probe)
+    probe, applied = capture_probe(replay_probe, tiny_weights, 8)
     replay = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
     assert np.array_equal(eps, replay)
     assert len(applied) == len(stored)
@@ -422,7 +411,7 @@ def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
     assert "(self, t=1, layer=1)" in str(exc.value)
 
 
-@pytest.mark.parametrize("case", ["source shape", "mask shape", "float mask",
+@pytest.mark.parametrize("case", ["source shape", "source step", "mask shape", "float mask",
                                   "tile function", "array"])
 def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
     prompt = embed_prompt("a", tiny_cfg)
@@ -430,14 +419,15 @@ def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
     n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
 
     def answer(site):
-        proj = site.projections
+        record, block = site.record, tiny_weights.blocks[site.layer]
         clear = np.zeros((n, hw), dtype=bool)
         return {
-            "source shape": lambda: SelfAnswer(SelfProjections(
-                proj.feats[:, :-1], proj.wq, proj.wk, proj.heads), clear[:, :-1]),
-            "mask shape": lambda: SelfAnswer(proj, clear[:, :-1]),
-            "float mask": lambda: SelfAnswer(proj, clear.astype(np.float64)),
-            "tile function": lambda: lambda lo, hi: SelfTiles(proj).rows(lo, hi),
+            "source shape": lambda: SelfAnswer(record[:, :-1], site.t, clear[:, :-1]),
+            "source step": lambda: SelfAnswer(record, None, clear),
+            "mask shape": lambda: SelfAnswer(record, site.t, clear[:, :-1]),
+            "float mask": lambda: SelfAnswer(record, site.t, clear.astype(np.float64)),
+            "tile function": lambda: lambda lo, hi: SelfTiles(
+                record, block.wq_s, block.wk_s, tiny_cfg.heads).rows(lo, hi),
             "array": lambda: np.zeros(site.shape),
         }[case]()
 

@@ -127,7 +127,7 @@ def test_invert_is_deterministic(tiny_cfg, tiny_weights, tiny_inversion, store_m
     sched, prompt, z0, z_T, store = tiny_inversion
     z_T2, store2 = invert_video(z0, prompt, sched, tiny_weights)
     assert np.array_equal(z_T, z_T2)
-    maps, maps2 = store_maps(store), store_maps(store2)
+    maps, maps2 = store_maps(store, tiny_weights), store_maps(store2, tiny_weights)
     assert maps.keys() == maps2.keys()
     for key in maps:
         assert np.array_equal(maps[key], maps2[key])
