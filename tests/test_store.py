@@ -223,6 +223,40 @@ def test_old_format_dump_is_refused(tmp_path, write_dump):
             load_store_dump(d)
 
 
+def test_a_streamed_dump_equals_the_dumped_store(tmp_path, tiny_cfg, tiny_weights,
+                                                 tiny_inversion):
+    # The store an in-memory inversion fills, written record by record
+    # into a DumpWriter, is the dump `invert` streams as the pass runs.
+    sched, prompt, z0, z_T, store = tiny_inversion
+    dumped = DumpWriter(tmp_path / "dumped", store.meta, tiny_cfg.d_model)
+    for key in store.keys():
+        if key.kind == KIND_SELF:
+            dumped.record(_self_site(key.t, key.layer, store.self_record(key.t, key.layer)))
+        else:
+            attn = store.query(key.t, key.layer)
+            dumped.record(AttentionSite(key.t, key.layer, KIND_CROSS, attn.shape,
+                                        lambda attn=attn: attn))
+    dumped.close()
+
+    writer = DumpWriter(tmp_path / "streamed", store.meta, tiny_cfg.d_model)
+    z, _ = invert_video(z0, prompt, sched, tiny_weights, writer)
+    assert np.array_equal(z, z_T)
+    # No index is written before close.
+    assert not (tmp_path / "streamed" / "index.json").exists()
+    writer.close()
+    read = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
+    assert read(tmp_path / "streamed") == read(tmp_path / "dumped")
+    with pytest.raises(ContractViolation, match="duplicate"):
+        writer.record(_self_site(0, 0, store.self_record(0, 0)))
+
+    loaded = load_store_dump(tmp_path / "streamed")
+    assert list(loaded.keys()) == list(store.keys())
+    for key in store.keys():
+        got, want = ((loaded.self_record, store.self_record) if key.kind == KIND_SELF
+                     else (loaded.query, store.query))
+        assert got(key.t, key.layer).tobytes() == want(key.t, key.layer).tobytes(), key
+
+
 def test_dump_refuses_an_incomplete_store(tmp_path, write_dump):
     # A writer over an earlier dump removes its index and blobs before it
     # writes a blob of its own.
