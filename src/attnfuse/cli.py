@@ -281,7 +281,7 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     src_emb = embed_prompt(rc.source_prompt, rc.model)
     edit_emb = embed_prompt(edit_text, rc.model)
     plan = FusionPlan.recording(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
-                                store_meta(rc.schedule, rc.model))
+                                store_meta(rc.schedule, rc.model), src_emb)
     z_T, _ = invert_video(z0, src_emb, rc.schedule, weights, plan.store)
     z_out = run_denoise(z_T, edit_emb, rc.schedule, weights, rc.edit.s_cfg,
                         plan=plan)

@@ -15,18 +15,24 @@ self window the action is always `BLEND`.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
-`FusionPlan.source_map` (a cross map) and `FusionPlan.source_record`
-(the recorded block input, or block 0's latent, that a self map's rows
-are built from) make that pairing and are the only readers of the
-inversion store; no whole self map is read back.
+`FusionPlan.source_map` (a cross map) and `FusionPlan.source_latent`
+(block 0's self record, the latent a self map's rows are built from)
+make that pairing and are the only readers of the inversion store; no
+whole self map and no later block's input is read back.
 
 The forward pass never holds a whole self map, so the plan answers a
-self site with data, a `model.SelfAnswer`: the source's record, its
-step t-1, and the blend mask.  The pass builds each tile's rows from
-its own map where the mask is set and from the record where it is
-clear.  Self rows, edit and source alike, are softmax numerators that
-the pass normalizes after `attn @ V` (see `model`); blending picks
-whole rows, so it needs no normalized map.
+self site with data, a `model.SelfAnswer`: the source's latent at
+block 0, its step t-1, and the blend mask.  The pass builds each
+tile's rows from its own map where the mask is set and from the
+source where it is clear.  A later block's source input is rebuilt on
+the way up (activation recomputation from a kept checkpoint, Chen et
+al., arXiv 1604.06174): below the last block the answer also carries
+the source's cross map and the source prompt, and the pass applies
+the source's own rows to its own values, that cross map to the
+prompt's values, and the MLP, as inversion did.  Self rows, edit and
+source alike, are softmax numerators that the pass normalizes after
+`attn @ V` (see `model`); blending picks whole rows, so it needs no
+normalized map.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .model import KIND_CROSS, KIND_SELF, SelfAnswer
+from .model import KIND_CROSS, KIND_SELF, PromptEmbedding, SelfAnswer
 from .numerics import maxnorm_frame, require
 from .store import AttentionKey, AttentionStore, StoreMeta
 
@@ -224,16 +230,20 @@ class FusionPlan:
     A cross map taken whole is the store's read-only array, handed to the
     forward pass before the edit map is computed, so the pass skips that
     map's QK^T and softmax and applies the array without a copy.  A self
-    site is answered with a `SelfAnswer` of the source's record, its step
-    and the step's mask, so under an empty mask the pass builds the
-    source rows of each tile and never the edit's.  Each mask is built
-    once and kept read-only, so later readers get the mask the pass
-    applied.
+    site is answered with a `SelfAnswer` of the source's latent (at
+    block 0), its step and the step's mask, so under an empty mask the
+    pass builds the source rows of each tile and never the edit's.  The
+    plan knows every block's mask of step t before block 0 runs, so
+    below a block whose mask clears a row it has the pass carry the
+    source up: the answer adds the source's cross map of its block and
+    *prompt*, the source prompt's embedding.  A tile whose rows the mask
+    all sets then builds its source rows too.  Each mask is built once
+    and kept read-only, so later readers get the mask the pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
-                 store: AttentionStore):
-        self.cfg, self.alignment, self.store = cfg, alignment, store
+                 store: AttentionStore, prompt: PromptEmbedding):
+        self.cfg, self.alignment, self.store, self.prompt = cfg, alignment, store, prompt
         # The stored cross maps are indexed by source tokens, so the mask
         # follows the source-side tokens that the edit drops (a substituted
         # or removed object).
@@ -250,41 +260,46 @@ class FusionPlan:
 
     @classmethod
     def recording(cls, cfg: EditConfig, alignment: PromptAlignment,
-                  meta: StoreMeta) -> FusionPlan:
+                  meta: StoreMeta, prompt: PromptEmbedding) -> FusionPlan:
         """A plan over a new, empty store that keeps only the keys the plan `reads`.
 
         `pipeline.invert_video` fills that store, `plan.store`, before the
         plan is used.
         """
-        reads = cls(cfg, alignment, AttentionStore(meta)).reads()
-        return cls(cfg, alignment, AttentionStore(meta, reads))
+        reads = cls(cfg, alignment, AttentionStore(meta), prompt).reads()
+        return cls(cfg, alignment, AttentionStore(meta, reads), prompt)
 
     def reads(self) -> frozenset[AttentionKey]:
         """The store keys this plan reads, and the one the heatmaps draw.
 
         Step t reads inversion step t-1's records (`source_map`): the
-        self record of a step it blends, the cross map of a step it fuses
-        or takes whole, and, when its masks are built, the cross map of a
-        step it blends, which the mask thresholds.  `cli` draws inversion
-        step 0's cross map of block 0 as the heatmaps.
+        latent of a step it blends, whose later blocks' source inputs the
+        pass rebuilds, so it also reads the cross maps of every block but
+        the last there; the cross map of a step it fuses or takes whole;
+        and, when its masks are built, the cross map of a step it blends,
+        which the mask thresholds.  `cli` draws inversion step 0's cross
+        map of block 0 as the heatmaps.
         """
+        blocks = self.store.meta.blocks
         keys = {AttentionKey(0, 0, KIND_CROSS)}
         for t in range(1, self.store.meta.T + 1):
             blends = self.action(t, KIND_SELF) == BLEND
-            kinds = [KIND_SELF] if blends else []
             if self.action(t, KIND_CROSS) != KEEP or (blends and self._blends):
-                kinds.append(KIND_CROSS)
-            keys.update(AttentionKey(t - 1, layer, kind) for kind in kinds
-                        for layer in range(self.store.meta.blocks))
+                layers = range(blocks)
+            else:
+                layers = range(blocks - 1 if blends else 0)
+            keys.update(AttentionKey(t - 1, layer, KIND_CROSS) for layer in layers)
+            if blends:
+                keys.add(AttentionKey(t - 1, 0, KIND_SELF))
         return frozenset(keys)
 
     def source_map(self, t: int, layer: int) -> np.ndarray:
         """The read-only cross map that denoising step t replays: inversion step t-1's."""
         return self.store.query(t - 1, layer)
 
-    def source_record(self, t: int, layer: int) -> np.ndarray:
-        """The self record whose rows step t replays: inversion step t-1's."""
-        return self.store.self_record(t - 1, layer)
+    def source_latent(self, t: int) -> np.ndarray:
+        """The latent whose self rows step t replays: block 0's self record of inversion step t-1."""
+        return self.store.self_record(t - 1, 0)
 
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE or FUSE for a cross map at step t; KEEP or BLEND for a self map."""
@@ -302,8 +317,8 @@ class FusionPlan:
             if self._blends:
                 mask = build_blend_mask(self.source_map(t, layer),
                                         self.positions, self.cfg.tau)
-            else:  # sized by block 0's self record, the latent (n, c, h, w)
-                n, _, h, w = self.source_record(t, 0).shape
+            else:  # sized by the latent (n, c, h, w)
+                n, _, h, w = self.source_latent(t).shape
                 mask = np.zeros((n, h * w), dtype=bool)
             mask.setflags(write=False)
             self._masks[key] = mask
@@ -321,8 +336,7 @@ class FusionPlan:
                 return None
             try:
                 if site.kind == KIND_SELF:
-                    return SelfAnswer(self.source_record(t, site.layer), t - 1,
-                                      self.self_mask(t, site.layer))
+                    return self._self_answer(t, site.layer)
                 # TAKE_SOURCE never reads site.attn, so the edit map is not built.
                 src = self.source_map(t, site.layer)
                 return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src
@@ -332,3 +346,18 @@ class FusionPlan:
                 ) from exc
 
         return probe
+
+    def _self_answer(self, t: int, layer: int) -> SelfAnswer:
+        """Step t's answer at block *layer*'s self site.
+
+        Its source is the latent at block 0, and above it the input the
+        pass rebuilt at the block below.  While a block above clears a
+        row of its mask, the answer carries the source up with its cross
+        map and the source prompt; otherwise nothing above reads it.
+        """
+        carry = any(not self.self_mask(t, above).all()
+                    for above in range(layer + 1, self.store.meta.blocks))
+        return SelfAnswer(None if layer else self.source_latent(t), t - 1,
+                          self.self_mask(t, layer),
+                          self.source_map(t, layer) if carry else None,
+                          self.prompt if carry else None)

@@ -14,9 +14,10 @@ only when read, so a probe that supplies its own cross map spares the
 QK^T and the softmax.  A replacement cross map is checked for shape,
 finiteness and its rows (see `_checked`) before it is applied.  A self
 site is answered with data, a `SelfAnswer`: the record its clear rows
-are built from, that record's step, and a mask of the rows that stay
-the pass's own, checked once per site.  Second, all randomness flows from explicit seeds, so
-identical inputs give bit-identical outputs.
+are built from, that record's step, a mask of the rows that stay the
+pass's own and, below the last block, what carries the source up,
+checked once per site.  Second, all randomness flows from explicit
+seeds, so identical inputs give bit-identical outputs.
 
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
 the logits.  A cross map is a softmax map: its rows sum to 1.  A self
@@ -40,10 +41,14 @@ a later block's input, or at block 0 the step's latent, which is
 d_model/c times smaller again and one small matmul away from the input
 (`_block_input`).  The record holds no weights: the pass builds a
 source's rows with its own block's weights, and rebuilds block 0's
-input from the latent through the function it applied itself.  Every
-self row is built by `SelfTiles.rows` from queries and keys projected
-with one expression, so rows rebuilt later from a record are
-bit-identical to the ones the pass applied; a whole map
+input from the latent through the function it applied itself.  A
+replay needs no later block's record either: below the last block an
+answer can have the pass carry the source up, applying the source
+rows it builds anyway to the source's own values, then the source's
+cross map and the MLP, which rebuilds the next block's source input
+bit for bit.  Every self row is built by `SelfTiles.rows` from queries
+and keys projected with one expression, so rows rebuilt later from a
+record are bit-identical to the ones the pass applied; a whole map
 (`SelfTiles.attn`) is assembled from the same tiles, for observers and
 tests.
 
@@ -56,7 +61,7 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -327,15 +332,25 @@ class SelfAnswer:
     edit is (n, h*w) bool.  A set row is the pass's own; a clear row is
     built from *source*, the self record of the map it replays, taken
     at step *t*: at block 0 that step's latent, from which the pass
-    rebuilds the block input, at a later block the block input itself.
-    The pass builds those rows with its own block's weights.  An
-    all-clear mask takes every row from the source, and the pass then
-    builds none of its own rows.
+    rebuilds the block input, at a later block the block input itself,
+    or None for the one the pass carried up (the site's `source`).  The
+    pass builds those rows with its own block's weights.  An all-clear
+    mask takes every row from the source, and the pass then builds none
+    of its own rows.
+
+    *cross* and *prompt*, given below the last block, carry the source
+    up: the pass applies the source's own rows to the source's own
+    [V | 1], adds *cross*, the source's cross map at this block, times
+    *prompt*'s values, and adds the MLP.  Those are the operations the
+    source's pass applied, so the next block's source input comes out
+    bit for bit as that pass had it.
     """
 
-    source: np.ndarray
+    source: np.ndarray | None
     t: int
     edit: np.ndarray
+    cross: np.ndarray | None = None
+    prompt: PromptEmbedding | None = None
 
 
 class AttentionSite:
@@ -349,8 +364,11 @@ class AttentionSite:
     site also carries its `record`, the read-only array its map is built
     from: block 0's is the step's latent z_t, (n, c, h, w), a later
     block's its input, (n, h*w, d_model).  A cross-attention site
-    carries None.  Reading a self site's `attn` assembles the whole map,
-    for observers, and the pass drops it once the probe has answered.
+    carries None.  A self site above block 0 also carries its `source`:
+    the source's block input, which the pass rebuilt at the block below
+    when that block's answer carried it up, else None.  Reading a self
+    site's `attn` assembles the whole map, for observers, and the pass
+    drops it once the probe has answered.
 
     A probe answers a cross site with None (the map stands) or a
     replacement map, and a self site with None (its own rows stand) or
@@ -358,9 +376,10 @@ class AttentionSite:
     """
 
     def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
-                 build: Callable[[], np.ndarray], record: np.ndarray | None = None):
+                 build: Callable[[], np.ndarray], record: np.ndarray | None = None,
+                 source: np.ndarray | None = None):
         self.t, self.layer, self.kind, self.shape = t, layer, kind, shape
-        self.record = record
+        self.record, self.source = record, source
         self._build = build
         self._attn: np.ndarray | None = None
 
@@ -398,42 +417,64 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
     return np.matmul(attn, v), attn
 
 
+def _values(feats: np.ndarray, wv: np.ndarray, heads: int, d_head: int) -> np.ndarray:
+    """[V | 1] of the block input *feats* over [middle frame; own frame] keys."""
+    v = _split_heads(feats @ wv, heads, d_head)
+    return _with_middle_frame(np.concatenate([v, np.ones(v.shape[:-1] + (1,))], axis=-1))
+
+
+def _divided(out: np.ndarray) -> np.ndarray:
+    """A self output, (n, h*w, d_model), from the products of its rows with [V | 1]."""
+    return _merge_heads(out[..., :-1] / out[..., -1:])
+
+
 def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
                           d_head: int, edit: np.ndarray | None = None,
-                          source: np.ndarray | None = None) -> np.ndarray:
+                          source: np.ndarray | None = None, carry: bool = False
+                          ) -> tuple[np.ndarray, np.ndarray | None]:
     """Self-attention over [middle frame; own frame] keys and values.
 
-    feats: (n, h*w, d_model); returns the output, (n, h*w, d_model).
-    The middle frame is index n // 2; its keys come first in the
-    concatenation.  Rows are computed and applied one tile of TILE_ROWS
-    query rows at a time.  *edit*, (n, h*w) bool, picks each row: a set
-    row is built from feats, the pass's own, and a clear row from
-    *source*, the block input of the map it replays, both under the
-    block's wq_s and wk_s.  Without a mask every row is the pass's own.
-    Each side is built only for the tiles that need it, and a mixed tile
-    picks its rows from both.  Each tile multiplies [V | 1], whose last
-    column gives the tile's row sums, and the output is divided by them
-    once, after the last tile.
+    feats: (n, h*w, d_model).  The middle frame is index n // 2; its
+    keys come first in the concatenation.  Rows are computed and applied
+    one tile of TILE_ROWS query rows at a time.  *edit*, (n, h*w) bool,
+    picks each row: a set row is built from feats, the pass's own, and
+    a clear row from *source*, the block input of the map it replays,
+    both under the block's wq_s and wk_s.  Without a mask every row is
+    the pass's own.  Each side is built only for the tiles that need
+    it, and a mixed tile picks its rows from both.  Each tile multiplies
+    [V | 1], whose last column gives the tile's row sums, and the output
+    is divided by them once, after the last tile.
+
+    Returns (output, source output), each (n, h*w, d_model).  With
+    *carry*, the source output applies every source row to the source's
+    own [V | 1], from the same tiles, so it is bit for bit the output of
+    the pass that recorded *source*; a tile whose rows the mask all sets
+    then builds its source rows too.  Without, it is None.
     """
     n, hw, _ = feats.shape
     edit = np.ones((n, hw), dtype=bool) if edit is None else edit
     own = SelfTiles(feats, block.wq_s, block.wk_s, heads) if edit.any() else None
-    replay = None if edit.all() else SelfTiles(source, block.wq_s, block.wk_s, heads)
-    v = _split_heads(feats @ block.wv_s, heads, d_head)
-    vals = _with_middle_frame(np.concatenate([v, np.ones(v.shape[:-1] + (1,))],
-                                             axis=-1))
+    replay = (SelfTiles(source, block.wq_s, block.wk_s, heads)
+              if carry or not edit.all() else None)
+    vals = _values(feats, block.wv_s, heads, d_head)
     out = np.empty((n, heads, hw, d_head + 1))
+    if carry:
+        source_vals = _values(source, block.wv_s, heads, d_head)
+        source_out = np.empty(out.shape)
     for lo, hi in _tile_bounds(hw):
         picks = edit[:, lo:hi]
+        mine = own.rows(lo, hi) if picks.any() else None
+        theirs = replay.rows(lo, hi) if carry or not picks.all() else None
         if picks.all():
-            tile = own.rows(lo, hi)
-        elif not picks.any():
-            tile = replay.rows(lo, hi)
+            tile = mine
+        elif mine is None:
+            tile = theirs
         else:
-            tile = np.where(picks[:, None, :, None], own.rows(lo, hi),
-                            replay.rows(lo, hi))
+            tile = np.where(picks[:, None, :, None], mine, theirs)
         np.matmul(tile, vals, out=out[:, :, lo:hi])
-    return _merge_heads(out[..., :d_head] / out[..., d_head:])
+        if carry:
+            np.matmul(theirs, source_vals, out=source_out[:, :, lo:hi])
+    return _divided(out), _divided(source_out) if carry else None
 
 
 def _checked(replacement, site: AttentionSite) -> np.ndarray:
@@ -451,8 +492,12 @@ def _checked(replacement, site: AttentionSite) -> np.ndarray:
     return replacement
 
 
-def _offer(probe: Probe | None, site: AttentionSite):
-    """What the pass applies at *site*: a cross map, or a self site's checked answer."""
+def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
+    """What the pass applies at *site*: a cross map, or a self site's checked answer.
+
+    A self answer whose source is None comes back with the site's own
+    `source`, the block input the pass carried up.
+    """
     answer = probe(site) if probe is not None else None
     if site.kind == KIND_CROSS:
         return site.attn if answer is None else _checked(answer, site)
@@ -462,17 +507,39 @@ def _offer(probe: Probe | None, site: AttentionSite):
     what = "an array" if isinstance(answer, np.ndarray) else f"a {type(answer).__name__}"
     require(isinstance(answer, SelfAnswer),
             f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
-    source, edit = answer.source, answer.edit
-    got = source.shape if isinstance(source, np.ndarray) else type(source).__name__
-    require(got == site.record.shape,
-            f"self answer's source has shape {got}, expected {site.record.shape} {where}")
-    require(type(answer.t) is int,
-            f"self answer's step is a {type(answer.t).__name__}, expected an int {where}")
-    n, _, hw, _ = site.shape
+    if answer.source is None:
+        answer = replace(answer, source=site.source)
+    source, edit, cross, prompt = answer.source, answer.edit, answer.cross, answer.prompt
+    n, heads, hw, _ = site.shape
     got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
     require(got == ((n, hw), np.bool_),
             f"self answer's mask is {got}, expected ({n}, {hw}) bool {where}")
+    if cross is not None or not edit.all():
+        got = source.shape if isinstance(source, np.ndarray) else type(source).__name__
+        require(got == site.record.shape,
+                f"self answer's source has shape {got}, expected {site.record.shape} {where}")
+    require(type(answer.t) is int,
+            f"self answer's step is a {type(answer.t).__name__}, expected an int {where}")
+    if cross is None and prompt is None:
+        return answer
+    require(site.layer + 1 < cfg.blocks,
+            f"self answer carries the source above the last block {where}")
+    require(isinstance(prompt, PromptEmbedding) and prompt.vectors.shape[1] == cfg.d_text,
+            f"self answer's prompt is not a prompt embedding of width {cfg.d_text} {where}")
+    want = (n, heads, hw, len(prompt.tokens))
+    got = cross.shape if isinstance(cross, np.ndarray) else type(cross).__name__
+    require(got == want, f"self answer's cross map has shape {got}, expected {want} {where}")
     return answer
+
+
+def _text_heads(prompt: PromptEmbedding, w: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """The prompt's keys or values under *w*, split into heads: (1, heads, tokens, d_head)."""
+    return _split_heads((prompt.vectors @ w)[None], cfg.heads, cfg.d_head)
+
+
+def _mlp(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
+    """The block's pointwise MLP, with its residual add."""
+    return x + np.tanh(x @ bw.w_mlp_in) @ bw.w_mlp_out
 
 
 def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
@@ -484,6 +551,8 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     and is the only way a map leaves the pass: a map that the probe
     neither keeps nor replaces is dropped once applied.  n_steps
     normalizes t for the timestep features; pass the schedule's T.
+    A self answer that carries its source up (`SelfAnswer.cross`) makes
+    the pass rebuild the source's next block input beside its own.
     """
     cfg = weights.config
     z_t = np.array(z_t, dtype=np.float64)  # a copy: block 0's self record
@@ -499,33 +568,44 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     hw = h * w
     x = _block_input(z_t, t, n_steps, weights)
 
-    def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights) -> np.ndarray:
-        # Block 0 is recorded as its latent; its source input is rebuilt
-        # only when some row replays it.
+    def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights,
+                    carried: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+        # (feats plus the self output, the source's next block input if
+        # the answer carries it up).  Block 0 is recorded as its latent;
+        # its source input is rebuilt only when some row replays it or the
+        # answer carries it.
         feats.setflags(write=False)
         answer = _offer(probe, AttentionSite(
             t, layer, KIND_SELF, (n, cfg.heads, hw, 2 * hw),
             lambda: SelfTiles(feats, bw.wq_s, bw.wk_s, cfg.heads).attn(),
-            record=feats if layer else z_t))
+            record=feats if layer else z_t, source=carried), cfg)
         if answer is None:
-            return spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)
-        source = answer.source
-        if layer == 0 and not answer.edit.all():
+            return feats + spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0], None
+        source, carry = answer.source, answer.cross is not None
+        if layer == 0 and (carry or not answer.edit.all()):
             source = _block_input(source, answer.t, n_steps, weights)
-        return spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head, answer.edit, source)
+        out, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
+                                                answer.edit, source, carry)
+        if not carry:
+            return feats + out, None
+        source = source + source_out
+        source = source + _merge_heads(np.matmul(
+            answer.cross, _text_heads(answer.prompt, bw.wv_c, cfg)))
+        source = _mlp(source, bw)
+        source.setflags(write=False)
+        return feats + out, source
 
-    kv = prompt.vectors
     cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
+    carried = None  # the source's input to this block, when the block below rebuilt it
     for layer, bw in enumerate(weights.blocks):
-        x = x + attend_self(x, layer, bw)
+        x, carried = attend_self(x, layer, bw, carried)
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
-        kc = _split_heads((kv @ bw.wk_c)[None], cfg.heads, cfg.d_head)
-        vc = _split_heads((kv @ bw.wv_c)[None], cfg.heads, cfg.d_head)
         x = x + _merge_heads(attend(
-            qc, kc, vc, cfg.d_head,
+            qc, _text_heads(prompt, bw.wk_c, cfg), _text_heads(prompt, bw.wv_c, cfg),
+            cfg.d_head,
             supply=lambda build, _l=layer: _offer(probe, AttentionSite(
-                t, _l, KIND_CROSS, cross_shape, build)))[0])
-        x = x + np.tanh(x @ bw.w_mlp_in) @ bw.w_mlp_out
+                t, _l, KIND_CROSS, cross_shape, build), cfg))[0])
+        x = _mlp(x, bw)
 
     eps = (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w)
     return check_finite("predicted noise", eps)

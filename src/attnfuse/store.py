@@ -7,15 +7,17 @@ input, n*h*w*d_model values, or at block 0 the step's latent, n*c*h*w
 values.  Every record is a plain read-only array.  The weights that
 turn a record into its map are the model's, those of the config whose
 `config_hash` the store carries, so the store holds none.  The edit
-pass hands a self record (`self_record`) to the forward pass as a
-`model.SelfAnswer`'s source, and the pass builds the rows it needs tile
-by tile, bit for bit the rows it applied during inversion.  `query`
-returns a cross map.
+pass hands block 0's self record, the latent (`self_record`), to the
+forward pass as a `model.SelfAnswer`'s source, and the pass builds the
+rows it needs tile by tile, bit for bit the rows it applied during
+inversion; it rebuilds later blocks' inputs from it on the way up, with
+the cross maps (`query`), so an edit's store keeps no later block's
+input.
 
 A `Recorder` is inversion's probe.  It takes the records of a set of
 keys of the T x L x {self, cross} grid, each once, and passes over the
 rest: a store holds the whole grid by default, an edit's store only the
-keys its `FusionPlan` reads.  An `AttentionStore` keeps the pass's own
+keys its `FusionPlan` reads: a replayed step's latent and cross maps.  An `AttentionStore` keeps the pass's own
 records, unchecked.  A `DumpWriter` writes each record to its blob,
 named by its key, as it arrives and keeps none.  Once the grid is
 complete it writes, last, the index of the store's metadata and the one

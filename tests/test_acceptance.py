@@ -124,9 +124,9 @@ def test_criterion_04_identity_edit_is_reconstruction():
     z0 = SeededRng(40).standard_normal((3, 1, 8, 8)) * 0.5
     z_T, store = invert_video(z0, prompt, sched, weights)
     edit_plan = FusionPlan(GUIDED, align_prompts(prompt.tokens, prompt.tokens),
-                           store)
+                           store, prompt)
     recon_plan = FusionPlan(GUIDED, identity_alignment(len(prompt.tokens)),
-                            store)
+                            store, prompt)
     edit = run_denoise(z_T, prompt, sched, weights, GUIDED.s_cfg,
                        plan=edit_plan)
     recon = run_denoise(z_T, prompt, sched, weights, GUIDED.s_cfg,
@@ -172,7 +172,8 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map)
     # from its attention; step 4 replays inversion step 3's record.
     weights = make_denoiser_weights(cfg)
     edit = embed_prompt("a black square", cfg)
-    align = align_prompts(embed_prompt("a white square", cfg).tokens, edit.tokens)
+    src = embed_prompt("a white square", cfg)
+    align = align_prompts(src.tokens, edit.tokens)
     z = SeededRng(61).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
     source = store.self_record(3, 0)
     source_map = self_map(source, 3, 0, weights, sched.T)
@@ -187,7 +188,7 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map)
     monkeypatch.setattr(SelfTiles, "rows", spy)
     applied = {}
     for tau in (1.0, 0.0):
-        plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, store)
+        plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, store, src)
         step, own = plan.step_probe(4), []
         built.clear()
         denoiser_forward(z, 4, edit, weights, sched.T,
@@ -249,7 +250,7 @@ def test_criterion_08_middle_frame_invariance():
                              wq_c=g(d, d), wk_c=g(d, d), wv_c=g(d, d),
                              w_mlp_in=g(d, 2 * d), w_mlp_out=g(2 * d, d))
         feats = rng.standard_normal((n, hw, d))
-        out = spatiotemporal_attend(feats, block, heads, d_head)
+        out, _ = spatiotemporal_attend(feats, block, heads, d_head)
         mid = n // 2
         q = _split_heads(feats[mid:mid + 1] @ block.wq_s, heads, d_head)
         k = _split_heads(feats[mid:mid + 1] @ block.wk_s, heads, d_head)
@@ -285,7 +286,7 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
 
     align = align_prompts(src_emb.tokens, edit_emb.tokens)
     ecfg = preset("shape")
-    plan = FusionPlan(ecfg, align, store)
+    plan = FusionPlan(ecfg, align, store, src_emb)
     z = z_T
     for t in range(sched.T, 0, -1):
         probe_c, recs = capture_probe(plan.step_probe(t), weights, sched.T)

@@ -274,7 +274,7 @@ def test_an_edit_store_holds_block_zero_self_records_as_latents(tmp_path):
     m, hw = rc.model, rc.model.h * rc.model.w
     weights, z0, src, _ = _clip(rc)
     plan = FusionPlan.recording(rc.edit, align_prompts(src.tokens, src.tokens),
-                                store_meta(rc.schedule, m))
+                                store_meta(rc.schedule, m), src)
     want = sum(m.n * m.heads * hw * len(src.tokens) * 8 if key.kind == KIND_CROSS
                else m.n * hw * (m.d_model if key.layer else m.c) * 8
                for key in plan.reads())
@@ -498,7 +498,7 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
     # and builds them from the source records alone, never an edit row:
     # from block 0's input, rebuilt from step t-1's latent.
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
-                      identity_alignment(len(src.tokens)), store)
+                      identity_alignment(len(src.tokens)), store, src)
     for t in range(rc.steps, 0, -1):
         built.clear()
         denoiser_forward(z, t, src, weights, rc.steps, probe=plan.step_probe(t))
@@ -518,7 +518,7 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
     bounds = _tile_bounds(rc.model.h * rc.model.w)
     skipped = mixed = 0
     for edit_cfg in (rc.edit, dataclasses.replace(rc.edit, tau=1.0)):
-        plan = FusionPlan(edit_cfg, align, store)
+        plan = FusionPlan(edit_cfg, align, store, src)
         for t in range(rc.steps, plan.first_self - 1, -1):
             built.clear()
             denoiser_forward(z_T, t, edit, weights, rc.steps,
@@ -614,10 +614,10 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
     assert f"writes {rc.steps * step_blobs / 1e6:.1f} MB to `store/`" in readme
     # An edit of that config keeps only the keys its plan reads.
+    src = embed_prompt(rc.source_prompt, m)
     plan = FusionPlan.recording(
-        rc.edit, align_prompts(embed_prompt(rc.source_prompt, m).tokens,
-                               embed_prompt(rc.edit_prompt, m).tokens),
-        store_meta(rc.schedule, m))
+        rc.edit, align_prompts(src.tokens, embed_prompt(rc.edit_prompt, m).tokens),
+        store_meta(rc.schedule, m), src)
     kept = sum(cross_map if key.kind == KIND_CROSS else self_record if key.layer else latent
                for key in plan.reads())
     assert f"that is {kept / 1e6:.1f} MB of the {rc.steps * step / 1e6:.1f} MB" in readme

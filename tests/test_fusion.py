@@ -12,8 +12,8 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig,
                              FusionPlan, PromptAlignment, align_prompts,
                              build_blend_mask, fuse_cross, identity_alignment,
                              preset)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite, BlockWeights,
-                            SelfTiles,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, AttentionSite,
+                            BlockWeights, PromptEmbedding, SelfTiles,
                             spatiotemporal_attend, tokenize)
 from attnfuse.store import AttentionStore, StoreMeta
 
@@ -48,10 +48,15 @@ def test_edit_config_validation():
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, mode="other")
 
 
+# The source prompt of the plans below, whose stores are a block deep where
+# the plan reads them, so the pass never carries a source up with it.
+SOURCE = PromptEmbedding((START_TOKEN, "a", "cat"), np.zeros((3, 4)))
+
+
 def _plan(t_s, t_c, T, tau=0.3, alignment=None):
     store = AttentionStore(StoreMeta(T=T, blocks=1, config_hash=1))
     align = alignment or align_prompts(("a", "cat"), ("a", "tiger"))
-    return FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau), align, store)
+    return FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau), align, store, SOURCE)
 
 
 def test_window_boundaries():
@@ -125,11 +130,11 @@ def test_source_step_is_previous_index():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     store.record(_site(KIND_CROSS, SRC_CROSS, t=0))
     store.record(_self_site(3, _latent(2, 2)))
-    plan = FusionPlan(preset("style"), identity_alignment(2), store)
+    plan = FusionPlan(preset("style"), identity_alignment(2), store, SOURCE)
     assert plan.source_map(1, 0) is store.query(0, 0)
-    assert plan.source_record(4, 0) is store.self_record(3, 0)
+    assert plan.source_latent(4) is store.self_record(3, 0)
     with pytest.raises(MissingRecordError):
-        plan.source_record(3, 0)
+        plan.source_latent(3)
     with pytest.raises(MissingRecordError):  # source_map reads cross maps only
         plan.source_map(4, 0)
 
@@ -226,11 +231,11 @@ def test_plan_keeps_cross_map_outside_window():
     store = _store_with_cross(SRC_CROSS)
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     assert plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS)) is None
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     assert plan.step_probe(2) is None
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
     got = plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
 
@@ -266,7 +271,7 @@ def test_fuse_cross_missing_record_propagates():
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
-    plan = FusionPlan(preset("style"), align, store)
+    plan = FusionPlan(preset("style"), align, store, SOURCE)
     assert plan.action(2, KIND_CROSS) == FUSE
     with pytest.raises(MissingRecordError):
         plan.source_map(2, 0)
@@ -358,7 +363,7 @@ def _attend(feats, heads, edit=None, source=None):
     of *edit* are built from the block input *source*."""
     d_model = feats.shape[-1]
     return spatiotemporal_attend(feats, _block(d_model), heads, d_model // heads, edit,
-                                 source)
+                                 source)[0]
 
 
 def _spy_sides(monkeypatch, source):
@@ -416,9 +421,9 @@ def test_blend_self_mask_extremes_are_exact(monkeypatch):
 def test_plan_keeps_self_map_outside_window():
     store = _self_store()
     align = identity_alignment(2)
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
     assert plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)) is None
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
     assert answer.source is store.self_record(1, 0) and answer.t == 1
     assert not answer.edit.any()
@@ -431,14 +436,14 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     source = store.self_record(0, 0)
     edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     mask = plan.self_mask(1, 0)
     assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
     assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
     answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
     assert answer.source is source and answer.t == 0 and answer.edit is mask
 
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store, SOURCE)
     assert plan.self_mask(1, 0).shape == (2, 4)
     assert not plan.self_mask(1, 0).any()
     answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
@@ -455,20 +460,20 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     mask[0, 128:136] = True
     cross = np.where(mask[:, None, :, None], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5])
     cross = np.repeat(cross, 2, axis=1)  # (2 frames, 2 heads, hw, 3 tokens)
-    # Block 1's records: its self record is a block input, d_model 4.
+    # Block 1's cross map thresholds the mask.  The last block's answer
+    # builds from the source input the pass carried up, and carries none.
     store = AttentionStore(StoreMeta(T=4, blocks=2, config_hash=1))
     store.record(_site(KIND_CROSS, cross, t=0, layer=1))
-    source = _record((2, hw, 4), seed=5)
-    store.record(_self_site(0, source, layer=1))
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     assert np.array_equal(plan.self_mask(1, 1), mask)
 
-    edit = _record((2, hw, 4), seed=6)
+    edit, source = _record((2, hw, 4), seed=6), _record((2, hw, 4), seed=5)
     answer = plan.step_probe(1)(_self_site(1, edit, layer=1))
-    assert answer.source is source and answer.t == 0
+    assert answer.source is None and answer.t == 0
+    assert answer.cross is None and answer.prompt is None
     built = _spy_sides(monkeypatch, source)
-    got = _attend(edit, 2, answer.edit, answer.source)
+    got = _attend(edit, 2, answer.edit, source)
     assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
     from_source = _attend(edit, 2, np.zeros_like(mask), source)
     assert np.array_equal(got, np.where(mask[..., None], _attend(edit, 2), from_source))
@@ -487,7 +492,7 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     # identical prompts: the cross map is taken whole, and the all-clear
     # mask takes every self row from the source
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
-                      identity_alignment(2), store)
+                      identity_alignment(2), store, SOURCE)
     assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
     assert plan.action(2, KIND_SELF) == BLEND
     probe = plan.step_probe(2)
@@ -498,7 +503,7 @@ def test_plan_takes_source_before_the_edit_map_is_built():
 
     # a substituted word: fusing the columns needs the edit map
     align = align_prompts(("a", "cat"), ("a", "tiger"))
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
     assert plan.action(2, KIND_CROSS) == FUSE
     got = plan.step_probe(2)(site(KIND_CROSS, EDIT_CROSS))
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))

@@ -1,4 +1,4 @@
-"""Golden output trees: the sha256 of every file that four small runs write.
+"""Golden output trees: the sha256 of every file that five small runs write.
 
 Each run's output tree must hash to the digests in tests/golden.json,
 file by file.  The digests hold for the numpy version and the BLAS that
@@ -49,7 +49,10 @@ start_col = 4
 
 # name: (command, config).  The shape edit at tau 0.6 blends by a partial
 # mask, so some 64-row tiles of the 144 query rows mix the edit's rows
-# with the source's.
+# with the source's.  The 3-block edit rebuilds later blocks' source
+# inputs on its way up under partial masks; on its last two steps block
+# 0's mask sets every row and block 1's does not.  It runs at guidance
+# 1.0, where its frames keep their content.
 RUNS = {
     "edit_attribute": ("edit", _CLIP.format(
         channels=1, steps=8, preset="attribute", extra="",
@@ -57,6 +60,10 @@ RUNS = {
     "edit_shape_tau_0.6": ("edit", _CLIP.format(
         channels=3, steps=8, preset="shape", extra="tau = 0.6\n",
         edit_prompt="a blue disc drifting right")),
+    "edit_shape_3_blocks": ("edit", _CLIP.format(
+        channels=1, steps=6, preset="shape", extra="tau = 0.6\ns_cfg = 1.0\n",
+        edit_prompt="a blue disc drifting right").replace("seed = 3\n",
+                                                          "seed = 3\nblocks = 3\n")),
     "reconstruct": ("reconstruct", _CLIP.format(
         channels=1, steps=6, preset="style", extra="s_cfg = 1.0\n",
         edit_prompt="")),

@@ -1,5 +1,6 @@
 """Prompt embedding, attention, the toy denoiser, and the palette oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -125,7 +126,7 @@ def _block(rng, d, d_text):
 
 def _attend_and_map(feats, block, heads, d_head):
     """(output, the self map it applied) of one spatiotemporal_attend call."""
-    out = spatiotemporal_attend(feats, block, heads, d_head)
+    out, _ = spatiotemporal_attend(feats, block, heads, d_head)
     return out, SelfTiles(feats, block.wq_s, block.wk_s, heads).attn()
 
 
@@ -135,7 +136,7 @@ def test_spatiotemporal_map_shape_and_rows(assert_map_rows):
     feats = _feats(rng, 4, 9, 8)
     out, attn = _attend_and_map(feats, block, 2, 4)
     assert out.shape == (4, 9, 8)
-    assert np.array_equal(out, spatiotemporal_attend(feats, block, 2, 4))
+    assert np.array_equal(out, spatiotemporal_attend(feats, block, 2, 4)[0])
     assert attn.shape == (4, 2, 9, 18)
     assert_map_rows(KIND_SELF, attn)
 
@@ -163,7 +164,7 @@ def test_self_rows_match_a_softmax_reference_across_the_tile_seam():
     want = softmax_lastdim(q @ np.swapaxes(k, -1, -2) / np.sqrt(d_head))
     assert np.max(np.abs(rows / rows.sum(axis=-1, keepdims=True) - want)) <= 1e-12
     want_out = (want @ v).transpose(0, 2, 1, 3).reshape(n, hw, d)
-    out = spatiotemporal_attend(feats, block, heads, d_head)
+    out, _ = spatiotemporal_attend(feats, block, heads, d_head)
     assert np.max(np.abs(out - want_out)) <= 1e-12
 
 
@@ -412,29 +413,41 @@ def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
 
 
 @pytest.mark.parametrize("case", ["source shape", "source step", "mask shape", "float mask",
-                                  "tile function", "array"])
+                                  "tile function", "array", "no source carried up",
+                                  "carried above the last block", "cross shape",
+                                  "cross without prompt", "prompt width"])
 def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
     prompt = embed_prompt("a", tiny_cfg)
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
+    # The tiny model has 2 blocks: a block 0 answer may carry the source up.
+    layer = 0 if case in ("cross shape", "cross without prompt", "prompt width") else 1
+    cross = np.full((n, tiny_cfg.heads, hw, len(prompt.tokens)), 1.0)
+    narrow = embed_prompt("a", dataclasses.replace(tiny_cfg, d_text=tiny_cfg.d_text - 1))
 
     def answer(site):
         record, block = site.record, tiny_weights.blocks[site.layer]
         clear = np.zeros((n, hw), dtype=bool)
         return {
-            "source shape": lambda: SelfAnswer(record[:, :-1], site.t, clear[:, :-1]),
+            "source shape": lambda: SelfAnswer(record[:, :-1], site.t, clear),
             "source step": lambda: SelfAnswer(record, None, clear),
             "mask shape": lambda: SelfAnswer(record, site.t, clear[:, :-1]),
             "float mask": lambda: SelfAnswer(record, site.t, clear.astype(np.float64)),
             "tile function": lambda: lambda lo, hi: SelfTiles(
                 record, block.wq_s, block.wk_s, tiny_cfg.heads).rows(lo, hi),
             "array": lambda: np.zeros(site.shape),
+            "no source carried up": lambda: SelfAnswer(None, site.t, clear),
+            "carried above the last block": lambda: SelfAnswer(record, site.t, clear,
+                                                               cross, prompt),
+            "cross shape": lambda: SelfAnswer(record, site.t, clear, cross[:, :, :-1], prompt),
+            "cross without prompt": lambda: SelfAnswer(record, site.t, clear, cross),
+            "prompt width": lambda: SelfAnswer(record, site.t, clear, cross, narrow),
         }[case]()
 
-    probe = lambda site: answer(site) if (site.kind, site.layer) == (KIND_SELF, 1) else None
+    probe = lambda site: answer(site) if (site.kind, site.layer) == (KIND_SELF, layer) else None
     with pytest.raises(ContractViolation) as exc:
         denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
-    assert "(self, t=1, layer=1)" in str(exc.value)
+    assert f"(self, t=1, layer={layer})" in str(exc.value)
 
 
 def test_encode_color_endpoints():

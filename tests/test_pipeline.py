@@ -158,7 +158,7 @@ def test_fused_reconstruction_at_t50():
     z0 = SeededRng(0).standard_normal((4, 1, 16, 16)) * 0.5
     z_T, store = invert_video(z0, prompt, sched, weights)
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
-                      identity_alignment(len(prompt.tokens)), store)
+                      identity_alignment(len(prompt.tokens)), store, prompt)
     recon = run_denoise(z_T, prompt, sched, weights, 1.0, plan=plan)
     assert float(np.mean((recon - z0) ** 2)) <= 1e-3
 
@@ -169,7 +169,7 @@ def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
     edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
     align = align_prompts(prompt.tokens, edit_emb.tokens)
     make_plan = lambda: FusionPlan(
-        EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5), align, store)
+        EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5), align, store, prompt)
     plan = make_plan()
     steps = range(sched.T, 0, -1)
     assert FUSE in {plan.action(t, KIND_CROSS) for t in steps}
@@ -205,7 +205,7 @@ def test_edit_pass_runs_with_real_alignment(tiny_cfg, tiny_weights,
     sched, prompt, _, z_T, store = tiny_inversion
     edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5),
-                      align_prompts(prompt.tokens, edit_emb.tokens), store)
+                      align_prompts(prompt.tokens, edit_emb.tokens), store, prompt)
     out = run_denoise(z_T, edit_emb, sched, tiny_weights, 7.5, plan=plan)
     assert out.shape == z_T.shape
     assert np.all(np.isfinite(out))
@@ -214,7 +214,7 @@ def test_edit_pass_runs_with_real_alignment(tiny_cfg, tiny_weights,
 def test_run_denoise_store_validation(tiny_cfg, tiny_weights, tiny_inversion):
     sched, prompt, _, z_T, store = tiny_inversion
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
-                      identity_alignment(len(prompt.tokens)), store)
+                      identity_alignment(len(prompt.tokens)), store, prompt)
     other_sched = make_schedule(sched.T + 1, 0.05, 0.1)
     with pytest.raises(ContractViolation):
         run_denoise(z_T, prompt, other_sched, tiny_weights, 1.0, plan=plan)

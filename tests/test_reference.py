@@ -108,7 +108,7 @@ def _reference_edit(z0, src, edit, matched, removed, sched, weights, cfg):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 4),
        hw=st.sampled_from([(3, 5), (8, 8), (5, 13), (6, 11), (8, 12)]),
-       blocks=st.integers(1, 2), T=st.integers(2, 8),
+       blocks=st.integers(1, 3), T=st.integers(2, 8),
        t_s=st.sampled_from(FRACS), t_c=st.sampled_from(FRACS),
        tau=st.sampled_from(FRACS), s_cfg=st.sampled_from([1.0, 7.5]),
        change=st.sampled_from(["identity", "substitute", "drop"]),
@@ -134,7 +134,7 @@ def test_the_pipeline_edits_as_the_whole_map_reference_does(n, hw, blocks, T, t_
 
     # The pipeline records only the keys its plan reads.
     plan = FusionPlan.recording(edit_cfg, align_prompts(src.tokens, edit.tokens),
-                                store_meta(sched, cfg))
+                                store_meta(sched, cfg), src)
     z_T, _ = invert_video(z0, src, sched, weights, plan.store)
     z_0 = run_denoise(z_T, edit, sched, weights, s_cfg, plan)
     want_T, want_0 = _reference_edit(z0, src, edit, matched, removed, sched, weights,
