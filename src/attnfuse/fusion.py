@@ -336,7 +336,7 @@ class FusionPlan:
                 return None
             try:
                 if site.kind == KIND_SELF:
-                    return self._self_answer(t, site.layer)
+                    return self._self_answer(t, site)
                 # TAKE_SOURCE never reads site.attn, so the edit map is not built.
                 src = self.source_map(t, site.layer)
                 return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src
@@ -347,17 +347,19 @@ class FusionPlan:
 
         return probe
 
-    def _self_answer(self, t: int, layer: int) -> SelfAnswer:
-        """Step t's answer at block *layer*'s self site.
+    def _self_answer(self, t: int, site) -> SelfAnswer:
+        """Step t's answer at a self site.
 
         Its source is the latent at block 0, and above it the input the
-        pass rebuilt at the block below.  While a block above clears a
-        row of its mask, the answer carries the source up with its cross
-        map and the source prompt; otherwise nothing above reads it.
+        pass rebuilt at the block below, the site's `source`.  While a
+        block above clears a row of its mask, the answer carries the
+        source up with its cross map and the source prompt; otherwise
+        nothing above reads it.
         """
+        layer = site.layer
         carry = any(not self.self_mask(t, above).all()
                     for above in range(layer + 1, self.store.meta.blocks))
-        return SelfAnswer(None if layer else self.source_latent(t), t - 1,
+        return SelfAnswer(site.source if layer else self.source_latent(t), t - 1,
                           self.self_mask(t, layer),
                           self.source_map(t, layer) if carry else None,
                           self.prompt if carry else None)

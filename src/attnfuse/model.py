@@ -61,7 +61,7 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
@@ -333,10 +333,10 @@ class SelfAnswer:
     built from *source*, the self record of the map it replays, taken
     at step *t*: at block 0 that step's latent, from which the pass
     rebuilds the block input, at a later block the block input itself,
-    or None for the one the pass carried up (the site's `source`).  The
-    pass builds those rows with its own block's weights.  An all-clear
-    mask takes every row from the source, and the pass then builds none
-    of its own rows.
+    such as the one the pass carried up (the site's `source`); None
+    where no row is built from it.  The pass builds those rows with its
+    own block's weights.  An all-clear mask takes every row from the
+    source, and the pass then builds none of its own rows.
 
     *cross* and *prompt*, given below the last block, carry the source
     up: the pass applies the source's own rows to the source's own
@@ -493,11 +493,7 @@ def _checked(replacement, site: AttentionSite) -> np.ndarray:
 
 
 def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
-    """What the pass applies at *site*: a cross map, or a self site's checked answer.
-
-    A self answer whose source is None comes back with the site's own
-    `source`, the block input the pass carried up.
-    """
+    """What the pass applies at *site*: a cross map, or a self site's checked answer."""
     answer = probe(site) if probe is not None else None
     if site.kind == KIND_CROSS:
         return site.attn if answer is None else _checked(answer, site)
@@ -507,8 +503,6 @@ def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
     what = "an array" if isinstance(answer, np.ndarray) else f"a {type(answer).__name__}"
     require(isinstance(answer, SelfAnswer),
             f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
-    if answer.source is None:
-        answer = replace(answer, source=site.source)
     source, edit, cross, prompt = answer.source, answer.edit, answer.cross, answer.prompt
     n, heads, hw, _ = site.shape
     got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__

@@ -82,8 +82,7 @@ def _capture_probe(probe=None, weights=None, n_steps=None):
     Each site appends an `Applied` entry with the map the pass applies
     there: *probe*'s replacement cross map, the rows a `SelfAnswer` picks
     (the site's own where its mask is set, its source's elsewhere, built
-    under *weights* at *n_steps*; a source of None is the one the pass
-    carried up, the site's `source`), or the site's own map when *probe*
+    under *weights* at *n_steps*), or the site's own map when *probe*
     has no answer.
     """
     maps = []
@@ -93,10 +92,10 @@ def _capture_probe(probe=None, weights=None, n_steps=None):
         if replacement is None:
             applied = site.attn
         elif isinstance(replacement, SelfAnswer):
-            source = site.source if replacement.source is None else replacement.source
             applied = site.attn if replacement.edit.all() else np.where(
                 replacement.edit[:, None, :, None], site.attn,
-                _self_map(source, replacement.t, site.layer, weights, n_steps))
+                _self_map(replacement.source, replacement.t, site.layer, weights,
+                          n_steps))
         else:
             applied = np.asarray(replacement)
         maps.append(Applied(site.t, site.layer, site.kind, applied))

@@ -106,10 +106,12 @@ def _unread():
     raise AssertionError("the plan read a self site's map")
 
 
-def _self_site(t, record, layer=0):
-    """The self site at (t, layer) of *record*; the plan never reads its map."""
+def _self_site(t, record, layer=0, source=None):
+    """The self site at (t, layer) of *record*, carrying *source* up; the
+    plan never reads its map."""
     n, hw = record.shape[0], math.prod(record.shape[2:]) if layer == 0 else record.shape[1]
-    return AttentionSite(t, layer, KIND_SELF, (n, 1, hw, 2 * hw), _unread, record=record)
+    return AttentionSite(t, layer, KIND_SELF, (n, 1, hw, 2 * hw), _unread, record=record,
+                         source=source)
 
 
 def test_plan_takes_source_whole_when_mask_is_provably_empty():
@@ -461,7 +463,8 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     cross = np.where(mask[:, None, :, None], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5])
     cross = np.repeat(cross, 2, axis=1)  # (2 frames, 2 heads, hw, 3 tokens)
     # Block 1's cross map thresholds the mask.  The last block's answer
-    # builds from the source input the pass carried up, and carries none.
+    # builds from the source input the pass carried up, and carries it no
+    # further.
     store = AttentionStore(StoreMeta(T=4, blocks=2, config_hash=1))
     store.record(_site(KIND_CROSS, cross, t=0, layer=1))
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
@@ -469,11 +472,11 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     assert np.array_equal(plan.self_mask(1, 1), mask)
 
     edit, source = _record((2, hw, 4), seed=6), _record((2, hw, 4), seed=5)
-    answer = plan.step_probe(1)(_self_site(1, edit, layer=1))
-    assert answer.source is None and answer.t == 0
+    answer = plan.step_probe(1)(_self_site(1, edit, layer=1, source=source))
+    assert answer.source is source and answer.t == 0
     assert answer.cross is None and answer.prompt is None
     built = _spy_sides(monkeypatch, source)
-    got = _attend(edit, 2, answer.edit, source)
+    got = _attend(edit, 2, answer.edit, answer.source)
     assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
     from_source = _attend(edit, 2, np.zeros_like(mask), source)
     assert np.array_equal(got, np.where(mask[..., None], _attend(edit, 2), from_source))
