@@ -12,7 +12,9 @@ concurrently; the output equals their sequential evaluation bit for bit.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -345,8 +347,34 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# glibc's mallopt parameters, and the values `_keep_heap_mapped` sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
+
+
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Keep a forward pass's freed temporaries mapped for the next one.
+
+    By default glibc hands freed memory at the top of its heap back to
+    the OS and adapts its mmap threshold, so each forward pass's
+    temporaries are unmapped and faulted in again.  Fixed thresholds (an
+    allocation below 32 MiB comes from the heap; the heap is trimmed
+    only past 64 MiB free) keep them mapped for reuse.  Setting one
+    switches glibc's adaptive thresholds off, so both are set.  Where
+    the C library has no `mallopt` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run(argv: list[str]) -> int:
     """Execute one subcommand; returns the process exit code."""
+    _keep_heap_mapped()
     try:
         args = _build_parser().parse_args(argv)
         if not args.config:

@@ -15,21 +15,24 @@ self window the action is always `BLEND`.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
 same arc of the schedule that inversion step t-1 recorded.
-`FusionPlan.source_map` (a cross map) and `FusionPlan.source_latent`
-(block 0's self record, the latent a self map's rows are built from)
-make that pairing and are the only readers of the inversion store; no
-whole self map and no later block's input is read back.
+`FusionPlan.source_latent` (block 0's self record, the latent a self
+map's rows are built from) and `FusionPlan.source_map` (a cross map,
+read only for a blend mask and the heatmaps) make that pairing and are
+the only readers of the inversion store; no whole self map, no later
+block's input and no cross map to fuse is read back.
 
 The forward pass never holds a whole self map, so the plan answers a
 self site with data, a `model.SelfAnswer`: the source's latent at
 block 0, its step t-1, and the blend mask.  The pass builds each
 tile's rows from its own map where the mask is set and from the
-source where it is clear.  A later block's source input is rebuilt on
-the way up (activation recomputation from a kept checkpoint, Chen et
-al., arXiv 1604.06174): below the last block the answer also carries
-the source's cross map and the source prompt, and the pass applies
-the source's own rows to its own values, that cross map to the
-prompt's values, and the MLP, as inversion did.  Self rows, edit and
+source where it is clear.  The source's later block inputs and cross
+maps are rebuilt on the way up (activation recomputation from a kept
+checkpoint, Chen et al., arXiv 1604.06174): an answer that carries the
+source names the source prompt, and the pass applies the source's own
+rows to its own values, builds the source's cross map from that sum,
+which the cross site offers as its `source` for the plan to fuse or
+take, and below the last block applies that map to the prompt's
+values and the MLP, as inversion did.  Self rows, edit and
 source alike, are softmax numerators that the pass normalizes after
 `attn @ V` (see `model`); blending picks whole rows, so it needs no
 normalized map.
@@ -227,18 +230,23 @@ class FusionPlan:
     tau >= 1 (the test is strict and normalized values <= 1).  Then it is
     not built from the cross map, and one all-clear mask serves the plan.
 
-    A cross map taken whole is the store's read-only array, handed to the
-    forward pass before the edit map is computed, so the pass skips that
-    map's QK^T and softmax and applies the array without a copy.  A self
-    site is answered with a `SelfAnswer` of the source's latent (at
-    block 0), its step and the step's mask, so under an empty mask the
-    pass builds the source rows of each tile and never the edit's.  The
-    plan knows every block's mask of step t before block 0 runs, so
-    below a block whose mask clears a row it has the pass carry the
-    source up: the answer adds the source's cross map of its block and
-    *prompt*, the source prompt's embedding.  A tile whose rows the mask
-    all sets then builds its source rows too.  Each mask is built once
-    and kept read-only, so later readers get the mask the pass applied.
+    A cross map fused or taken whole is the source's, which the pass
+    rebuilt and offers as the cross site's `source`; one taken whole is
+    handed back before the edit map is computed, so the pass skips that
+    map's QK^T and softmax.  A cross site to fuse or take that carries
+    no source is refused.  A self site is answered with a `SelfAnswer`
+    of the source's latent (at block 0), its step and the step's mask,
+    so under an empty mask the pass builds the source rows of each tile
+    and never the edit's.  Inside the cross window every answer carries
+    the source, naming *prompt*, the source prompt's embedding, so the
+    pass rebuilds the source's cross map of every block; a step there
+    outside the self window keeps every self row the pass's own.
+    Outside the cross window the plan, which knows every block's mask of
+    step t before block 0 runs, has the pass carry the source only below
+    a block whose mask clears a row.  A tile whose rows the mask all
+    sets builds its source rows too while the answer carries.  Each mask
+    is built once and kept read-only, so later readers get the mask the
+    pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
@@ -273,24 +281,20 @@ class FusionPlan:
         """The store keys this plan reads, and the one the heatmaps draw.
 
         Step t reads inversion step t-1's records (`source_map`): the
-        latent of a step it blends, whose later blocks' source inputs the
-        pass rebuilds, so it also reads the cross maps of every block but
-        the last there; the cross map of a step it fuses or takes whole;
-        and, when its masks are built, the cross map of a step it blends,
+        latent of every step it replays, blended or fused, from which the
+        pass rebuilds the source's later block inputs and cross maps, and,
+        when its masks are built, the cross maps of a step it blends,
         which the mask thresholds.  `cli` draws inversion step 0's cross
         map of block 0 as the heatmaps.
         """
-        blocks = self.store.meta.blocks
         keys = {AttentionKey(0, 0, KIND_CROSS)}
         for t in range(1, self.store.meta.T + 1):
             blends = self.action(t, KIND_SELF) == BLEND
-            if self.action(t, KIND_CROSS) != KEEP or (blends and self._blends):
-                layers = range(blocks)
-            else:
-                layers = range(blocks - 1 if blends else 0)
-            keys.update(AttentionKey(t - 1, layer, KIND_CROSS) for layer in layers)
-            if blends:
+            if blends or self.action(t, KIND_CROSS) != KEEP:
                 keys.add(AttentionKey(t - 1, 0, KIND_SELF))
+            if blends and self._blends:
+                keys.update(AttentionKey(t - 1, layer, KIND_CROSS)
+                            for layer in range(self.store.meta.blocks))
         return frozenset(keys)
 
     def source_map(self, t: int, layer: int) -> np.ndarray:
@@ -310,36 +314,45 @@ class FusionPlan:
         return KEEP if t < self.first_self else BLEND
 
     def self_mask(self, t: int, layer: int) -> np.ndarray:
-        """The (frames, pixels) bool mask of the self rows that follow the edit at step t."""
-        key = (t, layer) if self._blends else None  # one empty mask per plan
+        """The (frames, pixels) bool mask of the self rows that follow the edit at step t.
+
+        Outside the self window every row does.
+        """
+        blends = self.action(t, KIND_SELF) == BLEND
+        key = (t, layer) if blends and self._blends else blends  # one all-set, one all-clear
         mask = self._masks.get(key)
         if mask is None:
-            if self._blends:
+            if blends and self._blends:
                 mask = build_blend_mask(self.source_map(t, layer),
                                         self.positions, self.cfg.tau)
             else:  # sized by the latent (n, c, h, w)
                 n, _, h, w = self.source_latent(t).shape
-                mask = np.zeros((n, h * w), dtype=bool)
+                mask = np.full((n, h * w), not blends)
             mask.setflags(write=False)
             self._masks[key] = mask
         return mask
 
     def step_probe(self, t: int):
-        """Probe of the conditional branch at step t; None if it keeps all."""
-        actions = {kind: self.action(t, kind) for kind in (KIND_SELF, KIND_CROSS)}
-        if set(actions.values()) == {KEEP}:
+        """Probe of the conditional branch at step t; None if it replays nothing."""
+        cross = self.action(t, KIND_CROSS)
+        if cross == KEEP and self.action(t, KIND_SELF) == KEEP:
             return None
 
         def probe(site):
-            act = actions[site.kind]
-            if act == KEEP:
+            if site.kind == KIND_CROSS and cross == KEEP:
                 return None
             try:
                 if site.kind == KIND_SELF:
                     return self._self_answer(t, site)
-                # TAKE_SOURCE never reads site.attn, so the edit map is not built.
-                src = self.source_map(t, site.layer)
-                return fuse_cross(site.attn, src, self.alignment) if act == FUSE else src
+                # The source's cross map, which the pass rebuilt on the way
+                # up; TAKE_SOURCE never reads site.attn, so the edit map is
+                # not built.
+                require(site.source is not None,
+                        f"no source cross map to {cross} at "
+                        f"({site.kind}, t={site.t}, layer={site.layer})")
+                if cross == FUSE:
+                    return fuse_cross(site.attn, site.source, self.alignment)
+                return site.source
             except ContractViolation as exc:
                 raise ContractViolation(
                     f"fusion failed at step {t}, layer {site.layer}, {site.kind}: {exc}"
@@ -351,15 +364,15 @@ class FusionPlan:
         """Step t's answer at a self site.
 
         Its source is the latent at block 0, and above it the input the
-        pass rebuilt at the block below, the site's `source`.  While a
-        block above clears a row of its mask, the answer carries the
-        source up with its cross map and the source prompt; otherwise
-        nothing above reads it.
+        pass rebuilt at the block below, the site's `source`.  Inside the
+        cross window the answer carries the source through every block,
+        so the pass rebuilds each block's source cross map; outside it,
+        while a block above clears a row of its mask.  A carrying answer
+        names the source prompt.
         """
         layer = site.layer
-        carry = any(not self.self_mask(t, above).all()
-                    for above in range(layer + 1, self.store.meta.blocks))
+        carry = self.action(t, KIND_CROSS) != KEEP or any(
+            not self.self_mask(t, above).all()
+            for above in range(layer + 1, self.store.meta.blocks))
         return SelfAnswer(site.source if layer else self.source_latent(t), t - 1,
-                          self.self_mask(t, layer),
-                          self.source_map(t, layer) if carry else None,
-                          self.prompt if carry else None)
+                          self.self_mask(t, layer), carry, self.prompt if carry else None)

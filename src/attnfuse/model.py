@@ -15,7 +15,7 @@ QK^T and the softmax.  A replacement cross map is checked for shape,
 finiteness and its rows (see `_checked`) before it is applied.  A self
 site is answered with data, a `SelfAnswer`: the record its clear rows
 are built from, that record's step, a mask of the rows that stay the
-pass's own and, below the last block, what carries the source up,
+pass's own and a flag that carries the source through the block,
 checked once per site.  Second, all randomness flows from explicit
 seeds, so identical inputs give bit-identical outputs.
 
@@ -42,15 +42,17 @@ d_model/c times smaller again and one small matmul away from the input
 (`_block_input`).  The record holds no weights: the pass builds a
 source's rows with its own block's weights, and rebuilds block 0's
 input from the latent through the function it applied itself.  A
-replay needs no later block's record either: below the last block an
-answer can have the pass carry the source up, applying the source
-rows it builds anyway to the source's own values, then the source's
-cross map and the MLP, which rebuilds the next block's source input
-bit for bit.  Every self row is built by `SelfTiles.rows` from queries
-and keys projected with one expression, so rows rebuilt later from a
-record are bit-identical to the ones the pass applied; a whole map
-(`SelfTiles.attn`) is assembled from the same tiles, for observers and
-tests.
+replay needs no later block's record and no cross map either: an
+answer can have the pass carry the source through a block, applying
+the source rows it builds anyway to the source's own values, then
+building the source's cross map through the helper the pass's own
+cross-attention uses, and below the last block its cross output and
+the MLP, which rebuilds the next block's source input bit for bit.
+The cross site shows that map as its `source`.  Every self row is
+built by `SelfTiles.rows` from queries and keys projected with one
+expression, so rows rebuilt later from a record are bit-identical to
+the ones the pass applied; a whole map (`SelfTiles.attn`) is assembled
+from the same tiles, for observers and tests.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -338,18 +340,21 @@ class SelfAnswer:
     own block's weights.  An all-clear mask takes every row from the
     source, and the pass then builds none of its own rows.
 
-    *cross* and *prompt*, given below the last block, carry the source
-    up: the pass applies the source's own rows to the source's own
-    [V | 1], adds *cross*, the source's cross map at this block, times
-    *prompt*'s values, and adds the MLP.  Those are the operations the
-    source's pass applied, so the next block's source input comes out
-    bit for bit as that pass had it.
+    *cross*, a flag, carries the source through this block, with
+    *prompt*, the source prompt's embedding: the pass applies the
+    source's own rows to the source's own [V | 1], builds the source's
+    cross map from that sum through the helper its own cross-attention
+    uses (`_attention_map`), and offers it on the block's cross site as
+    the site's `source`.  Below the last block it then adds that map
+    times *prompt*'s values and the MLP.  Those are the operations the
+    source's pass applied, so the cross map and the next block's source
+    input come out bit for bit as that pass had them.
     """
 
     source: np.ndarray | None
     t: int
     edit: np.ndarray
-    cross: np.ndarray | None = None
+    cross: bool = False
     prompt: PromptEmbedding | None = None
 
 
@@ -364,11 +369,13 @@ class AttentionSite:
     site also carries its `record`, the read-only array its map is built
     from: block 0's is the step's latent z_t, (n, c, h, w), a later
     block's its input, (n, h*w, d_model).  A cross-attention site
-    carries None.  A self site above block 0 also carries its `source`:
-    the source's block input, which the pass rebuilt at the block below
-    when that block's answer carried it up, else None.  Reading a self
-    site's `attn` assembles the whole map, for observers, and the pass
-    drops it once the probe has answered.
+    carries None.  A site also carries its `source`, else None: at a
+    self site above block 0 the source's block input, which the pass
+    rebuilt at the block below when that block's answer carried the
+    source, and at a cross site the source's cross map of the block,
+    which the pass rebuilt when the block's self answer carried it.
+    Reading a self site's `attn` assembles the whole map, for observers,
+    and the pass drops it once the probe has answered.
 
     A probe answers a cross site with None (the map stands) or a
     replacement map, and a self site with None (its own rows stand) or
@@ -407,14 +414,19 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
             f"d_head {d_head} does not match Q/K last dims {q.shape} / {k.shape}")
     require(k.shape[-2] == v.shape[-2],
             f"K/V key counts differ: {k.shape} vs {v.shape}")
-    q = q * (1.0 / math.sqrt(d_head))
-
-    def build() -> np.ndarray:
-        logits = np.matmul(q, np.swapaxes(k, -1, -2))
-        return softmax_lastdim(logits, out=logits)
-
+    build = lambda: _attention_map(q, k, d_head)
     attn = build() if supply is None else supply(build)
     return np.matmul(attn, v), attn
+
+
+def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int) -> np.ndarray:
+    """The softmax map of queries *q* over keys *k*, the queries scaled by 1/sqrt(d_head).
+
+    `attend` builds every cross map through it, and the pass the source's
+    cross map it carries up, so equal inputs give equal bits.
+    """
+    logits = np.matmul(q * (1.0 / math.sqrt(d_head)), np.swapaxes(k, -1, -2))
+    return softmax_lastdim(logits, out=logits)
 
 
 def _values(feats: np.ndarray, wv: np.ndarray, heads: int, d_head: int) -> np.ndarray:
@@ -503,26 +515,22 @@ def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
     what = "an array" if isinstance(answer, np.ndarray) else f"a {type(answer).__name__}"
     require(isinstance(answer, SelfAnswer),
             f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
-    source, edit, cross, prompt = answer.source, answer.edit, answer.cross, answer.prompt
-    n, heads, hw, _ = site.shape
+    source, edit, carry, prompt = answer.source, answer.edit, answer.cross, answer.prompt
+    n, _, hw, _ = site.shape
     got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
     require(got == ((n, hw), np.bool_),
             f"self answer's mask is {got}, expected ({n}, {hw}) bool {where}")
-    if cross is not None or not edit.all():
+    require(type(carry) is bool,
+            f"self answer's carry flag is a {type(carry).__name__}, expected a bool {where}")
+    if carry or not edit.all():
         got = source.shape if isinstance(source, np.ndarray) else type(source).__name__
         require(got == site.record.shape,
                 f"self answer's source has shape {got}, expected {site.record.shape} {where}")
     require(type(answer.t) is int,
             f"self answer's step is a {type(answer.t).__name__}, expected an int {where}")
-    if cross is None and prompt is None:
-        return answer
-    require(site.layer + 1 < cfg.blocks,
-            f"self answer carries the source above the last block {where}")
-    require(isinstance(prompt, PromptEmbedding) and prompt.vectors.shape[1] == cfg.d_text,
+    require(not carry or (isinstance(prompt, PromptEmbedding)
+                          and prompt.vectors.shape[1] == cfg.d_text),
             f"self answer's prompt is not a prompt embedding of width {cfg.d_text} {where}")
-    want = (n, heads, hw, len(prompt.tokens))
-    got = cross.shape if isinstance(cross, np.ndarray) else type(cross).__name__
-    require(got == want, f"self answer's cross map has shape {got}, expected {want} {where}")
     return answer
 
 
@@ -545,8 +553,10 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     and is the only way a map leaves the pass: a map that the probe
     neither keeps nor replaces is dropped once applied.  n_steps
     normalizes t for the timestep features; pass the schedule's T.
-    A self answer that carries its source up (`SelfAnswer.cross`) makes
-    the pass rebuild the source's next block input beside its own.
+    A self answer that carries its source (`SelfAnswer.cross`) makes the
+    pass rebuild the source's cross map of that block, offered on the
+    cross site as its `source`, and below the last block the source's
+    next block input, offered on the next self site.
     """
     cfg = weights.config
     z_t = np.array(z_t, dtype=np.float64)  # a copy: block 0's self record
@@ -563,43 +573,49 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     x = _block_input(z_t, t, n_steps, weights)
 
     def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights,
-                    carried: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-        # (feats plus the self output, the source's next block input if
-        # the answer carries it up).  Block 0 is recorded as its latent;
-        # its source input is rebuilt only when some row replays it or the
-        # answer carries it.
+                    carried: np.ndarray | None
+                    ) -> tuple[np.ndarray, np.ndarray | None, PromptEmbedding | None]:
+        # (feats plus the self output, and if the answer carries the source,
+        # the source plus its own self output and the source's prompt).
+        # Block 0 is recorded as its latent; its source input is rebuilt
+        # only when some row replays it or the answer carries it.
         feats.setflags(write=False)
         answer = _offer(probe, AttentionSite(
             t, layer, KIND_SELF, (n, cfg.heads, hw, 2 * hw),
             lambda: SelfTiles(feats, bw.wq_s, bw.wk_s, cfg.heads).attn(),
             record=feats if layer else z_t, source=carried), cfg)
         if answer is None:
-            return feats + spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0], None
-        source, carry = answer.source, answer.cross is not None
+            return feats + spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0], None, None
+        source, carry = answer.source, answer.cross
         if layer == 0 and (carry or not answer.edit.all()):
             source = _block_input(source, answer.t, n_steps, weights)
         out, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
                                                 answer.edit, source, carry)
         if not carry:
-            return feats + out, None
-        source = source + source_out
-        source = source + _merge_heads(np.matmul(
-            answer.cross, _text_heads(answer.prompt, bw.wv_c, cfg)))
-        source = _mlp(source, bw)
-        source.setflags(write=False)
-        return feats + out, source
+            return feats + out, None, None
+        return feats + out, source + source_out, answer.prompt
 
     cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
     carried = None  # the source's input to this block, when the block below rebuilt it
     for layer, bw in enumerate(weights.blocks):
-        x, carried = attend_self(x, layer, bw, carried)
+        x, source, source_prompt = attend_self(x, layer, bw, carried)
+        source_map = carried = None
+        if source is not None:  # the source's cross map, as the source's pass built it
+            source_map = _attention_map(
+                _split_heads(source @ bw.wq_c, cfg.heads, cfg.d_head),
+                _text_heads(source_prompt, bw.wk_c, cfg), cfg.d_head)
+            source_map.setflags(write=False)
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         x = x + _merge_heads(attend(
             qc, _text_heads(prompt, bw.wk_c, cfg), _text_heads(prompt, bw.wv_c, cfg),
             cfg.d_head,
-            supply=lambda build, _l=layer: _offer(probe, AttentionSite(
-                t, _l, KIND_CROSS, cross_shape, build), cfg))[0])
+            supply=lambda build, _l=layer, _s=source_map: _offer(probe, AttentionSite(
+                t, _l, KIND_CROSS, cross_shape, build, source=_s), cfg))[0])
         x = _mlp(x, bw)
+        if source is not None and layer + 1 < cfg.blocks:
+            carried = _mlp(source + _merge_heads(np.matmul(
+                source_map, _text_heads(source_prompt, bw.wv_c, cfg))), bw)
+            carried.setflags(write=False)
 
     eps = (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w)
     return check_finite("predicted noise", eps)

@@ -65,6 +65,29 @@ class SeededRng:
         return self._gen.standard_normal(shape)
 
 
+# Rows up to this long take their maxima column by column (`row_max`).
+SHORT_ROW = 16
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """The maximum of each row along the last axis, with that axis kept at length 1.
+
+    A maximum is exact in any order of comparison, so the result equals
+    `x.max(axis=-1, keepdims=True)` bit for bit, NaN and signed zeros
+    included.  A row of
+    up to SHORT_ROW entries is taken column by column, in elementwise
+    maxima over all rows at once: numpy's reduction pays a fixed cost per
+    row, which makes short rows, such as a cross map's one per prompt
+    token, cost several times their exp.
+    """
+    if x.shape[-1] > SHORT_ROW:
+        return x.max(axis=-1, keepdims=True)
+    peaks = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(peaks, x[..., j:j + 1], out=peaks)
+    return peaks
+
+
 def softmax_numerators(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(x - row max) along the last axis: softmax before its divide.
 
@@ -78,7 +101,7 @@ def softmax_numerators(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     """
     x = np.asarray(x, dtype=np.float64)
     require(x.size > 0 and x.shape[-1] >= 1, "softmax of empty tensor")
-    peaks = check_finite("softmax input", x.max(axis=-1, keepdims=True))
+    peaks = check_finite("softmax input", row_max(x))
     out = np.subtract(x, peaks, out=out)
     np.exp(out, out=out)
     return out

@@ -163,10 +163,11 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
     every self-attention call's block input, from which the model's
     query and key weights rebuild the self map; block 0's record is the
     step's latent instead, from which the model rebuilds that input.
-    An edit's store keeps only the keys its plan reads, a replayed
-    step's latent and cross maps, from which the edit pass rebuilds
-    later blocks' inputs; `invert` passes a `DumpWriter`, which holds
-    no record once written.  Runs at
+    An edit's store keeps only the keys its plan reads: one latent per
+    replayed step, from which the edit pass rebuilds the source's later
+    block inputs and cross maps, the cross maps its blend masks
+    threshold, and the heatmaps' one; `invert` passes a `DumpWriter`,
+    which holds no record once written.  Runs at
     guidance scale 1, which reduces to the conditional branch alone, so
     only that branch is evaluated and recorded.  Returns (z_T, store).
     """

@@ -10,22 +10,23 @@ turn a record into its map are the model's, those of the config whose
 pass hands block 0's self record, the latent (`self_record`), to the
 forward pass as a `model.SelfAnswer`'s source, and the pass builds the
 rows it needs tile by tile, bit for bit the rows it applied during
-inversion; it rebuilds later blocks' inputs from it on the way up, with
-the cross maps (`query`), so an edit's store keeps no later block's
-input.
+inversion; it rebuilds later blocks' inputs and the source's cross maps
+from it on the way up, so an edit's store keeps no later block's input
+and reads a cross map (`query`) only where a blend mask thresholds it.
 
 A `Recorder` is inversion's probe.  It takes the records of a set of
 keys of the T x L x {self, cross} grid, each once, and passes over the
 rest: a store holds the whole grid by default, an edit's store only the
-keys its `FusionPlan` reads: a replayed step's latent and cross maps.  An `AttentionStore` keeps the pass's own
-records, unchecked.  A `DumpWriter` writes each record to its blob,
-named by its key, as it arrives and keeps none.  Once the grid is
-complete it writes, last, the index of the store's metadata and the one
-geometry all blob shapes follow, so a directory without `index.json` is
-an interrupted dump.  A loaded dump comes from outside the program, so
-`load_store_dump` checks the index's fields, each blob's header and
-length, cross rows and the finiteness of the latents and block inputs,
-naming the file.
+keys its `FusionPlan` reads: one latent per replayed step, the cross
+maps its blend masks threshold, and the heatmaps' cross map.  An
+`AttentionStore` keeps the pass's own records, unchecked.  A
+`DumpWriter` writes each record to its blob, named by its key, as it
+arrives and keeps none.  Once the grid is complete it writes, last,
+the index of the store's metadata and the one geometry all blob shapes
+follow, so a directory without `index.json` is an interrupted dump.  A
+loaded dump comes from outside the program, so `load_store_dump`
+checks the index's fields, each blob's header and length, cross rows
+and the finiteness of the latents and block inputs, naming the file.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from attnfuse.blobio import HEADER, read_blob
 from attnfuse.cli import _build_parser, parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
-from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
+from attnfuse.fusion import (BLEND, KEEP, EditConfig, FusionPlan, align_prompts,
                              identity_alignment, word_attention)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _block_input,
                             _tile_bounds, config_hash, denoiser_forward,
@@ -181,6 +181,32 @@ def test_python_m_attnfuse_runs_the_cli():
     assert "edit requires --config" in proc.stderr
 
 
+def _minor_faults(tmp_path, steps):
+    """The minor page faults of a `reconstruct` process on reconstruct_fine's
+    clip at T = *steps*."""
+    config = (ROOT / "perfbench" / "configs" / "reconstruct_fine.cfg").read_text()
+    path = tmp_path / f"fine_{steps}.cfg"
+    path.write_text(config.replace("steps = 200", f"steps = {steps}"))
+    proc = subprocess.Popen([sys.executable, "-m", "attnfuse", "reconstruct", "--config",
+                             str(path), "--out", str(tmp_path / f"out_{steps}")],
+                            stdout=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_minflt
+
+
+def test_a_replay_step_faults_in_no_fresh_memory(tmp_path):
+    # An edit's store is small, so nothing pins the top of the C heap: with
+    # the allocator's default, adaptive thresholds each forward pass's freed
+    # temporaries go back to the OS and are faulted in again, about 500
+    # minor faults per step here.  `cli.run` fixes the thresholds, so the
+    # pass reuses what it freed.
+    short, long = _minor_faults(tmp_path, 20), _minor_faults(tmp_path, 80)
+    assert (long - short) / 60 < 50, (short, long)
+
+
 def test_invert_writes_latent_and_store(tmp_path, config_path):
     out = tmp_path / "inv"
     assert run(["invert", "--config", str(config_path),
@@ -261,32 +287,34 @@ def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
             == sorted(["index.json", *blobs, *others]))
 
 
-def test_an_edit_store_holds_block_zero_self_records_as_latents(tmp_path):
-    # reconstruct_fine's clip at T = 50.  The store a reconstruction
-    # inverts into holds, for each key its plan reads, a cross map, a
-    # block input, or block 0's latent, 16x smaller than its block input.
-    path = tmp_path / "fine.cfg"
-    path.write_text("[model]\nframes = 8\nheight = 8\nwidth = 12\nseed = 7\n"
-                    "[schedule]\nsteps = 50\n"
-                    "[edit]\ns_cfg = 1.0\nsource_prompt = a red square drifting right\n"
-                    "[video]\nobject_size = 1\nstart_row = 4\nstart_col = 2\n")
-    rc = parse_config(path)
-    m, hw = rc.model, rc.model.h * rc.model.w
-    weights, z0, src, _ = _clip(rc)
-    plan = FusionPlan.recording(rc.edit, align_prompts(src.tokens, src.tokens),
-                                store_meta(rc.schedule, m), src)
-    want = sum(m.n * m.heads * hw * len(src.tokens) * 8 if key.kind == KIND_CROSS
-               else m.n * hw * (m.d_model if key.layer else m.c) * 8
-               for key in plan.reads())
-    tracemalloc.start()
-    try:
-        invert_video(z0, src, rc.schedule, weights, plan.store)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert plan.store.verify_complete() == []
-    # Beside the records: z_T, the key set and the records' Python objects.
-    assert want < held < want + 0.5e6
+def test_an_edit_store_holds_block_zero_self_records_as_latents():
+    # The benchmark's edit and reconstruction keep one latent per replayed
+    # step and the heatmaps' cross map: 161 steps of reconstruct_fine's 200
+    # and 41 of edit_attr's 50 lie in the self window, neither builds a
+    # blend mask, and the store holds exactly those entries.
+    for name, command, entries, size in (("reconstruct_fine", "reconstruct", 162, 1_062_912),
+                                         ("edit_attr", "edit", 42, 434_176)):
+        rc = parse_config(ROOT / "perfbench" / "configs" / f"{name}.cfg")
+        weights, z0, src, edit = _clip(rc)
+        edit = src if command == "reconstruct" else edit
+        plan = FusionPlan.recording(rc.edit, align_prompts(src.tokens, edit.tokens),
+                                    store_meta(rc.schedule, rc.model), src)
+        tracemalloc.start()
+        try:
+            invert_video(z0, src, rc.schedule, weights, plan.store)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan.store.verify_complete() == []
+        keys = set(plan.store.keys())
+        assert len(keys) == len(plan.reads()) == entries, name
+        assert keys - {AttentionKey(0, 0, KIND_CROSS)} == {
+            AttentionKey(t - 1, 0, KIND_SELF) for t in range(plan.first_self, rc.steps + 1)}
+        stored = sum((plan.store.self_record(key.t, key.layer) if key.kind == KIND_SELF
+                      else plan.store.query(key.t, key.layer)).nbytes for key in keys)
+        assert stored == size, name
+        # Beside the records: z_T, the key set and the records' Python objects.
+        assert size < held < size + 0.5e6, name
 
 
 @pytest.mark.parametrize("command,preset", [
@@ -322,7 +350,9 @@ def test_an_edit_keeps_exactly_the_records_it_reads(tmp_path, monkeypatch, comma
     kept = set(plan.store.keys())
     assert plan.store.verify_complete() == []
     assert kept == plan.reads() == read
-    assert len(kept) < 2 * 10 * 2
+    # Steps 2-10 blend: their latents and the heatmaps' cross map, and the
+    # shape edit's masks threshold both blocks' cross maps of each.
+    assert len(kept) == (9 + 9 * 2 + 1 if (command, preset) == ("edit", "shape") else 9 + 1)
     assert plan._blends == (preset == "shape" and command == "edit")
 
 
@@ -517,7 +547,10 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
     built = _spy_tile_builds(monkeypatch)
     bounds = _tile_bounds(rc.model.h * rc.model.w)
     skipped = mixed = 0
-    for edit_cfg in (rc.edit, dataclasses.replace(rc.edit, tau=1.0)):
+    # At t_c = 1.0 every step but the last lies outside the cross window:
+    # only there may a tile whose rows the mask all sets skip its source rows.
+    for edit_cfg in (rc.edit, dataclasses.replace(rc.edit, tau=1.0),
+                     dataclasses.replace(rc.edit, t_c=1.0)):
         plan = FusionPlan(edit_cfg, align, store, src)
         for t in range(rc.steps, plan.first_self - 1, -1):
             built.clear()
@@ -532,7 +565,11 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
             assert plan.action(t, KIND_SELF) == BLEND
             mask = plan.self_mask(t, 0)
             assert edit_tiles == [b for b in bounds if mask[:, slice(*b)].any()]
-            assert source_tiles == [b for b in bounds if not mask[:, slice(*b)].all()]
+            # In the cross window the answer carries the source through the
+            # block, which needs every source row.
+            carry = plan.action(t, KIND_CROSS) != KEEP
+            assert source_tiles == [b for b in bounds
+                                    if carry or not mask[:, slice(*b)].all()]
             skipped += 2 * len(bounds) - len(edit_tiles) - len(source_tiles)
             mixed += len(set(edit_tiles) & set(source_tiles))
     # Some tiles spare a build, and some need both, which the pass picks from.

@@ -48,8 +48,8 @@ def test_edit_config_validation():
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, mode="other")
 
 
-# The source prompt of the plans below, whose stores are a block deep where
-# the plan reads them, so the pass never carries a source up with it.
+# The source prompt that the plans below name when an answer carries the
+# source.
 SOURCE = PromptEmbedding((START_TOKEN, "a", "cat"), np.zeros((3, 4)))
 
 
@@ -97,9 +97,10 @@ def _latent(n, hw, seed=3):
     return _record((n, 1, 1, hw), seed)
 
 
-def _site(kind, attn, t=2, layer=0):
-    """The site of *attn* at (t, layer), as a probe sees it."""
-    return AttentionSite(t, layer, kind, attn.shape, lambda: attn)
+def _site(kind, attn, t=2, layer=0, source=None):
+    """The site of *attn* at (t, layer), as a probe sees it, with the
+    source's cross map *source* that the pass rebuilt."""
+    return AttentionSite(t, layer, kind, attn.shape, lambda: attn, source=source)
 
 
 def _unread():
@@ -238,7 +239,7 @@ def test_plan_keeps_cross_map_outside_window():
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     assert plan.step_probe(2) is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
-    got = plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
+    got = plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS, source=SRC_CROSS))
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
 
 
@@ -270,16 +271,20 @@ def test_fuse_cross_rows_sum_to_one_random():
 
 
 def test_fuse_cross_missing_record_propagates():
+    # The store keeps no cross map for the cross window: the pass rebuilds
+    # the source's, and a cross site that comes without one is refused,
+    # whether the plan fuses it or takes it whole.
     store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
-                            removed_positions=(1,))
-    plan = FusionPlan(preset("style"), align, store, SOURCE)
-    assert plan.action(2, KIND_CROSS) == FUSE
-    with pytest.raises(MissingRecordError):
-        plan.source_map(2, 0)
-    with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
-        plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
-    assert isinstance(info.value.__cause__, MissingRecordError)
+    fusing = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
+                             removed_positions=(1,))
+    for alignment, action in ((fusing, FUSE), (identity_alignment(2), TAKE_SOURCE)):
+        plan = FusionPlan(preset("style"), alignment, store, SOURCE)
+        assert plan.action(2, KIND_CROSS) == action
+        with pytest.raises(MissingRecordError):
+            plan.source_map(2, 0)
+        with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
+            plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
+        assert f"no source cross map to {action} at (cross, t=2, layer=0)" in str(info.value)
 
 
 def test_fuse_cross_column_bounds_checked():
@@ -423,12 +428,20 @@ def test_blend_self_mask_extremes_are_exact(monkeypatch):
 def test_plan_keeps_self_map_outside_window():
     store = _self_store()
     align = identity_alignment(2)
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
-    assert plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF)) is None
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store, SOURCE)
+    assert plan.step_probe(2) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
     answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
     assert answer.source is store.self_record(1, 0) and answer.t == 1
-    assert not answer.edit.any()
+    assert not answer.edit.any() and answer.cross is False
+    # Inside the cross window only (t_c < t_s), every row stays the pass's
+    # own and the answer carries the source, whose cross map the step takes.
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
+    assert plan.action(2, KIND_SELF) == KEEP and plan.action(2, KIND_CROSS) == TAKE_SOURCE
+    answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
+    assert answer.source is store.self_record(1, 0) and answer.t == 1
+    assert answer.edit.shape == (2, 2) and answer.edit.all()
+    assert answer.cross is True and answer.prompt is SOURCE
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
@@ -474,7 +487,7 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     edit, source = _record((2, hw, 4), seed=6), _record((2, hw, 4), seed=5)
     answer = plan.step_probe(1)(_self_site(1, edit, layer=1, source=source))
     assert answer.source is source and answer.t == 0
-    assert answer.cross is None and answer.prompt is None
+    assert answer.cross is False and answer.prompt is None
     built = _spy_sides(monkeypatch, source)
     got = _attend(edit, 2, answer.edit, answer.source)
     assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
@@ -489,8 +502,8 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     built = []
 
     def site(kind, attn):
-        return AttentionSite(2, 0, kind, attn.shape,
-                             lambda: built.append(kind) or attn)
+        return AttentionSite(2, 0, kind, attn.shape, lambda: built.append(kind) or attn,
+                             source=SRC_CROSS if kind == KIND_CROSS else None)
 
     # identical prompts: the cross map is taken whole, and the all-clear
     # mask takes every self row from the source
@@ -499,7 +512,7 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
     assert plan.action(2, KIND_SELF) == BLEND
     probe = plan.step_probe(2)
-    assert probe(site(KIND_CROSS, EDIT_CROSS)) is store.query(1, 0)
+    assert probe(site(KIND_CROSS, EDIT_CROSS)) is SRC_CROSS
     answer = probe(site(KIND_SELF, np.full((1, 1, 4, 8), 1.0 / 8)))
     assert answer.source is store.self_record(1, 0) and not answer.edit.any()
     assert built == []

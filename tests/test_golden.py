@@ -1,4 +1,4 @@
-"""Golden output trees: the sha256 of every file that five small runs write.
+"""Golden output trees: the sha256 of every file that six small runs write.
 
 Each run's output tree must hash to the digests in tests/golden.json,
 file by file.  The digests hold for the numpy version and the BLAS that
@@ -51,8 +51,10 @@ start_col = 4
 # mask, so some 64-row tiles of the 144 query rows mix the edit's rows
 # with the source's.  The 3-block edit rebuilds later blocks' source
 # inputs on its way up under partial masks; on its last two steps block
-# 0's mask sets every row and block 1's does not.  It runs at guidance
-# 1.0, where its frames keep their content.
+# 0's mask sets every row and block 1's does not.  The shape edit with
+# t_c < t_s fuses cross maps on steps 2-4, where it blends no self row, so
+# its self answers keep every row and carry the source up for the cross
+# maps alone.  Both run at guidance 1.0, where their frames keep content.
 RUNS = {
     "edit_attribute": ("edit", _CLIP.format(
         channels=1, steps=8, preset="attribute", extra="",
@@ -64,6 +66,9 @@ RUNS = {
         channels=1, steps=6, preset="shape", extra="tau = 0.6\ns_cfg = 1.0\n",
         edit_prompt="a blue disc drifting right").replace("seed = 3\n",
                                                           "seed = 3\nblocks = 3\n")),
+    "edit_shape_cross_below_self": ("edit", _CLIP.format(
+        channels=1, steps=8, preset="shape", extra="t_s = 0.6\nt_c = 0.2\ns_cfg = 1.0\n",
+        edit_prompt="a blue disc drifting right")),
     "reconstruct": ("reconstruct", _CLIP.format(
         channels=1, steps=6, preset="style", extra="s_cfg = 1.0\n",
         edit_prompt="")),

@@ -414,14 +414,15 @@ def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
 
 @pytest.mark.parametrize("case", ["source shape", "source step", "mask shape", "float mask",
                                   "tile function", "array", "no source carried up",
-                                  "carried above the last block", "cross shape",
-                                  "cross without prompt", "prompt width"])
+                                  "carry flag", "cross without prompt", "prompt width"])
 def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
     prompt = embed_prompt("a", tiny_cfg)
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
-    # The tiny model has 2 blocks: a block 0 answer may carry the source up.
-    layer = 0 if case in ("cross shape", "cross without prompt", "prompt width") else 1
+    # The tiny model has 2 blocks: an answer may carry the source through
+    # either, the last included.
+    layer = 0 if case in ("carry flag", "cross without prompt") else 1
+    # A cross map where the carry flag belongs is refused.
     cross = np.full((n, tiny_cfg.heads, hw, len(prompt.tokens)), 1.0)
     narrow = embed_prompt("a", dataclasses.replace(tiny_cfg, d_text=tiny_cfg.d_text - 1))
 
@@ -437,17 +438,17 @@ def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
                 record, block.wq_s, block.wk_s, tiny_cfg.heads).rows(lo, hi),
             "array": lambda: np.zeros(site.shape),
             "no source carried up": lambda: SelfAnswer(None, site.t, clear),
-            "carried above the last block": lambda: SelfAnswer(record, site.t, clear,
-                                                               cross, prompt),
-            "cross shape": lambda: SelfAnswer(record, site.t, clear, cross[:, :, :-1], prompt),
-            "cross without prompt": lambda: SelfAnswer(record, site.t, clear, cross),
-            "prompt width": lambda: SelfAnswer(record, site.t, clear, cross, narrow),
+            "carry flag": lambda: SelfAnswer(record, site.t, clear, cross, prompt),
+            "cross without prompt": lambda: SelfAnswer(record, site.t, clear, True),
+            "prompt width": lambda: SelfAnswer(record, site.t, clear, True, narrow),
         }[case]()
 
     probe = lambda site: answer(site) if (site.kind, site.layer) == (KIND_SELF, layer) else None
     with pytest.raises(ContractViolation) as exc:
         denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
     assert f"(self, t=1, layer={layer})" in str(exc.value)
+    if case == "carry flag":
+        assert "carry flag is a ndarray, expected a bool" in str(exc.value)
 
 
 def test_encode_color_endpoints():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnfuse.errors import ContractViolation
-from attnfuse.numerics import (SeededRng, derived_seed, fnv1a64, maxnorm_frame,
-                               softmax_lastdim, softmax_numerators)
+from attnfuse.numerics import (SHORT_ROW, SeededRng, derived_seed, fnv1a64, maxnorm_frame,
+                               row_max, softmax_lastdim, softmax_numerators)
 
 
 def test_fnv1a64_known_vectors():
@@ -56,6 +56,22 @@ def test_softmax_numerators_peak_at_one_and_divide_into_the_softmax():
     assert np.array_equal(num / num.sum(axis=-1, keepdims=True), softmax_lastdim(x))
     with pytest.raises(ContractViolation, match="non-finite"):
         softmax_numerators(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("length", [1, 2, 6, SHORT_ROW, SHORT_ROW + 1, 192])
+def test_row_max_is_numpys_row_max_bit_for_bit(length):
+    # Short rows are taken column by column, long ones by numpy's reduction.
+    x = np.random.default_rng(length).standard_normal((3, 2, 5, length))
+    x[0, 0, 0] = -np.inf
+    x[0, 0, 1, 0] = np.nan
+    x[0, 0, 2, -1] = np.inf
+    x[0, 0, 3] = -0.0
+    x[0, 1, 0, ::2], x[0, 1, 0, 1::2] = -0.0, 0.0
+    x[0, 1, 1, ::2], x[0, 1, 1, 1::2] = 0.0, -0.0
+    x[1, 1, 4, 0] = -np.inf
+    want = x.max(axis=-1, keepdims=True)
+    assert row_max(x).tobytes() == want.tobytes()
+    assert row_max(x[1:]).tobytes() == want[1:].tobytes()
 
 
 def test_softmax_large_values_stable():
