@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: `invert` (archive attention and the inverted latent),
+Subcommands: `invert` (archive the latent trajectory and z_T),
 `edit` (inversion followed by a fused editing pass) and `reconstruct`
 (the identity edit).
 
@@ -306,15 +306,16 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
 def _run_invert(rc: RunConfig) -> int:
     weights = make_denoiser_weights(rc.model)
     z0 = _source_latent(rc)
-    # Records stream to store/ as inversion makes them; the index comes last.
-    writer = DumpWriter(rc.out_dir / "store", store_meta(rc.schedule, rc.model),
-                        rc.model.d_model)
+    # Latents stream to store/ as inversion makes them; the index comes last.
+    betas = rc.echo["schedule"]["beta_start"], rc.echo["schedule"]["beta_end"]
+    writer = DumpWriter(rc.out_dir / "store", rc.model, rc.steps, betas, rc.source_prompt)
     z_T, _ = invert_video(z0, embed_prompt(rc.source_prompt, rc.model), rc.schedule,
                           weights, writer)
     blobio.write_blob(rc.out_dir / "z_T.bin", config_hash(rc.model), [z_T])
-    writer.close()
-    print(f"inverted {rc.model.n} frames over {rc.steps} steps; "
-          f"{2 * rc.steps * rc.model.blocks} attention records in {rc.out_dir}")
+    writer.close(z_T)
+    written = rc.steps * (blobio.HEADER.size + z_T.nbytes) / 1e6
+    print(f"inverted {rc.model.n} frames over {rc.steps} steps; {rc.steps} latents "
+          f"({written:.2f} MB) in {writer.directory}")
     return 0
 
 

@@ -166,8 +166,9 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
     An edit's store keeps only the keys its plan reads: one latent per
     replayed step, from which the edit pass rebuilds the source's later
     block inputs and cross maps, the cross maps its blend masks
-    threshold, and the heatmaps' one; `invert` passes a `DumpWriter`,
-    which holds no record once written.  Runs at
+    threshold, and the heatmaps' one.  `invert` passes a `DumpWriter`,
+    which takes the latents only and holds none once written;
+    `store.load_store_dump` rebuilds the rest by replaying them.  Runs at
     guidance scale 1, which reduces to the conditional branch alone, so
     only that branch is evaluated and recorded.  Returns (z_T, store).
     """

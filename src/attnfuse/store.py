@@ -20,13 +20,11 @@ rest: a store holds the whole grid by default, an edit's store only the
 keys its `FusionPlan` reads: one latent per replayed step, the cross
 maps its blend masks threshold, and the heatmaps' cross map.  An
 `AttentionStore` keeps the pass's own records, unchecked.  A
-`DumpWriter` writes each record to its blob, named by its key, as it
-arrives and keeps none.  Once the grid is complete it writes, last,
-the index of the store's metadata and the one geometry all blob shapes
-follow, so a directory without `index.json` is an interrupted dump.  A
-loaded dump comes from outside the program, so `load_store_dump`
-checks the index's fields, each blob's header and length, cross rows
-and the finiteness of the latents and block inputs, naming the file.
+`DumpWriter` takes only the latents, from which every other record
+follows, and writes each to its blob as it arrives; last, it writes the
+index of what a replay needs and z_T's digest, so a directory without
+`index.json` is an interrupted dump.  `load_store_dump` rebuilds the
+whole grid by replaying inversion from the latents, checking each file.
 """
 
 from __future__ import annotations
@@ -41,16 +39,16 @@ import numpy as np
 
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
-from .model import KIND_CROSS, KIND_SELF, AttentionSite
-from .numerics import check_finite, check_rows, require
+from .model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig, config_hash,
+                    denoiser_forward, embed_prompt, make_denoiser_weights)
+from .numerics import check_finite, fnv1a64, require
+from .schedule import ddim_invert_step, make_schedule
 
-# Format of a store dump's index.json and blobs.  Version 6 writes each
-# record's one array and no weights; version 5 also wrote the weights
-# the self records share, once, to weights.bin, version 4 wrote block
-# inputs and weights in every self blob, version 3 listed each record's
-# file and shape, version 2 held self projections, version 1 (no
-# "version" key) maps.
-DUMP_VERSION = 6
+# Format of a store dump's index.json and blobs.  Version 7 writes one
+# latent per step and what replaying them needs.  Earlier versions wrote
+# records of the grid: 6 each one's array, 5 and 4 also weights, 3 an
+# index of every record, 2 self projections, 1 (no "version" key) maps.
+DUMP_VERSION = 7
 
 
 class AttentionKey(NamedTuple):
@@ -64,7 +62,7 @@ def _blob_name(key: AttentionKey) -> str:
     return f"{key.kind}_t{key.t:04d}_l{key.layer:02d}.bin"
 
 
-# Every name `_blob_name` gives.
+# Every name `_blob_name` gives, also those of an earlier version's records.
 _BLOB_NAME = re.compile(rf"({KIND_SELF}|{KIND_CROSS})_t\d{{4,}}_l\d{{2,}}\.bin")
 
 
@@ -74,24 +72,9 @@ def _grid(T: int, blocks: int) -> Iterator[AttentionKey]:
             for kind in (KIND_SELF, KIND_CROSS))
 
 
-class DumpGeometry(NamedTuple):
-    """The sizes every record of a dump shares."""
-    frames: int
-    channels: int
-    height: int
-    width: int
-    d_model: int
-    heads: int
-    tokens: int
-
-    def shape(self, key: AttentionKey) -> tuple[int, ...]:
-        """The one array of *key*'s blob: block 0's latent, a block input, or a cross map."""
-        pixels = self.height * self.width
-        if key.kind == KIND_CROSS:
-            return (self.frames, self.heads, pixels, self.tokens)
-        if key.layer == 0:
-            return (self.frames, self.channels, self.height, self.width)
-        return (self.frames, pixels, self.d_model)
+def _digest(z: np.ndarray) -> int:
+    """FNV-1a 64 of a latent's little-endian float64 bytes, a blob's payload."""
+    return fnv1a64(np.ascontiguousarray(z, dtype="<f8").tobytes())
 
 
 @dataclass(frozen=True)
@@ -125,14 +108,12 @@ class Recorder:
         pass builds that map's rows once, to apply them.
         """
         key = AttentionKey(site.t, site.layer, site.kind)
-        if key in self._taken:
-            self._add(key, site.record if site.kind == KIND_SELF else site.attn)
-
-    def _add(self, key: AttentionKey, entry) -> None:
+        if key not in self._taken:
+            return
         if self._taken[key]:
             raise ContractViolation(f"duplicate attention record for {key}")
         self._taken[key] = True
-        self._keep(key, entry)
+        self._keep(key, site.record if site.kind == KIND_SELF else site.attn)
 
     def verify_complete(self) -> list[AttentionKey]:
         """Wanted keys still missing, in recording order."""
@@ -171,21 +152,20 @@ class AttentionStore(Recorder):
 
 
 class DumpWriter(Recorder):
-    """Writes a dump record by record: `invert`'s probe.
+    """Writes a dump latent by latent: `invert`'s probe.
 
-    Each record of the grid goes to its blob, named by its key, as it
-    arrives, and is not kept.  An earlier dump's index and blobs, every
-    file named as `_blob_name` names one, are removed before the first
-    blob is written, and so is the `weights.bin` a version 5 dump wrote.
-    `close` writes the index of the store's metadata and the geometry of
-    step 0, which every step's records share, last, once no record is
-    missing.  *d_model*, the model's width, completes that geometry:
-    block 0's latent does not carry it, and a 1-block store has no other
-    self record.
+    It takes block 0's self record of each of the *T* steps, the step's
+    latent, and writes it to its blob as it arrives, keeping none.  An
+    earlier dump's index, blobs (every file named as `_blob_name` names
+    one) and version 5 `weights.bin` go before the first blob is written.
+    `close(z_T)` writes the index last: what the replay needs (*cfg*, *T*,
+    *betas*, *source_prompt*) and z_T's digest.
     """
 
-    def __init__(self, directory: Path, meta: StoreMeta, d_model: int):
-        super().__init__(meta)
+    def __init__(self, directory: Path, cfg: ModelConfig, T: int,
+                 betas: tuple[float, float], source_prompt: str):
+        super().__init__(StoreMeta(T=T, blocks=cfg.blocks, config_hash=config_hash(cfg)),
+                         (AttentionKey(t, 0, KIND_SELF) for t in range(T)))
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         for name in ("index.json", "weights.bin"):
@@ -193,30 +173,37 @@ class DumpWriter(Recorder):
         for path in self.directory.glob("*.bin"):
             if _BLOB_NAME.fullmatch(path.name):
                 path.unlink()
-        self._d_model = d_model
-        # Step 0's block 0 shapes: the latent's and the cross map's.
-        self._shapes: dict[str, tuple[int, ...]] = {}
+        self._replay = {"model": asdict(cfg), "beta_start": betas[0], "beta_end": betas[1],
+                        "source_prompt": source_prompt}
 
     def _keep(self, key: AttentionKey, entry: np.ndarray) -> None:
-        if key.t == key.layer == 0:
-            self._shapes[key.kind] = entry.shape
         blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, [entry])
 
-    def close(self) -> None:
-        """Write the index, last; refused while a record is missing."""
+    def close(self, z_T: np.ndarray) -> None:
+        """Write the index with *z_T*'s digest, last; refused while a latent is missing."""
         missing = self.verify_complete()
-        require(not missing, f"{self.directory}: {len(missing)} records missing, "
+        require(not missing, f"{self.directory}: {len(missing)} latents missing, "
                              f"the first {missing[:1]}; no index written")
-        frames, channels, height, width = self._shapes[KIND_SELF]
-        _, heads, _, tokens = self._shapes[KIND_CROSS]
-        geometry = DumpGeometry(frames, channels, height, width, self._d_model, heads, tokens)
-        index = {"version": DUMP_VERSION, **asdict(self.meta), **geometry._asdict()}
+        index = {"version": DUMP_VERSION, "T": self.meta.T,
+                 "config_hash": self.meta.config_hash, **self._replay,
+                 "z_T_fnv1a64": _digest(z_T)}
         (self.directory / "index.json").write_text(
             json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 
+# Each index field and the JSON type it must have.
+_INDEX_FIELDS = {"T": int, "config_hash": int, "model": dict, "beta_start": float,
+                 "beta_end": float, "source_prompt": str, "z_T_fnv1a64": int}
+
+
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Read a dump back, checking its index and each blob, as they come from files."""
+    """Rebuild a dump's whole store by replaying inversion from its latents.
+
+    It checks each file it reads, naming the one at fault: the index's
+    fields and config hash, each latent's header, length and finiteness,
+    and that each replayed step lands on the next latent, and the last on
+    the index's z_T digest, bit for bit.
+    """
     directory = Path(directory)
     index_path = directory / "index.json"
     try:
@@ -229,24 +216,35 @@ def load_store_dump(directory: Path) -> AttentionStore:
     found = index.get("version", 1)
     if type(found) is not int or found != DUMP_VERSION:
         raise ContractViolation(
-            f"{directory}: store dump format version {found!r}, expected "
+            f"{index_path}: store dump format version {found!r}, expected "
             f"{DUMP_VERSION}; invert the video again to rewrite it")
-    names = ("config_hash", "T", "blocks") + DumpGeometry._fields
-    bad = [n for n in names if type(index.get(n)) is not int]
-    require(not bad, f"{index_path}: {', '.join(bad)} must be present as integers")
-    small = [f"{n} = {index[n]}" for n in names[1:] if index[n] < 1]
-    require(not small, f"{index_path}: sizes must be at least 1, got {', '.join(small)}")
-    hash_, T, blocks, *sizes = (index[n] for n in names)
-    geometry = DumpGeometry(*sizes)
-    require(geometry.d_model % geometry.heads == 0,
-            f"{index_path}: {geometry.heads} heads do not split d_model {geometry.d_model}")
-    store = AttentionStore(StoreMeta(T=T, blocks=blocks, config_hash=hash_))
-    for key in _grid(T, blocks):
-        path = directory / _blob_name(key)
-        [array] = blobio.read_blob(path, hash_, [geometry.shape(key)])
-        if key.kind == KIND_CROSS:
-            check_rows(f"{path}: cross map", array, 1e-9)
-        else:
-            check_finite(f"{path}: self {'block input' if key.layer else 'latent'}", array)
-        store._add(key, array)
+    bad = [f"{n} ({kind.__name__})" for n, kind in _INDEX_FIELDS.items()
+           if type(index.get(n)) is not kind]
+    require(not bad, f"{index_path}: missing or mistyped: {', '.join(bad)}")
+    T = index["T"]
+    try:
+        cfg = ModelConfig(**index["model"])
+        sched = make_schedule(T, index["beta_start"], index["beta_end"])
+    except (TypeError, ContractViolation) as exc:
+        raise ContractViolation(f"{index_path}: {exc}") from None
+    hash_ = config_hash(cfg)
+    require(index["config_hash"] == hash_,
+            f"{index_path}: config_hash {index['config_hash']:#018x} is not that of "
+            f"its model, {hash_:#018x}")
+    weights, prompt = make_denoiser_weights(cfg), embed_prompt(index["source_prompt"], cfg)
+    store = AttentionStore(StoreMeta(T=T, blocks=cfg.blocks, config_hash=hash_))
+    landed = None
+    for t in range(T):
+        path = directory / _blob_name(AttentionKey(t, 0, KIND_SELF))
+        [z] = blobio.read_blob(path, hash_, [(cfg.n, cfg.c, cfg.h, cfg.w)])
+        check_finite(f"{path}: latent", z)
+        if landed is not None:
+            differ = np.count_nonzero(z.view(np.uint64) != landed.view(np.uint64))
+            require(not differ, f"{path}: step {t - 1}'s replay under {index_path} "
+                                f"lands elsewhere ({differ} of {z.size} values differ)")
+        eps = denoiser_forward(z, t, prompt, weights, T, probe=store.record)
+        landed = ddim_invert_step(z, eps, t, sched)
+    require(_digest(landed) == index["z_T_fnv1a64"],
+            f"{index_path}: z_T_fnv1a64 {index['z_T_fnv1a64']:#018x} is not the digest "
+            f"of step {T - 1}'s replay, {_digest(landed):#018x}")
     return store

@@ -1,8 +1,8 @@
-"""Shared fixtures: a tiny model, a completed tiny inversion, a dump
-written by inverting into a `DumpWriter`, a probe that captures the
-maps a forward pass applies, the self map a record stands for and
-every map a store stands for, the row contract of an attention map,
-and the peak memory of a call."""
+"""Shared fixtures: a tiny model, a completed tiny inversion, the
+`DumpWriter` of its clip and a dump written by inverting into one, a
+probe that captures the maps a forward pass applies, the self map a
+record stands for and every map a store stands for, the row contract
+of an attention map, and the peak memory of a call."""
 
 import tracemalloc
 from typing import NamedTuple
@@ -13,7 +13,7 @@ import pytest
 from attnfuse.model import (KIND_SELF, ModelConfig, SelfAnswer, SelfTiles, _block_input,
                             embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng
-from attnfuse.pipeline import invert_video, store_meta
+from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
 from attnfuse.store import DumpWriter
 
@@ -31,10 +31,15 @@ def tiny_weights():
     return make_denoiser_weights(TINY)
 
 
+# The toy inversion's schedule betas and source prompt.
+BETAS = (0.05, 0.1)
+PROMPT = "a red square drifting right"
+
+
 def _clip(cfg):
     """(schedule, prompt, z_0) of a 4-step toy inversion under *cfg*."""
-    sched = make_schedule(4, 0.05, 0.1)
-    prompt = embed_prompt("a red square drifting right", cfg)
+    sched = make_schedule(4, *BETAS)
+    prompt = embed_prompt(PROMPT, cfg)
     z0 = SeededRng(5).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w)) * 0.2
     return sched, prompt, z0
 
@@ -52,15 +57,25 @@ def tiny_inversion(tiny_weights):
     return sched, prompt, z0, z_T, store
 
 
+def _toy_writer(directory, cfg):
+    """A `DumpWriter` at *directory* of the toy inversion under *cfg*."""
+    return DumpWriter(directory, cfg, 4, BETAS, PROMPT)
+
+
+@pytest.fixture
+def toy_writer():
+    return _toy_writer
+
+
 def _write_dump(directory, weights=None):
     """Invert the toy clip under *weights* (the tiny model's by default)
     into a `DumpWriter` at *directory* and close it; returns z_T."""
     weights = make_denoiser_weights(TINY) if weights is None else weights
     cfg = weights.config
     sched, prompt, z0 = _clip(cfg)
-    writer = DumpWriter(directory, store_meta(sched, cfg), cfg.d_model)
+    writer = _toy_writer(directory, cfg)
     z_T, _ = invert_video(z0, prompt, sched, weights, writer)
-    writer.close()
+    writer.close(z_T)
     return z_T
 
 

@@ -207,7 +207,7 @@ def test_a_replay_step_faults_in_no_fresh_memory(tmp_path):
     assert (long - short) / 60 < 50, (short, long)
 
 
-def test_invert_writes_latent_and_store(tmp_path, config_path):
+def test_invert_writes_latent_and_store(tmp_path, config_path, capsys):
     out = tmp_path / "inv"
     assert run(["invert", "--config", str(config_path),
                 "--out", str(out)]) == 0
@@ -215,11 +215,15 @@ def test_invert_writes_latent_and_store(tmp_path, config_path):
     [z_T] = read_blob(out / "z_T.bin", config_hash(rc.model),
                       [(3, 1, 12, 12)])
     assert np.all(np.isfinite(z_T))
+    # store/ holds one latent per step; the load replays them into every
+    # record of the grid.  Block 0's self record of step 0 is the source
+    # latent.  The dump holds no weights: the load builds them from the
+    # model the index carries.
+    blobs = sum(p.stat().st_size for p in (out / "store").glob("*.bin"))
+    assert f"4 latents ({blobs / 1e6:.2f} MB) in {out / 'store'}" in capsys.readouterr().out
     store = load_store_dump(out / "store")
     assert len(store) == 2 * 4 * 1
     assert store.verify_complete() == []
-    # Block 0's self blob of step 0 is the source latent.  The dump holds
-    # no weights: they are those of the config its config_hash names.
     _, z0, *_ = _clip(rc)
     assert store.self_record(0, 0).tobytes() == z0.tobytes()
     assert not (out / "store" / "weights.bin").exists()
@@ -270,21 +274,54 @@ def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_pa
 
 
 def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
-    # A shorter invert into a longer one's --out leaves only its own blobs,
-    # and removes the weights.bin a version 5 dump wrote beside its index;
-    # files not named as blobs stay.
+    # A shorter invert into a longer one's --out leaves only its own
+    # latents.  It also removes what earlier formats left there: a version
+    # 6 dump's cross and later-block blobs and a version 5 dump's
+    # weights.bin.  Files not named as blobs stay.
     out, others = tmp_path / "inv", ["notes.txt", "self_t1_l0.bin", "cross_t0009_l00.npy"]
+    version6 = [f"{kind}_t{t:04d}_l{layer:02d}.bin"
+                for t in range(6) for layer in range(2) for kind in ("self", "cross")]
     for steps in (6, 2):
         path = tmp_path / f"steps{steps}.cfg"
         path.write_text(BASE_CONFIG.replace("steps = 4", f"steps = {steps}"))
         if steps == 2:
-            for name in others + ["weights.bin"]:
+            for name in others + version6 + ["weights.bin"]:
                 (out / "store" / name).write_text("not a blob")
+            (out / "store" / "index.json").write_text('{"version": 6}')
         assert run(["invert", "--config", str(path), "--out", str(out)]) == 0
     assert load_store_dump(out / "store").meta.T == 2
-    blobs = [f"{kind}_t{t:04d}_l00.bin" for t in range(2) for kind in ("self", "cross")]
+    latents = [f"self_t{t:04d}_l00.bin" for t in range(2)]
     assert (sorted(p.name for p in (out / "store").iterdir())
-            == sorted(["index.json", *blobs, *others]))
+            == sorted(["index.json", *latents, *others]))
+
+
+_LOAD = """\
+import sys
+from attnfuse.store import load_store_dump
+store = load_store_dump(sys.argv[1])
+print(len(store), len(store.verify_complete()))
+"""
+
+
+def test_a_dump_loads_under_another_blas_thread_count(tmp_path):
+    # The load replays every step and requires it to land on the next
+    # latent bit for bit, so a dump written with one BLAS thread must load
+    # with two.  The benchmark's edit config makes products large enough
+    # for OpenBLAS to split.
+    config = ROOT / "perfbench" / "configs" / "edit_attr.cfg"
+    env = lambda threads: dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                               OPENBLAS_NUM_THREADS=threads)
+    commands = [([sys.executable, "-m", "attnfuse", "invert", "--config", str(config),
+                  "--out", str(tmp_path)], "1"),
+                ([sys.executable, "-c", _LOAD, str(tmp_path / "store")], "2")]
+    outputs = []
+    for argv, threads in commands:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              env=env(threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    rc = parse_config(config)
+    assert outputs[1].split() == [str(rc.steps * rc.model.blocks * 2), "0"]
 
 
 def test_an_edit_store_holds_block_zero_self_records_as_latents():
@@ -642,14 +679,15 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     cross_map = m.n * m.heads * hw * tokens * 8
     self_map = m.n * m.heads * hw * 2 * hw * 8
     step = latent + (m.blocks - 1) * self_record + m.blocks * cross_map
-    # A dump writes each record's blob, and no weights.
-    step_blobs = 2 * m.blocks * HEADER.size + step
+    # A dump writes each step's latent to its blob, and no other record.
+    latent_blob = HEADER.size + latent
     assert f"block input, n·h·w·d_model values ({self_record / 1e3:.0f} kB" in readme
     assert f"latent, n·c·h·w values ({latent / 1e3:.0f} kB there)" in readme
     assert f"(T = {rc.steps}, {m.blocks} blocks, {tokens} prompt tokens)" in readme
     assert (f"holds {rc.steps * step / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
-    assert f"writes {rc.steps * step_blobs / 1e6:.1f} MB to `store/`" in readme
+    assert (f"`invert` writes {rc.steps * latent_blob / 1e6:.2f} MB to `store/` instead "
+            f"of {rc.steps * (2 * m.blocks * HEADER.size + step) / 1e6:.1f} MB") in readme
     # An edit of that config keeps only the keys its plan reads.
     src = embed_prompt(rc.source_prompt, m)
     plan = FusionPlan.recording(
@@ -675,7 +713,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     write_dump(tmp_path / "store", make_denoiser_weights(m))
     written = sum(p.stat().st_size for p in (tmp_path / "store").iterdir())
     index = (tmp_path / "store" / "index.json").stat().st_size
-    assert written - index == 4 * step_blobs
+    assert written - index == 4 * latent_blob
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):

@@ -11,11 +11,11 @@ from attnfuse.errors import ContractViolation, MissingRecordError
 from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig, SelfTiles,
                             config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights)
-from attnfuse.numerics import SeededRng
+from attnfuse.numerics import SeededRng, fnv1a64
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import ddim_invert_step, make_schedule
-from attnfuse.store import (AttentionKey, AttentionStore, DumpGeometry, DumpWriter,
-                            StoreMeta, load_store_dump)
+from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
+                            load_store_dump)
 
 
 def _cross_site(t, layer, keys=4):
@@ -151,70 +151,63 @@ def test_stored_maps_are_immutable(tiny_inversion):
             record[0, 0, 0, 0] = 0.5
 
 
-@pytest.mark.parametrize("blocks", [2, 1])
-def test_dump_and_load_round_trip(tmp_path, tiny_cfg, toy_clip, write_dump, capture_probe,
-                                  self_map, blocks):
-    cfg = dataclasses.replace(tiny_cfg, blocks=blocks)
-    d = tmp_path / "store"
-    z_T = write_dump(d, make_denoiser_weights(cfg))
-    assert (d / "index.json").exists()
-    files = sorted(p.name for p in d.glob("*.bin"))
-    assert "self_t0000_l00.bin" in files and "weights.bin" not in files
-    # Each blob holds one array: block 0's self blob the latent, n*c*h*w
-    # float64s, a later block's the block input, n*h*w*d_model, a cross
-    # blob the map.  No blob holds weights.
-    loaded = load_store_dump(d)
-    m, hw, T = cfg, cfg.h * cfg.w, loaded.meta.T
-    assert len(files) == len(loaded) == T * blocks * 2
-    tokens = loaded.query(0, 0).shape[-1]
-    for name in files:
-        kind, _, layer = name[:-4].split("_")
-        per_pixel = (m.heads * tokens if kind == KIND_CROSS
-                     else m.c if layer == "l00" else m.d_model)
-        assert (d / name).stat().st_size == HEADER.size + 8 * m.n * hw * per_pixel, name
-    # At one block no record carries d_model; the index holds it still.
-    assert json.loads((d / "index.json").read_text())["d_model"] == m.d_model
-    assert loaded.meta == StoreMeta(T=T, blocks=blocks, config_hash=config_hash(cfg))
-    assert loaded.verify_complete() == []
+def _assert_same_store(loaded, store):
+    """*loaded* holds *store*'s keys, in its order, and its entries byte for byte."""
+    assert loaded.meta == store.meta and loaded.verify_complete() == []
+    assert list(loaded.keys()) == list(store.keys())
+    for key in store.keys():
+        got, want = ((loaded.self_record, store.self_record) if key.kind == KIND_SELF
+                     else (loaded.query, store.query))
+        assert got(key.t, key.layer).tobytes() == want(key.t, key.layer).tobytes(), key
 
-    # The maps rebuilt from the loaded arrays with the config's weights
-    # are the maps the pass applied, bit for bit.
+
+@pytest.mark.parametrize("blocks", [2, 1])
+def test_dump_and_load_round_trip(tmp_path, tiny_cfg, toy_clip, write_dump, blocks):
+    cfg = dataclasses.replace(tiny_cfg, blocks=blocks)
     weights = make_denoiser_weights(cfg)
-    sched, prompt, z = toy_clip(cfg)
-    for t in range(T):
-        probe, applied = capture_probe()
-        eps = denoiser_forward(z, t, prompt, weights, T, probe=probe)
-        assert len(applied) == 2 * blocks
-        for rec in applied:
-            if rec.kind == KIND_SELF:
-                got = self_map(loaded.self_record(t, rec.layer), t, rec.layer, weights, T)
-            else:
-                got = loaded.query(t, rec.layer)
-            assert got.tobytes() == rec.attn.tobytes(), (t, rec.layer, rec.kind)
-        if t == 0:
-            assert loaded.self_record(0, 0).tobytes() == z.tobytes()
-        z = ddim_invert_step(z, eps, t, sched)
-    assert z.tobytes() == z_T.tobytes()
+    d = tmp_path / "store"
+    z_T = write_dump(d, weights)
+    # On disk: one blob per step, the step's latent, n*c*h*w float64s,
+    # and the index of what a replay needs.  No cross map, no later
+    # block's input and no weights.
+    sched, prompt, z0 = toy_clip(cfg)
+    latents = [f"self_t{t:04d}_l00.bin" for t in range(sched.T)]
+    assert sorted(p.name for p in d.iterdir()) == sorted(["index.json", *latents])
+    for name in latents:
+        assert (d / name).stat().st_size == HEADER.size + z0.nbytes, name
+    index = json.loads((d / "index.json").read_text())
+    assert index == {"version": DUMP_VERSION, "T": sched.T,
+                     "config_hash": config_hash(cfg), "model": dataclasses.asdict(cfg),
+                     "beta_start": 0.05, "beta_end": 0.1,
+                     "source_prompt": "a red square drifting right",
+                     "z_T_fnv1a64": fnv1a64(z_T.tobytes())}
+
+    # Loading replays the latents into the whole grid: the store an
+    # in-memory inversion fills, key for key and byte for byte.
+    _, store = invert_video(z0, prompt, sched, weights)
+    assert len(store) == sched.T * blocks * 2
+    _assert_same_store(load_store_dump(d), store)
 
 
 def test_old_format_dump_is_refused(tmp_path, write_dump):
     d = tmp_path / "store"
     write_dump(d)
     index = json.loads((d / "index.json").read_text())
-    assert index["version"] == 6
-    # Version 5 also wrote the weights the self records share to
-    # weights.bin; version 4 wrote block inputs and weights into every
-    # self blob; version 3 listed every record's file and shape; version 2
-    # held query and key projections in its self blobs; a version 1 dump
-    # had no version key and held self maps.  A version must be the
-    # integer 6.
-    for version, fragment in [(5, "version 5, expected 6"),
-                              (4, "version 4, expected 6"),
-                              (3, "version 3, expected 6"),
-                              (2, "version 2, expected 6"),
-                              (None, "version 1, expected 6"),
-                              ("6", "version '6', expected 6"),
-                              (6.0, r"version 6\.0, expected 6")]:
+    assert index["version"] == 7
+    # Version 6 wrote every record of the grid, version 5 also the
+    # weights the self records share to weights.bin, version 4 block
+    # inputs and weights into every self blob, version 3 listed every
+    # record's file and shape, version 2 held query and key projections
+    # in its self blobs, and a version 1 dump had no version key and held
+    # self maps.  A version must be the integer 7.
+    for version, fragment in [(6, "version 6, expected 7"),
+                              (5, "version 5, expected 7"),
+                              (4, "version 4, expected 7"),
+                              (3, "version 3, expected 7"),
+                              (2, "version 2, expected 7"),
+                              (None, "version 1, expected 7"),
+                              ("7", "version '7', expected 7"),
+                              (7.0, r"version 7\.0, expected 7")]:
         old = {k: v for k, v in index.items() if k != "version"}
         if version is not None:
             old["version"] = version
@@ -223,105 +216,96 @@ def test_old_format_dump_is_refused(tmp_path, write_dump):
             load_store_dump(d)
 
 
-def test_a_streamed_dump_equals_the_dumped_store(tmp_path, tiny_cfg, tiny_weights,
-                                                 tiny_inversion):
-    # The store an in-memory inversion fills, written record by record
-    # into a DumpWriter, is the dump `invert` streams as the pass runs.
-    sched, prompt, z0, z_T, store = tiny_inversion
-    dumped = DumpWriter(tmp_path / "dumped", store.meta, tiny_cfg.d_model)
-    for key in store.keys():
-        if key.kind == KIND_SELF:
-            dumped.record(_self_site(key.t, key.layer, store.self_record(key.t, key.layer)))
-        else:
-            attn = store.query(key.t, key.layer)
-            dumped.record(AttentionSite(key.t, key.layer, KIND_CROSS, attn.shape,
-                                        lambda attn=attn: attn))
-    dumped.close()
+def test_a_streamed_dump_equals_the_dumped_store(tmp_path, tiny_cfg, toy_clip, toy_writer):
+    # The latents of the store an in-memory inversion fills, written one
+    # by one into a DumpWriter, are the dump `invert` streams as the pass
+    # runs, and loading either gives that store back, at 2 and 1 blocks.
+    for blocks in (2, 1):
+        cfg = dataclasses.replace(tiny_cfg, blocks=blocks)
+        weights = make_denoiser_weights(cfg)
+        sched, prompt, z0 = toy_clip(cfg)
+        z_T, store = invert_video(z0, prompt, sched, weights)
+        dumped = toy_writer(tmp_path / f"dumped{blocks}", cfg)
+        for key in store.keys():
+            if key.kind == KIND_SELF:
+                dumped.record(_self_site(key.t, key.layer,
+                                         store.self_record(key.t, key.layer)))
+            else:
+                attn = store.query(key.t, key.layer)
+                dumped.record(AttentionSite(key.t, key.layer, KIND_CROSS, attn.shape,
+                                            lambda attn=attn: attn))
+        dumped.close(z_T)
 
-    writer = DumpWriter(tmp_path / "streamed", store.meta, tiny_cfg.d_model)
-    z, _ = invert_video(z0, prompt, sched, tiny_weights, writer)
-    assert np.array_equal(z, z_T)
-    # No index is written before close.
-    assert not (tmp_path / "streamed" / "index.json").exists()
-    writer.close()
-    read = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
-    assert read(tmp_path / "streamed") == read(tmp_path / "dumped")
-    with pytest.raises(ContractViolation, match="duplicate"):
-        writer.record(_self_site(0, 0, store.self_record(0, 0)))
-
-    loaded = load_store_dump(tmp_path / "streamed")
-    assert list(loaded.keys()) == list(store.keys())
-    for key in store.keys():
-        got, want = ((loaded.self_record, store.self_record) if key.kind == KIND_SELF
-                     else (loaded.query, store.query))
-        assert got(key.t, key.layer).tobytes() == want(key.t, key.layer).tobytes(), key
+        writer = toy_writer(tmp_path / f"streamed{blocks}", cfg)
+        z, _ = invert_video(z0, prompt, sched, weights, writer)
+        assert np.array_equal(z, z_T)
+        # No index is written before close.
+        assert not (writer.directory / "index.json").exists()
+        writer.close(z)
+        read = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
+        assert read(writer.directory) == read(dumped.directory)
+        with pytest.raises(ContractViolation, match="duplicate"):
+            writer.record(_self_site(0, 0, store.self_record(0, 0)))
+        _assert_same_store(load_store_dump(writer.directory), store)
 
 
-def test_dump_refuses_an_incomplete_store(tmp_path, write_dump):
+def test_dump_refuses_an_incomplete_store(tmp_path, tiny_cfg, toy_writer, write_dump):
     # A writer over an earlier dump removes its index and blobs before it
-    # writes a blob of its own.
+    # writes a blob of its own, and it takes only the latents.
     d = tmp_path / "store"
     write_dump(d)
-    writer = DumpWriter(d, StoreMeta(T=2, blocks=1, config_hash=7), d_model=4)
+    writer = toy_writer(d, tiny_cfg)
     assert list(d.iterdir()) == []
     latent = _record(shape=(2, 1, 1, 3))
     writer.record(_self_site(0, 0, latent))
     writer.record(_cross_site(0, 0))
-    # close writes no index while a record is missing.
-    with pytest.raises(ContractViolation, match="2 records missing"):
-        writer.close()
-    assert sorted(p.name for p in d.iterdir()) == ["cross_t0000_l00.bin",
-                                                   "self_t0000_l00.bin"]
+    writer.record(_self_site(0, 1, _record()))
+    # close writes no index while a latent is missing.
+    with pytest.raises(ContractViolation, match="3 latents missing"):
+        writer.close(latent)
+    assert [p.name for p in d.iterdir()] == ["self_t0000_l00.bin"]
     with pytest.raises(ContractViolation, match="duplicate"):
         writer.record(_self_site(0, 0, latent))
 
 
-CROSS_BLOB = "cross_t0000_l00.bin"
-SELF_BLOB = "self_t0000_l00.bin"
-LATER_SELF_BLOB = "self_t0000_l01.bin"
-
-
-def _with_nan(path, hash_, shapes):
-    """Rewrite the blob at *path* with a NaN in its array."""
-    [array] = [arr.copy() for arr in read_blob(path, hash_, shapes)]
-    array.flat[-1] = np.nan
-    write_blob(path, hash_, [array])
+def _latent(t):
+    return f"self_t{t:04d}_l00.bin"
 
 
 def _tampered_dump(directory, write_dump, case):
-    """Dump the toy inversion to *directory*, then spoil its index or one of its blobs."""
+    """Dump the toy inversion to *directory*, then spoil its index or one of its latents."""
     write_dump(directory)
     index = json.loads((directory / "index.json").read_text())
-    geometry = DumpGeometry(*(index[n] for n in DumpGeometry._fields))
-    hash_ = index["config_hash"]
-    cross = directory / CROSS_BLOB
-    cross_shape = geometry.shape(AttentionKey(0, 0, KIND_CROSS))
-    if case == "scaled payload":
-        [attn] = read_blob(cross, hash_, [cross_shape])
-        write_blob(cross, hash_, [attn * 2.0])
-    elif case == "nan payload":
-        _with_nan(cross, hash_, [cross_shape])
-    elif case == "nan latent":
-        _with_nan(directory / SELF_BLOB, hash_,
-                  [geometry.shape(AttentionKey(0, 0, KIND_SELF))])
-    elif case == "nan block input":
-        _with_nan(directory / LATER_SELF_BLOB, hash_,
-                  [geometry.shape(AttentionKey(0, 1, KIND_SELF))])
-    elif case == "no tokens key":
-        del index["tokens"]
+    hash_, model = index["config_hash"], index["model"]
+    shape = [(model["n"], model["c"], model["h"], model["w"])]
+    path = directory / _latent(1 if case == "nan latent" else 2)
+    if case in ("latent one ulp up", "nan latent", "short latent"):
+        [z] = [arr.copy() for arr in read_blob(path, hash_, shape)]
+        if case == "short latent":
+            z = z.ravel()[:-1]
+        else:
+            z.flat[5] = np.nextafter(z.flat[5], np.inf) if case.endswith("up") else np.nan
+        write_blob(path, hash_, [z])
+    elif case == "trailing bytes":
+        path.write_bytes(path.read_bytes() + bytes(8))
+    elif case == "no latent blob":
+        path.unlink()
+    elif case == "other prompt word":
+        index["source_prompt"] = index["source_prompt"].replace("right", "left")
+    elif case in ("other seed", "other seed and hash"):
+        model["seed"] += 1
+        if case == "other seed and hash":
+            index["config_hash"] = config_hash(ModelConfig(**model))
+    elif case == "wrong z_T digest":
+        index["z_T_fnv1a64"] ^= 1
+    elif case == "version 6":
+        index["version"] = 6
     elif case == "string config hash":
         index["config_hash"] = "x"
-    elif case == "string heads":
-        index["heads"] = "2"
-    elif case == "no cross blob":
-        cross.unlink()
-    elif case == "huge geometry":  # 2**64 latent rows overflow int64
-        index["frames"] = index["height"] = 2 ** 32
-    elif case in ("one token more", "one token fewer"):
-        index["tokens"] += 1 if case == "one token more" else -1
-    elif case not in ("garbage index", "no index"):  # "<field> <value>"
-        field, value = case.split()
-        index[field] = int(value)
+    elif case == "no model seed":
+        del model["seed"]
+    elif case == "beta_end 1.5":
+        index["beta_end"] = 1.5
     if case == "no index":
         (directory / "index.json").unlink()
     else:
@@ -330,31 +314,32 @@ def _tampered_dump(directory, write_dump, case):
     return directory
 
 
-def test_load_checks_every_cross_map_it_reads(tmp_path, write_dump):
+def test_load_checks_every_file_it_reads(tmp_path, write_dump):
     write_dump(tmp_path / "good")
     assert load_store_dump(tmp_path / "good").verify_complete() == []
     # blobio checks the header and the length only, so the payload cases
-    # reach the loader.  Each case names the file at fault: the blob, or
-    # the index.
+    # reach the loader, which replays each latent and requires the step
+    # to land on the next one bit for bit.  Each case names the file at
+    # fault: the latent's blob, or the index.
     for case, fragment, named in [
-            ("scaled payload", "rows deviate from 1", CROSS_BLOB),
-            ("nan payload", "rows deviate from 1 by nan", CROSS_BLOB),
-            ("nan latent", "self latent: non-finite", SELF_BLOB),
-            ("nan block input", "self block input: non-finite", LATER_SELF_BLOB),
-            ("one token more", "payload shorter than declared shapes", CROSS_BLOB),
-            ("one token fewer", "trailing bytes", CROSS_BLOB),
-            ("huge geometry", "payload shorter than declared shapes", SELF_BLOB),
-            ("no cross blob", "cannot read", CROSS_BLOB),
+            ("latent one ulp up", "step 1's replay .* lands elsewhere "
+                                  r"\(1 of 48 values differ\)", _latent(2)),
+            ("nan latent", "latent: non-finite", _latent(1)),
+            ("short latent", "payload shorter than declared shapes", _latent(2)),
+            ("trailing bytes", "8 trailing bytes", _latent(2)),
+            ("no latent blob", "cannot read", _latent(2)),
+            ("other prompt word", "step 0's replay .* lands elsewhere", "index.json"),
+            ("other seed", "config_hash .* is not that of its model", "index.json"),
+            ("other seed and hash", "config hash mismatch", _latent(0)),
+            ("wrong z_T digest", "z_T_fnv1a64 .* is not the digest of step 3's replay",
+             "index.json"),
+            ("version 6", "version 6, expected 7", "index.json"),
             ("garbage index", "not a JSON index", "index.json"),
             ("no index", "cannot read", "index.json"),
-            ("no tokens key", "tokens must be present as integers", "index.json"),
-            ("string config hash", "config_hash must be", "index.json"),
-            ("string heads", "heads must be", "index.json"),
-            ("channels 0", "at least 1, got channels = 0", "index.json"),
-            ("height 0", "at least 1, got height = 0", "index.json"),
-            ("width -1", "at least 1, got width = -1", "index.json"),
-            ("heads 0", "at least 1, got heads = 0", "index.json"),
-            ("heads 3", "3 heads do not split d_model 8", "index.json")]:
+            ("string config hash", r"mistyped: config_hash \(int\)", "index.json"),
+            ("no model seed", "missing 1 required positional argument: 'seed'",
+             "index.json"),
+            ("beta_end 1.5", "betas must satisfy", "index.json")]:
         d = _tampered_dump(tmp_path / case.replace(" ", "_"), write_dump, case)
         with pytest.raises(ContractViolation, match=fragment) as exc:
             load_store_dump(d)
