@@ -1,11 +1,10 @@
 """Prompt-driven video editing by attention fusion.
 
 A compact, fully deterministic latent-diffusion stack: DDIM inversion
-records the attention maps of a toy denoiser that the edit reads (a
-self-attention map as the one array it is rebuilt from with the
-model's own weights: the block input, or block 0's latent), and the
-editing pass replays those maps through cross-attention column fusion
-and masked self-attention blending, so edits keep the source video's
+of a toy denoiser returns its latent trajectory, and the editing pass
+replays the source's attention maps, rebuilt from those latents with
+the model's own weights, through cross-attention column fusion and
+masked self-attention blending, so edits keep the source video's
 layout and motion.
 """
 
@@ -21,8 +20,8 @@ from .pipeline import (MetricsReport, VideoSpec, compute_metrics, decode,
                        encode, invert_video, run_denoise, synth_video)
 from .schedule import (NoiseSchedule, cfg_combine, ddim_invert_step,
                        ddim_step, make_schedule)
-from .store import (AttentionKey, AttentionStore, DumpWriter, StoreMeta,
-                    load_store_dump)
+from .store import (AttentionKey, AttentionStore, StoreMeta, load_store_dump,
+                    write_store_dump)
 
 __version__ = "0.1.0"
 

@@ -26,14 +26,14 @@ from .errors import ConfigError, ContractViolation
 from .fusion import (EditConfig, FusionPlan, MODES, align_prompts, preset,
                      word_attention)
 from .imageio import quantize, write_pgm
-from .model import ModelConfig, config_hash, embed_prompt, make_denoiser_weights
+from .model import KIND_CROSS, ModelConfig, embed_prompt, make_denoiser_weights
 from .numerics import SeededRng, derived_seed, require
 from .pipeline import (VideoSpec, compute_metrics, invert_video,
                        latent_to_pixels, pixels_to_latent, read_frame_dir,
-                       run_denoise, store_meta, synth_video, write_frame_dir)
+                       run_denoise, synth_video, write_frame_dir)
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_STEPS,
                        NoiseSchedule, make_schedule)
-from .store import DumpWriter
+from .store import write_store_dump
 
 # section -> key -> (caster, default, help). The parser rejects anything
 # not listed here.
@@ -249,7 +249,8 @@ def write_heatmap(map2d: np.ndarray, path: Path) -> None:
     write_pgm(path, quantize(255.0 * arr))
 
 
-def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
+def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan,
+                   heatmap: np.ndarray) -> None:
     h, w = rc.model.h, rc.model.w
 
     mask_dir = out_dir / "masks"
@@ -261,10 +262,9 @@ def _write_visuals(out_dir: Path, rc: RunConfig, plan: FusionPlan) -> None:
 
     heat_dir = out_dir / "heatmaps"
     heat_dir.mkdir(parents=True, exist_ok=True)
-    attn = plan.source_map(1, 0)  # inversion step 0's record
     # The mask's words, or every word (the start token if there is none).
-    columns = plan.positions or tuple(range(1, attn.shape[-1])) or (0,)
-    heat = word_attention(attn, columns)
+    columns = plan.positions or tuple(range(1, heatmap.shape[-1])) or (0,)
+    heat = word_attention(heatmap, columns)
     for i in range(rc.model.n):
         write_heatmap(heat[i].reshape(h, w), heat_dir / f"{i:04d}.pgm")
 
@@ -282,16 +282,22 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     z0 = _source_latent(rc)
     src_emb = embed_prompt(rc.source_prompt, rc.model)
     edit_emb = embed_prompt(edit_text, rc.model)
-    plan = FusionPlan.recording(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens),
-                                store_meta(rc.schedule, rc.model), src_emb)
-    z_T, _ = invert_video(z0, src_emb, rc.schedule, weights, plan.store)
-    z_out = run_denoise(z_T, edit_emb, rc.schedule, weights, rc.edit.s_cfg,
+    heatmaps = []  # inversion step 0's cross map of block 0, which heatmaps/ draws
+
+    def keep_heatmap(site):
+        if (site.t, site.layer, site.kind) == (0, 0, KIND_CROSS):
+            heatmaps.append(site.attn)
+
+    trajectory = invert_video(z0, src_emb, rc.schedule, weights, probe=keep_heatmap)
+    plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens), trajectory,
+                      src_emb, rc.model.blocks)
+    z_out = run_denoise(trajectory[-1], edit_emb, rc.schedule, weights, rc.edit.s_cfg,
                         plan=plan)
     out_pixels = quantize(latent_to_pixels(z_out, rc.model.c)).astype(np.float64)
 
     rc.out_dir.mkdir(parents=True, exist_ok=True)
     write_frame_dir(rc.out_dir / "frames", out_pixels)
-    _write_visuals(rc.out_dir, rc, plan)
+    _write_visuals(rc.out_dir, rc, plan, heatmaps[0])
     echo = dict(rc.echo)
     echo["prompts"] = {"source": rc.source_prompt, "edit": edit_text}
     # The output can only reproduce what the latent channels carry, so it
@@ -306,16 +312,16 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
 def _run_invert(rc: RunConfig) -> int:
     weights = make_denoiser_weights(rc.model)
     z0 = _source_latent(rc)
-    # Latents stream to store/ as inversion makes them; the index comes last.
+    trajectory = invert_video(z0, embed_prompt(rc.source_prompt, rc.model), rc.schedule,
+                              weights)
+    # The latents go to store/, then z_T.bin; the index comes last.
     betas = rc.echo["schedule"]["beta_start"], rc.echo["schedule"]["beta_end"]
-    writer = DumpWriter(rc.out_dir / "store", rc.model, rc.steps, betas, rc.source_prompt)
-    z_T, _ = invert_video(z0, embed_prompt(rc.source_prompt, rc.model), rc.schedule,
-                          weights, writer)
-    blobio.write_blob(rc.out_dir / "z_T.bin", config_hash(rc.model), [z_T])
-    writer.close(z_T)
-    written = rc.steps * (blobio.HEADER.size + z_T.nbytes) / 1e6
+    store_dir = rc.out_dir / "store"
+    write_store_dump(store_dir, rc.model, trajectory, betas, rc.source_prompt,
+                     rc.out_dir / "z_T.bin")
+    written = rc.steps * (blobio.HEADER.size + trajectory[0].nbytes) / 1e6
     print(f"inverted {rc.model.n} frames over {rc.steps} steps; {rc.steps} latents "
-          f"({written:.2f} MB) in {writer.directory}")
+          f"({written:.2f} MB) in {store_dir}")
     return 0
 
 

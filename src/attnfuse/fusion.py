@@ -1,12 +1,13 @@
 """Attention fusion: how source-video structure is carried into an edit.
 
 During the editing pass the denoiser's attention maps are rewritten
-from the inversion store.  Cross-attention columns of tokens shared by
-both prompts are replaced with the source columns; self-attention rows
-are switched between edit and source by a binary mask thresholded from
-the source prompt's cross-attention on the words the edit drops
-(`word_attention`, which `heatmaps/` shows too).  Both rewrites only
-apply inside a configured window of denoising steps.
+from the source's, which the pass rebuilds from inversion's latent
+trajectory.  Cross-attention columns of tokens shared by both prompts
+are replaced with the source columns; self-attention rows are switched
+between edit and source by a binary mask thresholded from the source
+prompt's cross-attention on the words the edit drops (`word_attention`,
+which `heatmaps/` shows too).  Both rewrites only apply inside a
+configured window of denoising steps.
 
 `FusionPlan` is the one place these decisions are made: for each step,
 layer and kind it names the single action, and `fuse_cross` and
@@ -14,12 +15,10 @@ layer and kind it names the single action, and `fuse_cross` and
 self window the action is always `BLEND`.
 
 Step pairing: the denoising step t (counting T down to 1) traverses the
-same arc of the schedule that inversion step t-1 recorded.
-`FusionPlan.source_latent` (block 0's self record, the latent a self
-map's rows are built from) and `FusionPlan.source_map` (a cross map,
-read only for a blend mask and the heatmaps) make that pairing and are
-the only readers of the inversion store; no whole self map, no later
-block's input and no cross map to fuse is read back.
+same arc of the schedule that inversion step t-1 took.
+`FusionPlan.source_latent`, z_{t-1} of the trajectory, makes that
+pairing and is the plan's only reader of inversion's record; the plan
+keeps no map and no later block's input from inversion.
 
 The forward pass never holds a whole self map, so the plan answers a
 self site with data, a `model.SelfAnswer`: the source's latent at
@@ -32,23 +31,25 @@ source names the source prompt, and the pass applies the source's own
 rows to its own values, builds the source's cross map from that sum,
 which the cross site offers as its `source` for the plan to fuse or
 take, and below the last block applies that map to the prompt's
-values and the MLP, as inversion did.  Self rows, edit and
-source alike, are softmax numerators that the pass normalizes after
-`attn @ V` (see `model`); blending picks whole rows, so it needs no
-normalized map.
+values and the MLP, as inversion did.  A mask that thresholds a cross
+map is a function of that rebuilt map: the pass builds the source's
+rows first, then the mask, then its own rows where the mask sets one.
+Self rows, edit and source alike, are softmax numerators that the
+pass normalizes after `attn @ V` (see `model`); blending picks whole
+rows, so it needs no normalized map.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, MissingRecordError
 from .model import KIND_CROSS, KIND_SELF, PromptEmbedding, SelfAnswer
 from .numerics import maxnorm_frame, require
-from .store import AttentionKey, AttentionStore, StoreMeta
 
 MODES = ("style", "attribute", "shape", "removal", "enhancement")
 
@@ -211,7 +212,7 @@ def build_blend_mask(c_src: np.ndarray, word_positions: tuple[int, ...],
 
 
 KEEP = "keep"                 # the edit map stands
-TAKE_SOURCE = "take_source"   # the recorded cross map replaces it whole
+TAKE_SOURCE = "take_source"   # the source's cross map replaces it whole
 FUSE = "fuse"                 # fuse_cross swaps in matched columns
 BLEND = "blend"               # the pass picks self rows by the blend mask
 
@@ -220,15 +221,17 @@ class FusionPlan:
     """Every attention rewrite of one editing pass, decided in one place.
 
     Built once per editing pass from the edit config, the prompt
-    alignment and the inversion store, which carries T; `recording`
-    builds it over an empty store that keeps only the keys it `reads`,
-    for inversion to fill.  A window covers the steps
-    t >= ceil(frac * T), down to first_self or first_cross.  Inside it a
-    cross map is fused, or taken whole from the source when the alignment
-    is the identity, and a self map is blended by the mask.  The mask is
-    empty when it provably sets no pixel: no source word was removed, or
-    tau >= 1 (the test is strict and normalized values <= 1).  Then it is
-    not built from the cross map, and one all-clear mask serves the plan.
+    alignment, inversion's latent trajectory z_0 ... z_T (which carries
+    T), the source prompt's embedding and the model's number of blocks.
+    A window covers the steps t >= ceil(frac * T), down to first_self or
+    first_cross.  Inside it a cross map is fused, or taken whole from
+    the source when the alignment is the identity, and a self map is
+    blended by the mask.  The mask is empty when it provably sets no
+    pixel: no source word was removed, or tau >= 1 (the test is strict
+    and normalized values <= 1).  Then one all-clear mask serves the
+    plan.  Otherwise the mask of step t at a block thresholds the
+    source's cross map of that block, which the pass rebuilds from the
+    source rows before it builds a row of its own.
 
     A cross map fused or taken whole is the source's, which the pass
     rebuilt and offers as the cross site's `source`; one taken whole is
@@ -237,73 +240,38 @@ class FusionPlan:
     no source is refused.  A self site is answered with a `SelfAnswer`
     of the source's latent (at block 0), its step and the step's mask,
     so under an empty mask the pass builds the source rows of each tile
-    and never the edit's.  Inside the cross window every answer carries
-    the source, naming *prompt*, the source prompt's embedding, so the
-    pass rebuilds the source's cross map of every block; a step there
-    outside the self window keeps every self row the pass's own.
-    Outside the cross window the plan, which knows every block's mask of
-    step t before block 0 runs, has the pass carry the source only below
-    a block whose mask clears a row.  A tile whose rows the mask all
-    sets builds its source rows too while the answer carries.  Each mask
-    is built once and kept read-only, so later readers get the mask the
-    pass applied.
+    and never the edit's.  The answer carries the source, naming
+    *prompt*, so that the pass rebuilds the source's cross map and the
+    next block's source input, inside the cross window, on a step whose
+    mask thresholds that map, and on any blend step below the last
+    block; a step in the cross window alone keeps every self row the
+    pass's own.  Each mask is kept read-only, so later readers get the
+    mask the pass applied.
     """
 
-    def __init__(self, cfg: EditConfig, alignment: PromptAlignment,
-                 store: AttentionStore, prompt: PromptEmbedding):
-        self.cfg, self.alignment, self.store, self.prompt = cfg, alignment, store, prompt
-        # The stored cross maps are indexed by source tokens, so the mask
+    def __init__(self, cfg: EditConfig, alignment: PromptAlignment, trajectory: np.ndarray,
+                 prompt: PromptEmbedding, blocks: int):
+        require(trajectory.ndim == 5 and len(trajectory) >= 2,
+                f"a trajectory is (T+1, n, c, h, w) with T >= 1, got {trajectory.shape}")
+        self.cfg, self.alignment, self.prompt = cfg, alignment, prompt
+        self.trajectory, self.blocks = trajectory, blocks
+        # The source's cross maps are indexed by source tokens, so the mask
         # follows the source-side tokens that the edit drops (a substituted
         # or removed object).
         self.positions = alignment.removed_positions
         # Step t is inside when t >= frac*T - 1e-9, i.e. when t >= first(frac);
         # the 1e-9 absorbs float dust, so 0.3 * 50 lands on step 15.
-        first = lambda frac: max(1, math.ceil(frac * store.meta.T - 1e-9))
+        first = lambda frac: max(1, math.ceil(frac * (len(trajectory) - 1) - 1e-9))
         self.first_self, self.first_cross = first(cfg.t_s), first(cfg.t_c)
         self._blends = bool(self.positions) and cfg.tau < 1.0
         # Matched pairs increase in both indices, so an alignment with no
         # edited and no removed token is the identity: the source map whole.
         self._fuses = bool(alignment.edited_positions or alignment.removed_positions)
-        self._masks: dict[tuple[int, int] | None, np.ndarray] = {}
-
-    @classmethod
-    def recording(cls, cfg: EditConfig, alignment: PromptAlignment,
-                  meta: StoreMeta, prompt: PromptEmbedding) -> FusionPlan:
-        """A plan over a new, empty store that keeps only the keys the plan `reads`.
-
-        `pipeline.invert_video` fills that store, `plan.store`, before the
-        plan is used.
-        """
-        reads = cls(cfg, alignment, AttentionStore(meta), prompt).reads()
-        return cls(cfg, alignment, AttentionStore(meta, reads), prompt)
-
-    def reads(self) -> frozenset[AttentionKey]:
-        """The store keys this plan reads, and the one the heatmaps draw.
-
-        Step t reads inversion step t-1's records (`source_map`): the
-        latent of every step it replays, blended or fused, from which the
-        pass rebuilds the source's later block inputs and cross maps, and,
-        when its masks are built, the cross maps of a step it blends,
-        which the mask thresholds.  `cli` draws inversion step 0's cross
-        map of block 0 as the heatmaps.
-        """
-        keys = {AttentionKey(0, 0, KIND_CROSS)}
-        for t in range(1, self.store.meta.T + 1):
-            blends = self.action(t, KIND_SELF) == BLEND
-            if blends or self.action(t, KIND_CROSS) != KEEP:
-                keys.add(AttentionKey(t - 1, 0, KIND_SELF))
-            if blends and self._blends:
-                keys.update(AttentionKey(t - 1, layer, KIND_CROSS)
-                            for layer in range(self.store.meta.blocks))
-        return frozenset(keys)
-
-    def source_map(self, t: int, layer: int) -> np.ndarray:
-        """The read-only cross map that denoising step t replays: inversion step t-1's."""
-        return self.store.query(t - 1, layer)
+        self._masks: dict[tuple[int, int] | bool, np.ndarray] = {}
 
     def source_latent(self, t: int) -> np.ndarray:
-        """The latent whose self rows step t replays: block 0's self record of inversion step t-1."""
-        return self.store.self_record(t - 1, 0)
+        """The latent whose self rows step t replays: inversion's z_{t-1}."""
+        return self.trajectory[t - 1]
 
     def action(self, t: int, kind: str) -> str:
         """KEEP, TAKE_SOURCE or FUSE for a cross map at step t; KEEP or BLEND for a self map."""
@@ -316,20 +284,30 @@ class FusionPlan:
     def self_mask(self, t: int, layer: int) -> np.ndarray:
         """The (frames, pixels) bool mask of the self rows that follow the edit at step t.
 
-        Outside the self window every row does.
+        Outside the self window every row does.  A mask that thresholds
+        a cross map exists once the pass has built it.
         """
         blends = self.action(t, KIND_SELF) == BLEND
-        key = (t, layer) if blends and self._blends else blends  # one all-set, one all-clear
-        mask = self._masks.get(key)
+        if blends and self._blends:
+            try:
+                return self._masks[(t, layer)]
+            except KeyError:
+                raise MissingRecordError(
+                    f"no blend mask of step {t}, block {layer}: the pass builds it "
+                    f"from the source's cross map when it replays that step") from None
+        mask = self._masks.get(blends)  # one all-clear, one all-set
         if mask is None:
-            if blends and self._blends:
-                mask = build_blend_mask(self.source_map(t, layer),
-                                        self.positions, self.cfg.tau)
-            else:  # sized by the latent (n, c, h, w)
-                n, _, h, w = self.source_latent(t).shape
-                mask = np.full((n, h * w), not blends)
+            n, _, h, w = self.trajectory.shape[1:]
+            mask = np.full((n, h * w), not blends)
             mask.setflags(write=False)
-            self._masks[key] = mask
+            self._masks[blends] = mask
+        return mask
+
+    def _blend_mask(self, t: int, layer: int, source_map: np.ndarray) -> np.ndarray:
+        """Step t's mask at block *layer*, from the source's cross map the pass rebuilt."""
+        mask = build_blend_mask(source_map, self.positions, self.cfg.tau)
+        mask.setflags(write=False)
+        self._masks[(t, layer)] = mask
         return mask
 
     def step_probe(self, t: int):
@@ -364,15 +342,17 @@ class FusionPlan:
         """Step t's answer at a self site.
 
         Its source is the latent at block 0, and above it the input the
-        pass rebuilt at the block below, the site's `source`.  Inside the
-        cross window the answer carries the source through every block,
-        so the pass rebuilds each block's source cross map; outside it,
-        while a block above clears a row of its mask.  A carrying answer
-        names the source prompt.
+        pass rebuilt at the block below, the site's `source`.  Its mask
+        is a function of the source's cross map where it thresholds one.
+        It carries the source, naming the source prompt, inside the cross
+        window, where the mask thresholds that map, and on a blend step
+        below the last block, whose next block replays the source.
         """
         layer = site.layer
-        carry = self.action(t, KIND_CROSS) != KEEP or any(
-            not self.self_mask(t, above).all()
-            for above in range(layer + 1, self.store.meta.blocks))
-        return SelfAnswer(site.source if layer else self.source_latent(t), t - 1,
-                          self.self_mask(t, layer), carry, self.prompt if carry else None)
+        blends = self.action(t, KIND_SELF) == BLEND
+        partial = blends and self._blends
+        carry = (self.action(t, KIND_CROSS) != KEEP or partial
+                 or (blends and layer + 1 < self.blocks))
+        edit = functools.partial(self._blend_mask, t, layer) if partial else self.self_mask(t, layer)
+        return SelfAnswer(site.source if layer else self.source_latent(t), t - 1, edit,
+                          carry, self.prompt if carry else None)

@@ -15,9 +15,10 @@ QK^T and the softmax.  A replacement cross map is checked for shape,
 finiteness and its rows (see `_checked`) before it is applied.  A self
 site is answered with data, a `SelfAnswer`: the record its clear rows
 are built from, that record's step, a mask of the rows that stay the
-pass's own and a flag that carries the source through the block,
-checked once per site.  Second, all randomness flows from explicit
-seeds, so identical inputs give bit-identical outputs.
+pass's own (or a function that gives it from the source's cross map)
+and a flag that carries the source through the block, checked once per
+site.  Second, all randomness flows from explicit seeds, so identical
+inputs give bit-identical outputs.
 
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
 the logits.  A cross map is a softmax map: its rows sum to 1.  A self
@@ -48,7 +49,9 @@ the source rows it builds anyway to the source's own values, then
 building the source's cross map through the helper the pass's own
 cross-attention uses, and below the last block its cross output and
 the MLP, which rebuilds the next block's source input bit for bit.
-The cross site shows that map as its `source`.  Every self row is
+The cross site shows that map as its `source`, and a mask function
+thresholds it: `spatiotemporal_attend` builds the source's tiles
+first, then the mask, then the pass's own tiles where it sets a row.  Every self row is
 built by `SelfTiles.rows` from queries and keys projected with one
 expression, so rows rebuilt later from a record are bit-identical to
 the ones the pass applied; a whole map (`SelfTiles.attn`) is assembled
@@ -331,14 +334,17 @@ class SelfTiles:
 class SelfAnswer:
     """A probe's answer at a self site: which rows the pass applies.
 
-    edit is (n, h*w) bool.  A set row is the pass's own; a clear row is
-    built from *source*, the self record of the map it replays, taken
-    at step *t*: at block 0 that step's latent, from which the pass
-    rebuilds the block input, at a later block the block input itself,
-    such as the one the pass carried up (the site's `source`); None
-    where no row is built from it.  The pass builds those rows with its
-    own block's weights.  An all-clear mask takes every row from the
-    source, and the pass then builds none of its own rows.
+    edit is (n, h*w) bool, or a function that returns that mask from the
+    source's cross map of this block, which the pass rebuilds once it has
+    built the source's rows, so only an answer that carries the source
+    may give one.  A set row is the pass's own; a clear row is built
+    from *source*, the self record of the map it replays, taken at step
+    *t*: at block 0 that step's latent, from which the pass rebuilds the
+    block input, at a later block the block input itself, such as the
+    one the pass carried up (the site's `source`); None where no row is
+    built from it.  The pass builds those rows with its own block's
+    weights.  An all-clear mask takes every row from the source, and the
+    pass then builds none of its own rows.
 
     *cross*, a flag, carries the source through this block, with
     *prompt*, the source prompt's embedding: the pass applies the
@@ -353,7 +359,7 @@ class SelfAnswer:
 
     source: np.ndarray | None
     t: int
-    edit: np.ndarray
+    edit: np.ndarray | Callable[[np.ndarray], np.ndarray]
     cross: bool = False
     prompt: PromptEmbedding | None = None
 
@@ -441,7 +447,8 @@ def _divided(out: np.ndarray) -> np.ndarray:
 
 
 def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
-                          d_head: int, edit: np.ndarray | None = None,
+                          d_head: int,
+                          edit: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
                           source: np.ndarray | None = None, carry: bool = False
                           ) -> tuple[np.ndarray, np.ndarray | None]:
     """Self-attention over [middle frame; own frame] keys and values.
@@ -452,41 +459,53 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
     picks each row: a set row is built from feats, the pass's own, and
     a clear row from *source*, the block input of the map it replays,
     both under the block's wq_s and wk_s.  Without a mask every row is
-    the pass's own.  Each side is built only for the tiles that need
-    it, and a mixed tile picks its rows from both.  Each tile multiplies
+    the pass's own.  *edit* may also be a function that returns the mask
+    from the source output, which needs *carry*.  Each tile multiplies
     [V | 1], whose last column gives the tile's row sums, and the output
     is divided by them once, after the last tile.
+
+    The source's tiles come first: those whose rows the mask does not
+    all set, or every tile with *carry* or a mask function.  Each is
+    multiplied by the pass's own [V | 1] where a clear row may need it.
+    Then the mask, if a function gives it, and last the pass's own
+    tiles, only where the mask sets a row.  A mixed tile takes its set
+    rows from its own product and keeps the source's for the rest.
 
     Returns (output, source output), each (n, h*w, d_model).  With
     *carry*, the source output applies every source row to the source's
     own [V | 1], from the same tiles, so it is bit for bit the output of
-    the pass that recorded *source*; a tile whose rows the mask all sets
-    then builds its source rows too.  Without, it is None.
+    the pass that recorded *source*.  Without, it is None.
     """
     n, hw, _ = feats.shape
     edit = np.ones((n, hw), dtype=bool) if edit is None else edit
-    own = SelfTiles(feats, block.wq_s, block.wk_s, heads) if edit.any() else None
-    replay = (SelfTiles(source, block.wq_s, block.wk_s, heads)
-              if carry or not edit.all() else None)
+    later = callable(edit)  # the mask follows from the source output
     vals = _values(feats, block.wv_s, heads, d_head)
     out = np.empty((n, heads, hw, d_head + 1))
-    if carry:
-        source_vals = _values(source, block.wv_s, heads, d_head)
-        source_out = np.empty(out.shape)
+    source_out = None
+    replayed = [(lo, hi) for lo, hi in _tile_bounds(hw)
+                if carry or later or not edit[:, lo:hi].all()]
+    if replayed:
+        replay = SelfTiles(source, block.wq_s, block.wk_s, heads)
+        if carry:
+            source_vals = _values(source, block.wv_s, heads, d_head)
+            source_out = np.empty(out.shape)
+        for lo, hi in replayed:
+            theirs = replay.rows(lo, hi)
+            if carry:
+                np.matmul(theirs, source_vals, out=source_out[:, :, lo:hi])
+            if later or not edit[:, lo:hi].all():
+                np.matmul(theirs, vals, out=out[:, :, lo:hi])
+        source_out = _divided(source_out) if carry else None
+        edit = edit(source_out) if later else edit
+    own = SelfTiles(feats, block.wq_s, block.wk_s, heads) if edit.any() else None
     for lo, hi in _tile_bounds(hw):
         picks = edit[:, lo:hi]
-        mine = own.rows(lo, hi) if picks.any() else None
-        theirs = replay.rows(lo, hi) if carry or not picks.all() else None
         if picks.all():
-            tile = mine
-        elif mine is None:
-            tile = theirs
-        else:
-            tile = np.where(picks[:, None, :, None], mine, theirs)
-        np.matmul(tile, vals, out=out[:, :, lo:hi])
-        if carry:
-            np.matmul(theirs, source_vals, out=source_out[:, :, lo:hi])
-    return _divided(out), _divided(source_out) if carry else None
+            np.matmul(own.rows(lo, hi), vals, out=out[:, :, lo:hi])
+        elif picks.any():
+            np.copyto(out[:, :, lo:hi], np.matmul(own.rows(lo, hi), vals),
+                      where=picks[:, None, :, None])
+    return _divided(out), source_out
 
 
 def _checked(replacement, site: AttentionSite) -> np.ndarray:
@@ -504,8 +523,20 @@ def _checked(replacement, site: AttentionSite) -> np.ndarray:
     return replacement
 
 
+def _checked_mask(edit, site: AttentionSite) -> np.ndarray:
+    """A self answer's mask, checked against *site*: (n, h*w) bool."""
+    n, _, hw, _ = site.shape
+    got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
+    require(got == ((n, hw), np.bool_), f"self answer's mask is {got}, expected "
+                                        f"({n}, {hw}) bool (self, t={site.t}, layer={site.layer})")
+    return edit
+
+
 def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
-    """What the pass applies at *site*: a cross map, or a self site's checked answer."""
+    """What the pass applies at *site*: a cross map, or a self site's checked answer.
+
+    A mask that a function gives is checked when the pass has built it.
+    """
     answer = probe(site) if probe is not None else None
     if site.kind == KIND_CROSS:
         return site.attn if answer is None else _checked(answer, site)
@@ -516,12 +547,13 @@ def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
     require(isinstance(answer, SelfAnswer),
             f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
     source, edit, carry, prompt = answer.source, answer.edit, answer.cross, answer.prompt
-    n, _, hw, _ = site.shape
-    got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
-    require(got == ((n, hw), np.bool_),
-            f"self answer's mask is {got}, expected ({n}, {hw}) bool {where}")
     require(type(carry) is bool,
             f"self answer's carry flag is a {type(carry).__name__}, expected a bool {where}")
+    if callable(edit):
+        require(carry, f"self answer's mask is a function of the source's cross map, "
+                       f"which only an answer that carries the source builds {where}")
+    else:
+        _checked_mask(edit, site)
     if carry or not edit.all():
         got = source.shape if isinstance(source, np.ndarray) else type(source).__name__
         require(got == site.record.shape,
@@ -544,6 +576,17 @@ def _mlp(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
     return x + np.tanh(x @ bw.w_mlp_in) @ bw.w_mlp_out
 
 
+def _source_cross(source: np.ndarray, source_out: np.ndarray, bw: BlockWeights,
+                  prompt: PromptEmbedding, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The source's block input plus its self output, and the source's cross
+    map from that sum under *prompt*'s keys, as the source's pass built them."""
+    summed = source + source_out
+    source_map = _attention_map(_split_heads(summed @ bw.wq_c, cfg.heads, cfg.d_head),
+                                _text_heads(prompt, bw.wk_c, cfg), cfg.d_head)
+    source_map.setflags(write=False)
+    return summed, source_map
+
+
 def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
                      weights: DenoiserWeights, n_steps: int,
                      probe: Probe | None = None) -> np.ndarray:
@@ -556,7 +599,9 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     A self answer that carries its source (`SelfAnswer.cross`) makes the
     pass rebuild the source's cross map of that block, offered on the
     cross site as its `source`, and below the last block the source's
-    next block input, offered on the next self site.
+    next block input, offered on the next self site.  Its mask may be a
+    function of that cross map, which the pass calls once the source's
+    rows are built and before it builds any of its own.
     """
     cfg = weights.config
     z_t = np.array(z_t, dtype=np.float64)  # a copy: block 0's self record
@@ -574,37 +619,45 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
 
     def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights,
                     carried: np.ndarray | None
-                    ) -> tuple[np.ndarray, np.ndarray | None, PromptEmbedding | None]:
+                    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         # (feats plus the self output, and if the answer carries the source,
-        # the source plus its own self output and the source's prompt).
+        # the source's cross map and below the last block its next input).
         # Block 0 is recorded as its latent; its source input is rebuilt
         # only when some row replays it or the answer carries it.
         feats.setflags(write=False)
-        answer = _offer(probe, AttentionSite(
-            t, layer, KIND_SELF, (n, cfg.heads, hw, 2 * hw),
-            lambda: SelfTiles(feats, bw.wq_s, bw.wk_s, cfg.heads).attn(),
-            record=feats if layer else z_t, source=carried), cfg)
+        site = AttentionSite(t, layer, KIND_SELF, (n, cfg.heads, hw, 2 * hw),
+                             lambda: SelfTiles(feats, bw.wq_s, bw.wk_s, cfg.heads).attn(),
+                             record=feats if layer else z_t, source=carried)
+        answer = _offer(probe, site, cfg)
         if answer is None:
             return feats + spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0], None, None
-        source, carry = answer.source, answer.cross
-        if layer == 0 and (carry or not answer.edit.all()):
+        source, edit, carry = answer.source, answer.edit, answer.cross
+        if layer == 0 and (carry or not edit.all()):
             source = _block_input(source, answer.t, n_steps, weights)
+        rebuilt = []  # the source plus its self output, and its cross map
+
+        def mask_of(source_out):  # thresholds the source's cross map
+            rebuilt.extend(_source_cross(source, source_out, bw, answer.prompt, cfg))
+            return _checked_mask(edit(rebuilt[1]), site)
+
         out, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
-                                                answer.edit, source, carry)
+                                                mask_of if callable(edit) else edit,
+                                                source, carry)
         if not carry:
             return feats + out, None, None
-        return feats + out, source + source_out, answer.prompt
+        summed, source_map = rebuilt or _source_cross(source, source_out, bw,
+                                                      answer.prompt, cfg)
+        if layer + 1 == cfg.blocks:
+            return feats + out, source_map, None
+        carried = _mlp(summed + _merge_heads(np.matmul(
+            source_map, _text_heads(answer.prompt, bw.wv_c, cfg))), bw)
+        carried.setflags(write=False)
+        return feats + out, source_map, carried
 
     cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
     carried = None  # the source's input to this block, when the block below rebuilt it
     for layer, bw in enumerate(weights.blocks):
-        x, source, source_prompt = attend_self(x, layer, bw, carried)
-        source_map = carried = None
-        if source is not None:  # the source's cross map, as the source's pass built it
-            source_map = _attention_map(
-                _split_heads(source @ bw.wq_c, cfg.heads, cfg.d_head),
-                _text_heads(source_prompt, bw.wk_c, cfg), cfg.d_head)
-            source_map.setflags(write=False)
+        x, source_map, carried = attend_self(x, layer, bw, carried)
         qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
         x = x + _merge_heads(attend(
             qc, _text_heads(prompt, bw.wk_c, cfg), _text_heads(prompt, bw.wv_c, cfg),
@@ -612,10 +665,6 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
             supply=lambda build, _l=layer, _s=source_map: _offer(probe, AttentionSite(
                 t, _l, KIND_CROSS, cross_shape, build, source=_s), cfg))[0])
         x = _mlp(x, bw)
-        if source is not None and layer + 1 < cfg.blocks:
-            carried = _mlp(source + _merge_heads(np.matmul(
-                source_map, _text_heads(source_prompt, bw.wv_c, cfg))), bw)
-            carried.setflags(write=False)
 
     eps = (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w)
     return check_finite("predicted noise", eps)

@@ -1,12 +1,10 @@
 """End-to-end flows: synthesize, encode, invert, denoise, measure.
 
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
-schedule upward at guidance scale 1 with a `store.Recorder` as its
-probe, which takes the cross-attention maps and the self-attention
-block inputs it wants (block 0's as the step's latent); the editing
-pass walks back down, rewriting maps from that record through the
-probe, and builds the self rows it replays with the model's own
-weights.
+schedule upward at guidance scale 1 and returns its latent trajectory,
+recording no map; the editing pass walks back down, rewriting maps
+through the probe from the source maps it rebuilds from that
+trajectory with the model's own weights.
 Reconstruction is the identity edit.
 """
 
@@ -23,11 +21,9 @@ import numpy as np
 from .errors import ContractViolation
 from .fusion import FusionPlan
 from .imageio import quantize, read_ppm, write_ppm
-from .model import (DenoiserWeights, ModelConfig, PromptEmbedding,
-                    config_hash, denoiser_forward, embed_prompt)
+from .model import DenoiserWeights, Probe, PromptEmbedding, denoiser_forward, embed_prompt
 from .numerics import SeededRng, check_finite, require
 from .schedule import NoiseSchedule, cfg_combine, ddim_invert_step, ddim_step
-from .store import AttentionStore, Recorder, StoreMeta
 
 COLOR_WORDS = {
     "black": (0, 0, 0),
@@ -148,42 +144,27 @@ def latent_to_pixels(latent: np.ndarray, c: int) -> np.ndarray:
     return decoded
 
 
-def store_meta(sched: NoiseSchedule, cfg: ModelConfig) -> StoreMeta:
-    """The metadata of what an inversion over *sched* under *cfg* records."""
-    return StoreMeta(T=sched.T, blocks=cfg.blocks, config_hash=config_hash(cfg))
-
-
 def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
-                 weights: DenoiserWeights, store: Recorder | None = None
-                 ) -> tuple[np.ndarray, Recorder]:
-    """Deterministic inversion to z_T, recording what the edit replays into *store*.
+                 weights: DenoiserWeights, probe: Probe | None = None) -> np.ndarray:
+    """Deterministic inversion: the read-only trajectory z_0 ... z_T, (T+1, n, c, h, w).
 
-    *store* is the probe, a `Recorder` of `store_meta(sched, weights.config)`:
-    by default a new `AttentionStore` of every cross-attention map and
-    every self-attention call's block input, from which the model's
-    query and key weights rebuild the self map; block 0's record is the
-    step's latent instead, from which the model rebuilds that input.
-    An edit's store keeps only the keys its plan reads: one latent per
-    replayed step, from which the edit pass rebuilds the source's later
-    block inputs and cross maps, the cross maps its blend masks
-    threshold, and the heatmaps' one.  `invert` passes a `DumpWriter`,
-    which takes the latents only and holds none once written;
-    `store.load_store_dump` rebuilds the rest by replaying them.  Runs at
-    guidance scale 1, which reduces to the conditional branch alone, so
-    only that branch is evaluated and recorded.  Returns (z_T, store).
+    It records nothing.  Each step's latent is all an edit replays: the
+    pass rebuilds every source map it needs from it with the model's own
+    weights, and `store.write_store_dump` writes it for `invert`.
+    *probe*, if given, sees every attention site of every step, as
+    `denoiser_forward` offers them; `store.AttentionStore.record` keeps
+    them all.  Runs at guidance scale 1, which reduces to the
+    conditional branch alone, so only that branch is evaluated.
     """
-    meta = store_meta(sched, weights.config)
-    store = AttentionStore(meta) if store is None else store
-    require(store.meta == meta, f"store expects {store.meta}, inversion records {meta}")
     z = np.asarray(z_0, dtype=np.float64)
+    trajectory = np.empty((sched.T + 1,) + z.shape)
+    trajectory[0] = z
     for t in range(sched.T):
-        eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
-                               probe=store.record)
-        z = ddim_invert_step(z, eps, t, sched)
-    missing = store.verify_complete()
-    require(not missing, f"inversion left {len(missing)} records missing: "
-                         f"{missing[:4]}{'...' if len(missing) > 4 else ''}")
-    return z, store
+        eps = denoiser_forward(trajectory[t], t, prompt, weights, n_steps=sched.T,
+                               probe=probe)
+        trajectory[t + 1] = ddim_invert_step(trajectory[t], eps, t, sched)
+    trajectory.setflags(write=False)
+    return trajectory
 
 
 def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
@@ -193,20 +174,24 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
 
     Without a plan this is plain sampling.  With one, the conditional
     branch's maps are rewritten as the plan decides, from the inversion
-    store it reads.  The unconditional branch runs probe-free on a
-    one-thread pool while the conditional branch runs on the calling
-    thread; the two share no mutable state, so the result equals their
-    sequential evaluation bit for bit.  At s_cfg = 1 the unconditional
-    branch is not evaluated and the pool starts no thread.
+    trajectory it reads, which must be (T+1,) + z_start's shape, under a
+    plan of the weights' number of blocks.  The unconditional branch
+    runs probe-free on a one-thread pool while the conditional branch
+    runs on the calling thread; the two share no mutable state, so the
+    result equals their sequential evaluation bit for bit.  At s_cfg = 1
+    the unconditional branch is not evaluated and the pool starts no
+    thread.
     """
     cfg = weights.config
-    if plan is not None:
-        require(plan.store.meta.T == sched.T,
-                f"store recorded T={plan.store.meta.T}, schedule has T={sched.T}")
-        require(plan.store.meta.config_hash == config_hash(cfg),
-                "store was captured under a different model config")
-    uncond = embed_prompt("", cfg)
     z = np.asarray(z_start, dtype=np.float64)
+    if plan is not None:
+        want = (sched.T + 1,) + z.shape
+        require(plan.trajectory.shape == want,
+                f"plan's trajectory is {plan.trajectory.shape}, a {sched.T}-step "
+                f"schedule from latents of {z.shape} needs {want}")
+        require(plan.blocks == cfg.blocks,
+                f"plan has {plan.blocks} blocks, the weights {cfg.blocks}")
+    uncond = embed_prompt("", cfg)
     with ThreadPoolExecutor(max_workers=1) as pool:
         for t in range(sched.T, 0, -1):
             probe = plan.step_probe(t) if plan is not None else None

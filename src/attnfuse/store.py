@@ -1,30 +1,22 @@
-"""Ordered archive of what inversion recorded for the editing pass.
+"""`invert`'s dump of the latent trajectory, and the attention grid it stands for.
 
 Keys are (timestep, layer, kind).  A cross-attention map is kept as is.
-A self-attention map holds n*heads*h*w*2*h*w values, so the store keeps
-its self record, the one array the map is built from: a later block's
-input, n*h*w*d_model values, or at block 0 the step's latent, n*c*h*w
-values.  Every record is a plain read-only array.  The weights that
-turn a record into its map are the model's, those of the config whose
-`config_hash` the store carries, so the store holds none.  The edit
-pass hands block 0's self record, the latent (`self_record`), to the
-forward pass as a `model.SelfAnswer`'s source, and the pass builds the
-rows it needs tile by tile, bit for bit the rows it applied during
-inversion; it rebuilds later blocks' inputs and the source's cross maps
-from it on the way up, so an edit's store keeps no later block's input
-and reads a cross map (`query`) only where a blend mask thresholds it.
+A self-attention map holds n*heads*h*w*2*h*w values, so an
+`AttentionStore` keeps its self record, the one array the map is built
+from: a later block's input, n*h*w*d_model values, or at block 0 the
+step's latent, n*c*h*w values.  Every record is a plain read-only
+array.  The weights that turn a record into its map are the model's,
+those of the config whose `config_hash` the store carries, so the store
+holds none.  An `AttentionStore` takes every site of an inversion as
+its probe (`record`): the whole T x L x {self, cross} grid, each key
+once.  No edit keeps one: the pass rebuilds every source map it
+replays from the trajectory's latents.
 
-A `Recorder` is inversion's probe.  It takes the records of a set of
-keys of the T x L x {self, cross} grid, each once, and passes over the
-rest: a store holds the whole grid by default, an edit's store only the
-keys its `FusionPlan` reads: one latent per replayed step, the cross
-maps its blend masks threshold, and the heatmaps' cross map.  An
-`AttentionStore` keeps the pass's own records, unchecked.  A
-`DumpWriter` takes only the latents, from which every other record
-follows, and writes each to its blob as it arrives; last, it writes the
-index of what a replay needs and z_T's digest, so a directory without
-`index.json` is an interrupted dump.  `load_store_dump` rebuilds the
-whole grid by replaying inversion from the latents, checking each file.
+`write_store_dump` writes what a replay needs: each step's latent to
+its blob, z_T, and last the index of the replay's inputs and z_T's
+digest, so a directory without `index.json` is an interrupted dump.
+`load_store_dump` rebuilds the whole grid by replaying inversion from
+the latents, checking each file.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,47 +76,17 @@ class StoreMeta:
     config_hash: int
 
 
-class Recorder:
-    """Inversion's probe: takes the record of each key of a set once.
+class AttentionStore:
+    """Insertion-ordered map from AttentionKey to a cross map or a self record.
 
-    *keys* defaults to the whole T x blocks x {self, cross} grid.  A site
-    outside the set is passed over, so the pass drops its map and block
-    input once applied.  A subclass keeps what it takes (`_keep`).
+    It keeps what an inversion records of the whole T x blocks x {self,
+    cross} grid, taking each key once.
     """
 
-    def __init__(self, meta: StoreMeta, keys: Iterable[AttentionKey] | None = None):
+    def __init__(self, meta: StoreMeta):
         require(meta.T >= 1 and meta.blocks >= 1,
                 f"store metadata out of range: T={meta.T}, blocks={meta.blocks}")
         self.meta = meta
-        wanted = None if keys is None else frozenset(keys)
-        # Each wanted key, in recording order, and whether it has come.
-        self._taken = {key: False for key in _grid(meta.T, meta.blocks)
-                       if wanted is None or key in wanted}
-
-    def record(self, site: AttentionSite) -> None:
-        """Take a self site's record, or a cross site's map, if its key is wanted.
-
-        It replaces nothing, and it never reads a self site's map, so the
-        pass builds that map's rows once, to apply them.
-        """
-        key = AttentionKey(site.t, site.layer, site.kind)
-        if key not in self._taken:
-            return
-        if self._taken[key]:
-            raise ContractViolation(f"duplicate attention record for {key}")
-        self._taken[key] = True
-        self._keep(key, site.record if site.kind == KIND_SELF else site.attn)
-
-    def verify_complete(self) -> list[AttentionKey]:
-        """Wanted keys still missing, in recording order."""
-        return [key for key, taken in self._taken.items() if not taken]
-
-
-class AttentionStore(Recorder):
-    """Insertion-ordered map from AttentionKey to a cross map or a self record."""
-
-    def __init__(self, meta: StoreMeta, keys: Iterable[AttentionKey] | None = None):
-        super().__init__(meta, keys)
         self._records: dict[AttentionKey, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -133,8 +95,21 @@ class AttentionStore(Recorder):
     def keys(self) -> Iterator[AttentionKey]:
         return iter(self._records)
 
-    def _keep(self, key: AttentionKey, entry) -> None:
-        self._records[key] = entry
+    def record(self, site: AttentionSite) -> None:
+        """Keep a self site's record, or a cross site's map: a probe.
+
+        It replaces nothing, and it never reads a self site's map, so the
+        pass builds that map's rows once, to apply them.
+        """
+        key = AttentionKey(site.t, site.layer, site.kind)
+        if key in self._records:
+            raise ContractViolation(f"duplicate attention record for {key}")
+        self._records[key] = site.record if site.kind == KIND_SELF else site.attn
+
+    def verify_complete(self) -> list[AttentionKey]:
+        """Keys of the grid still missing, in recording order."""
+        return [key for key in _grid(self.meta.T, self.meta.blocks)
+                if key not in self._records]
 
     def _entry(self, key: AttentionKey) -> np.ndarray:
         try:
@@ -151,44 +126,37 @@ class AttentionStore(Recorder):
         return self._entry(AttentionKey(t, layer, KIND_CROSS))
 
 
-class DumpWriter(Recorder):
-    """Writes a dump latent by latent: `invert`'s probe.
+def write_store_dump(directory: Path, cfg: ModelConfig, trajectory: np.ndarray,
+                     betas: tuple[float, float], source_prompt: str, z_T_path: Path) -> None:
+    """Write `invert`'s dump of *trajectory*, inversion's z_0 ... z_T under *cfg*.
 
-    It takes block 0's self record of each of the *T* steps, the step's
-    latent, and writes it to its blob as it arrives, keeping none.  An
-    earlier dump's index, blobs (every file named as `_blob_name` names
-    one) and version 5 `weights.bin` go before the first blob is written.
-    `close(z_T)` writes the index last: what the replay needs (*cfg*, *T*,
-    *betas*, *source_prompt*) and z_T's digest.
+    An earlier dump's index, blobs (every file named as `_blob_name`
+    names one) and version 5 `weights.bin` go first.  Then each step's
+    latent z_t, t < T, goes to its blob, z_T to *z_T_path*, and last the
+    index: what the replay needs (*cfg*, T, *betas*, *source_prompt*)
+    and z_T's digest.  A trajectory that is not (T+1, n, c, h, w) under
+    *cfg*, T >= 1, is refused before anything is removed.
     """
-
-    def __init__(self, directory: Path, cfg: ModelConfig, T: int,
-                 betas: tuple[float, float], source_prompt: str):
-        super().__init__(StoreMeta(T=T, blocks=cfg.blocks, config_hash=config_hash(cfg)),
-                         (AttentionKey(t, 0, KIND_SELF) for t in range(T)))
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        for name in ("index.json", "weights.bin"):
-            (self.directory / name).unlink(missing_ok=True)
-        for path in self.directory.glob("*.bin"):
-            if _BLOB_NAME.fullmatch(path.name):
-                path.unlink()
-        self._replay = {"model": asdict(cfg), "beta_start": betas[0], "beta_end": betas[1],
-                        "source_prompt": source_prompt}
-
-    def _keep(self, key: AttentionKey, entry: np.ndarray) -> None:
-        blobio.write_blob(self.directory / _blob_name(key), self.meta.config_hash, [entry])
-
-    def close(self, z_T: np.ndarray) -> None:
-        """Write the index with *z_T*'s digest, last; refused while a latent is missing."""
-        missing = self.verify_complete()
-        require(not missing, f"{self.directory}: {len(missing)} latents missing, "
-                             f"the first {missing[:1]}; no index written")
-        index = {"version": DUMP_VERSION, "T": self.meta.T,
-                 "config_hash": self.meta.config_hash, **self._replay,
-                 "z_T_fnv1a64": _digest(z_T)}
-        (self.directory / "index.json").write_text(
-            json.dumps(index, indent=2, sort_keys=True) + "\n")
+    directory = Path(directory)
+    T = len(trajectory) - 1
+    require(trajectory.shape[1:] == (cfg.n, cfg.c, cfg.h, cfg.w) and T >= 1,
+            f"{directory}: a trajectory is (T+1, {cfg.n}, {cfg.c}, {cfg.h}, "
+            f"{cfg.w}) with T >= 1, got {trajectory.shape}; no dump written")
+    hash_ = config_hash(cfg)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in ("index.json", "weights.bin"):
+        (directory / name).unlink(missing_ok=True)
+    for path in directory.glob("*.bin"):
+        if _BLOB_NAME.fullmatch(path.name):
+            path.unlink()
+    for t in range(T):
+        blobio.write_blob(directory / _blob_name(AttentionKey(t, 0, KIND_SELF)), hash_,
+                          [trajectory[t]])
+    blobio.write_blob(z_T_path, hash_, [trajectory[T]])
+    index = {"version": DUMP_VERSION, "T": T, "config_hash": hash_, "model": asdict(cfg),
+             "beta_start": betas[0], "beta_end": betas[1], "source_prompt": source_prompt,
+             "z_T_fnv1a64": _digest(trajectory[T])}
+    (directory / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
 
 
 # Each index field and the JSON type it must have.

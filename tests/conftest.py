@@ -1,8 +1,10 @@
-"""Shared fixtures: a tiny model, a completed tiny inversion, the
-`DumpWriter` of its clip and a dump written by inverting into one, a
+"""Shared fixtures: a tiny model, a completed tiny inversion and the
+whole attention store it records, a dump of its clip's trajectory, a
 probe that captures the maps a forward pass applies, the self map a
 record stands for and every map a store stands for, the row contract
 of an attention map, and the peak memory of a call."""
+
+import dataclasses
 
 import tracemalloc
 from typing import NamedTuple
@@ -11,11 +13,11 @@ import numpy as np
 import pytest
 
 from attnfuse.model import (KIND_SELF, ModelConfig, SelfAnswer, SelfTiles, _block_input,
-                            embed_prompt, make_denoiser_weights)
+                            config_hash, embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
-from attnfuse.store import DumpWriter
+from attnfuse.store import AttentionStore, StoreMeta, write_store_dump
 
 TINY = ModelConfig(n=3, h=4, w=4, c=1, d_model=8, heads=2, d_head=4,
                    blocks=2, d_text=12, seed=21)
@@ -49,34 +51,47 @@ def toy_clip():
     return _clip
 
 
-@pytest.fixture(scope="session")
-def tiny_inversion(tiny_weights):
-    """(schedule, prompt, z_0, z_T, store) for a 4-step toy inversion."""
-    sched, prompt, z0 = _clip(TINY)
-    z_T, store = invert_video(z0, prompt, sched, tiny_weights)
-    return sched, prompt, z0, z_T, store
-
-
-def _toy_writer(directory, cfg):
-    """A `DumpWriter` at *directory* of the toy inversion under *cfg*."""
-    return DumpWriter(directory, cfg, 4, BETAS, PROMPT)
+def _recorded_inversion(z0, prompt, sched, weights):
+    """(trajectory, store): a plain inversion and the whole grid it records."""
+    cfg = weights.config
+    store = AttentionStore(StoreMeta(T=sched.T, blocks=cfg.blocks,
+                                     config_hash=config_hash(cfg)))
+    return invert_video(z0, prompt, sched, weights, probe=store.record), store
 
 
 @pytest.fixture
-def toy_writer():
-    return _toy_writer
+def recorded_inversion():
+    return _recorded_inversion
+
+
+@pytest.fixture(scope="session")
+def tiny_inversion(tiny_weights):
+    """(schedule, prompt, z_0, trajectory, store) for a 4-step toy inversion."""
+    sched, prompt, z0 = _clip(TINY)
+    trajectory, store = _recorded_inversion(z0, prompt, sched, tiny_weights)
+    return sched, prompt, z0, trajectory, store
+
+
+def _toy_dump(directory, trajectory, cfg):
+    """Write *trajectory*, the toy clip's under *cfg*, as a dump at
+    *directory*, with z_T.bin beside it."""
+    write_store_dump(directory, cfg, trajectory, BETAS, PROMPT,
+                     directory.parent / "z_T.bin")
+
+
+@pytest.fixture
+def toy_dump():
+    return _toy_dump
 
 
 def _write_dump(directory, weights=None):
     """Invert the toy clip under *weights* (the tiny model's by default)
-    into a `DumpWriter` at *directory* and close it; returns z_T."""
+    and dump its trajectory at *directory*; returns z_T."""
     weights = make_denoiser_weights(TINY) if weights is None else weights
-    cfg = weights.config
-    sched, prompt, z0 = _clip(cfg)
-    writer = _toy_writer(directory, cfg)
-    z_T, _ = invert_video(z0, prompt, sched, weights, writer)
-    writer.close(z_T)
-    return z_T
+    sched, prompt, z0 = _clip(weights.config)
+    trajectory = invert_video(z0, prompt, sched, weights)
+    _toy_dump(directory, trajectory, weights.config)
+    return trajectory[-1]
 
 
 @pytest.fixture
@@ -97,8 +112,9 @@ def _capture_probe(probe=None, weights=None, n_steps=None):
     Each site appends an `Applied` entry with the map the pass applies
     there: *probe*'s replacement cross map, the rows a `SelfAnswer` picks
     (the site's own where its mask is set, its source's elsewhere, built
-    under *weights* at *n_steps*), or the site's own map when *probe*
-    has no answer.
+    under *weights* at *n_steps*; a mask that a function gives is taken
+    when the pass builds it), or the site's own map when *probe* has no
+    answer.
     """
     maps = []
 
@@ -107,10 +123,20 @@ def _capture_probe(probe=None, weights=None, n_steps=None):
         if replacement is None:
             applied = site.attn
         elif isinstance(replacement, SelfAnswer):
-            applied = site.attn if replacement.edit.all() else np.where(
-                replacement.edit[:, None, :, None], site.attn,
-                _self_map(replacement.source, replacement.t, site.layer, weights,
-                          n_steps))
+            def picked(mask, answer=replacement):
+                return site.attn if mask.all() else np.where(
+                    mask[:, None, :, None], site.attn,
+                    _self_map(answer.source, answer.t, site.layer, weights, n_steps))
+
+            if not callable(replacement.edit):
+                applied = picked(replacement.edit)
+            else:  # the mask, and with it the applied map, comes from the pass
+                def edit(source_map, _edit=replacement.edit):
+                    mask = _edit(source_map)
+                    maps.append(Applied(site.t, site.layer, site.kind, picked(mask)))
+                    return mask
+
+                return dataclasses.replace(replacement, edit=edit)
         else:
             applied = np.asarray(replacement)
         maps.append(Applied(site.t, site.layer, site.kind, applied))

@@ -27,7 +27,7 @@ from attnfuse.cli import run
 from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
                              build_blend_mask, identity_alignment, preset)
 from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles, _block_input,
-                            attend, denoiser_forward, embed_prompt,
+                            attend, config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
 from attnfuse.numerics import SeededRng
@@ -35,6 +35,7 @@ from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
                                run_denoise, synth_video)
 from attnfuse.schedule import (cfg_combine, ddim_invert_step, ddim_step,
                                make_schedule)
+from attnfuse.store import AttentionStore, StoreMeta
 
 SWEEP_CFG = ModelConfig(n=4, h=16, w=16, c=1, d_model=16, heads=2, d_head=8,
                         blocks=2, d_text=16, seed=0)
@@ -81,7 +82,7 @@ def sweep():
         for T in SWEEP_STEPS:
             sched = make_schedule(T, 0.00085, 0.012)
             start = time.perf_counter()
-            z_T, _ = invert_video(z0, prompt, sched, weights)
+            z_T = invert_video(z0, prompt, sched, weights)[-1]
             recon = run_denoise(z_T, prompt, sched, weights, PLAIN.s_cfg)
             elapsed_plain += time.perf_counter() - start
             mse[T].append(float(np.mean((recon - z0) ** 2)))
@@ -122,11 +123,12 @@ def test_criterion_04_identity_edit_is_reconstruction():
     prompt = embed_prompt("a gray disc sliding down", cfg)
     sched = make_schedule(8, 0.00085, 0.012)
     z0 = SeededRng(40).standard_normal((3, 1, 8, 8)) * 0.5
-    z_T, store = invert_video(z0, prompt, sched, weights)
+    trajectory = invert_video(z0, prompt, sched, weights)
+    z_T = trajectory[-1]
     edit_plan = FusionPlan(GUIDED, align_prompts(prompt.tokens, prompt.tokens),
-                           store, prompt)
+                           trajectory, prompt, cfg.blocks)
     recon_plan = FusionPlan(GUIDED, identity_alignment(len(prompt.tokens)),
-                            store, prompt)
+                            trajectory, prompt, cfg.blocks)
     edit = run_denoise(z_T, prompt, sched, weights, GUIDED.s_cfg,
                        plan=edit_plan)
     recon = run_denoise(z_T, prompt, sched, weights, GUIDED.s_cfg,
@@ -152,18 +154,20 @@ def test_criterion_05_preset_values():
 
 @pytest.fixture(scope="module")
 def small_inversion():
+    """(config, trajectory, whole store, schedule) of a small recorded inversion."""
     cfg = ModelConfig(n=2, h=4, w=4, c=1, d_model=8, heads=2, d_head=4,
                       blocks=1, d_text=8, seed=6)
     weights = make_denoiser_weights(cfg)
     prompt = embed_prompt("a white square", cfg)
     sched = make_schedule(6, 0.002, 0.02)
     z0 = SeededRng(60).standard_normal((2, 1, 4, 4)) * 0.4
-    _, store = invert_video(z0, prompt, sched, weights)
-    return cfg, store, sched
+    store = AttentionStore(StoreMeta(T=sched.T, blocks=1, config_hash=config_hash(cfg)))
+    trajectory = invert_video(z0, prompt, sched, weights, probe=store.record)
+    return cfg, trajectory, store, sched
 
 
 def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map):
-    cfg, store, sched = small_inversion
+    cfg, trajectory, store, sched = small_inversion
     src_cross = store.query(3, 0)
     assert not build_blend_mask(src_cross, (1,), 1.0).any()
     assert build_blend_mask(src_cross, (1,), 0.0).all()
@@ -188,21 +192,25 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map)
     monkeypatch.setattr(SelfTiles, "rows", spy)
     applied = {}
     for tau in (1.0, 0.0):
-        plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, store, src)
+        plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, trajectory, src, 1)
         step, own = plan.step_probe(4), []
         built.clear()
         denoiser_forward(z, 4, edit, weights, sched.T,
                          probe=lambda site: own.append(site) or step(site))
         applied[tau] = list(built)
         own_map = own[0].attn
-        assert [lo for _, lo, _ in applied[tau]] == [0]  # 4x4 pixels: one tile
-        for feats, lo, rows in applied[tau]:
+        assert plan.self_mask(4, 0).all() == (tau == 0.0)
+        # 4x4 pixels: one tile.  At tau 0.0 the mask thresholds the source's
+        # cross map, so the pass builds the source's tile first, then its
+        # own, whose rows the all-one mask applies.
+        sides = [(source, 3)] + ([] if tau == 1.0 else [(own[0].record, 4)])
+        assert [lo for _, lo, _ in applied[tau]] == [0] * len(sides)
+        for (feats, lo, rows), (latent, t) in zip(applied[tau], sides):
             # The pass builds the source's rows from the block input it
             # rebuilds from the recorded latent, and its own rows from the
             # block input it holds, which its own latent rebuilds.
-            latent, t = (source, 3) if tau == 1.0 else (own[0].record, 4)
             assert feats.tobytes() == _block_input(latent, t, sched.T, weights).tobytes()
-            want = source_map if tau == 1.0 else own_map
+            want = source_map if latent is source else own_map
             assert np.array_equal(rows, want[:, :, lo:lo + rows.shape[2]])
     assert not np.array_equal(own_map, source_map)
     print("criterion 6 pass: tau=1.0 gives the all-zero mask and applies the "
@@ -222,7 +230,8 @@ def test_criterion_07_oracle_mask_quality():
     prompt = embed_prompt("a red square on black", cfg)
     red_col = prompt.tokens.index("red")
     sched = make_schedule(10, 0.00085, 0.012)
-    _, store = invert_video(z0, prompt, sched, weights)
+    store = AttentionStore(StoreMeta(T=sched.T, blocks=1, config_hash=config_hash(cfg)))
+    invert_video(z0, prompt, sched, weights, probe=store.record)
 
     worst = 1.0
     for t in range(sched.T):
@@ -264,7 +273,7 @@ def test_criterion_08_middle_frame_invariance():
 
 
 def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
-                                              store_maps):
+                                              store_maps, recorded_inversion):
     cfg = ModelConfig(n=2, h=6, w=6, c=1, d_model=8, heads=2, d_head=4,
                       blocks=2, d_text=8, seed=9)
     weights = make_denoiser_weights(cfg)
@@ -274,7 +283,7 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
     sched = make_schedule(5, 0.002, 0.02)
     hw = cfg.h * cfg.w
     z0 = SeededRng(90).standard_normal((2, 1, 6, 6)) * 0.4
-    z_T, store = invert_video(z0, src_emb, sched, weights)
+    trajectory, store = recorded_inversion(z0, src_emb, sched, weights)
 
     checked = 0
     for key, attn in store_maps(store, weights).items():
@@ -286,8 +295,8 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
 
     align = align_prompts(src_emb.tokens, edit_emb.tokens)
     ecfg = preset("shape")
-    plan = FusionPlan(ecfg, align, store, src_emb)
-    z = z_T
+    plan = FusionPlan(ecfg, align, trajectory, src_emb, cfg.blocks)
+    z = trajectory[-1]
     for t in range(sched.T, 0, -1):
         probe_c, recs = capture_probe(plan.step_probe(t), weights, sched.T)
         probe_u, recs_u = capture_probe()

@@ -16,17 +16,16 @@ from attnfuse.blobio import HEADER, read_blob
 from attnfuse.cli import _build_parser, parse_config, run, write_heatmap
 from attnfuse.errors import ConfigError, ContractViolation
 from attnfuse.imageio import quantize, read_pgm
-from attnfuse.fusion import (BLEND, KEEP, EditConfig, FusionPlan, align_prompts,
-                             identity_alignment, word_attention)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _block_input,
+from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
+                             build_blend_mask, identity_alignment, word_attention)
+from attnfuse.model import (KIND_SELF, ModelConfig, SelfTiles, _block_input,
                             _tile_bounds, config_hash, denoiser_forward,
                             embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, derived_seed
-from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
-                               store_meta, synth_video, write_frame_dir)
+from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent, synth_video,
+                               write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
-from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
-                            load_store_dump)
+from attnfuse.store import DUMP_VERSION, AttentionStore, StoreMeta, load_store_dump
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -230,9 +229,10 @@ def test_invert_writes_latent_and_store(tmp_path, config_path, capsys):
 
 
 def test_invert_holds_one_steps_records_whatever_T(tmp_path, peak_bytes):
-    # invert streams each record to store/, so 12 more steps add to its
-    # peak less than one step's records: a block input and a cross map
-    # per block.  The first run warms the interpreter's caches.
+    # invert holds the latent trajectory and no map, so 12 more steps add
+    # 12 latents to its peak, less than one step's records: a block input
+    # and a cross map per block.  The first run warms the interpreter's
+    # caches.
     peaks = {}
     for name, steps in (("warm", 4), ("short", 4), ("long", 16)):
         path = tmp_path / f"{name}.cfg"
@@ -244,27 +244,29 @@ def test_invert_holds_one_steps_records_whatever_T(tmp_path, peak_bytes):
     m, hw = rc.model, rc.model.h * rc.model.w
     tokens = len(embed_prompt(rc.source_prompt, m).tokens)
     one_step = m.blocks * (m.n * hw * m.d_model + m.n * m.heads * hw * tokens) * 8
+    assert 12 * m.n * m.c * hw * 8 < one_step
     assert load_store_dump(tmp_path / "long" / "store").meta.T == 16
     assert peaks["long"] - peaks["short"] < one_step
 
 
 def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_path,
                                                               monkeypatch):
-    import attnfuse.pipeline as pipeline
+    import attnfuse.blobio as blobio
     out = tmp_path / "inv"
     assert run(["invert", "--config", str(config_path), "--out", str(out)]) == 0
     earlier = load_store_dump(out / "store")
-    original = pipeline.denoiser_forward
+    original = blobio.write_blob
 
-    def failing(z, t, *args, **kwargs):
-        if t == 2:
-            raise ContractViolation("the pass failed at step 2")
-        return original(z, t, *args, **kwargs)
+    def failing(path, *args):
+        if path.name == "self_t0002_l00.bin":
+            raise OSError("the disk filled at step 2's latent")
+        return original(path, *args)
 
-    # Another clip rewrites steps 0 and 1 of the earlier dump, then fails.
-    monkeypatch.setattr(pipeline, "denoiser_forward", failing)
+    # Another clip removes the earlier dump's index, rewrites the latents of
+    # steps 0 and 1, then fails.
+    monkeypatch.setattr(blobio, "write_blob", failing)
     assert run(["invert", "--config", str(config_path), "--seed", "9",
-                "--out", str(out)]) == 1
+                "--out", str(out)]) == 2
     record = earlier.self_record(1, 0)
     [z_t] = read_blob(out / "store" / "self_t0001_l00.bin", earlier.meta.config_hash,
                       [record.shape])
@@ -324,73 +326,98 @@ def test_a_dump_loads_under_another_blas_thread_count(tmp_path):
     assert outputs[1].split() == [str(rc.steps * rc.model.blocks * 2), "0"]
 
 
-def test_an_edit_store_holds_block_zero_self_records_as_latents():
-    # The benchmark's edit and reconstruction keep one latent per replayed
-    # step and the heatmaps' cross map: 161 steps of reconstruct_fine's 200
-    # and 41 of edit_attr's 50 lie in the self window, neither builds a
-    # blend mask, and the store holds exactly those entries.
-    for name, command, entries, size in (("reconstruct_fine", "reconstruct", 162, 1_062_912),
-                                         ("edit_attr", "edit", 42, 434_176)):
-        rc = parse_config(ROOT / "perfbench" / "configs" / f"{name}.cfg")
-        weights, z0, src, edit = _clip(rc)
-        edit = src if command == "reconstruct" else edit
-        plan = FusionPlan.recording(rc.edit, align_prompts(src.tokens, edit.tokens),
-                                    store_meta(rc.schedule, rc.model), src)
+def _stop_at_the_pass(monkeypatch, held=None):
+    """[(args, kwargs)] of the `run_denoise` call that an edit through
+    `cli.run` makes, which then raises `StopAtThePass` instead of
+    denoising.  With *held*, a list, the bytes that `invert_video` leaves
+    allocated (its tracemalloc current) are appended to it."""
+    import attnfuse.cli as cli
+    calls, invert = [], cli.invert_video
+
+    def traced_invert(*args, **kwargs):
         tracemalloc.start()
         try:
-            invert_video(z0, src, rc.schedule, weights, plan.store)
-            held = tracemalloc.get_traced_memory()[0]
+            trajectory = invert(*args, **kwargs)
+            held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-        assert plan.store.verify_complete() == []
-        keys = set(plan.store.keys())
-        assert len(keys) == len(plan.reads()) == entries, name
-        assert keys - {AttentionKey(0, 0, KIND_CROSS)} == {
-            AttentionKey(t - 1, 0, KIND_SELF) for t in range(plan.first_self, rc.steps + 1)}
-        stored = sum((plan.store.self_record(key.t, key.layer) if key.kind == KIND_SELF
-                      else plan.store.query(key.t, key.layer)).nbytes for key in keys)
-        assert stored == size, name
-        # Beside the records: z_T, the key set and the records' Python objects.
-        assert size < held < size + 0.5e6, name
+        return trajectory
+
+    def stop(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise StopAtThePass
+
+    if held is not None:
+        monkeypatch.setattr(cli, "invert_video", traced_invert)
+    monkeypatch.setattr(cli, "run_denoise", stop)
+    return calls
+
+
+class StopAtThePass(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name,command", [("edit_attr", "edit"),
+                                          ("reconstruct_fine", "reconstruct")],
+                         ids=["edit_attr", "reconstruct_fine"])
+def test_an_edit_inversion_holds_its_trajectory_and_the_heatmaps_map(tmp_path, monkeypatch,
+                                                                     name, command):
+    # The benchmark's edit and reconstruction hold the latent trajectory,
+    # 51 and 201 latents, beside the heatmaps' cross map and the Python
+    # objects around them, and no other map: the pass rebuilds the source's
+    # maps from the latents.
+    rc = parse_config(ROOT / "perfbench" / "configs" / f"{name}.cfg")
+    held = []
+    calls = _stop_at_the_pass(monkeypatch, held)
+    with pytest.raises(StopAtThePass):
+        run([command, "--config", str(ROOT / "perfbench" / "configs" / f"{name}.cfg"),
+             "--out", str(tmp_path)])
+    [((z_T, *_), kwargs)] = calls
+    plan = kwargs["plan"]
+    m = rc.model
+    trajectory = plan.trajectory
+    assert trajectory.shape == (rc.steps + 1, m.n, m.c, m.h, m.w)
+    assert not trajectory.flags.writeable and z_T.tobytes() == trajectory[-1].tobytes()
+    assert (trajectory.nbytes, plan.blocks) == ({"edit_attr": 417_792,
+                                                 "reconstruct_fine": 1_234_944}[name], m.blocks)
+    assert trajectory.nbytes < held[0] < trajectory.nbytes + 0.5e6, name
 
 
 @pytest.mark.parametrize("command,preset", [
     ("edit", "style"), ("edit", "attribute"), ("edit", "shape"), ("reconstruct", "shape")])
-def test_an_edit_keeps_exactly_the_records_it_reads(tmp_path, monkeypatch, command,
-                                                    preset):
-    # A shape edit blends by a mask at tau 0.3, which reads the cross maps
-    # of the self window, here wider than the cross window (t_s = 0.2,
-    # t_c = 0.5).  Style and attribute (tau 1.0) build no mask, nor does a
-    # reconstruction, which drops no word.
-    read, plans = set(), []
-    for name, kind in (("query", KIND_CROSS), ("self_record", KIND_SELF)):
-        original = getattr(AttentionStore, name)
-
-        def spy(store, t, layer, _original=original, _kind=kind):
-            read.add(AttentionKey(t, layer, _kind))
-            return _original(store, t, layer)
-
-        monkeypatch.setattr(AttentionStore, name, spy)
-    recording = FusionPlan.recording
-
-    def keep_plan(cls, *args):
-        plans.append(recording(*args))
-        return plans[-1]
-
-    monkeypatch.setattr(FusionPlan, "recording", classmethod(keep_plan))
+def test_an_edit_reads_its_trajectory_and_builds_its_masks(tmp_path, monkeypatch, command,
+                                                           preset):
+    # A shape edit blends by a mask at tau 0.3 over the self window, here
+    # wider than the cross window (t_s = 0.2, t_c = 0.5); the pass builds
+    # each mask from the source's cross map of its block.  Style and
+    # attribute (tau 1.0) build no mask, nor does a reconstruction, which
+    # drops no word.  Each replayed step reads the latent of the step
+    # before it.
+    import attnfuse.cli as cli
+    import attnfuse.fusion as fusion
+    read, masks, plans = [], [], []
+    monkeypatch.setattr(fusion.FusionPlan, "source_latent",
+                        lambda plan, t, _read=fusion.FusionPlan.source_latent:
+                        read.append(t) or _read(plan, t))
+    monkeypatch.setattr(fusion, "build_blend_mask", lambda *args, _build=build_blend_mask:
+                        masks.append(args[0]) or _build(*args))
+    monkeypatch.setattr(cli, "FusionPlan", lambda *args: plans.append(FusionPlan(*args))
+                        or plans[-1])
     cfg = (BASE_CONFIG.replace("preset = shape", f"preset = {preset}\nt_s = 0.2")
            .replace("steps = 4", "steps = 10").replace("blocks = 1", "blocks = 2"))
     path = tmp_path / "run.cfg"
     path.write_text(cfg)
     assert run([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     [plan] = plans
-    kept = set(plan.store.keys())
-    assert plan.store.verify_complete() == []
-    assert kept == plan.reads() == read
-    # Steps 2-10 blend: their latents and the heatmaps' cross map, and the
-    # shape edit's masks threshold both blocks' cross maps of each.
-    assert len(kept) == (9 + 9 * 2 + 1 if (command, preset) == ("edit", "shape") else 9 + 1)
+    assert plan.trajectory.shape[0] == 11
+    # Steps 2-10 blend; the shape edit's masks threshold both blocks' cross
+    # maps of each, which the pass rebuilt.
+    assert set(read) == set(range(2, 11))
     assert plan._blends == (preset == "shape" and command == "edit")
+    assert len(masks) == (9 * 2 if plan._blends else 0)
+    if plan._blends:
+        built = [plan.self_mask(t, layer) for t in range(10, 1, -1) for layer in range(2)]
+        assert [(mask.shape, mask.dtype) for mask in built] == [((3, 144), bool)] * 18
 
 
 def test_edit_writes_all_artifacts(tmp_path, config_path):
@@ -422,7 +449,8 @@ def test_heatmaps_show_the_word_attention_of_inversion_step_0(tmp_path, config_p
     rc = parse_config(config_path)
     weights, z0, src, _ = _clip(rc)
     assert src.tokens[2] == "red" and len(src.tokens) == 6
-    _, store = invert_video(z0, src, rc.schedule, weights)
+    store = AttentionStore(StoreMeta(T=rc.steps, blocks=1, config_hash=config_hash(rc.model)))
+    invert_video(z0, src, rc.schedule, weights, probe=store.record)
     want = quantize(255.0 * word_attention(store.query(0, 0), columns))
     for i in range(rc.model.n):
         written = read_pgm(out / "heatmaps" / f"{i:04d}.pgm")
@@ -564,8 +592,9 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
     # A replay that takes each source map whole applies those same rows,
     # and builds them from the source records alone, never an edit row:
     # from block 0's input, rebuilt from step t-1's latent.
+    trajectory = np.stack([store.self_record(t, 0) for t in range(rc.steps)] + [z])
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
-                      identity_alignment(len(src.tokens)), store, src)
+                      identity_alignment(len(src.tokens)), trajectory, src, 1)
     for t in range(rc.steps, 0, -1):
         built.clear()
         denoiser_forward(z, t, src, weights, rc.steps, probe=plan.step_probe(t))
@@ -579,34 +608,32 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
 def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
     rc = parse_config(config_path)  # shape preset: a partial mask
     weights, z0, src, edit = _clip(rc)
-    z_T, store = invert_video(z0, src, rc.schedule, weights)
+    trajectory = invert_video(z0, src, rc.schedule, weights)
     align = align_prompts(src.tokens, edit.tokens)
     built = _spy_tile_builds(monkeypatch)
     bounds = _tile_bounds(rc.model.h * rc.model.w)
     skipped = mixed = 0
-    # At t_c = 1.0 every step but the last lies outside the cross window:
-    # only there may a tile whose rows the mask all sets skip its source rows.
+    # A partial mask thresholds the source's cross map, so its step builds
+    # every source tile first, also outside the cross window (t_c = 1.0);
+    # an all-clear one (tau 1.0) builds no own tile.
     for edit_cfg in (rc.edit, dataclasses.replace(rc.edit, tau=1.0),
                      dataclasses.replace(rc.edit, t_c=1.0)):
-        plan = FusionPlan(edit_cfg, align, store, src)
+        plan = FusionPlan(edit_cfg, align, trajectory, src, 1)
         for t in range(rc.steps, plan.first_self - 1, -1):
             built.clear()
-            denoiser_forward(z_T, t, edit, weights, rc.steps,
+            denoiser_forward(trajectory[-1], t, edit, weights, rc.steps,
                              probe=plan.step_probe(t))
             # The config has one block: a source tile's block input is
             # rebuilt from step t-1's latent.
-            source = _block_input(store.self_record(t - 1, 0), t - 1, rc.steps,
-                                  weights).tobytes()
+            source = _block_input(trajectory[t - 1], t - 1, rc.steps, weights).tobytes()
             source_tiles = [(lo, hi) for f, lo, hi, _ in built if f.tobytes() == source]
             edit_tiles = [(lo, hi) for f, lo, hi, _ in built if f.tobytes() != source]
             assert plan.action(t, KIND_SELF) == BLEND
             mask = plan.self_mask(t, 0)
+            assert built[:len(source_tiles)] == [b for b in built if b[0].tobytes() == source]
             assert edit_tiles == [b for b in bounds if mask[:, slice(*b)].any()]
-            # In the cross window the answer carries the source through the
-            # block, which needs every source row.
-            carry = plan.action(t, KIND_CROSS) != KEEP
             assert source_tiles == [b for b in bounds
-                                    if carry or not mask[:, slice(*b)].all()]
+                                    if plan._blends or not mask[:, slice(*b)].all()]
             skipped += 2 * len(bounds) - len(edit_tiles) - len(source_tiles)
             mixed += len(set(edit_tiles) & set(source_tiles))
     # Some tiles spare a build, and some need both, which the pass picks from.
@@ -688,14 +715,9 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
     assert (f"`invert` writes {rc.steps * latent_blob / 1e6:.2f} MB to `store/` instead "
             f"of {rc.steps * (2 * m.blocks * HEADER.size + step) / 1e6:.1f} MB") in readme
-    # An edit of that config keeps only the keys its plan reads.
-    src = embed_prompt(rc.source_prompt, m)
-    plan = FusionPlan.recording(
-        rc.edit, align_prompts(src.tokens, embed_prompt(rc.edit_prompt, m).tokens),
-        store_meta(rc.schedule, m), src)
-    kept = sum(cross_map if key.kind == KIND_CROSS else self_record if key.layer else latent
-               for key in plan.reads())
-    assert f"that is {kept / 1e6:.1f} MB of the {rc.steps * step / 1e6:.1f} MB" in readme
+    # An edit of that config keeps the latent trajectory alone.
+    assert (f"holds the trajectory's {rc.steps + 1} latents "
+            f"({(rc.steps + 1) * latent / 1e6:.2f} MB)") in readme
     assert f"The dump format is version {DUMP_VERSION}" in readme
 
     # Those are the shapes the store keeps and dumps: one step's records.
@@ -795,11 +817,11 @@ def test_written_mask_is_the_mask_applied_at_the_first_self_step(tmp_path,
                                                                  monkeypatch):
     import attnfuse.fusion as fusion
     applied, built = {}, []
-    original_mask = fusion.FusionPlan.self_mask
+    original_mask = fusion.FusionPlan._blend_mask
     original_build = fusion.build_blend_mask
 
-    def spy(plan, t, layer):
-        mask = original_mask(plan, t, layer)
+    def spy(plan, t, layer, source_map):
+        mask = original_mask(plan, t, layer, source_map)
         applied.setdefault((t, layer), mask.copy())
         return mask
 
@@ -807,7 +829,7 @@ def test_written_mask_is_the_mask_applied_at_the_first_self_step(tmp_path,
         built.append(args)
         return original_build(*args)
 
-    monkeypatch.setattr(fusion.FusionPlan, "self_mask", spy)
+    monkeypatch.setattr(fusion.FusionPlan, "_blend_mask", spy)
     monkeypatch.setattr(fusion, "build_blend_mask", build_spy)
     path = tmp_path / "run.cfg"
     path.write_text(PARTIAL_MASK_CONFIG)

@@ -15,7 +15,6 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig,
 from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, AttentionSite,
                             BlockWeights, PromptEmbedding, SelfTiles,
                             spatiotemporal_attend, tokenize)
-from attnfuse.store import AttentionStore, StoreMeta
 
 
 def test_presets_exact():
@@ -53,10 +52,17 @@ def test_edit_config_validation():
 SOURCE = PromptEmbedding((START_TOKEN, "a", "cat"), np.zeros((3, 4)))
 
 
-def _plan(t_s, t_c, T, tau=0.3, alignment=None):
-    store = AttentionStore(StoreMeta(T=T, blocks=1, config_hash=1))
+def _trajectory(T, n, hw, seed=3):
+    """A read-only trajectory of T + 1 latents: n one-channel frames of 1 x hw pixels."""
+    trajectory = np.random.default_rng(seed).standard_normal((T + 1, n, 1, 1, hw))
+    trajectory.setflags(write=False)
+    return trajectory
+
+
+def _plan(t_s, t_c, T, tau=0.3, alignment=None, n=2, hw=3):
     align = alignment or align_prompts(("a", "cat"), ("a", "tiger"))
-    return FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau), align, store, SOURCE)
+    return FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau), align, _trajectory(T, n, hw),
+                      SOURCE, 1)
 
 
 def test_window_boundaries():
@@ -92,11 +98,6 @@ def _record(shape, seed=3):
     return record
 
 
-def _latent(n, hw, seed=3):
-    """Block 0's self record: n one-channel frames of 1 x hw pixels."""
-    return _record((n, 1, 1, hw), seed)
-
-
 def _site(kind, attn, t=2, layer=0, source=None):
     """The site of *attn* at (t, layer), as a probe sees it, with the
     source's cross map *source* that the pass rebuilt."""
@@ -121,7 +122,6 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
     unchanged = align_prompts(("a", "cat"), ("a", "cat", "8k"))
     for plan in (_plan(0.5, 0.5, T=4, tau=1.0),
                  _plan(0.5, 0.5, T=4, alignment=unchanged)):
-        plan.store.record(_self_site(1, _latent(2, 3)))
         assert plan.action(2, KIND_SELF) == BLEND
         mask = plan.self_mask(2, 0)
         assert mask.shape == (2, 3) and not mask.any()
@@ -130,16 +130,14 @@ def test_plan_takes_source_whole_when_mask_is_provably_empty():
 
 
 def test_source_step_is_previous_index():
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(_site(KIND_CROSS, SRC_CROSS, t=0))
-    store.record(_self_site(3, _latent(2, 2)))
-    plan = FusionPlan(preset("style"), identity_alignment(2), store, SOURCE)
-    assert plan.source_map(1, 0) is store.query(0, 0)
-    assert plan.source_latent(4) is store.self_record(3, 0)
-    with pytest.raises(MissingRecordError):
-        plan.source_latent(3)
-    with pytest.raises(MissingRecordError):  # source_map reads cross maps only
-        plan.source_map(4, 0)
+    trajectory = _trajectory(4, 2, 2)
+    plan = FusionPlan(preset("style"), identity_alignment(2), trajectory, SOURCE, 1)
+    for t in range(1, 5):
+        latent = plan.source_latent(t)
+        assert latent.base is trajectory and latent.tobytes() == trajectory[t - 1].tobytes()
+        assert not latent.flags.writeable
+    with pytest.raises(ContractViolation, match=r"\(T\+1, n, c, h, w\) with T >= 1"):
+        FusionPlan(preset("style"), identity_alignment(2), trajectory[:1], SOURCE, 1)
 
 
 def test_align_substitution():
@@ -203,12 +201,6 @@ def test_mask_positions_follow_removed_tokens():
     assert _plan(0.5, 0.5, T=4, alignment=identity_alignment(3)).positions == ()
 
 
-def _store_with_cross(src_map, T=4):
-    store = AttentionStore(StoreMeta(T=T, blocks=1, config_hash=1))
-    store.record(_site(KIND_CROSS, src_map, t=1))
-    return store
-
-
 SRC_CROSS = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]
                      ).reshape(1, 1, 4, 2)
 EDIT_CROSS = np.array([[0.6, 0.4], [0.1, 0.9], [0.25, 0.75], [0.5, 0.5]]
@@ -231,14 +223,14 @@ def test_fuse_cross_hand_oracle():
 
 
 def test_plan_keeps_cross_map_outside_window():
-    store = _store_with_cross(SRC_CROSS)
+    trajectory = _trajectory(4, 1, 4)
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS)) is None
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.step_probe(2) is None
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     got = plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS, source=SRC_CROSS))
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
 
@@ -271,17 +263,14 @@ def test_fuse_cross_rows_sum_to_one_random():
 
 
 def test_fuse_cross_missing_record_propagates():
-    # The store keeps no cross map for the cross window: the pass rebuilds
+    # The plan keeps no cross map for the cross window: the pass rebuilds
     # the source's, and a cross site that comes without one is refused,
     # whether the plan fuses it or takes it whole.
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
     fusing = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                              removed_positions=(1,))
     for alignment, action in ((fusing, FUSE), (identity_alignment(2), TAKE_SOURCE)):
-        plan = FusionPlan(preset("style"), alignment, store, SOURCE)
+        plan = FusionPlan(preset("style"), alignment, _trajectory(4, 1, 4), SOURCE, 1)
         assert plan.action(2, KIND_CROSS) == action
-        with pytest.raises(MissingRecordError):
-            plan.source_map(2, 0)
         with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
             plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
         assert f"no source cross map to {action} at (cross, t=2, layer=0)" in str(info.value)
@@ -352,12 +341,6 @@ EDIT_SELF = np.array([
 ]).reshape(2, 1, 2, 4)
 
 
-def _self_store():
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(_self_site(1, _latent(2, 2)))
-    return store
-
-
 def _block(d_model):
     """A block of which only the self weights are read."""
     rng = np.random.default_rng(7)
@@ -426,43 +409,45 @@ def test_blend_self_mask_extremes_are_exact(monkeypatch):
 
 
 def test_plan_keeps_self_map_outside_window():
-    store = _self_store()
+    trajectory = _trajectory(4, 2, 2)
     align = identity_alignment(2)
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.step_probe(2) is None
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
-    assert answer.source is store.self_record(1, 0) and answer.t == 1
+    assert answer.source.tobytes() == trajectory[1].tobytes() and answer.t == 1
     assert not answer.edit.any() and answer.cross is False
     # Inside the cross window only (t_c < t_s), every row stays the pass's
     # own and the answer carries the source, whose cross map the step takes.
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.action(2, KIND_SELF) == KEEP and plan.action(2, KIND_CROSS) == TAKE_SOURCE
     answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
-    assert answer.source is store.self_record(1, 0) and answer.t == 1
+    assert answer.source.tobytes() == trajectory[1].tobytes() and answer.t == 1
     assert answer.edit.shape == (2, 2) and answer.edit.all()
     assert answer.cross is True and answer.prompt is SOURCE
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(_site(KIND_CROSS, MASK_CROSS_HEADS, t=0))
-    store.record(_self_site(0, _latent(2, 4, seed=4)))
-    source = store.self_record(0, 0)
-    edit_self = np.full((2, 2, 4, 8), 1.0 / 8)
+    # The mask of step t thresholds the source's cross map that the pass
+    # rebuilds from inversion step t-1's latent: the answer gives it as a
+    # function of that map, and carries the source so that the pass builds it.
+    trajectory = _trajectory(4, 2, 4, seed=4)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
-    mask = plan.self_mask(1, 0)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
+    with pytest.raises(MissingRecordError, match="step 1, block 0"):
+        plan.self_mask(1, 0)
+    answer = plan.step_probe(1)(_self_site(1, trajectory[1]))
+    assert answer.source.tobytes() == trajectory[0].tobytes() and answer.t == 0
+    assert answer.cross is True and answer.prompt is SOURCE
+    mask = answer.edit(MASK_CROSS_HEADS)
     assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
     assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
-    answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
-    assert answer.source is source and answer.t == 0 and answer.edit is mask
 
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, trajectory, SOURCE, 1)
     assert plan.self_mask(1, 0).shape == (2, 4)
     assert not plan.self_mask(1, 0).any()
-    answer = plan.step_probe(1)(_site(KIND_SELF, edit_self, t=1))
-    assert answer.source is source and answer.edit is plan.self_mask(1, 0)
+    answer = plan.step_probe(1)(_self_site(1, trajectory[1]))
+    assert answer.edit is plan.self_mask(1, 0) and answer.cross is False
 
 
 def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
@@ -473,32 +458,32 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     mask = np.zeros((2, hw), dtype=bool)
     mask[:, 64:128] = True
     mask[0, 128:136] = True
-    cross = np.where(mask[:, None, :, None], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5])
-    cross = np.repeat(cross, 2, axis=1)  # (2 frames, 2 heads, hw, 3 tokens)
-    # Block 1's cross map thresholds the mask.  The last block's answer
-    # builds from the source input the pass carried up, and carries it no
-    # further.
-    store = AttentionStore(StoreMeta(T=4, blocks=2, config_hash=1))
-    store.record(_site(KIND_CROSS, cross, t=0, layer=1))
-    align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, store, SOURCE)
-    assert np.array_equal(plan.self_mask(1, 1), mask)
-
     edit, source = _record((2, hw, 4), seed=6), _record((2, hw, 4), seed=5)
-    answer = plan.step_probe(1)(_self_site(1, edit, layer=1, source=source))
-    assert answer.source is source and answer.t == 0
-    assert answer.cross is False and answer.prompt is None
     built = _spy_sides(monkeypatch, source)
-    got = _attend(edit, 2, answer.edit, answer.source)
+    got = _attend(edit, 2, mask, source)
     assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
     from_source = _attend(edit, 2, np.zeros_like(mask), source)
     assert np.array_equal(got, np.where(mask[..., None], _attend(edit, 2), from_source))
 
+    # A mask that a function gives from the source output, which needs the
+    # source carried, comes after every source tile and before any own one.
+    block, order = _block(4), []
+    own_out = spatiotemporal_attend(source, block, 2, 2)[0]  # the source's own pass
+    monkeypatch.setattr(SelfTiles, "rows", lambda tiles, lo, hi, _rows=SelfTiles.rows: (
+        order.append("source" if tiles.feats is source else "edit") or _rows(tiles, lo, hi)))
+
+    def mask_of(source_out):
+        order.append("mask")
+        assert np.array_equal(source_out, own_out)
+        return mask
+
+    later, source_out = spatiotemporal_attend(edit, block, 2, 2, mask_of, source, True)
+    assert order == ["source"] * 3 + ["mask"] + ["edit"] * 2
+    assert np.array_equal(later, got) and np.array_equal(source_out, own_out)
+
 
 def test_plan_takes_source_before_the_edit_map_is_built():
-    store = AttentionStore(StoreMeta(T=4, blocks=1, config_hash=1))
-    store.record(_site(KIND_CROSS, SRC_CROSS, t=1))
-    store.record(_self_site(1, _latent(1, 4)))
+    trajectory = _trajectory(4, 1, 4)
     built = []
 
     def site(kind, attn):
@@ -508,18 +493,18 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     # identical prompts: the cross map is taken whole, and the all-clear
     # mask takes every self row from the source
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
-                      identity_alignment(2), store, SOURCE)
+                      identity_alignment(2), trajectory, SOURCE, 1)
     assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
     assert plan.action(2, KIND_SELF) == BLEND
     probe = plan.step_probe(2)
     assert probe(site(KIND_CROSS, EDIT_CROSS)) is SRC_CROSS
     answer = probe(site(KIND_SELF, np.full((1, 1, 4, 8), 1.0 / 8)))
-    assert answer.source is store.self_record(1, 0) and not answer.edit.any()
+    assert answer.source.tobytes() == trajectory[1].tobytes() and not answer.edit.any()
     assert built == []
 
     # a substituted word: fusing the columns needs the edit map
     align = align_prompts(("a", "cat"), ("a", "tiger"))
-    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, store, SOURCE)
+    plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.action(2, KIND_CROSS) == FUSE
     got = plan.step_probe(2)(site(KIND_CROSS, EDIT_CROSS))
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))

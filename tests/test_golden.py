@@ -111,6 +111,20 @@ def test_output_tree_matches_the_golden_digests(tmp_path, name):
         f"recorded under {recorded}, run under {_environment()}")
 
 
+def test_the_partial_mask_run_builds_no_more_self_tiles(tmp_path, monkeypatch):
+    # The shape edit at tau 0.6 thresholds its masks from the cross maps
+    # the pass rebuilds, which needs every source tile of a blend step
+    # before the mask exists.  Its steps all lie in the cross window, where
+    # the carry builds those tiles anyway, so inversion and both guidance
+    # branches build as many self tiles as when the masks read stored maps.
+    from attnfuse.model import SelfTiles
+    built, rows = [], SelfTiles.rows
+    monkeypatch.setattr(SelfTiles, "rows", lambda tiles, lo, hi: built.append(lo)
+                        or rows(tiles, lo, hi))
+    _digests("edit_shape_tau_0.6", tmp_path)
+    assert len(built) == 174
+
+
 def rewrite() -> None:
     """Run every golden run and write its digests, with numpy's version and BLAS."""
     with tempfile.TemporaryDirectory() as work:

@@ -414,7 +414,8 @@ def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
 
 @pytest.mark.parametrize("case", ["source shape", "source step", "mask shape", "float mask",
                                   "tile function", "array", "no source carried up",
-                                  "carry flag", "cross without prompt", "prompt width"])
+                                  "carry flag", "cross without prompt", "prompt width",
+                                  "uncarried mask function", "mask function's mask"])
 def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
     prompt = embed_prompt("a", tiny_cfg)
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
@@ -441,6 +442,11 @@ def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
             "carry flag": lambda: SelfAnswer(record, site.t, clear, cross, prompt),
             "cross without prompt": lambda: SelfAnswer(record, site.t, clear, True),
             "prompt width": lambda: SelfAnswer(record, site.t, clear, True, narrow),
+            # A mask function thresholds the source's cross map, which only
+            # a carrying answer builds, and what it gives is checked too.
+            "uncarried mask function": lambda: SelfAnswer(record, site.t, lambda m: clear),
+            "mask function's mask": lambda: SelfAnswer(
+                record, site.t, lambda m: m[:, 0, ::2, 0] > 0.0, True, prompt),
         }[case]()
 
     probe = lambda site: answer(site) if (site.kind, site.layer) == (KIND_SELF, layer) else None
@@ -449,6 +455,8 @@ def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
     assert f"(self, t=1, layer={layer})" in str(exc.value)
     if case == "carry flag":
         assert "carry flag is a ndarray, expected a bool" in str(exc.value)
+    if case == "mask function's mask":
+        assert f"mask is ((3, {hw // 2}), dtype('bool')), expected (3, {hw}) bool" in str(exc.value)
 
 
 def test_encode_color_endpoints():

@@ -1,5 +1,6 @@
 """Video synthesis, the latent codec, inversion, denoising, and metrics."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -123,16 +124,18 @@ def test_latent_channel_conversion():
     assert np.array_equal(out[:, 0], out[:, 1])
 
 
-def test_invert_is_deterministic(tiny_cfg, tiny_weights, tiny_inversion, store_maps):
-    sched, prompt, z0, z_T, store = tiny_inversion
-    z_T2, store2 = invert_video(z0, prompt, sched, tiny_weights)
-    assert np.array_equal(z_T, z_T2)
+def test_invert_is_deterministic(tiny_cfg, tiny_weights, tiny_inversion, store_maps,
+                                recorded_inversion):
+    sched, prompt, z0, trajectory, store = tiny_inversion
+    trajectory2, store2 = recorded_inversion(z0, prompt, sched, tiny_weights)
+    assert trajectory.tobytes() == trajectory2.tobytes()
     maps, maps2 = store_maps(store, tiny_weights), store_maps(store2, tiny_weights)
     assert maps.keys() == maps2.keys()
     for key in maps:
         assert np.array_equal(maps[key], maps2[key])
-    assert z_T.shape == z0.shape
-    assert not np.array_equal(z_T, z0)
+    assert trajectory.shape == (sched.T + 1,) + z0.shape and not trajectory.flags.writeable
+    assert trajectory[0].tobytes() == z0.tobytes()
+    assert not np.array_equal(trajectory[-1], z0)
 
 
 SMOKE_CFG = ModelConfig(n=2, h=8, w=8, c=1, d_model=16, heads=2, d_head=8,
@@ -144,7 +147,7 @@ def test_plain_reconstruction_smoke():
     prompt = embed_prompt("a small bright disc", SMOKE_CFG)
     sched = make_schedule(10, 0.00085, 0.012)
     z0 = SeededRng(101).standard_normal((2, 1, 8, 8)) * 0.5
-    z_T, _ = invert_video(z0, prompt, sched, weights)
+    z_T = invert_video(z0, prompt, sched, weights)[-1]
     recon = run_denoise(z_T, prompt, sched, weights, 1.0)
     assert float(np.mean((recon - z0) ** 2)) <= 5e-3
 
@@ -156,25 +159,26 @@ def test_fused_reconstruction_at_t50():
     prompt = embed_prompt("a red square drifting right", cfg)
     sched = make_schedule(50, 0.00085, 0.012)
     z0 = SeededRng(0).standard_normal((4, 1, 16, 16)) * 0.5
-    z_T, store = invert_video(z0, prompt, sched, weights)
+    trajectory = invert_video(z0, prompt, sched, weights)
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
-                      identity_alignment(len(prompt.tokens)), store, prompt)
-    recon = run_denoise(z_T, prompt, sched, weights, 1.0, plan=plan)
+                      identity_alignment(len(prompt.tokens)), trajectory, prompt, 2)
+    recon = run_denoise(trajectory[-1], prompt, sched, weights, 1.0, plan=plan)
     assert float(np.mean((recon - z0) ** 2)) <= 1e-3
 
 
 def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
                                                     tiny_inversion, monkeypatch):
-    sched, prompt, _, z_T, store = tiny_inversion
+    sched, prompt, _, trajectory, _ = tiny_inversion
+    z_T = trajectory[-1]
     edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
     align = align_prompts(prompt.tokens, edit_emb.tokens)
     make_plan = lambda: FusionPlan(
-        EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5), align, store, prompt)
+        EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5), align, trajectory, prompt,
+        tiny_cfg.blocks)
     plan = make_plan()
     steps = range(sched.T, 0, -1)
     assert FUSE in {plan.action(t, KIND_CROSS) for t in steps}
     assert BLEND in {plan.action(t, KIND_SELF) for t in steps}
-    assert any(plan.self_mask(t, 0).any() for t in steps)  # not all-clear
 
     uncond = embed_prompt("", tiny_cfg)
     z = z_T
@@ -183,6 +187,7 @@ def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
                                  probe=plan.step_probe(t))
         eps_u = denoiser_forward(z, t, uncond, tiny_weights, sched.T)
         z = ddim_step(z, cfg_combine(eps_u, eps_c, 7.5), t, sched)
+    assert any(plan.self_mask(t, 0).any() for t in steps)  # not all-clear
 
     calls = []
 
@@ -202,22 +207,37 @@ def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
 
 def test_edit_pass_runs_with_real_alignment(tiny_cfg, tiny_weights,
                                             tiny_inversion):
-    sched, prompt, _, z_T, store = tiny_inversion
+    sched, prompt, _, trajectory, _ = tiny_inversion
     edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=0.3, s_cfg=7.5),
-                      align_prompts(prompt.tokens, edit_emb.tokens), store, prompt)
-    out = run_denoise(z_T, edit_emb, sched, tiny_weights, 7.5, plan=plan)
-    assert out.shape == z_T.shape
+                      align_prompts(prompt.tokens, edit_emb.tokens), trajectory, prompt,
+                      tiny_cfg.blocks)
+    out = run_denoise(trajectory[-1], edit_emb, sched, tiny_weights, 7.5, plan=plan)
+    assert out.shape == trajectory[-1].shape
     assert np.all(np.isfinite(out))
 
 
 def test_run_denoise_store_validation(tiny_cfg, tiny_weights, tiny_inversion):
-    sched, prompt, _, z_T, store = tiny_inversion
-    plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0),
-                      identity_alignment(len(prompt.tokens)), store, prompt)
-    other_sched = make_schedule(sched.T + 1, 0.05, 0.1)
-    with pytest.raises(ContractViolation):
-        run_denoise(z_T, prompt, other_sched, tiny_weights, 1.0, plan=plan)
+    # A plan replays a trajectory of T + 1 latents of z's shape, under
+    # weights of its number of blocks.
+    sched, prompt, _, trajectory, _ = tiny_inversion
+    z_T = trajectory[-1]
+    edit_cfg = EditConfig(t_s=0.0, t_c=0.0, tau=1.0, s_cfg=1.0)
+    plan = lambda trajectory, blocks=tiny_cfg.blocks: FusionPlan(
+        edit_cfg, identity_alignment(len(prompt.tokens)), trajectory, prompt, blocks)
+    three_blocks = make_denoiser_weights(dataclasses.replace(tiny_cfg, blocks=3))
+    for args, fragment in [
+            ((z_T, make_schedule(sched.T + 1, 0.05, 0.1), tiny_weights, plan(trajectory)),
+             r"trajectory is \(5, 3, 1, 4, 4\), a 5-step schedule .* needs \(6, 3, 1, 4, 4\)"),
+            ((z_T, sched, tiny_weights, plan(trajectory[:-1])), r"is \(4, 3, 1, 4, 4\)"),
+            ((z_T, sched, tiny_weights, plan(trajectory[:, :2])), r"is \(5, 2, 1, 4, 4\)"),
+            ((z_T, sched, three_blocks, plan(trajectory)), "plan has 2 blocks, the weights 3"),
+            ((z_T, sched, tiny_weights, plan(trajectory, 3)), "plan has 3 blocks, the weights 2")]:
+        z, schedule, weights, fusion_plan = args
+        with pytest.raises(ContractViolation, match=fragment):
+            run_denoise(z, prompt, schedule, weights, 1.0, plan=fusion_plan)
+    out = run_denoise(z_T, prompt, sched, tiny_weights, 1.0, plan=plan(trajectory))
+    assert out.shape == z_T.shape
 
 
 def test_metrics_constant_shift():

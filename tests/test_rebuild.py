@@ -1,37 +1,39 @@
-"""The replay rebuilds the source's later block inputs and cross maps.
+"""The replay rebuilds the source's later block inputs, cross maps and masks.
 
-An edit's store keeps one record for each step it replays, block 0's
-latent, and no later block's input and no cross map but those a blend
-mask thresholds.  On the way up the pass rebuilds each of them from the
-source rows it builds: the source's own output, its cross map from that
-sum under the source prompt's keys, the map times the source prompt's
-values, and the MLP.  These tests hold the rebuilt inputs and cross
-maps to the ones a full-store inversion records, byte for byte, and
-the rebuild to the tiles it may add.
+An edit keeps inversion's latent trajectory alone: no later block's
+input, no cross map and no mask.  On the way up the pass rebuilds each
+of them from the source rows it builds: the source's own output, its
+cross map from that sum under the source prompt's keys, the blend mask
+that thresholds that map, the map times the source prompt's values,
+and the MLP.  These tests hold the rebuilt inputs, cross maps and masks
+to the ones a recorded inversion gives, byte for byte, and the rebuild
+to the tiles it builds.
 """
 
 import numpy as np
 import pytest
 
 from attnfuse import model
+from attnfuse.errors import MissingRecordError
 from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig, FusionPlan,
-                             align_prompts)
+                             align_prompts, build_blend_mask)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
-                            denoiser_forward, embed_prompt, make_denoiser_weights)
+                            config_hash, denoiser_forward, embed_prompt,
+                            make_denoiser_weights)
 from attnfuse.numerics import SeededRng
-from attnfuse.pipeline import invert_video, run_denoise, store_meta
+from attnfuse.pipeline import invert_video, run_denoise
 from attnfuse.schedule import make_schedule
-from attnfuse.store import AttentionKey
+from attnfuse.store import AttentionStore, StoreMeta
 
 SOURCE_TEXT = "a red square drifting right"
 
 
 def _edit(blocks, h, w, tau, t_s=0.0, t_c=0.5, edit_text="a blue square drifting right"):
-    """(weights, sched, edit prompt, z_T, plan, full store): a recording
-    plan filled by inverting a clip under a source prompt, and a
-    full-store inversion of the same clip.  By default every step blends,
-    steps 1 and 2 lie outside the cross window, and the edit substitutes
-    a word, so its prompt's keys and values differ from the source's."""
+    """(weights, sched, edit prompt, z_T, plan, full store): a plan over the
+    trajectory of a clip inverted under a source prompt, and the whole
+    store that inversion records.  By default every step blends, steps 1
+    and 2 lie outside the cross window, and the edit substitutes a word,
+    so its prompt's keys and values differ from the source's."""
     cfg = ModelConfig(n=3, h=h, w=w, c=1, d_model=8, heads=2, d_head=4,
                       blocks=blocks, d_text=8, seed=blocks)
     weights = make_denoiser_weights(cfg)
@@ -39,13 +41,12 @@ def _edit(blocks, h, w, tau, t_s=0.0, t_c=0.5, edit_text="a blue square drifting
     edit = embed_prompt(edit_text, cfg)
     sched = make_schedule(6, 0.02, 0.2)
     z0 = SeededRng(31).standard_normal((cfg.n, cfg.c, h, w)) * 0.5
-    plan = FusionPlan.recording(EditConfig(t_s=t_s, t_c=t_c, tau=tau, s_cfg=1.0),
-                                align_prompts(src.tokens, edit.tokens),
-                                store_meta(sched, cfg), src)
-    z_T, _ = invert_video(z0, src, sched, weights, plan.store)
-    full_T, full = invert_video(z0, src, sched, weights)
-    assert z_T.tobytes() == full_T.tobytes()
-    return weights, sched, edit, z_T, plan, full
+    full = AttentionStore(StoreMeta(T=sched.T, blocks=blocks, config_hash=config_hash(cfg)))
+    trajectory = invert_video(z0, src, sched, weights, probe=full.record)
+    assert trajectory.tobytes() == invert_video(z0, src, sched, weights).tobytes()
+    plan = FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau, s_cfg=1.0),
+                      align_prompts(src.tokens, edit.tokens), trajectory, src, blocks)
+    return weights, sched, edit, trajectory[-1], plan, full
 
 
 def _watch_sources(plan, kind):
@@ -71,31 +72,21 @@ def _watch_sources(plan, kind):
 @pytest.mark.parametrize("tau", [1.0, 0.7, 0.5])
 def test_the_rebuilt_source_inputs_are_the_recorded_ones(blocks, h, w, tau):
     # 5x13 pixels end in a 1-row tail tile, 8x12 in a 32-row one.  At
-    # tau 1.0 every mask is clear.  At 0.7 the masks are partial; at 0.5
-    # most set every row, and of the 3-block model's, block 1's alone
-    # clears some, so outside the cross window the pass carries the
-    # source to block 1 and no further.
+    # tau 1.0 every mask is clear; at 0.7 and 0.5 the masks threshold the
+    # source's cross maps, and some set every row of a block.  Every step
+    # blends, so below the last block every answer carries the source up.
     weights, sched, edit, z_T, plan, full = _edit(blocks, h, w, tau)
-    assert not any(key.kind == KIND_SELF and key.layer for key in plan.store.keys())
     seen = _watch_sources(plan, KIND_SELF)
     run_denoise(z_T, edit, sched, weights, 1.0, plan)
-    rebuilt = 0
     for t in range(1, sched.T + 1):
         assert plan.action(t, KIND_SELF) == BLEND
         for layer in range(1, blocks):
-            # The pass carries the source through every block in the cross
-            # window; outside it, while a block at or above this one clears
-            # a row of its mask.
-            wanted = plan.action(t, KIND_CROSS) != KEEP or any(
-                not plan.self_mask(t, above).all() for above in range(layer, blocks))
             source = seen[(t, layer)]
-            assert (source is not None) == wanted, (t, layer)
-            if wanted:
-                assert source.tobytes() == full.self_record(t - 1, layer).tobytes(), (t, layer)
-                rebuilt += 1
-    assert rebuilt > 0
-    if tau == 1.0:
-        assert rebuilt == sched.T * (blocks - 1)
+            assert source.tobytes() == full.self_record(t - 1, layer).tobytes(), (t, layer)
+    if tau < 1.0:
+        masks = [plan.self_mask(t, layer) for t in range(1, sched.T + 1)
+                 for layer in range(blocks)]
+        assert any(0 < mask.sum() < mask.size for mask in masks)
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -125,26 +116,32 @@ def test_the_rebuilt_cross_maps_are_the_recorded_ones(blocks, edit_text, action,
         assert any(plan.action(t, KIND_SELF) == KEEP for t in inside)
 
 
-def test_an_edit_store_keeps_one_latent_per_replayed_step():
-    # A replayed step keeps its latent alone; a blend mask adds the cross
-    # maps it thresholds, every block's of the steps it blends.  Only the
-    # heatmaps' cross map comes beside them.
-    heatmap = AttentionKey(0, 0, KIND_CROSS)
-    _, sched, _, _, plan, _ = _edit(3, 5, 13, tau=1.0)
-    latents = {AttentionKey(t - 1, 0, KIND_SELF) for t in range(1, sched.T + 1)}
-    assert plan.first_cross == 3
-    assert set(plan.store.keys()) == plan.reads() == latents | {heatmap}
-    _, _, _, _, plan, _ = _edit(3, 5, 13, tau=0.5, t_s=0.5)
-    assert (plan.first_self, plan._blends) == (3, True)
-    blended = {AttentionKey(t - 1, layer, KIND_CROSS) for t in range(3, sched.T + 1)
-               for layer in range(3)}
-    latents = {key for key in latents if key.t >= 2}
-    assert set(plan.store.keys()) == plan.reads() == latents | blended | {heatmap}
-    _, _, _, _, plan, _ = _edit(3, 5, 13, tau=0.5, t_s=0.7, t_c=0.2)
-    assert (plan.first_self, plan.first_cross) == (5, 2)
-    latents = {AttentionKey(t - 1, 0, KIND_SELF) for t in range(2, sched.T + 1)}
-    blended = {key for key in blended if key.t >= 4}
-    assert set(plan.store.keys()) == plan.reads() == latents | blended | {heatmap}
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("t_s,t_c", [(0.3, 0.7), (0.5, 0.5), (0.7, 0.3)],
+                         ids=["blend-below-cross", "same-windows", "cross-below-blend"])
+@pytest.mark.parametrize("tau", [0.3, 0.6])
+def test_the_masks_are_those_of_the_recorded_cross_maps(blocks, t_s, t_c, tau):
+    # Each blend step's mask at each block thresholds the source's cross
+    # map that the pass rebuilt; the recorded map gives the same mask, bit
+    # for bit.  A mask exists once the pass has reached its step.
+    weights, sched, edit, z_T, plan, full = _edit(blocks, 5, 13, tau, t_s, t_c)
+    blended = [t for t in range(1, sched.T + 1) if plan.action(t, KIND_SELF) == BLEND]
+    assert len(blended) >= 2
+    for layer in range(blocks):
+        with pytest.raises(MissingRecordError,
+                           match=f"step {plan.first_self}, block {layer}"):
+            plan.self_mask(plan.first_self, layer)
+    run_denoise(z_T, edit, sched, weights, 1.0, plan)
+    masks = []
+    for t in blended:
+        for layer in range(blocks):
+            masks.append(plan.self_mask(t, layer))
+            want = build_blend_mask(full.query(t - 1, layer), plan.positions, tau)
+            assert masks[-1].tobytes() == want.tobytes(), (t, layer)
+            assert not masks[-1].flags.writeable
+    # At tau 0.3 most masks set every row; at 0.6 some clear a few.
+    assert all(mask.any() for mask in masks)
+    assert tau == 0.3 or any(0 < mask.sum() < mask.size for mask in masks)
 
 
 def _spy_builds(monkeypatch):
@@ -198,10 +195,11 @@ SET, CLEAR = np.ones((2, HW), dtype=bool), np.zeros((2, HW), dtype=bool)
 @pytest.mark.parametrize("masks", [(MIXED, SET), (MIXED, MIXED), (SET, CLEAR), (SET, SET)],
                          ids=["mixed-set", "mixed-mixed", "set-clear", "set-set"])
 def test_a_partial_mask_adds_only_the_set_tiles_below_a_clearing_block(monkeypatch, masks):
-    # As before this rebuild, a block builds its own rows for the tiles
-    # its mask sets a row of, and the source's for the tiles it clears a
-    # row of.  The rebuild adds the source rows of block 0's tiles that
-    # its mask sets entirely, and only when block 1 clears a row.
+    # A partial mask thresholds the source's cross map of its block, so on
+    # its step every block builds each source tile once, first, and then
+    # adds its own rows only for the tiles its mask sets a row of, also
+    # outside the cross window and at the last block.
+    import attnfuse.fusion as fusion
     cfg = ModelConfig(n=2, h=12, w=12, c=1, d_model=8, heads=2, d_head=4,
                       blocks=2, d_text=8, seed=5)
     weights = make_denoiser_weights(cfg)
@@ -209,20 +207,18 @@ def test_a_partial_mask_adds_only_the_set_tiles_below_a_clearing_block(monkeypat
     edit = embed_prompt("a blue square", cfg)
     sched = make_schedule(4, 0.02, 0.2)
     z0 = SeededRng(8).standard_normal((2, 1, 12, 12)) * 0.5
-    plan = FusionPlan.recording(EditConfig(t_s=0.0, t_c=1.0, tau=0.5, s_cfg=1.0),
-                                align_prompts(src.tokens, edit.tokens),
-                                store_meta(sched, cfg), src)
-    z_T, _ = invert_video(z0, src, sched, weights, plan.store)
-    monkeypatch.setattr(plan, "self_mask", lambda t, layer: masks[layer])
+    trajectory = invert_video(z0, src, sched, weights)
+    plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.5, s_cfg=1.0),
+                      align_prompts(src.tokens, edit.tokens), trajectory, src, 2)
+    assert plan.action(2, KIND_CROSS) == KEEP
+    given = iter(masks)
+    monkeypatch.setattr(fusion, "build_blend_mask", lambda *args: next(given))
     built, _ = _spy_builds(monkeypatch)
-    denoiser_forward(z_T, 2, edit, weights, sched.T, probe=plan.step_probe(2))
-    carry = not masks[1].all()
+    denoiser_forward(trajectory[-1], 2, edit, weights, sched.T, probe=plan.step_probe(2))
     want = []
     for block, mask in enumerate(masks):
-        for lo, hi in _tile_bounds(HW):
-            tile = mask[:, lo:hi]
-            if tile.any():
-                want.append((block, "own", lo))
-            if not tile.all() or (carry and block == 0):
-                want.append((block, "source", lo))
+        bounds = _tile_bounds(HW)
+        want += [(block, "source", lo) for lo, _ in bounds]
+        want += [(block, "own", lo) for lo, hi in bounds if mask[:, lo:hi].any()]
     assert built == want
+    assert [plan.self_mask(2, block) is mask for block, mask in enumerate(masks)] == [True] * 2

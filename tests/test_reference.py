@@ -12,8 +12,9 @@ rows wherever the blend mask is clear.  The mask thresholds the
 head-averaged, max-normalized source attention on the dropped words.
 
 So tiles, softmax numerators, lazy sites, maps taken whole from the
-source, the per-tile choice of rows and a store that keeps only the
-records its plan reads must all agree with it to float rounding.
+source, the per-tile choice of rows and masks thresholded from the
+cross maps the pass rebuilds from the latent trajectory must all agree
+with it to float rounding.
 """
 
 import math
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from attnfuse.fusion import EditConfig, FusionPlan, align_prompts
 from attnfuse.model import (ModelConfig, _posenc, _time_features, embed_prompt,
                             make_denoiser_weights)
-from attnfuse.pipeline import invert_video, run_denoise, store_meta
+from attnfuse.pipeline import invert_video, run_denoise
 from attnfuse.schedule import make_schedule
 
 WORDS = ("a", "red", "square", "drifting", "right")
@@ -132,10 +133,11 @@ def test_the_pipeline_edits_as_the_whole_map_reference_does(n, hw, blocks, T, t_
     z0 = np.random.default_rng(seed).standard_normal((n, 1, h, w)) * 0.5
     edit_cfg = EditConfig(t_s=t_s, t_c=t_c, tau=tau, s_cfg=s_cfg)
 
-    # The pipeline records only the keys its plan reads.
-    plan = FusionPlan.recording(edit_cfg, align_prompts(src.tokens, edit.tokens),
-                                store_meta(sched, cfg), src)
-    z_T, _ = invert_video(z0, src, sched, weights, plan.store)
+    # The pipeline keeps the latent trajectory alone.
+    trajectory = invert_video(z0, src, sched, weights)
+    plan = FusionPlan(edit_cfg, align_prompts(src.tokens, edit.tokens), trajectory, src,
+                      blocks)
+    z_T = trajectory[-1]
     z_0 = run_denoise(z_T, edit, sched, weights, s_cfg, plan)
     want_T, want_0 = _reference_edit(z0, src, edit, matched, removed, sched, weights,
                                      edit_cfg)

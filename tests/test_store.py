@@ -1,4 +1,4 @@
-"""Attention store: keyed capture, completeness, and offline dumps."""
+"""Attention store: keyed capture and completeness; trajectory dumps and their replay."""
 
 import dataclasses
 import json
@@ -6,13 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from attnfuse import blobio
 from attnfuse.blobio import HEADER, read_blob, write_blob
 from attnfuse.errors import ContractViolation, MissingRecordError
 from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig, SelfTiles,
                             config_hash, denoiser_forward, embed_prompt,
                             make_denoiser_weights)
 from attnfuse.numerics import SeededRng, fnv1a64
-from attnfuse.pipeline import invert_video
 from attnfuse.schedule import ddim_invert_step, make_schedule
 from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
                             load_store_dump)
@@ -117,20 +117,6 @@ def test_verify_complete_lists_missing():
     assert store.verify_complete() == []
 
 
-def test_a_store_keeps_only_the_keys_it_wants():
-    wanted = [AttentionKey(0, 0, KIND_CROSS), AttentionKey(1, 0, KIND_SELF)]
-    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7), set(wanted))
-    store.record(_self_site(0, 0, _record()))  # not wanted: passed over
-    store.record(_cross_site(0, 0))
-    assert store.verify_complete() == [AttentionKey(1, 0, KIND_SELF)]
-    store.record(_self_site(1, 0, _record()))
-    store.record(_cross_site(1, 0))
-    assert store.verify_complete() == []
-    assert list(store.keys()) == wanted
-    with pytest.raises(MissingRecordError):
-        store.self_record(0, 0)
-
-
 def test_inversion_fills_store(tiny_cfg, tiny_weights, tiny_inversion, self_map):
     sched, _, _, _, store = tiny_inversion
     assert len(store) == 2 * sched.T * tiny_cfg.blocks
@@ -162,7 +148,8 @@ def _assert_same_store(loaded, store):
 
 
 @pytest.mark.parametrize("blocks", [2, 1])
-def test_dump_and_load_round_trip(tmp_path, tiny_cfg, toy_clip, write_dump, blocks):
+def test_dump_and_load_round_trip(tmp_path, tiny_cfg, toy_clip, write_dump, recorded_inversion,
+                                  blocks):
     cfg = dataclasses.replace(tiny_cfg, blocks=blocks)
     weights = make_denoiser_weights(cfg)
     d = tmp_path / "store"
@@ -184,7 +171,7 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, toy_clip, write_dump, bloc
 
     # Loading replays the latents into the whole grid: the store an
     # in-memory inversion fills, key for key and byte for byte.
-    _, store = invert_video(z0, prompt, sched, weights)
+    _, store = recorded_inversion(z0, prompt, sched, weights)
     assert len(store) == sched.T * blocks * 2
     _assert_same_store(load_store_dump(d), store)
 
@@ -216,56 +203,51 @@ def test_old_format_dump_is_refused(tmp_path, write_dump):
             load_store_dump(d)
 
 
-def test_a_streamed_dump_equals_the_dumped_store(tmp_path, tiny_cfg, toy_clip, toy_writer):
-    # The latents of the store an in-memory inversion fills, written one
-    # by one into a DumpWriter, are the dump `invert` streams as the pass
-    # runs, and loading either gives that store back, at 2 and 1 blocks.
+def test_a_written_dump_equals_the_dumped_store(tmp_path, tiny_cfg, toy_clip, toy_dump,
+                                                recorded_inversion):
+    # The latents of the store an inversion records, stacked with z_T, are
+    # the trajectory `invert` dumps, and loading that dump gives the store
+    # back, at 2 and 1 blocks.  The latents go first, then z_T.bin, and
+    # the index last.
     for blocks in (2, 1):
         cfg = dataclasses.replace(tiny_cfg, blocks=blocks)
         weights = make_denoiser_weights(cfg)
         sched, prompt, z0 = toy_clip(cfg)
-        z_T, store = invert_video(z0, prompt, sched, weights)
-        dumped = toy_writer(tmp_path / f"dumped{blocks}", cfg)
-        for key in store.keys():
-            if key.kind == KIND_SELF:
-                dumped.record(_self_site(key.t, key.layer,
-                                         store.self_record(key.t, key.layer)))
-            else:
-                attn = store.query(key.t, key.layer)
-                dumped.record(AttentionSite(key.t, key.layer, KIND_CROSS, attn.shape,
-                                            lambda attn=attn: attn))
-        dumped.close(z_T)
+        trajectory, store = recorded_inversion(z0, prompt, sched, weights)
+        assert not trajectory.flags.writeable
+        latents = [store.self_record(t, 0) for t in range(sched.T)]
+        assert trajectory.tobytes() == np.stack(latents + [trajectory[-1]]).tobytes()
+        written = []
 
-        writer = toy_writer(tmp_path / f"streamed{blocks}", cfg)
-        z, _ = invert_video(z0, prompt, sched, weights, writer)
-        assert np.array_equal(z, z_T)
-        # No index is written before close.
-        assert not (writer.directory / "index.json").exists()
-        writer.close(z)
-        read = lambda d: {p.name: p.read_bytes() for p in d.iterdir()}
-        assert read(writer.directory) == read(dumped.directory)
-        with pytest.raises(ContractViolation, match="duplicate"):
-            writer.record(_self_site(0, 0, store.self_record(0, 0)))
-        _assert_same_store(load_store_dump(writer.directory), store)
+        def spy(path, *args, _write=blobio.write_blob):
+            written.append(path.name)
+            assert not (path.parent / "index.json").exists()
+            return _write(path, *args)
+
+        d = tmp_path / f"blocks{blocks}" / "store"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blobio, "write_blob", spy)
+            toy_dump(d, trajectory, cfg)
+        assert written == [_latent(t) for t in range(sched.T)] + ["z_T.bin"]
+        [z_T] = read_blob(d.parent / "z_T.bin", config_hash(cfg), [z0.shape])
+        assert z_T.tobytes() == trajectory[-1].tobytes()
+        _assert_same_store(load_store_dump(d), store)
 
 
-def test_dump_refuses_an_incomplete_store(tmp_path, tiny_cfg, toy_writer, write_dump):
-    # A writer over an earlier dump removes its index and blobs before it
-    # writes a blob of its own, and it takes only the latents.
+def test_dump_refuses_an_incomplete_store(tmp_path, tiny_cfg, toy_dump, write_dump):
+    # A trajectory that is not (T+1, n, c, h, w) under the config, T >= 1,
+    # is refused before the earlier dump's files go; a valid one replaces
+    # its index and blobs.
     d = tmp_path / "store"
-    write_dump(d)
-    writer = toy_writer(d, tiny_cfg)
-    assert list(d.iterdir()) == []
-    latent = _record(shape=(2, 1, 1, 3))
-    writer.record(_self_site(0, 0, latent))
-    writer.record(_cross_site(0, 0))
-    writer.record(_self_site(0, 1, _record()))
-    # close writes no index while a latent is missing.
-    with pytest.raises(ContractViolation, match="3 latents missing"):
-        writer.close(latent)
-    assert [p.name for p in d.iterdir()] == ["self_t0000_l00.bin"]
-    with pytest.raises(ContractViolation, match="duplicate"):
-        writer.record(_self_site(0, 0, latent))
+    z_T = write_dump(d)
+    earlier = {p.name: p.read_bytes() for p in d.iterdir()}
+    trajectory = np.stack([z_T] * 3)
+    for bad in (trajectory[:1], trajectory[:, :, :, :-1], trajectory[0]):
+        with pytest.raises(ContractViolation, match="no dump written"):
+            toy_dump(d, bad, tiny_cfg)
+        assert {p.name: p.read_bytes() for p in d.iterdir()} == earlier
+    toy_dump(d, trajectory, tiny_cfg)
+    assert sorted(p.name for p in d.iterdir()) == ["index.json", _latent(0), _latent(1)]
 
 
 def _latent(t):
@@ -361,14 +343,14 @@ def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights, tiny_i
         z = ddim_invert_step(z, eps, t, sched)
 
 
-def test_inversion_store_holds_projections_not_maps(peak_bytes):
+def test_inversion_store_holds_projections_not_maps(peak_bytes, recorded_inversion):
     cfg = ModelConfig(n=4, h=24, w=24, c=1, d_model=16, heads=2, d_head=8,
                       blocks=2, d_text=16, seed=3)
     weights = make_denoiser_weights(cfg)
     prompt = embed_prompt("a red square", cfg)
     z0 = SeededRng(8).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w)) * 0.2
     sched = make_schedule(2, 0.05, 0.1)
-    (_, store), peak = peak_bytes(lambda: invert_video(z0, prompt, sched, weights))
+    (_, store), peak = peak_bytes(lambda: recorded_inversion(z0, prompt, sched, weights))
     assert store.verify_complete() == []
     # Four self maps would hold 4 * 42.5 MB; their block inputs hold 1.2 MB,
     # beside one forward pass's tile of logits.
