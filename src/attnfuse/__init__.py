@@ -11,10 +11,10 @@ layout and motion.
 from .errors import ConfigError, ContractViolation, MissingRecordError
 from .fusion import (EditConfig, FusionPlan, PromptAlignment, align_prompts,
                      build_blend_mask, fuse_cross, identity_alignment, preset)
-from .model import (AttentionSite, DenoiserWeights, ModelConfig,
-                    PromptEmbedding, SelfAnswer, SelfTiles, attend,
-                    denoiser_forward, embed_prompt, make_denoiser_weights,
-                    make_oracle_denoiser, spatiotemporal_attend)
+from .model import (DenoiserWeights, ModelConfig, PromptEmbedding, Replay,
+                    SelfTiles, denoiser_forward, embed_prompt,
+                    make_denoiser_weights, make_oracle_denoiser,
+                    spatiotemporal_attend)
 from .numerics import SeededRng, maxnorm_frame, softmax_lastdim
 from .pipeline import (MetricsReport, VideoSpec, compute_metrics, decode,
                        encode, invert_video, run_denoise, synth_video)

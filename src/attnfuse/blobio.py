@@ -21,12 +21,13 @@ VERSION = 1
 HEADER = struct.Struct("<4sIQ")
 
 
-def write_blob(path: Path, config_hash: int, arrays: list[np.ndarray]) -> None:
+def write_blob(path: Path, config_hash: int, arrays: list[np.ndarray]) -> int:
+    """Write *arrays* to *path* after the header; returns the bytes written."""
     path = Path(path)
     chunks = [HEADER.pack(MAGIC, VERSION, config_hash)]
     for arr in arrays:
         chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    path.write_bytes(b"".join(chunks))
+    return path.write_bytes(b"".join(chunks))
 
 
 def read_blob(path: Path, config_hash: int,

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blobio
 from .errors import ConfigError, ContractViolation
 from .fusion import (EditConfig, FusionPlan, MODES, align_prompts, preset,
                      word_attention)
@@ -284,11 +283,11 @@ def _run_edit(rc: RunConfig, identity: bool) -> int:
     edit_emb = embed_prompt(edit_text, rc.model)
     heatmaps = []  # inversion step 0's cross map of block 0, which heatmaps/ draws
 
-    def keep_heatmap(site):
-        if (site.t, site.layer, site.kind) == (0, 0, KIND_CROSS):
-            heatmaps.append(site.attn)
+    def keep_heatmap(t, layer, kind, array):
+        if (t, layer, kind) == (0, 0, KIND_CROSS):
+            heatmaps.append(array)
 
-    trajectory = invert_video(z0, src_emb, rc.schedule, weights, probe=keep_heatmap)
+    trajectory = invert_video(z0, src_emb, rc.schedule, weights, record=keep_heatmap)
     plan = FusionPlan(rc.edit, align_prompts(src_emb.tokens, edit_emb.tokens), trajectory,
                       src_emb, rc.model.blocks)
     z_out = run_denoise(trajectory[-1], edit_emb, rc.schedule, weights, rc.edit.s_cfg,
@@ -317,11 +316,10 @@ def _run_invert(rc: RunConfig) -> int:
     # The latents go to store/, then z_T.bin; the index comes last.
     betas = rc.echo["schedule"]["beta_start"], rc.echo["schedule"]["beta_end"]
     store_dir = rc.out_dir / "store"
-    write_store_dump(store_dir, rc.model, trajectory, betas, rc.source_prompt,
-                     rc.out_dir / "z_T.bin")
-    written = rc.steps * (blobio.HEADER.size + trajectory[0].nbytes) / 1e6
+    written = write_store_dump(store_dir, rc.model, trajectory, betas, rc.source_prompt,
+                               rc.out_dir / "z_T.bin")
     print(f"inverted {rc.model.n} frames over {rc.steps} steps; {rc.steps} latents "
-          f"({written:.2f} MB) in {store_dir}")
+          f"({written / 1e6:.2f} MB) in {store_dir}")
     return 0
 
 

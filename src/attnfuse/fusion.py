@@ -20,23 +20,23 @@ same arc of the schedule that inversion step t-1 took.
 pairing and is the plan's only reader of inversion's record; the plan
 keeps no map and no later block's input from inversion.
 
-The forward pass never holds a whole self map, so the plan answers a
-self site with data, a `model.SelfAnswer`: the source's latent at
-block 0, its step t-1, and the blend mask.  The pass builds each
-tile's rows from its own map where the mask is set and from the
-source where it is clear.  The source's later block inputs and cross
-maps are rebuilt on the way up (activation recomputation from a kept
-checkpoint, Chen et al., arXiv 1604.06174): an answer that carries the
-source names the source prompt, and the pass applies the source's own
-rows to its own values, builds the source's cross map from that sum,
-which the cross site offers as its `source` for the plan to fuse or
-take, and below the last block applies that map to the prompt's
-values and the MLP, as inversion did.  A mask that thresholds a cross
-map is a function of that rebuilt map: the pass builds the source's
-rows first, then the mask, then its own rows where the mask sets one.
-Self rows, edit and source alike, are softmax numerators that the
-pass normalizes after `attn @ V` (see `model`); blending picks whole
-rows, so it needs no normalized map.
+The forward pass never holds a whole self map, so the plan hands it
+each step's decisions as data, a `model.Replay` (`FusionPlan.step`):
+the source's latent z_{t-1}, its step, the source prompt, per block the
+blend mask and whether the source is carried through the block, and
+the cross rewrite.  The pass builds each tile's rows from its own map
+where the mask is set and from the source where it is clear.  The
+source's later block inputs and cross maps are rebuilt on the way up
+(activation recomputation from a kept checkpoint, Chen et al., arXiv
+1604.06174): at a carried block the pass applies the source's own rows
+to its own values, builds the source's cross map from that sum, which
+the cross rewrite fuses or takes, and below the last block applies
+that map to the prompt's values and the MLP, as inversion did.  A mask
+that thresholds a cross map is a function of that rebuilt map: the
+pass builds the source's rows first, then the mask, then its own rows
+where the mask sets one.  Self rows, edit and source alike, are
+softmax numerators that the pass normalizes after `attn @ V` (see
+`model`); blending picks whole rows, so it needs no normalized map.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, MissingRecordError
-from .model import KIND_CROSS, KIND_SELF, PromptEmbedding, SelfAnswer
+from .errors import MissingRecordError
+from .model import KIND_CROSS, KIND_SELF, TAKE_SOURCE, PromptEmbedding, Replay
 from .numerics import maxnorm_frame, require
 
 MODES = ("style", "attribute", "shape", "removal", "enhancement")
@@ -212,7 +212,6 @@ def build_blend_mask(c_src: np.ndarray, word_positions: tuple[int, ...],
 
 
 KEEP = "keep"                 # the edit map stands
-TAKE_SOURCE = "take_source"   # the source's cross map replaces it whole
 FUSE = "fuse"                 # fuse_cross swaps in matched columns
 BLEND = "blend"               # the pass picks self rows by the blend mask
 
@@ -233,20 +232,18 @@ class FusionPlan:
     source's cross map of that block, which the pass rebuilds from the
     source rows before it builds a row of its own.
 
-    A cross map fused or taken whole is the source's, which the pass
-    rebuilt and offers as the cross site's `source`; one taken whole is
-    handed back before the edit map is computed, so the pass skips that
-    map's QK^T and softmax.  A cross site to fuse or take that carries
-    no source is refused.  A self site is answered with a `SelfAnswer`
-    of the source's latent (at block 0), its step and the step's mask,
-    so under an empty mask the pass builds the source rows of each tile
-    and never the edit's.  The answer carries the source, naming
-    *prompt*, so that the pass rebuilds the source's cross map and the
-    next block's source input, inside the cross window, on a step whose
-    mask thresholds that map, and on any blend step below the last
-    block; a step in the cross window alone keeps every self row the
-    pass's own.  Each mask is kept read-only, so later readers get the
-    mask the pass applied.
+    Each step's decisions go to the pass as one `model.Replay`
+    (`step`).  A cross map fused or taken whole is the source's, which
+    the pass rebuilds at every block of a step in the cross window; one
+    taken whole spares the edit map's QK^T and softmax.  The replay
+    names the source's latent and the step's masks, so under an empty
+    mask the pass builds the source rows of each tile and never the
+    edit's.  It carries the source, naming *prompt*, so that the pass
+    rebuilds the source's cross map and the next block's source input,
+    inside the cross window, on a step whose mask thresholds that map,
+    and on any blend step below the last block; a step in the cross
+    window alone keeps every self row the pass's own.  Each mask is
+    kept read-only, so later readers get the mask the pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment, trajectory: np.ndarray,
@@ -310,49 +307,27 @@ class FusionPlan:
         self._masks[(t, layer)] = mask
         return mask
 
-    def step_probe(self, t: int):
-        """Probe of the conditional branch at step t; None if it replays nothing."""
-        cross = self.action(t, KIND_CROSS)
-        if cross == KEEP and self.action(t, KIND_SELF) == KEEP:
-            return None
+    def step(self, t: int) -> Replay | None:
+        """Step t's `model.Replay` for the conditional branch; None if it replays nothing.
 
-        def probe(site):
-            if site.kind == KIND_CROSS and cross == KEEP:
-                return None
-            try:
-                if site.kind == KIND_SELF:
-                    return self._self_answer(t, site)
-                # The source's cross map, which the pass rebuilt on the way
-                # up; TAKE_SOURCE never reads site.attn, so the edit map is
-                # not built.
-                require(site.source is not None,
-                        f"no source cross map to {cross} at "
-                        f"({site.kind}, t={site.t}, layer={site.layer})")
-                if cross == FUSE:
-                    return fuse_cross(site.attn, site.source, self.alignment)
-                return site.source
-            except ContractViolation as exc:
-                raise ContractViolation(
-                    f"fusion failed at step {t}, layer {site.layer}, {site.kind}: {exc}"
-                ) from exc
-
-        return probe
-
-    def _self_answer(self, t: int, site) -> SelfAnswer:
-        """Step t's answer at a self site.
-
-        Its source is the latent at block 0, and above it the input the
-        pass rebuilt at the block below, the site's `source`.  Its mask
-        is a function of the source's cross map where it thresholds one.
-        It carries the source, naming the source prompt, inside the cross
-        window, where the mask thresholds that map, and on a blend step
-        below the last block, whose next block replays the source.
+        Its source is inversion's z_{t-1}, taken at step t-1.  A block's
+        mask is a function of the source's cross map where it thresholds
+        one.  A block is carried, naming the source prompt, inside the
+        cross window, where the mask thresholds that map, and on a blend
+        step below the last block, whose next block replays the source.
+        The cross rewrite fuses or takes the source's map inside the
+        cross window, where every block is carried.
         """
-        layer = site.layer
+        cross = self.action(t, KIND_CROSS)
         blends = self.action(t, KIND_SELF) == BLEND
+        if cross == KEEP and not blends:
+            return None
         partial = blends and self._blends
-        carry = (self.action(t, KIND_CROSS) != KEEP or partial
-                 or (blends and layer + 1 < self.blocks))
-        edit = functools.partial(self._blend_mask, t, layer) if partial else self.self_mask(t, layer)
-        return SelfAnswer(site.source if layer else self.source_latent(t), t - 1, edit,
-                          carry, self.prompt if carry else None)
+        layers = range(self.blocks)
+        masks = tuple(functools.partial(self._blend_mask, t, layer) if partial
+                      else self.self_mask(t, layer) for layer in layers)
+        carry = tuple(cross != KEEP or partial or (blends and layer + 1 < self.blocks)
+                      for layer in layers)
+        rewrite = {KEEP: None, TAKE_SOURCE: TAKE_SOURCE,
+                   FUSE: functools.partial(fuse_cross, alignment=self.alignment)}[cross]
+        return Replay(self.source_latent(t), t - 1, self.prompt, masks, carry, rewrite)

@@ -5,20 +5,17 @@ through an input projection, a stack of blocks (spatiotemporal
 self-attention, cross-attention to the prompt, pointwise MLP, each with
 a residual add), and an output projection back to latent channels.
 
-Two properties matter more than capacity here.  First, every attention
-site is offered to an optional probe before its map multiplies the
-values, which is what the editing machinery hooks into.  The probe is
-the only way a map leaves the forward pass, which returns the predicted
-noise alone.  The probe sees an `AttentionSite` whose map is computed
-only when read, so a probe that supplies its own cross map spares the
-QK^T and the softmax.  A replacement cross map is checked for shape,
-finiteness and its rows (see `_checked`) before it is applied.  A self
-site is answered with data, a `SelfAnswer`: the record its clear rows
-are built from, that record's step, a mask of the rows that stay the
-pass's own (or a function that gives it from the source's cross map)
-and a flag that carries the source through the block, checked once per
-site.  Second, all randomness flows from explicit seeds, so identical
-inputs give bit-identical outputs.
+Two properties matter more than capacity here.  First, the editing
+machinery reaches the pass through two parameters of
+`denoiser_forward`, each with one role.  A `Replay` is one step's
+fusion decisions as data, made by `fusion.FusionPlan`: the source
+latent and its step, the source prompt, per block the mask that picks
+each self row and whether the source is carried through the block, and
+how the cross maps are rewritten.  The pass applies it as given.  A
+`record` hook sees, read-only, each self site's record and each cross
+map the pass applies; it is the only way a map leaves the pass, which
+returns the predicted noise alone.  Second, all randomness flows from
+explicit seeds, so identical inputs give bit-identical outputs.
 
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
 the logits.  A cross map is a softmax map: its rows sum to 1.  A self
@@ -34,7 +31,7 @@ and `attn @ [V | 1]` of one tile finish before the next tile's logits
 are computed, and every tile of a call writes into one logits buffer of
 (n, heads, TILE_ROWS, 2*h*w), so the pass holds one tile, never a whole
 self map.  Rows are independent, so each row of a tile is taken from
-the pass's own map or from an answer's source as the answer's mask
+the pass's own map or from the replay's source as the block's mask
 says.  A self map is a function of the block input and the block's
 query and key weights, and the input is 2*heads*h*w/d_model times
 smaller than the map.  So a self site's record is one read-only array:
@@ -43,19 +40,18 @@ d_model/c times smaller again and one small matmul away from the input
 (`_block_input`).  The record holds no weights: the pass builds a
 source's rows with its own block's weights, and rebuilds block 0's
 input from the latent through the function it applied itself.  A
-replay needs no later block's record and no cross map either: an
-answer can have the pass carry the source through a block, applying
-the source rows it builds anyway to the source's own values, then
-building the source's cross map through the helper the pass's own
-cross-attention uses, and below the last block its cross output and
-the MLP, which rebuilds the next block's source input bit for bit.
-The cross site shows that map as its `source`, and a mask function
-thresholds it: `spatiotemporal_attend` builds the source's tiles
-first, then the mask, then the pass's own tiles where it sets a row.  Every self row is
-built by `SelfTiles.rows` from queries and keys projected with one
+replay needs no later block's record and no cross map either: where
+it carries the source through a block, the pass applies the source
+rows it builds anyway to the source's own values, then builds the
+source's cross map through the helper the pass's own cross-attention
+uses, and below the last block its cross output and the MLP, which
+rebuilds the next block's source input bit for bit.  The replay's
+cross rewrite reads that map, and a mask function thresholds it:
+`spatiotemporal_attend` builds the source's tiles first, then the
+mask, then the pass's own tiles where it sets a row.  Every self row
+is built by `SelfTiles.rows` from queries and keys projected with one
 expression, so rows rebuilt later from a record are bit-identical to
-the ones the pass applied; a whole map (`SelfTiles.attn`) is assembled
-from the same tiles, for observers and tests.
+the ones the pass applied.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -72,8 +68,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .numerics import (SeededRng, check_finite, check_rows, derived_seed,
-                       fnv1a64, require, softmax_lastdim, softmax_numerators)
+from .numerics import (SeededRng, check_finite, derived_seed, fnv1a64, require,
+                       softmax_lastdim, softmax_numerators)
 
 START_TOKEN = "<start>"
 POS_DIM = 8          # 2D sinusoidal position features per pixel token
@@ -86,9 +82,7 @@ KIND_CROSS = "cross"
 
 TILE_ROWS = 64       # query rows per self-attention tile
 
-# A probe answers a cross site with None or a replacement map, and a self
-# site with None or a SelfAnswer; see AttentionSite.
-Probe = Callable[["AttentionSite"], "np.ndarray | SelfAnswer | None"]
+TAKE_SOURCE = "take_source"  # a Replay's cross rewrite: the source's map, whole
 
 
 @dataclass(frozen=True)
@@ -315,121 +309,51 @@ class SelfTiles:
                            out=self._logits[:, :, :hi - lo])
         return softmax_numerators(logits, out=logits)
 
-    def attn(self) -> np.ndarray:
-        """The read-only map of softmax numerators, (n, heads, h*w, 2*h*w).
-
-        Each row peaks at exactly 1.0; divided by its sum it is the
-        row's softmax.  Assembled from the tiles the forward pass
-        applies, so equal block inputs and weights give equal bits.
-        For observers and tests: the pass never builds a whole self map.
-        """
-        whole = np.empty(self.shape)
-        for lo, hi in _tile_bounds(self.shape[2]):
-            whole[:, :, lo:hi] = self.rows(lo, hi)
-        whole.setflags(write=False)
-        return whole
-
 
 @dataclass(frozen=True)
-class SelfAnswer:
-    """A probe's answer at a self site: which rows the pass applies.
+class Replay:
+    """One step's fusion decisions for the pass, as `fusion.FusionPlan.step` makes them.
 
-    edit is (n, h*w) bool, or a function that returns that mask from the
-    source's cross map of this block, which the pass rebuilds once it has
-    built the source's rows, so only an answer that carries the source
-    may give one.  A set row is the pass's own; a clear row is built
-    from *source*, the self record of the map it replays, taken at step
-    *t*: at block 0 that step's latent, from which the pass rebuilds the
-    block input, at a later block the block input itself, such as the
-    one the pass carried up (the site's `source`); None where no row is
-    built from it.  The pass builds those rows with its own block's
-    weights.  An all-clear mask takes every row from the source, and the
-    pass then builds none of its own rows.
+    *source* is the source latent, taken at step *t*, whose rows the
+    pass builds at block 0 after rebuilding that block's input from it;
+    above block 0 the source's input is the one the pass carried up from
+    the block below.  *prompt* is the source prompt's embedding.
 
-    *cross*, a flag, carries the source through this block, with
-    *prompt*, the source prompt's embedding: the pass applies the
-    source's own rows to the source's own [V | 1], builds the source's
-    cross map from that sum through the helper its own cross-attention
-    uses (`_attention_map`), and offers it on the block's cross site as
-    the site's `source`.  Below the last block it then adds that map
-    times *prompt*'s values and the MLP.  Those are the operations the
+    Per block, `masks[layer]` is the (n, h*w) bool mask of the self rows
+    that stay the pass's own; a clear row is built from the source with
+    the block's own weights, so an all-clear mask builds none of the
+    pass's own rows.  It may instead be a function that gives that mask
+    from the source's cross map of the block, which the pass builds
+    once it has built the source's rows.  `carry[layer]` carries the
+    source through the block: the pass applies the source's own rows to
+    the source's own [V | 1], builds the source's cross map from that
+    sum through the helper its own cross-attention uses
+    (`_attention_map`), and below the last block adds that map times
+    *prompt*'s values and the MLP.  Those are the operations the
     source's pass applied, so the cross map and the next block's source
     input come out bit for bit as that pass had them.
+
+    *cross* rewrites every block's cross map from the source's: None
+    keeps the pass's own, TAKE_SOURCE applies the source's whole, so
+    the pass builds no map of its own, and a function of (own map,
+    source map) gives the map to apply.  A mask function or a cross
+    rewrite needs its block carried, and a block above one that is not
+    carried must keep every row its own.
     """
 
-    source: np.ndarray | None
+    source: np.ndarray
     t: int
-    edit: np.ndarray | Callable[[np.ndarray], np.ndarray]
-    cross: bool = False
-    prompt: PromptEmbedding | None = None
-
-
-class AttentionSite:
-    """An attention map that the forward pass is about to apply.
-
-    This is what a probe sees, and the only type that pairs a map with
-    its (t, layer, kind).  `attn` is the denoiser's own map, computed on
-    first read: a softmax map at a cross site, softmax numerators (rows
-    peaking at exactly 1.0) at a self site.  A probe that answers
-    without reading it skips the QK^T and the softmax.  A self-attention
-    site also carries its `record`, the read-only array its map is built
-    from: block 0's is the step's latent z_t, (n, c, h, w), a later
-    block's its input, (n, h*w, d_model).  A cross-attention site
-    carries None.  A site also carries its `source`, else None: at a
-    self site above block 0 the source's block input, which the pass
-    rebuilt at the block below when that block's answer carried the
-    source, and at a cross site the source's cross map of the block,
-    which the pass rebuilt when the block's self answer carried it.
-    Reading a self site's `attn` assembles the whole map, for observers,
-    and the pass drops it once the probe has answered.
-
-    A probe answers a cross site with None (the map stands) or a
-    replacement map, and a self site with None (its own rows stand) or
-    a `SelfAnswer`.  Any other answer at a self site is refused.
-    """
-
-    def __init__(self, t: int, layer: int, kind: str, shape: tuple[int, ...],
-                 build: Callable[[], np.ndarray], record: np.ndarray | None = None,
-                 source: np.ndarray | None = None):
-        self.t, self.layer, self.kind, self.shape = t, layer, kind, shape
-        self.record, self.source = record, source
-        self._build = build
-        self._attn: np.ndarray | None = None
-
-    @property
-    def attn(self) -> np.ndarray:
-        if self._attn is None:
-            self._attn = self._build()
-            self._attn.setflags(write=False)
-        return self._attn
-
-
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, d_head: int,
-           supply: Callable[[Callable[[], np.ndarray]], np.ndarray] | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled dot-product attention; returns (output, applied map).
-
-    Leading axes broadcast.  The queries are scaled by 1/sqrt(d_head)
-    before the QK^T.  *supply*, when given, is called with a function
-    that computes the softmax map and returns the map to apply;
-    returning another map without calling that function skips the QK^T
-    and the softmax.  This is the seam the probe machinery uses.
-    """
-    require(d_head >= 1, f"d_head must be >= 1, got {d_head}")
-    require(q.shape[-1] == d_head and k.shape[-1] == d_head,
-            f"d_head {d_head} does not match Q/K last dims {q.shape} / {k.shape}")
-    require(k.shape[-2] == v.shape[-2],
-            f"K/V key counts differ: {k.shape} vs {v.shape}")
-    build = lambda: _attention_map(q, k, d_head)
-    attn = build() if supply is None else supply(build)
-    return np.matmul(attn, v), attn
+    prompt: PromptEmbedding
+    masks: tuple[np.ndarray | Callable[[np.ndarray], np.ndarray], ...]
+    carry: tuple[bool, ...]
+    cross: str | Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int) -> np.ndarray:
     """The softmax map of queries *q* over keys *k*, the queries scaled by 1/sqrt(d_head).
 
-    `attend` builds every cross map through it, and the pass the source's
-    cross map it carries up, so equal inputs give equal bits.
+    The pass builds every cross map through it, its own and the source's
+    that it carries up, so equal inputs give equal bits.
     """
     logits = np.matmul(q * (1.0 / math.sqrt(d_head)), np.swapaxes(k, -1, -2))
     return softmax_lastdim(logits, out=logits)
@@ -508,64 +432,6 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
     return _divided(out), source_out
 
 
-def _checked(replacement, site: AttentionSite) -> np.ndarray:
-    """A probe's replacement cross map, checked against *site*; the pass applies it at once.
-
-    Its rows must sum to 1 within 1e-6.
-    """
-    where = f"({site.kind}, t={site.t}, layer={site.layer})"
-    replacement = np.asarray(replacement, dtype=np.float64)
-    require(replacement.shape == site.shape,
-            f"probe replacement shape {replacement.shape} != map shape "
-            f"{site.shape} {where}")
-    check_finite(f"probe replacement {where}", replacement)
-    check_rows(f"probe replacement {where}", replacement, 1e-6)
-    return replacement
-
-
-def _checked_mask(edit, site: AttentionSite) -> np.ndarray:
-    """A self answer's mask, checked against *site*: (n, h*w) bool."""
-    n, _, hw, _ = site.shape
-    got = (edit.shape, edit.dtype) if isinstance(edit, np.ndarray) else type(edit).__name__
-    require(got == ((n, hw), np.bool_), f"self answer's mask is {got}, expected "
-                                        f"({n}, {hw}) bool (self, t={site.t}, layer={site.layer})")
-    return edit
-
-
-def _offer(probe: Probe | None, site: AttentionSite, cfg: ModelConfig):
-    """What the pass applies at *site*: a cross map, or a self site's checked answer.
-
-    A mask that a function gives is checked when the pass has built it.
-    """
-    answer = probe(site) if probe is not None else None
-    if site.kind == KIND_CROSS:
-        return site.attn if answer is None else _checked(answer, site)
-    if answer is None:
-        return None
-    where = f"(self, t={site.t}, layer={site.layer})"
-    what = "an array" if isinstance(answer, np.ndarray) else f"a {type(answer).__name__}"
-    require(isinstance(answer, SelfAnswer),
-            f"probe answered {where} with {what}; a self site takes None or a SelfAnswer")
-    source, edit, carry, prompt = answer.source, answer.edit, answer.cross, answer.prompt
-    require(type(carry) is bool,
-            f"self answer's carry flag is a {type(carry).__name__}, expected a bool {where}")
-    if callable(edit):
-        require(carry, f"self answer's mask is a function of the source's cross map, "
-                       f"which only an answer that carries the source builds {where}")
-    else:
-        _checked_mask(edit, site)
-    if carry or not edit.all():
-        got = source.shape if isinstance(source, np.ndarray) else type(source).__name__
-        require(got == site.record.shape,
-                f"self answer's source has shape {got}, expected {site.record.shape} {where}")
-    require(type(answer.t) is int,
-            f"self answer's step is a {type(answer.t).__name__}, expected an int {where}")
-    require(not carry or (isinstance(prompt, PromptEmbedding)
-                          and prompt.vectors.shape[1] == cfg.d_text),
-            f"self answer's prompt is not a prompt embedding of width {cfg.d_text} {where}")
-    return answer
-
-
 def _text_heads(prompt: PromptEmbedding, w: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """The prompt's keys or values under *w*, split into heads: (1, heads, tokens, d_head)."""
     return _split_heads((prompt.vectors @ w)[None], cfg.heads, cfg.d_head)
@@ -588,20 +454,21 @@ def _source_cross(source: np.ndarray, source_out: np.ndarray, bw: BlockWeights,
 
 
 def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
-                     weights: DenoiserWeights, n_steps: int,
-                     probe: Probe | None = None) -> np.ndarray:
+                     weights: DenoiserWeights, n_steps: int, replay: Replay | None = None,
+                     record: Callable[[int, int, str, np.ndarray], None] | None = None
+                     ) -> np.ndarray:
     """Predict noise (n, c, h, w) for a latent video at timestep t.
 
-    *probe* sees each attention site in (layer, self-then-cross) order
-    and is the only way a map leaves the pass: a map that the probe
-    neither keeps nor replaces is dropped once applied.  n_steps
-    normalizes t for the timestep features; pass the schedule's T.
-    A self answer that carries its source (`SelfAnswer.cross`) makes the
-    pass rebuild the source's cross map of that block, offered on the
-    cross site as its `source`, and below the last block the source's
-    next block input, offered on the next self site.  Its mask may be a
-    function of that cross map, which the pass calls once the source's
-    rows are built and before it builds any of its own.
+    n_steps normalizes t for the timestep features; pass the schedule's
+    T.  *replay*, if given, rewrites the pass's self rows and cross maps
+    as it says (see `Replay`); a replay without one mask and one carry
+    flag per block, or with a mask function or a cross rewrite at a
+    block it does not carry, is refused, naming the block.  *record*, if
+    given, is called in (layer, self-then-cross) order as
+    record(t, layer, kind, array) with each self site's read-only
+    record, before the block's self-attention, and with each cross map
+    the pass applies, read-only.  It is the only way a map leaves the
+    pass: a map it does not keep is dropped once applied.
     """
     cfg = weights.config
     z_t = np.array(z_t, dtype=np.float64)  # a copy: block 0's self record
@@ -611,34 +478,43 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
     require(0 <= t <= n_steps, f"timestep {t} outside [0, {n_steps}]")
     require(prompt.vectors.shape[1] == cfg.d_text,
             f"prompt dim {prompt.vectors.shape[1]} != d_text {cfg.d_text}")
+    cross = None if replay is None else replay.cross
+    if replay is not None:
+        counts = (len(replay.masks), len(replay.carry))
+        require(counts == (cfg.blocks, cfg.blocks),
+                f"block {min(counts + (cfg.blocks,))}: the replay of step {t} gives "
+                f"{counts[0]} masks and {counts[1]} carry flags for {cfg.blocks} blocks")
+        for layer, (edit, carry) in enumerate(zip(replay.masks, replay.carry)):
+            require(carry or not (callable(edit) or cross is not None),
+                    f"block {layer}: the replay of step {t} gives a "
+                    f"{'mask function' if callable(edit) else 'cross rewrite'} "
+                    f"at a block it does not carry")
 
     z_t.setflags(write=False)
     n, c, h, w = z_t.shape
-    hw = h * w
     x = _block_input(z_t, t, n_steps, weights)
 
     def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights,
                     carried: np.ndarray | None
                     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        # (feats plus the self output, and if the answer carries the source,
+        # (feats plus the self output, and if the replay carries the source,
         # the source's cross map and below the last block its next input).
         # Block 0 is recorded as its latent; its source input is rebuilt
-        # only when some row replays it or the answer carries it.
+        # only when some row replays it or the replay carries it.
         feats.setflags(write=False)
-        site = AttentionSite(t, layer, KIND_SELF, (n, cfg.heads, hw, 2 * hw),
-                             lambda: SelfTiles(feats, bw.wq_s, bw.wk_s, cfg.heads).attn(),
-                             record=feats if layer else z_t, source=carried)
-        answer = _offer(probe, site, cfg)
-        if answer is None:
+        if record is not None:
+            record(t, layer, KIND_SELF, feats if layer else z_t)
+        if replay is None:
             return feats + spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0], None, None
-        source, edit, carry = answer.source, answer.edit, answer.cross
+        edit, carry = replay.masks[layer], replay.carry[layer]
+        source = carried if layer else replay.source
         if layer == 0 and (carry or not edit.all()):
-            source = _block_input(source, answer.t, n_steps, weights)
+            source = _block_input(source, replay.t, n_steps, weights)
         rebuilt = []  # the source plus its self output, and its cross map
 
         def mask_of(source_out):  # thresholds the source's cross map
-            rebuilt.extend(_source_cross(source, source_out, bw, answer.prompt, cfg))
-            return _checked_mask(edit(rebuilt[1]), site)
+            rebuilt.extend(_source_cross(source, source_out, bw, replay.prompt, cfg))
+            return edit(rebuilt[1])
 
         out, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
                                                 mask_of if callable(edit) else edit,
@@ -646,25 +522,34 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
         if not carry:
             return feats + out, None, None
         summed, source_map = rebuilt or _source_cross(source, source_out, bw,
-                                                      answer.prompt, cfg)
+                                                      replay.prompt, cfg)
         if layer + 1 == cfg.blocks:
             return feats + out, source_map, None
         carried = _mlp(summed + _merge_heads(np.matmul(
-            source_map, _text_heads(answer.prompt, bw.wv_c, cfg))), bw)
+            source_map, _text_heads(replay.prompt, bw.wv_c, cfg))), bw)
         carried.setflags(write=False)
         return feats + out, source_map, carried
 
-    cross_shape = (n, cfg.heads, hw, len(prompt.tokens))
+    def attend_cross(x: np.ndarray, layer: int, bw: BlockWeights,
+                     source_map: np.ndarray | None) -> np.ndarray:
+        # x plus the cross output under the map the replay rewrites, else
+        # the pass's own; taking the source's whole builds no map.
+        if cross is TAKE_SOURCE:
+            attn = source_map
+        else:
+            attn = _attention_map(_split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head),
+                                  _text_heads(prompt, bw.wk_c, cfg), cfg.d_head)
+            if cross is not None:
+                attn = cross(attn, source_map)
+        attn.setflags(write=False)
+        if record is not None:
+            record(t, layer, KIND_CROSS, attn)
+        return x + _merge_heads(np.matmul(attn, _text_heads(prompt, bw.wv_c, cfg)))
+
     carried = None  # the source's input to this block, when the block below rebuilt it
     for layer, bw in enumerate(weights.blocks):
         x, source_map, carried = attend_self(x, layer, bw, carried)
-        qc = _split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head)
-        x = x + _merge_heads(attend(
-            qc, _text_heads(prompt, bw.wk_c, cfg), _text_heads(prompt, bw.wv_c, cfg),
-            cfg.d_head,
-            supply=lambda build, _l=layer, _s=source_map: _offer(probe, AttentionSite(
-                t, _l, KIND_CROSS, cross_shape, build, source=_s), cfg))[0])
-        x = _mlp(x, bw)
+        x = _mlp(attend_cross(x, layer, bw, source_map), bw)
 
     eps = (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w)
     return check_finite("predicted noise", eps)

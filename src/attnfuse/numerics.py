@@ -39,12 +39,6 @@ def check_finite(name: str, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def check_rows(name: str, attn: np.ndarray, tol: float) -> None:
-    """Raise ContractViolation unless each row of *attn* sums to 1 within *tol*; NaN fails."""
-    worst = float(np.abs(attn.sum(axis=-1) - 1.0).max())
-    require(worst <= tol, f"{name} rows deviate from 1 by {worst:.3e} (tol {tol:g})")
-
-
 def fnv1a64(data: bytes | str) -> int:
     """FNV-1a 64-bit hash. Stable across platforms and interpreter runs."""
     if isinstance(data, str):

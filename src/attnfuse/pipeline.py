@@ -2,10 +2,10 @@
 
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
 schedule upward at guidance scale 1 and returns its latent trajectory,
-recording no map; the editing pass walks back down, rewriting maps
-through the probe from the source maps it rebuilds from that
-trajectory with the model's own weights.
-Reconstruction is the identity edit.
+keeping no map; the editing pass walks back down, and at each step of
+a fusion window hands the conditional branch the plan's `Replay`,
+whose source maps the pass rebuilds from that trajectory with the
+model's own weights.  Reconstruction is the identity edit.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ContractViolation
 from .fusion import FusionPlan
 from .imageio import quantize, read_ppm, write_ppm
-from .model import DenoiserWeights, Probe, PromptEmbedding, denoiser_forward, embed_prompt
+from .model import DenoiserWeights, PromptEmbedding, denoiser_forward, embed_prompt
 from .numerics import SeededRng, check_finite, require
 from .schedule import NoiseSchedule, cfg_combine, ddim_invert_step, ddim_step
 
@@ -145,23 +145,25 @@ def latent_to_pixels(latent: np.ndarray, c: int) -> np.ndarray:
 
 
 def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
-                 weights: DenoiserWeights, probe: Probe | None = None) -> np.ndarray:
+                 weights: DenoiserWeights,
+                 record: Callable[[int, int, str, np.ndarray], None] | None = None
+                 ) -> np.ndarray:
     """Deterministic inversion: the read-only trajectory z_0 ... z_T, (T+1, n, c, h, w).
 
-    It records nothing.  Each step's latent is all an edit replays: the
+    It keeps no map.  Each step's latent is all an edit replays: the
     pass rebuilds every source map it needs from it with the model's own
     weights, and `store.write_store_dump` writes it for `invert`.
-    *probe*, if given, sees every attention site of every step, as
-    `denoiser_forward` offers them; `store.AttentionStore.record` keeps
-    them all.  Runs at guidance scale 1, which reduces to the
-    conditional branch alone, so only that branch is evaluated.
+    *record*, if given, is every step's `denoiser_forward` record hook;
+    `store.AttentionStore.add` keeps what it sees, the whole grid.  Runs
+    at guidance scale 1, which reduces to the conditional branch alone,
+    so only that branch is evaluated.
     """
     z = np.asarray(z_0, dtype=np.float64)
     trajectory = np.empty((sched.T + 1,) + z.shape)
     trajectory[0] = z
     for t in range(sched.T):
         eps = denoiser_forward(trajectory[t], t, prompt, weights, n_steps=sched.T,
-                               probe=probe)
+                               record=record)
         trajectory[t + 1] = ddim_invert_step(trajectory[t], eps, t, sched)
     trajectory.setflags(write=False)
     return trajectory
@@ -173,14 +175,14 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
     """Denoise from z_T down to z_0 under classifier-free guidance at s_cfg.
 
     Without a plan this is plain sampling.  With one, the conditional
-    branch's maps are rewritten as the plan decides, from the inversion
-    trajectory it reads, which must be (T+1,) + z_start's shape, under a
-    plan of the weights' number of blocks.  The unconditional branch
-    runs probe-free on a one-thread pool while the conditional branch
-    runs on the calling thread; the two share no mutable state, so the
-    result equals their sequential evaluation bit for bit.  At s_cfg = 1
-    the unconditional branch is not evaluated and the pool starts no
-    thread.
+    branch replays each step's `plan.step(t)`, which rewrites its maps
+    from the inversion trajectory the plan reads; that must be (T+1,) +
+    z_start's shape, under a plan of the weights' number of blocks.  The
+    unconditional branch replays nothing, on a one-thread pool, while
+    the conditional branch runs on the calling thread; the two share no
+    mutable state, so the result equals their sequential evaluation bit
+    for bit.  At s_cfg = 1 the unconditional branch is not evaluated and
+    the pool starts no thread.
     """
     cfg = weights.config
     z = np.asarray(z_start, dtype=np.float64)
@@ -194,11 +196,11 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
     uncond = embed_prompt("", cfg)
     with ThreadPoolExecutor(max_workers=1) as pool:
         for t in range(sched.T, 0, -1):
-            probe = plan.step_probe(t) if plan is not None else None
+            replay = plan.step(t) if plan is not None else None
             fut = (pool.submit(denoiser_forward, z, t, uncond, weights, sched.T)
                    if s_cfg != 1.0 else None)
             eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
-                                   probe=probe)
+                                   replay=replay)
             if fut is not None:
                 eps = cfg_combine(fut.result(), eps, s_cfg)
             z = ddim_step(z, eps, t, sched)

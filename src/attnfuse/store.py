@@ -6,11 +6,11 @@ A self-attention map holds n*heads*h*w*2*h*w values, so an
 from: a later block's input, n*h*w*d_model values, or at block 0 the
 step's latent, n*c*h*w values.  Every record is a plain read-only
 array.  The weights that turn a record into its map are the model's,
-those of the config whose `config_hash` the store carries, so the store
-holds none.  An `AttentionStore` takes every site of an inversion as
-its probe (`record`): the whole T x L x {self, cross} grid, each key
-once.  No edit keeps one: the pass rebuilds every source map it
-replays from the trajectory's latents.
+so the store holds none.  An `AttentionStore` takes what a forward
+pass records (`add`, a `denoiser_forward` record hook): over an
+inversion, the whole T x L x {self, cross} grid, each key once.  No
+edit keeps one: the pass rebuilds every source map it replays from
+the trajectory's latents.
 
 `write_store_dump` writes what a replay needs: each step's latent to
 its blob, z_T, and last the index of the replay's inputs and z_T's
@@ -31,8 +31,8 @@ import numpy as np
 
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
-from .model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig, config_hash,
-                    denoiser_forward, embed_prompt, make_denoiser_weights)
+from .model import (KIND_CROSS, KIND_SELF, ModelConfig, config_hash, denoiser_forward,
+                    embed_prompt, make_denoiser_weights)
 from .numerics import check_finite, fnv1a64, require
 from .schedule import ddim_invert_step, make_schedule
 
@@ -73,7 +73,6 @@ def _digest(z: np.ndarray) -> int:
 class StoreMeta:
     T: int
     blocks: int
-    config_hash: int
 
 
 class AttentionStore:
@@ -95,16 +94,15 @@ class AttentionStore:
     def keys(self) -> Iterator[AttentionKey]:
         return iter(self._records)
 
-    def record(self, site: AttentionSite) -> None:
-        """Keep a self site's record, or a cross site's map: a probe.
+    def add(self, t: int, layer: int, kind: str, array: np.ndarray) -> None:
+        """Keep a self site's record or a cross map under (t, layer, kind).
 
-        It replaces nothing, and it never reads a self site's map, so the
-        pass builds that map's rows once, to apply them.
+        Its signature is that of `denoiser_forward`'s record hook.
         """
-        key = AttentionKey(site.t, site.layer, site.kind)
+        key = AttentionKey(t, layer, kind)
         if key in self._records:
             raise ContractViolation(f"duplicate attention record for {key}")
-        self._records[key] = site.record if site.kind == KIND_SELF else site.attn
+        self._records[key] = array
 
     def verify_complete(self) -> list[AttentionKey]:
         """Keys of the grid still missing, in recording order."""
@@ -127,7 +125,7 @@ class AttentionStore:
 
 
 def write_store_dump(directory: Path, cfg: ModelConfig, trajectory: np.ndarray,
-                     betas: tuple[float, float], source_prompt: str, z_T_path: Path) -> None:
+                     betas: tuple[float, float], source_prompt: str, z_T_path: Path) -> int:
     """Write `invert`'s dump of *trajectory*, inversion's z_0 ... z_T under *cfg*.
 
     An earlier dump's index, blobs (every file named as `_blob_name`
@@ -135,7 +133,8 @@ def write_store_dump(directory: Path, cfg: ModelConfig, trajectory: np.ndarray,
     latent z_t, t < T, goes to its blob, z_T to *z_T_path*, and last the
     index: what the replay needs (*cfg*, T, *betas*, *source_prompt*)
     and z_T's digest.  A trajectory that is not (T+1, n, c, h, w) under
-    *cfg*, T >= 1, is refused before anything is removed.
+    *cfg*, T >= 1, is refused before anything is removed.  Returns the
+    bytes of the latent blobs written to *directory*.
     """
     directory = Path(directory)
     T = len(trajectory) - 1
@@ -149,14 +148,14 @@ def write_store_dump(directory: Path, cfg: ModelConfig, trajectory: np.ndarray,
     for path in directory.glob("*.bin"):
         if _BLOB_NAME.fullmatch(path.name):
             path.unlink()
-    for t in range(T):
-        blobio.write_blob(directory / _blob_name(AttentionKey(t, 0, KIND_SELF)), hash_,
-                          [trajectory[t]])
+    written = sum(blobio.write_blob(directory / _blob_name(AttentionKey(t, 0, KIND_SELF)),
+                                    hash_, [trajectory[t]]) for t in range(T))
     blobio.write_blob(z_T_path, hash_, [trajectory[T]])
     index = {"version": DUMP_VERSION, "T": T, "config_hash": hash_, "model": asdict(cfg),
              "beta_start": betas[0], "beta_end": betas[1], "source_prompt": source_prompt,
              "z_T_fnv1a64": _digest(trajectory[T])}
     (directory / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
+    return written
 
 
 # Each index field and the JSON type it must have.
@@ -200,7 +199,7 @@ def load_store_dump(directory: Path) -> AttentionStore:
             f"{index_path}: config_hash {index['config_hash']:#018x} is not that of "
             f"its model, {hash_:#018x}")
     weights, prompt = make_denoiser_weights(cfg), embed_prompt(index["source_prompt"], cfg)
-    store = AttentionStore(StoreMeta(T=T, blocks=cfg.blocks, config_hash=hash_))
+    store = AttentionStore(StoreMeta(T=T, blocks=cfg.blocks))
     landed = None
     for t in range(T):
         path = directory / _blob_name(AttentionKey(t, 0, KIND_SELF))
@@ -210,7 +209,7 @@ def load_store_dump(directory: Path) -> AttentionStore:
             differ = np.count_nonzero(z.view(np.uint64) != landed.view(np.uint64))
             require(not differ, f"{path}: step {t - 1}'s replay under {index_path} "
                                 f"lands elsewhere ({differ} of {z.size} values differ)")
-        eps = denoiser_forward(z, t, prompt, weights, T, probe=store.record)
+        eps = denoiser_forward(z, t, prompt, weights, T, record=store.add)
         landed = ddim_invert_step(z, eps, t, sched)
     require(_digest(landed) == index["z_T_fnv1a64"],
             f"{index_path}: z_T_fnv1a64 {index['z_T_fnv1a64']:#018x} is not the digest "

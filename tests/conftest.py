@@ -1,10 +1,9 @@
 """Shared fixtures: a tiny model, a completed tiny inversion and the
 whole attention store it records, a dump of its clip's trajectory, a
-probe that captures the maps a forward pass applies, the self map a
-record stands for and every map a store stands for, the row contract
-of an attention map, and the peak memory of a call."""
-
-import dataclasses
+record hook that captures the maps a forward pass applies, whole self
+maps assembled from the tiles the pass builds, the self map a record
+stands for and every map a store stands for, the row contract of an
+attention map, and the peak memory of a call."""
 
 import tracemalloc
 from typing import NamedTuple
@@ -12,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from attnfuse.model import (KIND_SELF, ModelConfig, SelfAnswer, SelfTiles, _block_input,
-                            config_hash, embed_prompt, make_denoiser_weights)
+from attnfuse.model import (KIND_SELF, ModelConfig, SelfTiles, _block_input, _tile_bounds,
+                            embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video
 from attnfuse.schedule import make_schedule
@@ -53,10 +52,8 @@ def toy_clip():
 
 def _recorded_inversion(z0, prompt, sched, weights):
     """(trajectory, store): a plain inversion and the whole grid it records."""
-    cfg = weights.config
-    store = AttentionStore(StoreMeta(T=sched.T, blocks=cfg.blocks,
-                                     config_hash=config_hash(cfg)))
-    return invert_video(z0, prompt, sched, weights, probe=store.record), store
+    store = AttentionStore(StoreMeta(T=sched.T, blocks=weights.config.blocks))
+    return invert_video(z0, prompt, sched, weights, record=store.add), store
 
 
 @pytest.fixture
@@ -106,48 +103,47 @@ class Applied(NamedTuple):
     attn: np.ndarray
 
 
-def _capture_probe(probe=None, weights=None, n_steps=None):
-    """(capture, maps): a probe that wraps *probe* and the list it fills.
+def _capture_maps(weights, n_steps):
+    """(record, maps): a `denoiser_forward` record hook and the list it fills.
 
-    Each site appends an `Applied` entry with the map the pass applies
-    there: *probe*'s replacement cross map, the rows a `SelfAnswer` picks
-    (the site's own where its mask is set, its source's elsewhere, built
-    under *weights* at *n_steps*; a mask that a function gives is taken
-    when the pass builds it), or the site's own map when *probe* has no
-    answer.
+    Each site appends an `Applied` entry: a cross site the map the pass
+    applies, a self site the pass's own whole self map, which its record
+    stands for under *weights* at *n_steps*.  Under a replay the pass
+    applies the source's rows where the mask is clear instead.
     """
     maps = []
 
-    def capture(site):
-        replacement = probe(site) if probe is not None else None
-        if replacement is None:
-            applied = site.attn
-        elif isinstance(replacement, SelfAnswer):
-            def picked(mask, answer=replacement):
-                return site.attn if mask.all() else np.where(
-                    mask[:, None, :, None], site.attn,
-                    _self_map(answer.source, answer.t, site.layer, weights, n_steps))
+    def record(t, layer, kind, array):
+        if kind == KIND_SELF:
+            array = _self_map(array, t, layer, weights, n_steps)
+        maps.append(Applied(t, layer, kind, array))
 
-            if not callable(replacement.edit):
-                applied = picked(replacement.edit)
-            else:  # the mask, and with it the applied map, comes from the pass
-                def edit(source_map, _edit=replacement.edit):
-                    mask = _edit(source_map)
-                    maps.append(Applied(site.t, site.layer, site.kind, picked(mask)))
-                    return mask
-
-                return dataclasses.replace(replacement, edit=edit)
-        else:
-            applied = np.asarray(replacement)
-        maps.append(Applied(site.t, site.layer, site.kind, applied))
-        return replacement
-
-    return capture, maps
+    return record, maps
 
 
 @pytest.fixture
-def capture_probe():
-    return _capture_probe
+def capture_maps():
+    return _capture_maps
+
+
+def _whole_map(tiles):
+    """The read-only whole self map of *tiles*, a `SelfTiles`.
+
+    It is assembled from the tiles the pass builds (`SelfTiles.rows`), so
+    equal block inputs and weights give equal bits; each row peaks at
+    exactly 1.0 and, divided by its sum, is the row's softmax.  The pass
+    never builds a whole self map.
+    """
+    whole = np.empty(tiles.shape)
+    for lo, hi in _tile_bounds(tiles.shape[2]):
+        whole[:, :, lo:hi] = tiles.rows(lo, hi)
+    whole.setflags(write=False)
+    return whole
+
+
+@pytest.fixture
+def whole_map():
+    return _whole_map
 
 
 def _self_map(record, t, layer, weights, n_steps):
@@ -156,7 +152,7 @@ def _self_map(record, t, layer, weights, n_steps):
     the latent its input is rebuilt from."""
     feats = _block_input(record, t, n_steps, weights) if layer == 0 else record
     block = weights.blocks[layer]
-    return SelfTiles(feats, block.wq_s, block.wk_s, weights.config.heads).attn()
+    return _whole_map(SelfTiles(feats, block.wq_s, block.wk_s, weights.config.heads))
 
 
 @pytest.fixture

@@ -24,10 +24,10 @@ import numpy as np
 import pytest
 
 from attnfuse.cli import run
-from attnfuse.fusion import (EditConfig, FusionPlan, align_prompts,
+from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
                              build_blend_mask, identity_alignment, preset)
-from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles, _block_input,
-                            attend, config_hash, denoiser_forward, embed_prompt,
+from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles, _attention_map,
+                            _block_input, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
 from attnfuse.numerics import SeededRng
@@ -161,8 +161,8 @@ def small_inversion():
     prompt = embed_prompt("a white square", cfg)
     sched = make_schedule(6, 0.002, 0.02)
     z0 = SeededRng(60).standard_normal((2, 1, 4, 4)) * 0.4
-    store = AttentionStore(StoreMeta(T=sched.T, blocks=1, config_hash=config_hash(cfg)))
-    trajectory = invert_video(z0, prompt, sched, weights, probe=store.record)
+    store = AttentionStore(StoreMeta(T=sched.T, blocks=1))
+    trajectory = invert_video(z0, prompt, sched, weights, record=store.add)
     return cfg, trajectory, store, sched
 
 
@@ -190,20 +190,23 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map)
         return rows
 
     monkeypatch.setattr(SelfTiles, "rows", spy)
-    applied = {}
+    applied, own = {}, {}  # own: the pass's self record of each block
+
+    def keep_own(t, layer, kind, array):
+        if kind == KIND_SELF:
+            own[layer] = array
+
     for tau in (1.0, 0.0):
         plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, trajectory, src, 1)
-        step, own = plan.step_probe(4), []
         built.clear()
-        denoiser_forward(z, 4, edit, weights, sched.T,
-                         probe=lambda site: own.append(site) or step(site))
+        denoiser_forward(z, 4, edit, weights, sched.T, replay=plan.step(4), record=keep_own)
         applied[tau] = list(built)
-        own_map = own[0].attn
+        own_map = self_map(own[0], 4, 0, weights, sched.T)
         assert plan.self_mask(4, 0).all() == (tau == 0.0)
         # 4x4 pixels: one tile.  At tau 0.0 the mask thresholds the source's
         # cross map, so the pass builds the source's tile first, then its
         # own, whose rows the all-one mask applies.
-        sides = [(source, 3)] + ([] if tau == 1.0 else [(own[0].record, 4)])
+        sides = [(source, 3)] + ([] if tau == 1.0 else [(own[0], 4)])
         assert [lo for _, lo, _ in applied[tau]] == [0] * len(sides)
         for (feats, lo, rows), (latent, t) in zip(applied[tau], sides):
             # The pass builds the source's rows from the block input it
@@ -230,8 +233,8 @@ def test_criterion_07_oracle_mask_quality():
     prompt = embed_prompt("a red square on black", cfg)
     red_col = prompt.tokens.index("red")
     sched = make_schedule(10, 0.00085, 0.012)
-    store = AttentionStore(StoreMeta(T=sched.T, blocks=1, config_hash=config_hash(cfg)))
-    invert_video(z0, prompt, sched, weights, probe=store.record)
+    store = AttentionStore(StoreMeta(T=sched.T, blocks=1))
+    invert_video(z0, prompt, sched, weights, record=store.add)
 
     worst = 1.0
     for t in range(sched.T):
@@ -264,7 +267,7 @@ def test_criterion_08_middle_frame_invariance():
         q = _split_heads(feats[mid:mid + 1] @ block.wq_s, heads, d_head)
         k = _split_heads(feats[mid:mid + 1] @ block.wk_s, heads, d_head)
         v = _split_heads(feats[mid:mid + 1] @ block.wv_s, heads, d_head)
-        plain, _ = attend(q, k, v, d_head)
+        plain = _attention_map(q, k, d_head) @ v
         worst = max(worst, float(np.max(np.abs(out[mid] -
                                                _merge_heads(plain)[0]))))
     assert worst <= 1e-9
@@ -272,7 +275,7 @@ def test_criterion_08_middle_frame_invariance():
           f"self-attention by at most {worst:.3e} over 100 draws")
 
 
-def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
+def test_criterion_09_shape_contracts_full_run(capture_maps, assert_map_rows,
                                               store_maps, recorded_inversion):
     cfg = ModelConfig(n=2, h=6, w=6, c=1, d_model=8, heads=2, d_head=4,
                       blocks=2, d_text=8, seed=9)
@@ -286,7 +289,8 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
     trajectory, store = recorded_inversion(z0, src_emb, sched, weights)
 
     checked = 0
-    for key, attn in store_maps(store, weights).items():
+    source_maps = store_maps(store, weights)
+    for key, attn in source_maps.items():
         cols = 2 * hw if key.kind == KIND_SELF else len(src_emb.tokens)
         assert attn.shape == (cfg.n, cfg.heads, hw, cols)
         assert_map_rows(key.kind, attn)
@@ -298,14 +302,21 @@ def test_criterion_09_shape_contracts_full_run(capture_probe, assert_map_rows,
     plan = FusionPlan(ecfg, align, trajectory, src_emb, cfg.blocks)
     z = trajectory[-1]
     for t in range(sched.T, 0, -1):
-        probe_c, recs = capture_probe(plan.step_probe(t), weights, sched.T)
-        probe_u, recs_u = capture_probe()
-        eps_c = denoiser_forward(z, t, edit_emb, weights, sched.T, probe=probe_c)
-        eps_u = denoiser_forward(z, t, uncond, weights, sched.T, probe=probe_u)
+        record_c, recs = capture_maps(weights, sched.T)
+        record_u, recs_u = capture_maps(weights, sched.T)
+        eps_c = denoiser_forward(z, t, edit_emb, weights, sched.T, replay=plan.step(t),
+                                 record=record_c)
+        eps_u = denoiser_forward(z, t, uncond, weights, sched.T, record=record_u)
         for rec in recs:
+            attn = rec.attn
+            if rec.kind == KIND_SELF and plan.action(t, KIND_SELF) == BLEND:
+                # The rows the pass applied: its own where the mask is set,
+                # the source's of inversion step t-1 elsewhere.
+                mask = plan.self_mask(t, rec.layer)[:, None, :, None]
+                attn = np.where(mask, attn, source_maps[(t - 1, rec.layer, KIND_SELF)])
             cols = 2 * hw if rec.kind == KIND_SELF else len(edit_emb.tokens)
-            assert rec.attn.shape == (cfg.n, cfg.heads, hw, cols)
-            assert_map_rows(rec.kind, rec.attn)
+            assert attn.shape == (cfg.n, cfg.heads, hw, cols)
+            assert_map_rows(rec.kind, attn)
             checked += 1
         for rec in recs_u:
             cols = 2 * hw if rec.kind == KIND_SELF else 1

@@ -268,8 +268,8 @@ def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_pa
     assert run(["invert", "--config", str(config_path), "--seed", "9",
                 "--out", str(out)]) == 2
     record = earlier.self_record(1, 0)
-    [z_t] = read_blob(out / "store" / "self_t0001_l00.bin", earlier.meta.config_hash,
-                      [record.shape])
+    [z_t] = read_blob(out / "store" / "self_t0001_l00.bin",
+                      config_hash(parse_config(config_path).model), [record.shape])
     assert not np.array_equal(z_t, record)
     with pytest.raises(ContractViolation, match="index.json"):
         load_store_dump(out / "store")
@@ -449,8 +449,8 @@ def test_heatmaps_show_the_word_attention_of_inversion_step_0(tmp_path, config_p
     rc = parse_config(config_path)
     weights, z0, src, _ = _clip(rc)
     assert src.tokens[2] == "red" and len(src.tokens) == 6
-    store = AttentionStore(StoreMeta(T=rc.steps, blocks=1, config_hash=config_hash(rc.model)))
-    invert_video(z0, src, rc.schedule, weights, probe=store.record)
+    store = AttentionStore(StoreMeta(T=rc.steps, blocks=1))
+    invert_video(z0, src, rc.schedule, weights, record=store.add)
     want = quantize(255.0 * word_attention(store.query(0, 0), columns))
     for i in range(rc.model.n):
         written = read_pgm(out / "heatmaps" / f"{i:04d}.pgm")
@@ -570,16 +570,15 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
     weights, z0, src, _ = _clip(rc)
 
     # Rows applied during inversion are the rows the store rebuilds.  No
-    # probe answers there, so each built tile is applied as it is.  The
-    # config has one block, so every tile a step builds is block 0's.
+    # replay rewrites rows there, so each built tile is applied as it is.
+    # The config has one block, so every tile a step builds is block 0's.
     built = _spy_tile_builds(monkeypatch)
     z = z0
-    store = AttentionStore(StoreMeta(T=rc.steps, blocks=rc.model.blocks,
-                                     config_hash=config_hash(rc.model)))
+    store = AttentionStore(StoreMeta(T=rc.steps, blocks=rc.model.blocks))
     applied = {}
     for t in range(rc.steps):
         built.clear()
-        eps = denoiser_forward(z, t, src, weights, rc.steps, probe=store.record)
+        eps = denoiser_forward(z, t, src, weights, rc.steps, record=store.add)
         applied.update({(t, 0, lo): rows for _, lo, _, rows in built})
         assert len(built) == len(_tile_bounds(hw))
         z = ddim_invert_step(z, eps, t, rc.schedule)
@@ -597,7 +596,7 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
                       identity_alignment(len(src.tokens)), trajectory, src, 1)
     for t in range(rc.steps, 0, -1):
         built.clear()
-        denoiser_forward(z, t, src, weights, rc.steps, probe=plan.step_probe(t))
+        denoiser_forward(z, t, src, weights, rc.steps, replay=plan.step(t))
         source = _block_input(store.self_record(t - 1, 0), t - 1, rc.steps, weights)
         assert [lo for _, lo, _, _ in built] == [lo for lo, _ in _tile_bounds(hw)]
         for feats, lo, _, rows in built:
@@ -622,7 +621,7 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
         for t in range(rc.steps, plan.first_self - 1, -1):
             built.clear()
             denoiser_forward(trajectory[-1], t, edit, weights, rc.steps,
-                             probe=plan.step_probe(t))
+                             replay=plan.step(t))
             # The config has one block: a source tile's block input is
             # rebuilt from step t-1's latent.
             source = _block_input(trajectory[t - 1], t - 1, rc.steps, weights).tobytes()
@@ -721,10 +720,10 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     assert f"The dump format is version {DUMP_VERSION}" in readme
 
     # Those are the shapes the store keeps and dumps: one step's records.
-    store = AttentionStore(StoreMeta(T=1, blocks=m.blocks, config_hash=config_hash(m)))
+    store = AttentionStore(StoreMeta(T=1, blocks=m.blocks))
     z = SeededRng(3).standard_normal((m.n, m.c, m.h, m.w))
     denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
-                     make_denoiser_weights(m), 1, probe=store.record)
+                     make_denoiser_weights(m), 1, record=store.add)
     first, *later = (store.self_record(0, layer) for layer in range(m.blocks))
     assert first.shape == (m.n, m.c, m.h, m.w)
     assert all(record.shape == (m.n, hw, m.d_model) for record in later)

@@ -12,9 +12,8 @@ from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig,
                              FusionPlan, PromptAlignment, align_prompts,
                              build_blend_mask, fuse_cross, identity_alignment,
                              preset)
-from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, AttentionSite,
-                            BlockWeights, PromptEmbedding, SelfTiles,
-                            spatiotemporal_attend, tokenize)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, BlockWeights,
+                            PromptEmbedding, SelfTiles, spatiotemporal_attend, tokenize)
 
 
 def test_presets_exact():
@@ -47,7 +46,7 @@ def test_edit_config_validation():
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, mode="other")
 
 
-# The source prompt that the plans below name when an answer carries the
+# The source prompt that the plans below name when a replay carries the
 # source.
 SOURCE = PromptEmbedding((START_TOKEN, "a", "cat"), np.zeros((3, 4)))
 
@@ -59,10 +58,10 @@ def _trajectory(T, n, hw, seed=3):
     return trajectory
 
 
-def _plan(t_s, t_c, T, tau=0.3, alignment=None, n=2, hw=3):
+def _plan(t_s, t_c, T, tau=0.3, alignment=None, n=2, hw=3, blocks=1):
     align = alignment or align_prompts(("a", "cat"), ("a", "tiger"))
     return FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau), align, _trajectory(T, n, hw),
-                      SOURCE, 1)
+                      SOURCE, blocks)
 
 
 def test_window_boundaries():
@@ -87,7 +86,7 @@ def test_plan_rewrites_exactly_the_window_steps(T, frac):
         assert plan.action(t, KIND_SELF) in (KEEP, BLEND)
         assert (plan.action(t, KIND_SELF) != KEEP) == inside
         assert (plan.action(t, KIND_CROSS) != KEEP) == inside
-        assert (plan.step_probe(t) is not None) == inside
+        assert (plan.step(t) is not None) == inside
 
 
 def _record(shape, seed=3):
@@ -96,24 +95,6 @@ def _record(shape, seed=3):
     record = np.random.default_rng(seed).standard_normal(shape)
     record.setflags(write=False)
     return record
-
-
-def _site(kind, attn, t=2, layer=0, source=None):
-    """The site of *attn* at (t, layer), as a probe sees it, with the
-    source's cross map *source* that the pass rebuilt."""
-    return AttentionSite(t, layer, kind, attn.shape, lambda: attn, source=source)
-
-
-def _unread():
-    raise AssertionError("the plan read a self site's map")
-
-
-def _self_site(t, record, layer=0, source=None):
-    """The self site at (t, layer) of *record*, carrying *source* up; the
-    plan never reads its map."""
-    n, hw = record.shape[0], math.prod(record.shape[2:]) if layer == 0 else record.shape[1]
-    return AttentionSite(t, layer, KIND_SELF, (n, 1, hw, 2 * hw), _unread, record=record,
-                         source=source)
 
 
 def test_plan_takes_source_whole_when_mask_is_provably_empty():
@@ -227,11 +208,11 @@ def test_plan_keeps_cross_map_outside_window():
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
-    assert plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS)) is None
+    assert plan.step(2).cross is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
-    assert plan.step_probe(2) is None
+    assert plan.step(2) is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
-    got = plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS, source=SRC_CROSS))
+    got = plan.step(2).cross(EDIT_CROSS, SRC_CROSS)
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
 
 
@@ -262,18 +243,24 @@ def test_fuse_cross_rows_sum_to_one_random():
                          got[..., 2] * src[..., 0])) <= 1e-12
 
 
-def test_fuse_cross_missing_record_propagates():
+def test_a_cross_rewrite_carries_every_block():
     # The plan keeps no cross map for the cross window: the pass rebuilds
-    # the source's, and a cross site that comes without one is refused,
-    # whether the plan fuses it or takes it whole.
+    # the source's at each block the replay carries, and a replay that
+    # fuses or takes the source's map carries every block, also the last
+    # and on a step outside the self window.
     fusing = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                              removed_positions=(1,))
     for alignment, action in ((fusing, FUSE), (identity_alignment(2), TAKE_SOURCE)):
-        plan = FusionPlan(preset("style"), alignment, _trajectory(4, 1, 4), SOURCE, 1)
-        assert plan.action(2, KIND_CROSS) == action
-        with pytest.raises(ContractViolation, match="step 2, layer 0, cross") as info:
-            plan.step_probe(2)(_site(KIND_CROSS, EDIT_CROSS))
-        assert f"no source cross map to {action} at (cross, t=2, layer=0)" in str(info.value)
+        for t_s in (0.0, 1.0):
+            plan = FusionPlan(EditConfig(t_s=t_s, t_c=0.0, tau=1.0), alignment,
+                              _trajectory(4, 1, 4), SOURCE, 3)
+            assert plan.action(2, KIND_CROSS) == action
+            replay = plan.step(2)
+            assert replay.carry == (True,) * 3 and replay.prompt is SOURCE
+            assert (replay.cross is TAKE_SOURCE) == (action == TAKE_SOURCE)
+    # Outside the cross window a blend step carries every block but the last.
+    replay = _plan(0.0, 1.0, T=4, tau=1.0, blocks=3).step(2)
+    assert replay.carry == (True, True, False) and replay.cross is None
 
 
 def test_fuse_cross_column_bounds_checked():
@@ -335,12 +322,6 @@ def test_blend_mask_position_validation():
         build_blend_mask(MASK_CROSS_HEADS, word_positions=(1, 1), tau=0.3)
 
 
-EDIT_SELF = np.array([
-    [[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]],
-    [[0.1, 0.1, 0.7, 0.1], [0.1, 0.1, 0.1, 0.7]],
-]).reshape(2, 1, 2, 4)
-
-
 def _block(d_model):
     """A block of which only the self weights are read."""
     rng = np.random.default_rng(7)
@@ -382,9 +363,9 @@ def test_blend_self_checkerboard(monkeypatch):
     assert np.array_equal(got, np.where(mask[..., None], own, from_source))
 
 
-def test_blend_self_mask_extremes_are_exact(monkeypatch):
+def test_blend_self_mask_extremes_are_exact(monkeypatch, whole_map):
     # All clear: every tile is the source's rows, and no own row is built.
-    # All set: every tile is the pass's own, as with no answer at all.
+    # All set: every tile is the pass's own, as with no mask at all.
     edit, source = _record((2, 2, 2)), _record((2, 2, 2), seed=4)
     block = _block(2)
     applied = []
@@ -399,12 +380,12 @@ def test_blend_self_mask_extremes_are_exact(monkeypatch):
     _attend(edit, 1, np.zeros((2, 2), dtype=bool), source)
     [(feats, rows)] = applied
     assert feats is source
-    assert np.array_equal(rows, SelfTiles(source, block.wq_s, block.wk_s, 1).attn())
+    assert np.array_equal(rows, whole_map(SelfTiles(source, block.wq_s, block.wk_s, 1)))
     applied.clear()
     got = _attend(edit, 1, np.ones((2, 2), dtype=bool), source)
     [(feats, rows)] = applied
     assert feats is edit
-    assert np.array_equal(rows, SelfTiles(edit, block.wq_s, block.wk_s, 1).attn())
+    assert np.array_equal(rows, whole_map(SelfTiles(edit, block.wq_s, block.wk_s, 1)))
     assert np.array_equal(got, _attend(edit, 1))
 
 
@@ -412,42 +393,43 @@ def test_plan_keeps_self_map_outside_window():
     trajectory = _trajectory(4, 2, 2)
     align = identity_alignment(2)
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
-    assert plan.step_probe(2) is None
+    assert plan.step(2) is None
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
-    answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
-    assert answer.source.tobytes() == trajectory[1].tobytes() and answer.t == 1
-    assert not answer.edit.any() and answer.cross is False
+    replay = plan.step(2)
+    assert replay.source.tobytes() == trajectory[1].tobytes() and replay.t == 1
+    assert not replay.masks[0].any() and replay.carry == (False,)
     # Inside the cross window only (t_c < t_s), every row stays the pass's
-    # own and the answer carries the source, whose cross map the step takes.
+    # own and the replay carries the source, whose cross map the step takes.
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.action(2, KIND_SELF) == KEEP and plan.action(2, KIND_CROSS) == TAKE_SOURCE
-    answer = plan.step_probe(2)(_site(KIND_SELF, EDIT_SELF))
-    assert answer.source.tobytes() == trajectory[1].tobytes() and answer.t == 1
-    assert answer.edit.shape == (2, 2) and answer.edit.all()
-    assert answer.cross is True and answer.prompt is SOURCE
+    replay = plan.step(2)
+    assert replay.source.tobytes() == trajectory[1].tobytes() and replay.t == 1
+    assert replay.masks[0].shape == (2, 2) and replay.masks[0].all()
+    assert replay.carry == (True,) and replay.prompt is SOURCE
+    assert replay.cross is TAKE_SOURCE
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
     # The mask of step t thresholds the source's cross map that the pass
-    # rebuilds from inversion step t-1's latent: the answer gives it as a
+    # rebuilds from inversion step t-1's latent: the replay gives it as a
     # function of that map, and carries the source so that the pass builds it.
     trajectory = _trajectory(4, 2, 4, seed=4)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     with pytest.raises(MissingRecordError, match="step 1, block 0"):
         plan.self_mask(1, 0)
-    answer = plan.step_probe(1)(_self_site(1, trajectory[1]))
-    assert answer.source.tobytes() == trajectory[0].tobytes() and answer.t == 0
-    assert answer.cross is True and answer.prompt is SOURCE
-    mask = answer.edit(MASK_CROSS_HEADS)
+    replay = plan.step(1)
+    assert replay.source.tobytes() == trajectory[0].tobytes() and replay.t == 0
+    assert replay.carry == (True,) and replay.prompt is SOURCE and replay.cross is None
+    mask = replay.masks[0](MASK_CROSS_HEADS)
     assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
     assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
 
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=1.0), align, trajectory, SOURCE, 1)
     assert plan.self_mask(1, 0).shape == (2, 4)
     assert not plan.self_mask(1, 0).any()
-    answer = plan.step_probe(1)(_self_site(1, trajectory[1]))
-    assert answer.edit is plan.self_mask(1, 0) and answer.cross is False
+    replay = plan.step(1)
+    assert replay.masks[0] is plan.self_mask(1, 0) and replay.carry == (False,)
 
 
 def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
@@ -483,29 +465,21 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
 
 
 def test_plan_takes_source_before_the_edit_map_is_built():
+    # identical prompts: the cross map is taken whole, which the pass
+    # applies without building its own, and the all-clear mask takes every
+    # self row from the source
     trajectory = _trajectory(4, 1, 4)
-    built = []
-
-    def site(kind, attn):
-        return AttentionSite(2, 0, kind, attn.shape, lambda: built.append(kind) or attn,
-                             source=SRC_CROSS if kind == KIND_CROSS else None)
-
-    # identical prompts: the cross map is taken whole, and the all-clear
-    # mask takes every self row from the source
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=0.0, tau=1.0),
                       identity_alignment(2), trajectory, SOURCE, 1)
     assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
     assert plan.action(2, KIND_SELF) == BLEND
-    probe = plan.step_probe(2)
-    assert probe(site(KIND_CROSS, EDIT_CROSS)) is SRC_CROSS
-    answer = probe(site(KIND_SELF, np.full((1, 1, 4, 8), 1.0 / 8)))
-    assert answer.source.tobytes() == trajectory[1].tobytes() and not answer.edit.any()
-    assert built == []
+    replay = plan.step(2)
+    assert replay.cross is TAKE_SOURCE
+    assert replay.source.tobytes() == trajectory[1].tobytes() and not replay.masks[0].any()
 
     # a substituted word: fusing the columns needs the edit map
     align = align_prompts(("a", "cat"), ("a", "tiger"))
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.action(2, KIND_CROSS) == FUSE
-    got = plan.step_probe(2)(site(KIND_CROSS, EDIT_CROSS))
+    got = plan.step(2).cross(EDIT_CROSS, SRC_CROSS)
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
-    assert built == [KIND_CROSS]

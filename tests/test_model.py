@@ -8,8 +8,8 @@ import pytest
 
 from attnfuse.errors import ContractViolation
 from attnfuse import model
-from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TILE_ROWS,
-                            BlockWeights, ModelConfig, SelfAnswer, SelfTiles, attend,
+from attnfuse.model import (KIND_CROSS, KIND_SELF, START_TOKEN, TAKE_SOURCE, TILE_ROWS,
+                            BlockWeights, ModelConfig, Replay, SelfTiles, _attention_map,
                             config_hash, denoiser_forward,
                             embed_prompt, encode_color, make_denoiser_weights,
                             make_oracle_denoiser, spatiotemporal_attend,
@@ -69,11 +69,13 @@ def test_prompt_embedding_validation(tiny_cfg):
 
 
 def test_attend_matches_loop_oracle():
+    # Cross-attention applies the softmax map of `_attention_map` to the values.
     rng = np.random.default_rng(3)
     q = rng.standard_normal((3, 4))
     k = rng.standard_normal((6, 4))
     v = rng.standard_normal((6, 5))
-    out, attn = attend(q, k, v[:, :4], 4)  # square values for simplicity
+    attn = _attention_map(q, k, 4)
+    out = attn @ v[:, :4]  # square values for simplicity
     want_attn = np.zeros((3, 6))
     for i in range(3):
         logits = np.array([q[i] @ k[j] / 2.0 for j in range(6)])
@@ -88,29 +90,8 @@ def test_attend_matches_loop_oracle():
 
 def test_attend_zero_queries_are_uniform():
     k = np.random.default_rng(1).standard_normal((5, 2))
-    _, attn = attend(np.zeros((3, 2)), k, np.ones((5, 2)), 2)
+    attn = _attention_map(np.zeros((3, 2)), k, 2)
     assert np.allclose(attn, 1.0 / 5.0, atol=1e-15)
-
-
-def test_attend_transform_seam_changes_output():
-    rng = np.random.default_rng(2)
-    q = rng.standard_normal((2, 3))
-    k = rng.standard_normal((4, 3))
-    v = rng.standard_normal((4, 3))
-    uniform = np.full((2, 4), 0.25)
-    out, attn = attend(q, k, v, 3, supply=lambda build: uniform)
-    assert np.array_equal(attn, uniform)
-    assert np.allclose(out, v.mean(axis=0), atol=1e-12)
-    # the seam hands over a builder of the attention's own map
-    _, own = attend(q, k, v, 3, supply=lambda build: build())
-    assert np.array_equal(own, attend(q, k, v, 3)[1])
-
-
-def test_attend_shape_validation():
-    with pytest.raises(ContractViolation):
-        attend(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros((4, 2)), 3)
-    with pytest.raises(ContractViolation):
-        attend(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 3)), 3)
 
 
 def _feats(rng, n, hw, d):
@@ -124,17 +105,17 @@ def _block(rng, d, d_text):
                         w_mlp_in=g(d, 2 * d), w_mlp_out=g(2 * d, d))
 
 
-def _attend_and_map(feats, block, heads, d_head):
+def _attend_and_map(feats, block, heads, d_head, whole_map):
     """(output, the self map it applied) of one spatiotemporal_attend call."""
     out, _ = spatiotemporal_attend(feats, block, heads, d_head)
-    return out, SelfTiles(feats, block.wq_s, block.wk_s, heads).attn()
+    return out, whole_map(SelfTiles(feats, block.wq_s, block.wk_s, heads))
 
 
-def test_spatiotemporal_map_shape_and_rows(assert_map_rows):
+def test_spatiotemporal_map_shape_and_rows(assert_map_rows, whole_map):
     rng = np.random.default_rng(5)
     block = _block(rng, 8, 6)
     feats = _feats(rng, 4, 9, 8)
-    out, attn = _attend_and_map(feats, block, 2, 4)
+    out, attn = _attend_and_map(feats, block, 2, 4, whole_map)
     assert out.shape == (4, 9, 8)
     assert np.array_equal(out, spatiotemporal_attend(feats, block, 2, 4)[0])
     assert attn.shape == (4, 2, 9, 18)
@@ -198,12 +179,12 @@ def test_forward_divides_no_self_tile(monkeypatch):
                      (cfg.n, cfg.heads, 1, 2 * hw)] * cfg.blocks
 
 
-def test_spatiotemporal_middle_frame_reduces_to_self():
+def test_spatiotemporal_middle_frame_reduces_to_self(whole_map):
     rng = np.random.default_rng(6)
     for n in (1, 2, 3, 5):
         block = _block(rng, 8, 6)
         feats = _feats(rng, n, 4, 8)
-        out, attn = _attend_and_map(feats, block, 2, 4)
+        out, attn = _attend_and_map(feats, block, 2, 4, whole_map)
         mid = n // 2
         # the middle frame sees its own keys twice; both halves agree
         assert np.max(np.abs(attn[mid, :, :, :4] - attn[mid, :, :, 4:])) <= 1e-9
@@ -211,17 +192,17 @@ def test_spatiotemporal_middle_frame_reduces_to_self():
         q = _split_heads(feats[mid:mid + 1] @ block.wq_s, 2, 4)
         k = _split_heads(feats[mid:mid + 1] @ block.wk_s, 2, 4)
         v = _split_heads(feats[mid:mid + 1] @ block.wv_s, 2, 4)
-        plain, _ = attend(q, k, v, 4)
+        plain = _attention_map(q, k, 4) @ v
         assert np.max(np.abs(out[mid] - _merge_heads(plain)[0])) <= 1e-9
 
 
-def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights, capture_probe):
+def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights, capture_maps):
     prompt = embed_prompt("a cat", tiny_cfg)
     z = SeededRng(1).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    p1, r1 = capture_probe()
-    p2, r2 = capture_probe()
-    e1 = denoiser_forward(z, 3, prompt, tiny_weights, 8, probe=p1)
-    e2 = denoiser_forward(z, 3, prompt, tiny_weights, 8, probe=p2)
+    p1, r1 = capture_maps(tiny_weights, 8)
+    p2, r2 = capture_maps(tiny_weights, 8)
+    e1 = denoiser_forward(z, 3, prompt, tiny_weights, 8, record=p1)
+    e2 = denoiser_forward(z, 3, prompt, tiny_weights, 8, record=p2)
     assert np.array_equal(e1, e2)
     assert len(r1) == len(r2) == 2 * tiny_cfg.blocks
     for a, b in zip(r1, r2):
@@ -229,12 +210,12 @@ def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights, capture_probe):
         assert np.array_equal(a.attn, b.attn)
 
 
-def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_probe,
+def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_maps,
                                         assert_map_rows):
     prompt = embed_prompt("one two three", tiny_cfg)
     z = SeededRng(2).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    probe, recs = capture_probe()
-    denoiser_forward(z, 5, prompt, tiny_weights, 8, probe=probe)
+    record, recs = capture_maps(tiny_weights, 8)
+    denoiser_forward(z, 5, prompt, tiny_weights, 8, record=record)
     hw = tiny_cfg.h * tiny_cfg.w
     kinds = [(r.layer, r.kind) for r in recs]
     assert kinds == [(0, KIND_SELF), (0, KIND_CROSS), (1, KIND_SELF), (1, KIND_CROSS)]
@@ -259,15 +240,15 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
         applied.append(feats.copy())
         return attend_self(feats, *args, **kwargs)
 
-    def probe(site):
-        if site.kind == KIND_SELF:
-            records[site.layer] = site.record
+    def record(t, layer, kind, array):
+        if kind == KIND_SELF:
+            records[layer] = array
 
     monkeypatch.setattr(model, "spatiotemporal_attend", spy)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     latent = z.copy()
     prompt = embed_prompt("a red square", tiny_cfg)
-    denoiser_forward(z, 3, prompt, tiny_weights, 8, probe=probe)
+    denoiser_forward(z, 3, prompt, tiny_weights, 8, record=record)
     z[...] = 0.0
     for record in records.values():
         assert type(record) is np.ndarray and not record.flags.writeable
@@ -277,18 +258,19 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
     assert rebuilt.tobytes() == applied[0].tobytes()
 
     # The pass rebuilds a source's block input only when some row of
-    # block 0 replays it: once per pass under an all-clear mask, never
-    # under an all-set one.
+    # block 0 replays it or the replay carries the source through it:
+    # once per pass, never under an all-set, uncarried mask.
     rebuilds = []
     block_input = model._block_input
     monkeypatch.setattr(model, "_block_input",
                         lambda *args: rebuilds.append(args[1]) or block_input(*args))
     n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
-    for fill, want in ((True, [3]), (False, [3, 2])):
+    for fill, carry, want in ((True, False, [3]), (True, True, [3, 2]),
+                              (False, True, [3, 2])):
         rebuilds.clear()
+        mask = np.full((n, hw), fill)
         denoiser_forward(latent, 3, prompt, tiny_weights, 8,
-                         probe=lambda site: None if site.kind == KIND_CROSS else SelfAnswer(
-                             records[site.layer], 2, np.full((n, hw), fill)))
+                         replay=Replay(records[0], 2, prompt, (mask, mask), (carry, False)))
         assert rebuilds == want
 
 
@@ -349,114 +331,67 @@ def test_forward_pass_holds_one_self_attention_tile_at_a_time(peak_bytes):
 
 
 def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
+    # A replay of the pass's own latent, whichever rows and cross maps it
+    # takes from that source, gives the pass's own output bits.
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     plain = denoiser_forward(z, 2, prompt, tiny_weights, 8)
-    # Every self row from the site's own record, as source or as own rows.
     n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
     for fill in (False, True):
-        probed = denoiser_forward(
-            z, 2, prompt, tiny_weights, 8,
-            probe=lambda site: site.attn if site.kind == KIND_CROSS else SelfAnswer(
-                site.record, site.t, np.full((n, hw), fill)))
-        assert np.array_equal(plain, probed)
+        for cross in (None, TAKE_SOURCE, lambda own, source: own):
+            mask = np.full((n, hw), fill)
+            replay = Replay(z, 2, prompt, (mask, mask), (True, True), cross)
+            assert np.array_equal(plain, denoiser_forward(z, 2, prompt, tiny_weights, 8,
+                                                          replay=replay))
 
 
-def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_probe):
+def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_maps):
+    # A replay that takes every self row and cross map from the run's own
+    # latent reproduces the run: it applies the cross maps the run
+    # applied, rebuilt from that latent, and builds none of its own.
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(5).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    records = {}
+    record, recs = capture_maps(tiny_weights, 8)
+    eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, record=record)
+    stored = {(r.layer, r.kind): r.attn for r in recs if r.kind == KIND_CROSS}
 
-    def keep(site):
-        records[(site.layer, site.kind)] = site.record if site.kind == KIND_SELF else site.attn
-
-    probe, recs = capture_probe(keep)
-    eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
-    stored = {(r.layer, r.kind): r.attn for r in recs}
-
-    def replay_probe(site):
-        record = records[(site.layer, site.kind)]
-        if site.kind == KIND_SELF:
-            n, _, hw, _ = site.shape
-            return SelfAnswer(record, site.t, np.zeros((n, hw), dtype=bool))
-        return record
-
-    probe, applied = capture_probe(replay_probe, tiny_weights, 8)
-    replay = denoiser_forward(z, 2, prompt, tiny_weights, 8, probe=probe)
-    assert np.array_equal(eps, replay)
-    assert len(applied) == len(stored)
+    clear = np.zeros((tiny_cfg.n, tiny_cfg.h * tiny_cfg.w), dtype=bool)
+    replay = Replay(z, 2, prompt, (clear, clear), (True, True), TAKE_SOURCE)
+    record, applied = capture_maps(tiny_weights, 8)
+    assert np.array_equal(eps, denoiser_forward(z, 2, prompt, tiny_weights, 8,
+                                                replay=replay, record=record))
+    applied = [r for r in applied if r.kind == KIND_CROSS]
+    assert len(applied) == len(stored) == tiny_cfg.blocks
     for r in applied:
         assert np.array_equal(r.attn, stored[(r.layer, r.kind)])
 
 
-def test_probe_replacement_validation(tiny_cfg, tiny_weights):
+@pytest.mark.parametrize("case,layer,fragment", [
+    ("one mask", 1, "gives 1 masks and 2 carry flags for 2 blocks"),
+    ("three carry flags", 2, "gives 2 masks and 3 carry flags for 2 blocks"),
+    ("uncarried mask function", 1, "gives a mask function at a block it does not carry"),
+    ("uncarried cross rewrite", 1, "gives a cross rewrite at a block it does not carry"),
+], ids=["one mask", "three carry flags", "uncarried mask function", "uncarried cross rewrite"])
+def test_a_malformed_replay_is_refused(tiny_cfg, tiny_weights, case, layer, fragment):
+    # A replay has one producer, the plan, so the pass checks only what the
+    # plan's own invariants promise: one mask and one carry flag per block,
+    # and a carried block wherever the source's cross map is read.
     prompt = embed_prompt("a", tiny_cfg)
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    for alter, fragment in [
-            (lambda attn: attn[..., :-1], "shape"),
-            (lambda attn: attn * 2.0, "rows deviate from 1"),
-            (lambda attn: np.full_like(attn, np.nan), "non-finite")]:
-        probe = lambda site: alter(site.attn) if site.kind == KIND_CROSS else None
-        with pytest.raises(ContractViolation, match=fragment) as exc:
-            denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
-        assert "(cross, t=1, layer=0)" in str(exc.value)
-
-
-def test_a_self_site_answered_with_an_array_is_refused(tiny_cfg, tiny_weights):
-    # A self site takes rows only: even its own map, whole, is refused.
-    prompt = embed_prompt("a", tiny_cfg)
-    z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    probe = lambda site: site.attn if (site.kind, site.layer) == (KIND_SELF, 1) else None
-    with pytest.raises(ContractViolation, match="with an array") as exc:
-        denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
-    assert "(self, t=1, layer=1)" in str(exc.value)
-
-
-@pytest.mark.parametrize("case", ["source shape", "source step", "mask shape", "float mask",
-                                  "tile function", "array", "no source carried up",
-                                  "carry flag", "cross without prompt", "prompt width",
-                                  "uncarried mask function", "mask function's mask"])
-def test_a_malformed_self_answer_is_refused(tiny_cfg, tiny_weights, case):
-    prompt = embed_prompt("a", tiny_cfg)
-    z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
-    # The tiny model has 2 blocks: an answer may carry the source through
-    # either, the last included.
-    layer = 0 if case in ("carry flag", "cross without prompt") else 1
-    # A cross map where the carry flag belongs is refused.
-    cross = np.full((n, tiny_cfg.heads, hw, len(prompt.tokens)), 1.0)
-    narrow = embed_prompt("a", dataclasses.replace(tiny_cfg, d_text=tiny_cfg.d_text - 1))
-
-    def answer(site):
-        record, block = site.record, tiny_weights.blocks[site.layer]
-        clear = np.zeros((n, hw), dtype=bool)
-        return {
-            "source shape": lambda: SelfAnswer(record[:, :-1], site.t, clear),
-            "source step": lambda: SelfAnswer(record, None, clear),
-            "mask shape": lambda: SelfAnswer(record, site.t, clear[:, :-1]),
-            "float mask": lambda: SelfAnswer(record, site.t, clear.astype(np.float64)),
-            "tile function": lambda: lambda lo, hi: SelfTiles(
-                record, block.wq_s, block.wk_s, tiny_cfg.heads).rows(lo, hi),
-            "array": lambda: np.zeros(site.shape),
-            "no source carried up": lambda: SelfAnswer(None, site.t, clear),
-            "carry flag": lambda: SelfAnswer(record, site.t, clear, cross, prompt),
-            "cross without prompt": lambda: SelfAnswer(record, site.t, clear, True),
-            "prompt width": lambda: SelfAnswer(record, site.t, clear, True, narrow),
-            # A mask function thresholds the source's cross map, which only
-            # a carrying answer builds, and what it gives is checked too.
-            "uncarried mask function": lambda: SelfAnswer(record, site.t, lambda m: clear),
-            "mask function's mask": lambda: SelfAnswer(
-                record, site.t, lambda m: m[:, 0, ::2, 0] > 0.0, True, prompt),
-        }[case]()
-
-    probe = lambda site: answer(site) if (site.kind, site.layer) == (KIND_SELF, layer) else None
-    with pytest.raises(ContractViolation) as exc:
-        denoiser_forward(z, 1, prompt, tiny_weights, 8, probe=probe)
-    assert f"(self, t=1, layer={layer})" in str(exc.value)
-    if case == "carry flag":
-        assert "carry flag is a ndarray, expected a bool" in str(exc.value)
-    if case == "mask function's mask":
-        assert f"mask is ((3, {hw // 2}), dtype('bool')), expected (3, {hw}) bool" in str(exc.value)
+    clear = np.zeros((tiny_cfg.n, tiny_cfg.h * tiny_cfg.w), dtype=bool)
+    masks, carry, cross = (clear, clear), (True, False), None
+    if case == "one mask":
+        masks = (clear,)
+    elif case == "three carry flags":
+        carry = (True, True, True)
+    elif case == "uncarried mask function":
+        masks = (clear, lambda source_map: clear)
+    else:
+        cross = TAKE_SOURCE
+    replay = Replay(z, 0, prompt, masks, carry, cross)
+    with pytest.raises(ContractViolation, match=fragment) as exc:
+        denoiser_forward(z, 1, prompt, tiny_weights, 8, replay=replay)
+    assert str(exc.value).startswith(f"block {layer}: the replay of step 1 ")
 
 
 def test_encode_color_endpoints():
@@ -485,14 +420,14 @@ def test_oracle_predicts_zero_noise():
     assert np.array_equal(eps, np.zeros_like(eps))
 
 
-def test_oracle_attention_tracks_pixel_color(capture_probe):
+def test_oracle_attention_tracks_pixel_color(capture_maps):
     weights = make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0, 0),
                                                 "black": (0, 0, 0)})
     prompt = embed_prompt("a red square on black", ORACLE_CFG)
     red_col = prompt.tokens.index("red")
     black_col = prompt.tokens.index("black")
-    probe, recs = capture_probe()
-    denoiser_forward(_oracle_latent(), 3, prompt, weights, 10, probe=probe)
+    record, recs = capture_maps(weights, 10)
+    denoiser_forward(_oracle_latent(), 3, prompt, weights, 10, record=record)
     cross = [r for r in recs if r.kind == KIND_CROSS][0]
     mass = cross.attn.mean(axis=1)  # (n, hw, tokens)
     on_red = mass[:, :, red_col].reshape(2, 4, 4)
@@ -503,14 +438,14 @@ def test_oracle_attention_tracks_pixel_color(capture_probe):
     assert np.all(on_black[:, :, :2] < 0.1)
 
 
-def test_oracle_palette_order_invariant(capture_probe):
+def test_oracle_palette_order_invariant(capture_maps):
     a = make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0, 0), "black": (0, 0, 0)})
     b = make_oracle_denoiser(ORACLE_CFG, {"black": (0, 0, 0), "red": (255, 0, 0)})
     prompt = embed_prompt("red black", ORACLE_CFG)
-    pa, ra = capture_probe()
-    pb, rb = capture_probe()
-    denoiser_forward(_oracle_latent(), 1, prompt, a, 10, probe=pa)
-    denoiser_forward(_oracle_latent(), 1, prompt, b, 10, probe=pb)
+    pa, ra = capture_maps(a, 10)
+    pb, rb = capture_maps(b, 10)
+    denoiser_forward(_oracle_latent(), 1, prompt, a, 10, record=pa)
+    denoiser_forward(_oracle_latent(), 1, prompt, b, 10, record=pb)
     cross_a = [r for r in ra if r.kind == KIND_CROSS][0].attn
     cross_b = [r for r in rb if r.kind == KIND_CROSS][0].attn
     assert np.max(np.abs(cross_a - cross_b)) <= 1e-9

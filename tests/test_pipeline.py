@@ -184,7 +184,7 @@ def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
     z = z_T
     for t in steps:
         eps_c = denoiser_forward(z, t, edit_emb, tiny_weights, sched.T,
-                                 probe=plan.step_probe(t))
+                                 replay=plan.step(t))
         eps_u = denoiser_forward(z, t, uncond, tiny_weights, sched.T)
         z = ddim_step(z, cfg_combine(eps_u, eps_c, 7.5), t, sched)
     assert any(plan.self_mask(t, 0).any() for t in steps)  # not all-clear

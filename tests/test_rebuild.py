@@ -13,13 +13,12 @@ to the tiles it builds.
 import numpy as np
 import pytest
 
-from attnfuse import model
+from attnfuse import model, pipeline
 from attnfuse.errors import MissingRecordError
 from attnfuse.fusion import (BLEND, FUSE, KEEP, TAKE_SOURCE, EditConfig, FusionPlan,
                              align_prompts, build_blend_mask)
 from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, _tile_bounds,
-                            config_hash, denoiser_forward, embed_prompt,
-                            make_denoiser_weights)
+                            denoiser_forward, embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng
 from attnfuse.pipeline import invert_video, run_denoise
 from attnfuse.schedule import make_schedule
@@ -41,42 +40,51 @@ def _edit(blocks, h, w, tau, t_s=0.0, t_c=0.5, edit_text="a blue square drifting
     edit = embed_prompt(edit_text, cfg)
     sched = make_schedule(6, 0.02, 0.2)
     z0 = SeededRng(31).standard_normal((cfg.n, cfg.c, h, w)) * 0.5
-    full = AttentionStore(StoreMeta(T=sched.T, blocks=blocks, config_hash=config_hash(cfg)))
-    trajectory = invert_video(z0, src, sched, weights, probe=full.record)
+    full = AttentionStore(StoreMeta(T=sched.T, blocks=blocks))
+    trajectory = invert_video(z0, src, sched, weights, record=full.add)
     assert trajectory.tobytes() == invert_video(z0, src, sched, weights).tobytes()
     plan = FusionPlan(EditConfig(t_s=t_s, t_c=t_c, tau=tau, s_cfg=1.0),
                       align_prompts(src.tokens, edit.tokens), trajectory, src, blocks)
     return weights, sched, edit, trajectory[-1], plan, full
 
 
-def _watch_sources(plan, kind):
-    """{(t, layer): the `source` of each *kind* site} of the replays from now on."""
-    seen = {}
-    step_probe = plan.step_probe
+def _watch_sources(monkeypatch):
+    """({(t, layer): the source's block input}, {(t, layer): the source's
+    cross map}): what each block of the passes `run_denoise` makes from
+    now on replays, and rebuilds where it carries the source."""
+    inputs, maps, at = {}, {}, {}
+    forward, attend, cross = (pipeline.denoiser_forward, model.spatiotemporal_attend,
+                              model._source_cross)
 
-    def watching(t):
-        probe = step_probe(t)
+    def spy_forward(z, t, *args, **kwargs):
+        at.update(t=t, layer=-1)
+        return forward(z, t, *args, **kwargs)
 
-        def watch(site):
-            if site.kind == kind:
-                seen[(t, site.layer)] = site.source
-            return probe(site) if probe is not None else None
+    def spy_attend(feats, block, heads, d_head, edit=None, source=None, carry=False):
+        at["layer"] += 1
+        inputs[(at["t"], at["layer"])] = source
+        return attend(feats, block, heads, d_head, edit, source, carry)
 
-        return watch
+    def spy_cross(*args):
+        summed, source_map = cross(*args)
+        maps[(at["t"], at["layer"])] = source_map
+        return summed, source_map
 
-    plan.step_probe = watching
-    return seen
+    monkeypatch.setattr(pipeline, "denoiser_forward", spy_forward)
+    monkeypatch.setattr(model, "spatiotemporal_attend", spy_attend)
+    monkeypatch.setattr(model, "_source_cross", spy_cross)
+    return inputs, maps
 
 
 @pytest.mark.parametrize("blocks,h,w", [(2, 5, 13), (3, 8, 12)])
 @pytest.mark.parametrize("tau", [1.0, 0.7, 0.5])
-def test_the_rebuilt_source_inputs_are_the_recorded_ones(blocks, h, w, tau):
+def test_the_rebuilt_source_inputs_are_the_recorded_ones(blocks, h, w, tau, monkeypatch):
     # 5x13 pixels end in a 1-row tail tile, 8x12 in a 32-row one.  At
     # tau 1.0 every mask is clear; at 0.7 and 0.5 the masks threshold the
     # source's cross maps, and some set every row of a block.  Every step
-    # blends, so below the last block every answer carries the source up.
+    # blends, so below the last block every replay carries the source up.
     weights, sched, edit, z_T, plan, full = _edit(blocks, h, w, tau)
-    seen = _watch_sources(plan, KIND_SELF)
+    seen, _ = _watch_sources(monkeypatch)
     run_denoise(z_T, edit, sched, weights, 1.0, plan)
     for t in range(1, sched.T + 1):
         assert plan.action(t, KIND_SELF) == BLEND
@@ -96,14 +104,14 @@ def test_the_rebuilt_source_inputs_are_the_recorded_ones(blocks, h, w, tau):
 @pytest.mark.parametrize("t_s,t_c,tau", [(0.0, 0.5, 0.7), (0.5, 0.0, 1.0)],
                          ids=["blend-below-cross", "cross-below-blend"])
 def test_the_rebuilt_cross_maps_are_the_recorded_ones(blocks, edit_text, action, t_s,
-                                                      t_c, tau):
-    # At every step of the cross window each block's cross site carries
-    # the source's cross map, rebuilt from the source the pass carried up
-    # under the source prompt's keys; the plan fuses or takes that map.
-    # With t_c < t_s the first steps lie in the cross window alone, where
-    # the answer keeps every self row the pass's own and still carries.
+                                                      t_c, tau, monkeypatch):
+    # At every step of the cross window each block rebuilds the source's
+    # cross map from the source the pass carried up under the source
+    # prompt's keys; the replay fuses or takes that map.  With t_c < t_s
+    # the first steps lie in the cross window alone, where the replay
+    # keeps every self row the pass's own and still carries.
     weights, sched, edit, z_T, plan, full = _edit(blocks, 5, 13, tau, t_s, t_c, edit_text)
-    seen = _watch_sources(plan, KIND_CROSS)
+    _, seen = _watch_sources(monkeypatch)
     run_denoise(z_T, edit, sched, weights, 1.0, plan)
     inside = [t for t in range(1, sched.T + 1) if plan.action(t, KIND_CROSS) != KEEP]
     assert len(inside) >= 3 and {plan.action(t, KIND_CROSS) for t in inside} == {action}
@@ -176,7 +184,7 @@ def test_an_all_clear_replay_builds_each_tile_once_per_block(monkeypatch):
         built.clear()
         numerators.clear()
         current.clear()
-        denoiser_forward(z_T, t, edit, weights, sched.T, probe=plan.step_probe(t))
+        denoiser_forward(z_T, t, edit, weights, sched.T, replay=plan.step(t))
         lows = [lo for lo, _ in _tile_bounds(5 * 13)]
         assert built == [(block, "source", lo) for block in (0, 1) for lo in lows]
         assert len(numerators) == 2 * len(lows)
@@ -214,7 +222,7 @@ def test_a_partial_mask_adds_only_the_set_tiles_below_a_clearing_block(monkeypat
     given = iter(masks)
     monkeypatch.setattr(fusion, "build_blend_mask", lambda *args: next(given))
     built, _ = _spy_builds(monkeypatch)
-    denoiser_forward(trajectory[-1], 2, edit, weights, sched.T, probe=plan.step_probe(2))
+    denoiser_forward(trajectory[-1], 2, edit, weights, sched.T, replay=plan.step(2))
     want = []
     for block, mask in enumerate(masks):
         bounds = _tile_bounds(HW)

@@ -6,21 +6,22 @@ import json
 import numpy as np
 import pytest
 
-from attnfuse import blobio
+from attnfuse import blobio, model
 from attnfuse.blobio import HEADER, read_blob, write_blob
 from attnfuse.errors import ContractViolation, MissingRecordError
-from attnfuse.model import (KIND_CROSS, KIND_SELF, AttentionSite, ModelConfig, SelfTiles,
-                            config_hash, denoiser_forward, embed_prompt,
-                            make_denoiser_weights)
+from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, config_hash,
+                            denoiser_forward, embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, fnv1a64
 from attnfuse.schedule import ddim_invert_step, make_schedule
 from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
                             load_store_dump)
 
 
-def _cross_site(t, layer, keys=4):
+def _cross_map(keys=4):
+    """A read-only cross map of 2 frames, 1 head, 3 pixels over *keys* tokens."""
     attn = np.full((2, 1, 3, keys), 1.0 / keys)
-    return AttentionSite(t, layer, KIND_CROSS, attn.shape, lambda: attn)
+    attn.setflags(write=False)
+    return attn
 
 
 def _record(seed=0, shape=(2, 3, 4)):
@@ -30,32 +31,21 @@ def _record(seed=0, shape=(2, 3, 4)):
     return record
 
 
-def _unbuildable():
-    raise AssertionError("recording a self site built its map")
-
-
-def _self_site(t, layer, record):
-    """A self site whose map a recorder must not build."""
-    n, hw = record.shape[0], record.shape[1]
-    return AttentionSite(t, layer, KIND_SELF, (n, 2, hw, 2 * hw), _unbuildable,
-                         record=record)
-
-
-def test_record_query_round_trip():
-    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    site = _cross_site(0, 0)
-    store.record(site)
+def test_record_query_round_trip(whole_map):
+    store = AttentionStore(StoreMeta(T=2, blocks=1))
+    attn = _cross_map()
+    store.add(0, 0, KIND_CROSS, attn)
     got = store.query(0, 0)
     assert isinstance(got, np.ndarray)
-    assert got is site.attn
+    assert got is attn
     assert not got.flags.writeable
 
     record = _record()
-    store.record(_self_site(1, 0, record))
+    store.add(1, 0, KIND_SELF, record)
     assert store.self_record(1, 0) is record
     rng = np.random.default_rng(1)
     tiles = SelfTiles(record, rng.standard_normal((4, 4)), rng.standard_normal((4, 4)), 2)
-    first, second = tiles.attn(), tiles.attn()
+    first, second = whole_map(tiles), whole_map(tiles)
     assert first.shape == (2, 2, 3, 6)
     assert first is not second
     assert np.array_equal(first, second)
@@ -66,12 +56,12 @@ def test_record_query_round_trip():
 
 
 def test_self_maps_are_recorded_as_projections_only():
-    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
+    store = AttentionStore(StoreMeta(T=2, blocks=1))
     record = _record()
-    store.record(_self_site(0, 0, record))  # the site's map is unbuildable
+    store.add(0, 0, KIND_SELF, record)
     assert store.self_record(0, 0) is record
     with pytest.raises(ContractViolation, match="duplicate"):
-        store.record(_self_site(0, 0, _record(1)))
+        store.add(0, 0, KIND_SELF, _record(1))
 
 
 def test_self_record_is_the_block_input_and_the_model_weights(tiny_cfg, tiny_weights,
@@ -92,14 +82,14 @@ def test_self_record_is_the_block_input_and_the_model_weights(tiny_cfg, tiny_wei
 
 
 def test_duplicate_record_rejected():
-    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    store.record(_cross_site(1, 0))
+    store = AttentionStore(StoreMeta(T=2, blocks=1))
+    store.add(1, 0, KIND_CROSS, _cross_map())
     with pytest.raises(ContractViolation):
-        store.record(_cross_site(1, 0))
+        store.add(1, 0, KIND_CROSS, _cross_map())
 
 
 def test_missing_query_names_key():
-    store = AttentionStore(StoreMeta(T=4, blocks=2, config_hash=7))
+    store = AttentionStore(StoreMeta(T=4, blocks=2))
     with pytest.raises(MissingRecordError) as exc:
         store.self_record(3, 1)
     msg = str(exc.value)
@@ -107,13 +97,13 @@ def test_missing_query_names_key():
 
 
 def test_verify_complete_lists_missing():
-    store = AttentionStore(StoreMeta(T=2, blocks=1, config_hash=7))
-    store.record(_self_site(0, 0, _record()))
-    store.record(_cross_site(0, 0))
-    store.record(_self_site(1, 0, _record()))
+    store = AttentionStore(StoreMeta(T=2, blocks=1))
+    store.add(0, 0, KIND_SELF, _record())
+    store.add(0, 0, KIND_CROSS, _cross_map())
+    store.add(1, 0, KIND_SELF, _record())
     missing = store.verify_complete()
     assert missing == [AttentionKey(1, 0, KIND_CROSS)]
-    store.record(_cross_site(1, 0))
+    store.add(1, 0, KIND_CROSS, _cross_map())
     assert store.verify_complete() == []
 
 
@@ -329,17 +319,26 @@ def test_load_checks_every_file_it_reads(tmp_path, write_dump):
 
 
 def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights, tiny_inversion,
-                                                  capture_probe, self_map):
+                                                  monkeypatch, self_map, whole_map):
+    # Each self map the store's record stands for is the one the forward
+    # pass applied to the block input it held.
     sched, prompt, z0, _, store = tiny_inversion
+    applied = []
+    attend = model.spatiotemporal_attend
+
+    def spy(feats, block, heads, *args):
+        applied.append(whole_map(SelfTiles(feats, block.wq_s, block.wk_s, heads)))
+        return attend(feats, block, heads, *args)
+
+    monkeypatch.setattr(model, "spatiotemporal_attend", spy)
     z = z0
     for t in range(sched.T):
-        probe, records = capture_probe()
-        eps = denoiser_forward(z, t, prompt, tiny_weights, sched.T, probe=probe)
-        assert len(records) == 2 * tiny_cfg.blocks
-        for rec in records:
-            if rec.kind == KIND_SELF:
-                assert np.array_equal(self_map(store.self_record(t, rec.layer), t,
-                                               rec.layer, tiny_weights, sched.T), rec.attn)
+        applied.clear()
+        eps = denoiser_forward(z, t, prompt, tiny_weights, sched.T)
+        assert len(applied) == tiny_cfg.blocks
+        for layer, attn in enumerate(applied):
+            assert np.array_equal(self_map(store.self_record(t, layer), t, layer,
+                                           tiny_weights, sched.T), attn)
         z = ddim_invert_step(z, eps, t, sched)
 
 
@@ -359,6 +358,6 @@ def test_inversion_store_holds_projections_not_maps(peak_bytes, recorded_inversi
 
 def test_store_meta_validation():
     with pytest.raises(ContractViolation):
-        AttentionStore(StoreMeta(T=0, blocks=1, config_hash=0))
+        AttentionStore(StoreMeta(T=0, blocks=1))
     with pytest.raises(ContractViolation):
-        AttentionStore(StoreMeta(T=1, blocks=0, config_hash=0))
+        AttentionStore(StoreMeta(T=1, blocks=0))
