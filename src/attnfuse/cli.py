@@ -5,8 +5,9 @@ Subcommands: `invert` (archive the latent trajectory and z_T),
 (the identity edit).
 
 Exit codes: 0 success, 1 contract violation, 2 I/O failure, 3 bad
-configuration.  A guided edit evaluates its two guidance branches
-concurrently; the output equals their sequential evaluation bit for bit.
+configuration.  A guided edit's unconditional branch runs the source
+prompt under the edit's replay, and both branches run in one lockstep
+pass per step; the output equals their sequential evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -353,8 +354,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # glibc's mallopt parameters, and the values `_keep_heap_mapped` sets.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD, _MMAP_THRESHOLD = 64 << 20, 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+_TRIM_THRESHOLD, _MMAP_THRESHOLD, _ARENA_MAX = 64 << 20, 32 << 20, 1
 
 
 @functools.cache
@@ -366,8 +367,11 @@ def _keep_heap_mapped() -> None:
     temporaries are unmapped and faulted in again.  Fixed thresholds (an
     allocation below 32 MiB comes from the heap; the heap is trimmed
     only past 64 MiB free) keep them mapped for reuse.  Setting one
-    switches glibc's adaptive thresholds off, so both are set.  Where
-    the C library has no `mallopt` this does nothing.
+    switches glibc's adaptive thresholds off, so both are set.  One
+    arena serves every thread, so a guided pass on the pool's thread
+    (`pipeline.run_denoise`) reuses the heap that inversion left mapped
+    rather than growing a second one.  Where the C library has no
+    `mallopt` this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -375,6 +379,7 @@ def _keep_heap_mapped() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def run(argv: list[str]) -> int:

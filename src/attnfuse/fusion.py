@@ -307,16 +307,20 @@ class FusionPlan:
         self._masks[(t, layer)] = mask
         return mask
 
-    def step(self, t: int) -> Replay | None:
-        """Step t's `model.Replay` for the conditional branch; None if it replays nothing.
+    def step(self, t: int, guided: bool = False) -> Replay | None:
+        """Step t's `model.Replay`; None if it replays nothing.
 
         Its source is inversion's z_{t-1}, taken at step t-1.  A block's
         mask is a function of the source's cross map where it thresholds
         one.  A block is carried, naming the source prompt, inside the
         cross window, where the mask thresholds that map, and on a blend
         step below the last block, whose next block replays the source.
-        The cross rewrite fuses or takes the source's map inside the
-        cross window, where every block is carried.
+        Inside the cross window, where every block is carried, the
+        edit's cross rewrite fuses or takes the source's map.  *guided*
+        adds the unconditional branch, which runs the source prompt under
+        the same masks: its rewrite takes the source's map whole inside
+        the cross window, since the alignment of a prompt with itself is
+        the identity, and keeps its own outside.
         """
         cross = self.action(t, KIND_CROSS)
         blends = self.action(t, KIND_SELF) == BLEND
@@ -330,4 +334,5 @@ class FusionPlan:
                       for layer in layers)
         rewrite = {KEEP: None, TAKE_SOURCE: TAKE_SOURCE,
                    FUSE: functools.partial(fuse_cross, alignment=self.alignment)}[cross]
-        return Replay(self.source_latent(t), t - 1, self.prompt, masks, carry, rewrite)
+        rewrites = (rewrite, None if cross == KEEP else TAKE_SOURCE)[:1 + guided]
+        return Replay(self.source_latent(t), t - 1, self.prompt, masks, carry, rewrites)

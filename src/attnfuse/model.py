@@ -17,6 +17,12 @@ map the pass applies; it is the only way a map leaves the pass, which
 returns the predicted noise alone.  Second, all randomness flows from
 explicit seeds, so identical inputs give bit-identical outputs.
 
+A pass runs one stream per prompt, a step's guidance branches, in
+lockstep over one latent.  No prompt reaches block 0's self-attention,
+so it runs once for all streams; above it each source tile serves every
+stream, and cross-attention and the MLP run per stream.  Each stream's
+noise is bit for bit that of a pass with its prompt alone.
+
 Queries are scaled by 1/sqrt(d_head) before the QK^T, so no pass scales
 the logits.  A cross map is a softmax map: its rows sum to 1.  A self
 map holds softmax numerators, exp(logit - row max): every entry lies in
@@ -48,7 +54,7 @@ uses, and below the last block its cross output and the MLP, which
 rebuilds the next block's source input bit for bit.  The replay's
 cross rewrite reads that map, and a mask function thresholds it:
 `spatiotemporal_attend` builds the source's tiles first, then the
-mask, then the pass's own tiles where it sets a row.  Every self row
+mask, then each stream's own tiles where it sets a row.  Every self row
 is built by `SelfTiles.rows` from queries and keys projected with one
 expression, so rows rebuilt later from a record are bit-identical to
 the ones the pass applied.
@@ -333,12 +339,13 @@ class Replay:
     source's pass applied, so the cross map and the next block's source
     input come out bit for bit as that pass had them.
 
-    *cross* rewrites every block's cross map from the source's: None
-    keeps the pass's own, TAKE_SOURCE applies the source's whole, so
-    the pass builds no map of its own, and a function of (own map,
-    source map) gives the map to apply.  A mask function or a cross
-    rewrite needs its block carried, and a block above one that is not
-    carried must keep every row its own.
+    The masks hold for every prompt of the pass, and *cross* has one
+    rewrite per prompt, in the pass's order, of every block's cross map
+    from the source's: None keeps the prompt's own, TAKE_SOURCE applies
+    the source's whole, so the pass builds no map of its own, and a
+    function of (own map, source map) gives the map to apply.  A mask
+    function or a cross rewrite needs its block carried, and a block
+    above one that is not carried must keep every row its own.
     """
 
     source: np.ndarray
@@ -346,7 +353,7 @@ class Replay:
     prompt: PromptEmbedding
     masks: tuple[np.ndarray | Callable[[np.ndarray], np.ndarray], ...]
     carry: tuple[bool, ...]
-    cross: str | Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    cross: tuple[str | Callable[[np.ndarray, np.ndarray], np.ndarray] | None, ...] = (None,)
 
 
 def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int) -> np.ndarray:
@@ -370,41 +377,44 @@ def _divided(out: np.ndarray) -> np.ndarray:
     return _merge_heads(out[..., :-1] / out[..., -1:])
 
 
-def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
+def spatiotemporal_attend(feats: Sequence[np.ndarray], block: BlockWeights, heads: int,
                           d_head: int,
                           edit: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
                           source: np.ndarray | None = None, carry: bool = False
-                          ) -> tuple[np.ndarray, np.ndarray | None]:
+                          ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Self-attention over [middle frame; own frame] keys and values.
 
-    feats: (n, h*w, d_model).  The middle frame is index n // 2; its
-    keys come first in the concatenation.  Rows are computed and applied
-    one tile of TILE_ROWS query rows at a time.  *edit*, (n, h*w) bool,
-    picks each row: a set row is built from feats, the pass's own, and
-    a clear row from *source*, the block input of the map it replays,
-    both under the block's wq_s and wk_s.  Without a mask every row is
-    the pass's own.  *edit* may also be a function that returns the mask
-    from the source output, which needs *carry*.  Each tile multiplies
-    [V | 1], whose last column gives the tile's row sums, and the output
-    is divided by them once, after the last tile.
+    feats holds the block input, (n, h*w, d_model), of each stream of
+    the pass.  The middle frame is index n // 2; its keys come first in
+    the concatenation.  Rows are computed and applied one tile of
+    TILE_ROWS query rows at a time.  *edit*, (n, h*w) bool, picks each
+    row of every stream: a set row is built from the stream's input, its
+    own, and a clear row from *source*, the block input of the map it
+    replays, all under the block's wq_s and wk_s.  Without a mask every
+    row is a stream's own.  *edit* may also be a function that returns
+    the mask from the source output, which needs *carry*.  Each tile
+    multiplies [V | 1], whose last column gives the tile's row sums, and
+    each output is divided by them once, after the last tile.
 
     The source's tiles come first: those whose rows the mask does not
     all set, or every tile with *carry* or a mask function.  Each is
-    multiplied by the pass's own [V | 1] where a clear row may need it.
-    Then the mask, if a function gives it, and last the pass's own
-    tiles, only where the mask sets a row.  A mixed tile takes its set
-    rows from its own product and keeps the source's for the rest.
+    built once and multiplied by every stream's [V | 1] where a clear
+    row may need it.  Then the mask, if a function gives it, and last
+    each stream's own tiles, only where the mask sets a row.  A mixed
+    tile takes its set rows from its own product and keeps the source's
+    for the rest.  So each output is bit for bit that of its stream alone.
 
-    Returns (output, source output), each (n, h*w, d_model).  With
-    *carry*, the source output applies every source row to the source's
-    own [V | 1], from the same tiles, so it is bit for bit the output of
-    the pass that recorded *source*.  Without, it is None.
+    Returns (outputs, source output), one output per stream, each (n,
+    h*w, d_model).  With *carry*, the source output applies every source
+    row to the source's own [V | 1], from the same tiles, so it is bit
+    for bit the output of the pass that recorded *source*.  Without, it
+    is None.
     """
-    n, hw, _ = feats.shape
+    n, hw, _ = feats[0].shape
     edit = np.ones((n, hw), dtype=bool) if edit is None else edit
     later = callable(edit)  # the mask follows from the source output
-    vals = _values(feats, block.wv_s, heads, d_head)
-    out = np.empty((n, heads, hw, d_head + 1))
+    vals = [_values(f, block.wv_s, heads, d_head) for f in feats]
+    outs = [np.empty((n, heads, hw, d_head + 1)) for _ in feats]
     source_out = None
     replayed = [(lo, hi) for lo, hi in _tile_bounds(hw)
                 if carry or later or not edit[:, lo:hi].all()]
@@ -412,24 +422,26 @@ def spatiotemporal_attend(feats: np.ndarray, block: BlockWeights, heads: int,
         replay = SelfTiles(source, block.wq_s, block.wk_s, heads)
         if carry:
             source_vals = _values(source, block.wv_s, heads, d_head)
-            source_out = np.empty(out.shape)
+            source_out = np.empty(outs[0].shape)
         for lo, hi in replayed:
             theirs = replay.rows(lo, hi)
             if carry:
                 np.matmul(theirs, source_vals, out=source_out[:, :, lo:hi])
             if later or not edit[:, lo:hi].all():
-                np.matmul(theirs, vals, out=out[:, :, lo:hi])
+                for v, out in zip(vals, outs):
+                    np.matmul(theirs, v, out=out[:, :, lo:hi])
         source_out = _divided(source_out) if carry else None
         edit = edit(source_out) if later else edit
-    own = SelfTiles(feats, block.wq_s, block.wk_s, heads) if edit.any() else None
-    for lo, hi in _tile_bounds(hw):
-        picks = edit[:, lo:hi]
-        if picks.all():
-            np.matmul(own.rows(lo, hi), vals, out=out[:, :, lo:hi])
-        elif picks.any():
-            np.copyto(out[:, :, lo:hi], np.matmul(own.rows(lo, hi), vals),
-                      where=picks[:, None, :, None])
-    return _divided(out), source_out
+    for f, v, out in zip(feats, vals, outs) if edit.any() else ():
+        own = SelfTiles(f, block.wq_s, block.wk_s, heads)
+        for lo, hi in _tile_bounds(hw):
+            picks = edit[:, lo:hi]
+            if picks.all():
+                np.matmul(own.rows(lo, hi), v, out=out[:, :, lo:hi])
+            elif picks.any():
+                np.copyto(out[:, :, lo:hi], np.matmul(own.rows(lo, hi), v),
+                          where=picks[:, None, :, None])
+    return [_divided(out) for out in outs], source_out
 
 
 def _text_heads(prompt: PromptEmbedding, w: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -453,18 +465,21 @@ def _source_cross(source: np.ndarray, source_out: np.ndarray, bw: BlockWeights,
     return summed, source_map
 
 
-def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
+def denoiser_forward(z_t: np.ndarray, t: int, prompts: Sequence[PromptEmbedding],
                      weights: DenoiserWeights, n_steps: int, replay: Replay | None = None,
                      record: Callable[[int, int, str, np.ndarray], None] | None = None
-                     ) -> np.ndarray:
-    """Predict noise (n, c, h, w) for a latent video at timestep t.
+                     ) -> tuple[np.ndarray, ...]:
+    """Predict noise (n, c, h, w) for a latent video at timestep t, once per prompt.
 
-    n_steps normalizes t for the timestep features; pass the schedule's
-    T.  *replay*, if given, rewrites the pass's self rows and cross maps
-    as it says (see `Replay`); a replay without one mask and one carry
-    flag per block, or with a mask function or a cross rewrite at a
-    block it does not carry, is refused, naming the block.  *record*, if
-    given, is called in (layer, self-then-cross) order as
+    The prompts' streams run in lockstep, sharing what no prompt reaches
+    (see the module notes).  n_steps normalizes t for the timestep
+    features; pass the schedule's T.  *replay*, if given, rewrites the
+    pass's self rows and cross maps as it says (see `Replay`); a replay
+    without one mask and one carry flag per block, or with a mask
+    function or a cross rewrite at a block it does not carry, is
+    refused, naming the block, and so is one without a cross rewrite
+    per prompt.  *record*, if given, watches a one-prompt pass: it is
+    called in (layer, self-then-cross) order as
     record(t, layer, kind, array) with each self site's read-only
     record, before the block's self-attention, and with each cross map
     the pass applies, read-only.  It is the only way a map leaves the
@@ -476,36 +491,46 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
             f"latent shape {z_t.shape} != config ({cfg.n}, {cfg.c}, {cfg.h}, {cfg.w})")
     check_finite("denoiser input", z_t)
     require(0 <= t <= n_steps, f"timestep {t} outside [0, {n_steps}]")
-    require(prompt.vectors.shape[1] == cfg.d_text,
-            f"prompt dim {prompt.vectors.shape[1]} != d_text {cfg.d_text}")
-    cross = None if replay is None else replay.cross
+    require(len(prompts) >= 1 and (record is None or len(prompts) == 1),
+            f"a pass takes one prompt or more, and one with a record hook; got {len(prompts)}")
+    for prompt in prompts:
+        require(prompt.vectors.shape[1] == cfg.d_text,
+                f"prompt dim {prompt.vectors.shape[1]} != d_text {cfg.d_text}")
+    crosses = (None,) * len(prompts) if replay is None else replay.cross
     if replay is not None:
         counts = (len(replay.masks), len(replay.carry))
         require(counts == (cfg.blocks, cfg.blocks),
                 f"block {min(counts + (cfg.blocks,))}: the replay of step {t} gives "
                 f"{counts[0]} masks and {counts[1]} carry flags for {cfg.blocks} blocks")
+        require(len(crosses) == len(prompts),
+                f"the replay of step {t} gives {len(crosses)} cross rewrites "
+                f"for {len(prompts)} prompts")
+        rewrites = any(cross is not None for cross in crosses)
         for layer, (edit, carry) in enumerate(zip(replay.masks, replay.carry)):
-            require(carry or not (callable(edit) or cross is not None),
+            require(carry or not (callable(edit) or rewrites),
                     f"block {layer}: the replay of step {t} gives a "
                     f"{'mask function' if callable(edit) else 'cross rewrite'} "
                     f"at a block it does not carry")
 
     z_t.setflags(write=False)
     n, c, h, w = z_t.shape
-    x = _block_input(z_t, t, n_steps, weights)
+    xs = (_block_input(z_t, t, n_steps, weights),)  # one stream up to block 0's cross
 
-    def attend_self(feats: np.ndarray, layer: int, bw: BlockWeights,
+    def attend_self(feats: tuple[np.ndarray, ...], layer: int, bw: BlockWeights,
                     carried: np.ndarray | None
-                    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        # (feats plus the self output, and if the replay carries the source,
-        # the source's cross map and below the last block its next input).
-        # Block 0 is recorded as its latent; its source input is rebuilt
-        # only when some row replays it or the replay carries it.
-        feats.setflags(write=False)
+                    ) -> tuple[tuple[np.ndarray, ...], np.ndarray | None, np.ndarray | None]:
+        # (each stream's feats plus its self output, and if the replay
+        # carries the source, the source's cross map and below the last
+        # block its next input).  Block 0 is recorded as its latent; its
+        # source input is rebuilt only when some row replays it or the
+        # replay carries it.
+        for f in feats:
+            f.setflags(write=False)
         if record is not None:
-            record(t, layer, KIND_SELF, feats if layer else z_t)
+            record(t, layer, KIND_SELF, feats[0] if layer else z_t)
         if replay is None:
-            return feats + spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0], None, None
+            outs = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0]
+            return tuple(f + out for f, out in zip(feats, outs)), None, None
         edit, carry = replay.masks[layer], replay.carry[layer]
         source = carried if layer else replay.source
         if layer == 0 and (carry or not edit.all()):
@@ -516,24 +541,25 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
             rebuilt.extend(_source_cross(source, source_out, bw, replay.prompt, cfg))
             return edit(rebuilt[1])
 
-        out, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
-                                                mask_of if callable(edit) else edit,
-                                                source, carry)
+        outs, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
+                                                 mask_of if callable(edit) else edit,
+                                                 source, carry)
+        outs = tuple(f + out for f, out in zip(feats, outs))
         if not carry:
-            return feats + out, None, None
+            return outs, None, None
         summed, source_map = rebuilt or _source_cross(source, source_out, bw,
                                                       replay.prompt, cfg)
         if layer + 1 == cfg.blocks:
-            return feats + out, source_map, None
+            return outs, source_map, None
         carried = _mlp(summed + _merge_heads(np.matmul(
             source_map, _text_heads(replay.prompt, bw.wv_c, cfg))), bw)
         carried.setflags(write=False)
-        return feats + out, source_map, carried
+        return outs, source_map, carried
 
-    def attend_cross(x: np.ndarray, layer: int, bw: BlockWeights,
-                     source_map: np.ndarray | None) -> np.ndarray:
+    def attend_cross(x: np.ndarray, layer: int, bw: BlockWeights, prompt: PromptEmbedding,
+                     cross, source_map: np.ndarray | None) -> np.ndarray:
         # x plus the cross output under the map the replay rewrites, else
-        # the pass's own; taking the source's whole builds no map.
+        # the stream's own; taking the source's whole builds no map.
         if cross is TAKE_SOURCE:
             attn = source_map
         else:
@@ -548,11 +574,14 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompt: PromptEmbedding,
 
     carried = None  # the source's input to this block, when the block below rebuilt it
     for layer, bw in enumerate(weights.blocks):
-        x, source_map, carried = attend_self(x, layer, bw, carried)
-        x = _mlp(attend_cross(x, layer, bw, source_map), bw)
+        xs, source_map, carried = attend_self(xs, layer, bw, carried)
+        xs = tuple(_mlp(attend_cross(x, layer, bw, prompt, cross, source_map), bw)
+                   for x, prompt, cross in zip(xs * len(prompts) if layer == 0 else xs,
+                                               prompts, crosses))
 
-    eps = (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w)
-    return check_finite("predicted noise", eps)
+    return tuple(check_finite("predicted noise",
+                              (x @ weights.w_out).transpose(0, 2, 1).reshape(n, c, h, w))
+                 for x in xs)
 
 
 def encode_color(color: Sequence[float]) -> np.ndarray:

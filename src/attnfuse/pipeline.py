@@ -3,7 +3,7 @@
 A latent video is an (n, c, h, w) float64 array.  Inversion walks the
 schedule upward at guidance scale 1 and returns its latent trajectory,
 keeping no map; the editing pass walks back down, and at each step of
-a fusion window hands the conditional branch the plan's `Replay`,
+a fusion window hands both guidance branches the plan's `Replay`,
 whose source maps the pass rebuilds from that trajectory with the
 model's own weights.  Reconstruction is the identity edit.
 """
@@ -162,8 +162,8 @@ def invert_video(z_0: np.ndarray, prompt: PromptEmbedding, sched: NoiseSchedule,
     trajectory = np.empty((sched.T + 1,) + z.shape)
     trajectory[0] = z
     for t in range(sched.T):
-        eps = denoiser_forward(trajectory[t], t, prompt, weights, n_steps=sched.T,
-                               record=record)
+        [eps] = denoiser_forward(trajectory[t], t, (prompt,), weights, n_steps=sched.T,
+                                 record=record)
         trajectory[t + 1] = ddim_invert_step(trajectory[t], eps, t, sched)
     trajectory.setflags(write=False)
     return trajectory
@@ -174,14 +174,17 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 plan: FusionPlan | None = None) -> np.ndarray:
     """Denoise from z_T down to z_0 under classifier-free guidance at s_cfg.
 
-    Without a plan this is plain sampling.  With one, the conditional
-    branch replays each step's `plan.step(t)`, which rewrites its maps
-    from the inversion trajectory the plan reads; that must be (T+1,) +
-    z_start's shape, under a plan of the weights' number of blocks.  The
-    unconditional branch replays nothing, on a one-thread pool, while
-    the conditional branch runs on the calling thread; the two share no
-    mutable state, so the result equals their sequential evaluation bit
-    for bit.  At s_cfg = 1 the unconditional branch is not evaluated and
+    Without a plan this is plain sampling, and the unconditional prompt
+    is the empty one.  With a plan, both branches replay each step's
+    `plan.step(t)`, which rewrites their maps from the inversion
+    trajectory the plan reads; that must be (T+1,) + z_start's shape,
+    under a plan of the weights' number of blocks.  The unconditional
+    branch then runs the source prompt, as negative-prompt inversion
+    does (arXiv 2305.16807), under the same masks, and takes the
+    source's cross maps whole inside the cross window, so a no-op edit
+    follows its guidance-1 trajectory at any guidance.  The branches
+    run in lockstep in one `denoiser_forward` per step, on a one-thread
+    pool.  At s_cfg = 1 the unconditional branch is not evaluated and
     the pool starts no thread.
     """
     cfg = weights.config
@@ -193,16 +196,19 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 f"schedule from latents of {z.shape} needs {want}")
         require(plan.blocks == cfg.blocks,
                 f"plan has {plan.blocks} blocks, the weights {cfg.blocks}")
-    uncond = embed_prompt("", cfg)
+    guided = s_cfg != 1.0
+    prompts = (prompt,)
+    if guided:
+        prompts += (embed_prompt("", cfg) if plan is None else plan.prompt,)
     with ThreadPoolExecutor(max_workers=1) as pool:
         for t in range(sched.T, 0, -1):
-            replay = plan.step(t) if plan is not None else None
-            fut = (pool.submit(denoiser_forward, z, t, uncond, weights, sched.T)
-                   if s_cfg != 1.0 else None)
-            eps = denoiser_forward(z, t, prompt, weights, n_steps=sched.T,
-                                   replay=replay)
-            if fut is not None:
-                eps = cfg_combine(fut.result(), eps, s_cfg)
+            replay = plan.step(t, guided) if plan is not None else None
+            if guided:  # perfbench's tracer and smoke test follow the pool's work
+                eps, eps_u = pool.submit(denoiser_forward, z, t, prompts, weights, sched.T,
+                                         replay=replay).result()
+                eps = cfg_combine(eps_u, eps, s_cfg)
+            else:
+                [eps] = denoiser_forward(z, t, prompts, weights, sched.T, replay=replay)
             z = ddim_step(z, eps, t, sched)
     return z
 

@@ -209,7 +209,7 @@ def load_store_dump(directory: Path) -> AttentionStore:
             differ = np.count_nonzero(z.view(np.uint64) != landed.view(np.uint64))
             require(not differ, f"{path}: step {t - 1}'s replay under {index_path} "
                                 f"lands elsewhere ({differ} of {z.size} values differ)")
-        eps = denoiser_forward(z, t, prompt, weights, T, record=store.add)
+        [eps] = denoiser_forward(z, t, (prompt,), weights, T, record=store.add)
         landed = ddim_invert_step(z, eps, t, sched)
     require(_digest(landed) == index["z_T_fnv1a64"],
             f"{index_path}: z_T_fnv1a64 {index['z_T_fnv1a64']:#018x} is not the digest "

@@ -3,8 +3,10 @@ whole attention store it records, a dump of its clip's trajectory, a
 record hook that captures the maps a forward pass applies, whole self
 maps assembled from the tiles the pass builds, the self map a record
 stands for and every map a store stands for, the row contract of an
-attention map, and the peak memory of a call."""
+attention map, the peak memory of a call, and the one-prompt replay of
+one branch of a guided step."""
 
+import dataclasses
 import tracemalloc
 from typing import NamedTuple
 
@@ -205,3 +207,16 @@ def _peak_bytes(call):
 @pytest.fixture
 def peak_bytes():
     return _peak_bytes
+
+
+def _branch_replay(replay, branch):
+    """The replay that a pass with branch *branch*'s prompt alone applies:
+    *replay*'s masks and carry flags, and that branch's cross rewrite."""
+    if replay is None:
+        return None
+    return dataclasses.replace(replay, cross=replay.cross[branch:branch + 1])
+
+
+@pytest.fixture
+def branch_replay():
+    return _branch_replay

@@ -14,6 +14,8 @@ pass/fail line for each:
   9.  every captured attention map has contract shape and rows (cross
       rows sum to 1, self rows peak at 1)
   10. the edit subcommand is byte-for-byte deterministic
+  11. a no-op edit at guidance 7.5 writes its guidance-1 frames and
+      reconstructs the source
 """
 
 import json
@@ -24,15 +26,16 @@ import numpy as np
 import pytest
 
 from attnfuse.cli import run
-from attnfuse.fusion import (BLEND, EditConfig, FusionPlan, align_prompts,
+from attnfuse.fusion import (BLEND, MODES, EditConfig, FusionPlan, align_prompts,
                              build_blend_mask, identity_alignment, preset)
+from attnfuse.imageio import quantize
 from attnfuse.model import (KIND_SELF, BlockWeights, ModelConfig, SelfTiles, _attention_map,
                             _block_input, denoiser_forward, embed_prompt,
                             make_denoiser_weights, make_oracle_denoiser,
                             spatiotemporal_attend, _merge_heads, _split_heads)
-from attnfuse.numerics import SeededRng
-from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent,
-                               run_denoise, synth_video)
+from attnfuse.numerics import SeededRng, derived_seed
+from attnfuse.pipeline import (VideoSpec, compute_metrics, invert_video, latent_to_pixels,
+                               pixels_to_latent, run_denoise, synth_video)
 from attnfuse.schedule import (cfg_combine, ddim_invert_step, ddim_step,
                                make_schedule)
 from attnfuse.store import AttentionStore, StoreMeta
@@ -199,7 +202,7 @@ def test_criterion_06_threshold_extremes(small_inversion, monkeypatch, self_map)
     for tau in (1.0, 0.0):
         plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=tau), align, trajectory, src, 1)
         built.clear()
-        denoiser_forward(z, 4, edit, weights, sched.T, replay=plan.step(4), record=keep_own)
+        denoiser_forward(z, 4, (edit,), weights, sched.T, replay=plan.step(4), record=keep_own)
         applied[tau] = list(built)
         own_map = self_map(own[0], 4, 0, weights, sched.T)
         assert plan.self_mask(4, 0).all() == (tau == 0.0)
@@ -262,7 +265,7 @@ def test_criterion_08_middle_frame_invariance():
                              wq_c=g(d, d), wk_c=g(d, d), wv_c=g(d, d),
                              w_mlp_in=g(d, 2 * d), w_mlp_out=g(2 * d, d))
         feats = rng.standard_normal((n, hw, d))
-        out, _ = spatiotemporal_attend(feats, block, heads, d_head)
+        [out], _ = spatiotemporal_attend((feats,), block, heads, d_head)
         mid = n // 2
         q = _split_heads(feats[mid:mid + 1] @ block.wq_s, heads, d_head)
         k = _split_heads(feats[mid:mid + 1] @ block.wk_s, heads, d_head)
@@ -276,13 +279,13 @@ def test_criterion_08_middle_frame_invariance():
 
 
 def test_criterion_09_shape_contracts_full_run(capture_maps, assert_map_rows,
-                                              store_maps, recorded_inversion):
+                                              store_maps, recorded_inversion,
+                                              branch_replay):
     cfg = ModelConfig(n=2, h=6, w=6, c=1, d_model=8, heads=2, d_head=4,
                       blocks=2, d_text=8, seed=9)
     weights = make_denoiser_weights(cfg)
     src_emb = embed_prompt("a red square", cfg)
     edit_emb = embed_prompt("a big blue square, 8k", cfg)
-    uncond = embed_prompt("", cfg)
     sched = make_schedule(5, 0.002, 0.02)
     hw = cfg.h * cfg.w
     z0 = SeededRng(90).standard_normal((2, 1, 6, 6)) * 0.4
@@ -302,28 +305,27 @@ def test_criterion_09_shape_contracts_full_run(capture_maps, assert_map_rows,
     plan = FusionPlan(ecfg, align, trajectory, src_emb, cfg.blocks)
     z = trajectory[-1]
     for t in range(sched.T, 0, -1):
-        record_c, recs = capture_maps(weights, sched.T)
-        record_u, recs_u = capture_maps(weights, sched.T)
-        eps_c = denoiser_forward(z, t, edit_emb, weights, sched.T, replay=plan.step(t),
-                                 record=record_c)
-        eps_u = denoiser_forward(z, t, uncond, weights, sched.T, record=record_u)
-        for rec in recs:
-            attn = rec.attn
-            if rec.kind == KIND_SELF and plan.action(t, KIND_SELF) == BLEND:
-                # The rows the pass applied: its own where the mask is set,
-                # the source's of inversion step t-1 elsewhere.
-                mask = plan.self_mask(t, rec.layer)[:, None, :, None]
-                attn = np.where(mask, attn, source_maps[(t - 1, rec.layer, KIND_SELF)])
-            cols = 2 * hw if rec.kind == KIND_SELF else len(edit_emb.tokens)
-            assert attn.shape == (cfg.n, cfg.heads, hw, cols)
-            assert_map_rows(rec.kind, attn)
-            checked += 1
-        for rec in recs_u:
-            cols = 2 * hw if rec.kind == KIND_SELF else 1
-            assert rec.attn.shape == (cfg.n, cfg.heads, hw, cols)
-            assert_map_rows(rec.kind, rec.attn)
-            checked += 1
-        z = ddim_step(z, cfg_combine(eps_u, eps_c, ecfg.s_cfg), t, sched)
+        # The edit branch, then the unconditional branch, which runs the
+        # source prompt under the same masks, as run_denoise has them.
+        replay = plan.step(t, guided=True)
+        eps = []
+        for branch, prompt in enumerate((edit_emb, src_emb)):
+            record, recs = capture_maps(weights, sched.T)
+            eps += denoiser_forward(z, t, (prompt,), weights, sched.T,
+                                    replay=branch_replay(replay, branch), record=record)
+            for rec in recs:
+                attn = rec.attn
+                if rec.kind == KIND_SELF and plan.action(t, KIND_SELF) == BLEND:
+                    # The rows the pass applied: its own where the mask is
+                    # set, the source's of inversion step t-1 elsewhere.
+                    mask = plan.self_mask(t, rec.layer)[:, None, :, None]
+                    attn = np.where(mask, attn, source_maps[(t - 1, rec.layer, KIND_SELF)])
+                cols = 2 * hw if rec.kind == KIND_SELF else len(prompt.tokens)
+                assert attn.shape == (cfg.n, cfg.heads, hw, cols)
+                assert_map_rows(rec.kind, attn)
+                checked += 1
+        z = ddim_step(z, cfg_combine(eps[1], eps[0], ecfg.s_cfg), t, sched)
+    assert checked == 2 * sched.T * cfg.blocks * 3
     print(f"criterion 9 pass: {checked} attention maps carry contract "
           f"shapes; cross rows and normalized self rows sum to 1 within 1e-9, "
           f"self rows peak at exactly 1")
@@ -374,3 +376,39 @@ def test_criterion_10_edit_determinism(tmp_path):
     json.loads((first / "metrics.json").read_text())  # well-formed
     print(f"criterion 10 pass: two edit runs produced byte-identical "
           f"output trees ({len(files_a)} files)")
+
+
+# The worst frame of the no-op edits below measures 30.14 dB.  Under an
+# empty unconditional prompt the same edits score 6.2-13.6 dB, so the
+# floor tells the two apart.
+NOOP_PSNR_FLOOR_DB = 29.0
+
+
+def test_criterion_11_noop_edit_keeps_to_inversion():
+    # Edit prompt = source prompt: both guidance branches run the source
+    # prompt under the same replay, so guidance adds nothing and each
+    # preset's edit at 7.5 writes the frames it writes at guidance 1.
+    worst = []
+    for seed in range(6):
+        cfg = ModelConfig(n=3, h=8, w=8, c=1, d_model=16, heads=2, d_head=8,
+                          blocks=2, d_text=16, seed=seed)
+        weights = make_denoiser_weights(cfg)
+        spec = VideoSpec(n=3, h=8, w=8, size=2, start=(4, 3),
+                         offsets=((0, 0), (0, 1), (0, 2)))
+        pixels, _ = synth_video(spec, SeededRng(derived_seed(seed, "video")))
+        z0 = pixels_to_latent(pixels, cfg.c)
+        prompt = embed_prompt(SWEEP_PROMPT, cfg)
+        sched = make_schedule(10, 0.00085, 0.012)
+        trajectory = invert_video(z0, prompt, sched, weights)
+        align = align_prompts(prompt.tokens, prompt.tokens)
+        for mode in MODES:
+            frames = [quantize(latent_to_pixels(run_denoise(
+                trajectory[-1], prompt, sched, weights, s_cfg,
+                FusionPlan(preset(mode), align, trajectory, prompt, cfg.blocks)), cfg.c))
+                for s_cfg in (preset(mode).s_cfg, 1.0)]
+            assert frames[0].tobytes() == frames[1].tobytes(), (seed, mode)
+            report = compute_metrics(latent_to_pixels(z0, cfg.c), frames[0].astype(np.float64))
+            worst.append(min(report.psnr))
+    assert min(worst) > NOOP_PSNR_FLOOR_DB
+    print(f"criterion 11 pass: no-op edits at guidance 7.5 equal guidance 1 byte for "
+          f"byte; worst frame {min(worst):.2f} dB over {len(MODES)} presets x 6 seeds")

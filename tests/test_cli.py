@@ -578,7 +578,7 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
     applied = {}
     for t in range(rc.steps):
         built.clear()
-        eps = denoiser_forward(z, t, src, weights, rc.steps, record=store.add)
+        [eps] = denoiser_forward(z, t, (src,), weights, rc.steps, record=store.add)
         applied.update({(t, 0, lo): rows for _, lo, _, rows in built})
         assert len(built) == len(_tile_bounds(hw))
         z = ddim_invert_step(z, eps, t, rc.schedule)
@@ -596,7 +596,7 @@ def test_self_rows_are_exact_across_tile_boundaries(tmp_path, monkeypatch, self_
                       identity_alignment(len(src.tokens)), trajectory, src, 1)
     for t in range(rc.steps, 0, -1):
         built.clear()
-        denoiser_forward(z, t, src, weights, rc.steps, replay=plan.step(t))
+        denoiser_forward(z, t, (src,), weights, rc.steps, replay=plan.step(t))
         source = _block_input(store.self_record(t - 1, 0), t - 1, rc.steps, weights)
         assert [lo for _, lo, _, _ in built] == [lo for lo, _ in _tile_bounds(hw)]
         for feats, lo, _, rows in built:
@@ -620,7 +620,7 @@ def test_blend_builds_only_the_rows_each_tile_needs(config_path, monkeypatch):
         plan = FusionPlan(edit_cfg, align, trajectory, src, 1)
         for t in range(rc.steps, plan.first_self - 1, -1):
             built.clear()
-            denoiser_forward(trajectory[-1], t, edit, weights, rc.steps,
+            denoiser_forward(trajectory[-1], t, (edit,), weights, rc.steps,
                              replay=plan.step(t))
             # The config has one block: a source tile's block input is
             # rebuilt from step t-1's latent.
@@ -722,7 +722,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     # Those are the shapes the store keeps and dumps: one step's records.
     store = AttentionStore(StoreMeta(T=1, blocks=m.blocks))
     z = SeededRng(3).standard_normal((m.n, m.c, m.h, m.w))
-    denoiser_forward(z, 0, embed_prompt(rc.source_prompt, m),
+    denoiser_forward(z, 0, (embed_prompt(rc.source_prompt, m),),
                      make_denoiser_weights(m), 1, record=store.add)
     first, *later = (store.self_record(0, layer) for layer in range(m.blocks))
     assert first.shape == (m.n, m.c, m.h, m.w)

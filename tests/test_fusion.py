@@ -208,11 +208,11 @@ def test_plan_keeps_cross_map_outside_window():
     align = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                             removed_positions=(1,))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
-    assert plan.step(2).cross is None
+    assert plan.step(2).cross == (None,)
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.step(2) is None
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
-    got = plan.step(2).cross(EDIT_CROSS, SRC_CROSS)
+    got = plan.step(2).cross[0](EDIT_CROSS, SRC_CROSS)
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))
 
 
@@ -257,10 +257,16 @@ def test_a_cross_rewrite_carries_every_block():
             assert plan.action(2, KIND_CROSS) == action
             replay = plan.step(2)
             assert replay.carry == (True,) * 3 and replay.prompt is SOURCE
-            assert (replay.cross is TAKE_SOURCE) == (action == TAKE_SOURCE)
-    # Outside the cross window a blend step carries every block but the last.
-    replay = _plan(0.0, 1.0, T=4, tau=1.0, blocks=3).step(2)
-    assert replay.carry == (True, True, False) and replay.cross is None
+            assert (replay.cross[0] is TAKE_SOURCE) == (action == TAKE_SOURCE)
+            # The unconditional branch runs the source prompt, whose map
+            # it takes whole, under the same masks and carry flags.
+            guided = plan.step(2, guided=True)
+            assert guided.cross[1:] == (TAKE_SOURCE,) and guided.carry == replay.carry
+            assert guided.masks == replay.masks
+    # Outside the cross window a blend step carries every block but the last,
+    # and both branches keep their own cross maps.
+    replay = _plan(0.0, 1.0, T=4, tau=1.0, blocks=3).step(2, guided=True)
+    assert replay.carry == (True, True, False) and replay.cross == (None, None)
 
 
 def test_fuse_cross_column_bounds_checked():
@@ -333,8 +339,8 @@ def _attend(feats, heads, edit=None, source=None):
     """The self-attention output on the block input *feats*, whose clear rows
     of *edit* are built from the block input *source*."""
     d_model = feats.shape[-1]
-    return spatiotemporal_attend(feats, _block(d_model), heads, d_model // heads, edit,
-                                 source)[0]
+    return spatiotemporal_attend((feats,), _block(d_model), heads, d_model // heads, edit,
+                                 source)[0][0]
 
 
 def _spy_sides(monkeypatch, source):
@@ -406,7 +412,7 @@ def test_plan_keeps_self_map_outside_window():
     assert replay.source.tobytes() == trajectory[1].tobytes() and replay.t == 1
     assert replay.masks[0].shape == (2, 2) and replay.masks[0].all()
     assert replay.carry == (True,) and replay.prompt is SOURCE
-    assert replay.cross is TAKE_SOURCE
+    assert replay.cross == (TAKE_SOURCE,)
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
@@ -420,7 +426,7 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
         plan.self_mask(1, 0)
     replay = plan.step(1)
     assert replay.source.tobytes() == trajectory[0].tobytes() and replay.t == 0
-    assert replay.carry == (True,) and replay.prompt is SOURCE and replay.cross is None
+    assert replay.carry == (True,) and replay.prompt is SOURCE and replay.cross == (None,)
     mask = replay.masks[0](MASK_CROSS_HEADS)
     assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
     assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
@@ -450,7 +456,7 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     # A mask that a function gives from the source output, which needs the
     # source carried, comes after every source tile and before any own one.
     block, order = _block(4), []
-    own_out = spatiotemporal_attend(source, block, 2, 2)[0]  # the source's own pass
+    own_out = spatiotemporal_attend((source,), block, 2, 2)[0][0]  # the source's own pass
     monkeypatch.setattr(SelfTiles, "rows", lambda tiles, lo, hi, _rows=SelfTiles.rows: (
         order.append("source" if tiles.feats is source else "edit") or _rows(tiles, lo, hi)))
 
@@ -459,7 +465,7 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
         assert np.array_equal(source_out, own_out)
         return mask
 
-    later, source_out = spatiotemporal_attend(edit, block, 2, 2, mask_of, source, True)
+    [later], source_out = spatiotemporal_attend((edit,), block, 2, 2, mask_of, source, True)
     assert order == ["source"] * 3 + ["mask"] + ["edit"] * 2
     assert np.array_equal(later, got) and np.array_equal(source_out, own_out)
 
@@ -474,12 +480,12 @@ def test_plan_takes_source_before_the_edit_map_is_built():
     assert plan.action(2, KIND_CROSS) == TAKE_SOURCE
     assert plan.action(2, KIND_SELF) == BLEND
     replay = plan.step(2)
-    assert replay.cross is TAKE_SOURCE
+    assert replay.cross == (TAKE_SOURCE,)
     assert replay.source.tobytes() == trajectory[1].tobytes() and not replay.masks[0].any()
 
     # a substituted word: fusing the columns needs the edit map
     align = align_prompts(("a", "cat"), ("a", "tiger"))
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.action(2, KIND_CROSS) == FUSE
-    got = plan.step(2).cross(EDIT_CROSS, SRC_CROSS)
+    got = plan.step(2).cross[0](EDIT_CROSS, SRC_CROSS)
     assert np.array_equal(got, fuse_cross(EDIT_CROSS, SRC_CROSS, align))

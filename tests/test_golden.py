@@ -114,15 +114,17 @@ def test_output_tree_matches_the_golden_digests(tmp_path, name):
 def test_the_partial_mask_run_builds_no_more_self_tiles(tmp_path, monkeypatch):
     # The shape edit at tau 0.6 thresholds its masks from the cross maps
     # the pass rebuilds, which needs every source tile of a blend step
-    # before the mask exists.  Its steps all lie in the cross window, where
-    # the carry builds those tiles anyway, so inversion and both guidance
-    # branches build as many self tiles as when the masks read stored maps.
+    # before the mask exists.  Its blend steps lie in the cross window,
+    # where the carry builds those tiles anyway.  Both guidance branches
+    # share them and block 0's own tiles, and each builds its own above:
+    # 2 blocks x 3 tiles on each of inversion's 8 steps, 6 + 3 + 2 x 3 on
+    # each of the 5 blend steps, and 3 + 2 x 3 on each of the 3 others.
     from attnfuse.model import SelfTiles
     built, rows = [], SelfTiles.rows
     monkeypatch.setattr(SelfTiles, "rows", lambda tiles, lo, hi: built.append(lo)
                         or rows(tiles, lo, hi))
     _digests("edit_shape_tau_0.6", tmp_path)
-    assert len(built) == 174
+    assert len(built) == 8 * 6 + 5 * 15 + 3 * 9 == 150
 
 
 def rewrite() -> None:

@@ -107,7 +107,7 @@ def _block(rng, d, d_text):
 
 def _attend_and_map(feats, block, heads, d_head, whole_map):
     """(output, the self map it applied) of one spatiotemporal_attend call."""
-    out, _ = spatiotemporal_attend(feats, block, heads, d_head)
+    [out], _ = spatiotemporal_attend((feats,), block, heads, d_head)
     return out, whole_map(SelfTiles(feats, block.wq_s, block.wk_s, heads))
 
 
@@ -117,7 +117,7 @@ def test_spatiotemporal_map_shape_and_rows(assert_map_rows, whole_map):
     feats = _feats(rng, 4, 9, 8)
     out, attn = _attend_and_map(feats, block, 2, 4, whole_map)
     assert out.shape == (4, 9, 8)
-    assert np.array_equal(out, spatiotemporal_attend(feats, block, 2, 4)[0])
+    assert np.array_equal(out, spatiotemporal_attend((feats,), block, 2, 4)[0][0])
     assert attn.shape == (4, 2, 9, 18)
     assert_map_rows(KIND_SELF, attn)
 
@@ -145,7 +145,7 @@ def test_self_rows_match_a_softmax_reference_across_the_tile_seam():
     want = softmax_lastdim(q @ np.swapaxes(k, -1, -2) / np.sqrt(d_head))
     assert np.max(np.abs(rows / rows.sum(axis=-1, keepdims=True) - want)) <= 1e-12
     want_out = (want @ v).transpose(0, 2, 1, 3).reshape(n, hw, d)
-    out, _ = spatiotemporal_attend(feats, block, heads, d_head)
+    [out], _ = spatiotemporal_attend((feats,), block, heads, d_head)
     assert np.max(np.abs(out - want_out)) <= 1e-12
 
 
@@ -171,7 +171,7 @@ def test_forward_divides_no_self_tile(monkeypatch):
 
     monkeypatch.setattr(model, "softmax_lastdim", lastdim)
     monkeypatch.setattr(model, "softmax_numerators", numerators)
-    denoiser_forward(z, 1, prompt, weights, 4)
+    denoiser_forward(z, 1, (prompt,), weights, 4)
     hw = cfg.h * cfg.w
     tokens = len(prompt.tokens)
     assert normalized == [(cfg.n, cfg.heads, hw, tokens)] * cfg.blocks
@@ -201,8 +201,8 @@ def test_forward_is_bit_deterministic(tiny_cfg, tiny_weights, capture_maps):
     z = SeededRng(1).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     p1, r1 = capture_maps(tiny_weights, 8)
     p2, r2 = capture_maps(tiny_weights, 8)
-    e1 = denoiser_forward(z, 3, prompt, tiny_weights, 8, record=p1)
-    e2 = denoiser_forward(z, 3, prompt, tiny_weights, 8, record=p2)
+    [e1] = denoiser_forward(z, 3, (prompt,), tiny_weights, 8, record=p1)
+    [e2] = denoiser_forward(z, 3, (prompt,), tiny_weights, 8, record=p2)
     assert np.array_equal(e1, e2)
     assert len(r1) == len(r2) == 2 * tiny_cfg.blocks
     for a, b in zip(r1, r2):
@@ -215,7 +215,7 @@ def test_forward_record_order_and_shapes(tiny_cfg, tiny_weights, capture_maps,
     prompt = embed_prompt("one two three", tiny_cfg)
     z = SeededRng(2).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     record, recs = capture_maps(tiny_weights, 8)
-    denoiser_forward(z, 5, prompt, tiny_weights, 8, record=record)
+    denoiser_forward(z, 5, (prompt,), tiny_weights, 8, record=record)
     hw = tiny_cfg.h * tiny_cfg.w
     kinds = [(r.layer, r.kind) for r in recs]
     assert kinds == [(0, KIND_SELF), (0, KIND_CROSS), (1, KIND_SELF), (1, KIND_CROSS)]
@@ -237,7 +237,7 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
     attend_self = model.spatiotemporal_attend
 
     def spy(feats, *args, **kwargs):
-        applied.append(feats.copy())
+        applied.append(feats[0].copy())
         return attend_self(feats, *args, **kwargs)
 
     def record(t, layer, kind, array):
@@ -248,7 +248,7 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     latent = z.copy()
     prompt = embed_prompt("a red square", tiny_cfg)
-    denoiser_forward(z, 3, prompt, tiny_weights, 8, record=record)
+    denoiser_forward(z, 3, (prompt,), tiny_weights, 8, record=record)
     z[...] = 0.0
     for record in records.values():
         assert type(record) is np.ndarray and not record.flags.writeable
@@ -269,7 +269,7 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
                               (False, True, [3, 2])):
         rebuilds.clear()
         mask = np.full((n, hw), fill)
-        denoiser_forward(latent, 3, prompt, tiny_weights, 8,
+        denoiser_forward(latent, 3, (prompt,), tiny_weights, 8,
                          replay=Replay(records[0], 2, prompt, (mask, mask), (carry, False)))
         assert rebuilds == want
 
@@ -277,8 +277,8 @@ def test_block_zero_self_record_is_the_latent(tiny_cfg, tiny_weights, monkeypatc
 def test_forward_depends_on_timestep(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a cat", tiny_cfg)
     z = SeededRng(3).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    e1 = denoiser_forward(z, 1, prompt, tiny_weights, 8)
-    e2 = denoiser_forward(z, 7, prompt, tiny_weights, 8)
+    [e1] = denoiser_forward(z, 1, (prompt,), tiny_weights, 8)
+    [e2] = denoiser_forward(z, 7, (prompt,), tiny_weights, 8)
     assert not np.array_equal(e1, e2)
 
 
@@ -286,15 +286,15 @@ def test_forward_input_validation(tiny_cfg, tiny_weights):
     prompt = embed_prompt("a", tiny_cfg)
     good = np.zeros((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     with pytest.raises(ContractViolation):
-        denoiser_forward(good[:, :, :2], 1, prompt, tiny_weights, 8)
+        denoiser_forward(good[:, :, :2], 1, (prompt,), tiny_weights, 8)
     with pytest.raises(ContractViolation):
-        denoiser_forward(good, 9, prompt, tiny_weights, 8)
+        denoiser_forward(good, 9, (prompt,), tiny_weights, 8)
     with pytest.raises(ContractViolation):
-        denoiser_forward(good, -1, prompt, tiny_weights, 8)
+        denoiser_forward(good, -1, (prompt,), tiny_weights, 8)
     bad = good.copy()
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(ContractViolation):
-        denoiser_forward(bad, 1, prompt, tiny_weights, 8)
+        denoiser_forward(bad, 1, (prompt,), tiny_weights, 8)
 
 
 def test_forward_pass_holds_one_self_map_at_a_time():
@@ -306,7 +306,7 @@ def test_forward_pass_holds_one_self_map_at_a_time():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        eps = denoiser_forward(z, 1, prompt, weights, 4)
+        [eps] = denoiser_forward(z, 1, (prompt,), weights, 4)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -323,7 +323,7 @@ def test_forward_pass_holds_one_self_attention_tile_at_a_time(peak_bytes):
     weights = make_denoiser_weights(cfg)
     prompt = embed_prompt("a red square", cfg)
     z = SeededRng(8).standard_normal((cfg.n, cfg.c, cfg.h, cfg.w))
-    _, peak = peak_bytes(lambda: denoiser_forward(z, 1, prompt, weights, 4))
+    _, peak = peak_bytes(lambda: denoiser_forward(z, 1, (prompt,), weights, 4))
     # One tile of logits is n * heads * TILE_ROWS * (2*h*w) float64 values,
     # 4.7 MB here; one whole self map would be 42.5 MB.
     assert TILE_ROWS == 64
@@ -335,14 +335,14 @@ def test_identity_probe_leaves_output_unchanged(tiny_cfg, tiny_weights):
     # takes from that source, gives the pass's own output bits.
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(4).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
-    plain = denoiser_forward(z, 2, prompt, tiny_weights, 8)
+    [plain] = denoiser_forward(z, 2, (prompt,), tiny_weights, 8)
     n, hw = tiny_cfg.n, tiny_cfg.h * tiny_cfg.w
     for fill in (False, True):
         for cross in (None, TAKE_SOURCE, lambda own, source: own):
             mask = np.full((n, hw), fill)
-            replay = Replay(z, 2, prompt, (mask, mask), (True, True), cross)
-            assert np.array_equal(plain, denoiser_forward(z, 2, prompt, tiny_weights, 8,
-                                                          replay=replay))
+            replay = Replay(z, 2, prompt, (mask, mask), (True, True), (cross,))
+            assert np.array_equal(plain, denoiser_forward(z, 2, (prompt,), tiny_weights, 8,
+                                                          replay=replay)[0])
 
 
 def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_maps):
@@ -352,14 +352,14 @@ def test_replay_probe_reproduces_run(tiny_cfg, tiny_weights, capture_maps):
     prompt = embed_prompt("a red cat", tiny_cfg)
     z = SeededRng(5).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     record, recs = capture_maps(tiny_weights, 8)
-    eps = denoiser_forward(z, 2, prompt, tiny_weights, 8, record=record)
+    [eps] = denoiser_forward(z, 2, (prompt,), tiny_weights, 8, record=record)
     stored = {(r.layer, r.kind): r.attn for r in recs if r.kind == KIND_CROSS}
 
     clear = np.zeros((tiny_cfg.n, tiny_cfg.h * tiny_cfg.w), dtype=bool)
-    replay = Replay(z, 2, prompt, (clear, clear), (True, True), TAKE_SOURCE)
+    replay = Replay(z, 2, prompt, (clear, clear), (True, True), (TAKE_SOURCE,))
     record, applied = capture_maps(tiny_weights, 8)
-    assert np.array_equal(eps, denoiser_forward(z, 2, prompt, tiny_weights, 8,
-                                                replay=replay, record=record))
+    assert np.array_equal(eps, denoiser_forward(z, 2, (prompt,), tiny_weights, 8,
+                                                replay=replay, record=record)[0])
     applied = [r for r in applied if r.kind == KIND_CROSS]
     assert len(applied) == len(stored) == tiny_cfg.blocks
     for r in applied:
@@ -379,7 +379,7 @@ def test_a_malformed_replay_is_refused(tiny_cfg, tiny_weights, case, layer, frag
     prompt = embed_prompt("a", tiny_cfg)
     z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
     clear = np.zeros((tiny_cfg.n, tiny_cfg.h * tiny_cfg.w), dtype=bool)
-    masks, carry, cross = (clear, clear), (True, False), None
+    masks, carry, cross = (clear, clear), (True, False), (None,)
     if case == "one mask":
         masks = (clear,)
     elif case == "three carry flags":
@@ -387,11 +387,25 @@ def test_a_malformed_replay_is_refused(tiny_cfg, tiny_weights, case, layer, frag
     elif case == "uncarried mask function":
         masks = (clear, lambda source_map: clear)
     else:
-        cross = TAKE_SOURCE
+        cross = (TAKE_SOURCE,)
     replay = Replay(z, 0, prompt, masks, carry, cross)
     with pytest.raises(ContractViolation, match=fragment) as exc:
-        denoiser_forward(z, 1, prompt, tiny_weights, 8, replay=replay)
+        denoiser_forward(z, 1, (prompt,), tiny_weights, 8, replay=replay)
     assert str(exc.value).startswith(f"block {layer}: the replay of step 1 ")
+
+
+def test_a_pass_takes_one_cross_rewrite_per_prompt(tiny_cfg, tiny_weights):
+    # The replay rewrites each prompt's cross maps, and a record hook
+    # watches a one-prompt pass.
+    prompt = embed_prompt("a", tiny_cfg)
+    z = SeededRng(6).standard_normal((tiny_cfg.n, tiny_cfg.c, tiny_cfg.h, tiny_cfg.w))
+    clear = np.zeros((tiny_cfg.n, tiny_cfg.h * tiny_cfg.w), dtype=bool)
+    replay = Replay(z, 0, prompt, (clear, clear), (True, True), (None, TAKE_SOURCE))
+    with pytest.raises(ContractViolation, match="gives 2 cross rewrites for 1 prompts"):
+        denoiser_forward(z, 1, (prompt,), tiny_weights, 8, replay=replay)
+    for prompts in ((), (prompt, prompt)):
+        with pytest.raises(ContractViolation, match="one with a record hook"):
+            denoiser_forward(z, 1, prompts, tiny_weights, 8, record=lambda *site: None)
 
 
 def test_encode_color_endpoints():
@@ -415,7 +429,7 @@ def test_oracle_predicts_zero_noise():
     weights = make_oracle_denoiser(ORACLE_CFG, {"red": (255, 0, 0),
                                                 "black": (0, 0, 0)})
     prompt = embed_prompt("a red square on black", ORACLE_CFG)
-    eps = denoiser_forward(_oracle_latent(), 3, prompt, weights, 10)
+    [eps] = denoiser_forward(_oracle_latent(), 3, (prompt,), weights, 10)
     assert eps.shape == _oracle_latent().shape
     assert np.array_equal(eps, np.zeros_like(eps))
 
@@ -427,7 +441,7 @@ def test_oracle_attention_tracks_pixel_color(capture_maps):
     red_col = prompt.tokens.index("red")
     black_col = prompt.tokens.index("black")
     record, recs = capture_maps(weights, 10)
-    denoiser_forward(_oracle_latent(), 3, prompt, weights, 10, record=record)
+    denoiser_forward(_oracle_latent(), 3, (prompt,), weights, 10, record=record)
     cross = [r for r in recs if r.kind == KIND_CROSS][0]
     mass = cross.attn.mean(axis=1)  # (n, hw, tokens)
     on_red = mass[:, :, red_col].reshape(2, 4, 4)
@@ -444,8 +458,8 @@ def test_oracle_palette_order_invariant(capture_maps):
     prompt = embed_prompt("red black", ORACLE_CFG)
     pa, ra = capture_maps(a, 10)
     pb, rb = capture_maps(b, 10)
-    denoiser_forward(_oracle_latent(), 1, prompt, a, 10, record=pa)
-    denoiser_forward(_oracle_latent(), 1, prompt, b, 10, record=pb)
+    denoiser_forward(_oracle_latent(), 1, (prompt,), a, 10, record=pa)
+    denoiser_forward(_oracle_latent(), 1, (prompt,), b, 10, record=pb)
     cross_a = [r for r in ra if r.kind == KIND_CROSS][0].attn
     cross_b = [r for r in rb if r.kind == KIND_CROSS][0].attn
     assert np.max(np.abs(cross_a - cross_b)) <= 1e-9

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -166,8 +165,13 @@ def test_fused_reconstruction_at_t50():
     assert float(np.mean((recon - z0) ** 2)) <= 1e-3
 
 
-def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
-                                                    tiny_inversion, monkeypatch):
+def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights, tiny_inversion,
+                                                    branch_replay, monkeypatch):
+    # A guided step runs its two branches in lockstep, in one pass.  Each
+    # branch's noise is that of a pass with its prompt alone: the edit
+    # prompt, and the source prompt as the unconditional branch, under the
+    # step's masks and the branch's own cross rewrite.  Without a plan the
+    # unconditional prompt is the empty one.
     sched, prompt, _, trajectory, _ = tiny_inversion
     z_T = trajectory[-1]
     edit_emb = embed_prompt("a blue square drifting right", tiny_cfg)
@@ -181,28 +185,23 @@ def test_guided_edit_equals_its_sequential_branches(tiny_cfg, tiny_weights,
     assert BLEND in {plan.action(t, KIND_SELF) for t in steps}
 
     uncond = embed_prompt("", tiny_cfg)
-    z = z_T
-    for t in steps:
-        eps_c = denoiser_forward(z, t, edit_emb, tiny_weights, sched.T,
-                                 replay=plan.step(t))
-        eps_u = denoiser_forward(z, t, uncond, tiny_weights, sched.T)
-        z = ddim_step(z, cfg_combine(eps_u, eps_c, 7.5), t, sched)
+    for fusion_plan, branches in ((plan, (edit_emb, prompt)), (None, (edit_emb, uncond))):
+        z = z_T
+        for t in steps:
+            replay = fusion_plan.step(t, guided=True) if fusion_plan else None
+            [eps_c], [eps_u] = (denoiser_forward(z, t, (branch,), tiny_weights, sched.T,
+                                                 replay=branch_replay(replay, i))
+                                for i, branch in enumerate(branches))
+            z = ddim_step(z, cfg_combine(eps_u, eps_c, 7.5), t, sched)
+        passes = []
+        monkeypatch.setattr(pipeline, "denoiser_forward", lambda *args, **kwargs: (
+            passes.append([p.tokens for p in args[2]])
+            or denoiser_forward(*args, **kwargs)))
+        out = run_denoise(z_T, edit_emb, sched, tiny_weights, 7.5,
+                          plan=fusion_plan and make_plan())
+        assert np.array_equal(out, z)
+        assert passes == [[branch.tokens for branch in branches]] * sched.T
     assert any(plan.self_mask(t, 0).any() for t in steps)  # not all-clear
-
-    calls = []
-
-    def spy(z_t, t, branch, *args, **kwargs):
-        calls.append((branch is edit_emb, threading.get_ident()))
-        return denoiser_forward(z_t, t, branch, *args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "denoiser_forward", spy)
-    out = run_denoise(z_T, edit_emb, sched, tiny_weights, 7.5, plan=make_plan())
-    assert np.array_equal(out, z)
-    caller = threading.get_ident()
-    cond = [ident for is_cond, ident in calls if is_cond]
-    other = [ident for is_cond, ident in calls if not is_cond]
-    assert cond == [caller] * sched.T
-    assert len(other) == sched.T and caller not in other
 
 
 def test_edit_pass_runs_with_real_alignment(tiny_cfg, tiny_weights,

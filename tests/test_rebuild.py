@@ -164,7 +164,7 @@ def _spy_builds(monkeypatch):
         return attend(feats, *args, **kwargs)
 
     def spy_rows(tiles, lo, hi):
-        side = "own" if tiles.feats is current["feats"] else "source"
+        side = "own" if any(tiles.feats is f for f in current["feats"]) else "source"
         built.append((current["block"], side, lo))
         return rows(tiles, lo, hi)
 
@@ -184,10 +184,29 @@ def test_an_all_clear_replay_builds_each_tile_once_per_block(monkeypatch):
         built.clear()
         numerators.clear()
         current.clear()
-        denoiser_forward(z_T, t, edit, weights, sched.T, replay=plan.step(t))
+        denoiser_forward(z_T, t, (edit,), weights, sched.T, replay=plan.step(t))
         lows = [lo for lo, _ in _tile_bounds(5 * 13)]
         assert built == [(block, "source", lo) for block in (0, 1) for lo in lows]
         assert len(numerators) == 2 * len(lows)
+
+
+def test_a_guided_step_builds_each_self_tile_once_per_block(monkeypatch):
+    # Both guidance branches replay the source's rows, so under an
+    # all-clear mask the lockstep pass builds each source tile once per
+    # block for the two of them.  Without a replay, block 0's own tiles
+    # serve both branches, which no prompt reaches before its cross-
+    # attention, and each block above builds one set per branch.
+    weights, sched, edit, z_T, plan, _ = _edit(2, 5, 13, tau=1.0, t_s=0.5)
+    built, current = _spy_builds(monkeypatch)
+    lows = [lo for lo, _ in _tile_bounds(5 * 13)]
+    for t, want in ((sched.T, [(block, "source", lo) for block in (0, 1) for lo in lows]),
+                    (1, [(0, "own", lo) for lo in lows] + [(1, "own", lo) for lo in lows] * 2)):
+        built.clear()
+        current.clear()
+        replay = plan.step(t, guided=True)
+        assert (replay is None) == (t == 1)
+        denoiser_forward(z_T, t, (edit, plan.prompt), weights, sched.T, replay=replay)
+        assert built == want
 
 
 # 2 frames of 12x12 pixels: tiles of query rows (0, 64), (64, 128), (128, 144).
@@ -222,7 +241,7 @@ def test_a_partial_mask_adds_only_the_set_tiles_below_a_clearing_block(monkeypat
     given = iter(masks)
     monkeypatch.setattr(fusion, "build_blend_mask", lambda *args: next(given))
     built, _ = _spy_builds(monkeypatch)
-    denoiser_forward(trajectory[-1], 2, edit, weights, sched.T, replay=plan.step(2))
+    denoiser_forward(trajectory[-1], 2, (edit,), weights, sched.T, replay=plan.step(2))
     want = []
     for block, mask in enumerate(masks):
         bounds = _tile_bounds(HW)

@@ -5,11 +5,13 @@ the noise schedule with the package.  Its forward pass builds every
 attention map whole, as a normalized softmax; a self map attends over
 [middle frame; own frame] keys.  Its inversion keeps every map in a
 dict, and its denoising pass edits the FateZero way (arXiv 2303.09535):
-inside a window, step t rewrites the maps of the conditional branch
-with inversion step t-1's.  A cross map takes the source's columns of
-the matched words and is renormalized.  A self map takes the source's
-rows wherever the blend mask is clear.  The mask thresholds the
-head-averaged, max-normalized source attention on the dropped words.
+inside a window, step t rewrites the maps of both guidance branches
+with inversion step t-1's.  The unconditional branch runs the source
+prompt, whose words all match themselves.  A cross map takes the
+source's columns of the matched words and is renormalized.  A self map
+takes the source's rows wherever the blend mask is clear.  The mask
+thresholds the head-averaged, max-normalized source attention on the
+dropped words.
 
 So tiles, softmax numerators, lazy sites, maps taken whole from the
 source, the per-tile choice of rows and masks thresholded from the
@@ -79,11 +81,11 @@ def _reference_edit(z0, src, edit, matched, removed, sched, weights, cfg):
         eps, recorded[t] = _forward(z, t, src.vectors, weights, T)
         z = _move(z, eps, alpha_bar, t, t + 1)
     z_T = z
-    uncond = embed_prompt("", weights.config)
+    itself = [(i, i) for i in range(len(src.tokens))]
     for t in range(T, 0, -1):
         source = recorded[t - 1]
 
-        def rewrite(key, attn):
+        def rewrite(key, attn, matched=matched):
             layer, kind = key
             if kind == "cross" and t >= cfg.t_c * T - 1e-9:
                 fused = attn.copy()
@@ -100,7 +102,8 @@ def _reference_edit(z0, src, edit, matched, removed, sched, weights, cfg):
 
         eps = _forward(z, t, edit.vectors, weights, T, rewrite)[0]
         if cfg.s_cfg != 1.0:
-            eps_u = _forward(z, t, uncond.vectors, weights, T)[0]
+            eps_u = _forward(z, t, src.vectors, weights, T,
+                             lambda key, attn: rewrite(key, attn, itself))[0]
             eps = eps_u + cfg.s_cfg * (eps - eps_u)
         z = _move(z, eps, alpha_bar, t, t - 1)
     return z_T, z

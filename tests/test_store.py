@@ -327,14 +327,14 @@ def test_rebuilt_self_maps_equal_the_forward_maps(tiny_cfg, tiny_weights, tiny_i
     attend = model.spatiotemporal_attend
 
     def spy(feats, block, heads, *args):
-        applied.append(whole_map(SelfTiles(feats, block.wq_s, block.wk_s, heads)))
+        applied.append(whole_map(SelfTiles(feats[0], block.wq_s, block.wk_s, heads)))
         return attend(feats, block, heads, *args)
 
     monkeypatch.setattr(model, "spatiotemporal_attend", spy)
     z = z0
     for t in range(sched.T):
         applied.clear()
-        eps = denoiser_forward(z, t, prompt, tiny_weights, sched.T)
+        [eps] = denoiser_forward(z, t, (prompt,), tiny_weights, sched.T)
         assert len(applied) == tiny_cfg.blocks
         for layer, attn in enumerate(applied):
             assert np.array_equal(self_map(store.self_record(t, layer), t, layer,
