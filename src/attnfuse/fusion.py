@@ -23,20 +23,19 @@ keeps no map and no later block's input from inversion.
 The forward pass never holds a whole self map, so the plan hands it
 each step's decisions as data, a `model.Replay` (`FusionPlan.step`):
 the source's latent z_{t-1}, its step, the source prompt, per block the
-blend mask and whether the source is carried through the block, and
-the cross rewrite.  The pass builds each tile's rows from its own map
-where the mask is set and from the source where it is clear.  The
-source's later block inputs and cross maps are rebuilt on the way up
-(activation recomputation from a kept checkpoint, Chen et al., arXiv
-1604.06174): at a carried block the pass applies the source's own rows
-to its own values, builds the source's cross map from that sum, which
-the cross rewrite fuses or takes, and below the last block applies
-that map to the prompt's values and the MLP, as inversion did.  A mask
-that thresholds a cross map is a function of that rebuilt map: the
-pass builds the source's rows first, then the mask, then its own rows
-where the mask sets one.  Self rows, edit and source alike, are
-softmax numerators that the pass normalizes after `attn @ V` (see
-`model`); blending picks whole rows, so it needs no normalized map.
+blend mask, and the cross rewrite.  The pass builds each tile's rows
+from its own map where the mask is set and from the source where it is
+clear.  On every replayed step it runs the source through every block
+as inversion did (activation recomputation from a kept checkpoint, Chen
+et al., arXiv 1604.06174): it applies the source's own rows to its own
+values, builds the source's cross map from that sum, which the cross
+rewrite fuses or takes, and below the last block applies that map to
+the prompt's values and the MLP.  A mask that thresholds a cross map is
+a function of that rebuilt map: the pass builds the source's rows
+first, then the mask, then its own rows where the mask sets one.  Self
+rows, edit and source alike, are softmax numerators that the pass
+normalizes after `attn @ V` (see `model`); blending picks whole rows,
+so it needs no normalized map.
 """
 
 from __future__ import annotations
@@ -233,17 +232,13 @@ class FusionPlan:
     source rows before it builds a row of its own.
 
     Each step's decisions go to the pass as one `model.Replay`
-    (`step`).  A cross map fused or taken whole is the source's, which
-    the pass rebuilds at every block of a step in the cross window; one
-    taken whole spares the edit map's QK^T and softmax.  The replay
-    names the source's latent and the step's masks, so under an empty
+    (`step`), which names the source's latent and the source prompt, so
+    the pass rebuilds the source's cross map at every block of every
+    replayed step.  A cross map fused or taken whole is that map; one
+    taken whole spares the edit map's QK^T and softmax.  Under an empty
     mask the pass builds the source rows of each tile and never the
-    edit's.  It carries the source, naming *prompt*, so that the pass
-    rebuilds the source's cross map and the next block's source input,
-    inside the cross window, on a step whose mask thresholds that map,
-    and on any blend step below the last block; a step in the cross
-    window alone keeps every self row the pass's own.  Each mask is
-    kept read-only, so later readers get the mask the pass applied.
+    edit's.  Each mask is kept read-only, so later readers get the mask
+    the pass applied.
     """
 
     def __init__(self, cfg: EditConfig, alignment: PromptAlignment, trajectory: np.ndarray,
@@ -310,12 +305,9 @@ class FusionPlan:
     def step(self, t: int, guided: bool = False) -> Replay | None:
         """Step t's `model.Replay`; None if it replays nothing.
 
-        Its source is inversion's z_{t-1}, taken at step t-1.  A block's
-        mask is a function of the source's cross map where it thresholds
-        one.  A block is carried, naming the source prompt, inside the
-        cross window, where the mask thresholds that map, and on a blend
-        step below the last block, whose next block replays the source.
-        Inside the cross window, where every block is carried, the
+        Its source is inversion's z_{t-1}, taken at step t-1, under the
+        source prompt.  A block's mask is a function of the source's
+        cross map where it thresholds one.  Inside the cross window the
         edit's cross rewrite fuses or takes the source's map.  *guided*
         adds the unconditional branch, which runs the source prompt under
         the same masks: its rewrite takes the source's map whole inside
@@ -327,12 +319,9 @@ class FusionPlan:
         if cross == KEEP and not blends:
             return None
         partial = blends and self._blends
-        layers = range(self.blocks)
         masks = tuple(functools.partial(self._blend_mask, t, layer) if partial
-                      else self.self_mask(t, layer) for layer in layers)
-        carry = tuple(cross != KEEP or partial or (blends and layer + 1 < self.blocks)
-                      for layer in layers)
+                      else self.self_mask(t, layer) for layer in range(self.blocks))
         rewrite = {KEEP: None, TAKE_SOURCE: TAKE_SOURCE,
                    FUSE: functools.partial(fuse_cross, alignment=self.alignment)}[cross]
         rewrites = (rewrite, None if cross == KEEP else TAKE_SOURCE)[:1 + guided]
-        return Replay(self.source_latent(t), t - 1, self.prompt, masks, carry, rewrites)
+        return Replay(self.source_latent(t), t - 1, self.prompt, masks, rewrites)

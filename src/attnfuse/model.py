@@ -10,12 +10,12 @@ machinery reaches the pass through two parameters of
 `denoiser_forward`, each with one role.  A `Replay` is one step's
 fusion decisions as data, made by `fusion.FusionPlan`: the source
 latent and its step, the source prompt, per block the mask that picks
-each self row and whether the source is carried through the block, and
-how the cross maps are rewritten.  The pass applies it as given.  A
-`record` hook sees, read-only, each self site's record and each cross
-map the pass applies; it is the only way a map leaves the pass, which
-returns the predicted noise alone.  Second, all randomness flows from
-explicit seeds, so identical inputs give bit-identical outputs.
+each self row, and how the cross maps are rewritten.  The pass applies
+it as given.  A `record` hook sees, read-only, each self site's record
+and each cross map the pass applies; it is the only way a map leaves
+the pass, which returns the predicted noise alone.  Second, all
+randomness flows from explicit seeds, so identical inputs give
+bit-identical outputs.
 
 A pass runs one stream per prompt, a step's guidance branches, in
 lockstep over one latent.  No prompt reaches block 0's self-attention,
@@ -46,18 +46,23 @@ d_model/c times smaller again and one small matmul away from the input
 (`_block_input`).  The record holds no weights: the pass builds a
 source's rows with its own block's weights, and rebuilds block 0's
 input from the latent through the function it applied itself.  A
-replay needs no later block's record and no cross map either: where
-it carries the source through a block, the pass applies the source
-rows it builds anyway to the source's own values, then builds the
-source's cross map through the helper the pass's own cross-attention
-uses, and below the last block its cross output and the MLP, which
-rebuilds the next block's source input bit for bit.  The replay's
-cross rewrite reads that map, and a mask function thresholds it:
-`spatiotemporal_attend` builds the source's tiles first, then the
-mask, then each stream's own tiles where it sets a row.  Every self row
-is built by `SelfTiles.rows` from queries and keys projected with one
-expression, so rows rebuilt later from a record are bit-identical to
-the ones the pass applied.
+replay needs no later block's record and no cross map either: the
+pass runs the source through every block as the pass that recorded it
+did.  It applies the source rows, which it builds once for every
+stream, to the source's own values, builds the source's cross map, and
+below the last block adds its cross output and the MLP, through the
+two helpers its streams' cross-attention uses (`_cross_map`,
+`_cross_block`), so each rebuilt map and block input is bit for bit
+the recorded one.  The replay's cross rewrite reads that map, and a
+mask function thresholds it: `spatiotemporal_attend` builds the
+source's tiles first, then the mask, then each stream's own tiles
+where it sets a row.  The one rule costs work only at the last block
+of a step that blends outside the cross window, whose source output
+and cross map nothing reads: one product of each source tile with the
+source's [V | 1], and one cross map.  Every self row is built by
+`SelfTiles.rows` from queries and keys projected with one expression,
+so rows rebuilt later from a record are bit-identical to the ones the
+pass applied.
 
 Self-attention is inflated across time: each frame's queries attend
 over the keys of the middle frame (index n // 2) concatenated with the
@@ -320,48 +325,36 @@ class SelfTiles:
 class Replay:
     """One step's fusion decisions for the pass, as `fusion.FusionPlan.step` makes them.
 
-    *source* is the source latent, taken at step *t*, whose rows the
-    pass builds at block 0 after rebuilding that block's input from it;
-    above block 0 the source's input is the one the pass carried up from
-    the block below.  *prompt* is the source prompt's embedding.
+    *source* is the source latent, taken at step *t*.  The pass runs it
+    through every block under *prompt*, the source prompt's embedding,
+    as the source's pass did: block 0's input is rebuilt from it, and
+    each block applies the source's own rows to its own [V | 1], builds
+    its cross map and, below the last block, adds that map times
+    *prompt*'s values and the MLP.  So each block's source input and
+    cross map come out bit for bit as the source's pass had them.
 
     Per block, `masks[layer]` is the (n, h*w) bool mask of the self rows
-    that stay the pass's own; a clear row is built from the source with
-    the block's own weights, so an all-clear mask builds none of the
-    pass's own rows.  It may instead be a function that gives that mask
-    from the source's cross map of the block, which the pass builds
-    once it has built the source's rows.  `carry[layer]` carries the
-    source through the block: the pass applies the source's own rows to
-    the source's own [V | 1], builds the source's cross map from that
-    sum through the helper its own cross-attention uses
-    (`_attention_map`), and below the last block adds that map times
-    *prompt*'s values and the MLP.  Those are the operations the
-    source's pass applied, so the cross map and the next block's source
-    input come out bit for bit as that pass had them.
+    that stay the pass's own; a clear row is the source's, so an
+    all-clear mask builds none of the pass's own rows.  It may instead
+    be a function that gives that mask from the source's cross map of
+    the block, which the pass builds once it has built the source's rows.
 
     The masks hold for every prompt of the pass, and *cross* has one
     rewrite per prompt, in the pass's order, of every block's cross map
     from the source's: None keeps the prompt's own, TAKE_SOURCE applies
     the source's whole, so the pass builds no map of its own, and a
-    function of (own map, source map) gives the map to apply.  A mask
-    function or a cross rewrite needs its block carried, and a block
-    above one that is not carried must keep every row its own.
+    function of (own map, source map) gives the map to apply.
     """
 
     source: np.ndarray
     t: int
     prompt: PromptEmbedding
     masks: tuple[np.ndarray | Callable[[np.ndarray], np.ndarray], ...]
-    carry: tuple[bool, ...]
     cross: tuple[str | Callable[[np.ndarray, np.ndarray], np.ndarray] | None, ...] = (None,)
 
 
 def _attention_map(q: np.ndarray, k: np.ndarray, d_head: int) -> np.ndarray:
-    """The softmax map of queries *q* over keys *k*, the queries scaled by 1/sqrt(d_head).
-
-    The pass builds every cross map through it, its own and the source's
-    that it carries up, so equal inputs give equal bits.
-    """
+    """The softmax map of queries *q* over keys *k*, the queries scaled by 1/sqrt(d_head)."""
     logits = np.matmul(q * (1.0 / math.sqrt(d_head)), np.swapaxes(k, -1, -2))
     return softmax_lastdim(logits, out=logits)
 
@@ -380,7 +373,7 @@ def _divided(out: np.ndarray) -> np.ndarray:
 def spatiotemporal_attend(feats: Sequence[np.ndarray], block: BlockWeights, heads: int,
                           d_head: int,
                           edit: np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
-                          source: np.ndarray | None = None, carry: bool = False
+                          source: np.ndarray | None = None
                           ) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Self-attention over [middle frame; own frame] keys and values.
 
@@ -391,47 +384,43 @@ def spatiotemporal_attend(feats: Sequence[np.ndarray], block: BlockWeights, head
     row of every stream: a set row is built from the stream's input, its
     own, and a clear row from *source*, the block input of the map it
     replays, all under the block's wq_s and wk_s.  Without a mask every
-    row is a stream's own.  *edit* may also be a function that returns
-    the mask from the source output, which needs *carry*.  Each tile
+    row is a stream's own; a mask needs a source.  *edit* may also be a
+    function that returns the mask from the source output.  Each tile
     multiplies [V | 1], whose last column gives the tile's row sums, and
     each output is divided by them once, after the last tile.
 
-    The source's tiles come first: those whose rows the mask does not
-    all set, or every tile with *carry* or a mask function.  Each is
-    built once and multiplied by every stream's [V | 1] where a clear
-    row may need it.  Then the mask, if a function gives it, and last
-    each stream's own tiles, only where the mask sets a row.  A mixed
-    tile takes its set rows from its own product and keeps the source's
-    for the rest.  So each output is bit for bit that of its stream alone.
+    With a source, its tiles come first: each is built once, multiplied
+    by the source's own [V | 1], and by every stream's where a clear row
+    may need it.  Then the mask, if a function gives it, and last each
+    stream's own tiles, only where the mask sets a row.  A mixed tile
+    takes its set rows from its own product and keeps the source's for
+    the rest.  So each output is bit for bit that of its stream alone.
 
     Returns (outputs, source output), one output per stream, each (n,
-    h*w, d_model).  With *carry*, the source output applies every source
-    row to the source's own [V | 1], from the same tiles, so it is bit
-    for bit the output of the pass that recorded *source*.  Without, it
-    is None.
+    h*w, d_model).  The source output applies every source row to the
+    source's own [V | 1], so it is bit for bit the output of the pass
+    that recorded *source*; without a source it is None.
     """
+    require(source is not None or edit is None,
+            "a self mask picks rows from a source, and none is given")
     n, hw, _ = feats[0].shape
     edit = np.ones((n, hw), dtype=bool) if edit is None else edit
-    later = callable(edit)  # the mask follows from the source output
     vals = [_values(f, block.wv_s, heads, d_head) for f in feats]
     outs = [np.empty((n, heads, hw, d_head + 1)) for _ in feats]
     source_out = None
-    replayed = [(lo, hi) for lo, hi in _tile_bounds(hw)
-                if carry or later or not edit[:, lo:hi].all()]
-    if replayed:
-        replay = SelfTiles(source, block.wq_s, block.wk_s, heads)
-        if carry:
-            source_vals = _values(source, block.wv_s, heads, d_head)
-            source_out = np.empty(outs[0].shape)
-        for lo, hi in replayed:
-            theirs = replay.rows(lo, hi)
-            if carry:
-                np.matmul(theirs, source_vals, out=source_out[:, :, lo:hi])
-            if later or not edit[:, lo:hi].all():
+    if source is not None:
+        tiles = SelfTiles(source, block.wq_s, block.wk_s, heads)
+        source_vals = _values(source, block.wv_s, heads, d_head)
+        source_out = np.empty(outs[0].shape)
+        for lo, hi in _tile_bounds(hw):
+            theirs = tiles.rows(lo, hi)
+            np.matmul(theirs, source_vals, out=source_out[:, :, lo:hi])
+            if callable(edit) or not edit[:, lo:hi].all():
                 for v, out in zip(vals, outs):
                     np.matmul(theirs, v, out=out[:, :, lo:hi])
-        source_out = _divided(source_out) if carry else None
-        edit = edit(source_out) if later else edit
+        del tiles, source_vals  # so no own tile meets the source's logits buffer
+        source_out = _divided(source_out)
+        edit = edit(source_out) if callable(edit) else edit
     for f, v, out in zip(feats, vals, outs) if edit.any() else ():
         own = SelfTiles(f, block.wq_s, block.wk_s, heads)
         for lo, hi in _tile_bounds(hw):
@@ -449,20 +438,24 @@ def _text_heads(prompt: PromptEmbedding, w: np.ndarray, cfg: ModelConfig) -> np.
     return _split_heads((prompt.vectors @ w)[None], cfg.heads, cfg.d_head)
 
 
-def _mlp(x: np.ndarray, bw: BlockWeights) -> np.ndarray:
-    """The block's pointwise MLP, with its residual add."""
+def _cross_map(x: np.ndarray, bw: BlockWeights, prompt: PromptEmbedding,
+               cfg: ModelConfig) -> np.ndarray:
+    """The cross map of the cross-attention input *x*, (n, h*w, d_model), under *prompt*'s keys.
+
+    The pass builds every cross map through it, its streams' and the
+    source's, so equal inputs give equal bits.
+    """
+    return _attention_map(_split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head),
+                          _text_heads(prompt, bw.wk_c, cfg), cfg.d_head)
+
+
+def _cross_block(x: np.ndarray, attn: np.ndarray, bw: BlockWeights, prompt: PromptEmbedding,
+                 cfg: ModelConfig) -> np.ndarray:
+    """The block's output from its cross-attention input *x* under the cross map
+    *attn*: x plus *attn* times *prompt*'s values, then the pointwise MLP,
+    each with its residual add."""
+    x = x + _merge_heads(np.matmul(attn, _text_heads(prompt, bw.wv_c, cfg)))
     return x + np.tanh(x @ bw.w_mlp_in) @ bw.w_mlp_out
-
-
-def _source_cross(source: np.ndarray, source_out: np.ndarray, bw: BlockWeights,
-                  prompt: PromptEmbedding, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The source's block input plus its self output, and the source's cross
-    map from that sum under *prompt*'s keys, as the source's pass built them."""
-    summed = source + source_out
-    source_map = _attention_map(_split_heads(summed @ bw.wq_c, cfg.heads, cfg.d_head),
-                                _text_heads(prompt, bw.wk_c, cfg), cfg.d_head)
-    source_map.setflags(write=False)
-    return summed, source_map
 
 
 def denoiser_forward(z_t: np.ndarray, t: int, prompts: Sequence[PromptEmbedding],
@@ -473,13 +466,12 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompts: Sequence[PromptEmbedding]
 
     The prompts' streams run in lockstep, sharing what no prompt reaches
     (see the module notes).  n_steps normalizes t for the timestep
-    features; pass the schedule's T.  *replay*, if given, rewrites the
-    pass's self rows and cross maps as it says (see `Replay`); a replay
-    without one mask and one carry flag per block, or with a mask
-    function or a cross rewrite at a block it does not carry, is
-    refused, naming the block, and so is one without a cross rewrite
-    per prompt.  *record*, if given, watches a one-prompt pass: it is
-    called in (layer, self-then-cross) order as
+    features; pass the schedule's T.  *replay*, if given, runs its
+    source through every block beside the streams and rewrites their
+    self rows and cross maps as it says (see `Replay`); a replay without
+    one mask per block is refused, naming the block, and so is one
+    without a cross rewrite per prompt.  *record*, if given, watches a
+    one-prompt pass: it is called in (layer, self-then-cross) order as
     record(t, layer, kind, array) with each self site's read-only
     record, before the block's self-attention, and with each cross map
     the pass applies, read-only.  It is the only way a map leaves the
@@ -498,84 +490,68 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompts: Sequence[PromptEmbedding]
                 f"prompt dim {prompt.vectors.shape[1]} != d_text {cfg.d_text}")
     crosses = (None,) * len(prompts) if replay is None else replay.cross
     if replay is not None:
-        counts = (len(replay.masks), len(replay.carry))
-        require(counts == (cfg.blocks, cfg.blocks),
-                f"block {min(counts + (cfg.blocks,))}: the replay of step {t} gives "
-                f"{counts[0]} masks and {counts[1]} carry flags for {cfg.blocks} blocks")
+        masks = len(replay.masks)
+        require(masks == cfg.blocks, f"block {min(masks, cfg.blocks)}: the replay of step {t} "
+                                     f"gives {masks} masks for {cfg.blocks} blocks")
         require(len(crosses) == len(prompts),
                 f"the replay of step {t} gives {len(crosses)} cross rewrites "
                 f"for {len(prompts)} prompts")
-        rewrites = any(cross is not None for cross in crosses)
-        for layer, (edit, carry) in enumerate(zip(replay.masks, replay.carry)):
-            require(carry or not (callable(edit) or rewrites),
-                    f"block {layer}: the replay of step {t} gives a "
-                    f"{'mask function' if callable(edit) else 'cross rewrite'} "
-                    f"at a block it does not carry")
 
     z_t.setflags(write=False)
     n, c, h, w = z_t.shape
     xs = (_block_input(z_t, t, n_steps, weights),)  # one stream up to block 0's cross
 
     def attend_self(feats: tuple[np.ndarray, ...], layer: int, bw: BlockWeights,
-                    carried: np.ndarray | None
+                    source: np.ndarray | None
                     ) -> tuple[tuple[np.ndarray, ...], np.ndarray | None, np.ndarray | None]:
-        # (each stream's feats plus its self output, and if the replay
-        # carries the source, the source's cross map and below the last
-        # block its next input).  Block 0 is recorded as its latent; its
-        # source input is rebuilt only when some row replays it or the
-        # replay carries it.
+        # (each stream's feats plus its self output, and under a replay the
+        # source's cross map and, below the last block, its next input).
+        # Block 0 is recorded as its latent.
         for f in feats:
             f.setflags(write=False)
         if record is not None:
             record(t, layer, KIND_SELF, feats[0] if layer else z_t)
-        if replay is None:
-            outs = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head)[0]
-            return tuple(f + out for f, out in zip(feats, outs)), None, None
-        edit, carry = replay.masks[layer], replay.carry[layer]
-        source = carried if layer else replay.source
-        if layer == 0 and (carry or not edit.all()):
-            source = _block_input(source, replay.t, n_steps, weights)
-        rebuilt = []  # the source plus its self output, and its cross map
+        edit, source_map = None if replay is None else replay.masks[layer], None
 
         def mask_of(source_out):  # thresholds the source's cross map
-            rebuilt.extend(_source_cross(source, source_out, bw, replay.prompt, cfg))
-            return edit(rebuilt[1])
+            nonlocal source_map
+            source_map = _cross_map(source + source_out, bw, replay.prompt, cfg)
+            return edit(source_map)
 
         outs, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
-                                                 mask_of if callable(edit) else edit,
-                                                 source, carry)
+                                                 mask_of if callable(edit) else edit, source)
         outs = tuple(f + out for f, out in zip(feats, outs))
-        if not carry:
+        if source is None:
             return outs, None, None
-        summed, source_map = rebuilt or _source_cross(source, source_out, bw,
-                                                      replay.prompt, cfg)
+        x = source + source_out  # the source's cross-attention input
+        if source_map is None:
+            source_map = _cross_map(x, bw, replay.prompt, cfg)
+        source_map.setflags(write=False)
         if layer + 1 == cfg.blocks:
             return outs, source_map, None
-        carried = _mlp(summed + _merge_heads(np.matmul(
-            source_map, _text_heads(replay.prompt, bw.wv_c, cfg))), bw)
-        carried.setflags(write=False)
-        return outs, source_map, carried
+        x = _cross_block(x, source_map, bw, replay.prompt, cfg)
+        x.setflags(write=False)
+        return outs, source_map, x
 
     def attend_cross(x: np.ndarray, layer: int, bw: BlockWeights, prompt: PromptEmbedding,
                      cross, source_map: np.ndarray | None) -> np.ndarray:
-        # x plus the cross output under the map the replay rewrites, else
+        # The block's output from x under the map the replay rewrites, else
         # the stream's own; taking the source's whole builds no map.
         if cross is TAKE_SOURCE:
             attn = source_map
         else:
-            attn = _attention_map(_split_heads(x @ bw.wq_c, cfg.heads, cfg.d_head),
-                                  _text_heads(prompt, bw.wk_c, cfg), cfg.d_head)
+            attn = _cross_map(x, bw, prompt, cfg)
             if cross is not None:
                 attn = cross(attn, source_map)
         attn.setflags(write=False)
         if record is not None:
             record(t, layer, KIND_CROSS, attn)
-        return x + _merge_heads(np.matmul(attn, _text_heads(prompt, bw.wv_c, cfg)))
+        return _cross_block(x, attn, bw, prompt, cfg)
 
-    carried = None  # the source's input to this block, when the block below rebuilt it
+    source = None if replay is None else _block_input(replay.source, replay.t, n_steps, weights)
     for layer, bw in enumerate(weights.blocks):
-        xs, source_map, carried = attend_self(xs, layer, bw, carried)
-        xs = tuple(_mlp(attend_cross(x, layer, bw, prompt, cross, source_map), bw)
+        xs, source_map, source = attend_self(xs, layer, bw, source)
+        xs = tuple(attend_cross(x, layer, bw, prompt, cross, source_map)
                    for x, prompt, cross in zip(xs * len(prompts) if layer == 0 else xs,
                                                prompts, crosses))
 

@@ -211,7 +211,7 @@ def peak_bytes():
 
 def _branch_replay(replay, branch):
     """The replay that a pass with branch *branch*'s prompt alone applies:
-    *replay*'s masks and carry flags, and that branch's cross rewrite."""
+    *replay*'s source and masks, and that branch's cross rewrite."""
     if replay is None:
         return None
     return dataclasses.replace(replay, cross=replay.cross[branch:branch + 1])

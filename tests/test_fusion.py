@@ -46,8 +46,8 @@ def test_edit_config_validation():
         EditConfig(t_s=0.2, t_c=0.3, tau=0.5, mode="other")
 
 
-# The source prompt that the plans below name when a replay carries the
-# source.
+# The source prompt that the plans below name, under which the pass runs
+# the source through every block.
 SOURCE = PromptEmbedding((START_TOKEN, "a", "cat"), np.zeros((3, 4)))
 
 
@@ -245,9 +245,8 @@ def test_fuse_cross_rows_sum_to_one_random():
 
 def test_a_cross_rewrite_carries_every_block():
     # The plan keeps no cross map for the cross window: the pass rebuilds
-    # the source's at each block the replay carries, and a replay that
-    # fuses or takes the source's map carries every block, also the last
-    # and on a step outside the self window.
+    # the source's at every block under the source prompt that the replay
+    # names, also the last and on a step outside the self window.
     fusing = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                              removed_positions=(1,))
     for alignment, action in ((fusing, FUSE), (identity_alignment(2), TAKE_SOURCE)):
@@ -256,17 +255,15 @@ def test_a_cross_rewrite_carries_every_block():
                               _trajectory(4, 1, 4), SOURCE, 3)
             assert plan.action(2, KIND_CROSS) == action
             replay = plan.step(2)
-            assert replay.carry == (True,) * 3 and replay.prompt is SOURCE
+            assert replay.prompt is SOURCE and len(replay.masks) == 3
             assert (replay.cross[0] is TAKE_SOURCE) == (action == TAKE_SOURCE)
             # The unconditional branch runs the source prompt, whose map
-            # it takes whole, under the same masks and carry flags.
+            # it takes whole, under the same masks.
             guided = plan.step(2, guided=True)
-            assert guided.cross[1:] == (TAKE_SOURCE,) and guided.carry == replay.carry
-            assert guided.masks == replay.masks
-    # Outside the cross window a blend step carries every block but the last,
-    # and both branches keep their own cross maps.
+            assert guided.cross[1:] == (TAKE_SOURCE,) and guided.masks == replay.masks
+    # Outside the cross window both branches keep their own cross maps.
     replay = _plan(0.0, 1.0, T=4, tau=1.0, blocks=3).step(2, guided=True)
-    assert replay.carry == (True, True, False) and replay.cross == (None, None)
+    assert replay.prompt is SOURCE and replay.cross == (None, None)
 
 
 def test_fuse_cross_column_bounds_checked():
@@ -370,8 +367,9 @@ def test_blend_self_checkerboard(monkeypatch):
 
 
 def test_blend_self_mask_extremes_are_exact(monkeypatch, whole_map):
-    # All clear: every tile is the source's rows, and no own row is built.
-    # All set: every tile is the pass's own, as with no mask at all.
+    # With a source every source tile is built once.  All clear: every
+    # row is the source's, and no own row is built.  All set: every row
+    # is the pass's own, as with no mask at all.
     edit, source = _record((2, 2, 2)), _record((2, 2, 2), seed=4)
     block = _block(2)
     applied = []
@@ -382,17 +380,28 @@ def test_blend_self_mask_extremes_are_exact(monkeypatch, whole_map):
         applied.append((tiles.feats, rows.copy()))
         return rows
 
+    source_rows = whole_map(SelfTiles(source, block.wq_s, block.wk_s, 1))
     monkeypatch.setattr(SelfTiles, "rows", spy)
     _attend(edit, 1, np.zeros((2, 2), dtype=bool), source)
     [(feats, rows)] = applied
-    assert feats is source
-    assert np.array_equal(rows, whole_map(SelfTiles(source, block.wq_s, block.wk_s, 1)))
+    assert feats is source and np.array_equal(rows, source_rows)
     applied.clear()
     got = _attend(edit, 1, np.ones((2, 2), dtype=bool), source)
-    [(feats, rows)] = applied
+    [(theirs, their_rows), (feats, rows)] = applied
+    assert theirs is source and np.array_equal(their_rows, source_rows)
     assert feats is edit
     assert np.array_equal(rows, whole_map(SelfTiles(edit, block.wq_s, block.wk_s, 1)))
     assert np.array_equal(got, _attend(edit, 1))
+
+
+def test_a_self_mask_without_a_source_is_refused():
+    # A clear row is the source's, so a mask, given or to be given by a
+    # function, needs a source.
+    feats = _record((2, 4, 2))
+    for edit in (np.zeros((2, 4), dtype=bool), np.ones((2, 4), dtype=bool),
+                 lambda source_out: np.ones((2, 4), dtype=bool)):
+        with pytest.raises(ContractViolation, match="a self mask picks rows from a source"):
+            spatiotemporal_attend((feats,), _block(2), 2, 1, edit)
 
 
 def test_plan_keeps_self_map_outside_window():
@@ -403,22 +412,21 @@ def test_plan_keeps_self_map_outside_window():
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
     replay = plan.step(2)
     assert replay.source.tobytes() == trajectory[1].tobytes() and replay.t == 1
-    assert not replay.masks[0].any() and replay.carry == (False,)
+    assert not replay.masks[0].any() and replay.prompt is SOURCE
     # Inside the cross window only (t_c < t_s), every row stays the pass's
-    # own and the replay carries the source, whose cross map the step takes.
+    # own, and the step takes the source's cross map.
     plan = FusionPlan(EditConfig(t_s=1.0, t_c=0.0, tau=0.3), align, trajectory, SOURCE, 1)
     assert plan.action(2, KIND_SELF) == KEEP and plan.action(2, KIND_CROSS) == TAKE_SOURCE
     replay = plan.step(2)
     assert replay.source.tobytes() == trajectory[1].tobytes() and replay.t == 1
     assert replay.masks[0].shape == (2, 2) and replay.masks[0].all()
-    assert replay.carry == (True,) and replay.prompt is SOURCE
-    assert replay.cross == (TAKE_SOURCE,)
+    assert replay.prompt is SOURCE and replay.cross == (TAKE_SOURCE,)
 
 
 def test_plan_blends_by_the_mask_of_step_t_minus_1():
     # The mask of step t thresholds the source's cross map that the pass
-    # rebuilds from inversion step t-1's latent: the replay gives it as a
-    # function of that map, and carries the source so that the pass builds it.
+    # rebuilds from inversion step t-1's latent under the source prompt:
+    # the replay gives it as a function of that map.
     trajectory = _trajectory(4, 2, 4, seed=4)
     align = align_prompts(("a", "red", "car"), ("a", "blue", "car"))
     plan = FusionPlan(EditConfig(t_s=0.0, t_c=1.0, tau=0.3), align, trajectory, SOURCE, 1)
@@ -426,7 +434,7 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
         plan.self_mask(1, 0)
     replay = plan.step(1)
     assert replay.source.tobytes() == trajectory[0].tobytes() and replay.t == 0
-    assert replay.carry == (True,) and replay.prompt is SOURCE and replay.cross == (None,)
+    assert replay.prompt is SOURCE and replay.cross == (None,)
     mask = replay.masks[0](MASK_CROSS_HEADS)
     assert np.array_equal(mask, build_blend_mask(MASK_CROSS_HEADS, (1,), 0.3))
     assert plan.self_mask(1, 0) is mask and not mask.flags.writeable
@@ -435,13 +443,15 @@ def test_plan_blends_by_the_mask_of_step_t_minus_1():
     assert plan.self_mask(1, 0).shape == (2, 4)
     assert not plan.self_mask(1, 0).any()
     replay = plan.step(1)
-    assert replay.masks[0] is plan.self_mask(1, 0) and replay.carry == (False,)
+    assert replay.masks[0] is plan.self_mask(1, 0)
 
 
 def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     # 2 frames of 12x12 pixels: tiles of query rows (0, 64), (64, 128), (128, 144).
     # The mask clears every row of the first tile, sets every row of the
-    # second, and sets rows 128-135 of the third in frame 0 only.
+    # second, and sets rows 128-135 of the third in frame 0 only.  Every
+    # source tile is built once, and an own tile only where the mask sets
+    # a row.
     hw = 144
     mask = np.zeros((2, hw), dtype=bool)
     mask[:, 64:128] = True
@@ -449,12 +459,13 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
     edit, source = _record((2, hw, 4), seed=6), _record((2, hw, 4), seed=5)
     built = _spy_sides(monkeypatch, source)
     got = _attend(edit, 2, mask, source)
-    assert built == {"edit": [(64, 128), (128, 144)], "source": [(0, 64), (128, 144)]}
+    assert built == {"edit": [(64, 128), (128, 144)],
+                     "source": [(0, 64), (64, 128), (128, 144)]}
     from_source = _attend(edit, 2, np.zeros_like(mask), source)
     assert np.array_equal(got, np.where(mask[..., None], _attend(edit, 2), from_source))
 
-    # A mask that a function gives from the source output, which needs the
-    # source carried, comes after every source tile and before any own one.
+    # A mask that a function gives from the source output comes after
+    # every source tile and before any own one.
     block, order = _block(4), []
     own_out = spatiotemporal_attend((source,), block, 2, 2)[0][0]  # the source's own pass
     monkeypatch.setattr(SelfTiles, "rows", lambda tiles, lo, hi, _rows=SelfTiles.rows: (
@@ -465,7 +476,7 @@ def test_blend_builds_each_side_only_for_tiles_that_need_it(monkeypatch):
         assert np.array_equal(source_out, own_out)
         return mask
 
-    [later], source_out = spatiotemporal_attend((edit,), block, 2, 2, mask_of, source, True)
+    [later], source_out = spatiotemporal_attend((edit,), block, 2, 2, mask_of, source)
     assert order == ["source"] * 3 + ["mask"] + ["edit"] * 2
     assert np.array_equal(later, got) and np.array_equal(source_out, own_out)
 

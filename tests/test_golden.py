@@ -53,8 +53,8 @@ start_col = 4
 # inputs on its way up under partial masks; on its last two steps block
 # 0's mask sets every row and block 1's does not.  The shape edit with
 # t_c < t_s fuses cross maps on steps 2-4, where it blends no self row, so
-# its self answers keep every row and carry the source up for the cross
-# maps alone.  Both run at guidance 1.0, where their frames keep content.
+# its masks keep every row and the source runs up for the cross maps
+# alone.  Both run at guidance 1.0, where their frames keep content.
 RUNS = {
     "edit_attribute": ("edit", _CLIP.format(
         channels=1, steps=8, preset="attribute", extra="",
@@ -114,9 +114,9 @@ def test_output_tree_matches_the_golden_digests(tmp_path, name):
 def test_the_partial_mask_run_builds_no_more_self_tiles(tmp_path, monkeypatch):
     # The shape edit at tau 0.6 thresholds its masks from the cross maps
     # the pass rebuilds, which needs every source tile of a blend step
-    # before the mask exists.  Its blend steps lie in the cross window,
-    # where the carry builds those tiles anyway.  Both guidance branches
-    # share them and block 0's own tiles, and each builds its own above:
+    # before the mask exists.  Every replayed step builds those tiles
+    # anyway, as it runs the source through every block.  Both guidance
+    # branches share them and block 0's own tiles, and each builds its own above:
     # 2 blocks x 3 tiles on each of inversion's 8 steps, 6 + 3 + 2 x 3 on
     # each of the 5 blend steps, and 3 + 2 x 3 on each of the 3 others.
     from attnfuse.model import SelfTiles

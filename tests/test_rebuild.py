@@ -50,29 +50,32 @@ def _edit(blocks, h, w, tau, t_s=0.0, t_c=0.5, edit_text="a blue square drifting
 
 def _watch_sources(monkeypatch):
     """({(t, layer): the source's block input}, {(t, layer): the source's
-    cross map}): what each block of the passes `run_denoise` makes from
-    now on replays, and rebuilds where it carries the source."""
+    cross map}): what each block of the replayed passes `run_denoise`
+    makes from now on replays and rebuilds.  A block builds the source's
+    cross map before any stream's."""
     inputs, maps, at = {}, {}, {}
-    forward, attend, cross = (pipeline.denoiser_forward, model.spatiotemporal_attend,
-                              model._source_cross)
+    forward, attend, cross_map = (pipeline.denoiser_forward, model.spatiotemporal_attend,
+                                  model._cross_map)
 
     def spy_forward(z, t, *args, **kwargs):
         at.update(t=t, layer=-1)
         return forward(z, t, *args, **kwargs)
 
-    def spy_attend(feats, block, heads, d_head, edit=None, source=None, carry=False):
+    def spy_attend(feats, block, heads, d_head, edit=None, source=None):
         at["layer"] += 1
-        inputs[(at["t"], at["layer"])] = source
-        return attend(feats, block, heads, d_head, edit, source, carry)
+        if source is not None:
+            inputs[(at["t"], at["layer"])] = source
+        return attend(feats, block, heads, d_head, edit, source)
 
-    def spy_cross(*args):
-        summed, source_map = cross(*args)
-        maps[(at["t"], at["layer"])] = source_map
-        return summed, source_map
+    def spy_cross_map(*args):
+        attn = cross_map(*args)
+        if (at["t"], at["layer"]) in inputs:
+            maps.setdefault((at["t"], at["layer"]), attn)
+        return attn
 
     monkeypatch.setattr(pipeline, "denoiser_forward", spy_forward)
     monkeypatch.setattr(model, "spatiotemporal_attend", spy_attend)
-    monkeypatch.setattr(model, "_source_cross", spy_cross)
+    monkeypatch.setattr(model, "_cross_map", spy_cross_map)
     return inputs, maps
 
 
@@ -82,7 +85,7 @@ def test_the_rebuilt_source_inputs_are_the_recorded_ones(blocks, h, w, tau, monk
     # 5x13 pixels end in a 1-row tail tile, 8x12 in a 32-row one.  At
     # tau 1.0 every mask is clear; at 0.7 and 0.5 the masks threshold the
     # source's cross maps, and some set every row of a block.  Every step
-    # blends, so below the last block every replay carries the source up.
+    # blends, so every replay runs the source up through every block.
     weights, sched, edit, z_T, plan, full = _edit(blocks, h, w, tau)
     seen, _ = _watch_sources(monkeypatch)
     run_denoise(z_T, edit, sched, weights, 1.0, plan)
@@ -105,23 +108,26 @@ def test_the_rebuilt_source_inputs_are_the_recorded_ones(blocks, h, w, tau, monk
                          ids=["blend-below-cross", "cross-below-blend"])
 def test_the_rebuilt_cross_maps_are_the_recorded_ones(blocks, edit_text, action, t_s,
                                                       t_c, tau, monkeypatch):
-    # At every step of the cross window each block rebuilds the source's
-    # cross map from the source the pass carried up under the source
-    # prompt's keys; the replay fuses or takes that map.  With t_c < t_s
+    # At every replayed step each block rebuilds the source's cross map
+    # from the source the pass ran up under the source prompt's keys; in
+    # the cross window the replay fuses or takes that map.  With t_c < t_s
     # the first steps lie in the cross window alone, where the replay
-    # keeps every self row the pass's own and still carries.
+    # keeps every self row the pass's own.  With t_s < t_c the last steps
+    # blend alone, and the last block rebuilds a map that nothing reads.
     weights, sched, edit, z_T, plan, full = _edit(blocks, 5, 13, tau, t_s, t_c, edit_text)
     _, seen = _watch_sources(monkeypatch)
     run_denoise(z_T, edit, sched, weights, 1.0, plan)
-    inside = [t for t in range(1, sched.T + 1) if plan.action(t, KIND_CROSS) != KEEP]
+    replayed = [t for t in range(1, sched.T + 1) if plan.step(t) is not None]
+    inside = [t for t in replayed if plan.action(t, KIND_CROSS) != KEEP]
     assert len(inside) >= 3 and {plan.action(t, KIND_CROSS) for t in inside} == {action}
-    for t in inside:
-        for layer in range(blocks):
-            source = seen[(t, layer)]
-            assert source is not None and not source.flags.writeable, (t, layer)
-            assert source.tobytes() == full.query(t - 1, layer).tobytes(), (t, layer)
+    assert sorted(seen) == [(t, layer) for t in replayed for layer in range(blocks)]
+    for (t, layer), attn in seen.items():
+        assert not attn.flags.writeable, (t, layer)
+        assert attn.tobytes() == full.query(t - 1, layer).tobytes(), (t, layer)
     if t_c < t_s:
         assert any(plan.action(t, KIND_SELF) == KEEP for t in inside)
+    else:
+        assert any(plan.action(t, KIND_CROSS) == KEEP for t in replayed)
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3])
