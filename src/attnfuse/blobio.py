@@ -22,12 +22,12 @@ HEADER = struct.Struct("<4sIQ")
 
 
 def write_blob(path: Path, config_hash: int, arrays: list[np.ndarray]) -> int:
-    """Write *arrays* to *path* after the header; returns the bytes written."""
-    path = Path(path)
-    chunks = [HEADER.pack(MAGIC, VERSION, config_hash)]
-    for arr in arrays:
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return path.write_bytes(b"".join(chunks))
+    """Write *arrays* to *path* after the header, one at a time; returns the bytes written."""
+    with open(path, "wb") as f:
+        written = f.write(HEADER.pack(MAGIC, VERSION, config_hash))
+        for arr in arrays:  # no copy of a contiguous little-endian array
+            written += f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+    return written
 
 
 def read_blob(path: Path, config_hash: int,

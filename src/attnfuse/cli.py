@@ -6,8 +6,9 @@ Subcommands: `invert` (archive the latent trajectory and z_T),
 
 Exit codes: 0 success, 1 contract violation, 2 I/O failure, 3 bad
 configuration.  A guided edit's unconditional branch runs the source
-prompt under the edit's replay, and both branches run in one lockstep
-pass per step; the output equals their sequential evaluation bit for bit.
+prompt under the edit's replay, in one lockstep pass per step with the
+edit's branch, and not at all where it would be that branch (as in
+`reconstruct`); the output equals their sequential evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -314,7 +315,6 @@ def _run_invert(rc: RunConfig) -> int:
     z0 = _source_latent(rc)
     trajectory = invert_video(z0, embed_prompt(rc.source_prompt, rc.model), rc.schedule,
                               weights)
-    # The latents go to store/, then z_T.bin; the index comes last.
     betas = rc.echo["schedule"]["beta_start"], rc.echo["schedule"]["beta_end"]
     store_dir = rc.out_dir / "store"
     written = write_store_dump(store_dir, rc.model, trajectory, betas, rc.source_prompt,

@@ -511,21 +511,21 @@ def denoiser_forward(z_t: np.ndarray, t: int, prompts: Sequence[PromptEmbedding]
             f.setflags(write=False)
         if record is not None:
             record(t, layer, KIND_SELF, feats[0] if layer else z_t)
-        edit, source_map = None if replay is None else replay.masks[layer], None
+        edit, x, source_map = None if replay is None else replay.masks[layer], None, None
 
-        def mask_of(source_out):  # thresholds the source's cross map
-            nonlocal source_map
-            source_map = _cross_map(source + source_out, bw, replay.prompt, cfg)
-            return edit(source_map)
+        def cross_of(source_out):  # the source's cross-attention input and map
+            nonlocal x, source_map
+            x = source + source_out
+            source_map = _cross_map(x, bw, replay.prompt, cfg)
+            return source_map
 
-        outs, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head,
-                                                 mask_of if callable(edit) else edit, source)
+        mask = (lambda out: edit(cross_of(out))) if callable(edit) else edit
+        outs, source_out = spatiotemporal_attend(feats, bw, cfg.heads, cfg.d_head, mask, source)
         outs = tuple(f + out for f, out in zip(feats, outs))
         if source is None:
             return outs, None, None
-        x = source + source_out  # the source's cross-attention input
         if source_map is None:
-            source_map = _cross_map(x, bw, replay.prompt, cfg)
+            cross_of(source_out)
         source_map.setflags(write=False)
         if layer + 1 == cfg.blocks:
             return outs, source_map, None

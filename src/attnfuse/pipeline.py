@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractViolation
-from .fusion import FusionPlan
+from .fusion import FusionPlan, identity_alignment
 from .imageio import quantize, read_ppm, write_ppm
 from .model import DenoiserWeights, PromptEmbedding, denoiser_forward, embed_prompt
 from .numerics import SeededRng, check_finite, require
@@ -184,8 +184,8 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
     source's cross maps whole inside the cross window, so a no-op edit
     follows its guidance-1 trajectory at any guidance.  The branches
     run in lockstep in one `denoiser_forward` per step, on a one-thread
-    pool.  At s_cfg = 1 the unconditional branch is not evaluated and
-    the pool starts no thread.
+    pool.  One stream runs at s_cfg = 1, and where the unconditional
+    branch would be the conditional one, as in a `reconstruct`.
     """
     cfg = weights.config
     z = np.asarray(z_start, dtype=np.float64)
@@ -196,10 +196,14 @@ def run_denoise(z_start: np.ndarray, prompt: PromptEmbedding,
                 f"schedule from latents of {z.shape} needs {want}")
         require(plan.blocks == cfg.blocks,
                 f"plan has {plan.blocks} blocks, the weights {cfg.blocks}")
-    guided = s_cfg != 1.0
     prompts = (prompt,)
-    if guided:
-        prompts += (embed_prompt("", cfg) if plan is None else plan.prompt,)
+    if s_cfg != 1.0:
+        uncond = embed_prompt("", cfg) if plan is None else plan.prompt
+        identity = plan is None or plan.alignment == identity_alignment(len(prompt.tokens))
+        if not (identity and uncond.tokens == prompt.tokens
+                and np.array_equal(uncond.vectors, prompt.vectors)):
+            prompts += (uncond,)
+    guided = len(prompts) == 2
     with ThreadPoolExecutor(max_workers=1) as pool:
         for t in range(sched.T, 0, -1):
             replay = plan.step(t, guided) if plan is not None else None

@@ -12,11 +12,11 @@ inversion, the whole T x L x {self, cross} grid, each key once.  No
 edit keeps one: the pass rebuilds every source map it replays from
 the trajectory's latents.
 
-`write_store_dump` writes what a replay needs: each step's latent to
-its blob, z_T, and last the index of the replay's inputs and z_T's
-digest, so a directory without `index.json` is an interrupted dump.
-`load_store_dump` rebuilds the whole grid by replaying inversion from
-the latents, checking each file.
+`write_store_dump` writes what a replay needs: the latents z_0 ...
+z_{T-1} as one blob, then z_T, and last the index of the replay's
+inputs and z_T's digest, so a directory without `index.json` is an
+interrupted dump.  `load_store_dump` rebuilds the whole grid by running
+`pipeline.invert_video` from z_0 into a store, checking each file.
 """
 
 from __future__ import annotations
@@ -31,16 +31,18 @@ import numpy as np
 
 from . import blobio
 from .errors import ContractViolation, MissingRecordError
-from .model import (KIND_CROSS, KIND_SELF, ModelConfig, config_hash, denoiser_forward,
-                    embed_prompt, make_denoiser_weights)
+from .model import (KIND_CROSS, KIND_SELF, ModelConfig, config_hash, embed_prompt,
+                    make_denoiser_weights)
 from .numerics import check_finite, fnv1a64, require
-from .schedule import ddim_invert_step, make_schedule
+from .pipeline import invert_video
+from .schedule import make_schedule
 
-# Format of a store dump's index.json and blobs.  Version 7 writes one
-# latent per step and what replaying them needs.  Earlier versions wrote
-# records of the grid: 6 each one's array, 5 and 4 also weights, 3 an
-# index of every record, 2 self projections, 1 (no "version" key) maps.
-DUMP_VERSION = 7
+# Format of a store dump's index.json and blobs.  Version 8 writes the
+# latents to one blob and what replaying them needs; 7 wrote a blob per
+# latent.  Earlier ones wrote records of the grid: 6 each one's array, 5
+# and 4 also weights, 3 an index, 2 self projections, 1 (unversioned) maps.
+DUMP_VERSION = 8
+TRAJECTORY = "trajectory.bin"  # the blob of the latents z_0 ... z_{T-1}
 
 
 class AttentionKey(NamedTuple):
@@ -49,13 +51,8 @@ class AttentionKey(NamedTuple):
     kind: str
 
 
-def _blob_name(key: AttentionKey) -> str:
-    """The file a dump stores *key*'s entry in."""
-    return f"{key.kind}_t{key.t:04d}_l{key.layer:02d}.bin"
-
-
-# Every name `_blob_name` gives, also those of an earlier version's records.
-_BLOB_NAME = re.compile(rf"({KIND_SELF}|{KIND_CROSS})_t\d{{4,}}_l\d{{2,}}\.bin")
+# Blobs of earlier versions that version 8 does not write: a record's, and weights.bin.
+_OLD_BLOB = re.compile(rf"weights\.bin|({KIND_SELF}|{KIND_CROSS})_t\d{{4,}}_l\d{{2,}}\.bin")
 
 
 def _grid(T: int, blocks: int) -> Iterator[AttentionKey]:
@@ -128,13 +125,13 @@ def write_store_dump(directory: Path, cfg: ModelConfig, trajectory: np.ndarray,
                      betas: tuple[float, float], source_prompt: str, z_T_path: Path) -> int:
     """Write `invert`'s dump of *trajectory*, inversion's z_0 ... z_T under *cfg*.
 
-    An earlier dump's index, blobs (every file named as `_blob_name`
-    names one) and version 5 `weights.bin` go first.  Then each step's
-    latent z_t, t < T, goes to its blob, z_T to *z_T_path*, and last the
-    index: what the replay needs (*cfg*, T, *betas*, *source_prompt*)
-    and z_T's digest.  A trajectory that is not (T+1, n, c, h, w) under
-    *cfg*, T >= 1, is refused before anything is removed.  Returns the
-    bytes of the latent blobs written to *directory*.
+    An earlier dump's index, the blobs versions 1 to 7 named after keys
+    of the grid and version 5's `weights.bin` go first.  Then z_0 ...
+    z_{T-1} go to `trajectory.bin`, z_T to *z_T_path*, both rewritten in
+    place, and last the index: what the replay needs (*cfg*, T,
+    *betas*, *source_prompt*) and z_T's digest.  A trajectory that is
+    not (T+1, n, c, h, w) under *cfg*, T >= 1, is refused before
+    anything is removed.  Returns the bytes of `trajectory.bin`.
     """
     directory = Path(directory)
     T = len(trajectory) - 1
@@ -143,13 +140,11 @@ def write_store_dump(directory: Path, cfg: ModelConfig, trajectory: np.ndarray,
             f"{cfg.w}) with T >= 1, got {trajectory.shape}; no dump written")
     hash_ = config_hash(cfg)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in ("index.json", "weights.bin"):
-        (directory / name).unlink(missing_ok=True)
+    (directory / "index.json").unlink(missing_ok=True)
     for path in directory.glob("*.bin"):
-        if _BLOB_NAME.fullmatch(path.name):
+        if _OLD_BLOB.fullmatch(path.name):
             path.unlink()
-    written = sum(blobio.write_blob(directory / _blob_name(AttentionKey(t, 0, KIND_SELF)),
-                                    hash_, [trajectory[t]]) for t in range(T))
+    written = blobio.write_blob(directory / TRAJECTORY, hash_, [trajectory[:T]])
     blobio.write_blob(z_T_path, hash_, [trajectory[T]])
     index = {"version": DUMP_VERSION, "T": T, "config_hash": hash_, "model": asdict(cfg),
              "beta_start": betas[0], "beta_end": betas[1], "source_prompt": source_prompt,
@@ -164,12 +159,12 @@ _INDEX_FIELDS = {"T": int, "config_hash": int, "model": dict, "beta_start": floa
 
 
 def load_store_dump(directory: Path) -> AttentionStore:
-    """Rebuild a dump's whole store by replaying inversion from its latents.
+    """Rebuild a dump's whole store by replaying inversion from its z_0.
 
     It checks each file it reads, naming the one at fault: the index's
-    fields and config hash, each latent's header, length and finiteness,
-    and that each replayed step lands on the next latent, and the last on
-    the index's z_T digest, bit for bit.
+    fields and config hash, the trajectory's header, length and
+    finiteness, and that inversion from z_0 lands on each stored latent,
+    and last on the index's z_T digest, bit for bit.
     """
     directory = Path(directory)
     index_path = directory / "index.json"
@@ -198,20 +193,19 @@ def load_store_dump(directory: Path) -> AttentionStore:
     require(index["config_hash"] == hash_,
             f"{index_path}: config_hash {index['config_hash']:#018x} is not that of "
             f"its model, {hash_:#018x}")
-    weights, prompt = make_denoiser_weights(cfg), embed_prompt(index["source_prompt"], cfg)
+    path = directory / TRAJECTORY
+    [latents] = blobio.read_blob(path, hash_, [(T, cfg.n, cfg.c, cfg.h, cfg.w)])
+    check_finite(f"{path}: latents", latents)
     store = AttentionStore(StoreMeta(T=T, blocks=cfg.blocks))
-    landed = None
-    for t in range(T):
-        path = directory / _blob_name(AttentionKey(t, 0, KIND_SELF))
-        [z] = blobio.read_blob(path, hash_, [(cfg.n, cfg.c, cfg.h, cfg.w)])
-        check_finite(f"{path}: latent", z)
-        if landed is not None:
-            differ = np.count_nonzero(z.view(np.uint64) != landed.view(np.uint64))
-            require(not differ, f"{path}: step {t - 1}'s replay under {index_path} "
-                                f"lands elsewhere ({differ} of {z.size} values differ)")
-        [eps] = denoiser_forward(z, t, (prompt,), weights, T, record=store.add)
-        landed = ddim_invert_step(z, eps, t, sched)
-    require(_digest(landed) == index["z_T_fnv1a64"],
+    replay = invert_video(latents[0], embed_prompt(index["source_prompt"], cfg), sched,
+                          make_denoiser_weights(cfg), record=store.add)
+    differ = np.count_nonzero(latents.view(np.uint64) != replay[:T].view(np.uint64),
+                              axis=(1, 2, 3, 4))
+    t = int(np.argmax(differ > 0))  # the first latent the replay misses
+    require(not differ[t], f"{path}: step {t - 1}'s replay under {index_path} lands "
+                           f"elsewhere than latent {t} ({differ[t]} of {latents[t].size} "
+                           f"values differ)")
+    require(_digest(replay[T]) == index["z_T_fnv1a64"],
             f"{index_path}: z_T_fnv1a64 {index['z_T_fnv1a64']:#018x} is not the digest "
-            f"of step {T - 1}'s replay, {_digest(landed):#018x}")
+            f"of step {T - 1}'s replay, {_digest(replay[T]):#018x}")
     return store

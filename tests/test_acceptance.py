@@ -385,9 +385,10 @@ NOOP_PSNR_FLOOR_DB = 29.0
 
 
 def test_criterion_11_noop_edit_keeps_to_inversion():
-    # Edit prompt = source prompt: both guidance branches run the source
-    # prompt under the same replay, so guidance adds nothing and each
-    # preset's edit at 7.5 writes the frames it writes at guidance 1.
+    # Edit prompt = source prompt: the unconditional branch would run the
+    # source prompt under the same replay as the conditional one, so
+    # guidance adds nothing and each preset's edit at 7.5 writes the
+    # frames it writes at guidance 1.
     worst = []
     for seed in range(6):
         cfg = ModelConfig(n=3, h=8, w=8, c=1, d_model=16, heads=2, d_head=8,

@@ -25,7 +25,8 @@ from attnfuse.numerics import SeededRng, derived_seed
 from attnfuse.pipeline import (VideoSpec, invert_video, pixels_to_latent, synth_video,
                                write_frame_dir)
 from attnfuse.schedule import ddim_invert_step
-from attnfuse.store import DUMP_VERSION, AttentionStore, StoreMeta, load_store_dump
+from attnfuse.store import (DUMP_VERSION, TRAJECTORY, AttentionStore, StoreMeta,
+                            load_store_dump)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -214,10 +215,10 @@ def test_invert_writes_latent_and_store(tmp_path, config_path, capsys):
     [z_T] = read_blob(out / "z_T.bin", config_hash(rc.model),
                       [(3, 1, 12, 12)])
     assert np.all(np.isfinite(z_T))
-    # store/ holds one latent per step; the load replays them into every
-    # record of the grid.  Block 0's self record of step 0 is the source
-    # latent.  The dump holds no weights: the load builds them from the
-    # model the index carries.
+    # store/ holds the latents of steps 0 to T-1 in one blob; the load
+    # replays inversion from z_0 into every record of the grid.  Block 0's
+    # self record of step 0 is the source latent.  The dump holds no
+    # weights: the load builds them from the model the index carries.
     blobs = sum(p.stat().st_size for p in (out / "store").glob("*.bin"))
     assert f"4 latents ({blobs / 1e6:.2f} MB) in {out / 'store'}" in capsys.readouterr().out
     store = load_store_dump(out / "store")
@@ -258,28 +259,30 @@ def test_interrupted_invert_leaves_no_index_beside_its_blobs(tmp_path, config_pa
     original = blobio.write_blob
 
     def failing(path, *args):
-        if path.name == "self_t0002_l00.bin":
-            raise OSError("the disk filled at step 2's latent")
+        if path.name == "z_T.bin":
+            raise OSError("the disk filled at z_T")
         return original(path, *args)
 
-    # Another clip removes the earlier dump's index, rewrites the latents of
-    # steps 0 and 1, then fails.
+    # Another clip removes the earlier dump's index, rewrites the
+    # trajectory, then fails.
     monkeypatch.setattr(blobio, "write_blob", failing)
     assert run(["invert", "--config", str(config_path), "--seed", "9",
                 "--out", str(out)]) == 2
     record = earlier.self_record(1, 0)
-    [z_t] = read_blob(out / "store" / "self_t0001_l00.bin",
-                      config_hash(parse_config(config_path).model), [record.shape])
-    assert not np.array_equal(z_t, record)
+    [latents] = read_blob(out / "store" / TRAJECTORY,
+                          config_hash(parse_config(config_path).model), [(4,) + record.shape])
+    assert not np.array_equal(latents[1], record)
+    assert not (out / "store" / "index.json").exists()
     with pytest.raises(ContractViolation, match="index.json"):
         load_store_dump(out / "store")
 
 
 def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
     # A shorter invert into a longer one's --out leaves only its own
-    # latents.  It also removes what earlier formats left there: a version
-    # 6 dump's cross and later-block blobs and a version 5 dump's
-    # weights.bin.  Files not named as blobs stay.
+    # index and trajectory.  It also removes what earlier formats left
+    # there: a version 7 dump's latent blobs, a version 6 dump's cross and
+    # later-block blobs and a version 5 dump's weights.bin.  Files not
+    # named as blobs stay.
     out, others = tmp_path / "inv", ["notes.txt", "self_t1_l0.bin", "cross_t0009_l00.npy"]
     version6 = [f"{kind}_t{t:04d}_l{layer:02d}.bin"
                 for t in range(6) for layer in range(2) for kind in ("self", "cross")]
@@ -289,12 +292,11 @@ def test_invert_removes_the_blobs_of_an_earlier_dump(tmp_path):
         if steps == 2:
             for name in others + version6 + ["weights.bin"]:
                 (out / "store" / name).write_text("not a blob")
-            (out / "store" / "index.json").write_text('{"version": 6}')
+            (out / "store" / "index.json").write_text('{"version": 7}')
         assert run(["invert", "--config", str(path), "--out", str(out)]) == 0
     assert load_store_dump(out / "store").meta.T == 2
-    latents = [f"self_t{t:04d}_l00.bin" for t in range(2)]
     assert (sorted(p.name for p in (out / "store").iterdir())
-            == sorted(["index.json", *latents, *others]))
+            == sorted(["index.json", TRAJECTORY, *others]))
 
 
 _LOAD = """\
@@ -489,6 +491,24 @@ def test_reconstruct_equals_identity_edit(tmp_path):
     mse_rec = json.loads((rec / "metrics.json").read_text())["mse"]
     mse_edit = json.loads((edit / "metrics.json").read_text())["mse"]
     assert mse_rec == mse_edit
+
+
+def test_a_guided_reconstruct_makes_one_one_prompt_pass_per_step(tmp_path, config_path,
+                                                                 monkeypatch):
+    # A reconstruct's unconditional branch would run the source prompt
+    # under the conditional branch's replay, so at the shape preset's 7.5
+    # each of its 4 denoising steps is one one-prompt pass, as each of
+    # inversion's 4 steps is.  An edit that changes a word runs both.
+    import attnfuse.pipeline as pipeline
+    streams, forward = [], pipeline.denoiser_forward
+    monkeypatch.setattr(pipeline, "denoiser_forward", lambda z, t, prompts, *args, **kw: (
+        streams.append(len(prompts)) or forward(z, t, prompts, *args, **kw)))
+    assert parse_config(config_path).edit.s_cfg == 7.5
+    for command, denoising in (("reconstruct", 1), ("edit", 2)):
+        streams.clear()
+        assert run([command, "--config", str(config_path),
+                    "--out", str(tmp_path / command)]) == 0
+        assert streams == [1] * 4 + [denoising] * 4, command
 
 
 def test_gray_reconstruction_is_scored_against_the_luminance_source(tmp_path):
@@ -705,14 +725,16 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     cross_map = m.n * m.heads * hw * tokens * 8
     self_map = m.n * m.heads * hw * 2 * hw * 8
     step = latent + (m.blocks - 1) * self_record + m.blocks * cross_map
-    # A dump writes each step's latent to its blob, and no other record.
-    latent_blob = HEADER.size + latent
+    # A dump writes the latents to one blob, and no other record.
+    def trajectory_blob(steps):
+        return HEADER.size + steps * latent
+
     assert f"block input, n·h·w·d_model values ({self_record / 1e3:.0f} kB" in readme
     assert f"latent, n·c·h·w values ({latent / 1e3:.0f} kB there)" in readme
     assert f"(T = {rc.steps}, {m.blocks} blocks, {tokens} prompt tokens)" in readme
     assert (f"holds {rc.steps * step / 1e6:.1f} MB instead of "
             f"{records * (self_map + cross_map) / 1e6:.0f} MB") in readme
-    assert (f"`invert` writes {rc.steps * latent_blob / 1e6:.2f} MB to `store/` instead "
+    assert (f"`invert` writes {trajectory_blob(rc.steps) / 1e6:.2f} MB to `store/` instead "
             f"of {rc.steps * (2 * m.blocks * HEADER.size + step) / 1e6:.1f} MB") in readme
     # An edit of that config keeps the latent trajectory alone.
     assert (f"holds the trajectory's {rc.steps + 1} latents "
@@ -734,7 +756,7 @@ def test_readme_store_figures_follow_the_store_format(tmp_path, write_dump):
     write_dump(tmp_path / "store", make_denoiser_weights(m))
     written = sum(p.stat().st_size for p in (tmp_path / "store").iterdir())
     index = (tmp_path / "store" / "index.json").stat().st_size
-    assert written - index == 4 * latent_blob
+    assert written - index == trajectory_blob(4)
 
 
 def test_frame_count_mismatch_exits_1(tmp_path):

@@ -243,10 +243,11 @@ def test_fuse_cross_rows_sum_to_one_random():
                          got[..., 2] * src[..., 0])) <= 1e-12
 
 
-def test_a_cross_rewrite_carries_every_block():
-    # The plan keeps no cross map for the cross window: the pass rebuilds
-    # the source's at every block under the source prompt that the replay
-    # names, also the last and on a step outside the self window.
+def test_a_cross_replay_names_the_source_prompt_a_mask_per_block_and_the_uncond_source_map():
+    # The plan keeps no cross map for the cross window: a replay that fuses
+    # or takes the source's map names the source prompt, under which the
+    # pass rebuilds that map, and one mask per block, also on a step
+    # outside the self window; the unconditional branch takes the map whole.
     fusing = PromptAlignment(matched=((0, 0),), edited_positions=(1,),
                              removed_positions=(1,))
     for alignment, action in ((fusing, FUSE), (identity_alignment(2), TAKE_SOURCE)):

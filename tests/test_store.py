@@ -13,8 +13,8 @@ from attnfuse.model import (KIND_CROSS, KIND_SELF, ModelConfig, SelfTiles, confi
                             denoiser_forward, embed_prompt, make_denoiser_weights)
 from attnfuse.numerics import SeededRng, fnv1a64
 from attnfuse.schedule import ddim_invert_step, make_schedule
-from attnfuse.store import (DUMP_VERSION, AttentionKey, AttentionStore, StoreMeta,
-                            load_store_dump)
+from attnfuse.store import (DUMP_VERSION, TRAJECTORY, AttentionKey, AttentionStore,
+                            StoreMeta, load_store_dump)
 
 
 def _cross_map(keys=4):
@@ -144,14 +144,12 @@ def test_dump_and_load_round_trip(tmp_path, tiny_cfg, toy_clip, write_dump, reco
     weights = make_denoiser_weights(cfg)
     d = tmp_path / "store"
     z_T = write_dump(d, weights)
-    # On disk: one blob per step, the step's latent, n*c*h*w float64s,
+    # On disk: one blob of the latents z_0 ... z_{T-1}, T*n*c*h*w float64s,
     # and the index of what a replay needs.  No cross map, no later
-    # block's input and no weights.
+    # block's input, no weights and no file named after a key of the grid.
     sched, prompt, z0 = toy_clip(cfg)
-    latents = [f"self_t{t:04d}_l00.bin" for t in range(sched.T)]
-    assert sorted(p.name for p in d.iterdir()) == sorted(["index.json", *latents])
-    for name in latents:
-        assert (d / name).stat().st_size == HEADER.size + z0.nbytes, name
+    assert sorted(p.name for p in d.iterdir()) == ["index.json", TRAJECTORY]
+    assert (d / TRAJECTORY).stat().st_size == HEADER.size + sched.T * z0.nbytes
     index = json.loads((d / "index.json").read_text())
     assert index == {"version": DUMP_VERSION, "T": sched.T,
                      "config_hash": config_hash(cfg), "model": dataclasses.asdict(cfg),
@@ -170,21 +168,23 @@ def test_old_format_dump_is_refused(tmp_path, write_dump):
     d = tmp_path / "store"
     write_dump(d)
     index = json.loads((d / "index.json").read_text())
-    assert index["version"] == 7
-    # Version 6 wrote every record of the grid, version 5 also the
-    # weights the self records share to weights.bin, version 4 block
-    # inputs and weights into every self blob, version 3 listed every
-    # record's file and shape, version 2 held query and key projections
-    # in its self blobs, and a version 1 dump had no version key and held
-    # self maps.  A version must be the integer 7.
-    for version, fragment in [(6, "version 6, expected 7"),
-                              (5, "version 5, expected 7"),
-                              (4, "version 4, expected 7"),
-                              (3, "version 3, expected 7"),
-                              (2, "version 2, expected 7"),
-                              (None, "version 1, expected 7"),
-                              ("7", "version '7', expected 7"),
-                              (7.0, r"version 7\.0, expected 7")]:
+    assert index["version"] == 8
+    # Version 7 wrote one blob per latent, named after block 0's self key,
+    # version 6 every record of the grid, version 5 also the weights the
+    # self records share to weights.bin, version 4 block inputs and
+    # weights into every self blob, version 3 listed every record's file
+    # and shape, version 2 held query and key projections in its self
+    # blobs, and a version 1 dump had no version key and held self maps.
+    # A version must be the integer 8.
+    for version, fragment in [(7, "version 7, expected 8"),
+                              (6, "version 6, expected 8"),
+                              (5, "version 5, expected 8"),
+                              (4, "version 4, expected 8"),
+                              (3, "version 3, expected 8"),
+                              (2, "version 2, expected 8"),
+                              (None, "version 1, expected 8"),
+                              ("8", "version '8', expected 8"),
+                              (8.0, r"version 8\.0, expected 8")]:
         old = {k: v for k, v in index.items() if k != "version"}
         if version is not None:
             old["version"] = version
@@ -197,8 +197,8 @@ def test_a_written_dump_equals_the_dumped_store(tmp_path, tiny_cfg, toy_clip, to
                                                 recorded_inversion):
     # The latents of the store an inversion records, stacked with z_T, are
     # the trajectory `invert` dumps, and loading that dump gives the store
-    # back, at 2 and 1 blocks.  The latents go first, then z_T.bin, and
-    # the index last.
+    # back, at 2 and 1 blocks.  The latents go first, in one blob, then
+    # z_T.bin, and the index last.
     for blocks in (2, 1):
         cfg = dataclasses.replace(tiny_cfg, blocks=blocks)
         weights = make_denoiser_weights(cfg)
@@ -218,7 +218,7 @@ def test_a_written_dump_equals_the_dumped_store(tmp_path, tiny_cfg, toy_clip, to
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(blobio, "write_blob", spy)
             toy_dump(d, trajectory, cfg)
-        assert written == [_latent(t) for t in range(sched.T)] + ["z_T.bin"]
+        assert written == [TRAJECTORY, "z_T.bin"]
         [z_T] = read_blob(d.parent / "z_T.bin", config_hash(cfg), [z0.shape])
         assert z_T.tobytes() == trajectory[-1].tobytes()
         _assert_same_store(load_store_dump(d), store)
@@ -227,7 +227,7 @@ def test_a_written_dump_equals_the_dumped_store(tmp_path, tiny_cfg, toy_clip, to
 def test_dump_refuses_an_incomplete_store(tmp_path, tiny_cfg, toy_dump, write_dump):
     # A trajectory that is not (T+1, n, c, h, w) under the config, T >= 1,
     # is refused before the earlier dump's files go; a valid one replaces
-    # its index and blobs.
+    # its index and blob.
     d = tmp_path / "store"
     z_T = write_dump(d)
     earlier = {p.name: p.read_bytes() for p in d.iterdir()}
@@ -237,30 +237,35 @@ def test_dump_refuses_an_incomplete_store(tmp_path, tiny_cfg, toy_dump, write_du
             toy_dump(d, bad, tiny_cfg)
         assert {p.name: p.read_bytes() for p in d.iterdir()} == earlier
     toy_dump(d, trajectory, tiny_cfg)
-    assert sorted(p.name for p in d.iterdir()) == ["index.json", _latent(0), _latent(1)]
-
-
-def _latent(t):
-    return f"self_t{t:04d}_l00.bin"
+    assert sorted(p.name for p in d.iterdir()) == ["index.json", TRAJECTORY]
+    [latents] = read_blob(d / TRAJECTORY, config_hash(tiny_cfg), [(2,) + z_T.shape])
+    assert latents.tobytes() == trajectory[:2].tobytes()
 
 
 def _tampered_dump(directory, write_dump, case):
-    """Dump the toy inversion to *directory*, then spoil its index or one of its latents."""
+    """Dump the toy inversion to *directory*, then spoil its index or its trajectory."""
     write_dump(directory)
     index = json.loads((directory / "index.json").read_text())
     hash_, model = index["config_hash"], index["model"]
-    shape = [(model["n"], model["c"], model["h"], model["w"])]
-    path = directory / _latent(1 if case == "nan latent" else 2)
-    if case in ("latent one ulp up", "nan latent", "short latent"):
+    shape = [(index["T"], model["n"], model["c"], model["h"], model["w"])]
+    path = directory / TRAJECTORY
+    if case in ("latent 2 one ulp up", "latent 2 one bit flipped", "nan latent 1",
+                "one latent short"):
         [z] = [arr.copy() for arr in read_blob(path, hash_, shape)]
-        if case == "short latent":
-            z = z.ravel()[:-1]
+        if case == "one latent short":
+            z = z[:-1]
+        elif case == "latent 2 one bit flipped":
+            z[2].view(np.uint64).flat[7] ^= np.uint64(1 << 20)
+        elif case == "nan latent 1":
+            z[1].flat[5] = np.nan
         else:
-            z.flat[5] = np.nextafter(z.flat[5], np.inf) if case.endswith("up") else np.nan
+            z[2].flat[5] = np.nextafter(z[2].flat[5], np.inf)
         write_blob(path, hash_, [z])
     elif case == "trailing bytes":
         path.write_bytes(path.read_bytes() + bytes(8))
-    elif case == "no latent blob":
+    elif case == "truncated trajectory":
+        path.write_bytes(path.read_bytes()[:-3])
+    elif case == "no trajectory blob":
         path.unlink()
     elif case == "other prompt word":
         index["source_prompt"] = index["source_prompt"].replace("right", "left")
@@ -270,8 +275,8 @@ def _tampered_dump(directory, write_dump, case):
             index["config_hash"] = config_hash(ModelConfig(**model))
     elif case == "wrong z_T digest":
         index["z_T_fnv1a64"] ^= 1
-    elif case == "version 6":
-        index["version"] = 6
+    elif case == "version 7":
+        index["version"] = 7
     elif case == "string config hash":
         index["config_hash"] = "x"
     elif case == "no model seed":
@@ -290,22 +295,25 @@ def test_load_checks_every_file_it_reads(tmp_path, write_dump):
     write_dump(tmp_path / "good")
     assert load_store_dump(tmp_path / "good").verify_complete() == []
     # blobio checks the header and the length only, so the payload cases
-    # reach the loader, which replays each latent and requires the step
-    # to land on the next one bit for bit.  Each case names the file at
-    # fault: the latent's blob, or the index.
+    # reach the loader, which replays inversion from z_0 and requires each
+    # step to land on the next stored latent bit for bit.  Each case names
+    # the file at fault: the trajectory's blob, or the index.
     for case, fragment, named in [
-            ("latent one ulp up", "step 1's replay .* lands elsewhere "
-                                  r"\(1 of 48 values differ\)", _latent(2)),
-            ("nan latent", "latent: non-finite", _latent(1)),
-            ("short latent", "payload shorter than declared shapes", _latent(2)),
-            ("trailing bytes", "8 trailing bytes", _latent(2)),
-            ("no latent blob", "cannot read", _latent(2)),
+            ("latent 2 one ulp up", "step 1's replay .* lands elsewhere than latent 2 "
+                                    r"\(1 of 48 values differ\)", TRAJECTORY),
+            ("latent 2 one bit flipped", "step 1's replay .* lands elsewhere than latent 2 "
+                                         r"\(1 of 48 values differ\)", TRAJECTORY),
+            ("nan latent 1", "latents: non-finite", TRAJECTORY),
+            ("one latent short", "payload shorter than declared shapes", TRAJECTORY),
+            ("truncated trajectory", "payload shorter than declared shapes", TRAJECTORY),
+            ("trailing bytes", "8 trailing bytes", TRAJECTORY),
+            ("no trajectory blob", "cannot read", TRAJECTORY),
             ("other prompt word", "step 0's replay .* lands elsewhere", "index.json"),
             ("other seed", "config_hash .* is not that of its model", "index.json"),
-            ("other seed and hash", "config hash mismatch", _latent(0)),
+            ("other seed and hash", "config hash mismatch", TRAJECTORY),
             ("wrong z_T digest", "z_T_fnv1a64 .* is not the digest of step 3's replay",
              "index.json"),
-            ("version 6", "version 6, expected 7", "index.json"),
+            ("version 7", "version 7, expected 8", "index.json"),
             ("garbage index", "not a JSON index", "index.json"),
             ("no index", "cannot read", "index.json"),
             ("string config hash", r"mistyped: config_hash \(int\)", "index.json"),
